@@ -23,7 +23,6 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "exec/operators.h"
 #include "exec/stack_tree.h"
 #include "exec/vector_kernels.h"
@@ -33,18 +32,6 @@
 
 namespace sjos {
 namespace {
-
-/// Worker count from the --threads flag (1 = serial paths everywhere).
-int g_threads = 1;
-
-/// Shared pool for the parallel join benches; null when --threads 1, which
-/// makes StackTreeJoinParallel take the serial path — so the same bench
-/// run with different --threads values measures the speedup directly.
-ThreadPool* Pool() {
-  static ThreadPool* pool =
-      g_threads > 1 ? new ThreadPool(static_cast<size_t>(g_threads)) : nullptr;
-  return pool;
-}
 
 /// Deep random tree with two tags; tag t0 elements nest recursively, so
 /// the t0-t1 join exercises non-trivial stack depths.
@@ -132,44 +119,6 @@ void BM_SelfJoinRecursiveTag(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SelfJoinRecursiveTag)->Arg(10000)->Arg(100000);
-
-void BM_ParallelStackTreeDesc(benchmark::State& state) {
-  const Database& db = TreeDb(static_cast<uint64_t>(state.range(0)));
-  TupleSet anc = Candidates(db, "t0", 0);
-  TupleSet desc = Candidates(db, "t1", 1);
-  uint64_t rows = 0;
-  for (auto _ : state) {
-    Result<TupleSet> out = StackTreeJoinParallel(
-        db.doc(), anc, 0, desc, 0, Axis::kDescendant,
-        /*output_by_ancestor=*/false, Pool());
-    benchmark::DoNotOptimize(out);
-    rows = out.value().size();
-  }
-  state.counters["out_rows"] = static_cast<double>(rows);
-  state.counters["threads"] = static_cast<double>(g_threads);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(anc.size() + desc.size()));
-}
-BENCHMARK(BM_ParallelStackTreeDesc)->Arg(10000)->Arg(100000)->Arg(400000);
-
-void BM_ParallelStackTreeAnc(benchmark::State& state) {
-  const Database& db = TreeDb(static_cast<uint64_t>(state.range(0)));
-  TupleSet anc = Candidates(db, "t0", 0);
-  TupleSet desc = Candidates(db, "t1", 1);
-  uint64_t rows = 0;
-  for (auto _ : state) {
-    Result<TupleSet> out = StackTreeJoinParallel(
-        db.doc(), anc, 0, desc, 0, Axis::kDescendant,
-        /*output_by_ancestor=*/true, Pool());
-    benchmark::DoNotOptimize(out);
-    rows = out.value().size();
-  }
-  state.counters["out_rows"] = static_cast<double>(rows);
-  state.counters["threads"] = static_cast<double>(g_threads);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(anc.size() + desc.size()));
-}
-BENCHMARK(BM_ParallelStackTreeAnc)->Arg(10000)->Arg(100000)->Arg(400000);
 
 void BM_SortOperator(benchmark::State& state) {
   const Database& db = TreeDb(100000);
@@ -425,10 +374,9 @@ int RunKernelComparison(const std::string& path) {
 }  // namespace
 }  // namespace sjos
 
-// Custom main: strip --threads / --json before google-benchmark sees the
-// flags. --json switches to the kernel comparison mode.
+// Custom main: strip --json before google-benchmark sees the flags. --json
+// switches to the kernel comparison mode.
 int main(int argc, char** argv) {
-  sjos::g_threads = sjos::bench::ParseThreadsFlag(&argc, argv, 1);
   const std::string json = sjos::bench::ParseJsonFlag(&argc, argv);
   if (!json.empty()) return sjos::RunKernelComparison(json);
   benchmark::Initialize(&argc, argv);

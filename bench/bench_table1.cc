@@ -57,15 +57,13 @@ int main(int argc, char** argv) {
     for (const auto& optimizer :
          MakePaperOptimizers(query.pattern.NumEdges())) {
       Measurement m = MeasureOptimizer(env, optimizer.get(),
-                                       /*eval_row_budget=*/0,
-                                       /*num_threads=*/1, limits);
+                                       /*eval_row_budget=*/0, limits);
       report.Add(query.id, m);
       cells.push_back(Ms(m.opt_ms));
       cells.push_back(Ms(m.eval_ms));
     }
     Measurement bad = MeasureBadPlan(env, kBadPlanSamples, /*seed=*/777,
-                                     kBadPlanRowBudget, /*num_threads=*/1,
-                                     limits);
+                                     kBadPlanRowBudget, limits);
     report.Add(query.id, bad);
     cells.push_back((bad.eval_capped ? ">" : "") + Ms(bad.eval_ms));
     PrintRow(widths, cells);

@@ -37,8 +37,7 @@ int main(int argc, char** argv) {
   std::vector<Measurement> results;
   for (const auto& optimizer : optimizers) {
     results.push_back(MeasureOptimizer(env, optimizer.get(),
-                                       /*eval_row_budget=*/0,
-                                       /*num_threads=*/1, limits));
+                                       /*eval_row_budget=*/0, limits));
     report.Add(query.id, results.back());
   }
 

@@ -55,13 +55,12 @@ int main(int argc, char** argv) {
       // Optimized plans run unbudgeted — their intermediates are the whole
       // point of the comparison; only the bad plan needs the safety valve.
       Measurement m = MeasureOptimizer(env, optimizers[i].get(),
-                                       /*eval_row_budget=*/0,
-                                       /*num_threads=*/1, limits);
+                                       /*eval_row_budget=*/0, limits);
       rows[i].evals.push_back((m.eval_capped ? ">" : "") + Ms(m.eval_ms));
       rows[i].shapes.push_back(m.signature);
     }
-    Measurement bad = MeasureBadPlan(env, 100, /*seed=*/777, kBadPlanRowBudget,
-                                     /*num_threads=*/1, limits);
+    Measurement bad =
+        MeasureBadPlan(env, 100, /*seed=*/777, kBadPlanRowBudget, limits);
     rows[5].evals.push_back((bad.eval_capped ? ">" : "") + Ms(bad.eval_ms));
     rows[5].shapes.push_back(bad.signature);
   }

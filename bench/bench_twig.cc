@@ -18,12 +18,10 @@ using namespace sjos;
 using namespace sjos::bench;
 
 int main(int argc, char** argv) {
-  const int threads = ParseThreadsFlag(&argc, argv, 1);
   const ExecLimits limits = ParseLimitFlags(&argc, argv);
   std::printf(
       "Holistic twig join (PathStack + merge) vs optimized binary "
-      "structural join plans (DPP), binary side executed with %d thread%s\n\n",
-      threads, threads == 1 ? "" : "s");
+      "structural join plans (DPP)\n\n");
 
   const std::vector<int> widths = {14, 6, 12, 12, 12, 12, 12};
   PrintRule(widths);
@@ -43,8 +41,7 @@ int main(int argc, char** argv) {
 
       auto dpp = MakeDppOptimizer();
       Measurement binary = MeasureOptimizer(env, dpp.get(),
-                                            /*eval_row_budget=*/0, threads,
-                                            limits);
+                                            /*eval_row_budget=*/0, limits);
 
       TwigJoinStats twig_stats;
       // Warm-up + timed run, mirroring the binary side's policy.

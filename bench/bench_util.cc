@@ -43,11 +43,10 @@ QueryEnv::QueryEnv(const DatasetHandle& dataset, Pattern pattern)
 }
 
 void TimeExecution(const QueryEnv& env, const PhysicalPlan& plan,
-                   uint64_t eval_row_budget, Measurement* m, int num_threads,
+                   uint64_t eval_row_budget, Measurement* m,
                    ExecLimits limits) {
   ExecOptions options = limits.ExecView();
   options.max_join_output_rows = eval_row_budget;
-  options.num_threads = num_threads;
   Executor exec(env.db(), options);
   // One untimed warm-up run eliminates cold-cache noise on plans measured
   // with a single rep; a capped warm-up is reported directly.
@@ -83,8 +82,7 @@ void TimeExecution(const QueryEnv& env, const PhysicalPlan& plan,
 }
 
 Measurement MeasureOptimizer(const QueryEnv& env, Optimizer* optimizer,
-                             uint64_t eval_row_budget, int num_threads,
-                             ExecLimits limits) {
+                             uint64_t eval_row_budget, ExecLimits limits) {
   Measurement m;
   m.algo = optimizer->name();
 
@@ -104,13 +102,12 @@ Measurement MeasureOptimizer(const QueryEnv& env, Optimizer* optimizer,
   m.plans_considered = chosen.stats.plans_considered;
   m.modelled_cost = chosen.modelled_cost;
   m.signature = PlanSignature(chosen.plan, env.pattern());
-  TimeExecution(env, chosen.plan, eval_row_budget, &m, num_threads, limits);
+  TimeExecution(env, chosen.plan, eval_row_budget, &m, limits);
   return m;
 }
 
 Measurement MeasureBadPlan(const QueryEnv& env, size_t samples, uint64_t seed,
-                           uint64_t eval_row_budget, int num_threads,
-                           ExecLimits limits) {
+                           uint64_t eval_row_budget, ExecLimits limits) {
   Measurement m;
   m.algo = "Bad";
   Result<WorstPlanResult> worst = WorstOfRandomPlans(
@@ -118,8 +115,7 @@ Measurement MeasureBadPlan(const QueryEnv& env, size_t samples, uint64_t seed,
   SJOS_CHECK(worst.ok(), worst.status().ToString().c_str());
   m.modelled_cost = worst.value().modelled_cost;
   m.signature = PlanSignature(worst.value().plan, env.pattern());
-  TimeExecution(env, worst.value().plan, eval_row_budget, &m, num_threads,
-                limits);
+  TimeExecution(env, worst.value().plan, eval_row_budget, &m, limits);
   return m;
 }
 
@@ -226,23 +222,6 @@ bool JsonReport::Write() const {
     std::fprintf(stderr, "bench: short write to %s\n", path_.c_str());
   }
   return ok;
-}
-
-int ParseThreadsFlag(int* argc, char** argv, int default_threads) {
-  int threads = default_threads;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < *argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = std::atoi(arg.c_str() + 10);
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
-  return threads < 1 ? 1 : threads;
 }
 
 ExecLimits ParseLimitFlags(int* argc, char** argv) {

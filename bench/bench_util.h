@@ -73,27 +73,20 @@ using ExecLimits = QueryOptions;
 
 /// Runs `optimizer` on `env`: optimization timed over repeated runs (mean),
 /// the chosen plan executed once (re-run and averaged if very fast).
-/// `num_threads` > 1 executes with the parallel execution layer.
 Measurement MeasureOptimizer(const QueryEnv& env, Optimizer* optimizer,
                              uint64_t eval_row_budget = 0,
-                             int num_threads = 1, ExecLimits limits = {});
+                             ExecLimits limits = {});
 
 /// Worst-of-`samples` random plans by modelled cost, then executed with a
 /// row budget (`eval_capped` set if it tripped).
 Measurement MeasureBadPlan(const QueryEnv& env, size_t samples, uint64_t seed,
-                           uint64_t eval_row_budget, int num_threads = 1,
-                           ExecLimits limits = {});
+                           uint64_t eval_row_budget, ExecLimits limits = {});
 
 /// Executes a plan with stabilized timing; fills eval_ms/result_rows/
 /// eval_capped of `m`.
 void TimeExecution(const QueryEnv& env, const PhysicalPlan& plan,
                    uint64_t eval_row_budget, Measurement* m,
-                   int num_threads = 1, ExecLimits limits = {});
-
-/// Parses and strips a `--threads N` / `--threads=N` flag from argv
-/// (shared by bench binaries). Returns the count (clamped to >= 1), or
-/// `default_threads` when the flag is absent.
-int ParseThreadsFlag(int* argc, char** argv, int default_threads = 1);
+                   ExecLimits limits = {});
 
 /// Parses and strips `--deadline-ms N` and `--mem-limit-bytes N` flags
 /// (both also accept the `=N` form) so any bench can run governed. Absent

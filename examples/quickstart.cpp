@@ -44,7 +44,9 @@ int main() {
   // 2. Load into an Engine: tag index + statistics + estimator, ready to
   //    serve queries.
   Engine engine;
-  if (!engine.Load(std::move(doc).value(), "quickstart").ok()) return 1;
+  if (!engine.Apply(LoadDocument{std::move(doc).value(), "quickstart"}).ok()) {
+    return 1;
+  }
   std::printf("loaded %zu nodes, %zu distinct tags\n\n",
               engine.db().doc().NumNodes(), engine.db().doc().dict().size());
 

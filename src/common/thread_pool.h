@@ -1,6 +1,6 @@
 // A small fixed-size worker pool (deliberately no work stealing): the
-// intra-query parallelism substrate for the executor and the partitioned
-// structural join. One owner thread submits closures returning Status and
+// substrate of the Engine's concurrent query admission, where each task
+// runs one whole query. One owner thread submits closures returning Status and
 // collects them with WaitAll(); exceptions escaping a task are captured on
 // the worker and surfaced as Status::Internal, keeping the library's
 // no-exceptions error discipline intact across thread boundaries.

@@ -5,40 +5,20 @@
 #include <cstdlib>
 #include <utility>
 
-#include "common/failpoint.h"
 #include "common/metrics.h"
-#include "common/str_util.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "exec/governor.h"
 #include "exec/operator.h"
-#include "exec/operators.h"
-#include "exec/stack_tree.h"
 #include "plan/plan_props.h"
 
 namespace sjos {
 
 namespace {
 
-void FillOp(std::vector<OpStats>* op_stats, int index, uint64_t rows,
-            double time_ms) {
-  OpStats& os = (*op_stats)[static_cast<size_t>(index)];
-  os.rows = rows;
-  os.batches = 1;
-  os.time_ms = time_ms;
-  os.peak_live_rows = rows;
-}
-
-void ObserveSortSpill(uint64_t rows) {
-  static Histogram& spill = MetricsRegistry::Global().GetHistogram(
-      "sjos_exec_sort_spill_rows");
-  spill.Observe(rows);
-}
-
 /// Worst q-error over the plan's annotated joins; the actual is the join's
-/// measured output rows (identical across engines and thread counts), so
-/// the figure is too. 0 when no join carries an estimate.
+/// measured output rows (identical across batch sizes), so the figure is
+/// too. 0 when no join carries an estimate.
 double ComputeMaxQError(const PhysicalPlan& plan,
                         const std::vector<OpStats>& op_stats) {
   double max_q = 0.0;
@@ -88,11 +68,7 @@ void RecordExecutionMetrics(const ExecStats& stats,
 }  // namespace
 
 Executor::Executor(const Database& db, ExecOptions options)
-    : db_(db), options_(options) {
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(
-        static_cast<size_t>(options_.num_threads));
-  }
+    : db_(db), options_(std::move(options)) {
   if (!options_.trace_path.empty() && !Tracer::Global().enabled()) {
     owns_trace_ = Tracer::Global().Start(options_.trace_path).ok();
   }
@@ -112,307 +88,81 @@ size_t Executor::ResolveBatchRows() const {
   return kDefaultExecBatchRows;
 }
 
-void Executor::MatLiveAdd(ExecStats* stats, const ColumnBatch& set) {
-  mat_cur_live_ += set.size();
-  mat_cur_live_bytes_ += set.size() * set.arity() * sizeof(NodeId);
-  if (mat_cur_live_ > stats->peak_live_rows) {
-    stats->peak_live_rows = mat_cur_live_;
-  }
-  if (mat_cur_live_bytes_ > stats->peak_live_bytes) {
-    stats->peak_live_bytes = mat_cur_live_bytes_;
-  }
-  if (options_.live_bytes_observer != nullptr) {
-    options_.live_bytes_observer->store(mat_cur_live_bytes_,
-                                        std::memory_order_relaxed);
-  }
-}
-
-void Executor::MatLiveSub(const ColumnBatch& set) {
-  mat_cur_live_ -= set.size();
-  mat_cur_live_bytes_ -= set.size() * set.arity() * sizeof(NodeId);
-  if (options_.live_bytes_observer != nullptr) {
-    options_.live_bytes_observer->store(mat_cur_live_bytes_,
-                                        std::memory_order_relaxed);
-  }
-}
-
-Status Executor::PrecomputeLeaves(const Pattern& pattern,
-                                  const PhysicalPlan& plan, ExecStats* stats,
-                                  std::vector<OpStats>* op_stats) {
-  const size_t n = plan.NumOps();
-  // Restrict to nodes reachable from the root: plans are trees, but be
-  // defensive about unreferenced scratch nodes a builder may have left.
-  std::vector<char> reachable(n, 0);
-  std::vector<int> walk{plan.root()};
-  while (!walk.empty()) {
-    int idx = walk.back();
-    walk.pop_back();
-    if (idx < 0 || static_cast<size_t>(idx) >= n || reachable[idx]) continue;
-    reachable[static_cast<size_t>(idx)] = 1;
-    walk.push_back(plan.At(idx).left);
-    walk.push_back(plan.At(idx).right);
-  }
-
-  // Task per leaf: a sort directly over a scan is fused into one task and
-  // cached at the sort node; remaining scans are cached at the scan node.
-  std::vector<char> fused_scan(n, 0);
-  std::vector<int> tasks;
-  for (size_t i = 0; i < n; ++i) {
-    if (!reachable[i]) continue;
-    const PlanNode& node = plan.At(static_cast<int>(i));
-    if (node.op == PlanOp::kSort && node.left >= 0 &&
-        plan.At(node.left).op == PlanOp::kIndexScan) {
-      fused_scan[static_cast<size_t>(node.left)] = 1;
-      tasks.push_back(static_cast<int>(i));
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (!reachable[i] || fused_scan[i]) continue;
-    if (plan.At(static_cast<int>(i)).op == PlanOp::kIndexScan) {
-      tasks.push_back(static_cast<int>(i));
-    }
-  }
-  if (tasks.empty()) return Status::OK();
-
-  std::vector<ExecStats> task_stats(tasks.size());
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    pool_->Submit([this, &pattern, &plan, &task_stats, &tasks, op_stats,
-                   t]() -> Status {
-      SJOS_FAILPOINT("exec.scan");
-      if (governor_ != nullptr) {
-        SJOS_RETURN_IF_ERROR(governor_->CheckDeadline());
-      }
-      const int index = tasks[t];
-      const PlanNode& node = plan.At(index);
-      ExecStats* local = &task_stats[t];
-      Timer timer;
-      if (node.op == PlanOp::kIndexScan) {
-        ColumnBatch set = ScanCandidateColumns(db_, pattern, node.scan_node);
-        local->rows_scanned += set.size();
-        FillOp(op_stats, index, set.size(), timer.ElapsedMs());
-        leaf_cache_[static_cast<size_t>(index)] = std::move(set);
-        return Status::OK();
-      }
-      // Fused sort-over-scan; the scan node gets its own op entry.
-      ColumnBatch set =
-          ScanCandidateColumns(db_, pattern, plan.At(node.left).scan_node);
-      local->rows_scanned += set.size();
-      FillOp(op_stats, node.left, set.size(), timer.ElapsedMs());
-      SJOS_RETURN_IF_ERROR(SortColumns(&set, node.sort_by));
-      local->rows_sorted += set.size();
-      ++local->num_sorts;
-      ObserveSortSpill(set.size());
-      FillOp(op_stats, index, set.size(), timer.ElapsedMs());
-      leaf_cache_[static_cast<size_t>(index)] = std::move(set);
-      return Status::OK();
-    });
-  }
-  SJOS_RETURN_IF_ERROR(pool_->WaitAll());
-  // Merge per-task counters (and live-row deltas) in submission
-  // (= plan-node-index) order.
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    const ExecStats& ts = task_stats[t];
-    stats->rows_scanned += ts.rows_scanned;
-    stats->rows_sorted += ts.rows_sorted;
-    stats->num_sorts += ts.num_sorts;
-    const auto& cached = leaf_cache_[static_cast<size_t>(tasks[t])];
-    if (cached.has_value()) MatLiveAdd(stats, *cached);
-  }
-  return Status::OK();
-}
-
-Result<ColumnBatch> Executor::Evaluate(const Pattern& pattern,
-                                       const PhysicalPlan& plan, int index,
-                                       ExecStats* stats,
-                                       std::vector<OpStats>* op_stats) {
-  if (static_cast<size_t>(index) < leaf_cache_.size() &&
-      leaf_cache_[static_cast<size_t>(index)].has_value()) {
-    // Pre-pass output: op stats and live rows were accounted at merge time.
-    ColumnBatch cached = std::move(*leaf_cache_[static_cast<size_t>(index)]);
-    leaf_cache_[static_cast<size_t>(index)].reset();
-    return cached;
-  }
-  const PlanNode& node = plan.At(index);
-  // The materializing engine's cooperative yield points are operator
-  // boundaries: every node entry re-checks the deadline and byte budget.
-  if (governor_ != nullptr) {
-    SJOS_RETURN_IF_ERROR(
-        governor_->Check(mat_cur_live_bytes_, /*batch_rows=*/nullptr));
-  }
-  TraceSpan span("eval:", PlanOpName(node.op));
+Status Executor::Run(const Pattern& pattern, const PhysicalPlan& plan,
+                     TupleSet* rows, const BatchSink* sink, ExecStats* stats,
+                     std::vector<OpStats>* op_stats) {
+  if (plan.Empty()) return Status::InvalidArgument("empty plan");
+  TraceQueryScope qid_scope(options_.query_id);
+  TraceSpan span("execute.streaming");
+  op_stats->assign(plan.NumOps(), OpStats{});
+  QueryGovernor governor(options_.deadline_ms, options_.max_live_bytes,
+                         options_.cancel_token, options_.query_id);
   Timer timer;
-  switch (node.op) {
-    case PlanOp::kIndexScan: {
-      SJOS_FAILPOINT("exec.scan");
-      ColumnBatch set = ScanCandidateColumns(db_, pattern, node.scan_node);
-      stats->rows_scanned += set.size();
-      MatLiveAdd(stats, set);
-      FillOp(op_stats, index, set.size(), timer.ElapsedMs());
-      return set;
-    }
-    case PlanOp::kSort: {
-      SJOS_FAILPOINT("exec.sort");
-      Result<ColumnBatch> input =
-          Evaluate(pattern, plan, node.left, stats, op_stats);
-      if (!input.ok()) return input;
-      ColumnBatch set = std::move(input).value();
-      SJOS_RETURN_IF_ERROR(SortColumns(&set, node.sort_by));
-      stats->rows_sorted += set.size();
-      ++stats->num_sorts;
-      ObserveSortSpill(set.size());
-      FillOp(op_stats, index, set.size(), timer.ElapsedMs());
-      return set;
-    }
-    case PlanOp::kNavigate: {
-      Result<ColumnBatch> input =
-          Evaluate(pattern, plan, node.left, stats, op_stats);
-      if (!input.ok()) return input;
-      Result<ColumnBatch> out =
-          NavigateColumns(db_, pattern, input.value(), node.anc_node,
-                          node.desc_node, node.axis, &stats->nodes_navigated);
-      if (!out.ok()) return out;
-      ++stats->num_navigates;
-      MatLiveAdd(stats, out.value());
-      MatLiveSub(input.value());
-      FillOp(op_stats, index, out.value().size(), timer.ElapsedMs());
-      return out;
-    }
-    case PlanOp::kStackTreeAnc:
-    case PlanOp::kStackTreeDesc: {
-      Result<ColumnBatch> left =
-          Evaluate(pattern, plan, node.left, stats, op_stats);
-      if (!left.ok()) return left;
-      Result<ColumnBatch> right =
-          Evaluate(pattern, plan, node.right, stats, op_stats);
-      if (!right.ok()) return right;
-      int anc_slot = left.value().SlotOf(node.anc_node);
-      int desc_slot = right.value().SlotOf(node.desc_node);
-      if (anc_slot < 0 || desc_slot < 0) {
-        return Status::Internal("join endpoints missing from inputs");
+  ExecContext ctx;
+  ctx.db = &db_;
+  ctx.pattern = &pattern;
+  ctx.batch_rows = ResolveBatchRows();
+  ctx.max_join_output_rows = options_.max_join_output_rows;
+  ctx.stats = stats;
+  ctx.op_stats = op_stats;
+  ctx.governor = governor.has_limits() ? &governor : nullptr;
+  ctx.live_observer = options_.live_bytes_observer;
+  ColumnBatch acc;
+  Status st = [&]() -> Status {
+    Result<std::unique_ptr<Operator>> compiled =
+        CompileOperatorTree(&ctx, plan, plan.root());
+    if (!compiled.ok()) return compiled.status();
+    Operator* root = compiled.value().get();
+    acc = root->MakeBatch();
+    SJOS_RETURN_IF_ERROR(Operator::OpenTimed(root));
+    ColumnBatch batch = root->MakeBatch();
+    const uint64_t row_bytes = batch.arity() * sizeof(NodeId);
+    bool eos = false;
+    while (!eos) {
+      // The in-flight root batch is the driver's contribution to live rows.
+      ctx.SubLive(batch.size(), batch.size() * row_bytes);
+      Status pulled = Operator::PullTimed(root, &batch, &eos);
+      if (!pulled.ok()) {
+        // Unwind the whole tree so OwnAdd/OwnSub accounting balances and
+        // buffered state is dropped even on a governed/injected failure.
+        (void)root->Close();
+        return pulled;
       }
-      JoinStats join_stats;
-      Result<ColumnBatch> out = StackTreeJoinParallel(
-          db_.View(), left.value(), static_cast<size_t>(anc_slot),
-          right.value(), static_cast<size_t>(desc_slot), node.axis,
-          /*output_by_ancestor=*/node.op == PlanOp::kStackTreeAnc, pool_.get(),
-          &join_stats, options_.max_join_output_rows,
-          options_.parallel_min_join_rows, governor_);
-      if (!out.ok()) return out;
-      stats->join_output_rows += join_stats.output_rows;
-      stats->element_pairs += join_stats.element_pairs;
-      ++stats->num_joins;
-      MatLiveAdd(stats, out.value());
-      MatLiveSub(left.value());
-      MatLiveSub(right.value());
-      FillOp(op_stats, index, out.value().size(), timer.ElapsedMs());
-      return out;
+      ctx.AddLive(batch.size(), batch.size() * row_bytes);
+      if (batch.size() == 0) continue;
+      stats->result_rows += batch.size();
+      if (rows != nullptr) {
+        // Accumulated result rows count as live, so the peak is honest
+        // about total residency.
+        acc.AppendBatch(batch);
+        ctx.AddLive(batch.size(), batch.size() * row_bytes);
+      } else {
+        SJOS_RETURN_IF_ERROR((*sink)(batch.ToRows()));
+      }
     }
-  }
-  return Status::Internal("unknown plan operator");
-}
-
-Status Executor::RunPipeline(const PhysicalPlan& plan, ExecContext* ctx,
-                             ColumnBatch* result_schema,
-                             const ColumnSink& sink) {
-  Result<std::unique_ptr<Operator>> compiled =
-      CompileOperatorTree(ctx, plan, plan.root());
-  if (!compiled.ok()) return compiled.status();
-  Operator* root = compiled.value().get();
-  if (result_schema != nullptr) *result_schema = root->MakeBatch();
-  SJOS_RETURN_IF_ERROR(Operator::OpenTimed(root));
-  ColumnBatch batch = root->MakeBatch();
-  const uint64_t row_bytes = batch.arity() * sizeof(NodeId);
-  bool eos = false;
-  while (!eos) {
-    // The in-flight root batch is the driver's contribution to live rows.
-    ctx->SubLive(batch.size(), batch.size() * row_bytes);
-    Status st = Operator::PullTimed(root, &batch, &eos);
-    if (!st.ok()) {
-      // Unwind the whole tree so OwnAdd/OwnSub accounting balances and
-      // buffered state is dropped even on a governed/injected failure.
-      (void)root->Close();
-      return st;
-    }
-    ctx->AddLive(batch.size(), batch.size() * row_bytes);
-    if (batch.size() > 0) SJOS_RETURN_IF_ERROR(sink(batch));
-  }
-  ctx->SubLive(batch.size(), batch.size() * row_bytes);
-  TraceSpan close_span("Close:", root->Name());
-  return root->Close();
+    ctx.SubLive(batch.size(), batch.size() * row_bytes);
+    TraceSpan close_span("Close:", root->Name());
+    return root->Close();
+  }();
+  if (st.ok() && rows != nullptr) *rows = acc.ToRows();
+  stats->peak_live_rows = ctx.peak_live_rows;
+  stats->peak_live_bytes = ctx.peak_live_bytes;
+  stats->wall_ms = timer.ElapsedMs();
+  if (st.ok()) stats->max_q_error = ComputeMaxQError(plan, *op_stats);
+  // Keeps the partial counters readable (last_stats()/last_verdict())
+  // whether the query finishes or a limit / injected fault cuts it short.
+  last_stats_ = *stats;
+  last_op_stats_ = *op_stats;
+  last_verdict_ = governor.verdict();
+  if (st.ok()) RecordExecutionMetrics(*stats, *op_stats);
+  return st;
 }
 
 Result<ExecResult> Executor::Execute(const Pattern& pattern,
                                      const PhysicalPlan& plan) {
-  if (plan.Empty()) return Status::InvalidArgument("empty plan");
-  const bool streaming = pool_ == nullptr && !options_.force_materialize;
-  TraceQueryScope qid_scope(options_.query_id);
-  TraceSpan span(streaming ? "execute.streaming" : "execute.materialize");
   ExecResult result;
-  result.op_stats.assign(plan.NumOps(), OpStats{});
-  QueryGovernor governor(options_.deadline_ms, options_.max_live_bytes,
-                         options_.cancel_token, options_.query_id);
-  governor_ = governor.has_limits() ? &governor : nullptr;
-  last_verdict_.clear();
-  Timer timer;
-  // Keeps the partial counters readable (last_stats()/last_verdict())
-  // whether the query finishes or a limit / injected fault cuts it short.
-  auto finish = [&](Status st) {
-    governor_ = nullptr;
-    result.stats.wall_ms = timer.ElapsedMs();
-    result.stats.result_rows = result.tuples.size();
-    last_stats_ = result.stats;
-    last_op_stats_ = result.op_stats;
-    last_verdict_ = governor.verdict();
-    return st;
-  };
-  if (streaming) {
-    // Serial execution runs the streaming pipeline; accumulated result
-    // rows count as live, so the peak is honest about total residency.
-    ExecContext ctx;
-    ctx.db = &db_;
-    ctx.pattern = &pattern;
-    ctx.batch_rows = ResolveBatchRows();
-    ctx.max_join_output_rows = options_.max_join_output_rows;
-    ctx.stats = &result.stats;
-    ctx.op_stats = &result.op_stats;
-    ctx.governor = governor_;
-    ctx.live_observer = options_.live_bytes_observer;
-    ColumnBatch acc;
-    Status st = RunPipeline(plan, &ctx, &acc,
-                            [&acc, &ctx](const ColumnBatch& batch) {
-                              acc.AppendBatch(batch);
-                              ctx.AddLive(batch.size(),
-                                          batch.size() * batch.arity() *
-                                              sizeof(NodeId));
-                              return Status::OK();
-                            });
-    result.stats.peak_live_rows = ctx.peak_live_rows;
-    result.stats.peak_live_bytes = ctx.peak_live_bytes;
-    // Convert before the error check so a cut-short query still reports
-    // the rows delivered up to the failure.
-    result.tuples = acc.ToRows();
-    if (!st.ok()) return finish(st);
-  } else {
-    mat_cur_live_ = 0;
-    mat_cur_live_bytes_ = 0;
-    leaf_cache_.assign(plan.NumOps(), std::nullopt);
-    if (pool_ != nullptr) {
-      Status st =
-          PrecomputeLeaves(pattern, plan, &result.stats, &result.op_stats);
-      if (!st.ok()) {
-        leaf_cache_.clear();
-        return finish(st);
-      }
-    }
-    Result<ColumnBatch> tuples =
-        Evaluate(pattern, plan, plan.root(), &result.stats, &result.op_stats);
-    leaf_cache_.clear();
-    if (!tuples.ok()) return finish(tuples.status());
-    result.tuples = tuples.value().ToRows();
-  }
-  result.stats.max_q_error = ComputeMaxQError(plan, result.op_stats);
-  (void)finish(Status::OK());
-  RecordExecutionMetrics(result.stats, result.op_stats);
+  SJOS_RETURN_IF_ERROR(Run(pattern, plan, &result.tuples, /*sink=*/nullptr,
+                           &result.stats, &result.op_stats));
   return result;
 }
 
@@ -420,43 +170,10 @@ Result<ExecStats> Executor::ExecuteStreaming(const Pattern& pattern,
                                              const PhysicalPlan& plan,
                                              const BatchSink& sink,
                                              std::vector<OpStats>* op_stats) {
-  if (plan.Empty()) return Status::InvalidArgument("empty plan");
-  TraceQueryScope qid_scope(options_.query_id);
-  TraceSpan span("execute.streaming");
   ExecStats stats;
   std::vector<OpStats> local_ops;
-  std::vector<OpStats>* ops = op_stats != nullptr ? op_stats : &local_ops;
-  ops->assign(plan.NumOps(), OpStats{});
-  QueryGovernor governor(options_.deadline_ms, options_.max_live_bytes,
-                         options_.cancel_token, options_.query_id);
-  last_verdict_.clear();
-  Timer timer;
-  ExecContext ctx;
-  ctx.db = &db_;
-  ctx.pattern = &pattern;
-  ctx.batch_rows = ResolveBatchRows();
-  ctx.max_join_output_rows = options_.max_join_output_rows;
-  ctx.stats = &stats;
-  ctx.op_stats = ops;
-  ctx.governor = governor.has_limits() ? &governor : nullptr;
-  ctx.live_observer = options_.live_bytes_observer;
-  uint64_t delivered = 0;
-  Status st = RunPipeline(plan, &ctx, /*result_schema=*/nullptr,
-                          [&delivered, &sink](const ColumnBatch& batch) {
-                            delivered += batch.size();
-                            return sink(batch.ToRows());
-                          });
-  stats.peak_live_rows = ctx.peak_live_rows;
-  stats.peak_live_bytes = ctx.peak_live_bytes;
-  stats.wall_ms = timer.ElapsedMs();
-  stats.result_rows = delivered;
-  last_stats_ = stats;
-  last_op_stats_ = *ops;
-  last_verdict_ = governor.verdict();
-  if (!st.ok()) return st;
-  stats.max_q_error = ComputeMaxQError(plan, *ops);
-  last_stats_ = stats;
-  RecordExecutionMetrics(stats, *ops);
+  SJOS_RETURN_IF_ERROR(Run(pattern, plan, /*rows=*/nullptr, &sink, &stats,
+                           op_stats != nullptr ? op_stats : &local_ops));
   return stats;
 }
 

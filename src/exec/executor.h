@@ -3,10 +3,8 @@
 // Open/NextBatch/Close tree and pulls fixed-capacity row batches from the
 // root, so "fully pipelined" plans — no Sort, the blocking cost the
 // paper's Sec. 4.3 identifies as dominant — run in O(batch × plan depth)
-// intermediate memory. With num_threads > 1 (or force_materialize) the
-// executor falls back to the one-shot materializing engine whose leaf
-// pre-pass and partitioned joins parallelize; both engines produce
-// byte-identical tuples and identical counters. Wall time plus
+// intermediate memory. It is the only engine: concurrency across queries
+// lives in the Engine's worker pool, not inside one plan. Wall time plus
 // operator-level counters let benches decompose where time and memory
 // went.
 //
@@ -22,31 +20,22 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "exec/column_batch.h"
 #include "exec/op_stats.h"
-#include "exec/stack_tree.h"
 #include "exec/tuple_set.h"
 #include "plan/plan.h"
 #include "query/pattern.h"
 #include "storage/catalog.h"
 
 namespace sjos {
-class ThreadPool;
-class QueryGovernor;
-struct ExecContext;
-}
 
-namespace sjos {
-
-/// Counters from one plan execution. Every field except wall_ms and
-/// peak_live_rows is identical across engines and thread counts;
-/// peak_live_rows is deterministic for a fixed engine configuration.
+/// Counters from one plan execution. Every field except wall_ms,
+/// peak_live_rows and peak_live_bytes is identical across batch sizes; the
+/// two peaks are deterministic for a fixed batch size.
 struct ExecStats {
   double wall_ms = 0.0;
   uint64_t result_rows = 0;
@@ -59,20 +48,18 @@ struct ExecStats {
   size_t num_joins = 0;
   size_t num_navigates = 0;
   /// High-water mark of rows simultaneously resident in intermediates
-  /// (batches, sort buffers, join state, accumulated results). The
-  /// streaming engine's figure for a pipelined plan is bounded by
-  /// O(batch × depth) + result size; the materializing engine counts every
-  /// live TupleSet, merged deterministically under parallelism.
+  /// (batches, sort buffers, join state, accumulated results). For a
+  /// pipelined plan it is bounded by O(batch × depth) + result size.
   uint64_t peak_live_rows = 0;
   /// Worst q-error (max(est/act, act/est), clamped finite — see QError)
   /// over the plan's annotated join nodes; 0 when the plan carries no
   /// estimates. Depends only on the plan and its join output counters, so
-  /// it is identical across engines and thread counts.
+  /// it is identical across batch sizes.
   double max_q_error = 0.0;
   /// Byte-denominated companion of peak_live_rows: rows × arity ×
   /// sizeof(NodeId) charged by the operator owning each buffer. The figure
   /// the governor's max_live_bytes budget is enforced against;
-  /// deterministic for a fixed engine configuration.
+  /// deterministic for a fixed batch size.
   uint64_t peak_live_bytes = 0;
 };
 
@@ -91,28 +78,10 @@ struct ExecOptions {
   /// (0 = unlimited). Guards deliberately bad plans on huge documents.
   uint64_t max_join_output_rows = 0;
 
-  /// Worker threads for intra-query parallelism (1 = fully serial, the
-  /// default). With more than one thread the executor evaluates leaf
-  /// index scans (and sorts sitting directly on them) concurrently and
-  /// partitions every Stack-Tree join across the pool — materializing at
-  /// operator boundaries. Results and merged stats counters are identical
-  /// for every thread count.
-  int num_threads = 1;
-
-  /// Joins whose combined input is smaller than this run serially even
-  /// when num_threads > 1 (partition dispatch overhead dominates).
-  /// Tests set it to 0 to force partitioning on small documents.
-  size_t parallel_min_join_rows = kParallelJoinMinInputRows;
-
-  /// NextBatch row capacity for the streaming engine. 0 = auto: the
-  /// SJOS_EXEC_BATCH_ROWS environment variable if set, else
-  /// kDefaultExecBatchRows. Explicit values always win over the env var.
+  /// NextBatch row capacity. 0 = auto: the SJOS_EXEC_BATCH_ROWS
+  /// environment variable if set, else kDefaultExecBatchRows. Explicit
+  /// values always win over the env var.
   size_t batch_rows = 0;
-
-  /// Forces the one-shot materializing engine even for serial execution
-  /// (the streaming pipeline is the serial default). The differential
-  /// tests use it as the reference path.
-  bool force_materialize = false;
 
   /// When non-empty, the executor starts a global trace session (see
   /// common/trace.h) writing to this path, flushed when the executor is
@@ -121,18 +90,17 @@ struct ExecOptions {
   std::string trace_path;
 
   /// Wall-clock budget for one Execute/ExecuteStreaming call in
-  /// milliseconds (0 = unlimited). Enforced cooperatively — at streaming
-  /// batch boundaries, materializing operator boundaries, and inside
-  /// partitioned-join workers — so a breach surfaces as
+  /// milliseconds (0 = unlimited). Enforced cooperatively — at batch
+  /// boundaries and every 64 groups inside a join — so a breach surfaces as
   /// Status::DeadlineExceeded shortly after the deadline, with the partial
   /// ExecStats gathered so far kept readable via Executor::last_stats().
   uint64_t deadline_ms = 0;
 
   /// Budget on live intermediate bytes (0 = unlimited), measured as
   /// rows × arity × sizeof(NodeId) across all resident buffers — see
-  /// ExecStats::peak_live_bytes. The first breach in the streaming engine
-  /// halves the batch size once as relief; a breach that survives relief
-  /// fails the query with Status::ResourceExhausted.
+  /// ExecStats::peak_live_bytes. The first breach halves the batch size
+  /// once as relief; a breach that survives relief fails the query with
+  /// Status::ResourceExhausted.
   uint64_t max_live_bytes = 0;
 
   /// Externally owned cancel flag (e.g. a QueryHandle's token), polled at
@@ -143,10 +111,10 @@ struct ExecOptions {
   const std::atomic<bool>* cancel_token = nullptr;
 
   /// Id attributed to this execution (the Engine assigns one per query).
-  /// Tags every trace span recorded during the call — pool workers
-  /// included — as args:{qid}, and prefixes governor failure messages, so
-  /// one query is followable across threads and logs. Empty =
-  /// unattributed (the expert-path default; results are unaffected).
+  /// Tags every trace span recorded during the call as args:{qid}, and
+  /// prefixes governor failure messages, so one query is followable
+  /// across threads and logs. Empty = unattributed (the expert-path
+  /// default; results are unaffected).
   std::string query_id;
 
   /// When non-null, the executor publishes the query's current live
@@ -165,9 +133,6 @@ class Executor {
   /// row-major TupleSets only here, at the wire boundary.
   using BatchSink = std::function<Status(const TupleSet&)>;
 
-  /// Columnar sink used inside the engine (no row-major conversion).
-  using ColumnSink = std::function<Status(const ColumnBatch&)>;
-
   explicit Executor(const Database& db, ExecOptions options = {});
   ~Executor();
 
@@ -179,10 +144,8 @@ class Executor {
   /// Streaming execution without result accumulation: pulls batches from
   /// the plan root and hands each to `sink`. Because consumed batches are
   /// released, stats.peak_live_rows reflects only the pipeline's working
-  /// set — the memory-boundedness figure for pipelined plans. Always runs
-  /// the serial streaming engine regardless of num_threads /
-  /// force_materialize. `op_stats`, when non-null, receives the
-  /// per-plan-node counters.
+  /// set — the memory-boundedness figure for pipelined plans. `op_stats`,
+  /// when non-null, receives the per-plan-node counters.
   Result<ExecStats> ExecuteStreaming(const Pattern& pattern,
                                      const PhysicalPlan& plan,
                                      const BatchSink& sink,
@@ -199,46 +162,20 @@ class Executor {
   const std::string& last_verdict() const { return last_verdict_; }
 
  private:
-  /// Compiles the plan and pulls batches from the root into `sink`.
-  /// `result_schema`, when non-null, is set to an empty batch carrying
-  /// the root operator's schema and ordering property before any pull.
-  Status RunPipeline(const PhysicalPlan& plan, ExecContext* ctx,
-                     ColumnBatch* result_schema, const ColumnSink& sink);
+  /// The one execution path behind Execute and ExecuteStreaming: compiles
+  /// the plan into an operator tree, pulls batches from the root, and
+  /// records last_stats()/last_op_stats()/last_verdict(). With `rows`
+  /// non-null the batches accumulate there (counted as live rows, and
+  /// converted inside the timed call); otherwise each goes to `*sink`.
+  Status Run(const Pattern& pattern, const PhysicalPlan& plan,
+             TupleSet* rows, const BatchSink* sink, ExecStats* stats,
+             std::vector<OpStats>* op_stats);
 
   size_t ResolveBatchRows() const;
 
-  Result<ColumnBatch> Evaluate(const Pattern& pattern,
-                               const PhysicalPlan& plan, int index,
-                               ExecStats* stats,
-                               std::vector<OpStats>* op_stats);
-
-  /// Parallel leaf pre-pass: evaluates every reachable index scan — and
-  /// every sort whose input is an index scan, fused — on the pool, caching
-  /// the results in `leaf_cache_` for the serial tree walk to consume.
-  /// Per-task stats are merged into `stats` in plan-node-index order, so
-  /// the merged counters do not depend on worker scheduling.
-  Status PrecomputeLeaves(const Pattern& pattern, const PhysicalPlan& plan,
-                          ExecStats* stats, std::vector<OpStats>* op_stats);
-
-  /// Deterministic live-row/-byte accounting for the materializing engine:
-  /// deltas are applied at fixed points of the serial tree walk (and, for
-  /// precomputed leaves, after WaitAll in plan-node-index order), so the
-  /// resulting peaks do not depend on worker scheduling.
-  void MatLiveAdd(ExecStats* stats, const ColumnBatch& set);
-  void MatLiveSub(const ColumnBatch& set);
-
   const Database& db_;
   ExecOptions options_;
-  std::unique_ptr<ThreadPool> pool_;  // null when options_.num_threads <= 1
-  std::vector<std::optional<ColumnBatch>> leaf_cache_;  // per Execute() call
-  uint64_t mat_cur_live_ = 0;  // materializing engine's live-row counter
-  uint64_t mat_cur_live_bytes_ = 0;
-  bool owns_trace_ = false;    // this executor started the trace session
-
-  /// Per-call governor (stack object in Execute/ExecuteStreaming) while a
-  /// query with limits is running; null otherwise. The materializing tree
-  /// walk and the leaf pre-pass poll it through this member.
-  QueryGovernor* governor_ = nullptr;
+  bool owns_trace_ = false;  // this executor started the trace session
   ExecStats last_stats_;
   std::vector<OpStats> last_op_stats_;
   std::string last_verdict_;

@@ -31,9 +31,7 @@ std::string QueryGovernor::MessageHead() const {
 }
 
 Status QueryGovernor::FailDeadline() {
-  int expected = 0;
-  verdict_.compare_exchange_strong(expected, 1, std::memory_order_relaxed);
-  Cancel();
+  if (verdict_ == 0) verdict_ = 1;
   MetricsRegistry::Global()
       .GetCounter("sjos_governor_deadline_exceeded_total")
       .Add();
@@ -42,9 +40,7 @@ Status QueryGovernor::FailDeadline() {
 }
 
 Status QueryGovernor::FailMemory(uint64_t cur_live_bytes) {
-  int expected = 0;
-  verdict_.compare_exchange_strong(expected, 2, std::memory_order_relaxed);
-  Cancel();
+  if (verdict_ == 0) verdict_ = 2;
   MetricsRegistry::Global()
       .GetCounter("sjos_governor_memory_exceeded_total")
       .Add();
@@ -55,9 +51,7 @@ Status QueryGovernor::FailMemory(uint64_t cur_live_bytes) {
 }
 
 Status QueryGovernor::FailCancelled() {
-  int expected = 0;
-  verdict_.compare_exchange_strong(expected, 3, std::memory_order_relaxed);
-  Cancel();
+  if (verdict_ == 0) verdict_ = 3;
   MetricsRegistry::Global().GetCounter("sjos_governor_cancelled_total").Add();
   return Status::Cancelled(MessageHead() + "cancelled by caller");
 }
@@ -68,11 +62,9 @@ Status QueryGovernor::Check(uint64_t cur_live_bytes, size_t* batch_rows) {
     if (relief_grace_left_ > 0) --relief_grace_left_;
     return Status::OK();
   }
-  if (!relief_used_ && batch_rows != nullptr) {
-    // First breach in a batch-driven engine: halve the batch size once and
-    // give in-flight batches a short grace window to drain before judging
-    // the budget again. The materializing engine (batch_rows == nullptr)
-    // has no batch size to shrink, so its first confirmed breach is fatal.
+  if (!relief_used_) {
+    // First breach: halve the batch size once and give in-flight batches a
+    // short grace window to drain before judging the budget again.
     relief_used_ = true;
     relief_grace_left_ = kReliefGraceChecks;
     if (*batch_rows > 1) *batch_rows /= 2;
@@ -93,23 +85,13 @@ Status QueryGovernor::CheckDeadline() {
       external_cancel_->load(std::memory_order_relaxed)) {
     return FailCancelled();
   }
-  if (cancelled()) {
-    switch (verdict_.load(std::memory_order_relaxed)) {
-      case 1:
-        return FailDeadline();
-      case 3:
-        return FailCancelled();
-      default:
-        break;  // memory verdicts re-judge below (driver-only state).
-    }
-  }
   if (deadline_ms_ == 0) return Status::OK();
   if (std::chrono::steady_clock::now() < deadline_at_) return Status::OK();
   return FailDeadline();
 }
 
 const char* QueryGovernor::verdict() const {
-  switch (verdict_.load(std::memory_order_relaxed)) {
+  switch (verdict_) {
     case 1:
       return "deadline";
     case 2:

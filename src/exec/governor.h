@@ -1,9 +1,8 @@
 // Cooperative query governance: a per-query deadline and live-byte budget
-// checked at batch boundaries (streaming engine), operator boundaries
-// (materializing engine), and inside partitioned-join worker tasks. There
-// is no preemption — operators already yield at tuple-batch granularity,
-// so polling a QueryGovernor at those natural yield points bounds how far
-// a runaway plan can overshoot either limit.
+// checked at batch boundaries and, for the deadline, every 64 groups inside
+// a structural join. There is no preemption — operators already yield at
+// tuple-batch granularity, so polling a QueryGovernor at those natural
+// yield points bounds how far a runaway plan can overshoot either limit.
 //
 // Limits come from ExecOptions::{deadline_ms, max_live_bytes}; 0 disables
 // a limit. Live bytes are rows × arity × sizeof(NodeId) summed over the
@@ -34,9 +33,8 @@
 
 namespace sjos {
 
-/// Per-query limit enforcement. Check()/ReliefState are driven by the
-/// single query driver thread; CheckDeadline()/Cancel()/cancel_token()
-/// are safe from partition worker threads.
+/// Per-query limit enforcement, driven by the one thread running the
+/// query.
 class QueryGovernor {
  public:
   /// Boundary checks the first byte-budget breach is forgiven for while
@@ -60,22 +58,14 @@ class QueryGovernor {
   uint64_t deadline_ms() const { return deadline_ms_; }
   uint64_t max_live_bytes() const { return max_live_bytes_; }
 
-  /// Full boundary check (driver thread only): deadline first, then the
-  /// byte budget against `cur_live_bytes`. On the first byte breach halves
-  /// `*batch_rows` (if > 1) instead of failing and opens the grace window.
-  /// With `batch_rows == nullptr` (materializing engine: no batch size to
-  /// shrink) a breach fails immediately.
+  /// Full boundary check: deadline first, then the byte budget against
+  /// `cur_live_bytes`. On the first byte breach halves `*batch_rows` (if
+  /// > 1) instead of failing and opens the grace window.
   Status Check(uint64_t cur_live_bytes, size_t* batch_rows);
 
-  /// Deadline-only check; safe from any thread. Partition workers poll
-  /// this (plus cancelled()) between descendant groups.
+  /// Deadline and external-cancel check only; joins poll it between
+  /// descendant groups.
   Status CheckDeadline();
-
-  /// Cross-thread cancel token shared with partitioned-join workers; set
-  /// when any limit fires so sibling partitions stop promptly.
-  void Cancel() { cancel_.store(true, std::memory_order_relaxed); }
-  bool cancelled() const { return cancel_.load(std::memory_order_relaxed); }
-  const std::atomic<bool>* cancel_token() const { return &cancel_; }
 
   /// Which limit cut the query short: "" (none), "deadline", "memory", or
   /// "cancelled" (external cancel token).
@@ -99,15 +89,13 @@ class QueryGovernor {
   const std::string query_id_;
   const std::chrono::steady_clock::time_point deadline_at_;
 
-  // Byte-budget relief state; driver thread only.
+  // Byte-budget relief state.
   bool relief_used_ = false;
   uint32_t relief_grace_left_ = 0;
 
-  std::atomic<bool> cancel_{false};
-  // 0 = none, 1 = deadline, 2 = memory, 3 = cancelled. Atomic because
-  // partition workers can report a breach while the driver reads the
-  // verdict.
-  std::atomic<int> verdict_{0};
+  // 0 = none, 1 = deadline, 2 = memory, 3 = cancelled; the first limit to
+  // fire wins.
+  int verdict_ = 0;
 };
 
 }  // namespace sjos

@@ -124,6 +124,7 @@ ScanOperator::ScanOperator(ExecContext* ctx, int plan_index, PatternNodeId node)
     : Operator(ctx, plan_index, {node}, /*ordered_by_slot=*/0), node_(node) {}
 
 Status ScanOperator::Open() {
+  SJOS_FAILPOINT("exec.scan");
   pnode_ = &ctx_->pattern->node(node_);
   const TagId tag = ctx_->db->doc().dict().Find(pnode_->tag);
   if (tag != kInvalidTag) {
@@ -290,7 +291,7 @@ Status NavigateOperator::NextBatch(ColumnBatch* out, bool* eos) {
     } else if (input_row_ < input_.size()) {
       if (!tag_valid_) {
         // Target tag absent: no output, but the child is still drained so
-        // upstream counters match the materializing engine.
+        // upstream counters do not depend on the target's presence.
         input_row_ = input_.size();
         continue;
       }
@@ -325,8 +326,8 @@ Status NavigateOperator::NextBatch(ColumnBatch* out, bool* eos) {
           match_off_.push_back(sel_[i]);
         }
       } else {
-        // Overlay merge: shared subtree walk keeps match order (and the
-        // nodes_navigated accounting) identical to NavigateColumns.
+        // Overlay merge: walk the merged subtree in document order,
+        // counting every visited node into nodes_navigated.
         CollectSubtreeMatches(view, a, tag_, axis_ == Axis::kChild, &matches_,
                               &ctx_->stats->nodes_navigated);
         span_ = matches_.size();
@@ -692,7 +693,7 @@ Status StackTreeJoinBase::FinalPops() {
 
 Status StackTreeJoinBase::DrainLeft() {
   // Consume the ancestor tail so upstream counters (and the sortedness
-  // check) cover the whole input, matching the materializing engine. The
+  // check) cover the whole input, whatever the batch size. The
   // per-row check becomes one vector sortedness sweep per batch.
   for (;;) {
     const size_t n = anc_batch_.size();

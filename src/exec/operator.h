@@ -14,10 +14,11 @@
 //     never returns an empty batch without eos.
 //   * Operators fully drain their children before reporting eos, so
 //     engine-level counters (rows scanned, join outputs, element pairs)
-//     are identical to a one-shot materializing execution of the same
-//     plan — the property the differential tests pin.
-//   * Output rows appear in exactly the order the materializing engine
-//     would produce, so the two engines are byte-identical.
+//     do not depend on the batch size — the property the differential
+//     tests pin by running every plan at several batch sizes.
+//   * Output rows appear in the order the whole-input algorithm would
+//     produce (document order of the ordering column; Stack-Tree emission
+//     order within it), so results are byte-identical across batch sizes.
 //
 // Live-row accounting: every row resident in an operator's own buffers is
 // registered with the shared ExecContext, whose high-water mark becomes
@@ -235,8 +236,8 @@ class NavigateOperator : public Operator {
 /// The streaming Stack-Tree structural join. Both children stream in
 /// batches; the in-memory stack of open ancestor groups persists across
 /// batch boundaries, so no input is ever fully materialized. Emission
-/// order and all counters are identical to the materializing
-/// StackTreeJoin kernel.
+/// order and all counters are identical to the whole-input StackTreeJoin
+/// kernel in stack_tree.h.
 ///
 /// The Desc variant emits pairs as each descendant group completes
 /// (output ordered by descendant). The Anc variant buffers expanded pairs
@@ -353,8 +354,8 @@ class StackTreeAncOp : public StackTreeJoinBase {
 };
 
 /// Compiles the plan subtree rooted at `index` into a streaming operator
-/// tree, validating schemas exactly as the materializing engine does (same
-/// Status codes and messages, surfaced before any row is produced).
+/// tree, validating schemas (join endpoints, overlapping inputs, navigate
+/// anchors) before any row is produced.
 Result<std::unique_ptr<Operator>> CompileOperatorTree(ExecContext* ctx,
                                                       const PhysicalPlan& plan,
                                                       int index);

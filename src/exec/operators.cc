@@ -1,7 +1,6 @@
 #include "exec/operators.h"
 
 #include "common/str_util.h"
-#include "exec/vector_kernels.h"
 
 namespace sjos {
 
@@ -48,113 +47,14 @@ TupleSet ScanCandidates(const Database& db, const Pattern& pattern,
   return ScanCandidateColumns(db, pattern, node).ToRows();
 }
 
-Result<ColumnBatch> NavigateColumns(const Database& db, const Pattern& pattern,
-                                    const ColumnBatch& input,
-                                    PatternNodeId anchor, PatternNodeId target,
-                                    Axis axis, uint64_t* nodes_visited) {
-  const int anchor_slot = input.SlotOf(anchor);
-  if (anchor_slot < 0) {
-    return Status::InvalidArgument("navigate anchor missing from input");
-  }
-  if (input.SlotOf(target) >= 0) {
-    return Status::InvalidArgument("navigate target already bound");
-  }
-  const PatternNode& tnode = pattern.node(target);
-  const Document& doc = db.doc();
-  const DocView view = db.View();
-  const TagId tag = doc.dict().Find(tnode.tag);
-
-  std::vector<PatternNodeId> slots = input.slots();
-  slots.push_back(target);
-  ColumnBatch out(std::move(slots));
-  out.set_ordered_by_slot(input.ordered_by_slot());
-  if (tag == kInvalidTag) return out;
-
-  const size_t arity = input.arity();
-  const bool filtered = !tnode.predicate.Empty();
-  const bool merged = view.HasOverlay();
-  std::vector<uint32_t> sel;
-  std::vector<NodeId> matches;
-  for (size_t r = 0; r < input.size(); ++r) {
-    const NodeId a = input.At(r, static_cast<size_t>(anchor_slot));
-    size_t m = 0;
-    if (!merged) {
-      // Overlay-free fast path: the subtree is the contiguous pre-order
-      // slot range (aslot, end_slot], so the tag filter is a
-      // selection-vector column sweep (slots == keys when dense).
-      const NodeId aslot = doc.SlotOfKey(a);
-      const NodeId end_slot = doc.EndSlotOf(aslot);
-      if (nodes_visited != nullptr) *nodes_visited += end_slot - aslot;
-      const size_t span = end_slot - aslot;
-      if (span == 0) continue;
-      sel.resize(span);
-      m = kernels::SelEqualsU32(doc.TagData() + aslot + 1, span, tag,
-                                sel.data());
-      if (axis == Axis::kChild) {
-        const int want = doc.LevelData()[aslot] + 1;
-        size_t w = 0;
-        for (size_t i = 0; i < m; ++i) {
-          if (doc.LevelData()[aslot + 1 + sel[i]] == want) sel[w++] = sel[i];
-        }
-        m = w;
-      }
-      matches.resize(m);
-      for (size_t i = 0; i < m; ++i) {
-        matches[i] = doc.KeyOfSlot(aslot + 1 + sel[i]);
-      }
-    } else {
-      matches.clear();
-      CollectSubtreeMatches(view, a, tag, axis == Axis::kChild, &matches,
-                            nodes_visited);
-      m = matches.size();
-    }
-    if (filtered) {
-      size_t w = 0;
-      for (size_t i = 0; i < m; ++i) {
-        if (tnode.predicate.Matches(view.TextOf(matches[i]))) {
-          matches[w++] = matches[i];
-        }
-      }
-      m = w;
-    }
-    if (m == 0) continue;
-    // One matched subtree expands columnar: constant fill of the input
-    // cells, the selected candidates into the new target column.
-    for (size_t c = 0; c < arity; ++c) {
-      std::vector<NodeId>& col = out.Raw(c);
-      col.insert(col.end(), m, input.At(r, c));
-    }
-    std::vector<NodeId>& tcol = out.Raw(arity);
-    tcol.insert(tcol.end(), matches.begin(), matches.begin() + m);
-    out.SetRows(out.size() + m);
-  }
-  return out;
-}
-
-Result<TupleSet> NavigateTuples(const Database& db, const Pattern& pattern,
-                                const TupleSet& input, PatternNodeId anchor,
-                                PatternNodeId target, Axis axis,
-                                uint64_t* nodes_visited) {
-  Result<ColumnBatch> out =
-      NavigateColumns(db, pattern, ColumnBatch::FromRows(input), anchor,
-                      target, axis, nodes_visited);
-  if (!out.ok()) return out.status();
-  return std::move(out).value().ToRows();
-}
-
-Status SortColumns(ColumnBatch* set, PatternNodeId by_node) {
-  int slot = set->SlotOf(by_node);
+Status SortTuples(TupleSet* set, PatternNodeId by_node) {
+  const int slot = set->SlotOf(by_node);
   if (slot < 0) {
     return Status::Internal(
         StrFormat("sort by pattern node %d not in input", by_node));
   }
-  set->SortBySlot(static_cast<size_t>(slot));
-  return Status::OK();
-}
-
-Status SortTuples(TupleSet* set, PatternNodeId by_node) {
   ColumnBatch cols = ColumnBatch::FromRows(*set);
-  SJOS_RETURN_IF_ERROR(SortColumns(&cols, by_node));
+  cols.SortBySlot(static_cast<size_t>(slot));
   *set = cols.ToRows();
   return Status::OK();
 }

@@ -1,14 +1,7 @@
-// Materializing leaf/unary operators: index scan, sort and navigation over
-// whole batches. The streaming engine's batched counterparts live in
-// operator.h; these remain the building blocks of the materializing path
-// (used by the parallel leaf pre-pass) and of tests. The whole surface
-// reports failures through Status/Result so pipeline errors propagate
-// uniformly.
-//
-// The columnar entry points are the engine currency: scans emit directly
-// into columns, navigation filters subtrees with tag/level column sweeps,
-// and sort permutes payload columns with a gather kernel. The row-major
-// TupleSet overloads convert at the boundary and delegate.
+// Whole-list helpers outside the streaming pipeline: the candidate-list
+// index scan TwigJoin reads its streams from, plus row-major shims for
+// tests and benches. The pipeline's own scan, sort and navigation
+// operators live in operator.h.
 
 #ifndef SJOS_EXEC_OPERATORS_H_
 #define SJOS_EXEC_OPERATORS_H_
@@ -33,31 +26,10 @@ ColumnBatch ScanCandidateColumns(const Database& db, const Pattern& pattern,
 TupleSet ScanCandidates(const Database& db, const Pattern& pattern,
                         PatternNodeId node);
 
-/// Sort operator: reorders `set` by the column bound to pattern node
-/// `by_node`. Internal error if the set does not cover that node.
-Status SortColumns(ColumnBatch* set, PatternNodeId by_node);
-
-/// Row-major shim over SortColumns.
+/// Reorders `set` by the column bound to pattern node `by_node` (a
+/// row-major shim over ColumnBatch::SortBySlot). Internal error if the set
+/// does not cover that node.
 Status SortTuples(TupleSet* set, PatternNodeId by_node);
-
-/// Navigation operator (Example 2.2's subtree scan): for every input
-/// tuple, scans the subtree of its `anchor` binding and emits one output
-/// tuple per element matching pattern node `target` (tag + predicate +
-/// axis). Output preserves the input's physical order. `nodes_visited`
-/// (optional) accumulates the scan effort. The subtree tag filter is a
-/// selection-vector sweep over the document's tag column (a subtree is the
-/// contiguous pre-order range (anchor, end]).
-Result<ColumnBatch> NavigateColumns(const Database& db, const Pattern& pattern,
-                                    const ColumnBatch& input,
-                                    PatternNodeId anchor, PatternNodeId target,
-                                    Axis axis,
-                                    uint64_t* nodes_visited = nullptr);
-
-/// Row-major shim over NavigateColumns.
-Result<TupleSet> NavigateTuples(const Database& db, const Pattern& pattern,
-                                const TupleSet& input, PatternNodeId anchor,
-                                PatternNodeId target, Axis axis,
-                                uint64_t* nodes_visited = nullptr);
 
 }  // namespace sjos
 

@@ -1,13 +1,8 @@
 #include "exec/stack_tree.h"
 
 #include <algorithm>
-#include <atomic>
 #include <vector>
 
-#include "common/failpoint.h"
-#include "common/metrics.h"
-#include "common/thread_pool.h"
-#include "common/trace.h"
 #include "exec/governor.h"
 #include "exec/vector_kernels.h"
 
@@ -104,25 +99,16 @@ ColumnBatch MakeOutputSet(const ColumnBatch& anc, size_t anc_slot,
   return out;
 }
 
-/// The Stack-Tree merge over the group ranges [anc_lo, anc_hi) ×
-/// [desc_lo, desc_hi), appending matches to `out`. This is the serial
-/// kernel; the partitioned join runs one instance per partition. Returns
-/// OutOfRange when `max_output_rows` (0 = unlimited, counted against
-/// `out`'s size) is exceeded. `cancel`, when non-null, is polled once per
-/// descendant group so sibling partitions stop early after one of them
-/// overflowed; a cancelled run returns OK with partial output, which the
-/// caller discards.
+/// The Stack-Tree merge over all group pairs, appending matches to `out`.
+/// Returns OutOfRange when `max_output_rows` (0 = unlimited, counted
+/// against `out`'s size) is exceeded.
 Status RunStackTree(DocView view, const ColumnBatch& anc,
                     const ColumnBatch& desc,
                     const std::vector<Group>& anc_groups,
-                    const std::vector<Group>& desc_groups, size_t anc_lo,
-                    size_t anc_hi, size_t desc_lo, size_t desc_hi, Axis axis,
+                    const std::vector<Group>& desc_groups, Axis axis,
                     bool output_by_ancestor, uint64_t max_output_rows,
                     ColumnBatch* out, JoinStats* stats,
-                    const std::atomic<bool>* cancel,
                     QueryGovernor* governor) {
-  if (anc_lo >= anc_hi || desc_lo >= desc_hi) return Status::OK();
-
   // Row-budget enforcement; EmitPair clamps inside the expansion, so even
   // one huge group cross product cannot outrun the budget.
   bool overflow = false;
@@ -175,19 +161,16 @@ Status RunStackTree(DocView view, const ColumnBatch& anc,
     }
   };
 
-  size_t ai = anc_lo;
-  for (size_t dg = desc_lo; dg < desc_hi && !overflow; ++dg) {
-    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
-      return Status::OK();
-    }
+  size_t ai = 0;
+  for (size_t dg = 0; dg < desc_groups.size() && !overflow; ++dg) {
     // Deadline poll every 64 groups: frequent enough to bound overshoot,
     // rare enough that the steady_clock read never shows up in profiles.
-    if (governor != nullptr && ((dg - desc_lo) & 63) == 0) {
+    if (governor != nullptr && (dg & 63) == 0) {
       SJOS_RETURN_IF_ERROR(governor->CheckDeadline());
     }
     const NodeId d = desc_groups[dg].elem;
     // Stack every ancestor candidate that starts before d.
-    while (ai < anc_hi && anc_groups[ai].elem < d) {
+    while (ai < anc_groups.size() && anc_groups[ai].elem < d) {
       const NodeId a = anc_groups[ai].elem;
       while (!stack_ag.empty() && stack_end.back() < a) pop_entry();
       stack_ag.push_back(static_cast<uint32_t>(ai));
@@ -246,89 +229,6 @@ Status RunStackTree(DocView view, const ColumnBatch& anc,
   return Status::OK();
 }
 
-/// One independently joinable chunk of the input: ancestor groups
-/// [anc_lo, anc_hi) and the descendant groups [desc_lo, desc_hi) whose
-/// elements can fall inside those ancestors' intervals.
-struct JoinPartition {
-  size_t anc_lo;
-  size_t anc_hi;
-  size_t desc_lo;
-  size_t desc_hi;
-  size_t rows;  // anc + desc rows covered, the load-balancing weight
-};
-
-/// Splits the sorted ancestor group list at top-level interval boundaries:
-/// a cut is legal before group i exactly when group i's element starts
-/// after every earlier element has ended (no ancestor's (start, end)
-/// subtree spans the cut). Consecutive top-level regions are then merged
-/// greedily toward `target_partitions` chunks of roughly equal row weight.
-/// Descendant groups outside every region match nothing and are dropped,
-/// exactly as the serial merge would discard them against an empty stack.
-std::vector<JoinPartition> PartitionAtTopLevel(
-    DocView view, const std::vector<Group>& anc_groups,
-    const std::vector<Group>& desc_groups, size_t target_partitions) {
-  // Pass 1: maximal regions of overlapping ancestor intervals.
-  std::vector<JoinPartition> regions;
-  size_t i = 0;
-  while (i < anc_groups.size()) {
-    NodeId max_end = view.EndKeyOf(anc_groups[i].elem);
-    size_t j = i + 1;
-    while (j < anc_groups.size() && anc_groups[j].elem <= max_end) {
-      max_end = std::max(max_end, view.EndKeyOf(anc_groups[j].elem));
-      ++j;
-    }
-    // Descendants matchable here: first_elem < d <= max_end.
-    const NodeId first_elem = anc_groups[i].elem;
-    auto lo = std::upper_bound(
-        desc_groups.begin(), desc_groups.end(), first_elem,
-        [](NodeId v, const Group& g) { return v < g.elem; });
-    auto hi = std::upper_bound(
-        desc_groups.begin(), desc_groups.end(), max_end,
-        [](NodeId v, const Group& g) { return v < g.elem; });
-    size_t rows = 0;
-    for (size_t k = i; k < j; ++k) {
-      rows += anc_groups[k].row_end - anc_groups[k].row_begin;
-    }
-    for (auto it = lo; it != hi; ++it) rows += it->row_end - it->row_begin;
-    regions.push_back(JoinPartition{
-        i, j, static_cast<size_t>(lo - desc_groups.begin()),
-        static_cast<size_t>(hi - desc_groups.begin()), rows});
-    i = j;
-  }
-
-  // Pass 2: merge consecutive regions into ~target_partitions chunks.
-  if (target_partitions <= 1 || regions.size() <= 1) {
-    if (regions.size() > 1) {
-      JoinPartition merged = regions.front();
-      merged.anc_hi = regions.back().anc_hi;
-      merged.desc_hi = regions.back().desc_hi;
-      for (size_t r = 1; r < regions.size(); ++r) {
-        merged.rows += regions[r].rows;
-      }
-      return {merged};
-    }
-    return regions;
-  }
-  size_t total_rows = 0;
-  for (const JoinPartition& r : regions) total_rows += r.rows;
-  const size_t target_rows =
-      std::max<size_t>(1, total_rows / target_partitions);
-  std::vector<JoinPartition> chunks;
-  JoinPartition current = regions.front();
-  for (size_t r = 1; r < regions.size(); ++r) {
-    if (current.rows >= target_rows) {
-      chunks.push_back(current);
-      current = regions[r];
-    } else {
-      current.anc_hi = regions[r].anc_hi;
-      current.desc_hi = regions[r].desc_hi;
-      current.rows += regions[r].rows;
-    }
-  }
-  chunks.push_back(current);
-  return chunks;
-}
-
 }  // namespace
 
 Result<ColumnBatch> StackTreeJoin(DocView view, const ColumnBatch& anc,
@@ -343,10 +243,9 @@ Result<ColumnBatch> StackTreeJoin(DocView view, const ColumnBatch& anc,
   const std::vector<Group> anc_groups = BuildGroups(anc, anc_slot);
   const std::vector<Group> desc_groups = BuildGroups(desc, desc_slot);
   if (anc_groups.empty() || desc_groups.empty()) return out;
-  SJOS_RETURN_IF_ERROR(RunStackTree(
-      view, anc, desc, anc_groups, desc_groups, 0, anc_groups.size(), 0,
-      desc_groups.size(), axis, output_by_ancestor, max_output_rows, &out,
-      stats, /*cancel=*/nullptr, governor));
+  SJOS_RETURN_IF_ERROR(RunStackTree(view, anc, desc, anc_groups, desc_groups,
+                                   axis, output_by_ancestor, max_output_rows,
+                                   &out, stats, governor));
   return out;
 }
 
@@ -359,112 +258,6 @@ Result<TupleSet> StackTreeJoin(DocView view, const TupleSet& anc,
   Result<ColumnBatch> out = StackTreeJoin(
       view, ColumnBatch::FromRows(anc), anc_slot, ColumnBatch::FromRows(desc),
       desc_slot, axis, output_by_ancestor, stats, max_output_rows, governor);
-  if (!out.ok()) return out.status();
-  return std::move(out).value().ToRows();
-}
-
-Result<ColumnBatch> StackTreeJoinParallel(
-    DocView view, const ColumnBatch& anc, size_t anc_slot,
-    const ColumnBatch& desc, size_t desc_slot, Axis axis,
-    bool output_by_ancestor, ThreadPool* pool, JoinStats* stats,
-    uint64_t max_output_rows, size_t min_parallel_input_rows,
-    QueryGovernor* governor) {
-  if (pool == nullptr || pool->num_workers() <= 1 ||
-      anc.size() + desc.size() < min_parallel_input_rows) {
-    return StackTreeJoin(view, anc, anc_slot, desc, desc_slot, axis,
-                         output_by_ancestor, stats, max_output_rows, governor);
-  }
-  SJOS_RETURN_IF_ERROR(ValidateJoinInputs(anc, anc_slot, desc, desc_slot));
-  ColumnBatch out =
-      MakeOutputSet(anc, anc_slot, desc, desc_slot, output_by_ancestor);
-  const std::vector<Group> anc_groups = BuildGroups(anc, anc_slot);
-  const std::vector<Group> desc_groups = BuildGroups(desc, desc_slot);
-  if (anc_groups.empty() || desc_groups.empty()) return out;
-
-  const std::vector<JoinPartition> parts = PartitionAtTopLevel(
-      view, anc_groups, desc_groups, pool->num_workers());
-  if (parts.size() <= 1) {
-    // One top-level region (e.g. a single document root candidate):
-    // nothing to split, run the serial kernel in place.
-    SJOS_RETURN_IF_ERROR(RunStackTree(
-        view, anc, desc, anc_groups, desc_groups, 0, anc_groups.size(), 0,
-        desc_groups.size(), axis, output_by_ancestor, max_output_rows, &out,
-        stats, /*cancel=*/nullptr, governor));
-    return out;
-  }
-
-  static Counter& parallel_joins = MetricsRegistry::Global().GetCounter(
-      "sjos_exec_parallel_joins_total");
-  static Histogram& partitions = MetricsRegistry::Global().GetHistogram(
-      "sjos_exec_join_partitions");
-  parallel_joins.Add(1);
-  partitions.Observe(parts.size());
-
-  // Partitions join independently: no ancestor interval spans a cut, and
-  // each partition's descendant range is disjoint from every other's, so
-  // concatenating the partition outputs in partition (= document) order
-  // reproduces the serial output byte for byte.
-  std::vector<ColumnBatch> part_out(parts.size());
-  std::vector<JoinStats> part_stats(parts.size());
-  std::atomic<bool> cancel{false};
-  for (size_t p = 0; p < parts.size(); ++p) {
-    part_out[p] =
-        MakeOutputSet(anc, anc_slot, desc, desc_slot, output_by_ancestor);
-    pool->Submit([&, p]() -> Status {
-      TraceSpan span("join.partition");
-      Status entry;  // injected fault or deadline breach at task start
-      SJOS_FAILPOINT_CHECK("exec.join.partition", entry);
-      if (entry.ok() && governor != nullptr) entry = governor->CheckDeadline();
-      if (!entry.ok()) {
-        cancel.store(true, std::memory_order_relaxed);
-        return entry;
-      }
-      const JoinPartition& part = parts[p];
-      // Each worker enforces the full global budget locally (a partition
-      // alone may exceed it); the post-merge sum check below catches the
-      // case where only the partitions' total does.
-      Status st = RunStackTree(view, anc, desc, anc_groups, desc_groups,
-                               part.anc_lo, part.anc_hi, part.desc_lo,
-                               part.desc_hi, axis, output_by_ancestor,
-                               max_output_rows, &part_out[p], &part_stats[p],
-                               &cancel, governor);
-      if (!st.ok()) cancel.store(true, std::memory_order_relaxed);
-      return st;
-    });
-  }
-  SJOS_RETURN_IF_ERROR(pool->WaitAll());
-
-  uint64_t total_rows = 0;
-  for (const ColumnBatch& t : part_out) total_rows += t.size();
-  if (max_output_rows != 0 && total_rows > max_output_rows) {
-    return Status::OutOfRange(
-        "structural join output exceeded the configured row budget");
-  }
-  // Merge in partition order; counter sums (and the max) are independent
-  // of worker scheduling, so merged stats are deterministic.
-  out.Reserve(total_rows);
-  for (size_t p = 0; p < parts.size(); ++p) {
-    out.AppendBatch(part_out[p]);
-    if (stats != nullptr) {
-      stats->element_pairs += part_stats[p].element_pairs;
-      stats->output_rows += part_stats[p].output_rows;
-      stats->stack_pushes += part_stats[p].stack_pushes;
-      stats->max_stack_depth =
-          std::max(stats->max_stack_depth, part_stats[p].max_stack_depth);
-    }
-  }
-  return out;
-}
-
-Result<TupleSet> StackTreeJoinParallel(
-    DocView view, const TupleSet& anc, size_t anc_slot,
-    const TupleSet& desc, size_t desc_slot, Axis axis, bool output_by_ancestor,
-    ThreadPool* pool, JoinStats* stats, uint64_t max_output_rows,
-    size_t min_parallel_input_rows, QueryGovernor* governor) {
-  Result<ColumnBatch> out = StackTreeJoinParallel(
-      view, ColumnBatch::FromRows(anc), anc_slot, ColumnBatch::FromRows(desc),
-      desc_slot, axis, output_by_ancestor, pool, stats, max_output_rows,
-      min_parallel_input_rows, governor);
   if (!out.ok()) return out.status();
   return std::move(out).value().ToRows();
 }

@@ -35,7 +35,6 @@
 
 namespace sjos {
 
-class ThreadPool;
 class QueryGovernor;
 
 /// Counters a join run reports (consumed by executor stats and tests).
@@ -80,47 +79,6 @@ Result<TupleSet> StackTreeJoin(DocView view, const TupleSet& anc,
                                JoinStats* stats = nullptr,
                                uint64_t max_output_rows = 0,
                                QueryGovernor* governor = nullptr);
-
-/// Below this many combined input rows the partitioned join falls back to
-/// the serial algorithm: task dispatch would cost more than it saves.
-inline constexpr size_t kParallelJoinMinInputRows = 8192;
-
-/// Partitioned StackTreeJoin over `pool`'s workers. The ancestor input is
-/// split at top-level interval boundaries — an ancestor's (start, end)
-/// subtree never spans a cut, so partitions join independently against
-/// disjoint descendant ranges and their outputs concatenate in document
-/// order — making the result byte-identical to the serial join for any
-/// worker count. `max_output_rows` is the same *global* budget the serial
-/// join enforces: the join fails with OutOfRange exactly when the total
-/// output across all partitions would exceed it.
-///
-/// Falls back to StackTreeJoin when `pool` is null, has a single worker,
-/// or the combined input is smaller than `min_parallel_input_rows`.
-///
-/// Merged stats note: element_pairs and output_rows always equal the
-/// serial run's; stack_pushes and max_stack_depth reflect the per-partition
-/// merges and may be lower than serial (ancestors past a partition's last
-/// descendant are never pushed).
-/// `governor`, when non-null, is polled inside every partition worker (at
-/// task start and every 64 descendant groups): a deadline breach fails
-/// that partition with DeadlineExceeded, trips the shared cancel token so
-/// sibling partitions stop early, and surfaces through WaitAll's
-/// earliest-error-wins semantics — no task is leaked.
-Result<ColumnBatch> StackTreeJoinParallel(
-    DocView view, const ColumnBatch& anc, size_t anc_slot,
-    const ColumnBatch& desc, size_t desc_slot, Axis axis,
-    bool output_by_ancestor, ThreadPool* pool, JoinStats* stats = nullptr,
-    uint64_t max_output_rows = 0,
-    size_t min_parallel_input_rows = kParallelJoinMinInputRows,
-    QueryGovernor* governor = nullptr);
-
-/// Row-major shim over the columnar partitioned join.
-Result<TupleSet> StackTreeJoinParallel(
-    DocView view, const TupleSet& anc, size_t anc_slot,
-    const TupleSet& desc, size_t desc_slot, Axis axis, bool output_by_ancestor,
-    ThreadPool* pool, JoinStats* stats = nullptr, uint64_t max_output_rows = 0,
-    size_t min_parallel_input_rows = kParallelJoinMinInputRows,
-    QueryGovernor* governor = nullptr);
 
 }  // namespace sjos
 

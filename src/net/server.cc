@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <thread>
 
 #include <arpa/inet.h>
@@ -171,7 +172,8 @@ std::string EncodeDoneError(std::string_view id, const Status& status,
 
 QueryServer::QueryServer(Engine* engine, ServerOptions options)
     : engine_(engine), options_(std::move(options)),
-      quotas_(options_.default_quota) {
+      quotas_(options_.default_quota),
+      completed_(options_.completed_ring_capacity) {
   // Eager metric registration: drain/idle/attach counters must exist (at
   // 0) in any export sjos_promcheck sees, not only after the first event.
   ServerMetrics::Get();
@@ -385,24 +387,34 @@ void QueryServer::AcceptLoop() {
   }
 }
 
-void QueryServer::PushCompletedLocked(std::string id, std::string response,
-                                      bool disconnect_cancelled) {
-  if (options_.completed_ring_capacity == 0) return;
-  completed_.push_back(
+void ReplayRing::Push(std::string id, std::string response,
+                      bool disconnect_cancelled) {
+  if (capacity_ == 0) return;
+  bytes_ += response.size();
+  entries_.push_back(
       {std::move(id), std::move(response), disconnect_cancelled});
-  while (completed_.size() > options_.completed_ring_capacity) {
-    completed_.pop_front();
+  while (entries_.size() > capacity_ ||
+         (bytes_ > kReplayRingMaxBytes && entries_.size() > 1)) {
+    bytes_ -= entries_.front().response.size();
+    entries_.pop_front();
   }
 }
 
-const QueryServer::CompletedEntry* QueryServer::FindCompletedLocked(
-    const std::string& id) const {
-  // Newest first: a re-run under a replayed id must resolve to its latest
-  // terminal response.
-  for (auto it = completed_.rbegin(); it != completed_.rend(); ++it) {
+const ReplayRing::Entry* ReplayRing::Find(const std::string& id) const {
+  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
     if (it->id == id) return &*it;
   }
   return nullptr;
+}
+
+void ReplayRing::Erase(const std::string& id) {
+  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+    if (it->id == id) {
+      bytes_ -= it->response.size();
+      entries_.erase(std::next(it).base());
+      return;
+    }
+  }
 }
 
 void QueryServer::ServeConnection(Connection* conn) {
@@ -481,7 +493,7 @@ void QueryServer::ServeConnection(Connection* conn) {
                                  options_.max_frame_bytes)
               : EncodeDoneError(d.id, result.status(),
                                 d.handle.error_info());
-      PushCompletedLocked(d.id, std::move(response), disconnect_cancelled);
+      completed_.Push(d.id, std::move(response), disconnect_cancelled);
       queries_.erase(it);
     }
   }
@@ -555,19 +567,14 @@ std::string QueryServer::HandleSubmit(Connection* conn,
         out += ",\"queued\":true,\"attached\":true}";
         return out;
       }
-    } else if (const CompletedEntry* done = FindCompletedLocked(req.id)) {
+    } else if (const ReplayRing::Entry* done = completed_.Find(req.id)) {
       if (!done->disconnect_cancelled) {
         ServerMetrics::Get().replays.Add();
         return done->response;
       }
       // Cancelled-on-disconnect and never delivered: fall through and
       // re-run it fresh (drop the poison entry so polls stop seeing it).
-      for (auto ce = completed_.begin(); ce != completed_.end(); ++ce) {
-        if (ce->id == req.id) {
-          completed_.erase(ce);
-          break;
-        }
-      }
+      completed_.Erase(req.id);
     }
   }
 
@@ -654,7 +661,7 @@ std::string QueryServer::HandlePoll(Connection* conn, const WireRequest& req) {
     std::lock_guard<std::mutex> lock(queries_mu_);
     auto it = queries_.find(req.id);
     if (it == queries_.end()) {
-      if (const CompletedEntry* done = FindCompletedLocked(req.id)) {
+      if (const ReplayRing::Entry* done = completed_.Find(req.id)) {
         if (done->disconnect_cancelled) {
           // The result was lost to a disconnect-cancel; NotFound tells a
           // resilient client to re-submit under the same id.
@@ -703,7 +710,7 @@ std::string QueryServer::HandlePoll(Connection* conn, const WireRequest& req) {
     std::lock_guard<std::mutex> lock(queries_mu_);
     auto it = queries_.find(req.id);
     if (it != queries_.end() && it->second.generation == generation) {
-      PushCompletedLocked(req.id, response, /*disconnect_cancelled=*/false);
+      completed_.Push(req.id, response, /*disconnect_cancelled=*/false);
       queries_.erase(it);
     }
   }
@@ -827,7 +834,7 @@ std::string QueryServer::HandleUpdate(const WireRequest& req) {
   // the write quota so replays cost no tokens.
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
-    if (const CompletedEntry* done = FindCompletedLocked(req.id)) {
+    if (const ReplayRing::Entry* done = completed_.Find(req.id)) {
       if (!done->disconnect_cancelled) {
         ServerMetrics::Get().replays.Add();
         return done->response;
@@ -852,7 +859,7 @@ std::string QueryServer::HandleUpdate(const WireRequest& req) {
   std::lock_guard<std::mutex> write_lock(update_mu_);
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
-    if (const CompletedEntry* done = FindCompletedLocked(req.id)) {
+    if (const ReplayRing::Entry* done = completed_.Find(req.id)) {
       if (!done->disconnect_cancelled) {
         ServerMetrics::Get().replays.Add();
         return done->response;
@@ -903,7 +910,7 @@ std::string QueryServer::HandleUpdate(const WireRequest& req) {
   out += "}";
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
-    PushCompletedLocked(req.id, out, /*disconnect_cancelled=*/false);
+    completed_.Push(req.id, out, /*disconnect_cancelled=*/false);
   }
   return out;
 }

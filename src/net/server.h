@@ -24,7 +24,8 @@
 // re-submit of a live id attaches to the running query (no re-execution,
 // no extra quota charge) and transfers ownership to the submitting
 // connection; polls work from any connection and also transfer ownership.
-// Terminal responses are retained in a bounded recently-completed ring:
+// Terminal responses are retained in a recently-completed ring bounded by
+// entries and by bytes (ReplayRing):
 // re-submitting a completed id replays the stored response byte for byte,
 // except entries that were cancelled by a disconnect — those were never
 // delivered, so a re-submit re-runs them and a poll answers NotFound
@@ -91,8 +92,9 @@ struct ServerOptions {
   uint64_t idle_timeout_ms = 0;
 
   /// Capacity of the recently-completed ring (terminal responses kept for
-  /// idempotent replay). Oldest entries are evicted first; a client
-  /// re-submitting an evicted id re-runs the query.
+  /// idempotent replay). Oldest entries are evicted first, also while the
+  /// retained responses exceed kReplayRingMaxBytes; a client re-submitting
+  /// an evicted id re-runs the query.
   size_t completed_ring_capacity = 256;
 
   /// Default drain deadline when the wire 'drain' verb carries no
@@ -106,6 +108,49 @@ struct ServerOptions {
 
   /// Hint attached to submits shed by the drain gate.
   uint64_t drain_retry_after_ms = 500;
+};
+
+/// Byte cap on the responses the replay ring retains, on top of its entry
+/// capacity: 256 entries of maximum-size frames would otherwise pin
+/// gigabytes.
+inline constexpr size_t kReplayRingMaxBytes = size_t{32} << 20;
+
+/// The recently-completed ring: terminal responses kept for idempotent
+/// replay, oldest first. It holds at most `capacity` entries and evicts
+/// the oldest while the retained response bytes exceed
+/// kReplayRingMaxBytes — never the newest entry, so the latest response
+/// always replays (one response over the cap stays until the next push).
+/// Not thread-safe; the server guards it with its query-table mutex.
+class ReplayRing {
+ public:
+  struct Entry {
+    std::string id;
+    std::string response;
+    /// True when a disconnect cancelled the query before its result was
+    /// ever delivered: re-submits re-run instead of replaying, and polls
+    /// answer NotFound.
+    bool disconnect_cancelled = false;
+  };
+
+  explicit ReplayRing(size_t capacity) : capacity_(capacity) {}
+
+  void Push(std::string id, std::string response, bool disconnect_cancelled);
+
+  /// Newest entry under `id` (a re-run under a replayed id resolves to its
+  /// latest terminal response), or nullptr.
+  const Entry* Find(const std::string& id) const;
+
+  /// Drops the entry Find(id) returns, if any.
+  void Erase(const std::string& id);
+
+  size_t size() const { return entries_.size(); }
+  /// Total response bytes retained.
+  size_t bytes() const { return bytes_; }
+
+ private:
+  const size_t capacity_;
+  std::deque<Entry> entries_;
+  size_t bytes_ = 0;
 };
 
 class QueryServer {
@@ -165,16 +210,6 @@ class QueryServer {
     uint64_t generation = 0;
   };
 
-  /// One terminal response retained for idempotent replay.
-  struct CompletedEntry {
-    std::string id;
-    std::string response;
-    /// True when a disconnect cancelled the query before its result was
-    /// ever delivered: re-submits re-run instead of replaying, and polls
-    /// answer NotFound.
-    bool disconnect_cancelled = false;
-  };
-
   /// One accepted connection: the fd, its serving thread, and the wire
   /// ids of queries it owns (touched only by that thread).
   struct Connection {
@@ -192,11 +227,6 @@ class QueryServer {
   /// Drain worker: waits queries out (deadline-cancelling stragglers),
   /// grants the poll grace, then Stop()s.
   void DrainImpl(uint64_t deadline_ms);
-
-  /// Ring insert; caller holds queries_mu_.
-  void PushCompletedLocked(std::string id, std::string response,
-                           bool disconnect_cancelled);
-  const CompletedEntry* FindCompletedLocked(const std::string& id) const;
 
   std::string HandleRequest(Connection* conn, std::string_view payload);
   std::string HandleSubmit(Connection* conn, const WireRequest& req);
@@ -225,7 +255,7 @@ class QueryServer {
   /// The server-wide query table and completed ring (see file comment).
   std::mutex queries_mu_;
   std::unordered_map<std::string, LiveQuery> queries_;
-  std::deque<CompletedEntry> completed_;
+  ReplayRing completed_;
   uint64_t next_generation_ = 1;
 
   /// Serializes update-verb mutations server-wide: Engine::Apply holds the

@@ -11,19 +11,17 @@
 // bundled executor so that modelled cost tracks wall time.
 //
 // One documented extension: the paper's Stack-Tree-Desc formula carries no
-// output-size term (Timber streams results between operators), and since
-// the serial engine became a streaming operator pipeline
-// (exec/operator.h), f_out = 0 is the *faithful* setting for fully
-// pipelined plans: join output flows batch-by-batch into the parent and
-// is never materialized. Two execution paths still materialize — Sort
-// inputs (any plan containing a Sort pays it physically) and the
-// num_threads > 1 engine, which materializes at operator boundaries to
-// partition its joins — so the default keeps f_out > 0 as a deliberate,
-// engine-calibrated charge per output tuple. Setting f_out = 0 recovers
-// the paper's formulas verbatim. Because the term is identical for both
-// algorithms it never changes the STA-vs-STD choice, only makes join
-// *order* sensitive to intermediate result sizes — which the
-// materializing paths must be.
+// output-size term (Timber streams results between operators). The engine
+// is a streaming operator pipeline (exec/operator.h), so for fully
+// pipelined plans join output flows batch-by-batch into the parent and is
+// never materialized, and f_out = 0 is the *faithful* setting. The default
+// still keeps f_out > 0 as an engine-calibrated charge per output tuple:
+// every output row is produced, copied into a batch and consumed by the
+// parent, Sort inputs are buffered whole, and Stack-Tree-Anc buffers its
+// output until ancestors pop. Setting f_out = 0 recovers the paper's
+// formulas verbatim. Because the term is identical for both algorithms it
+// never changes the STA-vs-STD choice, only makes join *order* sensitive
+// to intermediate result sizes.
 
 #ifndef SJOS_PLAN_COST_MODEL_H_
 #define SJOS_PLAN_COST_MODEL_H_

@@ -235,7 +235,10 @@ Result<MutationResult> Engine::ApplyInsertLocked(const InsertSubtree& insert) {
   if (st.code() == StatusCode::kResourceExhausted) {
     // The parent's key gap is exhausted. Flush the overlay (respacing all
     // keys) and retry once; the parent's key is remapped through its
-    // pre-order rank, which the flush preserves.
+    // pre-order rank, which the flush preserves. A first insert into a
+    // dense document respaced before failing, so its dense parent key
+    // maps through its slot first.
+    if (delta.respaced) parent = db_->doc().KeyOfSlot(parent);
     const std::vector<NodeId> order = db_->MergedOrder();
     const auto it = std::find(order.begin(), order.end(), parent);
     if (it == order.end()) {
@@ -292,7 +295,7 @@ Result<MutationResult> Engine::Apply(Mutation mutation) {
     return result;
   }
   if (!db_.has_value()) {
-    return Status::NotFound("no database loaded — call Engine::Load first");
+    return Status::NotFound("no database loaded — apply a LoadDocument first");
   }
   if (const FoldMutation* fold = std::get_if<FoldMutation>(&mutation)) {
     return ApplyFoldLocked(*fold);
@@ -306,24 +309,11 @@ Result<MutationResult> Engine::Apply(Mutation mutation) {
   return ApplyFlushLocked();
 }
 
-Status Engine::Load(Document doc, std::string name) {
-  // Deprecated shim: one Apply(LoadDocument) without the result report.
-  Result<MutationResult> applied =
-      Apply(LoadDocument{std::move(doc), std::move(name)});
-  return applied.ok() ? Status::OK() : applied.status();
-}
-
 Status Engine::OpenDatabase(Database db) {
   std::unique_lock<std::shared_mutex> lock(db_mu_);
   InstallDatabaseLocked(std::move(db));
   cache_.Clear();
   return Status::OK();
-}
-
-Status Engine::Fold(uint32_t factor) {
-  // Deprecated shim: one Apply(FoldMutation) without the result report.
-  Result<MutationResult> applied = Apply(FoldMutation{factor});
-  return applied.ok() ? Status::OK() : applied.status();
 }
 
 bool Engine::has_database() const {
@@ -341,7 +331,7 @@ Result<PlannedQuery> Engine::PlanLocked(const Pattern& pattern,
                                         const QueryOptions& options) {
   SJOS_RETURN_IF_ERROR(pattern.Validate());
   if (!db_.has_value()) {
-    return Status::NotFound("no database loaded — call Engine::Load first");
+    return Status::NotFound("no database loaded — apply a LoadDocument first");
   }
   PatternFingerprint fp = pattern.CanonicalFingerprint();
   const uint64_t version = stats_version_.load(std::memory_order_relaxed);
@@ -606,8 +596,47 @@ QueryHandle Engine::Submit(Pattern pattern, QueryOptions options) {
         .GetCounter("sjos_engine_submits_total", {{"tenant", options.tenant}})
         .Add();
   }
+  // Publishes the outcome on the handle; the first call wins. The
+  // callback runs while still holding mu: any thread that observes
+  // done == true (Done/Wait/WaitFor all lock mu) then has the callback's
+  // effects happen-before it, so a caller may tear down the resources the
+  // callback releases (the server's quota table) the moment completion is
+  // visible. This is why SetDoneCallback forbids callbacks that touch the
+  // handle.
+  const auto complete = [](QueryHandle::State& st,
+                           Result<QueryResult> outcome,
+                           QueryErrorInfo error_info) {
+    {
+      std::lock_guard<std::mutex> lk(st.mu);
+      if (st.done) return;
+      st.result.emplace(std::move(outcome));
+      st.error_info = std::move(error_info);
+      st.done = true;
+      if (st.on_done) {
+        std::function<void()> on_done = std::move(st.on_done);
+        on_done();
+      }
+    }
+    st.cv.notify_all();
+  };
+  // An injected pool.task.dispatch fault makes the pool destroy a task
+  // without running it. The deleter of this token runs when the last copy
+  // of the task is destroyed and completes a handle the task never
+  // reached, so Wait() and the done-callback still fire; after a normal
+  // run the handle is already done and the deleter does nothing.
+  std::shared_ptr<void> drop_token(
+      nullptr, [state, complete, query_id = options.query_id](void*) {
+        QueryErrorInfo error_info;
+        error_info.query_id = query_id;
+        complete(*state,
+                 Status::Internal("query '" + query_id +
+                                  "' dropped before dispatch (failpoint "
+                                  "'pool.task.dispatch')"),
+                 std::move(error_info));
+      });
   const uint64_t enqueued_us = EngineNowUs();
-  auto task = [this, state, enqueued_us, pattern = std::move(pattern),
+  auto task = [this, state, complete, drop_token = std::move(drop_token),
+               enqueued_us, pattern = std::move(pattern),
                options = std::move(options)]() -> Status {
     // Submit→dispatch delay: the adaptive-admission controller's signal.
     const uint64_t dispatched_us = EngineNowUs();
@@ -653,23 +682,7 @@ QueryHandle Engine::Submit(Pattern pattern, QueryOptions options) {
       EngineMetrics::Get().in_flight.Sub(1);
       in_flight_.fetch_sub(1, std::memory_order_relaxed);
     }
-    {
-      std::lock_guard<std::mutex> lk(state->mu);
-      state->result = std::move(outcome);
-      state->error_info = std::move(error_info);
-      state->done = true;
-      // Run the callback while still holding mu: any thread that observes
-      // done == true (Done/Wait/WaitFor all lock mu) then has the
-      // callback's effects happen-before it, so a caller may tear down
-      // the resources the callback releases (the server's quota table)
-      // the moment completion is visible. This is why SetDoneCallback
-      // forbids callbacks that touch the handle.
-      if (state->on_done) {
-        std::function<void()> on_done = std::move(state->on_done);
-        on_done();
-      }
-    }
-    state->cv.notify_all();
+    complete(*state, std::move(*outcome), std::move(error_info));
     return Status::OK();
   };
   {

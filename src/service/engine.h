@@ -4,7 +4,7 @@
 // so callers go from XML to results in a handful of lines:
 //
 //   Engine engine;
-//   SJOS_CHECK(engine.Load(std::move(doc)).ok(), "load");
+//   SJOS_CHECK(engine.Apply(LoadDocument{std::move(doc)}).ok(), "load");
 //   Result<QueryResult> r = engine.Query(pattern, QueryOptions{});
 //
 // Planning: Engine::Plan resolves QueryOptions::optimizer to one of the
@@ -207,8 +207,7 @@ class QueryHandle {
     std::optional<Result<QueryResult>> result;
     QueryErrorInfo error_info;
     std::atomic<bool> cancel{false};
-    /// Invoked (outside mu) right after done flips true; see
-    /// SetDoneCallback.
+    /// Invoked under mu right after done flips true; see SetDoneCallback.
     std::function<void()> on_done;
     /// Immutable after Submit returns the handle.
     std::string query_id;
@@ -221,7 +220,7 @@ class QueryHandle {
 };
 
 /// The service facade. Thread-safe: Query/Plan/Submit may be called
-/// concurrently; Load/Fold exclude running queries.
+/// concurrently; Apply excludes running queries.
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
@@ -238,14 +237,8 @@ class Engine {
   /// flushes the overlay and retries once.
   Result<MutationResult> Apply(Mutation mutation);
 
-  /// Deprecated: thin shim over Apply(LoadDocument{...}). Prefer Apply.
-  Status Load(Document doc, std::string name = "db");
-
   /// Adopts an already-opened Database. Same invalidation as a load.
   Status OpenDatabase(Database db);
-
-  /// Deprecated: thin shim over Apply(FoldMutation{...}). Prefer Apply.
-  Status Fold(uint32_t factor);
 
   bool has_database() const;
 
@@ -333,7 +326,7 @@ class Engine {
 
   const EngineOptions options_;
 
-  /// Guards db_/estimator_/doc_id_: queries hold it shared, Load/Fold
+  /// Guards db_/estimator_/doc_id_: queries hold it shared, mutations
   /// exclusively.
   mutable std::shared_mutex db_mu_;
   std::optional<Database> db_;

@@ -51,10 +51,7 @@ std::unique_ptr<Optimizer> MakeOptimizer(OptimizerKind kind,
 ExecOptions QueryOptions::ExecView() const {
   ExecOptions exec;
   exec.max_join_output_rows = max_join_output_rows;
-  exec.num_threads = num_threads;
-  exec.parallel_min_join_rows = parallel_min_join_rows;
   exec.batch_rows = batch_rows;
-  exec.force_materialize = force_materialize;
   exec.deadline_ms = deadline_ms;
   exec.max_live_bytes = max_live_bytes;
   exec.query_id = query_id;

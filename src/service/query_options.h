@@ -67,19 +67,9 @@ struct QueryOptions {
   /// (0 = unlimited).
   uint64_t max_join_output_rows = 0;
 
-  /// Worker threads for intra-query parallelism (1 = serial streaming
-  /// pipeline, the default). See ExecOptions::num_threads.
-  int num_threads = 1;
-
-  /// See ExecOptions::parallel_min_join_rows.
-  size_t parallel_min_join_rows = kParallelJoinMinInputRows;
-
   /// Streaming batch capacity; 0 = auto (SJOS_EXEC_BATCH_ROWS or the
   /// built-in default).
   size_t batch_rows = 0;
-
-  /// Forces the one-shot materializing engine even for serial execution.
-  bool force_materialize = false;
 
   /// When non-empty, the Engine traces the whole query (optimize spans
   /// included) to this path; see common/trace.h.

@@ -78,12 +78,17 @@ Status Database::InsertSubtree(NodeId parent_key, size_t position,
   if (doc_->Empty()) {
     return Status::InvalidArgument("cannot insert into an empty database");
   }
-  bool respaced = false;
-  if (!doc_->Spaced()) {
-    SJOS_RETURN_IF_ERROR(EnsureSpaced());
-    respaced = true;
-  }
   if (diff_ == nullptr) diff_ = std::make_unique<DifferentialIndex>(doc_.get());
+  // Validate against the current key domain before respacing, so a
+  // rejected insert leaves every key unchanged; a dense parent key then
+  // maps into the spaced domain through its slot.
+  SJOS_RETURN_IF_ERROR(diff_->CheckInsert(parent_key, fragment));
+  if (!doc_->Spaced()) {
+    const NodeId parent_slot = doc_->SlotOfKey(parent_key);
+    SJOS_RETURN_IF_ERROR(EnsureSpaced());
+    parent_key = doc_->KeyOfSlot(parent_slot);
+    if (delta != nullptr) delta->respaced = true;
+  }
   std::vector<TagId> tag_map(fragment.dict().size(), kInvalidTag);
   for (TagId t = 0; t < fragment.dict().size(); ++t) {
     tag_map[t] = doc_->mutable_dict().Intern(fragment.dict().Name(t));
@@ -95,7 +100,6 @@ Status Database::InsertSubtree(NodeId parent_key, size_t position,
     stats_.ApplyInsert(n.tag, n.level);
   }
   if (delta != nullptr) {
-    delta->respaced = respaced;
     AppendTouchedTags(added, &delta->touched_tags);
     FinishTouchedTags(&delta->touched_tags);
     delta->added = std::move(added);

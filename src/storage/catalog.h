@@ -57,9 +57,11 @@ class Database {
 
   /// Grafts a parsed fragment under `parent_key` as its `position`-th
   /// child (SIZE_MAX appends). Interns the fragment's tags, spaces the
-  /// key domain on the first insert (reported via delta->respaced), and
-  /// records the new nodes in `delta`. ResourceExhausted when the key gap
-  /// is full — callers flush and retry.
+  /// key domain on the first insert (reported via delta->respaced, also
+  /// when the insert then fails: a dense `parent_key` now lives at
+  /// doc().KeyOfSlot(parent_key)), and records the new nodes in `delta`.
+  /// ResourceExhausted when the key gap is full — callers flush and
+  /// retry.
   Status InsertSubtree(NodeId parent_key, size_t position,
                        const Document& fragment, MutationDelta* delta);
 

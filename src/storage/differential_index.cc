@@ -68,22 +68,35 @@ std::vector<NodeId> DifferentialIndex::MergedChildren(NodeId parent_key) const {
   return out;
 }
 
-Status DifferentialIndex::InsertSubtree(NodeId parent_key, size_t position,
-                                        const Document& fragment,
-                                        const std::vector<TagId>& tag_map,
-                                        std::vector<InsertedNode>* added) {
+Status DifferentialIndex::CheckInsert(NodeId parent_key,
+                                       const Document& fragment) const {
   if (fragment.Empty()) {
     return Status::InvalidArgument("cannot insert an empty fragment");
   }
   if (fragment.Spaced()) {
     return Status::InvalidArgument("insert fragment must be dense");
   }
-  if (tag_map.size() < fragment.dict().size()) {
-    return Status::Internal("fragment tag map incomplete");
-  }
   if (!IsLive(parent_key)) {
     return Status::NotFound(
         StrFormat("insert parent %u does not name a live node", parent_key));
+  }
+  const uint16_t parent_level = doc_->IsBaseKey(parent_key)
+                                    ? doc_->LevelOf(parent_key)
+                                    : Find(parent_key)->level;
+  if (static_cast<uint32_t>(parent_level) + 1 + fragment.MaxLevel() >=
+      0xFFFF) {
+    return Status::InvalidArgument("insert would exceed the level range");
+  }
+  return Status::OK();
+}
+
+Status DifferentialIndex::InsertSubtree(NodeId parent_key, size_t position,
+                                        const Document& fragment,
+                                        const std::vector<TagId>& tag_map,
+                                        std::vector<InsertedNode>* added) {
+  SJOS_RETURN_IF_ERROR(CheckInsert(parent_key, fragment));
+  if (tag_map.size() < fragment.dict().size()) {
+    return Status::Internal("fragment tag map incomplete");
   }
   uint16_t parent_level;
   TagId graft_parent_tag;
@@ -95,28 +108,35 @@ Status DifferentialIndex::InsertSubtree(NodeId parent_key, size_t position,
     parent_level = p->level;
     graft_parent_tag = p->tag;
   }
-  const uint32_t depth = fragment.MaxLevel();
-  if (static_cast<uint32_t>(parent_level) + 1 + depth >= 0xFFFF) {
-    return Status::InvalidArgument("insert would exceed the level range");
-  }
 
   // Bracket the insertion point with the two structural events around it:
   // the previous sibling's close (or the parent's open) and the next
   // sibling's open (or the parent's close). The fragment's 2m open/close
-  // events are laid out evenly inside that key gap.
+  // events are laid out evenly inside that key gap, over its keys that are
+  // NOT base-aligned: a base-aligned key in the gap may belong to a deleted
+  // base node, and reads route every base-aligned key (IsBaseKey) to the
+  // base document. Keys are placed in rank space: rank(v) counts the
+  // non-aligned keys in [0, v] and unrank(t) is the t-th one.
   std::vector<NodeId> kids = MergedChildren(parent_key);
   const size_t pos = std::min(position, kids.size());
   const uint64_t lo = pos == 0 ? parent_key : EndKeyOfLive(kids[pos - 1]);
   const uint64_t hi =
       pos == kids.size() ? EndKeyOfLive(parent_key) : kids[pos];
+  const uint64_t unit = uint64_t{1} << doc_->KeyShift();
+  const auto rank = [unit](uint64_t v) { return v - v / unit; };
+  const auto unrank = [unit](uint64_t t) {
+    return (t - 1) / (unit - 1) * unit + (t - 1) % (unit - 1) + 1;
+  };
   const uint64_t m = fragment.NumNodes();
   const uint64_t events = 2 * m;
-  if (hi <= lo || (hi - lo) / (events + 1) == 0) {
+  // Non-aligned keys in (lo, hi]; the strided picks stay below hi.
+  const uint64_t free_keys = hi > lo ? rank(hi) - rank(lo) : 0;
+  const uint64_t stride = free_keys / (events + 1);
+  if (stride == 0) {
     return Status::ResourceExhausted(
         StrFormat("key gap under node %u exhausted; flush required",
                   parent_key));
   }
-  const uint64_t stride = (hi - lo) / (events + 1);
 
   // Stage the grafted nodes: fragment slots in pre-order are exactly the
   // open-event order; closes fire when the next slot leaves the subtree.
@@ -124,7 +144,9 @@ Status DifferentialIndex::InsertSubtree(NodeId parent_key, size_t position,
   staged.reserve(m);
   std::vector<NodeId> open_stack;
   uint64_t event = 0;
-  auto next_key = [&]() { return static_cast<NodeId>(lo + stride * ++event); };
+  auto next_key = [&]() {
+    return static_cast<NodeId>(unrank(rank(lo) + stride * ++event));
+  };
   for (NodeId fs = 0; fs < m; ++fs) {
     while (!open_stack.empty() && fragment.EndSlotOf(open_stack.back()) < fs) {
       staged[open_stack.back()].end_key = next_key();

@@ -9,8 +9,9 @@
 // inserted nodes borrow unused keys from the gap between the two
 // structural events that bracket the insertion point, so containment is
 // still pure key comparison — an inserted subtree's keys always lie
-// strictly inside its parent's (start, end] key interval and never
-// collide with a base key.
+// strictly inside its parent's (start, end] key interval and are never
+// base-aligned, so they cannot collide with a base key — not even the key
+// of a deleted base node, which reads would route to the base document.
 
 #ifndef SJOS_STORAGE_DIFFERENTIAL_INDEX_H_
 #define SJOS_STORAGE_DIFFERENTIAL_INDEX_H_
@@ -74,6 +75,12 @@ class DifferentialIndex {
   /// Children of the live node `parent_key` in key order: undeleted base
   /// children merged with overlay children.
   std::vector<NodeId> MergedChildren(NodeId parent_key) const;
+
+  /// The checks InsertSubtree makes before touching anything: a non-empty
+  /// dense fragment, a live parent, and a level range that fits. Callers
+  /// that must change the key domain first (Database respacing a dense
+  /// document) run it beforehand so a rejected insert changes nothing.
+  Status CheckInsert(NodeId parent_key, const Document& fragment) const;
 
   /// Grafts `fragment` (a freshly parsed, unspaced document) under
   /// `parent_key` as its `position`-th child (SIZE_MAX appends). tag_map
@@ -158,9 +165,9 @@ std::vector<NodeId> MergedPostings(std::span<const NodeId> base,
                                    const DocView& view, TagId tag);
 
 /// Appends, in key order, every live node carrying `tag` in the subtree
-/// of `anchor_key` (or only its children when `child_axis`). The shared
-/// overlay-aware walk behind both Navigate implementations. Adds the
-/// number of nodes inspected to `nodes_visited` when non-null.
+/// of `anchor_key` (or only its children when `child_axis`): the
+/// overlay-aware walk behind NavigateOperator. Adds the number of nodes
+/// inspected to `nodes_visited` when non-null.
 void CollectSubtreeMatches(const DocView& view, NodeId anchor_key, TagId tag,
                            bool child_axis, std::vector<NodeId>* out,
                            uint64_t* nodes_visited);

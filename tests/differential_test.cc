@@ -1,13 +1,13 @@
 // Differential correctness: every optimizer in the paper's line-up, on
 // seeded random Pers, DBLP and Mbench documents, must produce plans whose
 // executed result sets equal the NaiveMatch oracle — the end-to-end check
-// the per-optimizer unit tests don't provide. Each plan runs on the
-// materializing engine (the reference), on the streaming engine at several
-// batch sizes, and with the parallel execution layer at 2 and 4 threads —
-// each of those under both the vectorized and the forced-scalar kernel
-// dispatch; all executions must be byte-identical with identical stats
-// counters, so the oracle pins every engine, thread count and kernel ISA
-// at once. A mutation schedule (inserts, deletes, flushes, with reader
+// the per-optimizer unit tests don't provide. The holistic TwigJoin must
+// agree with the oracle too, so two independent algorithms pin the
+// expected set. Each plan then runs at several batch sizes (one-row
+// batches included) under both the vectorized and the forced-scalar
+// kernel dispatch; all executions must be byte-identical with identical
+// stats counters, so the oracle pins every batch size and kernel ISA at
+// once. A mutation schedule (inserts, deletes, flushes, with reader
 // threads live throughout) additionally pins the differential overlay
 // against a reparse-from-serialization oracle after every step.
 
@@ -20,6 +20,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -29,6 +30,7 @@
 #include "estimate/positional_histogram.h"
 #include "exec/executor.h"
 #include "exec/naive_matcher.h"
+#include "exec/twig_join.h"
 #include "exec/vector_kernels.h"
 #include "plan/plan_props.h"
 #include "query/workload.h"
@@ -54,8 +56,8 @@ void ExpectIdenticalTuples(const TupleSet& a, const TupleSet& b) {
       << "tuple payload differs";
 }
 
-/// Every counter except wall_ms (timing) and peak_live_rows (an engine
-/// property, not a result property) must match across engines.
+/// Every counter except wall_ms (timing) and the live-row/-byte peaks
+/// (which scale with the batch size) must match across batch sizes.
 void ExpectIdenticalCounters(const ExecStats& a, const ExecStats& b) {
   EXPECT_EQ(a.result_rows, b.result_rows);
   EXPECT_EQ(a.rows_scanned, b.rows_scanned);
@@ -67,7 +69,7 @@ void ExpectIdenticalCounters(const ExecStats& a, const ExecStats& b) {
   EXPECT_EQ(a.num_joins, b.num_joins);
   EXPECT_EQ(a.num_navigates, b.num_navigates);
   // The estimator-accuracy figure depends only on the plan annotations and
-  // join output counters, so it too is engine- and thread-count-invariant.
+  // join output counters, so it too is batch-size-invariant.
   EXPECT_DOUBLE_EQ(a.max_q_error, b.max_q_error);
 }
 
@@ -91,9 +93,10 @@ void ExpectJoinEstimatesAnnotated(const PhysicalPlan& plan,
 }
 
 /// Runs all paper optimizers for every workload query of `dataset_name`
-/// against `db`. The materializing engine's result is checked against the
-/// oracle, then every other engine configuration is checked byte-for-byte
-/// against that reference.
+/// against `db`. The default-batch execution is checked against the
+/// NaiveMatch oracle (itself cross-checked against TwigJoin), then every
+/// other batch size and kernel dispatch is checked byte-for-byte against
+/// that reference.
 void RunDifferential(const Database& db, const std::string& dataset_name) {
   PositionalHistogramEstimator estimator = PositionalHistogramEstimator::Build(
       db.doc(), db.index(), db.stats());
@@ -102,6 +105,9 @@ void RunDifferential(const Database& db, const std::string& dataset_name) {
     SCOPED_TRACE(query.id);
     const Pattern& pattern = query.pattern;
     auto expected = std::move(NaiveMatch(db.doc(), pattern)).value();
+    Result<TupleSet> twig = TwigJoin(db, pattern);
+    ASSERT_TRUE(twig.ok()) << twig.status().ToString();
+    ASSERT_EQ(twig.value().Canonical(), expected);
 
     Result<PatternEstimates> estimates =
         PatternEstimates::Make(pattern, db.doc(), estimator);
@@ -116,51 +122,25 @@ void RunDifferential(const Database& db, const std::string& dataset_name) {
       ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
       const PhysicalPlan& plan = optimized.value().plan;
 
-      // Reference: the one-shot materializing engine with the session's
-      // default kernel dispatch.
-      ExecOptions ref_options;
-      ref_options.force_materialize = true;
-      Executor ref_exec(db, ref_options);
+      // Reference: the default batch size with the session's default
+      // kernel dispatch.
+      Executor ref_exec(db);
       Result<ExecResult> ref = ref_exec.Execute(pattern, plan);
       ASSERT_TRUE(ref.ok()) << ref.status().ToString();
       EXPECT_EQ(ref.value().tuples.Canonical(), expected);
       EXPECT_EQ(ref.value().stats.result_rows, expected.size());
       ExpectJoinEstimatesAnnotated(plan, ref.value().op_stats);
 
-      // Every engine configuration, under both vectorized and forced-
-      // scalar kernels, must reproduce the reference byte for byte.
+      // Every batch size, under both vectorized and forced-scalar kernels,
+      // must reproduce the reference byte for byte.
       const bool simd_default = SimdEnabled();
       for (bool simd : {true, false}) {
         SCOPED_TRACE(simd ? "simd=on" : "simd=off");
         SetSimdEnabled(simd);
-
-        // Materializing engine under the other dispatch too.
-        {
-          Executor exec(db, ref_options);
-          Result<ExecResult> result = exec.Execute(pattern, plan);
-          ASSERT_TRUE(result.ok()) << result.status().ToString();
-          ExpectIdenticalTuples(ref.value().tuples, result.value().tuples);
-          ExpectIdenticalCounters(ref.value().stats, result.value().stats);
-        }
-
-        // Streaming engine, including degenerate one-row batches.
         for (size_t batch_rows : {size_t{1}, size_t{3}, size_t{1024}}) {
           SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
           ExecOptions options;
           options.batch_rows = batch_rows;
-          Executor exec(db, options);
-          Result<ExecResult> result = exec.Execute(pattern, plan);
-          ASSERT_TRUE(result.ok()) << result.status().ToString();
-          ExpectIdenticalTuples(ref.value().tuples, result.value().tuples);
-          ExpectIdenticalCounters(ref.value().stats, result.value().stats);
-        }
-
-        // Parallel leaf pre-pass + partitioned joins.
-        for (int threads : {2, 4}) {
-          SCOPED_TRACE("threads=" + std::to_string(threads));
-          ExecOptions options;
-          options.num_threads = threads;
-          options.parallel_min_join_rows = 0;  // partition small inputs too
           Executor exec(db, options);
           Result<ExecResult> result = exec.Execute(pattern, plan);
           ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -196,7 +176,7 @@ TEST(DifferentialTest, DblpOptimizersMatchOracle) {
 }
 
 // A plan served from the Engine's cache must be indistinguishable from a
-// fresh search: for every optimizer kind, serial and at 4 threads, the
+// fresh search: for every optimizer kind and at batch sizes 1/3/1024, the
 // cache-off reference, the populating miss, and the warm hit all produce
 // byte-identical tuples and counters.
 TEST(DifferentialTest, PlanCacheWarmMatchesCold) {
@@ -206,13 +186,15 @@ TEST(DifferentialTest, PlanCacheWarmMatchesCold) {
 
   for (OptimizerKind kind : kAllOptimizerKinds) {
     SCOPED_TRACE(OptimizerKindName(kind));
-    for (int threads : {1, 4}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
+    for (size_t batch_rows : {size_t{1}, size_t{3}, size_t{1024}}) {
+      SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
       EngineOptions engine_opts;
       engine_opts.cache_max_q_error = 0;  // isolate the warm/cold contract
       Engine engine(engine_opts);
       // The generator is deterministic, so every engine sees the same doc.
-      ASSERT_TRUE(engine.Load(GeneratePers(config).value(), "Pers").ok());
+      ASSERT_TRUE(
+          engine.Apply(LoadDocument{GeneratePers(config).value(), "Pers"})
+              .ok());
 
       for (const BenchQuery& query : PaperWorkload()) {
         if (query.dataset != "Pers") continue;
@@ -220,8 +202,7 @@ TEST(DifferentialTest, PlanCacheWarmMatchesCold) {
 
         QueryOptions options;
         options.optimizer = kind;
-        options.num_threads = threads;
-        options.parallel_min_join_rows = 0;
+        options.batch_rows = batch_rows;
         options.use_plan_cache = false;
         Result<QueryResult> ref = engine.Query(query.pattern, options);
         ASSERT_TRUE(ref.ok()) << ref.status().ToString();
@@ -261,7 +242,8 @@ TEST(DifferentialTest, MutationScheduleMatchesReparseOracle) {
   EngineOptions engine_opts;
   engine_opts.cache_max_q_error = 0;
   Engine engine(engine_opts);
-  ASSERT_TRUE(engine.Load(GeneratePers(config).value(), "Pers").ok());
+  ASSERT_TRUE(
+      engine.Apply(LoadDocument{GeneratePers(config).value(), "Pers"}).ok());
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reader_failures{0};
@@ -284,10 +266,30 @@ TEST(DifferentialTest, MutationScheduleMatchesReparseOracle) {
   const auto append = [](const std::string& xml) {
     return InsertSubtree{0, static_cast<size_t>(-1), xml};
   };
+  // Live key of the node whose text is `text`.
+  const auto key_of = [&engine](std::string_view text) {
+    const DocView view = engine.db().View();
+    for (NodeId key : engine.db().MergedOrder()) {
+      if (view.TextOf(key) == text) return key;
+    }
+    ADD_FAILURE() << "no node with text " << text;
+    return NodeId{0};
+  };
   // The schedule hits every mutation kind: root append/prepend, nested
   // insert, delete of base and overlay nodes, and mid-schedule flushes
-  // (so later steps mutate an already-respaced base).
+  // (so later steps mutate an already-respaced base). It opens with the
+  // first insert into the dense document under a non-root parent (named
+  // by its dense key): three leaf siblings m6..m8 that the first flush
+  // makes base nodes. After it, m7 is deleted and m9 goes into the gap
+  // that holds m7's key.
   std::vector<std::function<Mutation()>> schedule;
+  schedule.push_back([&]() -> Mutation {
+    EXPECT_FALSE(engine.db().doc().Spaced());
+    return InsertSubtree{
+        1, 0,
+        "<department><name>m6</name><name>m7</name><name>m8</name>"
+        "</department>"};
+  });
   schedule.push_back(
       [&] { return append("<employee><name>m1</name></employee>"); });
   schedule.push_back([&]() -> Mutation {
@@ -302,6 +304,12 @@ TEST(DifferentialTest, MutationScheduleMatchesReparseOracle) {
         "<department><name>m4</name></department></manager>");
   });
   schedule.push_back([&]() -> Mutation { return FlushDifferential{}; });
+  schedule.push_back([&]() -> Mutation { return DeleteSubtree{key_of("m7")}; });
+  schedule.push_back([&]() -> Mutation {
+    const std::vector<NodeId> order = engine.db().MergedOrder();
+    const auto m6 = std::find(order.begin(), order.end(), key_of("m6"));
+    return InsertSubtree{*(m6 - 1), 1, "<name>m9</name>"};  // m6's parent
+  });
   schedule.push_back([&]() -> Mutation {
     return DeleteSubtree{engine.db().MergedOrder().back()};
   });
@@ -362,6 +370,13 @@ TEST(DifferentialTest, MutationScheduleMatchesReparseOracle) {
       }
     }
   }
+
+  // The gap insert took a fresh key: m9 is live and the deleted m7 stayed
+  // deleted through the final flush. (Routing m9's key to m7's base slot
+  // would keep the tree shape, so only the texts tell.)
+  const std::string final_xml = SerializeXml(engine.db().doc());
+  EXPECT_NE(final_xml.find("<name>m9</name>"), std::string::npos);
+  EXPECT_EQ(final_xml.find("<name>m7</name>"), std::string::npos);
 
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : readers) t.join();

@@ -50,7 +50,8 @@ TEST(EngineTest, QueryWithoutDatabaseIsNotFound) {
   Result<QueryResult> r = engine.Query(Parse("a[/b]"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(engine.Fold(2).code(), StatusCode::kNotFound);
+  EXPECT_EQ(engine.Apply(FoldMutation{2}).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(EngineTest, InvalidPatternIsRejected) {

@@ -4,14 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 
 #include "common/failpoint.h"
-#include "common/thread_pool.h"
 #include "exec/executor.h"
 #include "plan/random_plans.h"
 #include "query/pattern_parser.h"
+#include "service/engine.h"
 #include "storage/catalog.h"
 #include "xml/generators/pers_gen.h"
 #include "xml/parser.h"
@@ -196,28 +197,19 @@ class FailpointExecTest : public FailpointTest {
 
 TEST_F(FailpointExecTest, ExecSitesInjectCleanErrors) {
   SetUpDatabase();
-  // Each armed point must surface as the injected Status, never a crash,
-  // in both engines. exec.scan lives in the materializing engine,
-  // exec.scan.next in the streaming one; exec.sort and exec.batch cover
-  // their respective boundaries.
-  struct Case {
-    const char* point;
-    bool materialize;
-  };
-  for (const Case& c : {Case{"exec.scan", true},
-                        Case{"exec.sort", true},
-                        Case{"exec.scan.next", false},
-                        Case{"exec.sort", false},
-                        Case{"exec.batch", false}}) {
-    SCOPED_TRACE(c.point + std::string(c.materialize ? "/mat" : "/stream"));
-    ASSERT_TRUE(FailpointRegistry::Global().Enable(c.point, "error").ok());
-    ExecOptions options;
-    options.force_materialize = c.materialize;
-    Executor exec(*db_, options);
+  // Each armed point must surface as the injected Status, never a crash:
+  // exec.scan fires when a scan opens, exec.scan.next on each scan batch,
+  // exec.sort when a sort buffers its input and exec.batch at every batch
+  // boundary.
+  for (const char* point :
+       {"exec.scan", "exec.scan.next", "exec.sort", "exec.batch"}) {
+    SCOPED_TRACE(point);
+    ASSERT_TRUE(FailpointRegistry::Global().Enable(point, "error").ok());
+    Executor exec(*db_);
     Result<ExecResult> result = exec.Execute(pattern_, plan_);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-    EXPECT_NE(result.status().message().find(c.point), std::string::npos);
+    EXPECT_NE(result.status().message().find(point), std::string::npos);
     FailpointRegistry::Global().DisableAll();
     // The engine recovers completely once disarmed.
     Result<ExecResult> clean = exec.Execute(pattern_, plan_);
@@ -226,24 +218,36 @@ TEST_F(FailpointExecTest, ExecSitesInjectCleanErrors) {
   }
 }
 
-TEST_F(FailpointExecTest, PartitionAndDispatchSitesInjectUnderThreads) {
+// The Engine pool drops a task's body on an injected dispatch fault; the
+// submitted query's handle must still complete (with an Internal error and
+// its done-callback run) instead of leaving Wait() blocked forever.
+TEST_F(FailpointExecTest, DispatchFaultCompletesEngineHandle) {
   SetUpDatabase();
-  for (const char* point : {"exec.join.partition", "pool.task.dispatch"}) {
-    SCOPED_TRACE(point);
-    ASSERT_TRUE(FailpointRegistry::Global().Enable(point, "error").ok());
-    ExecOptions options;
-    options.num_threads = 4;
-    options.parallel_min_join_rows = 0;
-    Executor exec(*db_, options);
-    Result<ExecResult> result = exec.Execute(pattern_, plan_);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kInternal);
-    FailpointRegistry::Global().DisableAll();
-    // No leaked pool tasks: the same executor (same pool) runs clean.
-    Result<ExecResult> clean = exec.Execute(pattern_, plan_);
-    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
-    EXPECT_GT(clean.value().stats.result_rows, 0u);
-  }
+  EngineOptions engine_options;
+  engine_options.max_in_flight = 2;
+  Engine engine(engine_options);
+  PersGenConfig config;
+  config.target_nodes = 2000;
+  ASSERT_TRUE(
+      engine.Apply(LoadDocument{GeneratePers(config).value(), "Pers"}).ok());
+
+  ASSERT_TRUE(
+      FailpointRegistry::Global().Enable("pool.task.dispatch", "error").ok());
+  QueryHandle dropped = engine.Submit(pattern_);
+  std::atomic<bool> callback_ran{false};
+  dropped.SetDoneCallback([&callback_ran] { callback_ran.store(true); });
+  const Result<QueryResult>& failed = dropped.Wait();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+  EXPECT_NE(failed.status().message().find("pool.task.dispatch"),
+            std::string::npos);
+  EXPECT_TRUE(callback_ran.load());
+  FailpointRegistry::Global().DisableAll();
+
+  // The pool keeps serving once disarmed.
+  QueryHandle clean = engine.Submit(pattern_);
+  ASSERT_TRUE(clean.Wait().ok()) << clean.Wait().status().ToString();
+  EXPECT_GT(clean.Wait().value().stats.result_rows, 0u);
 }
 
 }  // namespace

@@ -1,15 +1,22 @@
-// Resource governance: deadlines and byte budgets enforced cooperatively
-// across all three engine configurations, with partial stats, verdicts,
-// batch-halving relief, and the optimizer's deadline -> FP degradation.
+// Resource governance: deadlines and byte budgets enforced cooperatively at
+// batch boundaries and inside the join kernel, with partial stats,
+// verdicts, batch-halving relief, and the optimizer's deadline -> FP
+// degradation.
 
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <thread>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "core/optimizer.h"
 #include "estimate/positional_histogram.h"
 #include "exec/executor.h"
+#include "exec/governor.h"
 #include "exec/naive_matcher.h"
+#include "exec/operators.h"
+#include "exec/stack_tree.h"
 #include "plan/random_plans.h"
 #include "query/pattern_parser.h"
 #include "storage/catalog.h"
@@ -38,27 +45,22 @@ class GovernorTest : public ::testing::Test {
 };
 
 // A delay failpoint makes any plan slow; a 20 ms deadline must then fire
-// in every engine configuration, leaving partial stats and a verdict.
-TEST_F(GovernorTest, DeadlineFiresInEveryEngine) {
+// whichever site is slow and whatever the batch size, leaving partial
+// stats and a verdict.
+TEST_F(GovernorTest, DeadlineFiresAtEverySlowSite) {
   struct Mode {
-    const char* label;
-    const char* point;  // the site that the engine actually passes through
-    bool materialize;
-    int threads;
+    const char* point;
+    size_t batch_rows;
   };
-  const Mode modes[] = {
-      {"streaming", "exec.batch", false, 1},
-      {"materializing-serial", "exec.scan", true, 1},
-      {"parallel-4", "exec.scan", false, 4},
-  };
+  const Mode modes[] = {{"exec.batch", 1024}, {"exec.scan", 1024},
+                        {"exec.batch", 1}};
   for (const Mode& mode : modes) {
-    SCOPED_TRACE(mode.label);
+    SCOPED_TRACE(mode.point + std::string(" batch_rows=") +
+                 std::to_string(mode.batch_rows));
     ASSERT_TRUE(
         FailpointRegistry::Global().Enable(mode.point, "delay:30").ok());
     ExecOptions options;
-    options.force_materialize = mode.materialize;
-    options.num_threads = mode.threads;
-    options.parallel_min_join_rows = 0;
+    options.batch_rows = mode.batch_rows;
     options.deadline_ms = 20;
     Executor exec(*db_, options);
     Result<ExecResult> result = exec.Execute(pattern_, plan_);
@@ -68,7 +70,7 @@ TEST_F(GovernorTest, DeadlineFiresInEveryEngine) {
     // Partial stats survive the abort: the clock ran past the deadline.
     EXPECT_GE(exec.last_stats().wall_ms, 20.0);
     FailpointRegistry::Global().DisableAll();
-    // No leaked pool tasks / poisoned state: the same executor runs clean.
+    // No poisoned state: the same executor runs clean.
     Result<ExecResult> clean = exec.Execute(pattern_, plan_);
     ASSERT_TRUE(clean.ok()) << clean.status().ToString();
     EXPECT_GT(clean.value().stats.result_rows, 0u);
@@ -76,24 +78,26 @@ TEST_F(GovernorTest, DeadlineFiresInEveryEngine) {
   }
 }
 
-// Partition workers poll the deadline cooperatively: with the delay inside
-// the partitioned join itself, the 4-thread engine still stops early.
-TEST_F(GovernorTest, DeadlineFiresInsideParallelPartitions) {
-  ASSERT_TRUE(
-      FailpointRegistry::Global().Enable("exec.join.partition", "delay:30")
-          .ok());
-  ExecOptions options;
-  options.num_threads = 4;
-  options.parallel_min_join_rows = 0;
-  options.deadline_ms = 20;
-  Executor exec(*db_, options);
-  Result<ExecResult> result = exec.Execute(pattern_, plan_);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_STREQ(exec.last_verdict().c_str(), "deadline");
-  FailpointRegistry::Global().DisableAll();
-  Result<ExecResult> clean = exec.Execute(pattern_, plan_);
-  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+// The join kernel polls the deadline between descendant groups, so an
+// expired deadline stops it before any output and records the verdict.
+TEST_F(GovernorTest, DeadlineFiresInsideJoinKernel) {
+  const TupleSet anc = ScanCandidates(*db_, pattern_, 0);
+  const TupleSet desc = ScanCandidates(*db_, pattern_, 1);
+  QueryGovernor governor(/*deadline_ms=*/1, /*max_live_bytes=*/0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  Result<TupleSet> joined =
+      StackTreeJoin(db_->View(), anc, 0, desc, 0, Axis::kDescendant,
+                    /*output_by_ancestor=*/false, nullptr,
+                    /*max_output_rows=*/0, &governor);
+  ASSERT_FALSE(joined.ok());
+  EXPECT_EQ(joined.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_STREQ(governor.verdict(), "deadline");
+
+  // Without a governor the same join runs to completion.
+  Result<TupleSet> ungoverned = StackTreeJoin(
+      db_->View(), anc, 0, desc, 0, Axis::kDescendant, false);
+  ASSERT_TRUE(ungoverned.ok()) << ungoverned.status().ToString();
+  EXPECT_GT(ungoverned.value().size(), 0u);
 }
 
 // A byte budget far below the query's working set fires deterministically
@@ -102,10 +106,10 @@ TEST_F(GovernorTest, ByteBudgetFiresDeterministically) {
   PersGenConfig big;
   big.target_nodes = 60000;
   Database db = Database::Open(std::move(GeneratePers(big)).value());
-  for (bool materialize : {false, true}) {
-    SCOPED_TRACE(materialize ? "materializing" : "streaming");
+  for (size_t batch_rows : {size_t{64}, size_t{1024}}) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
     ExecOptions options;
-    options.force_materialize = materialize;
+    options.batch_rows = batch_rows;
     options.max_live_bytes = 2048;
     Executor exec(db, options);
     Result<ExecResult> result = exec.Execute(pattern_, plan_);
@@ -143,14 +147,14 @@ TEST_F(GovernorTest, StreamingBreachHalvesBatchOnce) {
   EXPECT_EQ(result.value().tuples.Canonical(), reference.tuples.Canonical());
 }
 
-// With limits set but generous, results are byte-identical to ungoverned
-// execution in both engines.
+// With limits set but generous, results equal the oracle at every batch
+// size.
 TEST_F(GovernorTest, GenerousLimitsDoNotChangeResults) {
   const auto expected = std::move(NaiveMatch(db_->doc(), pattern_)).value();
-  for (bool materialize : {false, true}) {
-    SCOPED_TRACE(materialize ? "materializing" : "streaming");
+  for (size_t batch_rows : {size_t{1}, size_t{3}, size_t{1024}}) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
     ExecOptions options;
-    options.force_materialize = materialize;
+    options.batch_rows = batch_rows;
     options.deadline_ms = 60000;
     options.max_live_bytes = 1ull << 30;
     Executor exec(*db_, options);

@@ -15,9 +15,12 @@
 #include "service/engine.h"
 #include "service/mutation.h"
 #include "xml/parser.h"
+#include "xml/serializer.h"
 
 namespace sjos {
 namespace {
+
+constexpr size_t kAppend = static_cast<size_t>(-1);
 
 Pattern Parse(const std::string& text) {
   Result<Pattern> pattern = ParsePattern(text);
@@ -84,7 +87,8 @@ TEST(MutationApiTest, LoadReportsGlobalScope) {
 
 TEST(MutationApiTest, InsertIsIncrementalAndInvalidatesByTagSet) {
   Engine engine = MakeEngine();
-  ASSERT_TRUE(engine.Load(Doc("<a><b/><b/><c><d/></c></a>")).ok());
+  ASSERT_TRUE(
+      engine.Apply(LoadDocument{Doc("<a><b/><b/><c><d/></c></a>")}).ok());
   Pattern touched = Parse("a[//b]");   // shares tags {a, b} with the insert
   Pattern disjoint = Parse("c[/d]");   // shares none
   EXPECT_EQ(Rows(engine, touched), 2u);
@@ -129,7 +133,8 @@ TEST(MutationApiTest, InsertIsIncrementalAndInvalidatesByTagSet) {
 
 TEST(MutationApiTest, DeleteIsIncrementalAndInvalidatesByTagSet) {
   Engine engine = MakeEngine();
-  ASSERT_TRUE(engine.Load(Doc("<a><b/><b/><c><d/></c></a>")).ok());
+  ASSERT_TRUE(
+      engine.Apply(LoadDocument{Doc("<a><b/><b/><c><d/></c></a>")}).ok());
   Pattern touched = Parse("a[//b]");
   Pattern disjoint = Parse("c[/d]");
   EXPECT_EQ(Rows(engine, touched), 2u);
@@ -162,7 +167,7 @@ TEST(MutationApiTest, DeleteIsIncrementalAndInvalidatesByTagSet) {
 
 TEST(MutationApiTest, FlushRebuildsEstimatorWithoutInvalidation) {
   Engine engine = MakeEngine();
-  ASSERT_TRUE(engine.Load(Doc("<a><b/></a>")).ok());
+  ASSERT_TRUE(engine.Apply(LoadDocument{Doc("<a><b/></a>")}).ok());
 
   // No overlay: a flush is a complete no-op.
   Result<MutationResult> noop = engine.Apply(FlushDifferential{});
@@ -191,7 +196,7 @@ TEST(MutationApiTest, FlushRebuildsEstimatorWithoutInvalidation) {
 
 TEST(MutationApiTest, InsertGapExhaustionAutoFlushesAndRetries) {
   Engine engine = MakeEngine();
-  ASSERT_TRUE(engine.Load(Doc("<a><b/></a>")).ok());
+  ASSERT_TRUE(engine.Apply(LoadDocument{Doc("<a><b/></a>")}).ok());
   // Hammer the same insertion point. At the storage layer this exhausts
   // the key gap with ResourceExhausted; the Engine must absorb that by
   // flushing the overlay and retrying, so the API-level caller never sees
@@ -212,28 +217,93 @@ TEST(MutationApiTest, InsertGapExhaustionAutoFlushesAndRetries) {
 
 TEST(MutationApiTest, InvalidFragmentRejectedWithoutStateChange) {
   Engine engine = MakeEngine();
-  ASSERT_TRUE(engine.Load(Doc("<a><b/></a>")).ok());
+  ASSERT_TRUE(engine.Apply(LoadDocument{Doc("<a><b/></a>")}).ok());
   const uint64_t live = engine.db().LiveNodeCount();
   EXPECT_FALSE(
       engine.Apply(InsertSubtree{0, 0, "<unclosed>"}).ok());
   EXPECT_FALSE(engine.Apply(InsertSubtree{999, 0, "<c/>"}).ok());
   EXPECT_EQ(engine.db().LiveNodeCount(), live);
   EXPECT_FALSE(engine.db().HasOverlay());
+  // A rejected insert does not respace the dense document either.
+  EXPECT_FALSE(engine.db().doc().Spaced());
 }
 
-TEST(MutationApiTest, ShimsDelegateToApply) {
+// The first insert into a freshly loaded (dense) document names its parent
+// by a dense key. The parent is resolved before the key domain is spaced,
+// then mapped through its slot, so a non-root parent is found.
+TEST(MutationApiTest, FirstInsertUnderNonRootParent) {
   Engine engine = MakeEngine();
-  ASSERT_TRUE(engine.Load(Doc("<a><b/><b/></a>")).ok());
+  ASSERT_TRUE(engine.Apply(LoadDocument{Doc("<a><b/><c/><d/></a>")}).ok());
+  ASSERT_FALSE(engine.db().doc().Spaced());
+  EXPECT_EQ(Rows(engine, Parse("b[/y]")), 0u);
+
+  Result<MutationResult> r = engine.Apply(InsertSubtree{1, 0, "<y/>"});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r.value().estimator_rebuilt);  // the insert respaced
+  EXPECT_TRUE(engine.db().doc().Spaced());
+  EXPECT_EQ(Rows(engine, Parse("b[/y]")), 1u);
+  EXPECT_EQ(Rows(engine, Parse("c[/y]")), 0u);
+  Result<Document> merged = engine.db().MaterializeMerged();
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(SerializeXml(merged.value()), "<a><b><y/></b><c/><d/></a>");
+
+  // A fragment too large for any leaf's key gap respaces, fails the gap
+  // check, and takes the flush-and-retry path with the dense parent key
+  // still resolved (through its slot) to the same node.
+  Engine big = MakeEngine();
+  ASSERT_TRUE(big.Apply(LoadDocument{Doc("<a><b/><c/><d/></a>")}).ok());
+  std::string fragment = "<e>";
+  for (int i = 0; i < 40; ++i) fragment += "<f/>";
+  fragment += "</e>";
+  Result<MutationResult> wide = big.Apply(InsertSubtree{2, 0, fragment});
+  EXPECT_EQ(wide.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(wide.status().message().find(
+                "node " + std::to_string(big.db().doc().KeyOfSlot(2))),
+            std::string::npos)
+      << wide.status().ToString();
+  EXPECT_EQ(big.db().LiveNodeCount(), 4u);
+}
+
+// A gap between two live siblings can contain a deleted base node's key.
+// An insert there must not take that key: reads, MaterializeMerged and the
+// flush route every base-aligned key to the base document, which would
+// bring the deleted node back and lose the inserted one.
+TEST(MutationApiTest, InsertNeverReusesDeletedBaseKey) {
+  Engine engine = MakeEngine();
+  ASSERT_TRUE(engine.Apply(LoadDocument{Doc("<a><b/><c/><d/></a>")}).ok());
+  // The first insert respaces: b=64, c=128, d=192.
+  ASSERT_TRUE(engine.Apply(InsertSubtree{0, kAppend, "<z/>"}).ok());
+  ASSERT_EQ(engine.db().doc().KeyOfSlot(2), 128u);
+  ASSERT_TRUE(engine.Apply(DeleteSubtree{128}).ok());
+  // Between b and d: the gap that holds c's old key.
+  ASSERT_TRUE(engine.Apply(InsertSubtree{0, 1, "<x/>"}).ok());
+
+  const std::string expected = "<a><b/><x/><d/><z/></a>";
+  EXPECT_EQ(Rows(engine, Parse("a[/x]")), 1u);
+  EXPECT_EQ(Rows(engine, Parse("a[/c]")), 0u);
+  Result<Document> merged = engine.db().MaterializeMerged();
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(SerializeXml(merged.value()), expected);
+
+  ASSERT_TRUE(engine.Apply(FlushDifferential{}).ok());
+  EXPECT_EQ(Rows(engine, Parse("a[/x]")), 1u);
+  EXPECT_EQ(Rows(engine, Parse("a[/c]")), 0u);
+  EXPECT_EQ(SerializeXml(engine.db().doc()), expected);
+}
+
+TEST(MutationApiTest, FoldAndReloadThroughApply) {
+  Engine engine = MakeEngine();
+  ASSERT_TRUE(engine.Apply(LoadDocument{Doc("<a><b/><b/></a>")}).ok());
   const uint64_t version = engine.stats_version();
   EXPECT_EQ(engine.db().LiveNodeCount(), 3u);
 
   // Fold doubles the corpus under the same document identity.
-  ASSERT_TRUE(engine.Fold(2).ok());
+  ASSERT_TRUE(engine.Apply(FoldMutation{2}).ok());
   EXPECT_EQ(engine.stats_version(), version);
   EXPECT_GT(engine.db().LiveNodeCount(), 3u);
 
   // Load replaces it and bumps the version.
-  ASSERT_TRUE(engine.Load(Doc("<a/>")).ok());
+  ASSERT_TRUE(engine.Apply(LoadDocument{Doc("<a/>")}).ok());
   EXPECT_GT(engine.stats_version(), version);
   EXPECT_EQ(engine.db().LiveNodeCount(), 1u);
 }

@@ -6,12 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/move_gen.h"
 #include "core/optimizer.h"
 #include "estimate/exact_estimator.h"
 #include "exec/executor.h"
 #include "exec/naive_matcher.h"
-#include "exec/operators.h"
 #include "plan/plan_printer.h"
 #include "plan/plan_props.h"
 #include "query/pattern_parser.h"
@@ -42,45 +43,68 @@ TEST(NavigationParserTest, UnindexedRootRejected) {
   EXPECT_FALSE(ParsePattern("manager?[//employee]").ok());
 }
 
+/// IndexScan(anchor) -> Navigate(anchor, target) over a two-node pattern.
+PhysicalPlan NavigatePlan(Axis axis) {
+  PhysicalPlan plan;
+  plan.SetRoot(plan.AddNavigate(0, 1, axis, plan.AddIndexScan(0)));
+  return plan;
+}
+
 TEST(NavigateOperatorTest, ExtendsTuplesWithinSubtrees) {
   Database db = Db("<a><b><c/><c/></b><b><c/></b><c/></a>");
   Pattern p = Pat("b[//c]");
-  TupleSet input = ScanCandidates(db, p, 0);  // the two b elements
-  uint64_t visited = 0;
-  TupleSet out = std::move(NavigateTuples(db, p, input, 0, 1,
-                                            Axis::kDescendant, &visited))
-                     .value();
-  EXPECT_EQ(out.size(), 3u);  // 2 + 1 c's inside b subtrees; top-level c no
-  EXPECT_GT(visited, 0u);
-  // Ordering preserved (input was ordered by b).
-  EXPECT_EQ(out.OrderedByNode(), 0);
-  EXPECT_TRUE(out.IsSortedBySlot(0));
+  for (size_t batch_rows : {size_t{1}, size_t{1024}}) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+    ExecOptions options;
+    options.batch_rows = batch_rows;
+    Executor exec(db, options);
+    ExecResult out =
+        std::move(exec.Execute(p, NavigatePlan(Axis::kDescendant))).value();
+    EXPECT_EQ(out.tuples.size(), 3u);  // 2 + 1 c's inside b subtrees
+    EXPECT_GT(out.stats.nodes_navigated, 0u);
+    EXPECT_EQ(out.stats.num_navigates, 1u);
+    // Ordering preserved (input was ordered by b).
+    EXPECT_EQ(out.tuples.OrderedByNode(), 0);
+    EXPECT_TRUE(out.tuples.IsSortedBySlot(0));
+    EXPECT_EQ(out.tuples.Canonical(),
+              std::move(NaiveMatch(db.doc(), p)).value());
+  }
 }
 
 TEST(NavigateOperatorTest, ChildAxisAndPredicate) {
   Database db = Db("<a><b><c>x</c><d><c>y</c></d></b></a>");
+  Executor exec(db);
   Pattern child_only = Pat("b[/c]");
-  TupleSet b = ScanCandidates(db, child_only, 0);
-  TupleSet direct = std::move(NavigateTuples(db, child_only, b, 0, 1,
-                                               Axis::kChild, nullptr))
-                        .value();
-  EXPECT_EQ(direct.size(), 1u);  // only the c directly under b
+  ExecResult direct =
+      std::move(exec.Execute(child_only, NavigatePlan(Axis::kChild))).value();
+  EXPECT_EQ(direct.tuples.size(), 1u);  // only the c directly under b
 
   Pattern with_pred = Pat("b[//c='y']");
-  TupleSet pred = std::move(NavigateTuples(db, with_pred, b, 0, 1,
-                                             Axis::kDescendant, nullptr))
-                      .value();
-  ASSERT_EQ(pred.size(), 1u);
-  EXPECT_EQ(db.doc().TextOf(pred.At(0, 1)), "y");
+  ExecResult pred =
+      std::move(exec.Execute(with_pred, NavigatePlan(Axis::kDescendant)))
+          .value();
+  ASSERT_EQ(pred.tuples.size(), 1u);
+  EXPECT_EQ(db.doc().TextOf(pred.tuples.At(0, 1)), "y");
 }
 
 TEST(NavigateOperatorTest, ErrorsOnBadSlots) {
   Database db = Db("<a><b/></a>");
   Pattern p = Pat("a[//b]");
-  TupleSet a = ScanCandidates(db, p, 0);
-  EXPECT_FALSE(NavigateTuples(db, p, a, 1, 0, Axis::kDescendant).ok());
-  TupleSet both({0, 1});
-  EXPECT_FALSE(NavigateTuples(db, p, both, 0, 1, Axis::kDescendant).ok());
+  Executor exec(db);
+  // The anchor is not bound by the input.
+  PhysicalPlan unbound;
+  unbound.SetRoot(
+      unbound.AddNavigate(1, 0, Axis::kDescendant, unbound.AddIndexScan(0)));
+  EXPECT_EQ(exec.Execute(p, unbound).status().code(),
+            StatusCode::kInvalidArgument);
+  // The target is already bound by the input.
+  PhysicalPlan bound;
+  bound.SetRoot(bound.AddNavigate(
+      0, 1, Axis::kDescendant,
+      bound.AddJoin(PlanOp::kStackTreeDesc, 0, 1, Axis::kDescendant,
+                    bound.AddIndexScan(0), bound.AddIndexScan(1))));
+  EXPECT_EQ(exec.Execute(p, bound).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(NavigationMoveGenTest, JoinOnlySpaceWhenAllIndexed) {

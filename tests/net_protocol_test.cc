@@ -239,6 +239,61 @@ TEST(CodecTest, ErrorResponseShapesAreParseable) {
 }
 
 // ---------------------------------------------------------------------------
+// Replay ring
+
+TEST(ReplayRingTest, RetainedBytesStayUnderTheCap) {
+  // Entry capacity alone would keep all 48 one-MiB responses.
+  ReplayRing ring(/*capacity=*/256);
+  const size_t kResponse = size_t{1} << 20;
+  for (int i = 0; i < 48; ++i) {
+    ring.Push("q" + std::to_string(i), std::string(kResponse, 'x'), false);
+    EXPECT_LE(ring.bytes(), kReplayRingMaxBytes);
+  }
+  EXPECT_EQ(ring.size(), kReplayRingMaxBytes / kResponse);
+  EXPECT_EQ(ring.bytes(), ring.size() * kResponse);
+  // The newest response still replays; the oldest were evicted.
+  const ReplayRing::Entry* newest = ring.Find("q47");
+  ASSERT_NE(newest, nullptr);
+  EXPECT_EQ(newest->response.size(), kResponse);
+  EXPECT_EQ(ring.Find("q0"), nullptr);
+
+  // A single response over the cap is kept (the newest always replays)
+  // until the next push evicts it.
+  ring.Push("huge", std::string(kReplayRingMaxBytes + 1, 'y'), false);
+  EXPECT_EQ(ring.size(), 1u);
+  ASSERT_NE(ring.Find("huge"), nullptr);
+  ring.Push("small", "{}", false);
+  EXPECT_EQ(ring.Find("huge"), nullptr);
+  EXPECT_EQ(ring.bytes(), 2u);
+
+  ring.Erase("small");
+  EXPECT_EQ(ring.size(), 0u);
+  EXPECT_EQ(ring.bytes(), 0u);
+}
+
+TEST(ReplayRingTest, EntryCapacityStillApplies) {
+  ReplayRing ring(/*capacity=*/2);
+  ring.Push("a", "1", false);
+  ring.Push("b", "22", false);
+  ring.Push("c", "333", false);
+  EXPECT_EQ(ring.size(), 2u);
+  EXPECT_EQ(ring.bytes(), 5u);
+  EXPECT_EQ(ring.Find("a"), nullptr);
+  ASSERT_NE(ring.Find("c"), nullptr);
+}
+
+TEST(ReplayRingTest, EraseDropsTheEntryFindReturns) {
+  ReplayRing ring(/*capacity=*/4);
+  ring.Push("q", "old", false);
+  ring.Push("q", "poison", true);
+  ASSERT_TRUE(ring.Find("q")->disconnect_cancelled);
+  ring.Erase("q");
+  ASSERT_NE(ring.Find("q"), nullptr);
+  EXPECT_EQ(ring.Find("q")->response, "old");
+  EXPECT_EQ(ring.bytes(), 3u);
+}
+
+// ---------------------------------------------------------------------------
 // Live-server malformed-frame corpus
 
 class ProtocolServerTest : public ::testing::Test {

@@ -204,7 +204,7 @@ TEST(PlanCacheTest, FoldInvalidatesByTagSetAndForcesReoptimize) {
       engine.plan_cache().Counters().invalidations_tagset;
   const uint64_t global_before =
       engine.plan_cache().Counters().invalidations_global;
-  ASSERT_TRUE(engine.Fold(2).ok());
+  ASSERT_TRUE(engine.Apply(FoldMutation{2}).ok());
   EXPECT_EQ(engine.stats_version(), loaded_version);
   EXPECT_GT(engine.plan_cache().Counters().invalidations_tagset,
             tagset_before);

@@ -3,7 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/thread_pool.h"
+#include <string>
+
 #include "exec/executor.h"
 #include "exec/stack_tree.h"
 #include "plan/random_plans.h"
@@ -60,13 +61,16 @@ TEST(RowBudgetTest, BudgetAboveOutputIsHarmless) {
   EXPECT_EQ(out.value().size(), 3u);
 }
 
-TEST(RowBudgetTest, ParallelJoinEnforcesSameGlobalBudget) {
+// The budget is exact: a join whose output equals the budget passes, one
+// row more fails, in the whole-input kernel and in the streaming operator
+// at every batch size, for both algorithm variants.
+TEST(RowBudgetTest, BudgetIsExactForBothVariants) {
   PersGenConfig config;
   config.target_nodes = 4000;
   Database db = Database::Open(GeneratePers(config).value());
   TupleSet managers = Candidates(db, "manager", 0);
   TupleSet names = Candidates(db, "name", 1);
-  ThreadPool pool(4);
+  Pattern pattern = std::move(ParsePattern("manager[//name]")).value();
 
   for (bool by_ancestor : {false, true}) {
     SCOPED_TRACE(by_ancestor ? "Anc" : "Desc");
@@ -77,56 +81,37 @@ TEST(RowBudgetTest, ParallelJoinEnforcesSameGlobalBudget) {
             .size();
     ASSERT_GT(full_rows, 100u);
 
-    // Budget exactly at the output size: fine, same as serial.
-    Result<TupleSet> at_budget = StackTreeJoinParallel(
-        db.doc(), managers, 0, names, 0, Axis::kDescendant, by_ancestor, &pool,
-        nullptr, /*max_output_rows=*/full_rows,
-        /*min_parallel_input_rows=*/0);
+    Result<TupleSet> at_budget =
+        StackTreeJoin(db.doc(), managers, 0, names, 0, Axis::kDescendant,
+                      by_ancestor, nullptr, /*max_output_rows=*/full_rows);
     ASSERT_TRUE(at_budget.ok()) << at_budget.status().ToString();
     EXPECT_EQ(at_budget.value().size(), full_rows);
-
-    // One row less: OutOfRange. The output is spread over several
-    // partitions each under the budget, so this exercises the global sum
-    // check, not just the per-partition cap.
-    Result<TupleSet> capped = StackTreeJoinParallel(
-        db.doc(), managers, 0, names, 0, Axis::kDescendant, by_ancestor, &pool,
-        nullptr, /*max_output_rows=*/full_rows - 1,
-        /*min_parallel_input_rows=*/0);
+    Result<TupleSet> capped =
+        StackTreeJoin(db.doc(), managers, 0, names, 0, Axis::kDescendant,
+                      by_ancestor, nullptr, /*max_output_rows=*/full_rows - 1);
     ASSERT_FALSE(capped.ok());
     EXPECT_EQ(capped.status().code(), StatusCode::kOutOfRange);
 
-    // Tight budget that a single partition already exceeds: the worker
-    // aborts early and the error still surfaces as OutOfRange.
-    Result<TupleSet> tiny = StackTreeJoinParallel(
-        db.doc(), managers, 0, names, 0, Axis::kDescendant, by_ancestor, &pool,
-        nullptr, /*max_output_rows=*/10, /*min_parallel_input_rows=*/0);
-    ASSERT_FALSE(tiny.ok());
-    EXPECT_EQ(tiny.status().code(), StatusCode::kOutOfRange);
+    PhysicalPlan plan;
+    const int m = plan.AddIndexScan(0);
+    const int n = plan.AddIndexScan(1);
+    plan.SetRoot(plan.AddJoin(
+        by_ancestor ? PlanOp::kStackTreeAnc : PlanOp::kStackTreeDesc, 0, 1,
+        Axis::kDescendant, m, n));
+    for (size_t batch_rows : {size_t{1}, size_t{1024}}) {
+      SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+      ExecOptions options;
+      options.batch_rows = batch_rows;
+      options.max_join_output_rows = full_rows;
+      Result<ExecResult> fits = Executor(db, options).Execute(pattern, plan);
+      ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+      EXPECT_EQ(fits.value().stats.result_rows, full_rows);
+      options.max_join_output_rows = full_rows - 1;
+      Result<ExecResult> over = Executor(db, options).Execute(pattern, plan);
+      ASSERT_FALSE(over.ok());
+      EXPECT_EQ(over.status().code(), StatusCode::kOutOfRange);
+    }
   }
-}
-
-TEST(RowBudgetTest, ParallelExecutorPropagatesBudget) {
-  PersGenConfig config;
-  config.target_nodes = 2000;
-  Database db = Database::Open(GeneratePers(config).value());
-  Pattern pattern =
-      std::move(ParsePattern("manager[//employee[/name]]")).value();
-  Rng rng(3);
-  PhysicalPlan plan = std::move(RandomPlan(pattern, &rng)).value();
-
-  ExecOptions unlimited_options;
-  unlimited_options.num_threads = 4;
-  unlimited_options.parallel_min_join_rows = 0;
-  Executor unlimited(db, unlimited_options);
-  ExecResult full = std::move(unlimited.Execute(pattern, plan)).value();
-  ASSERT_GT(full.stats.result_rows, 10u);
-
-  ExecOptions options = unlimited_options;
-  options.max_join_output_rows = 10;
-  Executor budgeted(db, options);
-  Result<ExecResult> capped = budgeted.Execute(pattern, plan);
-  ASSERT_FALSE(capped.ok());
-  EXPECT_EQ(capped.status().code(), StatusCode::kOutOfRange);
 }
 
 TEST(RowBudgetTest, ExecutorPropagatesBudget) {
@@ -138,16 +123,21 @@ TEST(RowBudgetTest, ExecutorPropagatesBudget) {
   Rng rng(3);
   PhysicalPlan plan = std::move(RandomPlan(pattern, &rng)).value();
 
-  Executor unlimited(db);
-  ExecResult full = std::move(unlimited.Execute(pattern, plan)).value();
-  ASSERT_GT(full.stats.result_rows, 10u);
+  for (size_t batch_rows : {size_t{1}, size_t{1024}}) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+    ExecOptions unlimited_options;
+    unlimited_options.batch_rows = batch_rows;
+    Executor unlimited(db, unlimited_options);
+    ExecResult full = std::move(unlimited.Execute(pattern, plan)).value();
+    ASSERT_GT(full.stats.result_rows, 10u);
 
-  ExecOptions options;
-  options.max_join_output_rows = 10;
-  Executor budgeted(db, options);
-  Result<ExecResult> capped = budgeted.Execute(pattern, plan);
-  ASSERT_FALSE(capped.ok());
-  EXPECT_EQ(capped.status().code(), StatusCode::kOutOfRange);
+    ExecOptions options = unlimited_options;
+    options.max_join_output_rows = 10;
+    Executor budgeted(db, options);
+    Result<ExecResult> capped = budgeted.Execute(pattern, plan);
+    ASSERT_FALSE(capped.ok());
+    EXPECT_EQ(capped.status().code(), StatusCode::kOutOfRange);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// The streaming operator pipeline (exec/operator.h): byte-parity with the
-// one-shot materializing engine at every batch size including one-row
-// batches, the memory-boundedness guarantee for pipelined (Sort-free)
-// plans, per-operator EXPLAIN ANALYZE counters, row-budget and sink-error
-// propagation, and batch-size resolution precedence.
+// The streaming operator pipeline (exec/operator.h): agreement with the
+// NaiveMatch and TwigJoin oracles and byte-parity across batch sizes
+// including one-row batches, the memory-boundedness guarantee for
+// pipelined (Sort-free) plans, per-operator EXPLAIN ANALYZE counters,
+// row-budget and sink-error propagation, and batch-size resolution
+// precedence.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,9 @@
 #include "exec/executor.h"
 #include "exec/naive_matcher.h"
 #include "exec/operator.h"
+#include "exec/operators.h"
+#include "exec/stack_tree.h"
+#include "exec/twig_join.h"
 #include "plan/plan_printer.h"
 #include "plan/random_plans.h"
 #include "query/pattern_parser.h"
@@ -78,7 +82,7 @@ PhysicalPlan SortFreeChainPlan() {
   return plan;
 }
 
-TEST(StreamingExecTest, MatchesMaterializedAcrossBatchSizes) {
+TEST(StreamingExecTest, MatchesOraclesAcrossBatchSizes) {
   TreeGenConfig config;
   config.target_nodes = 600;
   config.max_depth = 9;
@@ -87,17 +91,18 @@ TEST(StreamingExecTest, MatchesMaterializedAcrossBatchSizes) {
   Database db = Database::Open(GenerateTree(config).value());
   Pattern pattern = Pat("t0[//t1[/t2]][//t2]");
   auto expected = std::move(NaiveMatch(db.doc(), pattern)).value();
+  ASSERT_EQ(std::move(TwigJoin(db, pattern)).value().Canonical(), expected);
 
-  ExecOptions mat_options;
-  mat_options.force_materialize = true;
-  Executor mat_exec(db, mat_options);
+  ExecOptions ref_options;
+  ref_options.batch_rows = 1024;
+  Executor ref_exec(db, ref_options);
 
   Rng rng(45);
   for (int i = 0; i < 8; ++i) {
     PhysicalPlan plan = std::move(RandomPlan(pattern, &rng)).value();
-    ExecResult reference = std::move(mat_exec.Execute(pattern, plan)).value();
+    ExecResult reference = std::move(ref_exec.Execute(pattern, plan)).value();
     ASSERT_EQ(reference.tuples.Canonical(), expected) << "plan " << i;
-    for (size_t batch_rows : {size_t{1}, size_t{2}, size_t{7}, size_t{1024}}) {
+    for (size_t batch_rows : {size_t{1}, size_t{2}, size_t{7}}) {
       SCOPED_TRACE("plan " + std::to_string(i) + " batch_rows=" +
                    std::to_string(batch_rows));
       ExecOptions options;
@@ -110,39 +115,36 @@ TEST(StreamingExecTest, MatchesMaterializedAcrossBatchSizes) {
   }
 }
 
-TEST(StreamingExecTest, PipelinedPlanPeakBoundedMaterializedIsNot) {
+TEST(StreamingExecTest, PipelinedPlanPeakIsBounded) {
   Database db = Db(WideDoc());
   Pattern pattern = Pat("a[//b[//c]]");
   PhysicalPlan plan = SortFreeChainPlan();
+  const size_t expected_rows =
+      std::move(NaiveMatch(db.doc(), pattern)).value().size();
 
-  // Reference: the materializing engine must hold the whole ~1600-row a-b
-  // intermediate at once.
-  ExecOptions mat_options;
-  mat_options.force_materialize = true;
-  Executor mat_exec(db, mat_options);
-  ExecResult mat = std::move(mat_exec.Execute(pattern, plan)).value();
-  const uint64_t ab_rows = mat.op_stats[2].rows;  // plan node 2 = (a STD b)
-  ASSERT_GE(ab_rows, 1600u);
-  EXPECT_GE(mat.stats.peak_live_rows, ab_rows);
-
-  // Streaming: the working set stays within O(batch x plan depth). The
-  // operator tree is 3 levels deep (join - join - scan); 4x covers the
-  // in-flight batch per level plus join group/stage state.
+  // The working set stays within O(batch x plan depth) even though the
+  // a-b join emits ~1600 rows. The operator tree is 3 levels deep (join -
+  // join - scan); 4x covers the in-flight batch per level plus join
+  // group/stage state.
   constexpr size_t kBatch = 64;
   constexpr uint64_t kDepth = 3;
   ExecOptions options;
   options.batch_rows = kBatch;
   Executor exec(db, options);
   uint64_t sunk_rows = 0;
+  std::vector<OpStats> op_stats;
   ExecStats stats =
       std::move(exec.ExecuteStreaming(pattern, plan,
                                       [&](const TupleSet& batch) {
                                         sunk_rows += batch.size();
                                         return Status();
-                                      }))
+                                      },
+                                      &op_stats))
           .value();
-  EXPECT_EQ(sunk_rows, mat.stats.result_rows);
-  EXPECT_EQ(stats.result_rows, mat.stats.result_rows);
+  const uint64_t ab_rows = op_stats[2].rows;  // plan node 2 = (a STD b)
+  ASSERT_GE(ab_rows, 1600u);
+  EXPECT_EQ(sunk_rows, expected_rows);
+  EXPECT_EQ(stats.result_rows, expected_rows);
   EXPECT_LE(stats.peak_live_rows, 4 * kBatch * kDepth);
   EXPECT_LT(stats.peak_live_rows, ab_rows);
 }
@@ -230,27 +232,30 @@ TEST(StreamingExecTest, ExplainAnalyzeShowsEstimatesAndQError) {
   EXPECT_EQ(idle.find("max join q-error:"), std::string::npos) << idle;
 }
 
-TEST(StreamingExecTest, RowBudgetErrorMatchesMaterialized) {
+TEST(StreamingExecTest, RowBudgetErrorIsBatchSizeInvariant) {
   Database db = Db(WideDoc());
   Pattern pattern = Pat("a[//b[//c]]");
   PhysicalPlan plan = SortFreeChainPlan();
 
-  ExecOptions mat_options;
-  mat_options.force_materialize = true;
-  mat_options.max_join_output_rows = 100;
-  Executor mat_exec(db, mat_options);
-  Result<ExecResult> mat = mat_exec.Execute(pattern, plan);
-  ASSERT_FALSE(mat.ok());
-  ASSERT_EQ(mat.status().code(), StatusCode::kOutOfRange);
+  // The whole-input kernel's error is the reference message.
+  JoinStats join_stats;
+  Result<TupleSet> kernel = StackTreeJoin(
+      db.View(), ScanCandidates(db, pattern, 0), 0,
+      ScanCandidates(db, pattern, 1), 0, Axis::kDescendant,
+      /*output_by_ancestor=*/false, &join_stats, /*max_output_rows=*/100);
+  ASSERT_FALSE(kernel.ok());
+  ASSERT_EQ(kernel.status().code(), StatusCode::kOutOfRange);
 
-  ExecOptions options;
-  options.max_join_output_rows = 100;
-  options.batch_rows = 16;
-  Executor exec(db, options);
-  Result<ExecResult> streaming = exec.Execute(pattern, plan);
-  ASSERT_FALSE(streaming.ok());
-  EXPECT_EQ(streaming.status().code(), mat.status().code());
-  EXPECT_EQ(streaming.status().ToString(), mat.status().ToString());
+  for (size_t batch_rows : {size_t{1}, size_t{16}, size_t{1024}}) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+    ExecOptions options;
+    options.max_join_output_rows = 100;
+    options.batch_rows = batch_rows;
+    Executor exec(db, options);
+    Result<ExecResult> streaming = exec.Execute(pattern, plan);
+    ASSERT_FALSE(streaming.ok());
+    EXPECT_EQ(streaming.status().ToString(), kernel.status().ToString());
+  }
 }
 
 TEST(StreamingExecTest, SinkErrorAbortsExecution) {
