@@ -51,8 +51,9 @@ const Database& TreeDb(uint64_t nodes) {
   return *it->second;
 }
 
-TupleSet Candidates(const Database& db, const char* tag, PatternNodeId slot) {
-  TupleSet set({slot});
+ColumnBatch Candidates(const Database& db, const char* tag,
+                       PatternNodeId slot) {
+  ColumnBatch set({slot});
   TagId id = db.doc().dict().Find(tag);
   if (id != kInvalidTag) {
     for (NodeId n : db.index().Postings(id)) set.AppendRow(&n);
@@ -63,11 +64,11 @@ TupleSet Candidates(const Database& db, const char* tag, PatternNodeId slot) {
 
 void BM_StackTreeDesc(benchmark::State& state) {
   const Database& db = TreeDb(static_cast<uint64_t>(state.range(0)));
-  TupleSet anc = Candidates(db, "t0", 0);
-  TupleSet desc = Candidates(db, "t1", 1);
+  ColumnBatch anc = Candidates(db, "t0", 0);
+  ColumnBatch desc = Candidates(db, "t1", 1);
   uint64_t rows = 0;
   for (auto _ : state) {
-    Result<TupleSet> out =
+    Result<ColumnBatch> out =
         StackTreeJoin(db.doc(), anc, 0, desc, 0, Axis::kDescendant,
                       /*output_by_ancestor=*/false);
     benchmark::DoNotOptimize(out);
@@ -81,10 +82,10 @@ BENCHMARK(BM_StackTreeDesc)->Arg(10000)->Arg(100000)->Arg(400000);
 
 void BM_StackTreeAnc(benchmark::State& state) {
   const Database& db = TreeDb(static_cast<uint64_t>(state.range(0)));
-  TupleSet anc = Candidates(db, "t0", 0);
-  TupleSet desc = Candidates(db, "t1", 1);
+  ColumnBatch anc = Candidates(db, "t0", 0);
+  ColumnBatch desc = Candidates(db, "t1", 1);
   for (auto _ : state) {
-    Result<TupleSet> out =
+    Result<ColumnBatch> out =
         StackTreeJoin(db.doc(), anc, 0, desc, 0, Axis::kDescendant,
                       /*output_by_ancestor=*/true);
     benchmark::DoNotOptimize(out);
@@ -96,11 +97,11 @@ BENCHMARK(BM_StackTreeAnc)->Arg(10000)->Arg(100000)->Arg(400000);
 
 void BM_StackTreeParentChild(benchmark::State& state) {
   const Database& db = TreeDb(static_cast<uint64_t>(state.range(0)));
-  TupleSet anc = Candidates(db, "t0", 0);
-  TupleSet desc = Candidates(db, "t1", 1);
+  ColumnBatch anc = Candidates(db, "t0", 0);
+  ColumnBatch desc = Candidates(db, "t1", 1);
   for (auto _ : state) {
-    Result<TupleSet> out = StackTreeJoin(db.doc(), anc, 0, desc, 0,
-                                         Axis::kChild, false);
+    Result<ColumnBatch> out = StackTreeJoin(db.doc(), anc, 0, desc, 0,
+                                            Axis::kChild, false);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -110,11 +111,11 @@ BENCHMARK(BM_StackTreeParentChild)->Arg(10000)->Arg(100000);
 
 void BM_SelfJoinRecursiveTag(benchmark::State& state) {
   const Database& db = TreeDb(static_cast<uint64_t>(state.range(0)));
-  TupleSet outer = Candidates(db, "t0", 0);
-  TupleSet inner = Candidates(db, "t0", 1);
+  ColumnBatch outer = Candidates(db, "t0", 0);
+  ColumnBatch inner = Candidates(db, "t0", 1);
   for (auto _ : state) {
-    Result<TupleSet> out = StackTreeJoin(db.doc(), outer, 0, inner, 0,
-                                         Axis::kDescendant, false);
+    Result<ColumnBatch> out = StackTreeJoin(db.doc(), outer, 0, inner, 0,
+                                            Axis::kDescendant, false);
     benchmark::DoNotOptimize(out);
   }
 }
@@ -122,15 +123,14 @@ BENCHMARK(BM_SelfJoinRecursiveTag)->Arg(10000)->Arg(100000);
 
 void BM_SortOperator(benchmark::State& state) {
   const Database& db = TreeDb(100000);
-  TupleSet anc = Candidates(db, "t0", 0);
-  TupleSet desc = Candidates(db, "t1", 1);
-  TupleSet joined = std::move(StackTreeJoin(db.doc(), anc, 0, desc, 0,
-                                            Axis::kDescendant, false))
-                        .value();
+  ColumnBatch anc = Candidates(db, "t0", 0);
+  ColumnBatch desc = Candidates(db, "t1", 1);
+  ColumnBatch joined = std::move(StackTreeJoin(db.doc(), anc, 0, desc, 0,
+                                               Axis::kDescendant, false))
+                           .value();
   for (auto _ : state) {
-    TupleSet copy = joined;
-    Status st = SortTuples(&copy, 0);  // re-sort by the ancestor column
-    benchmark::DoNotOptimize(st);
+    ColumnBatch copy = joined;
+    copy.SortBySlot(0);  // re-sort by the ancestor column
     benchmark::DoNotOptimize(copy);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -142,7 +142,7 @@ void BM_IndexScan(benchmark::State& state) {
   const Database& db = TreeDb(static_cast<uint64_t>(state.range(0)));
   Pattern pattern = std::move(ParsePattern("t0")).value();
   for (auto _ : state) {
-    TupleSet set = ScanCandidates(db, pattern, 0);
+    ColumnBatch set = ScanCandidateColumns(db, pattern, 0);
     benchmark::DoNotOptimize(set);
   }
 }
@@ -208,7 +208,7 @@ int RunKernelComparison(const std::string& path) {
   // so the selection-vector store path is exercised, not skipped).
   std::vector<NodeId> starts;
   {
-    TupleSet t1 = Candidates(db, "t1", 0);
+    ColumnBatch t1 = Candidates(db, "t1", 0);
     starts.reserve(t1.size());
     for (size_t i = 0; i < t1.size(); ++i) starts.push_back(t1.At(i, 0));
   }

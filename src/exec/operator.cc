@@ -1,8 +1,7 @@
-// Streaming operator implementations. The Stack-Tree join is a faithful
-// incremental re-expression of the one-shot kernel in stack_tree.cc: same
-// push/pop discipline, same match order, same budget and counter
-// semantics, so the two engines are byte- and counter-identical. Keep the
-// two files in sync when touching either.
+// Streaming operator implementations. The Stack-Tree join operators own
+// no join logic: they feed row windows to the one Stack-Tree merge in
+// stack_tree.cc, so their output and counters are the whole-input
+// StackTreeJoin's by construction.
 
 #include "exec/operator.h"
 
@@ -92,16 +91,16 @@ Status Operator::PullTimed(Operator* op, ColumnBatch* out, bool* eos) {
   return st;
 }
 
-void Operator::OwnAdd(uint64_t rows) {
+void Operator::OwnAdd(uint64_t rows, uint64_t bytes) {
   own_live_rows_ += rows;
   OpStats& s = op_stats();
   if (own_live_rows_ > s.peak_live_rows) s.peak_live_rows = own_live_rows_;
-  ctx_->AddLive(rows, rows * arity() * sizeof(NodeId));
+  ctx_->AddLive(rows, bytes);
 }
 
-void Operator::OwnSub(uint64_t rows) {
+void Operator::OwnSub(uint64_t rows, uint64_t bytes) {
   own_live_rows_ -= rows;
-  ctx_->SubLive(rows, rows * arity() * sizeof(NodeId));
+  ctx_->SubLive(rows, bytes);
 }
 
 Status Operator::PullChild(Operator* child, ColumnBatch* batch, size_t* cursor,
@@ -381,403 +380,119 @@ StackTreeJoinBase::StackTreeJoinBase(ExecContext* ctx, int plan_index,
                    ? static_cast<int>(anc_slot)
                    : static_cast<int>(left->arity() + desc_slot)),
       by_ancestor_(output_by_ancestor),
-      axis_(axis),
-      anc_slot_(anc_slot),
-      desc_slot_(desc_slot),
-      left_(std::move(left)),
-      right_(std::move(right)) {}
+      axis_(axis) {
+  anc_.child = std::move(left);
+  anc_.slot = anc_slot;
+  anc_.unsorted_message = "ancestor input not sorted by join column";
+  desc_.child = std::move(right);
+  desc_.slot = desc_slot;
+  desc_.unsorted_message = "descendant input not sorted by join column";
+}
 
 Status StackTreeJoinBase::Open() {
-  SJOS_RETURN_IF_ERROR(Operator::OpenTimed(left_.get()));
-  SJOS_RETURN_IF_ERROR(Operator::OpenTimed(right_.get()));
-  anc_batch_ = left_->MakeBatch();
-  desc_batch_ = right_->MakeBatch();
-  pending_anc_.rows = left_->MakeBatch();
-  desc_group_.rows = right_->MakeBatch();
+  SJOS_RETURN_IF_ERROR(Operator::OpenTimed(anc_.child.get()));
+  SJOS_RETURN_IF_ERROR(Operator::OpenTimed(desc_.child.get()));
+  for (Input* in : {&anc_, &desc_}) {
+    in->window = in->child->MakeBatch();
+    in->batch = in->child->MakeBatch();
+  }
+  merge_.emplace(ctx_->db->View(), &anc_.window, anc_.slot, &desc_.window,
+                 desc_.slot, axis_, by_ancestor_, ctx_->max_join_output_rows,
+                 ctx_->governor);
   ++ctx_->stats->num_joins;
   return Status::OK();
 }
 
 Status StackTreeJoinBase::NextBatch(ColumnBatch* out, bool* eos) {
-  DrainStage(out);
-  // Re-read the cap every round: a nested child pull may shrink
-  // ctx_->batch_rows (governor batch halving), and staging/backpressure
-  // immediately honor the smaller value — a stale larger snapshot here
-  // could then never be reached, spinning without progress.
-  while (out->size() < ctx_->batch_rows && phase_ != Phase::kDone) {
-    SJOS_RETURN_IF_ERROR(Step());
-    DrainStage(out);
+  // Re-read the cap every round: a child pull may shrink ctx_->batch_rows
+  // (governor batch halving), and a stale larger snapshot could then never
+  // be reached.
+  while (!done_ && out->size() < ctx_->batch_rows) {
+    JoinStats stats;
+    Result<StackTreeMerge::Wait> wait = merge_->Run(
+        anc_.eos, desc_.eos, ctx_->batch_rows, out, &stats);
+    ctx_->stats->join_output_rows += stats.output_rows;
+    ctx_->stats->element_pairs += stats.element_pairs;
+    if (!wait.ok()) return wait.status();
+    SyncLive();
+    switch (wait.value()) {
+      case StackTreeMerge::Wait::kOutput:
+        break;
+      case StackTreeMerge::Wait::kAncestor:
+        SJOS_RETURN_IF_ERROR(Refill(&anc_));
+        break;
+      case StackTreeMerge::Wait::kDescendant:
+        SJOS_RETURN_IF_ERROR(Refill(&desc_));
+        break;
+      case StackTreeMerge::Wait::kDone:
+        SJOS_RETURN_IF_ERROR(DrainLeft());
+        done_ = true;
+        break;
+    }
   }
-  *eos = phase_ == Phase::kDone && staged_rows_ == 0;
+  *eos = done_;
   return Status::OK();
 }
 
-Status StackTreeJoinBase::Step() {
-  switch (phase_) {
-    case Phase::kCollectDesc:
-      return CollectDescGroup();
-    case Phase::kAdvanceAnc:
-      return AdvanceAncTo(desc_group_.elem);
-    case Phase::kMatch:
-      return MatchDescGroup();
-    case Phase::kFinalPops:
-      return FinalPops();
-    case Phase::kDrainLeft:
-      return DrainLeft();
-    case Phase::kDone:
-      return Status::OK();
-  }
-  return Status::Internal("unknown join phase");
-}
-
-Status StackTreeJoinBase::CollectDescGroup() {
-  for (;;) {
-    if (desc_row_ < desc_batch_.size()) {
-      const NodeId* col = desc_batch_.Col(desc_slot_);
-      const NodeId e = col[desc_row_];
-      if (desc_have_prev_ && e < desc_prev_) {
-        return Status::InvalidArgument(
-            "descendant input not sorted by join column");
-      }
-      desc_prev_ = e;
-      desc_have_prev_ = true;
-      if (desc_group_valid_ && e != desc_group_.elem) {
-        // Group complete; the differing row starts the next one.
-        phase_ = Phase::kAdvanceAnc;
-        return Status::OK();
-      }
-      if (!desc_group_valid_) {
-        desc_group_valid_ = true;
-        desc_group_.elem = e;
-        desc_group_.rows.Clear();
-      }
-      // Consume the whole run of equal join elements in one columnar copy;
-      // runs are equal-valued, so the per-row sortedness check reduces to
-      // the run boundaries.
-      const size_t run_end =
-          kernels::RunLengthEnd(col, desc_batch_.size(), desc_row_);
-      const size_t n = run_end - desc_row_;
-      desc_group_.rows.AppendRange(desc_batch_, desc_row_, n);
-      OwnAdd(n);
-      desc_row_ = run_end;
-    } else if (!desc_eos_) {
-      SJOS_RETURN_IF_ERROR(
-          PullChild(right_.get(), &desc_batch_, &desc_row_, &desc_eos_));
-    } else {
-      phase_ = desc_group_valid_ ? Phase::kAdvanceAnc : Phase::kFinalPops;
-      return Status::OK();
-    }
-  }
-}
-
-Status StackTreeJoinBase::RefillAncGroups(NodeId d) {
-  while (ready_anc_.empty()) {
-    if (pending_anc_valid_ && pending_anc_.elem >= d) return Status::OK();
-    if (anc_row_ < anc_batch_.size()) {
-      const NodeId* col = anc_batch_.Col(anc_slot_);
-      const NodeId e = col[anc_row_];
-      if (anc_have_prev_ && e < anc_prev_) {
-        return Status::InvalidArgument(
-            "ancestor input not sorted by join column");
-      }
-      anc_prev_ = e;
-      anc_have_prev_ = true;
-      if (pending_anc_valid_ && e != pending_anc_.elem) {
-        ready_anc_.push_back(std::move(pending_anc_));
-        pending_anc_ = RowGroup{};
-        pending_anc_.rows = left_->MakeBatch();
-        pending_anc_valid_ = false;
-        continue;  // the differing row starts the next pending group
-      }
-      if (!pending_anc_valid_) {
-        pending_anc_valid_ = true;
-        pending_anc_.elem = e;
-        pending_anc_.rows.Clear();
-      }
-      const size_t run_end =
-          kernels::RunLengthEnd(col, anc_batch_.size(), anc_row_);
-      const size_t n = run_end - anc_row_;
-      pending_anc_.rows.AppendRange(anc_batch_, anc_row_, n);
-      OwnAdd(n);
-      anc_row_ = run_end;
-    } else if (!anc_eos_) {
-      SJOS_RETURN_IF_ERROR(
-          PullChild(left_.get(), &anc_batch_, &anc_row_, &anc_eos_));
-    } else {
-      if (pending_anc_valid_) {
-        ready_anc_.push_back(std::move(pending_anc_));
-        pending_anc_ = RowGroup{};
-        pending_anc_.rows = left_->MakeBatch();
-        pending_anc_valid_ = false;
-      }
-      return Status::OK();
-    }
-  }
-  return Status::OK();
-}
-
-Status StackTreeJoinBase::AdvanceAncTo(NodeId d) {
-  const DocView view = ctx_->db->View();
-  // Stack every ancestor group starting before d, retiring closed entries
-  // first — the kernel's push loop, fed incrementally.
-  for (;;) {
-    SJOS_RETURN_IF_ERROR(RefillAncGroups(d));
-    if (ready_anc_.empty() || ready_anc_.front().elem >= d) break;
-    const NodeId a = ready_anc_.front().elem;
-    while (!stack_.empty() && view.EndKeyOf(stack_.back().group.elem) < a) {
-      SJOS_RETURN_IF_ERROR(PopEntry());
-    }
-    StackEntry entry;
-    entry.group = std::move(ready_anc_.front());
-    if (by_ancestor_) {
-      entry.self = MakeBatch();
-      entry.inherit = MakeBatch();
-    }
-    stack_.push_back(std::move(entry));
-    ready_anc_.pop_front();
-  }
-  // Retire entries that closed before d.
-  while (!stack_.empty() && view.EndKeyOf(stack_.back().group.elem) < d) {
-    SJOS_RETURN_IF_ERROR(PopEntry());
-  }
-  match_k_ = 0;
-  match_entry_open_ = false;
-  phase_ = Phase::kMatch;
-  return Status::OK();
-}
-
-bool StackTreeJoinBase::Matches(NodeId a, NodeId d) const {
-  if (a >= d) return false;  // proper containment needs a.start < d.start
-  if (axis_ == Axis::kChild) {
-    const DocView view = ctx_->db->View();
-    return view.LevelOf(a) + 1 == view.LevelOf(d);
-  }
-  return true;  // containment established by the stack discipline
-}
-
-Status StackTreeJoinBase::MatchDescGroup() {
-  // Every remaining entry contains the group's element; walk the stack
-  // bottom-up exactly like the kernel's match loop.
-  while (match_k_ < stack_.size()) {
-    StackEntry& entry = stack_[match_k_];
-    if (!match_entry_open_) {
-      if (!Matches(entry.group.elem, desc_group_.elem)) {
-        ++match_k_;
-        continue;
-      }
-      ++ctx_->stats->element_pairs;
-      match_entry_open_ = true;
-      match_ar_ = 0;
-      match_dr_ = 0;
-    }
-    if (by_ancestor_) {
-      // Buffer the full expansion on the entry; released when it pops.
-      const size_t na = entry.group.rows.size();
-      const size_t nd = desc_group_.rows.size();
-      entry.self.Reserve(entry.self.size() + na * nd);
-      for (size_t ar = 0; ar < na; ++ar) {
-        entry.self.AppendCross(entry.group.rows, ar, desc_group_.rows, 0, nd);
-      }
-      OwnAdd(na * nd);
-      match_entry_open_ = false;
-      ++match_k_;
-      continue;
-    }
-    bool paused = false;
-    SJOS_RETURN_IF_ERROR(
-        EmitRows(entry.group, desc_group_, ctx_->batch_rows, &paused));
-    if (paused) return Status::OK();  // output backpressure; resume later
-    match_entry_open_ = false;
-    ++match_k_;
-  }
-  OwnSub(desc_group_.rows.size());
-  desc_group_.rows.Clear();
-  desc_group_valid_ = false;
-  phase_ = Phase::kCollectDesc;
-  return Status::OK();
-}
-
-Status StackTreeJoinBase::EmitRows(const RowGroup& anc_group,
-                                   const RowGroup& desc_group, size_t cap_hint,
-                                   bool* paused) {
-  const size_t na = anc_group.rows.size();
-  const size_t nd = desc_group.rows.size();
-  while (match_ar_ < na) {
-    while (match_dr_ < nd) {
-      if (staged_rows_ >= cap_hint) {
-        *paused = true;
-        return Status::OK();
-      }
-      // One columnar cross-append per chunk instead of one row at a time;
-      // the budget clamp reproduces the per-row charge exactly — the run
-      // that would fail charges precisely the rows that fit, then fails.
-      size_t take = std::min(nd - match_dr_, cap_hint - staged_rows_);
-      uint64_t allowed = take;
-      if (ctx_->max_join_output_rows != 0) {
-        allowed = emitted_rows_ < ctx_->max_join_output_rows
-                      ? std::min<uint64_t>(
-                            take, ctx_->max_join_output_rows - emitted_rows_)
-                      : 0;
-      }
-      if (allowed > 0) {
-        SJOS_RETURN_IF_ERROR(ChargeBudget(allowed));
-        size_t dr = match_dr_;
-        size_t left = static_cast<size_t>(allowed);
-        while (left > 0) {
-          if (stage_.empty() || stage_.back().size() >= ctx_->batch_rows) {
-            stage_.push_back(MakeBatch());
-            stage_.back().Reserve(std::min(ctx_->batch_rows, cap_hint));
-          }
-          ColumnBatch& chunk = stage_.back();
-          const size_t room = ctx_->batch_rows - chunk.size();
-          const size_t sub = std::min(left, room);
-          chunk.AppendCross(anc_group.rows, match_ar_, desc_group.rows, dr,
-                            sub);
-          dr += sub;
-          left -= sub;
-        }
-        staged_rows_ += allowed;
-        OwnAdd(allowed);
-        match_dr_ += static_cast<size_t>(allowed);
-      }
-      if (allowed < take) return ChargeBudget(1);  // the failing charge
-    }
-    ++match_ar_;
-    match_dr_ = 0;
-  }
-  return Status::OK();
-}
-
-Status StackTreeJoinBase::StageRows(ColumnBatch&& rows) {
-  const size_t n = rows.size();
+Status StackTreeJoinBase::Pull(Input* in) {
+  SJOS_RETURN_IF_ERROR(PullTimed(in->child.get(), &in->batch, &in->eos));
+  const size_t n = in->batch.size();
   if (n == 0) return Status::OK();
-  // Rows were registered live when expanded; they stay counted until
-  // DrainStage hands them to the parent.
-  SJOS_RETURN_IF_ERROR(ChargeBudget(n));
-  staged_rows_ += n;
-  stage_.push_back(std::move(rows));
+  const NodeId* key = in->batch.Col(in->slot);
+  if ((in->have_last && key[0] < in->last) ||
+      !kernels::IsNonDecreasing(key, n)) {
+    return Status::InvalidArgument(in->unsorted_message);
+  }
+  in->last = key[n - 1];
+  in->have_last = true;
   return Status::OK();
 }
 
-Status StackTreeJoinBase::PopEntry() {
-  StackEntry popped = std::move(stack_.back());
-  stack_.pop_back();
-  OwnSub(popped.group.rows.size());
-  if (!by_ancestor_) return Status::OK();  // Desc variant emits eagerly
-  if (stack_.empty()) {
-    // Bottom of the stack: release to the output, self before inherit.
-    SJOS_RETURN_IF_ERROR(StageRows(std::move(popped.self)));
-    SJOS_RETURN_IF_ERROR(StageRows(std::move(popped.inherit)));
+Status StackTreeJoinBase::Refill(Input* in) {
+  merge_->Compact(&in->window);
+  SyncLive();
+  SJOS_RETURN_IF_ERROR(Pull(in));
+  if (in->window.empty()) {
+    std::swap(in->window, in->batch);
   } else {
-    StackEntry& top = stack_.back();
-    top.inherit.AppendBatch(popped.self);
-    top.inherit.AppendBatch(popped.inherit);
+    in->window.AppendBatch(in->batch);
   }
-  return Status::OK();
-}
-
-Status StackTreeJoinBase::FinalPops() {
-  while (!stack_.empty()) SJOS_RETURN_IF_ERROR(PopEntry());
-  // Ancestor groups at or after the last descendant are never stacked.
-  for (RowGroup& g : ready_anc_) OwnSub(g.rows.size());
-  ready_anc_.clear();
-  if (pending_anc_valid_) {
-    OwnSub(pending_anc_.rows.size());
-    pending_anc_ = RowGroup{};
-    pending_anc_.rows = left_->MakeBatch();
-    pending_anc_valid_ = false;
-  }
-  phase_ = Phase::kDrainLeft;
+  in->batch.Clear();
+  SyncLive();
   return Status::OK();
 }
 
 Status StackTreeJoinBase::DrainLeft() {
-  // Consume the ancestor tail so upstream counters (and the sortedness
-  // check) cover the whole input, whatever the batch size. The
-  // per-row check becomes one vector sortedness sweep per batch.
-  for (;;) {
-    const size_t n = anc_batch_.size();
-    if (anc_row_ < n) {
-      const NodeId* col = anc_batch_.Col(anc_slot_);
-      if ((anc_have_prev_ && col[anc_row_] < anc_prev_) ||
-          !kernels::IsNonDecreasing(col + anc_row_, n - anc_row_)) {
-        return Status::InvalidArgument(
-            "ancestor input not sorted by join column");
-      }
-      anc_prev_ = col[n - 1];
-      anc_have_prev_ = true;
-      anc_row_ = n;
-    }
-    if (anc_eos_) break;
-    SJOS_RETURN_IF_ERROR(
-        PullChild(left_.get(), &anc_batch_, &anc_row_, &anc_eos_));
-  }
-  OwnSub(anc_batch_.size());
-  anc_batch_.Clear();
-  OwnSub(desc_batch_.size());
-  desc_batch_.Clear();
-  phase_ = Phase::kDone;
+  merge_.reset();
+  for (Input* in : {&anc_, &desc_}) in->window.Clear();
+  SyncLive();
+  while (!anc_.eos) SJOS_RETURN_IF_ERROR(Pull(&anc_));
+  anc_.batch.Clear();
   return Status::OK();
 }
 
-void StackTreeJoinBase::DrainStage(ColumnBatch* out) {
-  const size_t cap = ctx_->batch_rows;
-  while (staged_rows_ > 0 && out->size() < cap) {
-    ColumnBatch& chunk = stage_.front();
-    const size_t chunk_rows = chunk.size();
-    const size_t take =
-        std::min(cap - out->size(), chunk_rows - stage_front_row_);
-    out->AppendRange(chunk, stage_front_row_, take);
-    stage_front_row_ += take;
-    staged_rows_ -= take;
-    OwnSub(take);
-    if (stage_front_row_ == chunk_rows) {
-      stage_.pop_front();
-      stage_front_row_ = 0;
-    }
-  }
-}
-
-Status StackTreeJoinBase::ChargeBudget(uint64_t rows) {
-  if (ctx_->max_join_output_rows != 0 &&
-      emitted_rows_ + rows > ctx_->max_join_output_rows) {
-    return Status::OutOfRange(
-        "structural join output exceeded the configured row budget");
-  }
-  emitted_rows_ += rows;
-  ctx_->stats->join_output_rows += rows;
-  return Status::OK();
+void StackTreeJoinBase::SyncLive() {
+  // The windows at their own widths, plus the merge's buffered pairs.
+  const uint64_t rows = anc_.window.size() + desc_.window.size();
+  uint64_t bytes = (anc_.window.size() * anc_.window.arity() +
+                    desc_.window.size() * desc_.window.arity()) *
+                   sizeof(NodeId);
+  if (merge_) bytes += merge_->buffered_pairs() * StackTreeMerge::kPairBytes;
+  OwnSub(live_rows_, live_bytes_);
+  OwnAdd(rows, bytes);
+  live_rows_ = rows;
+  live_bytes_ = bytes;
 }
 
 Status StackTreeJoinBase::Close() {
-  OwnSub(anc_batch_.size());
-  anc_batch_.Clear();
-  OwnSub(desc_batch_.size());
-  desc_batch_.Clear();
-  if (pending_anc_valid_) {
-    OwnSub(pending_anc_.rows.size());
-    pending_anc_ = RowGroup{};
-    pending_anc_valid_ = false;
+  merge_.reset();
+  for (Input* in : {&anc_, &desc_}) {
+    in->window.Clear();
+    in->batch.Clear();
   }
-  for (RowGroup& g : ready_anc_) OwnSub(g.rows.size());
-  ready_anc_.clear();
-  if (desc_group_valid_) {
-    OwnSub(desc_group_.rows.size());
-    desc_group_ = RowGroup{};
-    desc_group_valid_ = false;
-  }
-  for (StackEntry& e : stack_) {
-    OwnSub(e.group.rows.size());
-    OwnSub(e.self.size());
-    OwnSub(e.inherit.size());
-  }
-  stack_.clear();
-  OwnSub(staged_rows_);
-  stage_.clear();
-  staged_rows_ = 0;
-  stage_front_row_ = 0;
-  Status left_status = left_->Close();
-  Status right_status = right_->Close();
+  SyncLive();
+  Status left_status = anc_.child->Close();
+  Status right_status = desc_.child->Close();
   if (!left_status.ok()) return left_status;
   return right_status;
 }

@@ -5,7 +5,8 @@
 // plan (no Sort) runs in O(batch × plan depth) intermediate memory because
 // the Stack-Tree join operators carry their stack state *across* input
 // batches instead of demanding whole inputs, exactly as Timber streams
-// Stack-Tree-Desc output into the next join.
+// Stack-Tree-Desc output into the next join. The join operators run the
+// one Stack-Tree merge of exec/stack_tree.h over bounded row windows.
 //
 // Contracts every operator obeys:
 //   * NextBatch appends at most ExecContext::batch_rows rows to `out`
@@ -29,13 +30,14 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
 #include "exec/column_batch.h"
 #include "exec/op_stats.h"
+#include "exec/stack_tree.h"
 #include "plan/plan.h"
 #include "query/pattern.h"
 #include "storage/catalog.h"
@@ -135,10 +137,14 @@ class Operator {
   /// Registers `rows` as resident in this operator's buffers (and the
   /// global live count); OwnSub releases them. Bytes are charged at this
   /// operator's output width (rows × arity × sizeof(NodeId)) — an
-  /// approximation for join-input group buffers, but Add and Sub use the
+  /// approximation for a navigation input batch, but Add and Sub use the
   /// same factor so the accounting always balances.
-  void OwnAdd(uint64_t rows);
-  void OwnSub(uint64_t rows);
+  void OwnAdd(uint64_t rows) { OwnAdd(rows, rows * arity() * sizeof(NodeId)); }
+  void OwnSub(uint64_t rows) { OwnSub(rows, rows * arity() * sizeof(NodeId)); }
+  /// The same with an explicit byte figure, for buffers narrower than the
+  /// output or holding more than rows.
+  void OwnAdd(uint64_t rows, uint64_t bytes);
+  void OwnSub(uint64_t rows, uint64_t bytes);
 
   /// Refills `*batch` (owned by this operator and registered via
   /// OwnAdd/OwnSub) from `child` unless `*child_eos`; no-op at eos.
@@ -233,17 +239,19 @@ class NavigateOperator : public Operator {
   size_t sel_pos_ = 0;
 };
 
-/// The streaming Stack-Tree structural join. Both children stream in
-/// batches; the in-memory stack of open ancestor groups persists across
-/// batch boundaries, so no input is ever fully materialized. Emission
-/// order and all counters are identical to the whole-input StackTreeJoin
-/// kernel in stack_tree.h.
+/// The streaming Stack-Tree structural join: a thin driver over the one
+/// Stack-Tree merge (StackTreeMerge in stack_tree.h). It pulls child
+/// batches into one ancestor and one descendant row window, runs the merge
+/// over them, and lets the merge write straight into `out`; the merge's
+/// stack persists across batch boundaries, so no input is ever fully
+/// materialized. Emission order and all counters are those of the
+/// whole-input StackTreeJoin, at every batch size.
 ///
-/// The Desc variant emits pairs as each descendant group completes
-/// (output ordered by descendant). The Anc variant buffers expanded pairs
-/// in per-stack-entry self/inherit lists and releases them as entries pop
-/// (output ordered by ancestor), so its memory is bounded by the buffered
-/// output — the inherent cost of ancestor ordering, not of batching.
+/// A window row stays only while a stack entry or a buffered pair refers
+/// to it; a window is compacted before each refill once its dead rows
+/// outnumber its live ones. The Anc variant buffers 8-byte (ancestor
+/// group, descendant group) pairs per stack entry until the entry pops —
+/// the inherent cost of ancestor ordering, not of batching.
 class StackTreeJoinBase : public Operator {
  public:
   StackTreeJoinBase(ExecContext* ctx, int plan_index, bool output_by_ancestor,
@@ -258,79 +266,37 @@ class StackTreeJoinBase : public Operator {
   }
 
  private:
-  /// A run of input rows sharing one join element, stored columnar.
-  struct RowGroup {
-    NodeId elem = 0;
-    ColumnBatch rows;
-  };
-  struct StackEntry {
-    RowGroup group;
-    // Anc variant: expanded output rows buffered until the entry pops.
-    ColumnBatch self;
-    ColumnBatch inherit;
-  };
-  enum class Phase {
-    kCollectDesc,  // accumulate one complete descendant group
-    kAdvanceAnc,   // push every ancestor group starting before it
-    kMatch,        // emit/buffer the group's matches (resumable)
-    kFinalPops,    // desc exhausted: drain the stack
-    kDrainLeft,    // consume the ancestor tail (counter parity)
-    kDone,
+  /// One join input: its child, the row window the merge reads, and the
+  /// last join key pulled (the sortedness check spans batches).
+  struct Input {
+    std::unique_ptr<Operator> child;
+    size_t slot;
+    const char* unsorted_message;
+    ColumnBatch window;
+    ColumnBatch batch;  // pull buffer
+    bool eos = false;
+    bool have_last = false;
+    NodeId last = 0;
   };
 
-  Status Step();
-  Status CollectDescGroup();
-  Status AdvanceAncTo(NodeId d);
-  Status MatchDescGroup();
-  Status FinalPops();
+  /// Pulls one batch of `in`'s child into `in->batch`, checking its join
+  /// column order.
+  Status Pull(Input* in);
+  /// Compacts `in`'s window, then appends one pulled batch to it.
+  Status Refill(Input* in);
+  /// Consumes the ancestor tail so upstream counters and the sortedness
+  /// check cover the whole input, whatever the batch size.
   Status DrainLeft();
-
-  /// Pulls ancestor rows until either a finalized group precedes `d`, the
-  /// next (possibly unfinished) group provably starts at or after `d`, or
-  /// the ancestor stream ends.
-  Status RefillAncGroups(NodeId d);
-  Status PopEntry();
-  bool Matches(NodeId a, NodeId d) const;
-  /// Stages the cross expansion of an ancestor/descendant group pair in
-  /// chunks (AppendCross), charging the row budget and output counters.
-  Status EmitRows(const RowGroup& anc_group, const RowGroup& desc_group,
-                  size_t cap_hint, bool* paused);
-  Status StageRows(ColumnBatch&& rows);
-  void DrainStage(ColumnBatch* out);
-  Status ChargeBudget(uint64_t rows);
+  /// Charges the windows' rows and the merge's buffered pairs as live.
+  void SyncLive();
 
   bool by_ancestor_;
   Axis axis_;
-  size_t anc_slot_, desc_slot_;
-  std::unique_ptr<Operator> left_, right_;
-
-  ColumnBatch anc_batch_, desc_batch_;
-  size_t anc_row_ = 0, desc_row_ = 0;
-  bool anc_eos_ = false, desc_eos_ = false;
-  bool anc_have_prev_ = false, desc_have_prev_ = false;
-  NodeId anc_prev_ = 0, desc_prev_ = 0;
-
-  bool pending_anc_valid_ = false;
-  RowGroup pending_anc_;
-  std::deque<RowGroup> ready_anc_;
-  bool desc_group_valid_ = false;
-  RowGroup desc_group_;
-
-  std::vector<StackEntry> stack_;
-
-  // Output stage: columnar chunks of expanded rows awaiting drain into out
-  // batches.
-  std::deque<ColumnBatch> stage_;
-  size_t stage_front_row_ = 0;
-  uint64_t staged_rows_ = 0;
-  uint64_t emitted_rows_ = 0;  // total rows ever staged (budget + stats)
-
-  // Resumable match cursors (kMatch only).
-  size_t match_k_ = 0;
-  size_t match_ar_ = 0, match_dr_ = 0;
-  bool match_entry_open_ = false;
-
-  Phase phase_ = Phase::kCollectDesc;
+  Input anc_, desc_;
+  std::optional<StackTreeMerge> merge_;
+  bool done_ = false;
+  uint64_t live_rows_ = 0;
+  uint64_t live_bytes_ = 0;
 };
 
 class StackTreeDescOp : public StackTreeJoinBase {

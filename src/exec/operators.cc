@@ -1,7 +1,5 @@
 #include "exec/operators.h"
 
-#include "common/str_util.h"
-
 namespace sjos {
 
 ColumnBatch ScanCandidateColumns(const Database& db, const Pattern& pattern,
@@ -40,23 +38,6 @@ ColumnBatch ScanCandidateColumns(const Database& db, const Pattern& pattern,
   }
   set.set_ordered_by_slot(0);
   return set;
-}
-
-TupleSet ScanCandidates(const Database& db, const Pattern& pattern,
-                        PatternNodeId node) {
-  return ScanCandidateColumns(db, pattern, node).ToRows();
-}
-
-Status SortTuples(TupleSet* set, PatternNodeId by_node) {
-  const int slot = set->SlotOf(by_node);
-  if (slot < 0) {
-    return Status::Internal(
-        StrFormat("sort by pattern node %d not in input", by_node));
-  }
-  ColumnBatch cols = ColumnBatch::FromRows(*set);
-  cols.SortBySlot(static_cast<size_t>(slot));
-  *set = cols.ToRows();
-  return Status::OK();
 }
 
 }  // namespace sjos

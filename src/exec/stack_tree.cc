@@ -1,6 +1,9 @@
 #include "exec/stack_tree.h"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "exec/governor.h"
@@ -9,62 +12,6 @@
 namespace sjos {
 
 namespace {
-
-/// A run of input rows sharing one join element.
-struct Group {
-  NodeId elem;
-  uint32_t row_begin;
-  uint32_t row_end;  // exclusive
-};
-
-std::vector<Group> BuildGroups(const ColumnBatch& set, size_t slot) {
-  std::vector<Group> groups;
-  const size_t n = set.size();
-  if (n == 0) return groups;
-  // Runs over the sorted key column; the run sweep is a vector compare.
-  const NodeId* key = set.Col(slot);
-  size_t i = 0;
-  while (i < n) {
-    const size_t j = kernels::RunLengthEnd(key, n, i);
-    groups.push_back(Group{key[i], static_cast<uint32_t>(i),
-                           static_cast<uint32_t>(j)});
-    i = j;
-  }
-  return groups;
-}
-
-/// A matched (ancestor group, descendant group) element pair.
-struct GroupPair {
-  uint32_t ag;
-  uint32_t dg;
-};
-
-/// Expands a pair's row cross product into `out`, stopping at
-/// `max_output_rows` (0 = unlimited). Returns false when the budget was
-/// hit — a single pair of large groups can exceed it on its own, so the
-/// clamp must sit inside the expansion loop. Each ancestor row expands as
-/// one columnar append: constant fill of the ancestor cells, contiguous
-/// copy of the descendant row run.
-bool EmitPair(const ColumnBatch& anc, const ColumnBatch& desc,
-              const std::vector<Group>& anc_groups,
-              const std::vector<Group>& desc_groups, const GroupPair& pair,
-              uint64_t max_output_rows, ColumnBatch* out, JoinStats* stats) {
-  const Group& ga = anc_groups[pair.ag];
-  const Group& gd = desc_groups[pair.dg];
-  const size_t nd = gd.row_end - gd.row_begin;
-  for (uint32_t ar = ga.row_begin; ar < ga.row_end; ++ar) {
-    size_t take = nd;
-    if (max_output_rows != 0) {
-      if (out->size() >= max_output_rows) return false;
-      take = static_cast<size_t>(std::min<uint64_t>(
-          nd, max_output_rows - out->size()));
-    }
-    out->AppendCross(anc, ar, desc, gd.row_begin, take);
-    if (stats != nullptr) stats->output_rows += take;
-    if (take < nd) return false;
-  }
-  return true;
-}
 
 Status ValidateJoinInputs(const ColumnBatch& anc, size_t anc_slot,
                           const ColumnBatch& desc, size_t desc_slot) {
@@ -99,137 +46,269 @@ ColumnBatch MakeOutputSet(const ColumnBatch& anc, size_t anc_slot,
   return out;
 }
 
-/// The Stack-Tree merge over all group pairs, appending matches to `out`.
-/// Returns OutOfRange when `max_output_rows` (0 = unlimited, counted
-/// against `out`'s size) is exceeded.
-Status RunStackTree(DocView view, const ColumnBatch& anc,
-                    const ColumnBatch& desc,
-                    const std::vector<Group>& anc_groups,
-                    const std::vector<Group>& desc_groups, Axis axis,
-                    bool output_by_ancestor, uint64_t max_output_rows,
-                    ColumnBatch* out, JoinStats* stats,
-                    QueryGovernor* governor) {
-  // Row-budget enforcement; EmitPair clamps inside the expansion, so even
-  // one huge group cross product cannot outrun the budget.
-  bool overflow = false;
-  auto emit = [&](const GroupPair& pair) {
-    if (overflow) return;
-    if (!EmitPair(anc, desc, anc_groups, desc_groups, pair, max_output_rows,
-                  out, stats)) {
-      overflow = true;
-    }
-  };
-
-  // The stack of open ancestor groups, struct-of-arrays: the retirement
-  // scans read the end column, the parent-child filter sweeps the level
-  // column. `buffers` (parallel to the columns) carries the Anc variant's
-  // per-entry self/inherit pair lists.
-  struct PairBuffers {
-    std::vector<GroupPair> self;
-    std::vector<GroupPair> inherit;
-  };
-  std::vector<uint32_t> stack_ag;
-  std::vector<NodeId> stack_end;
-  std::vector<uint16_t> stack_level;
-  std::vector<PairBuffers> buffers;
-  std::vector<uint32_t> sel;  // match selection over stack entries
-
-  // Releases a popped entry's pairs: to the output if it was the bottom,
-  // otherwise into the new top's inherit list (keeps ancestor order).
-  auto pop_entry = [&] {
-    PairBuffers popped = std::move(buffers.back());
-    buffers.pop_back();
-    stack_ag.pop_back();
-    stack_end.pop_back();
-    stack_level.pop_back();
-    if (!output_by_ancestor) return;  // Desc variant emits eagerly
-    if (buffers.empty()) {
-      for (const GroupPair& p : popped.self) {
-        if (overflow) return;
-        emit(p);
+/// Moves the rows of the ascending, disjoint [begin, end) ranges in `keep`
+/// to the front of `batch`, in order, and drops every other row.
+void PackRows(ColumnBatch* batch,
+              const std::vector<std::pair<size_t, size_t>>& keep) {
+  size_t rows = 0;
+  for (size_t c = 0; c < batch->arity(); ++c) {
+    std::vector<NodeId>& col = batch->Raw(c);
+    rows = 0;
+    for (const auto& [begin, end] : keep) {
+      if (rows != begin) {
+        std::memmove(col.data() + rows, col.data() + begin,
+                     (end - begin) * sizeof(NodeId));
       }
-      for (const GroupPair& p : popped.inherit) {
-        if (overflow) return;
-        emit(p);
-      }
-    } else {
-      PairBuffers& top = buffers.back();
-      top.inherit.insert(top.inherit.end(), popped.self.begin(),
-                         popped.self.end());
-      top.inherit.insert(top.inherit.end(), popped.inherit.begin(),
-                         popped.inherit.end());
+      rows += end - begin;
     }
-  };
-
-  size_t ai = 0;
-  for (size_t dg = 0; dg < desc_groups.size() && !overflow; ++dg) {
-    // Deadline poll every 64 groups: frequent enough to bound overshoot,
-    // rare enough that the steady_clock read never shows up in profiles.
-    if (governor != nullptr && (dg & 63) == 0) {
-      SJOS_RETURN_IF_ERROR(governor->CheckDeadline());
-    }
-    const NodeId d = desc_groups[dg].elem;
-    // Stack every ancestor candidate that starts before d.
-    while (ai < anc_groups.size() && anc_groups[ai].elem < d) {
-      const NodeId a = anc_groups[ai].elem;
-      while (!stack_ag.empty() && stack_end.back() < a) pop_entry();
-      stack_ag.push_back(static_cast<uint32_t>(ai));
-      stack_end.push_back(view.EndKeyOf(a));
-      stack_level.push_back(view.LevelOf(a));
-      buffers.emplace_back();
-      if (stats != nullptr) {
-        ++stats->stack_pushes;
-        stats->max_stack_depth =
-            std::max<uint64_t>(stats->max_stack_depth, stack_ag.size());
-      }
-      ++ai;
-    }
-    // Retire entries that closed before d.
-    while (!stack_ag.empty() && stack_end.back() < d) pop_entry();
-    // Every remaining entry contains d (start < d <= end, by the stack
-    // discipline). For descendant axes that IS the match set; parent-child
-    // additionally filters on level equality — a sweep over the stack's
-    // level column.
-    const size_t depth = stack_ag.size();
-    const uint32_t* match = nullptr;
-    size_t nmatch = 0;
-    if (axis == Axis::kChild) {
-      sel.resize(depth);
-      const uint16_t dl = view.LevelOf(d);
-      nmatch = dl == 0 ? 0
-                       : kernels::SelEqualsU16(
-                             stack_level.data(), depth,
-                             static_cast<uint16_t>(dl - 1), sel.data());
-      match = sel.data();
-    } else {
-      sel.resize(depth);
-      for (size_t k = 0; k < depth; ++k) sel[k] = static_cast<uint32_t>(k);
-      nmatch = depth;
-      match = sel.data();
-    }
-    for (size_t s = 0; s < nmatch; ++s) {
-      const size_t k = match[s];
-      if (stats != nullptr) ++stats->element_pairs;
-      GroupPair pair{stack_ag[k], static_cast<uint32_t>(dg)};
-      if (output_by_ancestor) {
-        buffers[k].self.push_back(pair);
-      } else {
-        if (overflow) break;
-        emit(pair);
-      }
-    }
+    col.resize(rows);
   }
-  // Drain the stack so buffered Anc pairs are released bottom-up.
-  while (!stack_ag.empty() && !overflow) pop_entry();
-
-  if (overflow) {
-    return Status::OutOfRange(
-        "structural join output exceeded the configured row budget");
-  }
-  return Status::OK();
+  batch->SetRows(rows);
 }
 
 }  // namespace
+
+StackTreeMerge::StackTreeMerge(DocView view, const ColumnBatch* anc,
+                               size_t anc_slot, const ColumnBatch* desc,
+                               size_t desc_slot, Axis axis,
+                               bool output_by_ancestor,
+                               uint64_t max_output_rows,
+                               QueryGovernor* governor)
+    : view_(view),
+      axis_(axis),
+      by_ancestor_(output_by_ancestor),
+      max_output_rows_(max_output_rows),
+      governor_(governor) {
+  anc_.rows = anc;
+  anc_.slot = anc_slot;
+  desc_.rows = desc;
+  desc_.slot = desc_slot;
+}
+
+Result<StackTreeMerge::Wait> StackTreeMerge::Run(bool anc_eos, bool desc_eos,
+                                                 size_t cap, ColumnBatch* out,
+                                                 JoinStats* stats) {
+  for (;;) {
+    // Rows already due go out first: emission order is release order.
+    if (ready_pos_ < ready_.size()) {
+      bool drained = false;
+      SJOS_RETURN_IF_ERROR(Emit(cap, out, stats, &drained));
+      if (!drained) return Wait::kOutput;
+    }
+
+    if (!have_dg_) {
+      const ColumnBatch& dw = *desc_.rows;
+      if (desc_.next_row == dw.size()) {
+        if (!desc_eos) return Wait::kDescendant;
+        if (stack_ag_.empty()) return Wait::kDone;
+        // Drain the stack so buffered Anc pairs are released bottom-up.
+        while (!stack_ag_.empty()) PopEntry();
+        continue;
+      }
+      const NodeId* dkey = dw.Col(desc_.slot);
+      const size_t end =
+          kernels::RunLengthEnd(dkey, dw.size(), desc_.next_row);
+      if (end == dw.size() && !desc_eos) return Wait::kDescendant;
+      // Deadline poll every 64 groups: frequent enough to bound overshoot,
+      // rare enough that the steady_clock read never shows up in profiles.
+      if (governor_ != nullptr && (desc_groups_cut_ & 63) == 0) {
+        SJOS_RETURN_IF_ERROR(governor_->CheckDeadline());
+      }
+      ++desc_groups_cut_;
+      cur_dg_ = Cut(&desc_, dkey[desc_.next_row], end);
+      have_dg_ = true;
+    }
+    const NodeId d = desc_.groups[cur_dg_].elem;
+
+    // Stack every ancestor group that starts before d.
+    const ColumnBatch& aw = *anc_.rows;
+    const size_t an = aw.size();
+    const NodeId* akey = aw.Col(anc_.slot);
+    bool held_back = false;
+    while (anc_.next_row < an && akey[anc_.next_row] < d) {
+      const size_t end = kernels::RunLengthEnd(akey, an, anc_.next_row);
+      held_back = end == an && !anc_eos;
+      if (held_back) break;
+      const NodeId a = akey[anc_.next_row];
+      while (!stack_ag_.empty() && stack_end_.back() < a) PopEntry();
+      Push(Cut(&anc_, a, end), stats);
+    }
+    if (held_back || (anc_.next_row == an && !anc_eos)) {
+      if (ready_pos_ < ready_.size()) continue;  // emit what pops released
+      return Wait::kAncestor;
+    }
+    // Retire entries that closed before d.
+    while (!stack_ag_.empty() && stack_end_.back() < d) PopEntry();
+    Match(cur_dg_, stats);
+    Unref(&desc_, cur_dg_);
+    have_dg_ = false;
+  }
+}
+
+uint32_t StackTreeMerge::Cut(Side* side, NodeId elem, size_t end) {
+  side->groups.push_back(Group{elem, static_cast<uint32_t>(side->next_row),
+                               static_cast<uint32_t>(end), /*refs=*/1});
+  side->next_row = end;
+  return static_cast<uint32_t>(side->groups.size() - 1);
+}
+
+void StackTreeMerge::Unref(Side* side, uint32_t group) {
+  Group& g = side->groups[group];
+  if (--g.refs == 0) side->dead_rows += g.end - g.begin;
+}
+
+void StackTreeMerge::Push(uint32_t ag, JoinStats* stats) {
+  const NodeId a = anc_.groups[ag].elem;
+  stack_ag_.push_back(ag);
+  stack_end_.push_back(view_.EndKeyOf(a));
+  stack_level_.push_back(view_.LevelOf(a));
+  buffers_.emplace_back();
+  if (stats != nullptr) {
+    ++stats->stack_pushes;
+    stats->max_stack_depth =
+        std::max<uint64_t>(stats->max_stack_depth, stack_ag_.size());
+  }
+}
+
+void StackTreeMerge::PopEntry() {
+  PairBuffers popped = std::move(buffers_.back());
+  buffers_.pop_back();
+  Unref(&anc_, stack_ag_.back());
+  stack_ag_.pop_back();
+  stack_end_.pop_back();
+  stack_level_.pop_back();
+  if (!by_ancestor_) return;  // Desc variant emits eagerly
+  // Release the popped entry's pairs, self before inherit: to the output
+  // if it was the bottom, otherwise into the new top's inherit list (keeps
+  // ancestor order).
+  std::vector<GroupPair>& dst =
+      buffers_.empty() ? ready_ : buffers_.back().inherit;
+  dst.insert(dst.end(), popped.self.begin(), popped.self.end());
+  dst.insert(dst.end(), popped.inherit.begin(), popped.inherit.end());
+}
+
+void StackTreeMerge::Match(uint32_t dg, JoinStats* stats) {
+  // Every stack entry contains d (start < d <= end, by the stack
+  // discipline). For descendant axes that IS the match set; parent-child
+  // additionally filters on level equality — a sweep over the stack's
+  // level column.
+  const size_t depth = stack_ag_.size();
+  size_t nmatch = depth;
+  const uint32_t* match = nullptr;  // null: every entry matches
+  if (axis_ == Axis::kChild) {
+    sel_.resize(depth);
+    const uint16_t dl = view_.LevelOf(desc_.groups[dg].elem);
+    nmatch = dl == 0 ? 0
+                     : kernels::SelEqualsU16(stack_level_.data(), depth,
+                                             static_cast<uint16_t>(dl - 1),
+                                             sel_.data());
+    match = sel_.data();
+  }
+  for (size_t s = 0; s < nmatch; ++s) {
+    const size_t k = match == nullptr ? s : match[s];
+    const GroupPair pair{stack_ag_[k], dg};
+    if (by_ancestor_) {
+      ++anc_.groups[pair.ag].refs;
+      ++desc_.groups[dg].refs;
+      buffers_[k].self.push_back(pair);
+    } else {
+      // Emitted before the merge moves on, and Compact runs only once
+      // they are out, so Desc pairs take no references.
+      ready_.push_back(pair);
+    }
+  }
+  buffered_pairs_ += nmatch;
+  if (stats != nullptr) stats->element_pairs += nmatch;
+}
+
+Status StackTreeMerge::Emit(size_t cap, ColumnBatch* out, JoinStats* stats,
+                            bool* drained) {
+  const ColumnBatch& anc = *anc_.rows;
+  const ColumnBatch& desc = *desc_.rows;
+  for (; ready_pos_ < ready_.size(); ++ready_pos_) {
+    const GroupPair pair = ready_[ready_pos_];
+    const Group& ga = anc_.groups[pair.ag];
+    const Group& gd = desc_.groups[pair.dg];
+    const size_t na = ga.end - ga.begin;
+    const size_t nd = gd.end - gd.begin;
+    // Each ancestor row expands as columnar appends: constant fill of the
+    // ancestor cells, contiguous copy of the descendant run. The row
+    // budget clamps inside the expansion — a single pair of large groups
+    // can exceed it on its own — so exactly the rows that fit are emitted
+    // and counted before the join fails.
+    for (; emit_ar_ < na; ++emit_ar_, emit_dr_ = 0) {
+      while (emit_dr_ < nd) {
+        if (out->size() >= cap) {
+          *drained = false;
+          return Status::OK();
+        }
+        size_t take = std::min(nd - emit_dr_, cap - out->size());
+        if (max_output_rows_ != 0) {
+          if (emitted_rows_ >= max_output_rows_) {
+            return Status::OutOfRange(
+                "structural join output exceeded the configured row budget");
+          }
+          take = static_cast<size_t>(
+              std::min<uint64_t>(take, max_output_rows_ - emitted_rows_));
+        }
+        out->AppendCross(anc, ga.begin + emit_ar_, desc, gd.begin + emit_dr_,
+                         take);
+        emit_dr_ += take;
+        emitted_rows_ += take;
+        if (stats != nullptr) stats->output_rows += take;
+      }
+    }
+    emit_ar_ = 0;
+    --buffered_pairs_;
+    if (by_ancestor_) {
+      Unref(&anc_, pair.ag);
+      Unref(&desc_, pair.dg);
+    }
+  }
+  ready_.clear();
+  ready_pos_ = 0;
+  *drained = true;
+  return Status::OK();
+}
+
+void StackTreeMerge::Compact(ColumnBatch* window) {
+  SJOS_CHECK(ready_.empty(), "Compact with rows due for output");
+  Side* side = window == anc_.rows ? &anc_ : &desc_;
+  const size_t live = window->size() - side->dead_rows;
+  if (side->dead_rows <= live) return;
+  // Keep the referred-to groups, then the uncut tail, packed in order.
+  std::vector<uint32_t> remap(side->groups.size());
+  std::vector<std::pair<size_t, size_t>> keep;
+  uint32_t rows = 0;
+  uint32_t kept = 0;
+  for (size_t i = 0; i < side->groups.size(); ++i) {
+    const Group g = side->groups[i];
+    if (g.refs == 0) continue;
+    keep.emplace_back(g.begin, g.end);
+    remap[i] = kept;
+    const uint32_t n = g.end - g.begin;
+    side->groups[kept++] = Group{g.elem, rows, rows + n, g.refs};
+    rows += n;
+  }
+  side->groups.resize(kept);
+  keep.emplace_back(side->next_row, window->size());
+  side->next_row = rows;
+  side->dead_rows = 0;
+  PackRows(window, keep);
+  // Renumber what refers to the side's groups: the stack or the current
+  // descendant group, and the buffered pairs.
+  uint32_t GroupPair::*const field =
+      side == &anc_ ? &GroupPair::ag : &GroupPair::dg;
+  if (side == &anc_) {
+    for (uint32_t& ag : stack_ag_) ag = remap[ag];
+  } else if (have_dg_) {
+    cur_dg_ = remap[cur_dg_];
+  }
+  for (PairBuffers& b : buffers_) {
+    for (GroupPair& p : b.self) p.*field = remap[p.*field];
+    for (GroupPair& p : b.inherit) p.*field = remap[p.*field];
+  }
+}
 
 Result<ColumnBatch> StackTreeJoin(DocView view, const ColumnBatch& anc,
                                   size_t anc_slot, const ColumnBatch& desc,
@@ -240,26 +319,15 @@ Result<ColumnBatch> StackTreeJoin(DocView view, const ColumnBatch& anc,
   SJOS_RETURN_IF_ERROR(ValidateJoinInputs(anc, anc_slot, desc, desc_slot));
   ColumnBatch out =
       MakeOutputSet(anc, anc_slot, desc, desc_slot, output_by_ancestor);
-  const std::vector<Group> anc_groups = BuildGroups(anc, anc_slot);
-  const std::vector<Group> desc_groups = BuildGroups(desc, desc_slot);
-  if (anc_groups.empty() || desc_groups.empty()) return out;
-  SJOS_RETURN_IF_ERROR(RunStackTree(view, anc, desc, anc_groups, desc_groups,
-                                   axis, output_by_ancestor, max_output_rows,
-                                   &out, stats, governor));
+  if (anc.empty() || desc.empty()) return out;
+  // One window per whole input, both at end-of-stream, no row cap.
+  StackTreeMerge merge(view, &anc, anc_slot, &desc, desc_slot, axis,
+                       output_by_ancestor, max_output_rows, governor);
+  Result<StackTreeMerge::Wait> done =
+      merge.Run(/*anc_eos=*/true, /*desc_eos=*/true,
+                std::numeric_limits<size_t>::max(), &out, stats);
+  if (!done.ok()) return done.status();
   return out;
-}
-
-Result<TupleSet> StackTreeJoin(DocView view, const TupleSet& anc,
-                               size_t anc_slot, const TupleSet& desc,
-                               size_t desc_slot, Axis axis,
-                               bool output_by_ancestor, JoinStats* stats,
-                               uint64_t max_output_rows,
-                               QueryGovernor* governor) {
-  Result<ColumnBatch> out = StackTreeJoin(
-      view, ColumnBatch::FromRows(anc), anc_slot, ColumnBatch::FromRows(desc),
-      desc_slot, axis, output_by_ancestor, stats, max_output_rows, governor);
-  if (!out.ok()) return out.status();
-  return std::move(out).value().ToRows();
 }
 
 }  // namespace sjos

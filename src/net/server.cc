@@ -240,12 +240,15 @@ Status QueryServer::Start() {
 void QueryServer::Stop() {
   if (!started_.exchange(false)) return;
   stopping_.store(true);
+  // Shut the listener down to unblock accept(), and close it only once the
+  // accept loop has exited: closing first would let accept() run on a
+  // descriptor number the process may already have reused.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::lock_guard<std::mutex> lock(conn_mu_);
   for (auto& conn : connections_) {
     if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
@@ -337,11 +340,13 @@ void QueryServer::ReapFinishedLocked() {
 }
 
 void QueryServer::AcceptLoop() {
+  // Stop resets listen_fd_ only after joining this thread.
+  const int listen_fd = listen_fd_;
   while (!stopping_.load(std::memory_order_relaxed)) {
     sockaddr_in peer;
     socklen_t len = sizeof(peer);
     const int fd =
-        ::accept(listen_fd_, reinterpret_cast<sockaddr*>(&peer), &len);
+        ::accept(listen_fd, reinterpret_cast<sockaddr*>(&peer), &len);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // listener closed by Stop/drain (or a fatal accept error)

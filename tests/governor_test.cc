@@ -81,11 +81,11 @@ TEST_F(GovernorTest, DeadlineFiresAtEverySlowSite) {
 // The join kernel polls the deadline between descendant groups, so an
 // expired deadline stops it before any output and records the verdict.
 TEST_F(GovernorTest, DeadlineFiresInsideJoinKernel) {
-  const TupleSet anc = ScanCandidates(*db_, pattern_, 0);
-  const TupleSet desc = ScanCandidates(*db_, pattern_, 1);
+  const ColumnBatch anc = ScanCandidateColumns(*db_, pattern_, 0);
+  const ColumnBatch desc = ScanCandidateColumns(*db_, pattern_, 1);
   QueryGovernor governor(/*deadline_ms=*/1, /*max_live_bytes=*/0);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  Result<TupleSet> joined =
+  Result<ColumnBatch> joined =
       StackTreeJoin(db_->View(), anc, 0, desc, 0, Axis::kDescendant,
                     /*output_by_ancestor=*/false, nullptr,
                     /*max_output_rows=*/0, &governor);
@@ -94,7 +94,7 @@ TEST_F(GovernorTest, DeadlineFiresInsideJoinKernel) {
   EXPECT_STREQ(governor.verdict(), "deadline");
 
   // Without a governor the same join runs to completion.
-  Result<TupleSet> ungoverned = StackTreeJoin(
+  Result<ColumnBatch> ungoverned = StackTreeJoin(
       db_->View(), anc, 0, desc, 0, Axis::kDescendant, false);
   ASSERT_TRUE(ungoverned.ok()) << ungoverned.status().ToString();
   EXPECT_GT(ungoverned.value().size(), 0u);

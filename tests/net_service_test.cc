@@ -438,8 +438,9 @@ TEST_F(ServiceTest, StatsVerbReportsInFlightAndSlowQueries) {
   EXPECT_TRUE(seen) << "query never appeared in stats in_flight";
 
   // The slow array is served from the engine's slow ring.
-  const JsonValue* slow =
-      client.Call("{\"verb\":\"stats\",\"id\":\"s2\"}").value().Find("slow");
+  Result<JsonValue> stats = client.Call("{\"verb\":\"stats\",\"id\":\"s2\"}");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const JsonValue* slow = stats.value().Find("slow");
   ASSERT_NE(slow, nullptr);
   EXPECT_TRUE(slow->is_array());
 }

@@ -73,10 +73,10 @@ TEST(PredicateParserTest, EmptyValueAllowed) {
 TEST(PredicateScanTest, FiltersCandidates) {
   Database db = Db("<r><x>a</x><x>b</x><x>a</x><x/></r>");
   Pattern p = Pat("x='a'");
-  TupleSet set = ScanCandidates(db, p, 0);
+  ColumnBatch set = ScanCandidateColumns(db, p, 0);
   EXPECT_EQ(set.size(), 2u);
   Pattern all = Pat("x");
-  EXPECT_EQ(ScanCandidates(db, all, 0).size(), 4u);
+  EXPECT_EQ(ScanCandidateColumns(db, all, 0).size(), 4u);
 }
 
 TEST(PredicateSelectivityTest, ExactCounts) {

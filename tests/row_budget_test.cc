@@ -16,8 +16,9 @@
 namespace sjos {
 namespace {
 
-TupleSet Candidates(const Database& db, const char* tag, PatternNodeId slot) {
-  TupleSet set({slot});
+ColumnBatch Candidates(const Database& db, const char* tag,
+                       PatternNodeId slot) {
+  ColumnBatch set({slot});
   TagId id = db.doc().dict().Find(tag);
   for (NodeId n : db.index().Postings(id)) set.AppendRow(&n);
   set.set_ordered_by_slot(0);
@@ -28,22 +29,22 @@ TEST(RowBudgetTest, JoinAbortsOverBudget) {
   PersGenConfig config;
   config.target_nodes = 2000;
   Database db = Database::Open(GeneratePers(config).value());
-  TupleSet managers = Candidates(db, "manager", 0);
-  TupleSet names = Candidates(db, "name", 1);
+  ColumnBatch managers = Candidates(db, "manager", 0);
+  ColumnBatch names = Candidates(db, "name", 1);
   // Unbudgeted: thousands of pairs.
-  TupleSet full = std::move(StackTreeJoin(db.doc(), managers, 0, names, 0,
-                                          Axis::kDescendant, false, nullptr,
-                                          /*max_output_rows=*/0))
-                      .value();
+  ColumnBatch full = std::move(StackTreeJoin(db.doc(), managers, 0, names, 0,
+                                             Axis::kDescendant, false, nullptr,
+                                             /*max_output_rows=*/0))
+                         .value();
   ASSERT_GT(full.size(), 100u);
   // Budgeted below the output size: OutOfRange.
-  Result<TupleSet> capped =
+  Result<ColumnBatch> capped =
       StackTreeJoin(db.doc(), managers, 0, names, 0, Axis::kDescendant, false,
                     nullptr, /*max_output_rows=*/100);
   ASSERT_FALSE(capped.ok());
   EXPECT_EQ(capped.status().code(), StatusCode::kOutOfRange);
   // Both algorithm variants honor the budget.
-  Result<TupleSet> capped_anc =
+  Result<ColumnBatch> capped_anc =
       StackTreeJoin(db.doc(), managers, 0, names, 0, Axis::kDescendant, true,
                     nullptr, /*max_output_rows=*/100);
   ASSERT_FALSE(capped_anc.ok());
@@ -53,10 +54,11 @@ TEST(RowBudgetTest, JoinAbortsOverBudget) {
 TEST(RowBudgetTest, BudgetAboveOutputIsHarmless) {
   Database db = Database::Open(
       std::move(ParseXml("<a><b/><b/><b/></a>")).value());
-  TupleSet a = Candidates(db, "a", 0);
-  TupleSet b = Candidates(db, "b", 1);
-  Result<TupleSet> out = StackTreeJoin(db.doc(), a, 0, b, 0, Axis::kDescendant,
-                                       false, nullptr, /*max_output_rows=*/3);
+  ColumnBatch a = Candidates(db, "a", 0);
+  ColumnBatch b = Candidates(db, "b", 1);
+  Result<ColumnBatch> out =
+      StackTreeJoin(db.doc(), a, 0, b, 0, Axis::kDescendant, false, nullptr,
+                    /*max_output_rows=*/3);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.value().size(), 3u);
 }
@@ -68,8 +70,8 @@ TEST(RowBudgetTest, BudgetIsExactForBothVariants) {
   PersGenConfig config;
   config.target_nodes = 4000;
   Database db = Database::Open(GeneratePers(config).value());
-  TupleSet managers = Candidates(db, "manager", 0);
-  TupleSet names = Candidates(db, "name", 1);
+  ColumnBatch managers = Candidates(db, "manager", 0);
+  ColumnBatch names = Candidates(db, "name", 1);
   Pattern pattern = std::move(ParsePattern("manager[//name]")).value();
 
   for (bool by_ancestor : {false, true}) {
@@ -81,12 +83,12 @@ TEST(RowBudgetTest, BudgetIsExactForBothVariants) {
             .size();
     ASSERT_GT(full_rows, 100u);
 
-    Result<TupleSet> at_budget =
+    Result<ColumnBatch> at_budget =
         StackTreeJoin(db.doc(), managers, 0, names, 0, Axis::kDescendant,
                       by_ancestor, nullptr, /*max_output_rows=*/full_rows);
     ASSERT_TRUE(at_budget.ok()) << at_budget.status().ToString();
     EXPECT_EQ(at_budget.value().size(), full_rows);
-    Result<TupleSet> capped =
+    Result<ColumnBatch> capped =
         StackTreeJoin(db.doc(), managers, 0, names, 0, Axis::kDescendant,
                       by_ancestor, nullptr, /*max_output_rows=*/full_rows - 1);
     ASSERT_FALSE(capped.ok());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "exec/operators.h"
+#include "exec/executor.h"
+#include "exec/operator.h"
 #include "exec/stack_tree.h"
 #include "storage/catalog.h"
 #include "xml/generators/tree_gen.h"
@@ -15,9 +16,9 @@ Database Db(std::string_view xml) {
 
 /// Candidate list of the first pattern node with tag `tag` mapped to
 /// pattern slot `slot`.
-TupleSet Candidates(const Database& db, std::string_view tag,
-                    PatternNodeId slot) {
-  TupleSet set({slot});
+ColumnBatch Candidates(const Database& db, std::string_view tag,
+                       PatternNodeId slot) {
+     ColumnBatch set({slot});
   TagId id = db.doc().dict().Find(tag);
   if (id != kInvalidTag) {
     for (NodeId n : db.index().Postings(id)) set.AppendRow(&n);
@@ -28,10 +29,10 @@ TupleSet Candidates(const Database& db, std::string_view tag,
 
 /// Brute-force reference join over two single-column inputs.
 std::vector<std::pair<NodeId, NodeId>> RefJoin(const Database& db,
-                                               const TupleSet& anc,
-                                               const TupleSet& desc,
-                                               Axis axis) {
-  std::vector<std::pair<NodeId, NodeId>> out;
+                                               const ColumnBatch& anc,
+                                                  const ColumnBatch& desc,
+                                                  Axis axis) {
+     std::vector<std::pair<NodeId, NodeId>> out;
   for (size_t i = 0; i < anc.size(); ++i) {
     for (size_t j = 0; j < desc.size(); ++j) {
       NodeId a = anc.At(i, 0);
@@ -45,7 +46,7 @@ std::vector<std::pair<NodeId, NodeId>> RefJoin(const Database& db,
   return out;
 }
 
-std::vector<std::pair<NodeId, NodeId>> PairsOf(const TupleSet& set) {
+std::vector<std::pair<NodeId, NodeId>> PairsOf(const ColumnBatch& set) {
   std::vector<std::pair<NodeId, NodeId>> out;
   for (size_t i = 0; i < set.size(); ++i) {
     out.emplace_back(set.At(i, 0), set.At(i, 1));
@@ -56,14 +57,14 @@ std::vector<std::pair<NodeId, NodeId>> PairsOf(const TupleSet& set) {
 
 TEST(StackTreeTest, DescBasicAncestorDescendant) {
   Database db = Db("<a><b><c/><b><c/></b></b><c/></a>");
-  TupleSet b = Candidates(db, "b", 0);
-  TupleSet c = Candidates(db, "c", 1);
+  ColumnBatch b = Candidates(db, "b", 0);
+  ColumnBatch c = Candidates(db, "c", 1);
   JoinStats stats;
-  TupleSet out = std::move(StackTreeJoin(db.doc(), b, 0, c, 0,
-                                         Axis::kDescendant,
-                                         /*output_by_ancestor=*/false,
-                                         &stats))
-                     .value();
+  ColumnBatch out = std::move(StackTreeJoin(db.doc(), b, 0, c, 0,
+                                            Axis::kDescendant,
+                                            /*output_by_ancestor=*/false,
+                                            &stats))
+                        .value();
   EXPECT_EQ(PairsOf(out), RefJoin(db, b, c, Axis::kDescendant));
   EXPECT_EQ(stats.output_rows, out.size());
   EXPECT_GT(stats.stack_pushes, 0u);
@@ -74,12 +75,13 @@ TEST(StackTreeTest, DescBasicAncestorDescendant) {
 
 TEST(StackTreeTest, AncOutputOrderedByAncestor) {
   Database db = Db("<a><b><c/><b><c/></b></b><b><c/></b></a>");
-  TupleSet b = Candidates(db, "b", 0);
-  TupleSet c = Candidates(db, "c", 1);
-  TupleSet out = std::move(StackTreeJoin(db.doc(), b, 0, c, 0,
-                                         Axis::kDescendant,
-                                         /*output_by_ancestor=*/true, nullptr))
-                     .value();
+  ColumnBatch b = Candidates(db, "b", 0);
+  ColumnBatch c = Candidates(db, "c", 1);
+  ColumnBatch out = std::move(StackTreeJoin(db.doc(), b, 0, c, 0,
+                                            Axis::kDescendant,
+                                            /*output_by_ancestor=*/true,
+                                            nullptr))
+                        .value();
   EXPECT_EQ(PairsOf(out), RefJoin(db, b, c, Axis::kDescendant));
   EXPECT_TRUE(out.IsSortedBySlot(0));
   EXPECT_EQ(out.OrderedByNode(), 0);
@@ -87,22 +89,22 @@ TEST(StackTreeTest, AncOutputOrderedByAncestor) {
 
 TEST(StackTreeTest, ParentChildFiltersLevels) {
   Database db = Db("<a><b><x/><b><x/></b></b></a>");
-  TupleSet b = Candidates(db, "b", 0);
-  TupleSet x = Candidates(db, "x", 1);
-  TupleSet out = std::move(StackTreeJoin(db.doc(), b, 0, x, 0, Axis::kChild,
-                                         false, nullptr))
-                     .value();
+  ColumnBatch b = Candidates(db, "b", 0);
+  ColumnBatch x = Candidates(db, "x", 1);
+  ColumnBatch out = std::move(StackTreeJoin(db.doc(), b, 0, x, 0, Axis::kChild,
+                                            false, nullptr))
+                        .value();
   EXPECT_EQ(PairsOf(out), RefJoin(db, b, x, Axis::kChild));
   EXPECT_EQ(out.size(), 2u);  // each x has exactly one b parent
 }
 
 TEST(StackTreeTest, SelfJoinOnRecursiveTag) {
   Database db = Db("<m><m><m/></m><m/></m>");
-  TupleSet outer = Candidates(db, "m", 0);
-  TupleSet inner = Candidates(db, "m", 1);
-  TupleSet out = std::move(StackTreeJoin(db.doc(), outer, 0, inner, 0,
-                                         Axis::kDescendant, false, nullptr))
-                     .value();
+  ColumnBatch outer = Candidates(db, "m", 0);
+  ColumnBatch inner = Candidates(db, "m", 1);
+  ColumnBatch out = std::move(StackTreeJoin(db.doc(), outer, 0, inner, 0,
+                                            Axis::kDescendant, false, nullptr))
+                        .value();
   // Pairs: (0,1),(0,2),(0,3),(1,2) — never (x,x).
   EXPECT_EQ(out.size(), 4u);
   for (size_t i = 0; i < out.size(); ++i) {
@@ -112,15 +114,15 @@ TEST(StackTreeTest, SelfJoinOnRecursiveTag) {
 
 TEST(StackTreeTest, EmptyInputsYieldEmptyOutput) {
   Database db = Db("<a><b/></a>");
-  TupleSet b = Candidates(db, "b", 0);
-  TupleSet none = Candidates(db, "zzz", 1);
-  TupleSet out1 = std::move(StackTreeJoin(db.doc(), b, 0, none, 0,
-                                          Axis::kDescendant, false, nullptr))
-                      .value();
+  ColumnBatch b = Candidates(db, "b", 0);
+  ColumnBatch none = Candidates(db, "zzz", 1);
+  ColumnBatch out1 = std::move(StackTreeJoin(db.doc(), b, 0, none, 0,
+                                             Axis::kDescendant, false, nullptr))
+                         .value();
   EXPECT_TRUE(out1.empty());
-  TupleSet out2 = std::move(StackTreeJoin(db.doc(), none, 0, b, 0,
-                                          Axis::kDescendant, true, nullptr))
-                      .value();
+  ColumnBatch out2 = std::move(StackTreeJoin(db.doc(), none, 0, b, 0,
+                                             Axis::kDescendant, true, nullptr))
+                         .value();
   EXPECT_TRUE(out2.empty());
   EXPECT_EQ(out1.arity(), 2u);
 }
@@ -128,16 +130,16 @@ TEST(StackTreeTest, EmptyInputsYieldEmptyOutput) {
 TEST(StackTreeTest, GroupCrossProductExpansion) {
   Database db = Db("<a><b><c/></b></a>");
   // Two tuples share the same b element (payload differs in slot 5).
-  TupleSet left({0, 5});
+  ColumnBatch left({0, 5});
   NodeId r1[] = {1, 100};
   NodeId r2[] = {1, 200};
   left.AppendRow(r1);
   left.AppendRow(r2);
   left.set_ordered_by_slot(0);
-  TupleSet right = Candidates(db, "c", 1);
-  TupleSet out = std::move(StackTreeJoin(db.doc(), left, 0, right, 0,
-                                         Axis::kDescendant, false, nullptr))
-                     .value();
+  ColumnBatch right = Candidates(db, "c", 1);
+  ColumnBatch out = std::move(StackTreeJoin(db.doc(), left, 0, right, 0,
+                                            Axis::kDescendant, false, nullptr))
+                        .value();
   ASSERT_EQ(out.size(), 2u);  // cross product 2 x 1
   EXPECT_EQ(out.At(0, 1), 100u);
   EXPECT_EQ(out.At(1, 1), 200u);
@@ -145,11 +147,11 @@ TEST(StackTreeTest, GroupCrossProductExpansion) {
 
 TEST(StackTreeTest, RejectsUnsortedInput) {
   Database db = Db("<a><b/><b/></a>");
-  TupleSet bad({0});
+  ColumnBatch bad({0});
   NodeId x = 2, y = 1;
   bad.AppendRow(&x);
   bad.AppendRow(&y);
-  TupleSet c = Candidates(db, "b", 1);
+  ColumnBatch c = Candidates(db, "b", 1);
   EXPECT_FALSE(StackTreeJoin(db.doc(), bad, 0, c, 0, Axis::kDescendant, false,
                              nullptr)
                    .ok());
@@ -157,8 +159,8 @@ TEST(StackTreeTest, RejectsUnsortedInput) {
 
 TEST(StackTreeTest, RejectsOverlappingSchemas) {
   Database db = Db("<a><b/></a>");
-  TupleSet x = Candidates(db, "a", 0);
-  TupleSet y = Candidates(db, "b", 0);
+  ColumnBatch x = Candidates(db, "a", 0);
+  ColumnBatch y = Candidates(db, "b", 0);
   EXPECT_FALSE(
       StackTreeJoin(db.doc(), x, 0, y, 0, Axis::kDescendant, false, nullptr)
           .ok());
@@ -166,8 +168,8 @@ TEST(StackTreeTest, RejectsOverlappingSchemas) {
 
 TEST(StackTreeTest, RejectsBadSlot) {
   Database db = Db("<a><b/></a>");
-  TupleSet x = Candidates(db, "a", 0);
-  TupleSet y = Candidates(db, "b", 1);
+  ColumnBatch x = Candidates(db, "a", 0);
+  ColumnBatch y = Candidates(db, "b", 1);
   EXPECT_FALSE(
       StackTreeJoin(db.doc(), x, 3, y, 0, Axis::kDescendant, false, nullptr)
           .ok());
@@ -193,13 +195,13 @@ TEST_P(StackTreeSweep, MatchesBruteForceOnRandomTrees) {
   Database db = Database::Open(GenerateTree(config).value());
   for (uint32_t t0 = 0; t0 < std::min<uint32_t>(param.num_tags, 3); ++t0) {
     for (uint32_t t1 = 0; t1 < std::min<uint32_t>(param.num_tags, 3); ++t1) {
-      TupleSet anc = Candidates(db, "t" + std::to_string(t0), 0);
-      TupleSet desc = Candidates(db, "t" + std::to_string(t1), 1);
+      ColumnBatch anc = Candidates(db, "t" + std::to_string(t0), 0);
+      ColumnBatch desc = Candidates(db, "t" + std::to_string(t1), 1);
       for (Axis axis : {Axis::kDescendant, Axis::kChild}) {
         auto ref = RefJoin(db, anc, desc, axis);
         for (bool by_anc : {false, true}) {
-          Result<TupleSet> out = StackTreeJoin(db.doc(), anc, 0, desc, 0,
-                                               axis, by_anc, nullptr);
+          Result<ColumnBatch> out = StackTreeJoin(db.doc(), anc, 0, desc, 0,
+                                                  axis, by_anc, nullptr);
           ASSERT_TRUE(out.ok()) << out.status().ToString();
           EXPECT_EQ(PairsOf(out.value()), ref);
           EXPECT_TRUE(out.value().IsSortedBySlot(by_anc ? 0 : 1));
@@ -215,6 +217,258 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{3, 10, 2}, SweepParam{4, 14, 4},
                       SweepParam{5, 4, 1}, SweepParam{6, 8, 2},
                       SweepParam{7, 12, 3}, SweepParam{8, 5, 5}));
+
+// ---------------------------------------------------------------------------
+// The streaming join operators against the whole-input StackTreeJoin. Both
+// run the one Stack-Tree merge, so at every batch size the operator's rows
+// must be the whole-input call's rows, byte for byte and in order, with the
+// same counters — also when the row budget cuts the join short.
+
+/// Serves a fixed batch in slices of at most ctx->batch_rows: a stand-in
+/// child that feeds the join operator arbitrary sorted inputs.
+class BatchSource : public Operator {
+ public:
+  BatchSource(ExecContext* ctx, int plan_index, ColumnBatch rows)
+      : Operator(ctx, plan_index, rows.slots(), rows.ordered_by_slot()),
+        rows_(std::move(rows)) {}
+  Status Open() override { return Status::OK(); }
+  Status NextBatch(ColumnBatch* out, bool* eos) override {
+    const size_t take = std::min(ctx_->batch_rows, rows_.size() - pos_);
+    out->AppendRange(rows_, pos_, take);
+    pos_ += take;
+    *eos = pos_ == rows_.size();
+    return Status::OK();
+  }
+  Status Close() override { return Status::OK(); }
+  const char* Name() const override { return "BatchSource"; }
+
+ private:
+  ColumnBatch rows_;
+  size_t pos_ = 0;
+};
+
+struct JoinCase {
+  ColumnBatch anc;
+  size_t anc_slot;
+  ColumnBatch desc;
+  size_t desc_slot;
+  Axis axis;
+  bool by_ancestor;
+  uint64_t max_output_rows = 0;
+};
+
+struct Streamed {
+  Status status;
+  ColumnBatch rows;  // every batch the operator returned before any error
+  ExecStats stats;
+  OpStats join;
+};
+
+/// Pulls the streaming join operator over `c` to the end (or the first
+/// error) at `batch_rows`, checking the batch contract and that the live
+/// accounting balances after Close.
+Streamed StreamJoin(const Database& db, const JoinCase& c, size_t batch_rows) {
+  Streamed r;
+  std::vector<OpStats> op_stats(3);
+  ExecContext ctx;
+  ctx.db = &db;
+  ctx.batch_rows = batch_rows;
+  ctx.max_join_output_rows = c.max_output_rows;
+  ctx.stats = &r.stats;
+  ctx.op_stats = &op_stats;
+  auto left = std::make_unique<BatchSource>(&ctx, 1, c.anc);
+  auto right = std::make_unique<BatchSource>(&ctx, 2, c.desc);
+  std::unique_ptr<Operator> join;
+  if (c.by_ancestor) {
+    join = std::make_unique<StackTreeAncOp>(&ctx, 0, c.axis, c.anc_slot,
+                                            c.desc_slot, std::move(left),
+                                            std::move(right));
+  } else {
+    join = std::make_unique<StackTreeDescOp>(&ctx, 0, c.axis, c.anc_slot,
+                                             c.desc_slot, std::move(left),
+                                             std::move(right));
+  }
+  r.rows = join->MakeBatch();
+  r.status = Operator::OpenTimed(join.get());
+  ColumnBatch batch = join->MakeBatch();
+  bool eos = false;
+  while (r.status.ok() && !eos) {
+    r.status = Operator::PullTimed(join.get(), &batch, &eos);
+    if (!r.status.ok()) break;
+    EXPECT_LE(batch.size(), batch_rows);
+    EXPECT_TRUE(eos || !batch.empty()) << "empty batch without eos";
+    r.rows.AppendBatch(batch);
+  }
+  EXPECT_TRUE(join->Close().ok());
+  EXPECT_EQ(ctx.cur_live_rows, 0u);
+  EXPECT_EQ(ctx.cur_live_bytes, 0u);
+  r.join = op_stats[0];
+  return r;
+}
+
+void ExpectSameRows(const ColumnBatch& got, const ColumnBatch& want) {
+  ASSERT_EQ(got.slots(), want.slots());
+  EXPECT_EQ(got.ordered_by_slot(), want.ordered_by_slot());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t c = 0; c < got.arity(); ++c) {
+    EXPECT_TRUE(std::equal(got.Col(c), got.Col(c) + got.size(), want.Col(c)))
+        << "column " << c << " differs";
+  }
+}
+
+/// Runs `c` through StackTreeJoin and through the operator at batch sizes
+/// 1, 2, 7 and 1024, and checks that they agree.
+void ExpectOperatorMatchesKernel(const Database& db, const JoinCase& c) {
+  JoinStats kernel_stats;
+  Result<ColumnBatch> kernel =
+      StackTreeJoin(db.View(), c.anc, c.anc_slot, c.desc, c.desc_slot, c.axis,
+                    c.by_ancestor, &kernel_stats, c.max_output_rows);
+  for (size_t batch_rows : {size_t{1}, size_t{2}, size_t{7}, size_t{1024}}) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+    Streamed s = StreamJoin(db, c, batch_rows);
+    EXPECT_EQ(s.stats.join_output_rows, kernel_stats.output_rows);
+    EXPECT_EQ(s.stats.element_pairs, kernel_stats.element_pairs);
+    if (kernel.ok()) {
+      ASSERT_TRUE(s.status.ok()) << s.status.ToString();
+      ExpectSameRows(s.rows, kernel.value());
+      continue;
+    }
+    // Both fail, with the same error; the operator's rows before the
+    // failure are a prefix of the unbudgeted output.
+    EXPECT_EQ(s.status.ToString(), kernel.status().ToString());
+    ColumnBatch full =
+        std::move(StackTreeJoin(db.View(), c.anc, c.anc_slot, c.desc,
+                                c.desc_slot, c.axis, c.by_ancestor))
+            .value();
+    ASSERT_LE(s.rows.size(), full.size());
+    ColumnBatch prefix(full.slots());
+    prefix.set_ordered_by_slot(full.ordered_by_slot());
+    prefix.AppendRange(full, 0, s.rows.size());
+    ExpectSameRows(s.rows, prefix);
+  }
+}
+
+/// `keys` (one column) with every row repeated `k` times, the copies told
+/// apart by a payload column bound to pattern node `payload`: inputs whose
+/// join groups span several rows.
+ColumnBatch WithRuns(const ColumnBatch& keys, PatternNodeId payload,
+                     NodeId k) {
+  ColumnBatch out({keys.slots()[0], payload});
+  for (size_t i = 0; i < keys.size(); ++i) {
+    for (NodeId j = 0; j < k; ++j) {
+      const NodeId row[] = {keys.At(i, 0), j};
+      out.AppendRow(row);
+    }
+  }
+  out.set_ordered_by_slot(0);
+  return out;
+}
+
+TEST_P(StackTreeSweep, OperatorMatchesWholeInputJoin) {
+  const SweepParam param = GetParam();
+  TreeGenConfig config;
+  config.target_nodes = 400;
+  config.max_depth = param.max_depth;
+  config.num_tags = param.num_tags;
+  config.seed = param.seed;
+  Database db = Database::Open(GenerateTree(config).value());
+  auto tag = [&](uint32_t t) {
+    return "t" + std::to_string(t % param.num_tags);
+  };
+  const ColumnBatch t0 = Candidates(db, tag(0), 0);
+  const ColumnBatch t1 = Candidates(db, tag(1), 1);
+  const ColumnBatch t2 = Candidates(db, tag(2), 2);
+  // A join's output as the next join's input: (t0 STD t1) is ordered by
+  // t1 with one row per t0 ancestor; (t1 STA t2) by t1 with one row per t2
+  // descendant.
+  const ColumnBatch t0_t1 =
+      std::move(StackTreeJoin(db.View(), t0, 0, t1, 0, Axis::kDescendant,
+                              /*output_by_ancestor=*/false))
+          .value();
+  const ColumnBatch t1_t2 =
+      std::move(StackTreeJoin(db.View(), t1, 0, t2, 0, Axis::kDescendant,
+                              /*output_by_ancestor=*/true))
+          .value();
+  struct Inputs {
+    const char* name;
+    ColumnBatch anc;
+    size_t anc_slot;
+    ColumnBatch desc;
+    size_t desc_slot;
+  };
+  const Inputs inputs[] = {
+      {"scans", t0, 0, t1, 0},
+      {"join output as ancestor", t0_t1, 1, t2, 0},
+      {"join output as descendant", t0, 0, t1_t2, 0},
+      {"repeated rows", WithRuns(t0, 5, 3), 0, WithRuns(t1, 6, 2), 0},
+  };
+  for (const Inputs& in : inputs) {
+    for (Axis axis : {Axis::kDescendant, Axis::kChild}) {
+      for (bool by_anc : {false, true}) {
+        SCOPED_TRACE(std::string(in.name) + (by_anc ? " Anc" : " Desc") +
+                     (axis == Axis::kChild ? " /" : " //"));
+        ExpectOperatorMatchesKernel(
+            db, {in.anc, in.anc_slot, in.desc, in.desc_slot, axis, by_anc});
+      }
+    }
+  }
+}
+
+// One ancestor encloses the whole document. In the Anc variant every pair
+// stays buffered until that ancestor pops at the very end, while nested
+// ancestors and descendants that match nothing die along the way: the
+// windows must compact under the buffered pairs, or the join's peak would
+// grow with its inputs.
+TEST(StackTreeOperatorTest, CompactsWindowsUnderBufferedAncPairs) {
+  std::string xml = "<a><b/><b/><b/>";
+  for (int i = 0; i < 300; ++i) xml += "<a><c/></a><c><b/></c>";
+  xml += "</a>";
+  Database db = Db(xml);
+  const ColumnBatch a = Candidates(db, "a", 0);
+  const ColumnBatch b = Candidates(db, "b", 1);
+  ASSERT_EQ(a.size(), 301u);
+  ASSERT_EQ(b.size(), 303u);
+  const JoinCase c{a, 0, b, 0, Axis::kChild, /*by_ancestor=*/true};
+  ExpectOperatorMatchesKernel(db, c);
+  for (size_t batch_rows : {size_t{1}, size_t{7}}) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+    Streamed s = StreamJoin(db, c, batch_rows);
+    ASSERT_TRUE(s.status.ok()) << s.status.ToString();
+    EXPECT_EQ(s.rows.size(), 3u);  // the root's three b children
+    // Without compaction the windows would end up holding every input row.
+    EXPECT_LT(s.join.peak_live_rows, (a.size() + b.size()) / 4);
+  }
+}
+
+// A row budget that runs out inside one group cross product: both paths
+// emit exactly the rows that fit and fail on the next, with the same
+// counters, at every batch size.
+TEST(StackTreeOperatorTest, RowBudgetFailsAtTheSameRow) {
+  Database db = Db("<r><a><b/><b/><a><b/></a></a><a><b/></a></r>");
+  // Three rows per ancestor element, two per descendant element: each
+  // matched element pair expands to a 3 x 2 cross product.
+  const ColumnBatch a = WithRuns(Candidates(db, "a", 0), 5, 3);
+  const ColumnBatch b = WithRuns(Candidates(db, "b", 1), 6, 2);
+  for (bool by_anc : {false, true}) {
+    const uint64_t full =
+        std::move(StackTreeJoin(db.View(), a, 0, b, 0, Axis::kDescendant,
+                                by_anc))
+            .value()
+            .size();
+    ASSERT_EQ(full, 5u * 6u);  // five matched element pairs
+    for (uint64_t budget : {uint64_t{1}, uint64_t{3}, uint64_t{4},
+                            uint64_t{17}, full - 1, full}) {
+      SCOPED_TRACE(std::string(by_anc ? "Anc" : "Desc") +
+                   " budget=" + std::to_string(budget));
+      JoinCase c{a, 0, b, 0, Axis::kDescendant, by_anc};
+      c.max_output_rows = budget;
+      ExpectOperatorMatchesKernel(db, c);
+      if (budget < full) {
+        EXPECT_EQ(StreamJoin(db, c, 2).stats.join_output_rows, budget);
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace sjos

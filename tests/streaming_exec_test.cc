@@ -239,9 +239,9 @@ TEST(StreamingExecTest, RowBudgetErrorIsBatchSizeInvariant) {
 
   // The whole-input kernel's error is the reference message.
   JoinStats join_stats;
-  Result<TupleSet> kernel = StackTreeJoin(
-      db.View(), ScanCandidates(db, pattern, 0), 0,
-      ScanCandidates(db, pattern, 1), 0, Axis::kDescendant,
+  Result<ColumnBatch> kernel = StackTreeJoin(
+      db.View(), ScanCandidateColumns(db, pattern, 0), 0,
+      ScanCandidateColumns(db, pattern, 1), 0, Axis::kDescendant,
       /*output_by_ancestor=*/false, &join_stats, /*max_output_rows=*/100);
   ASSERT_FALSE(kernel.ok());
   ASSERT_EQ(kernel.status().code(), StatusCode::kOutOfRange);
