@@ -96,9 +96,6 @@ class ColumnBatch {
   /// True if rows are non-decreasing in `slot` (vector sweep).
   bool IsSortedBySlot(size_t slot) const;
 
-  /// Canonical row dump, identical output to TupleSet::Canonical().
-  std::vector<std::vector<NodeId>> Canonical() const;
-
   /// Row-major conversion shims for the TupleSet boundary.
   TupleSet ToRows() const;
   static ColumnBatch FromRows(const TupleSet& rows);

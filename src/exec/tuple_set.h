@@ -85,8 +85,13 @@ class TupleSet {
   /// True if rows are non-decreasing in `slot`.
   bool IsSortedBySlot(size_t slot) const;
 
-  /// Canonical row dump for result comparison in tests: columns reordered
-  /// by ascending pattern-node id, rows sorted lexicographically.
+  /// The rows in canonical order, flat: columns reordered by ascending
+  /// pattern-node id, rows sorted lexicographically (duplicates kept),
+  /// arity() ids per row. The wire encoder writes results in this order.
+  std::vector<NodeId> CanonicalRows() const;
+
+  /// CanonicalRows() split into one vector per row, for result comparison
+  /// in tests.
   std::vector<std::vector<NodeId>> Canonical() const;
 
  private:

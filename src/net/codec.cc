@@ -1,6 +1,13 @@
 #include "net/codec.h"
 
+#include <algorithm>
+#include <charconv>
+#include <vector>
+
+#include "common/str_util.h"
+#include "net/frame.h"
 #include "net/json.h"
+#include "service/engine.h"
 
 namespace sjos {
 namespace net {
@@ -8,6 +15,29 @@ namespace net {
 namespace {
 
 constexpr size_t kMaxIdBytes = 256;
+
+/// Appends `[[a,b,...],...]`'s inner rows from a flat row-major buffer.
+/// A row of k ids takes at most 11k + 2 bytes (a NodeId has at most 10
+/// digits; the brackets, k - 1 commas and the comma before the row), so
+/// the rows are written straight into one resize of `out`.
+void AppendRows(const std::vector<NodeId>& rows, size_t arity,
+                std::string* out) {
+  const size_t n = arity == 0 ? 0 : rows.size() / arity;
+  const size_t start = out->size();
+  out->resize(start + n * (11 * arity + 2));
+  char* p = out->data() + start;
+  const NodeId* id = rows.data();
+  for (size_t r = 0; r < n; ++r) {
+    if (r > 0) *p++ = ',';
+    *p++ = '[';
+    for (size_t c = 0; c < arity; ++c, ++id) {
+      if (c > 0) *p++ = ',';
+      p = std::to_chars(p, p + 10, *id).ptr;
+    }
+    *p++ = ']';
+  }
+  out->resize(static_cast<size_t>(p - out->data()));
+}
 
 Result<Verb> ParseVerb(std::string_view name) {
   if (name == "ping") return Verb::kPing;
@@ -168,6 +198,87 @@ std::string EncodeErrorResponse(std::string_view id, const Status& status,
     out += ",\"retry_after_ms\":";
     AppendJsonUint(retry_after_ms, &out);
   }
+  out += "}";
+  return out;
+}
+
+void AppendOkHead(std::string_view id, std::string* out) {
+  *out += "{\"id\":";
+  AppendJsonString(id, out);
+  *out += ",\"ok\":true";
+}
+
+std::string EncodeDoneResult(std::string_view id, const QueryResult& qr,
+                             size_t max_payload) {
+  const size_t nrows = qr.tuples.size();
+  const size_t arity = qr.tuples.arity();
+  // A response the framing layer could never carry must degrade to an
+  // explicit error, not an SJOS_CHECK abort inside SendFrame. The
+  // estimate is also an upper bound on the bytes the rows take, so it
+  // sizes the buffer.
+  const size_t approx_bytes = nrows * (arity + 1) * 12 + 4096;
+  if (approx_bytes > std::min(max_payload, kFrameAbsoluteMaxPayload)) {
+    return EncodeErrorResponse(
+        id, Status::ResourceExhausted(
+                "result of " + std::to_string(nrows) +
+                " rows is too large for one response frame — tighten the "
+                "query or raise max_frame_bytes"));
+  }
+  std::vector<PatternNodeId> slots = qr.tuples.slots();
+  std::sort(slots.begin(), slots.end());
+  const std::vector<NodeId> rows = qr.tuples.CanonicalRows();
+
+  std::string out;
+  out.reserve(approx_bytes);
+  AppendOkHead(id, &out);
+  out += ",\"done\":true,\"result\":{\"slots\":[";
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (i > 0) out += ',';
+    AppendJsonUint(static_cast<uint64_t>(slots[i]), &out);
+  }
+  out += "],\"rows\":[";
+  AppendRows(rows, arity, &out);
+  out += "],\"row_count\":";
+  AppendJsonUint(nrows, &out);
+  out += ",\"stats\":{\"result_rows\":";
+  AppendJsonUint(qr.stats.result_rows, &out);
+  out += ",\"wall_ms\":" + FormatDouble(qr.stats.wall_ms, 3);
+  out += ",\"peak_live_rows\":";
+  AppendJsonUint(qr.stats.peak_live_rows, &out);
+  out += ",\"peak_live_bytes\":";
+  AppendJsonUint(qr.stats.peak_live_bytes, &out);
+  out += ",\"max_q_error\":" + FormatDouble(qr.stats.max_q_error, 4);
+  out += "},\"algorithm\":";
+  AppendJsonString(qr.planned.algorithm, &out);
+  out += ",\"cache_hit\":";
+  out += qr.planned.cache_hit ? "true" : "false";
+  out += ",\"fallback_from\":";
+  AppendJsonString(qr.planned.fallback_from, &out);
+  out += ",\"query_id\":";
+  AppendJsonString(qr.query_id, &out);
+  out += "}}";
+  return out;
+}
+
+std::string EncodeDoneError(std::string_view id, const Status& status,
+                            const QueryErrorInfo& info) {
+  std::string out = "{\"id\":";
+  AppendJsonString(id, &out);
+  out += ",\"ok\":false,\"done\":true,\"code\":";
+  AppendJsonString(StatusCodeName(status.code()), &out);
+  out += ",\"error\":";
+  AppendJsonString(status.message(), &out);
+  out += ",\"verdict\":";
+  AppendJsonString(info.verdict, &out);
+  out += ",\"query_id\":";
+  AppendJsonString(info.query_id, &out);
+  if (info.retry_after_ms > 0) {
+    out += ",\"retry_after_ms\":";
+    AppendJsonUint(info.retry_after_ms, &out);
+  }
+  // The flight recorder rides along so a failed remote query can be
+  // diagnosed without shell access to the server's audit log.
+  if (!info.flight.empty()) out += ",\"flight\":" + info.flight.ToJson();
   out += "}";
   return out;
 }

@@ -18,6 +18,14 @@
 //   {"id":"q1","ok":false,"code":"ResourceExhausted",
 //    "error":"tenant 'acme' at max in-flight","retry_after_ms":50}
 //
+// A finished query's terminal poll reply carries its rows in canonical
+// form (TupleSet::CanonicalRows: columns by ascending pattern-node id,
+// rows sorted), so equal results are equal bytes:
+//
+//   {"id":"q1","ok":true,"done":true,"result":{"slots":[0,1],
+//    "rows":[[3,4],[3,9]],"row_count":2,"stats":{...},"algorithm":"DPP",
+//    "cache_hit":true,"fallback_from":"","query_id":"q1"}}
+//
 // Decoding is total: any malformed payload yields an error Status the
 // server answers with EncodeErrorResponse — never a crash or silent drop.
 
@@ -32,6 +40,10 @@
 #include "service/query_options.h"
 
 namespace sjos {
+
+struct QueryErrorInfo;
+struct QueryResult;
+
 namespace net {
 
 enum class Verb : uint8_t {
@@ -84,6 +96,21 @@ Result<WireRequest> DecodeRequest(std::string_view payload);
 /// retry_after_ms is emitted only when non-zero.
 std::string EncodeErrorResponse(std::string_view id, const Status& status,
                                 uint64_t retry_after_ms = 0);
+
+/// Appends `{"id":<id>,"ok":true` — the head of every success response.
+void AppendOkHead(std::string_view id, std::string* out);
+
+/// The terminal reply of a query that succeeded, rows in canonical form.
+/// A result whose size estimate exceeds `max_payload` (or the absolute
+/// frame ceiling) becomes a ResourceExhausted EncodeErrorResponse instead.
+std::string EncodeDoneResult(std::string_view id, const QueryResult& qr,
+                             size_t max_payload);
+
+/// The terminal reply of a query that failed: code, message, governor
+/// verdict, query id, the optional retry_after_ms hint and, when recorded,
+/// the failure flight record.
+std::string EncodeDoneError(std::string_view id, const Status& status,
+                            const QueryErrorInfo& info);
 
 }  // namespace net
 }  // namespace sjos

@@ -5,21 +5,33 @@
 
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace sjos {
 namespace net {
 
-std::string EncodeFrame(std::string_view payload) {
+namespace {
+
+/// Writes the big-endian length prefix of `payload` into `header`.
+void PutHeader(std::string_view payload, char header[kFrameHeaderBytes]) {
   SJOS_CHECK(payload.size() <= kFrameAbsoluteMaxPayload,
              "frame payload exceeds the absolute maximum");
   const uint32_t len = static_cast<uint32_t>(payload.size());
+  header[0] = static_cast<char>((len >> 24) & 0xFF);
+  header[1] = static_cast<char>((len >> 16) & 0xFF);
+  header[2] = static_cast<char>((len >> 8) & 0xFF);
+  header[3] = static_cast<char>(len & 0xFF);
+}
+
+}  // namespace
+
+std::string EncodeFrame(std::string_view payload) {
+  char header[kFrameHeaderBytes];
+  PutHeader(payload, header);
   std::string out;
   out.reserve(kFrameHeaderBytes + payload.size());
-  out.push_back(static_cast<char>((len >> 24) & 0xFF));
-  out.push_back(static_cast<char>((len >> 16) & 0xFF));
-  out.push_back(static_cast<char>((len >> 8) & 0xFF));
-  out.push_back(static_cast<char>(len & 0xFF));
+  out.append(header, kFrameHeaderBytes);
   out.append(payload);
   return out;
 }
@@ -53,10 +65,14 @@ bool IsConnectionLostErrno(int err) {
          err == ECONNABORTED || err == ENETRESET || err == ESHUTDOWN;
 }
 
-Status SendAll(int fd, const char* data, size_t len) {
-  size_t sent = 0;
-  while (sent < len) {
-    const ssize_t n = ::send(fd, data + sent, len - sent, MSG_NOSIGNAL);
+/// Writes every byte of iov[0..count), looping over partial writes. The
+/// iovecs are consumed as they are written.
+Status SendAll(int fd, iovec* iov, size_t count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (IsConnectionLostErrno(errno)) {
@@ -67,7 +83,16 @@ Status SendAll(int fd, const char* data, size_t len) {
                               std::strerror(errno));
     }
     if (n == 0) return Status::Internal("send wrote zero bytes");
-    sent += static_cast<size_t>(n);
+    size_t written = static_cast<size_t>(n);
+    while (count > 0 && written >= iov->iov_len) {
+      written -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + written;
+      iov->iov_len -= written;
+    }
   }
   return Status::OK();
 }
@@ -117,8 +142,13 @@ Status RecvAll(int fd, char* data, size_t len, bool* eof_at_start,
 }  // namespace
 
 Status SendFrame(int fd, std::string_view payload) {
-  const std::string frame = EncodeFrame(payload);
-  return SendAll(fd, frame.data(), frame.size());
+  // The header and the payload go out in one sendmsg, so a multi-MB
+  // response is never copied into a concatenated frame.
+  char header[kFrameHeaderBytes];
+  PutHeader(payload, header);
+  iovec iov[2] = {{header, kFrameHeaderBytes},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  return SendAll(fd, iov, 2);
 }
 
 Status RecvFrame(int fd, size_t max_payload, std::string* payload,

@@ -1,17 +1,58 @@
 #include "net/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-
-#include "common/str_util.h"
+#include <system_error>
 
 namespace sjos {
 namespace net {
 
+struct JsonValue::Side {
+  std::string string;
+  std::vector<std::pair<std::string, JsonValue>> members;
+};
+
+static_assert(sizeof(JsonValue) <= 48,
+              "JsonValue must stay small: result frames hold ~1e5 numbers");
+
+JsonValue::JsonValue(const JsonValue& other)
+    : kind_(other.kind_),
+      bool_(other.bool_),
+      number_(other.number_),
+      array_(other.array_),
+      side_(other.side_ == nullptr ? nullptr
+                                   : std::make_unique<Side>(*other.side_)) {}
+
+JsonValue& JsonValue::operator=(const JsonValue& other) {
+  if (this != &other) *this = JsonValue(other);
+  return *this;
+}
+
+JsonValue::JsonValue(JsonValue&& other) noexcept = default;
+JsonValue& JsonValue::operator=(JsonValue&& other) noexcept = default;
+JsonValue::JsonValue() = default;
+JsonValue::~JsonValue() = default;
+
+JsonValue::Side& JsonValue::MakeSide() {
+  if (side_ == nullptr) side_ = std::make_unique<Side>();
+  return *side_;
+}
+
+const std::string& JsonValue::string_value() const {
+  static const std::string kEmpty;
+  return side_ == nullptr ? kEmpty : side_->string;
+}
+
+const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members()
+    const {
+  static const std::vector<std::pair<std::string, JsonValue>> kEmpty;
+  return side_ == nullptr ? kEmpty : side_->members;
+}
+
 const JsonValue* JsonValue::Find(std::string_view key) const {
   if (kind_ != Kind::kObject) return nullptr;
-  for (const auto& [name, value] : members_) {
+  for (const auto& [name, value] : members()) {
     if (name == key) return &value;
   }
   return nullptr;
@@ -71,7 +112,7 @@ JsonValue JsonValue::MakeNumber(double n) {
 JsonValue JsonValue::MakeString(std::string s) {
   JsonValue v;
   v.kind_ = Kind::kString;
-  v.string_ = std::move(s);
+  v.MakeSide().string = std::move(s);
   return v;
 }
 
@@ -86,15 +127,16 @@ JsonValue JsonValue::MakeObject(
     std::vector<std::pair<std::string, JsonValue>> members) {
   JsonValue v;
   v.kind_ = Kind::kObject;
-  v.members_ = std::move(members);
+  v.MakeSide().members = std::move(members);
   return v;
 }
 
-namespace {
-
-class Parser {
+/// The recursive-descent parser. It builds each value in place: the
+/// caller hands it a fresh JsonValue (an element it has just appended to
+/// an array or object), so no value is parsed into a temporary and moved.
+class JsonParser {
  public:
-  Parser(std::string_view text, size_t max_depth)
+  JsonParser(std::string_view text, size_t max_depth)
       : text_(text), max_depth_(max_depth) {}
 
   Result<JsonValue> Parse() {
@@ -109,6 +151,16 @@ class Parser {
   }
 
  private:
+  using Kind = JsonValue::Kind;
+
+  /// Arrays in result frames are rows of a few ids; reserving this many
+  /// elements up front saves the first regrowths of every row.
+  static constexpr size_t kInitialArrayCapacity = 4;
+
+  /// Integers of at most this many digits are below 2^53, so converting
+  /// them digit by digit is exact and needs no from_chars.
+  static constexpr size_t kMaxExactDigits = 15;
+
   Status Fail(const std::string& why) const {
     return Status::ParseError("JSON error at byte " + std::to_string(pos_) +
                               ": " + why);
@@ -130,6 +182,14 @@ class Parser {
     return false;
   }
 
+  bool AtDigit() const {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+  }
+
+  void SkipDigits() {
+    while (AtDigit()) ++pos_;
+  }
+
   Status ParseValue(JsonValue* out, size_t depth) {
     if (depth > max_depth_) return Fail("nesting too deep");
     if (pos_ >= text_.size()) return Fail("unexpected end of input");
@@ -137,30 +197,27 @@ class Parser {
     switch (c) {
       case '{': return ParseObject(out, depth);
       case '[': return ParseArray(out, depth);
-      case '"': {
-        std::string s;
-        SJOS_RETURN_IF_ERROR(ParseString(&s));
-        *out = JsonValue::MakeString(std::move(s));
-        return Status::OK();
-      }
+      case '"':
+        out->kind_ = Kind::kString;
+        return ParseString(&out->MakeSide().string);
       case 't':
         if (text_.substr(pos_, 4) == "true") {
           pos_ += 4;
-          *out = JsonValue::MakeBool(true);
+          out->kind_ = Kind::kBool;
+          out->bool_ = true;
           return Status::OK();
         }
         return Fail("invalid literal");
       case 'f':
         if (text_.substr(pos_, 5) == "false") {
           pos_ += 5;
-          *out = JsonValue::MakeBool(false);
+          out->kind_ = Kind::kBool;
           return Status::OK();
         }
         return Fail("invalid literal");
       case 'n':
         if (text_.substr(pos_, 4) == "null") {
           pos_ += 4;
-          *out = JsonValue::MakeNull();
           return Status::OK();
         }
         return Fail("invalid literal");
@@ -171,54 +228,44 @@ class Parser {
 
   Status ParseObject(JsonValue* out, size_t depth) {
     ++pos_;  // '{'
-    std::vector<std::pair<std::string, JsonValue>> members;
+    out->kind_ = Kind::kObject;
+    std::vector<std::pair<std::string, JsonValue>>& members =
+        out->MakeSide().members;
     SkipWs();
-    if (Consume('}')) {
-      *out = JsonValue::MakeObject(std::move(members));
-      return Status::OK();
-    }
+    if (Consume('}')) return Status::OK();
     while (true) {
       SkipWs();
       if (pos_ >= text_.size() || text_[pos_] != '"') {
         return Fail("expected a string object key");
       }
-      std::string key;
-      SJOS_RETURN_IF_ERROR(ParseString(&key));
+      std::pair<std::string, JsonValue>& member = members.emplace_back();
+      SJOS_RETURN_IF_ERROR(ParseString(&member.first));
       SkipWs();
       if (!Consume(':')) return Fail("expected ':' after object key");
       SkipWs();
-      JsonValue value;
-      SJOS_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      members.emplace_back(std::move(key), std::move(value));
+      SJOS_RETURN_IF_ERROR(ParseValue(&member.second, depth + 1));
       SkipWs();
       if (Consume(',')) continue;
-      if (Consume('}')) break;
+      if (Consume('}')) return Status::OK();
       return Fail("expected ',' or '}' in object");
     }
-    *out = JsonValue::MakeObject(std::move(members));
-    return Status::OK();
   }
 
   Status ParseArray(JsonValue* out, size_t depth) {
     ++pos_;  // '['
-    std::vector<JsonValue> items;
+    out->kind_ = Kind::kArray;
+    std::vector<JsonValue>& items = out->array_;
     SkipWs();
-    if (Consume(']')) {
-      *out = JsonValue::MakeArray(std::move(items));
-      return Status::OK();
-    }
+    if (Consume(']')) return Status::OK();
+    items.reserve(kInitialArrayCapacity);
     while (true) {
       SkipWs();
-      JsonValue value;
-      SJOS_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      items.push_back(std::move(value));
+      SJOS_RETURN_IF_ERROR(ParseValue(&items.emplace_back(), depth + 1));
       SkipWs();
       if (Consume(',')) continue;
-      if (Consume(']')) break;
+      if (Consume(']')) return Status::OK();
       return Fail("expected ',' or ']' in array");
     }
-    *out = JsonValue::MakeArray(std::move(items));
-    return Status::OK();
   }
 
   Status ParseString(std::string* out) {
@@ -310,51 +357,58 @@ class Parser {
     }
   }
 
+  /// Checks the JSON number grammar, then converts the accepted span: a
+  /// short integer digit by digit, anything else with std::from_chars,
+  /// which rounds exactly as strtod does. An overflow is an error; an
+  /// underflow reads as strtod returns it.
   Status ParseNumber(JsonValue* out) {
     const size_t start = pos_;
-    if (Consume('-')) {
-      // fallthrough to digits
-    }
-    if (pos_ >= text_.size() ||
-        !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
-      return Fail("invalid number");
-    }
+    const bool negative = Consume('-');
+    if (!AtDigit()) return Fail("invalid number");
+    const size_t int_begin = pos_;
     if (text_[pos_] == '0') {
       ++pos_;
     } else {
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
+      SkipDigits();
     }
+    const size_t int_end = pos_;
     if (Consume('.')) {
-      if (pos_ >= text_.size() ||
-          !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
-        return Fail("invalid number: missing fraction digits");
-      }
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
+      if (!AtDigit()) return Fail("invalid number: missing fraction digits");
+      SkipDigits();
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
       if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
         ++pos_;
       }
-      if (pos_ >= text_.size() ||
-          !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
-        return Fail("invalid number: missing exponent digits");
-      }
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-      }
+      if (!AtDigit()) return Fail("invalid number: missing exponent digits");
+      SkipDigits();
     }
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0' || !std::isfinite(value)) {
+    out->kind_ = Kind::kNumber;
+    if (pos_ == int_end && int_end - int_begin <= kMaxExactDigits) {
+      // Result rows are short integers, and those are exact in a double.
+      uint64_t n = 0;
+      for (size_t i = int_begin; i < int_end; ++i) {
+        n = n * 10 + static_cast<uint64_t>(text_[i] - '0');
+      }
+      const double value = static_cast<double>(n);
+      out->number_ = negative ? -value : value;
+      return Status::OK();
+    }
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double value = 0.0;
+    const auto [end, ec] = std::from_chars(first, last, value);
+    if (ec == std::errc::result_out_of_range) {
+      // from_chars reports underflow and overflow alike. Only hostile
+      // input gets here, so let strtod tell them apart: underflow reads
+      // as a (signed) zero or subnormal, overflow as an infinity.
+      value = std::strtod(std::string(first, last).c_str(), nullptr);
+    } else if (ec != std::errc() || end != last) {
       return Fail("number out of range");
     }
-    *out = JsonValue::MakeNumber(value);
+    if (!std::isfinite(value)) return Fail("number out of range");
+    out->number_ = value;
     return Status::OK();
   }
 
@@ -363,13 +417,12 @@ class Parser {
   size_t pos_ = 0;
 };
 
-}  // namespace
-
 Result<JsonValue> ParseJson(std::string_view text, size_t max_depth) {
-  return Parser(text, max_depth).Parse();
+  return JsonParser(text, max_depth).Parse();
 }
 
 void AppendJsonString(std::string_view text, std::string* out) {
+  static constexpr char kHexDigits[] = "0123456789abcdef";
   out->push_back('"');
   for (unsigned char c : text) {
     switch (c) {
@@ -382,7 +435,9 @@ void AppendJsonString(std::string_view text, std::string* out) {
       case '\t': *out += "\\t"; break;
       default:
         if (c < 0x20) {
-          *out += StrFormat("\\u%04x", c);
+          const char escape[] = {'\\', 'u', '0', '0', kHexDigits[c >> 4],
+                                 kHexDigits[c & 0xF]};
+          out->append(escape, sizeof(escape));
         } else {
           out->push_back(static_cast<char>(c));
         }
@@ -392,7 +447,9 @@ void AppendJsonString(std::string_view text, std::string* out) {
 }
 
 void AppendJsonUint(uint64_t value, std::string* out) {
-  *out += StrFormat("%llu", static_cast<unsigned long long>(value));
+  char digits[20];
+  const char* end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
+  out->append(digits, static_cast<size_t>(end - digits));
 }
 
 }  // namespace net

@@ -79,95 +79,6 @@ void CountRequest(Verb verb, const std::string& tenant) {
   }
 }
 
-void AppendOkHead(std::string_view id, std::string* out) {
-  *out += "{\"id\":";
-  AppendJsonString(id, out);
-  *out += ",\"ok\":true";
-}
-
-/// Serializes a finished query. Rows are emitted in canonical form
-/// (columns by ascending pattern-node id, rows sorted) so two executions
-/// of the same query — in-process or across the wire — compare equal
-/// byte for byte.
-std::string EncodeDoneResult(std::string_view id, const QueryResult& qr,
-                             size_t max_payload) {
-  std::vector<std::vector<NodeId>> rows = qr.tuples.Canonical();
-  std::vector<PatternNodeId> slots = qr.tuples.slots();
-  std::sort(slots.begin(), slots.end());
-
-  // A response the framing layer could never carry must degrade to an
-  // explicit error, not an SJOS_CHECK abort inside EncodeFrame.
-  const size_t approx_bytes = rows.size() * (slots.size() + 1) * 12 + 4096;
-  if (approx_bytes > std::min(max_payload, kFrameAbsoluteMaxPayload)) {
-    return EncodeErrorResponse(
-        id, Status::ResourceExhausted(
-                "result of " + std::to_string(rows.size()) +
-                " rows is too large for one response frame — tighten the "
-                "query or raise max_frame_bytes"));
-  }
-
-  std::string out;
-  AppendOkHead(id, &out);
-  out += ",\"done\":true,\"result\":{\"slots\":[";
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (i > 0) out += ',';
-    AppendJsonUint(static_cast<uint64_t>(slots[i]), &out);
-  }
-  out += "],\"rows\":[";
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (r > 0) out += ',';
-    out += '[';
-    for (size_t c = 0; c < rows[r].size(); ++c) {
-      if (c > 0) out += ',';
-      AppendJsonUint(static_cast<uint64_t>(rows[r][c]), &out);
-    }
-    out += ']';
-  }
-  out += "],\"row_count\":";
-  AppendJsonUint(rows.size(), &out);
-  out += ",\"stats\":{\"result_rows\":";
-  AppendJsonUint(qr.stats.result_rows, &out);
-  out += ",\"wall_ms\":" + FormatDouble(qr.stats.wall_ms, 3);
-  out += ",\"peak_live_rows\":";
-  AppendJsonUint(qr.stats.peak_live_rows, &out);
-  out += ",\"peak_live_bytes\":";
-  AppendJsonUint(qr.stats.peak_live_bytes, &out);
-  out += ",\"max_q_error\":" + FormatDouble(qr.stats.max_q_error, 4);
-  out += "},\"algorithm\":";
-  AppendJsonString(qr.planned.algorithm, &out);
-  out += ",\"cache_hit\":";
-  out += qr.planned.cache_hit ? "true" : "false";
-  out += ",\"fallback_from\":";
-  AppendJsonString(qr.planned.fallback_from, &out);
-  out += ",\"query_id\":";
-  AppendJsonString(qr.query_id, &out);
-  out += "}}";
-  return out;
-}
-
-std::string EncodeDoneError(std::string_view id, const Status& status,
-                            const QueryErrorInfo& info) {
-  std::string out = "{\"id\":";
-  AppendJsonString(id, &out);
-  out += ",\"ok\":false,\"done\":true,\"code\":";
-  AppendJsonString(StatusCodeName(status.code()), &out);
-  out += ",\"error\":";
-  AppendJsonString(status.message(), &out);
-  out += ",\"verdict\":";
-  AppendJsonString(info.verdict, &out);
-  out += ",\"query_id\":";
-  AppendJsonString(info.query_id, &out);
-  if (info.retry_after_ms > 0) {
-    out += ",\"retry_after_ms\":";
-    AppendJsonUint(info.retry_after_ms, &out);
-  }
-  // The flight recorder rides along so a failed remote query can be
-  // diagnosed without shell access to the server's audit log.
-  if (!info.flight.empty()) out += ",\"flight\":" + info.flight.ToJson();
-  out += "}";
-  return out;
-}
-
 }  // namespace
 
 QueryServer::QueryServer(Engine* engine, ServerOptions options)

@@ -7,16 +7,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/rng.h"
 #include "net/client.h"
 #include "net/codec.h"
 #include "net/frame.h"
@@ -127,6 +135,60 @@ TEST(FrameTest, CloseMidHeaderIsUnavailableNotEof) {
   ::close(sv[0]);
 }
 
+TEST(FrameTest, SendFrameSurvivesPartialWrites) {
+  // A blocking sendmsg interrupted by a signal after moving some bytes
+  // returns a short count. The reader drains a small socket buffer slowly
+  // and signals the writer before every read, so a multi-MB frame goes
+  // out in many short writes that end inside the header or the payload;
+  // both frames must still arrive whole and in order.
+  struct sigaction poke = {};
+  poke.sa_handler = [](int) {};
+  sigemptyset(&poke.sa_mask);
+  poke.sa_flags = 0;  // no SA_RESTART: let the signal cut sendmsg short
+  struct sigaction saved = {};
+  ASSERT_EQ(::sigaction(SIGUSR1, &poke, &saved), 0);
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const int small = 4096;
+  ASSERT_EQ(::setsockopt(sv[0], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small)),
+            0);
+  std::string big(3 << 20, '\0');
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>('a' + i % 23);
+  }
+  Status sent;
+  std::thread writer([&] {
+    sent = SendFrame(sv[0], big);
+    if (sent.ok()) sent = SendFrame(sv[0], "");
+    ::close(sv[0]);
+  });
+  std::string received;
+  char chunk[1500];
+  for (;;) {
+    ::pthread_kill(writer.native_handle(), SIGUSR1);
+    const ssize_t n = ::recv(sv[1], chunk, sizeof(chunk), 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    received.append(chunk, static_cast<size_t>(n));
+  }
+  writer.join();
+  ::close(sv[1]);
+  ASSERT_EQ(::sigaction(SIGUSR1, &saved, nullptr), 0);
+  EXPECT_TRUE(sent.ok()) << sent.ToString();
+
+  std::string_view rest = received;
+  std::string_view payload;
+  size_t consumed = 0;
+  ASSERT_EQ(DecodeFrame(rest, big.size(), &payload, &consumed),
+            FrameDecode::kOk);
+  EXPECT_TRUE(payload == big);
+  rest.remove_prefix(consumed);
+  ASSERT_EQ(DecodeFrame(rest, big.size(), &payload, &consumed),
+            FrameDecode::kOk);
+  EXPECT_TRUE(payload.empty());
+  EXPECT_EQ(consumed, rest.size());
+}
+
 TEST(FrameTest, CloseMidPayloadIsUnavailableWithByteCounts) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
@@ -194,6 +256,243 @@ TEST(JsonTest, DepthLimitIsAParseErrorNotACrash) {
   EXPECT_EQ(v.status().code(), StatusCode::kParseError);
 }
 
+/// Expects `text` to be rejected with a ParseError reading
+/// "JSON error at byte <error>".
+void ExpectJsonError(const std::string& text, const std::string& error) {
+  Result<JsonValue> v = ParseJson(text);
+  ASSERT_FALSE(v.ok()) << "accepted: " << text;
+  EXPECT_EQ(v.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(v.status().message(), "JSON error at byte " + error) << text;
+}
+
+/// Expects `text` to parse to a number bit-identical to strtod's reading.
+void ExpectStrtodNumber(const std::string& text) {
+  Result<JsonValue> v = ParseJson(text);
+  ASSERT_TRUE(v.ok()) << text << ": " << v.status().ToString();
+  ASSERT_TRUE(v.value().is_number()) << text;
+  const double got = v.value().number_value();
+  const double want = std::strtod(text.c_str(), nullptr);
+  EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+      << text << ": " << got << " vs " << want;
+}
+
+TEST(JsonTest, NumberGrammarEdgeCases) {
+  ExpectJsonError("01", "1: trailing characters after the JSON document");
+  ExpectJsonError("1.", "2: invalid number: missing fraction digits");
+  ExpectJsonError("-", "1: invalid number");
+  ExpectJsonError("1e", "2: invalid number: missing exponent digits");
+  ExpectJsonError("1e+", "3: invalid number: missing exponent digits");
+  ExpectJsonError("1e400", "5: number out of range");
+  ExpectJsonError("-1e400", "6: number out of range");
+  ExpectJsonError("1.7976931348623159e308", "22: number out of range");
+  ExpectJsonError("[1,01]", "4: expected ',' or ']' in array");
+  ExpectJsonError("{\"a\":1.}", "7: invalid number: missing fraction digits");
+
+  // Accepted numbers read exactly as strtod reads them, signed zeros and
+  // underflow included.
+  ExpectStrtodNumber("-0");
+  ExpectStrtodNumber("0.5e-3");
+  ExpectStrtodNumber("9007199254740993");
+  ExpectStrtodNumber("999999999999999");
+  ExpectStrtodNumber("-9999999999999999");
+  ExpectStrtodNumber("1E+2");
+  ExpectStrtodNumber("-12.5e1");
+  ExpectStrtodNumber("1e-400");
+  ExpectStrtodNumber("-1e-400");
+  ExpectStrtodNumber("4e-320");
+  ExpectStrtodNumber("0.0e400");
+  ExpectStrtodNumber("1.7976931348623157e308");
+  // 2^53 + 1 is not representable and rounds to even, down to 2^53.
+  EXPECT_EQ(ParseJson("9007199254740993").value().number_value(),
+            9007199254740992.0);
+  EXPECT_TRUE(std::signbit(ParseJson("-0").value().number_value()));
+}
+
+TEST(JsonTest, RandomNumbersReadAsStrtodReadsThem) {
+  Rng rng(53);
+  for (int i = 0; i < 20000; ++i) {
+    std::string text;
+    if (rng.NextBool(0.3)) text += '-';
+    const size_t int_digits = 1 + rng.NextBelow(20);
+    text += static_cast<char>('1' + rng.NextBelow(9));
+    for (size_t d = 1; d < int_digits; ++d) {
+      text += static_cast<char>('0' + rng.NextBelow(10));
+    }
+    if (rng.NextBool(0.5)) {
+      text += '.';
+      const size_t frac_digits = 1 + rng.NextBelow(20);
+      for (size_t d = 0; d < frac_digits; ++d) {
+        text += static_cast<char>('0' + rng.NextBelow(10));
+      }
+    }
+    if (rng.NextBool(0.5)) {
+      text += rng.NextBool(0.5) ? 'e' : 'E';
+      text += std::to_string(rng.NextInRange(-330, 300));
+    }
+    Result<JsonValue> v = ParseJson(text);
+    const double want = std::strtod(text.c_str(), nullptr);
+    if (!std::isfinite(want)) {
+      ASSERT_FALSE(v.ok()) << "accepted: " << text;
+      EXPECT_NE(v.status().message().find("number out of range"),
+                std::string::npos)
+          << v.status().ToString();
+      continue;
+    }
+    ASSERT_TRUE(v.ok()) << text << ": " << v.status().ToString();
+    const double got = v.value().number_value();
+    ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+        << text << ": " << got << " vs " << want;
+  }
+}
+
+/// Deep structural equality; numbers compare by value.
+bool SameJson(const JsonValue& a, const JsonValue& b) {
+  if (a.kind() != b.kind()) return false;
+  switch (a.kind()) {
+    case JsonValue::Kind::kNull:
+      return true;
+    case JsonValue::Kind::kBool:
+      return a.bool_value() == b.bool_value();
+    case JsonValue::Kind::kNumber:
+      return a.number_value() == b.number_value();
+    case JsonValue::Kind::kString:
+      return a.string_value() == b.string_value();
+    case JsonValue::Kind::kArray:
+      if (a.array().size() != b.array().size()) return false;
+      for (size_t i = 0; i < a.array().size(); ++i) {
+        if (!SameJson(a.array()[i], b.array()[i])) return false;
+      }
+      return true;
+    case JsonValue::Kind::kObject:
+      if (a.members().size() != b.members().size()) return false;
+      for (size_t i = 0; i < a.members().size(); ++i) {
+        if (a.members()[i].first != b.members()[i].first ||
+            !SameJson(a.members()[i].second, b.members()[i].second)) {
+          return false;
+        }
+      }
+      return true;
+  }
+  return false;
+}
+
+TEST(JsonTest, CopyAndMoveKeepContents) {
+  const JsonValue original = ParseJson(
+      "{\"s\":\"text\",\"a\":[1,\"x\",[true,null]],\"o\":{\"k\":-2.5}}")
+                                 .value();
+  JsonValue copy = original;
+  ASSERT_TRUE(SameJson(copy, original));
+  EXPECT_EQ(copy.Find("s")->string_value(), "text");
+  EXPECT_EQ(copy.Find("a")->array()[1].string_value(), "x");
+  EXPECT_EQ(copy.Find("o")->Find("k")->number_value(), -2.5);
+
+  JsonValue moved = std::move(copy);
+  EXPECT_TRUE(SameJson(moved, original));
+
+  JsonValue assigned = JsonValue::MakeString("old");
+  assigned = original;
+  EXPECT_TRUE(SameJson(assigned, original));
+  JsonValue move_assigned = JsonValue::MakeArray({JsonValue::MakeNumber(1)});
+  move_assigned = std::move(assigned);
+  EXPECT_TRUE(SameJson(move_assigned, original));
+
+  // A copy owns its strings and members: changing the copy's source does
+  // not reach it.
+  JsonValue str = JsonValue::MakeString("abc");
+  JsonValue str_copy = str;
+  str = JsonValue::MakeString("xyz");
+  EXPECT_EQ(str_copy.string_value(), "abc");
+  JsonValue& self = move_assigned;
+  move_assigned = self;
+  EXPECT_TRUE(SameJson(move_assigned, original));
+}
+
+/// A random value tree: numbers are integers or dyadic fractions, so
+/// %.17g writes them exactly; strings hold arbitrary bytes, control
+/// characters and quotes included.
+JsonValue RandomJson(Rng* rng, int depth) {
+  const uint64_t pick = rng->NextBelow(depth >= 4 ? 4 : 6);
+  switch (pick) {
+    case 0:
+      return JsonValue::MakeNull();
+    case 1:
+      return JsonValue::MakeBool(rng->NextBool(0.5));
+    case 2: {
+      const double n = static_cast<double>(rng->NextInRange(-1000000, 1000000));
+      return JsonValue::MakeNumber(rng->NextBool(0.5) ? n : n / 1024.0);
+    }
+    case 3: {
+      std::string s(rng->NextBelow(12), '\0');
+      for (char& c : s) c = static_cast<char>(rng->NextBelow(128));
+      return JsonValue::MakeString(std::move(s));
+    }
+    case 4: {
+      std::vector<JsonValue> items(rng->NextBelow(6));
+      for (JsonValue& item : items) item = RandomJson(rng, depth + 1);
+      return JsonValue::MakeArray(std::move(items));
+    }
+    default: {
+      std::vector<std::pair<std::string, JsonValue>> members;
+      const uint64_t n = rng->NextBelow(5);
+      for (uint64_t i = 0; i < n; ++i) {
+        members.emplace_back("k" + std::to_string(rng->NextBelow(8)),
+                             RandomJson(rng, depth + 1));
+      }
+      return JsonValue::MakeObject(std::move(members));
+    }
+  }
+}
+
+void WriteJson(const JsonValue& v, std::string* out) {
+  switch (v.kind()) {
+    case JsonValue::Kind::kNull:
+      *out += "null";
+      break;
+    case JsonValue::Kind::kBool:
+      *out += v.bool_value() ? "true" : "false";
+      break;
+    case JsonValue::Kind::kNumber: {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.17g", v.number_value());
+      *out += buf;
+      break;
+    }
+    case JsonValue::Kind::kString:
+      AppendJsonString(v.string_value(), out);
+      break;
+    case JsonValue::Kind::kArray:
+      *out += "[ ";
+      for (size_t i = 0; i < v.array().size(); ++i) {
+        if (i > 0) *out += " ,";
+        WriteJson(v.array()[i], out);
+      }
+      *out += ']';
+      break;
+    case JsonValue::Kind::kObject:
+      *out += '{';
+      for (size_t i = 0; i < v.members().size(); ++i) {
+        if (i > 0) *out += ',';
+        AppendJsonString(v.members()[i].first, out);
+        *out += " :\n";
+        WriteJson(v.members()[i].second, out);
+      }
+      *out += '}';
+      break;
+  }
+}
+
+TEST(JsonTest, RandomTreesRoundTrip) {
+  Rng rng(1414);
+  for (int i = 0; i < 2000; ++i) {
+    const JsonValue tree = RandomJson(&rng, 0);
+    std::string text;
+    WriteJson(tree, &text);
+    Result<JsonValue> back = ParseJson(text);
+    ASSERT_TRUE(back.ok()) << text << ": " << back.status().ToString();
+    ASSERT_TRUE(SameJson(back.value(), tree)) << text;
+  }
+}
+
 TEST(JsonTest, WriterEscapesControlCharacters) {
   std::string out;
   AppendJsonString(std::string("a\"b\\c\n\x01", 7), &out);
@@ -236,6 +535,222 @@ TEST(CodecTest, ErrorResponseShapesAreParseable) {
   EXPECT_FALSE(v.value().Find("ok")->bool_value());
   EXPECT_EQ(v.value().Find("code")->string_value(), "ResourceExhausted");
   EXPECT_DOUBLE_EQ(v.value().Find("retry_after_ms")->number_value(), 120.0);
+}
+
+// ---------------------------------------------------------------------------
+// Response encoders: the terminal poll replies, byte for byte. The
+// expected strings were produced by the encoder these tests guard, before
+// its rewrite onto the flat canonical sort and std::to_chars; clients
+// compare results by bytes, so any drift is a protocol change.
+
+QueryResult MakeResult(std::vector<PatternNodeId> slots,
+                       const std::vector<std::vector<NodeId>>& rows) {
+  QueryResult qr;
+  qr.tuples = TupleSet(std::move(slots));
+  for (const std::vector<NodeId>& row : rows) qr.tuples.AppendRow(row.data());
+  qr.stats.result_rows = rows.size();
+  return qr;
+}
+
+/// Slots out of pattern-node order, duplicate rows, ids at and above 2^31.
+QueryResult MixedResult() {
+  QueryResult qr = MakeResult({5, 2, 9}, {{10, 99, 7},
+                                          {11, 50, 7},
+                                          {10, 99, 7},
+                                          {3, 50, 8},
+                                          {11, 50, 6},
+                                          {0, 4294967295u, 2147483648u}});
+  qr.stats.wall_ms = 1.23456;
+  qr.stats.peak_live_rows = 42;
+  qr.stats.peak_live_bytes = 4096;
+  qr.stats.max_q_error = 2.5;
+  qr.planned.algorithm = "DPP";
+  qr.planned.cache_hit = true;
+  qr.query_id = "q-1";
+  return qr;
+}
+
+TEST(EncoderGoldenTest, MixedResult) {
+  EXPECT_EQ(EncodeDoneResult("r1", MixedResult(), 1 << 20),
+            "{\"id\":\"r1\",\"ok\":true,\"done\":true,\"result\":{\"slots\":"
+            "[2,5,9],\"rows\":[[50,3,8],[50,11,6],[50,11,7],[99,10,7],"
+            "[99,10,7],[4294967295,0,2147483648]],\"row_count\":6,\"stats\":"
+            "{\"result_rows\":6,\"wall_ms\":1.235,\"peak_live_rows\":42,"
+            "\"peak_live_bytes\":4096,\"max_q_error\":2.5000},\"algorithm\":"
+            "\"DPP\",\"cache_hit\":true,\"fallback_from\":\"\",\"query_id\":"
+            "\"q-1\"}}");
+}
+
+TEST(EncoderGoldenTest, ArityOneWithFallbackAndEscapedQueryId) {
+  QueryResult qr = MakeResult({3}, {{7}, {7}, {1}, {4294967295u}, {0}, {7}});
+  qr.stats.wall_ms = 0.0005;
+  qr.stats.max_q_error = 1.0;
+  qr.planned.algorithm = "FP";
+  qr.planned.fallback_from = "DPAP-LD";
+  qr.query_id = std::string("id\"\\\x01\x1f/\x7f", 8);
+  EXPECT_EQ(EncodeDoneResult("r2", qr, 1 << 20),
+            "{\"id\":\"r2\",\"ok\":true,\"done\":true,\"result\":{\"slots\":"
+            "[3],\"rows\":[[0],[1],[7],[7],[7],[4294967295]],\"row_count\":6,"
+            "\"stats\":{\"result_rows\":6,\"wall_ms\":0.001,"
+            "\"peak_live_rows\":0,\"peak_live_bytes\":0,\"max_q_error\":"
+            "1.0000},\"algorithm\":\"FP\",\"cache_hit\":false,"
+            "\"fallback_from\":\"DPAP-LD\",\"query_id\":\"id\\\"\\\\\\u0001"
+            "\\u001f/\x7f\"}}");
+}
+
+TEST(EncoderGoldenTest, ZeroRows) {
+  QueryResult qr = MakeResult({4, 1}, {});
+  qr.planned.algorithm = "DP";
+  qr.query_id = "empty";
+  EXPECT_EQ(EncodeDoneResult("r3", qr, 1 << 20),
+            "{\"id\":\"r3\",\"ok\":true,\"done\":true,\"result\":{\"slots\":"
+            "[1,4],\"rows\":[],\"row_count\":0,\"stats\":{\"result_rows\":0,"
+            "\"wall_ms\":0.000,\"peak_live_rows\":0,\"peak_live_bytes\":0,"
+            "\"max_q_error\":0.0000},\"algorithm\":\"DP\",\"cache_hit\":false,"
+            "\"fallback_from\":\"\",\"query_id\":\"empty\"}}");
+}
+
+TEST(EncoderGoldenTest, LargeIdsAndCounters) {
+  QueryResult qr = MakeResult({1, 0}, {{2147483648u, 2147483647u},
+                                       {4294967295u, 4294967294u},
+                                       {2147483648u, 0},
+                                       {2147483648u, 0}});
+  qr.stats.wall_ms = 12345.6789;
+  qr.stats.peak_live_rows = uint64_t{1} << 33;
+  qr.stats.peak_live_bytes = 18446744073709551615ull;
+  qr.stats.max_q_error = 1e6;
+  qr.planned.algorithm = "DPAP-EB";
+  qr.query_id = "big";
+  EXPECT_EQ(EncodeDoneResult("r4", qr, 1 << 20),
+            "{\"id\":\"r4\",\"ok\":true,\"done\":true,\"result\":{\"slots\":"
+            "[0,1],\"rows\":[[0,2147483648],[0,2147483648],"
+            "[2147483647,2147483648],[4294967294,4294967295]],\"row_count\":4,"
+            "\"stats\":{\"result_rows\":4,\"wall_ms\":12345.679,"
+            "\"peak_live_rows\":8589934592,\"peak_live_bytes\":"
+            "18446744073709551615,\"max_q_error\":1000000.0000},"
+            "\"algorithm\":\"DPAP-EB\",\"cache_hit\":false,\"fallback_from\":"
+            "\"\",\"query_id\":\"big\"}}");
+}
+
+TEST(EncoderGoldenTest, OversizeResultBecomesAnError) {
+  EXPECT_EQ(EncodeDoneResult("r5", MixedResult(), 100),
+            "{\"id\":\"r5\",\"ok\":false,\"code\":\"ResourceExhausted\","
+            "\"error\":\"result of 6 rows is too large for one response frame "
+            "\xe2\x80\x94 tighten the query or raise max_frame_bytes\"}");
+}
+
+TEST(EncoderGoldenTest, DoneErrors) {
+  QueryErrorInfo deadline;
+  deadline.verdict = "deadline";
+  deadline.query_id = "q-2";
+  EXPECT_EQ(
+      EncodeDoneError(
+          "e1", Status::DeadlineExceeded("deadline of 5 ms exceeded"),
+          deadline),
+      "{\"id\":\"e1\",\"ok\":false,\"done\":true,\"code\":"
+      "\"DeadlineExceeded\",\"error\":\"deadline of 5 ms exceeded\","
+      "\"verdict\":\"deadline\",\"query_id\":\"q-2\"}");
+
+  QueryErrorInfo shed;
+  shed.verdict = "adaptive-shed";
+  shed.query_id = "q-3";
+  shed.retry_after_ms = 75;
+  shed.flight.spans.push_back({"plan", 0.5, 1.25});
+  shed.flight.counter_deltas.push_back({"sjos_x_total", 3});
+  EXPECT_EQ(
+      EncodeDoneError(
+          "e2", Status::ResourceExhausted("adaptive admission shed"), shed),
+      "{\"id\":\"e2\",\"ok\":false,\"done\":true,\"code\":"
+      "\"ResourceExhausted\",\"error\":\"adaptive admission shed\","
+      "\"verdict\":\"adaptive-shed\",\"query_id\":\"q-3\","
+      "\"retry_after_ms\":75,\"flight\":{\"spans\":[{\"name\":\"plan\","
+      "\"start_ms\":0.500,\"dur_ms\":1.250}],\"counter_deltas\":"
+      "{\"sjos_x_total\":3}}}");
+}
+
+TEST(EncoderGoldenTest, RowsDecodeToTheCanonicalOrder) {
+  Rng rng(77);
+  QueryResult qr = MakeResult({6, 0, 3, 1}, {});
+  for (int r = 0; r < 500; ++r) {
+    const NodeId row[4] = {
+        static_cast<NodeId>(rng.NextBelow(4)),
+        static_cast<NodeId>(rng.NextBelow(uint64_t{1} << 32)),
+        static_cast<NodeId>(rng.NextBelow(3)),
+        static_cast<NodeId>(rng.NextBelow(1000))};
+    qr.tuples.AppendRow(row);
+  }
+  Result<JsonValue> v = ParseJson(EncodeDoneResult("r6", qr, 1 << 20));
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  const std::vector<JsonValue>& rows =
+      v.value().Find("result")->Find("rows")->array();
+  const std::vector<std::vector<NodeId>> canonical = qr.tuples.Canonical();
+  ASSERT_EQ(rows.size(), canonical.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    ASSERT_EQ(rows[r].array().size(), 4u);
+    for (size_t c = 0; c < 4; ++c) {
+      EXPECT_EQ(rows[r].array()[c].number_value(),
+                static_cast<double>(canonical[r][c]));
+    }
+  }
+}
+
+TEST(JsonTest, MutatedResponsesParseOrFailCleanly) {
+  // Byte-level fuzz of the client side: flipped, inserted, deleted and
+  // truncated bytes in real responses. Every input must either parse or
+  // fail with ParseError; the sanitizer builds catch anything worse.
+  QueryErrorInfo shed;
+  shed.verdict = "adaptive-shed";
+  shed.query_id = "q-3";
+  shed.retry_after_ms = 75;
+  shed.flight.spans.push_back({"plan", 0.5, 1.25});
+  const std::string corpus[] = {
+      EncodeDoneResult("r1", MixedResult(), 1 << 20),
+      EncodeDoneError("e2", Status::ResourceExhausted("shed"), shed),
+      EncodeErrorResponse("q9", Status::InvalidArgument("bad \"query\"\n"),
+                          120),
+      "{\"s\":\"\\ud83d\\ude00\\u0041\",\"n\":[-0.5e-3,1E+2,true,null]}",
+  };
+  const char kInteresting[] = "{}[]\",:\\-+.eE0123456789tfnu \x01\x80\xff";
+  Rng rng(4242);
+  size_t parsed = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string text = corpus[rng.NextBelow(std::size(corpus))];
+    const uint64_t edits = 1 + rng.NextBelow(4);
+    for (uint64_t e = 0; e < edits && !text.empty(); ++e) {
+      const size_t pos = rng.NextBelow(text.size());
+      const char byte =
+          rng.NextBool(0.5)
+              ? kInteresting[rng.NextBelow(sizeof(kInteresting) - 1)]
+              : static_cast<char>(rng.NextBelow(256));
+      switch (rng.NextBelow(4)) {
+        case 0:
+          text[pos] = byte;
+          break;
+        case 1:
+          text.insert(text.begin() + pos, byte);
+          break;
+        case 2:
+          text.erase(pos, 1);
+          break;
+        default:
+          text.resize(pos);
+          break;
+      }
+    }
+    Result<JsonValue> v = ParseJson(text);
+    if (v.ok()) {
+      ++parsed;
+    } else {
+      ASSERT_EQ(v.status().code(), StatusCode::kParseError)
+          << v.status().ToString();
+      ASSERT_EQ(v.status().message().rfind("JSON error at byte ", 0), 0u)
+          << v.status().ToString();
+    }
+  }
+  // Some mutations (a digit for a digit, a byte inside a string) keep the
+  // document valid; the rest must all have been rejected cleanly.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_LT(parsed, 20000u);
 }
 
 // ---------------------------------------------------------------------------
