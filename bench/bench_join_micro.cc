@@ -4,11 +4,11 @@
 // factors (see DESIGN.md) and catch performance regressions in the join
 // kernels.
 //
-// With --json <file> the binary instead times every columnar kernel's
-// Scalar variant against its Vector variant on document-derived columns
-// and writes the scalar-vs-vectorized rows/sec comparison (the
-// BENCH_kernels.json trajectory artifact). Checksums verify the two
-// variants agreed on every timed sweep.
+// With --json <file> the binary instead times every production kernel in
+// exec/vector_kernels.h on document-derived columns and writes its
+// rows/sec (the BENCH_kernels.json trajectory artifact). The two SSE2
+// kernels are also timed against their scalar references, and a checksum
+// over one sweep of each verifies that kernel and reference agree.
 
 #include <benchmark/benchmark.h>
 
@@ -149,9 +149,9 @@ void BM_IndexScan(benchmark::State& state) {
 BENCHMARK(BM_IndexScan)->Arg(100000)->Arg(400000);
 
 // --------------------------------------------------------------------------
-// Kernel comparison mode (--json <file>): Scalar vs Vector rows/sec for
-// every kernel in exec/vector_kernels.h, on columns drawn from the same
-// generated document the join benches use.
+// Kernel mode (--json <file>): rows/sec for every kernel in
+// exec/vector_kernels.h, on columns drawn from the same generated document
+// the join benches use.
 
 /// Best-of-`reps` wall seconds for one invocation of `body`.
 template <typename Fn>
@@ -166,46 +166,52 @@ double BestSeconds(Fn&& body, int reps) {
   return best;
 }
 
+/// Rows/sec of `body`, which sweeps `rows` values and returns a checksum.
+template <typename Fn>
+double RowsPerSec(size_t rows, Fn&& body, int reps) {
+  uint64_t sink = body();  // warm the code path and the column
+  const double seconds = BestSeconds([&] { sink ^= body(); }, reps);
+  benchmark::DoNotOptimize(sink);
+  return static_cast<double>(rows) / seconds;
+}
+
 struct KernelRow {
   std::string name;
   size_t rows = 0;
-  double scalar_rps = 0.0;
-  double vector_rps = 0.0;
-  bool agree = false;  // scalar and vector sweeps produced equal checksums
+  double rps = 0.0;
+  bool has_reference = false;
+  double reference_rps = 0.0;
+  bool agree = true;  // kernel and reference produced equal checksums
 };
 
-/// Times one kernel: `scalar`/`vector` each sweep `rows` values and return
-/// a checksum; equal checksums certify the timed work was identical.
-template <typename ScalarFn, typename VectorFn>
-KernelRow TimeKernel(const std::string& name, size_t rows, ScalarFn&& scalar,
-                     VectorFn&& vector, int reps) {
+template <typename Fn>
+KernelRow TimeKernel(const std::string& name, size_t rows, Fn&& kernel,
+                     int reps) {
   KernelRow row;
   row.name = name;
   row.rows = rows;
-  uint64_t scalar_check = 0;
-  uint64_t vector_check = 0;
-  scalar_check = scalar();  // warm both code paths and the column
-  vector_check = vector();
-  row.agree = scalar_check == vector_check;
-  uint64_t sink = 0;
-  const double ss = BestSeconds([&] { sink ^= scalar(); }, reps);
-  const double vs = BestSeconds([&] { sink ^= vector(); }, reps);
-  benchmark::DoNotOptimize(sink);
-  row.scalar_rps = static_cast<double>(rows) / ss;
-  row.vector_rps = static_cast<double>(rows) / vs;
+  row.rps = RowsPerSec(rows, kernel, reps);
+  return row;
+}
+
+/// TimeKernel plus the scalar reference's rows/sec; equal checksums
+/// certify that the two did identical work.
+template <typename Fn, typename RefFn>
+KernelRow TimeAgainstReference(const std::string& name, size_t rows,
+                               Fn&& kernel, RefFn&& reference, int reps) {
+  KernelRow row = TimeKernel(name, rows, kernel, reps);
+  row.has_reference = true;
+  row.agree = kernel() == reference();
+  row.reference_rps = RowsPerSec(rows, reference, reps);
   return row;
 }
 
 int RunKernelComparison(const std::string& path) {
-  using kernels::CountContainedScalar;
-  using kernels::CountContainedVector;
   const Database& db = TreeDb(400000);
   const Document& doc = db.doc();
   const int reps = 25;
 
-  // Containment input: the t1 candidate start column, the window the
-  // middle t0 ancestor's subtree would probe (widened to ~50% selectivity
-  // so the selection-vector store path is exercised, not skipped).
+  // The t1 candidate start column: a sorted join input.
   std::vector<NodeId> starts;
   {
     ColumnBatch t1 = Candidates(db, "t1", 0);
@@ -213,9 +219,8 @@ int RunKernelComparison(const std::string& path) {
     for (size_t i = 0; i < t1.size(); ++i) starts.push_back(t1.At(i, 0));
   }
   const size_t n = starts.size();
-  const NodeId lo = starts[n / 4];
-  const NodeId hi = starts[(3 * n) / 4];
-  std::vector<uint32_t> sel(std::max(n, doc.NumNodes()));
+  const size_t doc_n = doc.NumNodes();
+  std::vector<uint32_t> sel(std::max(n, doc_n));
 
   auto sel_sum = [&sel](size_t k) {
     uint64_t h = k;
@@ -224,48 +229,27 @@ int RunKernelComparison(const std::string& path) {
   };
 
   std::vector<KernelRow> rows;
-  rows.push_back(TimeKernel(
-      "sel_contained", n,
-      [&] {
-        return sel_sum(
-            kernels::SelContainedScalar(starts.data(), n, lo, hi, sel.data()));
-      },
-      [&] {
-        return sel_sum(
-            kernels::SelContainedVector(starts.data(), n, lo, hi, sel.data()));
-      },
-      reps));
-  rows.push_back(TimeKernel(
-      "count_contained", n,
-      [&] { return CountContainedScalar(starts.data(), n, lo, hi); },
-      [&] { return CountContainedVector(starts.data(), n, lo, hi); }, reps));
-
   // Tag filter: the full document tag column against t0's id (the scan
   // and navigation filter shape).
-  const size_t doc_n = doc.NumNodes();
   const TagId t0 = db.doc().dict().Find("t0");
   rows.push_back(TimeKernel(
       "sel_equals_u32", doc_n,
       [&] {
         return sel_sum(
-            kernels::SelEqualsU32Scalar(doc.TagData(), doc_n, t0, sel.data()));
-      },
-      [&] {
-        return sel_sum(
-            kernels::SelEqualsU32Vector(doc.TagData(), doc_n, t0, sel.data()));
+            kernels::SelEqualsU32(doc.TagData(), doc_n, t0, sel.data()));
       },
       reps));
 
   // Level filter: the document level column against a mid depth (the
   // parent-child qualification shape).
-  rows.push_back(TimeKernel(
+  rows.push_back(TimeAgainstReference(
       "sel_equals_u16", doc_n,
       [&] {
-        return sel_sum(kernels::SelEqualsU16Scalar(doc.LevelData(), doc_n, 6,
-                                                   sel.data()));
+        return sel_sum(
+            kernels::SelEqualsU16(doc.LevelData(), doc_n, 6, sel.data()));
       },
       [&] {
-        return sel_sum(kernels::SelEqualsU16Vector(doc.LevelData(), doc_n, 6,
+        return sel_sum(kernels::SelEqualsU16Scalar(doc.LevelData(), doc_n, 6,
                                                    sel.data()));
       },
       reps));
@@ -286,31 +270,23 @@ int RunKernelComparison(const std::string& path) {
       "run_length_end", n,
       [&] {
         uint64_t h = 0;
-        for (size_t i = 0; i < n; i = kernels::RunLengthEndScalar(
-                                    runs.data(), n, i)) {
-          ++h;
-        }
-        return h;
-      },
-      [&] {
-        uint64_t h = 0;
-        for (size_t i = 0; i < n; i = kernels::RunLengthEndVector(
-                                    runs.data(), n, i)) {
+        for (size_t i = 0; i < n;
+             i = kernels::RunLengthEnd(runs.data(), n, i)) {
           ++h;
         }
         return h;
       },
       reps));
 
-  rows.push_back(TimeKernel(
+  rows.push_back(TimeAgainstReference(
       "is_non_decreasing", n,
       [&] {
         return static_cast<uint64_t>(
-            kernels::IsNonDecreasingScalar(starts.data(), n));
+            kernels::IsNonDecreasing(starts.data(), n));
       },
       [&] {
         return static_cast<uint64_t>(
-            kernels::IsNonDecreasingVector(starts.data(), n));
+            kernels::IsNonDecreasingScalar(starts.data(), n));
       },
       reps));
 
@@ -319,20 +295,13 @@ int RunKernelComparison(const std::string& path) {
   for (size_t i = 0; i < n; ++i) idx[i] = static_cast<uint32_t>(i);
   Rng(7).Shuffle(&idx);
   std::vector<uint32_t> dst(n);
-  auto dst_sum = [&dst, n] {
-    uint64_t h = 0;
-    for (size_t i = 0; i < n; ++i) h = h * 31 + dst[i];
-    return h;
-  };
   rows.push_back(TimeKernel(
       "gather_u32", n,
       [&] {
-        kernels::GatherU32Scalar(starts.data(), idx.data(), n, dst.data());
-        return dst_sum();
-      },
-      [&] {
-        kernels::GatherU32Vector(starts.data(), idx.data(), n, dst.data());
-        return dst_sum();
+        kernels::GatherU32(starts.data(), idx.data(), n, dst.data());
+        uint64_t h = 0;
+        for (size_t i = 0; i < n; ++i) h = h * 31 + dst[i];
+        return h;
       },
       reps));
 
@@ -345,15 +314,22 @@ int RunKernelComparison(const std::string& path) {
     const KernelRow& r = rows[i];
     all_agree = all_agree && r.agree;
     out += i == 0 ? "\n" : ",\n";
-    out += StrFormat(
-        "    {\"name\": \"%s\", \"rows\": %llu, "
-        "\"scalar_rows_per_sec\": %.0f, \"vector_rows_per_sec\": %.0f, "
-        "\"speedup\": %.2f, \"agree\": %s}",
-        r.name.c_str(), static_cast<unsigned long long>(r.rows), r.scalar_rps,
-        r.vector_rps, r.vector_rps / r.scalar_rps, r.agree ? "true" : "false");
-    std::printf("%-18s %12.0f %12.0f   %5.2fx%s\n", r.name.c_str(),
-                r.scalar_rps, r.vector_rps, r.vector_rps / r.scalar_rps,
-                r.agree ? "" : "  MISMATCH");
+    out += StrFormat("    {\"name\": \"%s\", \"rows\": %llu, "
+                     "\"rows_per_sec\": %.0f",
+                     r.name.c_str(), static_cast<unsigned long long>(r.rows),
+                     r.rps);
+    std::printf("%-18s %12.0f", r.name.c_str(), r.rps);
+    if (r.has_reference) {
+      out += StrFormat(
+          ", \"reference_rows_per_sec\": %.0f, \"speedup\": %.2f, "
+          "\"agree\": %s",
+          r.reference_rps, r.rps / r.reference_rps,
+          r.agree ? "true" : "false");
+      std::printf(" %12.0f   %5.2fx%s", r.reference_rps,
+                  r.rps / r.reference_rps, r.agree ? "" : "  MISMATCH");
+    }
+    out += "}";
+    std::printf("\n");
   }
   out += "\n  ]\n}\n";
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -365,7 +341,7 @@ int RunKernelComparison(const std::string& path) {
   std::fclose(f);
   if (!ok || !all_agree) {
     std::fprintf(stderr, "bench: %s\n",
-                 !ok ? "short write" : "scalar/vector checksum mismatch");
+                 !ok ? "short write" : "kernel/reference checksum mismatch");
     return 1;
   }
   return 0;
@@ -375,7 +351,7 @@ int RunKernelComparison(const std::string& path) {
 }  // namespace sjos
 
 // Custom main: strip --json before google-benchmark sees the flags. --json
-// switches to the kernel comparison mode.
+// switches to the kernel mode.
 int main(int argc, char** argv) {
   const std::string json = sjos::bench::ParseJsonFlag(&argc, argv);
   if (!json.empty()) return sjos::RunKernelComparison(json);

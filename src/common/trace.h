@@ -6,8 +6,8 @@
 // is a single relaxed atomic load and branch, and no ring is ever created.
 //
 // Enable with the SJOS_TRACE=<file> environment variable (flushed at
-// process exit) or programmatically via Start()/Stop() — the executor does
-// this for ExecOptions::trace_path. Rings overwrite their oldest events
+// process exit) or programmatically via Start()/Stop() — the Engine does
+// this for QueryOptions::trace_path. Rings overwrite their oldest events
 // when full; the dropped count is reported in the flush output's metadata.
 
 #ifndef SJOS_COMMON_TRACE_H_

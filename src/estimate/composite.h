@@ -64,11 +64,6 @@ class PatternEstimates {
   /// connected cluster; composition formula above). Memoized.
   double ClusterCard(NodeMask mask) const;
 
-  /// Cluster cardinality after also joining edge `edge_index` — i.e. the
-  /// output size of the move that evaluates that edge between the two
-  /// clusters whose union is `merged_mask`.
-  double MergedCard(NodeMask merged_mask) const { return ClusterCard(merged_mask); }
-
   size_t NumEdges() const { return edges_.size(); }
   const Pattern::Edge& EdgeAt(size_t edge_index) const {
     return edges_[edge_index];

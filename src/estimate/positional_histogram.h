@@ -107,7 +107,6 @@ class PositionalHistogramEstimator : public CardinalityEstimator {
   const PositionalGrid& GridOf(TagId tag, size_t level) const {
     return level_grids_[tag][level];
   }
-  size_t NumLevels(TagId tag) const { return level_grids_[tag].size(); }
 
   /// Incremental maintenance for differential-overlay mutations: folds one
   /// inserted (removed) element into (out of) the grids, marginals, and the

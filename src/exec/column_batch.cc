@@ -111,22 +111,6 @@ TupleSet ColumnBatch::ToRows() const {
     for (size_t c = 0; c < arity(); ++c) row[c] = cols_[c][r];
     out.AppendRow(row.data());
   }
-  out.set_ordered_by_slot(ordered_by_slot_);
-  return out;
-}
-
-ColumnBatch ColumnBatch::FromRows(const TupleSet& rows) {
-  ColumnBatch out(rows.slots());
-  const size_t n = rows.size();
-  const size_t a = rows.arity();
-  out.Reserve(n);
-  for (size_t c = 0; c < a; ++c) {
-    auto& col = out.cols_[c];
-    col.resize(n);
-    for (size_t r = 0; r < n; ++r) col[r] = rows.At(r, c);
-  }
-  out.rows_ = n;
-  out.ordered_by_slot_ = rows.ordered_by_slot();
   return out;
 }
 

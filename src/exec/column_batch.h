@@ -1,11 +1,10 @@
-// Struct-of-arrays execution batches. A ColumnBatch carries the same
-// logical content as a TupleSet — one NodeId binding per (row, slot) — but
-// stores each slot as its own contiguous column, so the hot kernels
-// (containment selection, tag/level filtering, sort permutation, group
-// detection) run as straight-line sweeps over dense uint32 arrays instead
-// of strided row-major walks. The execution core trades in ColumnBatch;
-// TupleSet remains the row-major boundary type at the Canonical()/wire
-// edge, with FromRows/ToRows as the only conversion shims.
+// Struct-of-arrays execution batches, the executor's one row type. A
+// ColumnBatch binds one NodeId per (row, slot) and stores each slot as its
+// own contiguous column, so the hot kernels (tag/level filtering, sort
+// permutation, group detection) run as straight-line sweeps over dense
+// uint32 arrays instead of strided row-major walks. Operators, the
+// Stack-Tree merge and the streaming sink all trade in ColumnBatch;
+// ToRows() is the one conversion, to the TupleSet a finished result is.
 
 #ifndef SJOS_EXEC_COLUMN_BATCH_H_
 #define SJOS_EXEC_COLUMN_BATCH_H_
@@ -93,12 +92,11 @@ class ColumnBatch {
   /// gather per payload column.
   void SortBySlot(size_t slot);
 
-  /// True if rows are non-decreasing in `slot` (vector sweep).
+  /// True if rows are non-decreasing in `slot` (kernels::IsNonDecreasing).
   bool IsSortedBySlot(size_t slot) const;
 
-  /// Row-major conversion shims for the TupleSet boundary.
+  /// The rows as a row-major TupleSet (same slots, same row order).
   TupleSet ToRows() const;
-  static ColumnBatch FromRows(const TupleSet& rows);
 
  private:
   std::vector<PatternNodeId> slots_;

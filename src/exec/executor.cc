@@ -68,15 +68,7 @@ void RecordExecutionMetrics(const ExecStats& stats,
 }  // namespace
 
 Executor::Executor(const Database& db, ExecOptions options)
-    : db_(db), options_(std::move(options)) {
-  if (!options_.trace_path.empty() && !Tracer::Global().enabled()) {
-    owns_trace_ = Tracer::Global().Start(options_.trace_path).ok();
-  }
-}
-
-Executor::~Executor() {
-  if (owns_trace_) (void)Tracer::Global().Stop();
-}
+    : db_(db), options_(std::move(options)) {}
 
 size_t Executor::ResolveBatchRows() const {
   if (options_.batch_rows > 0) return options_.batch_rows;
@@ -137,7 +129,7 @@ Status Executor::Run(const Pattern& pattern, const PhysicalPlan& plan,
         acc.AppendBatch(batch);
         ctx.AddLive(batch.size(), batch.size() * row_bytes);
       } else {
-        SJOS_RETURN_IF_ERROR((*sink)(batch.ToRows()));
+        SJOS_RETURN_IF_ERROR((*sink)(batch));
       }
     }
     ctx.SubLive(batch.size(), batch.size() * row_bytes);

@@ -4,9 +4,11 @@
 // root, so "fully pipelined" plans — no Sort, the blocking cost the
 // paper's Sec. 4.3 identifies as dominant — run in O(batch × plan depth)
 // intermediate memory. It is the only engine: concurrency across queries
-// lives in the Engine's worker pool, not inside one plan. Wall time plus
-// operator-level counters let benches decompose where time and memory
-// went.
+// lives in the Engine's worker pool, not inside one plan. Batches are
+// columnar (ColumnBatch) from scan to sink: Execute converts the collected
+// rows to a TupleSet once, at the end, and ExecuteStreaming hands each
+// batch to its sink as it is. Wall time plus operator-level counters let
+// benches decompose where time and memory went.
 //
 // Expert path: Executor is the low-level execution API — you bring your own
 // Database, plan (from core/optimizer.h), and ExecOptions. Most callers
@@ -83,12 +85,6 @@ struct ExecOptions {
   /// values always win over the env var.
   size_t batch_rows = 0;
 
-  /// When non-empty, the executor starts a global trace session (see
-  /// common/trace.h) writing to this path, flushed when the executor is
-  /// destroyed. Ignored if a session (e.g. from SJOS_TRACE) is already
-  /// active — that session keeps collecting the spans instead.
-  std::string trace_path;
-
   /// Wall-clock budget for one Execute/ExecuteStreaming call in
   /// milliseconds (0 = unlimited). Enforced cooperatively — at batch
   /// boundaries and every 64 groups inside a join — so a breach surfaces as
@@ -127,14 +123,12 @@ struct ExecOptions {
 /// Executes plans against one database.
 class Executor {
  public:
-  /// Receives each non-empty result batch of a streaming execution. The
-  /// batch is only valid for the duration of the call. Batches cross the
-  /// engine's columnar core in struct-of-arrays form and are converted to
-  /// row-major TupleSets only here, at the wire boundary.
-  using BatchSink = std::function<Status(const TupleSet&)>;
+  /// Receives each non-empty result batch of a streaming execution, in
+  /// the executor's columnar form. The batch is only valid for the
+  /// duration of the call.
+  using BatchSink = std::function<Status(const ColumnBatch&)>;
 
   explicit Executor(const Database& db, ExecOptions options = {});
-  ~Executor();
 
   /// Runs `plan` for `pattern`. The plan must be valid (ValidatePlan);
   /// execution itself re-checks input ordering at each join and fails
@@ -175,7 +169,6 @@ class Executor {
 
   const Database& db_;
   ExecOptions options_;
-  bool owns_trace_ = false;  // this executor started the trace session
   ExecStats last_stats_;
   std::vector<OpStats> last_op_stats_;
   std::string last_verdict_;

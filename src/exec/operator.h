@@ -109,8 +109,8 @@ class Operator {
   virtual Status Open() = 0;
   /// Appends up to ctx->batch_rows rows to `out` (cleared by the caller,
   /// carrying this operator's schema) and sets `*eos` when exhausted.
-  /// Batches are columnar end to end; the executor converts to row-major
-  /// TupleSets only at the result/wire boundary.
+  /// Batches are columnar end to end; Executor::Execute converts the
+  /// finished result to a row-major TupleSet.
   virtual Status NextBatch(ColumnBatch* out, bool* eos) = 0;
   virtual Status Close() = 0;
   /// Static operator name used as the trace-span suffix ("IndexScan",

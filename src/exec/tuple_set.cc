@@ -19,44 +19,6 @@ void TupleSet::AppendRow(const NodeId* row) {
   data_.insert(data_.end(), row, row + arity());
 }
 
-void TupleSet::AppendConcat(const NodeId* left, size_t left_n,
-                            const NodeId* right, size_t right_n) {
-  data_.insert(data_.end(), left, left + left_n);
-  data_.insert(data_.end(), right, right + right_n);
-}
-
-void TupleSet::AppendSet(const TupleSet& other) {
-  SJOS_CHECK(other.arity() == arity(), "AppendSet arity mismatch");
-  data_.insert(data_.end(), other.data_.begin(), other.data_.end());
-}
-
-void TupleSet::SortBySlot(size_t slot) {
-  const size_t n = size();
-  const size_t a = arity();
-  std::vector<uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
-    return data_[x * a + slot] < data_[y * a + slot];
-  });
-  std::vector<NodeId> sorted;
-  sorted.reserve(data_.size());
-  for (uint32_t row : order) {
-    const NodeId* src = &data_[row * a];
-    sorted.insert(sorted.end(), src, src + a);
-  }
-  data_ = std::move(sorted);
-  ordered_by_slot_ = static_cast<int>(slot);
-}
-
-bool TupleSet::IsSortedBySlot(size_t slot) const {
-  const size_t n = size();
-  const size_t a = arity();
-  for (size_t i = 1; i < n; ++i) {
-    if (data_[(i - 1) * a + slot] > data_[i * a + slot]) return false;
-  }
-  return true;
-}
-
 std::vector<NodeId> TupleSet::CanonicalRows() const {
   const size_t n = size();
   const size_t a = arity();

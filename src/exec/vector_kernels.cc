@@ -1,19 +1,15 @@
 #include "exec/vector_kernels.h"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 #if defined(__x86_64__) || defined(_M_X64)
 #define SJOS_KERNELS_X86 1
-#include <immintrin.h>
+#include <emmintrin.h>
 #else
 #define SJOS_KERNELS_X86 0
 #endif
 
-// The scalar variants are the measured baseline and the fuzz oracle; keep
-// them honestly scalar even at -O3 / -march=native so the scalar-vs-vector
-// trajectory in BENCH_kernels.json compares like with like.
+// The scalar references are the measured baseline and the fuzz oracle;
+// keep them honestly scalar even at -O3 / -march=native so the speedups
+// in BENCH_kernels.json compare like with like.
 #if defined(__clang__)
 #define SJOS_NO_AUTOVEC
 #define SJOS_NO_AUTOVEC_LOOP _Pragma("clang loop vectorize(disable)")
@@ -28,79 +24,37 @@
 
 namespace sjos {
 
-namespace {
-
-bool SimdDefaultFromEnv() {
-  const char* env = std::getenv("SJOS_SIMD");
-  if (env == nullptr) return true;
-  return !(std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
-           std::strcmp(env, "false") == 0 || std::strcmp(env, "OFF") == 0);
-}
-
-std::atomic<bool>& SimdFlag() {
-  static std::atomic<bool> flag{SimdDefaultFromEnv()};
-  return flag;
-}
-
-}  // namespace
-
-bool SimdEnabled() { return SimdFlag().load(std::memory_order_relaxed); }
-
-void SetSimdEnabled(bool enabled) {
-  SimdFlag().store(enabled, std::memory_order_relaxed);
-}
-
-const char* SimdIsa() {
-#if SJOS_KERNELS_X86 && defined(__AVX2__)
-  return "avx2";
-#elif SJOS_KERNELS_X86
-  return "sse2";
-#else
-  return "scalar";
-#endif
-}
+const char* SimdIsa() { return SJOS_KERNELS_X86 ? "sse2" : "scalar"; }
 
 namespace kernels {
 
 // --------------------------------------------------------------------------
-// Scalar variants (branchless compaction; kept un-vectorized, see above).
+// Plain loops (branchless compaction where the kernel selects).
 
-SJOS_NO_AUTOVEC
-size_t SelContainedScalar(const NodeId* starts, size_t n, NodeId lo,
-                          NodeId hi, uint32_t* sel) {
+size_t SelEqualsU32(const uint32_t* vals, size_t n, uint32_t v,
+                    uint32_t* sel) {
   size_t k = 0;
-  SJOS_NO_AUTOVEC_LOOP
-  for (size_t i = 0; i < n; ++i) {
-    const NodeId s = starts[i];
-    sel[k] = static_cast<uint32_t>(i);
-    k += static_cast<size_t>(lo < s && s <= hi);
-  }
-  return k;
-}
-
-SJOS_NO_AUTOVEC
-uint64_t CountContainedScalar(const NodeId* starts, size_t n, NodeId lo,
-                              NodeId hi) {
-  uint64_t count = 0;
-  SJOS_NO_AUTOVEC_LOOP
-  for (size_t i = 0; i < n; ++i) {
-    const NodeId s = starts[i];
-    count += static_cast<uint64_t>(lo < s && s <= hi);
-  }
-  return count;
-}
-
-SJOS_NO_AUTOVEC
-size_t SelEqualsU32Scalar(const uint32_t* vals, size_t n, uint32_t v,
-                          uint32_t* sel) {
-  size_t k = 0;
-  SJOS_NO_AUTOVEC_LOOP
   for (size_t i = 0; i < n; ++i) {
     sel[k] = static_cast<uint32_t>(i);
     k += static_cast<size_t>(vals[i] == v);
   }
   return k;
 }
+
+size_t RunLengthEnd(const NodeId* col, size_t n, size_t i) {
+  const NodeId v = col[i];
+  size_t j = i + 1;
+  while (j < n && col[j] == v) ++j;
+  return j;
+}
+
+void GatherU32(const uint32_t* src, const uint32_t* idx, size_t n,
+               uint32_t* dst) {
+  for (size_t i = 0; i < n; ++i) dst[i] = src[idx[i]];
+}
+
+// --------------------------------------------------------------------------
+// Scalar references of the SSE2 kernels (kept un-vectorized, see above).
 
 SJOS_NO_AUTOVEC
 size_t SelEqualsU16Scalar(const uint16_t* vals, size_t n, uint16_t v,
@@ -115,15 +69,6 @@ size_t SelEqualsU16Scalar(const uint16_t* vals, size_t n, uint16_t v,
 }
 
 SJOS_NO_AUTOVEC
-size_t RunLengthEndScalar(const NodeId* col, size_t n, size_t i) {
-  const NodeId v = col[i];
-  size_t j = i + 1;
-  SJOS_NO_AUTOVEC_LOOP
-  while (j < n && col[j] == v) ++j;
-  return j;
-}
-
-SJOS_NO_AUTOVEC
 bool IsNonDecreasingScalar(const NodeId* col, size_t n) {
   SJOS_NO_AUTOVEC_LOOP
   for (size_t i = 1; i < n; ++i) {
@@ -132,175 +77,13 @@ bool IsNonDecreasingScalar(const NodeId* col, size_t n) {
   return true;
 }
 
-SJOS_NO_AUTOVEC
-void GatherU32Scalar(const uint32_t* src, const uint32_t* idx, size_t n,
-                     uint32_t* dst) {
-  SJOS_NO_AUTOVEC_LOOP
-  for (size_t i = 0; i < n; ++i) dst[i] = src[idx[i]];
-}
-
 // --------------------------------------------------------------------------
-// Vector variants. x86-64 guarantees SSE2; AVX2 widenings engage when this
-// file is compiled with -mavx2 / -march=native. Unsigned comparisons use
-// the sign-bias trick (x ^ 0x80000000 turns unsigned order into signed).
+// SSE2 kernels. x86-64 guarantees SSE2.
 
 #if SJOS_KERNELS_X86
 
-namespace {
-
-/// Appends the lane indices set in `mask` (one bit per 32-bit lane, width
-/// `lanes`) to sel, branch-free per lane.
-inline size_t EmitMaskBits(unsigned mask, unsigned lanes, size_t base,
-                           uint32_t* sel, size_t k) {
-  for (unsigned b = 0; b < lanes; ++b) {
-    sel[k] = static_cast<uint32_t>(base + b);
-    k += (mask >> b) & 1u;
-  }
-  return k;
-}
-
-}  // namespace
-
-size_t SelContainedVector(const NodeId* starts, size_t n, NodeId lo,
-                          NodeId hi, uint32_t* sel) {
-  size_t k = 0;
-  size_t i = 0;
-#if defined(__AVX2__)
-  const __m256i bias8 = _mm256_set1_epi32(static_cast<int>(0x80000000u));
-  const __m256i vlo8 =
-      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(lo)), bias8);
-  const __m256i vhi8 =
-      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(hi)), bias8);
-  for (; i + 8 <= n; i += 8) {
-    const __m256i s = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(starts + i)),
-        bias8);
-    const __m256i in = _mm256_andnot_si256(_mm256_cmpgt_epi32(s, vhi8),
-                                           _mm256_cmpgt_epi32(s, vlo8));
-    const unsigned mask =
-        static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(in)));
-    if (mask == 0) continue;
-    if (mask == 0xFFu) {
-      for (unsigned b = 0; b < 8; ++b) {
-        sel[k + b] = static_cast<uint32_t>(i + b);
-      }
-      k += 8;
-      continue;
-    }
-    k = EmitMaskBits(mask, 8, i, sel, k);
-  }
-#endif
-  const __m128i bias = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  const __m128i vlo =
-      _mm_xor_si128(_mm_set1_epi32(static_cast<int>(lo)), bias);
-  const __m128i vhi =
-      _mm_xor_si128(_mm_set1_epi32(static_cast<int>(hi)), bias);
-  for (; i + 4 <= n; i += 4) {
-    const __m128i s = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(starts + i)), bias);
-    const __m128i in =
-        _mm_andnot_si128(_mm_cmpgt_epi32(s, vhi), _mm_cmpgt_epi32(s, vlo));
-    const unsigned mask =
-        static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(in)));
-    if (mask == 0) continue;
-    if (mask == 0xFu) {
-      sel[k] = static_cast<uint32_t>(i);
-      sel[k + 1] = static_cast<uint32_t>(i + 1);
-      sel[k + 2] = static_cast<uint32_t>(i + 2);
-      sel[k + 3] = static_cast<uint32_t>(i + 3);
-      k += 4;
-      continue;
-    }
-    k = EmitMaskBits(mask, 4, i, sel, k);
-  }
-  for (; i < n; ++i) {
-    const NodeId s = starts[i];
-    sel[k] = static_cast<uint32_t>(i);
-    k += static_cast<size_t>(lo < s && s <= hi);
-  }
-  return k;
-}
-
-uint64_t CountContainedVector(const NodeId* starts, size_t n, NodeId lo,
-                              NodeId hi) {
-  uint64_t count = 0;
-  size_t i = 0;
-#if defined(__AVX2__)
-  const __m256i bias8 = _mm256_set1_epi32(static_cast<int>(0x80000000u));
-  const __m256i vlo8 =
-      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(lo)), bias8);
-  const __m256i vhi8 =
-      _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(hi)), bias8);
-  __m256i acc8 = _mm256_setzero_si256();
-  for (; i + 8 <= n; i += 8) {
-    const __m256i s = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(starts + i)),
-        bias8);
-    const __m256i in = _mm256_andnot_si256(_mm256_cmpgt_epi32(s, vhi8),
-                                           _mm256_cmpgt_epi32(s, vlo8));
-    acc8 = _mm256_sub_epi32(acc8, in);  // matched lanes are -1
-  }
-  alignas(32) uint32_t lanes8[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes8), acc8);
-  for (uint32_t lane : lanes8) count += lane;
-#endif
-  const __m128i bias = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  const __m128i vlo =
-      _mm_xor_si128(_mm_set1_epi32(static_cast<int>(lo)), bias);
-  const __m128i vhi =
-      _mm_xor_si128(_mm_set1_epi32(static_cast<int>(hi)), bias);
-  __m128i acc = _mm_setzero_si128();
-  for (; i + 4 <= n; i += 4) {
-    const __m128i s = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(starts + i)), bias);
-    const __m128i in =
-        _mm_andnot_si128(_mm_cmpgt_epi32(s, vhi), _mm_cmpgt_epi32(s, vlo));
-    acc = _mm_sub_epi32(acc, in);
-  }
-  alignas(16) uint32_t lanes[4];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-  for (uint32_t lane : lanes) count += lane;
-  for (; i < n; ++i) {
-    const NodeId s = starts[i];
-    count += static_cast<uint64_t>(lo < s && s <= hi);
-  }
-  return count;
-}
-
-size_t SelEqualsU32Vector(const uint32_t* vals, size_t n, uint32_t v,
-                          uint32_t* sel) {
-  size_t k = 0;
-  size_t i = 0;
-#if defined(__AVX2__)
-  const __m256i target8 = _mm256_set1_epi32(static_cast<int>(v));
-  for (; i + 8 <= n; i += 8) {
-    const __m256i eq = _mm256_cmpeq_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(vals + i)),
-        target8);
-    const unsigned mask =
-        static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(eq)));
-    if (mask == 0) continue;
-    k = EmitMaskBits(mask, 8, i, sel, k);
-  }
-#endif
-  const __m128i target = _mm_set1_epi32(static_cast<int>(v));
-  for (; i + 4 <= n; i += 4) {
-    const __m128i eq = _mm_cmpeq_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(vals + i)), target);
-    const unsigned mask =
-        static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(eq)));
-    if (mask == 0) continue;
-    k = EmitMaskBits(mask, 4, i, sel, k);
-  }
-  for (; i < n; ++i) {
-    sel[k] = static_cast<uint32_t>(i);
-    k += static_cast<size_t>(vals[i] == v);
-  }
-  return k;
-}
-
-size_t SelEqualsU16Vector(const uint16_t* vals, size_t n, uint16_t v,
-                          uint32_t* sel) {
+size_t SelEqualsU16(const uint16_t* vals, size_t n, uint16_t v,
+                    uint32_t* sel) {
   size_t k = 0;
   size_t i = 0;
   const __m128i target = _mm_set1_epi16(static_cast<short>(v));
@@ -321,28 +104,11 @@ size_t SelEqualsU16Vector(const uint16_t* vals, size_t n, uint16_t v,
   return k;
 }
 
-size_t RunLengthEndVector(const NodeId* col, size_t n, size_t i) {
-  const NodeId v = col[i];
-  size_t j = i + 1;
-  const __m128i target = _mm_set1_epi32(static_cast<int>(v));
-  for (; j + 4 <= n; j += 4) {
-    const __m128i eq = _mm_cmpeq_epi32(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(col + j)), target);
-    const unsigned mask =
-        static_cast<unsigned>(_mm_movemask_ps(_mm_castsi128_ps(eq)));
-    if (mask != 0xFu) {
-      unsigned b = 0;
-      while ((mask >> b) & 1u) ++b;
-      return j + b;
-    }
-  }
-  while (j < n && col[j] == v) ++j;
-  return j;
-}
-
-bool IsNonDecreasingVector(const NodeId* col, size_t n) {
+bool IsNonDecreasing(const NodeId* col, size_t n) {
   if (n < 2) return true;
   size_t i = 0;
+  // SSE2 has only a signed 32-bit compare; flipping the sign bit (the
+  // bias) maps unsigned order onto signed order.
   const __m128i bias = _mm_set1_epi32(static_cast<int>(0x80000000u));
   for (; i + 5 <= n; i += 4) {
     const __m128i a = _mm_xor_si128(
@@ -359,97 +125,18 @@ bool IsNonDecreasingVector(const NodeId* col, size_t n) {
   return true;
 }
 
-void GatherU32Vector(const uint32_t* src, const uint32_t* idx, size_t n,
-                     uint32_t* dst) {
-  size_t i = 0;
-#if defined(__AVX2__)
-  for (; i + 8 <= n; i += 8) {
-    const __m256i lanes = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(idx + i));
-    const __m256i vals = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(src), lanes, 4);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), vals);
-  }
-#endif
-  for (; i < n; ++i) dst[i] = src[idx[i]];
-}
-
-#else  // !SJOS_KERNELS_X86: vector variants fall back to the scalar loops.
-
-size_t SelContainedVector(const NodeId* starts, size_t n, NodeId lo,
-                          NodeId hi, uint32_t* sel) {
-  return SelContainedScalar(starts, n, lo, hi, sel);
-}
-uint64_t CountContainedVector(const NodeId* starts, size_t n, NodeId lo,
-                              NodeId hi) {
-  return CountContainedScalar(starts, n, lo, hi);
-}
-size_t SelEqualsU32Vector(const uint32_t* vals, size_t n, uint32_t v,
-                          uint32_t* sel) {
-  return SelEqualsU32Scalar(vals, n, v, sel);
-}
-size_t SelEqualsU16Vector(const uint16_t* vals, size_t n, uint16_t v,
-                          uint32_t* sel) {
-  return SelEqualsU16Scalar(vals, n, v, sel);
-}
-size_t RunLengthEndVector(const NodeId* col, size_t n, size_t i) {
-  return RunLengthEndScalar(col, n, i);
-}
-bool IsNonDecreasingVector(const NodeId* col, size_t n) {
-  return IsNonDecreasingScalar(col, n);
-}
-void GatherU32Vector(const uint32_t* src, const uint32_t* idx, size_t n,
-                     uint32_t* dst) {
-  GatherU32Scalar(src, idx, n, dst);
-}
-
-#endif  // SJOS_KERNELS_X86
-
-// --------------------------------------------------------------------------
-// Dispatching entry points.
-
-size_t SelContained(const NodeId* starts, size_t n, NodeId lo, NodeId hi,
-                    uint32_t* sel) {
-  return SimdEnabled() ? SelContainedVector(starts, n, lo, hi, sel)
-                       : SelContainedScalar(starts, n, lo, hi, sel);
-}
-
-uint64_t CountContained(const NodeId* starts, size_t n, NodeId lo,
-                        NodeId hi) {
-  return SimdEnabled() ? CountContainedVector(starts, n, lo, hi)
-                       : CountContainedScalar(starts, n, lo, hi);
-}
-
-size_t SelEqualsU32(const uint32_t* vals, size_t n, uint32_t v,
-                    uint32_t* sel) {
-  return SimdEnabled() ? SelEqualsU32Vector(vals, n, v, sel)
-                       : SelEqualsU32Scalar(vals, n, v, sel);
-}
+#else  // !SJOS_KERNELS_X86: the scalar references are the kernels.
 
 size_t SelEqualsU16(const uint16_t* vals, size_t n, uint16_t v,
                     uint32_t* sel) {
-  return SimdEnabled() ? SelEqualsU16Vector(vals, n, v, sel)
-                       : SelEqualsU16Scalar(vals, n, v, sel);
-}
-
-size_t RunLengthEnd(const NodeId* col, size_t n, size_t i) {
-  return SimdEnabled() ? RunLengthEndVector(col, n, i)
-                       : RunLengthEndScalar(col, n, i);
+  return SelEqualsU16Scalar(vals, n, v, sel);
 }
 
 bool IsNonDecreasing(const NodeId* col, size_t n) {
-  return SimdEnabled() ? IsNonDecreasingVector(col, n)
-                       : IsNonDecreasingScalar(col, n);
+  return IsNonDecreasingScalar(col, n);
 }
 
-void GatherU32(const uint32_t* src, const uint32_t* idx, size_t n,
-               uint32_t* dst) {
-  if (SimdEnabled()) {
-    GatherU32Vector(src, idx, n, dst);
-  } else {
-    GatherU32Scalar(src, idx, n, dst);
-  }
-}
+#endif  // SJOS_KERNELS_X86
 
 }  // namespace kernels
 }  // namespace sjos

@@ -1,20 +1,19 @@
 // Branch-light columnar kernels for the hot execution loops: selection-
-// vector builders for interval containment and tag/level equality, run
-// detection for join group building, sortedness sweeps, and gather/fill
-// primitives for cross-product expansion and sort permutation.
+// vector builders for tag and level equality, run detection for join
+// group building, the sortedness sweep over join inputs, and the gather
+// that applies sort permutations and selection vectors.
 //
-// Every kernel exists in two variants with identical observable behavior:
-//   * <Name>Scalar — the portable reference loop, deliberately compiled
-//     without auto-vectorization so it represents the pre-columnar branchy
-//     code (and serves as the oracle the fuzz tests compare against).
-//   * <Name>Vector — SSE2 (x86-64 baseline) with an AVX2 widening when the
-//     translation unit is compiled with -mavx2/-march=native; on other
-//     architectures it falls back to the scalar loop.
-// The undecorated entry point dispatches on the SJOS_SIMD runtime toggle:
-// SJOS_SIMD=off|0|false selects the scalar variant process-wide, anything
-// else (including unset) selects the vector variant. Results are bitwise
-// identical either way — the toggle exists for benchmarking and for
-// bisecting miscompiles, never for correctness.
+// Each kernel has exactly one production body, chosen by measurement
+// (BENCH_kernels.json, written by `bench_join_micro --json`):
+//   * SelEqualsU16 and IsNonDecreasing are SSE2, the x86-64 baseline,
+//     where they run 2-4x faster than the scalar loop. On other
+//     architectures they are their scalar references.
+//   * SelEqualsU32, RunLengthEnd and GatherU32 are plain loops; their
+//     SSE2 bodies lost to or tied with the loop.
+// SelEqualsU16Scalar and IsNonDecreasingScalar are the references the
+// SSE2 bodies must match bit for bit. They are compiled without auto-
+// vectorization so that bench_join_micro's speedup compares against an
+// honestly scalar loop, and the kernel tests fuzz against them.
 
 #ifndef SJOS_EXEC_VECTOR_KERNELS_H_
 #define SJOS_EXEC_VECTOR_KERNELS_H_
@@ -26,15 +25,8 @@
 
 namespace sjos {
 
-/// True when the vector kernel variants are selected. Resolved once from
-/// the SJOS_SIMD environment variable; SetSimdEnabled overrides it.
-bool SimdEnabled();
-
-/// Overrides the SJOS_SIMD toggle for this process (tests and benches).
-void SetSimdEnabled(bool enabled);
-
-/// The instruction set the vector variants were compiled for: "avx2",
-/// "sse2", or "scalar" (non-x86 builds, where Vector == Scalar).
+/// The instruction set the SSE2 kernels were compiled for: "sse2", or
+/// "scalar" on non-x86 builds, where they are the scalar references.
 const char* SimdIsa();
 
 namespace kernels {
@@ -44,36 +36,14 @@ namespace kernels {
 // passes the predicate into `sel` (ascending) and returns the count. `sel`
 // must have room for n entries.
 
-/// Interval containment, the Stack-Tree structural predicate: selects i
-/// with lo < starts[i] && starts[i] <= hi (proper containment in (lo, hi]).
-size_t SelContained(const NodeId* starts, size_t n, NodeId lo, NodeId hi,
-                    uint32_t* sel);
-size_t SelContainedScalar(const NodeId* starts, size_t n, NodeId lo,
-                          NodeId hi, uint32_t* sel);
-size_t SelContainedVector(const NodeId* starts, size_t n, NodeId lo,
-                          NodeId hi, uint32_t* sel);
-
-/// Containment count without materializing the selection (reduction only).
-uint64_t CountContained(const NodeId* starts, size_t n, NodeId lo, NodeId hi);
-uint64_t CountContainedScalar(const NodeId* starts, size_t n, NodeId lo,
-                              NodeId hi);
-uint64_t CountContainedVector(const NodeId* starts, size_t n, NodeId lo,
-                              NodeId hi);
-
 /// Equality selection over a 32-bit column (tag filtering).
 size_t SelEqualsU32(const uint32_t* vals, size_t n, uint32_t v,
                     uint32_t* sel);
-size_t SelEqualsU32Scalar(const uint32_t* vals, size_t n, uint32_t v,
-                          uint32_t* sel);
-size_t SelEqualsU32Vector(const uint32_t* vals, size_t n, uint32_t v,
-                          uint32_t* sel);
 
 /// Equality selection over a 16-bit column (parent-child level filtering).
 size_t SelEqualsU16(const uint16_t* vals, size_t n, uint16_t v,
                     uint32_t* sel);
 size_t SelEqualsU16Scalar(const uint16_t* vals, size_t n, uint16_t v,
-                          uint32_t* sel);
-size_t SelEqualsU16Vector(const uint16_t* vals, size_t n, uint16_t v,
                           uint32_t* sel);
 
 // --------------------------------------------------------------------------
@@ -82,13 +52,10 @@ size_t SelEqualsU16Vector(const uint16_t* vals, size_t n, uint16_t v,
 /// End (exclusive) of the maximal run col[i..j) of values equal to col[i].
 /// Requires i < n. Join group boundaries on sorted columns.
 size_t RunLengthEnd(const NodeId* col, size_t n, size_t i);
-size_t RunLengthEndScalar(const NodeId* col, size_t n, size_t i);
-size_t RunLengthEndVector(const NodeId* col, size_t n, size_t i);
 
 /// True when col[0..n) is non-decreasing (the join input contract).
 bool IsNonDecreasing(const NodeId* col, size_t n);
 bool IsNonDecreasingScalar(const NodeId* col, size_t n);
-bool IsNonDecreasingVector(const NodeId* col, size_t n);
 
 // --------------------------------------------------------------------------
 // Data movement.
@@ -96,10 +63,6 @@ bool IsNonDecreasingVector(const NodeId* col, size_t n);
 /// dst[i] = src[idx[i]] for i in [0, n) — sort permutation application.
 void GatherU32(const uint32_t* src, const uint32_t* idx, size_t n,
                uint32_t* dst);
-void GatherU32Scalar(const uint32_t* src, const uint32_t* idx, size_t n,
-                     uint32_t* dst);
-void GatherU32Vector(const uint32_t* src, const uint32_t* idx, size_t n,
-                     uint32_t* dst);
 
 }  // namespace kernels
 }  // namespace sjos

@@ -283,5 +283,32 @@ std::string EncodeDoneError(std::string_view id, const Status& status,
   return out;
 }
 
+void AppendInFlightAndSlow(const Engine& engine, size_t max_slow,
+                           std::string* out) {
+  *out += "\"in_flight\":[";
+  const std::vector<InFlightInfo> in_flight = engine.InFlightQueries();
+  for (size_t i = 0; i < in_flight.size(); ++i) {
+    if (i > 0) *out += ',';
+    *out += "{\"query_id\":";
+    AppendJsonString(in_flight[i].query_id, out);
+    *out += ",\"tenant\":";
+    AppendJsonString(in_flight[i].tenant, out);
+    *out += ",\"optimizer\":";
+    AppendJsonString(in_flight[i].optimizer, out);
+    *out += ",\"elapsed_ms\":" + FormatDouble(in_flight[i].elapsed_ms, 3);
+    *out += ",\"live_bytes\":";
+    AppendJsonUint(in_flight[i].live_bytes, out);
+    *out += '}';
+  }
+  *out += "],\"slow\":[";
+  const std::vector<QueryLogRecord> slow =
+      engine.query_log().RecentSlow(max_slow);
+  for (size_t i = 0; i < slow.size(); ++i) {
+    if (i > 0) *out += ',';
+    *out += slow[i].ToJsonl();  // one JSON object per record
+  }
+  *out += ']';
+}
+
 }  // namespace net
 }  // namespace sjos

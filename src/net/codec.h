@@ -41,6 +41,7 @@
 
 namespace sjos {
 
+class Engine;
 struct QueryErrorInfo;
 struct QueryResult;
 
@@ -111,6 +112,12 @@ std::string EncodeDoneResult(std::string_view id, const QueryResult& qr,
 /// the failure flight record.
 std::string EncodeDoneError(std::string_view id, const Status& status,
                             const QueryErrorInfo& info);
+
+/// Appends `"in_flight":[...],"slow":[...]`: the engine's in-flight
+/// queries and its `max_slow` most recent slow-log records. The `stats`
+/// verb and the HTTP /statusz page both serve this view.
+void AppendInFlightAndSlow(const Engine& engine, size_t max_slow,
+                           std::string* out);
 
 }  // namespace net
 }  // namespace sjos

@@ -12,6 +12,7 @@
 
 #include "common/metrics.h"
 #include "common/str_util.h"
+#include "net/codec.h"
 #include "net/json.h"
 #include "service/query_log.h"
 
@@ -220,29 +221,9 @@ void ObservabilityServer::HandlePath(const std::string& path,
 }
 
 std::string ObservabilityServer::StatuszJson() const {
-  std::string out = "{\"in_flight\":[";
-  const std::vector<InFlightInfo> in_flight = engine_->InFlightQueries();
-  for (size_t i = 0; i < in_flight.size(); ++i) {
-    if (i > 0) out += ',';
-    out += "{\"query_id\":";
-    AppendJsonString(in_flight[i].query_id, &out);
-    out += ",\"tenant\":";
-    AppendJsonString(in_flight[i].tenant, &out);
-    out += ",\"optimizer\":";
-    AppendJsonString(in_flight[i].optimizer, &out);
-    out += ",\"elapsed_ms\":" + FormatDouble(in_flight[i].elapsed_ms, 3);
-    out += ",\"live_bytes\":";
-    AppendJsonUint(in_flight[i].live_bytes, &out);
-    out += '}';
-  }
-  out += "],\"slow\":[";
-  const std::vector<QueryLogRecord> slow =
-      engine_->query_log().RecentSlow(options_.statusz_slow_queries);
-  for (size_t i = 0; i < slow.size(); ++i) {
-    if (i > 0) out += ',';
-    out += slow[i].ToJsonl();  // one JSON object per record
-  }
-  out += "],\"queries_logged\":";
+  std::string out = "{";
+  AppendInFlightAndSlow(*engine_, options_.statusz_slow_queries, &out);
+  out += ",\"queries_logged\":";
   AppendJsonUint(engine_->query_log().appended(), &out);
   out += ",\"slow_total\":";
   AppendJsonUint(engine_->query_log().slow_count(), &out);

@@ -66,7 +66,6 @@ class ResilientClient {
                             std::string_view submit_json);
 
   const Stats& stats() const { return stats_; }
-  CircuitBreaker::State breaker_state() const { return breaker_.state(); }
   bool connected() const { return client_.connected(); }
   const std::string& host() const { return host_; }
   uint16_t port() const { return port_; }

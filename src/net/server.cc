@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include "common/metrics.h"
-#include "common/str_util.h"
 #include "common/timer.h"
 #include "net/frame.h"
 #include "net/json.h"
@@ -692,29 +691,9 @@ std::string QueryServer::HandleStats(const WireRequest& req) {
   out += draining_.load(std::memory_order_relaxed) ? "true" : "false";
   // In-flight and recent-slow views for the shell's remote \top and \slow
   // (same data /statusz serves over HTTP).
-  out += ",\"in_flight\":[";
-  const std::vector<InFlightInfo> in_flight = engine_->InFlightQueries();
-  for (size_t i = 0; i < in_flight.size(); ++i) {
-    if (i > 0) out += ',';
-    out += "{\"query_id\":";
-    AppendJsonString(in_flight[i].query_id, &out);
-    out += ",\"tenant\":";
-    AppendJsonString(in_flight[i].tenant, &out);
-    out += ",\"optimizer\":";
-    AppendJsonString(in_flight[i].optimizer, &out);
-    out += ",\"elapsed_ms\":" + FormatDouble(in_flight[i].elapsed_ms, 3);
-    out += ",\"live_bytes\":";
-    AppendJsonUint(in_flight[i].live_bytes, &out);
-    out += '}';
-  }
-  out += "],\"slow\":[";
-  const std::vector<QueryLogRecord> slow =
-      engine_->query_log().RecentSlow(req.wait_ms > 0 ? req.wait_ms : 16);
-  for (size_t i = 0; i < slow.size(); ++i) {
-    if (i > 0) out += ',';
-    out += slow[i].ToJsonl();
-  }
-  out += "],\"prometheus\":";
+  out += ',';
+  AppendInFlightAndSlow(*engine_, req.wait_ms > 0 ? req.wait_ms : 16, &out);
+  out += ",\"prometheus\":";
   AppendJsonString(MetricsRegistry::Global().Snapshot().ToPrometheus(), &out);
   out += "}";
   return out;

@@ -280,8 +280,18 @@ Result<MutationResult> Engine::ApplyFlushLocked() {
   return result;
 }
 
+std::shared_lock<std::shared_mutex> Engine::ReadLock() const {
+  std::lock_guard<std::mutex> gate(db_writer_gate_);
+  return std::shared_lock<std::shared_mutex>(db_mu_);
+}
+
+std::unique_lock<std::shared_mutex> Engine::WriteLock() {
+  std::lock_guard<std::mutex> gate(db_writer_gate_);
+  return std::unique_lock<std::shared_mutex>(db_mu_);
+}
+
 Result<MutationResult> Engine::Apply(Mutation mutation) {
-  std::unique_lock<std::shared_mutex> lock(db_mu_);
+  std::unique_lock<std::shared_mutex> lock = WriteLock();
   if (LoadDocument* load = std::get_if<LoadDocument>(&mutation)) {
     MutationResult result;
     result.nodes_added = load->doc.NumNodes();
@@ -310,19 +320,19 @@ Result<MutationResult> Engine::Apply(Mutation mutation) {
 }
 
 Status Engine::OpenDatabase(Database db) {
-  std::unique_lock<std::shared_mutex> lock(db_mu_);
+  std::unique_lock<std::shared_mutex> lock = WriteLock();
   InstallDatabaseLocked(std::move(db));
   cache_.Clear();
   return Status::OK();
 }
 
 bool Engine::has_database() const {
-  std::shared_lock<std::shared_mutex> lock(db_mu_);
+  std::shared_lock<std::shared_mutex> lock = ReadLock();
   return db_.has_value();
 }
 
 const Database& Engine::db() const {
-  std::shared_lock<std::shared_mutex> lock(db_mu_);
+  std::shared_lock<std::shared_mutex> lock = ReadLock();
   SJOS_CHECK(db_.has_value(), "Engine::db() without a loaded database");
   return *db_;
 }
@@ -406,7 +416,7 @@ Result<PlannedQuery> Engine::PlanLocked(const Pattern& pattern,
 
 Result<PlannedQuery> Engine::Plan(const Pattern& pattern,
                                   const QueryOptions& options) {
-  std::shared_lock<std::shared_mutex> lock(db_mu_);
+  std::shared_lock<std::shared_mutex> lock = ReadLock();
   return PlanLocked(pattern, options);
 }
 
@@ -475,7 +485,7 @@ Result<QueryResult> Engine::RunQuery(const Pattern& pattern,
     return status;
   };
 
-  std::shared_lock<std::shared_mutex> lock(db_mu_);
+  std::shared_lock<std::shared_mutex> lock = ReadLock();
 
   Result<PlannedQuery> planned = PlanLocked(pattern, options);
   plan_ms = timer.ElapsedMs();

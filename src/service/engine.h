@@ -298,6 +298,11 @@ class Engine {
   std::vector<InFlightInfo> InFlightQueries() const;
 
  private:
+  /// db_mu_ shared (queries) or exclusive (mutations), taken through
+  /// db_writer_gate_ so that a stream of queries cannot starve a mutation.
+  std::shared_lock<std::shared_mutex> ReadLock() const;
+  std::unique_lock<std::shared_mutex> WriteLock();
+
   /// Replaces db_/estimator_ under an already-held exclusive db_mu_; bumps
   /// the document id and stats version (a global invalidation event).
   void InstallDatabaseLocked(Database db);
@@ -327,8 +332,14 @@ class Engine {
   const EngineOptions options_;
 
   /// Guards db_/estimator_/doc_id_: queries hold it shared, mutations
-  /// exclusively.
+  /// exclusively. Taken only through ReadLock()/WriteLock().
   mutable std::shared_mutex db_mu_;
+  /// A mutation holds this while it waits for db_mu_, and every query
+  /// passes through it before taking db_mu_ shared, so new queries queue
+  /// behind a waiting mutation. Without it, std::shared_mutex may keep
+  /// admitting readers (glibc's does) and overlapping queries starve
+  /// every write. No thread may call ReadLock() while it holds db_mu_.
+  mutable std::mutex db_writer_gate_;
   std::optional<Database> db_;
   std::optional<PositionalHistogramEstimator> estimator_;
   CostModel cost_model_;

@@ -43,9 +43,6 @@ class DocumentBuilder {
   /// Number of nodes created so far.
   size_t NumNodes() const { return doc_.tags_.size(); }
 
-  /// Depth of the currently open element stack.
-  size_t OpenDepth() const { return stack_.size(); }
-
   /// Finalizes the document. Fails if the event stream was malformed
   /// (unbalanced opens/closes, multiple roots, no root).
   Result<Document> Build() &&;

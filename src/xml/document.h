@@ -91,7 +91,6 @@ class Document {
   /// (slot, EndSlotOf(slot)], so tag and level filtering over a subtree
   /// are dense column sweeps regardless of spacing.
   const TagId* TagData() const { return tags_.data(); }
-  const NodeId* EndData() const { return ends_.data(); }
   const uint16_t* LevelData() const { return levels_.data(); }
 
   /// The full positional record of node `key` (key space).

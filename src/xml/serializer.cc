@@ -1,7 +1,5 @@
 #include "xml/serializer.h"
 
-#include <fstream>
-
 namespace sjos {
 
 namespace {
@@ -89,15 +87,6 @@ std::string SerializeXml(const Document& doc, const SerializeOptions& options) {
   // Pretty mode starts with a leading newline from the root indent; drop it.
   if (options.pretty && !out.empty() && out[0] == '\n') out.erase(0, 1);
   return out;
-}
-
-Status WriteXmlFile(const Document& doc, const std::string& path,
-                    const SerializeOptions& options) {
-  std::ofstream file(path, std::ios::binary);
-  if (!file) return Status::NotFound("cannot open for writing: " + path);
-  file << SerializeXml(doc, options);
-  if (!file.good()) return Status::Internal("write failed: " + path);
-  return Status::OK();
 }
 
 }  // namespace sjos

@@ -22,10 +22,6 @@ struct SerializeOptions {
 /// rendered as attributes of their parent. Text is entity-escaped.
 std::string SerializeXml(const Document& doc, const SerializeOptions& options = {});
 
-/// Writes SerializeXml(doc) to `path`.
-Status WriteXmlFile(const Document& doc, const std::string& path,
-                    const SerializeOptions& options = {});
-
 }  // namespace sjos
 
 #endif  // SJOS_XML_SERIALIZER_H_

@@ -4,10 +4,9 @@
 // the per-optimizer unit tests don't provide. The holistic TwigJoin must
 // agree with the oracle too, so two independent algorithms pin the
 // expected set. Each plan then runs at several batch sizes (one-row
-// batches included) under both the vectorized and the forced-scalar
-// kernel dispatch; all executions must be byte-identical with identical
-// stats counters, so the oracle pins every batch size and kernel ISA at
-// once. A mutation schedule (inserts, deletes, flushes, with reader
+// batches included); all executions must be byte-identical with identical
+// stats counters, so the oracle pins every batch size at once. A
+// mutation schedule (inserts, deletes, flushes, with reader
 // threads live throughout) additionally pins the differential overlay
 // against a reparse-from-serialization oracle after every step.
 
@@ -31,7 +30,6 @@
 #include "exec/executor.h"
 #include "exec/naive_matcher.h"
 #include "exec/twig_join.h"
-#include "exec/vector_kernels.h"
 #include "plan/plan_props.h"
 #include "query/workload.h"
 #include "service/engine.h"
@@ -49,7 +47,6 @@ namespace {
 void ExpectIdenticalTuples(const TupleSet& a, const TupleSet& b) {
   ASSERT_EQ(a.slots(), b.slots());
   ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.ordered_by_slot(), b.ordered_by_slot());
   if (a.size() == 0) return;
   const size_t n = a.size() * a.arity();
   EXPECT_TRUE(std::equal(a.Row(0), a.Row(0) + n, b.Row(0)))
@@ -95,8 +92,7 @@ void ExpectJoinEstimatesAnnotated(const PhysicalPlan& plan,
 /// Runs all paper optimizers for every workload query of `dataset_name`
 /// against `db`. The default-batch execution is checked against the
 /// NaiveMatch oracle (itself cross-checked against TwigJoin), then every
-/// other batch size and kernel dispatch is checked byte-for-byte against
-/// that reference.
+/// other batch size is checked byte-for-byte against that reference.
 void RunDifferential(const Database& db, const std::string& dataset_name) {
   PositionalHistogramEstimator estimator = PositionalHistogramEstimator::Build(
       db.doc(), db.index(), db.stats());
@@ -122,8 +118,7 @@ void RunDifferential(const Database& db, const std::string& dataset_name) {
       ASSERT_TRUE(optimized.ok()) << optimized.status().ToString();
       const PhysicalPlan& plan = optimized.value().plan;
 
-      // Reference: the default batch size with the session's default
-      // kernel dispatch.
+      // Reference: the default batch size.
       Executor ref_exec(db);
       Result<ExecResult> ref = ref_exec.Execute(pattern, plan);
       ASSERT_TRUE(ref.ok()) << ref.status().ToString();
@@ -131,24 +126,17 @@ void RunDifferential(const Database& db, const std::string& dataset_name) {
       EXPECT_EQ(ref.value().stats.result_rows, expected.size());
       ExpectJoinEstimatesAnnotated(plan, ref.value().op_stats);
 
-      // Every batch size, under both vectorized and forced-scalar kernels,
-      // must reproduce the reference byte for byte.
-      const bool simd_default = SimdEnabled();
-      for (bool simd : {true, false}) {
-        SCOPED_TRACE(simd ? "simd=on" : "simd=off");
-        SetSimdEnabled(simd);
-        for (size_t batch_rows : {size_t{1}, size_t{3}, size_t{1024}}) {
-          SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
-          ExecOptions options;
-          options.batch_rows = batch_rows;
-          Executor exec(db, options);
-          Result<ExecResult> result = exec.Execute(pattern, plan);
-          ASSERT_TRUE(result.ok()) << result.status().ToString();
-          ExpectIdenticalTuples(ref.value().tuples, result.value().tuples);
-          ExpectIdenticalCounters(ref.value().stats, result.value().stats);
-        }
+      // Every batch size must reproduce the reference byte for byte.
+      for (size_t batch_rows : {size_t{1}, size_t{3}, size_t{1024}}) {
+        SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+        ExecOptions options;
+        options.batch_rows = batch_rows;
+        Executor exec(db, options);
+        Result<ExecResult> result = exec.Execute(pattern, plan);
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        ExpectIdenticalTuples(ref.value().tuples, result.value().tuples);
+        ExpectIdenticalCounters(ref.value().stats, result.value().stats);
       }
-      SetSimdEnabled(simd_default);
     }
   }
 }

@@ -155,8 +155,10 @@ TEST_F(ServiceTest, TenantOverInFlightQuotaIsShedNotQueued) {
   ServerOptions options;
   options.default_quota.max_in_flight = 1;
   StartServer(options);
+  // Every index scan stalls 100 ms when it opens: a fixed stall per query,
+  // whatever the batch size, that keeps "a" in flight.
   ASSERT_TRUE(
-      FailpointRegistry::Global().Enable("exec.batch", "delay:50").ok());
+      FailpointRegistry::Global().Enable("exec.scan", "delay:100").ok());
   Client client = Connect();
 
   ASSERT_TRUE(OkOf(client
@@ -460,8 +462,10 @@ TEST_F(ServiceTest, ExplainReturnsPlanWithoutExecuting) {
 
 TEST_F(ServiceTest, DrainShedsNewSubmitsAndFinishesInFlight) {
   StartServer();
+  // Every index scan stalls when it opens, so the query is still in flight
+  // when the drain begins, whatever the batch size.
   ASSERT_TRUE(
-      FailpointRegistry::Global().Enable("exec.batch", "delay:20").ok());
+      FailpointRegistry::Global().Enable("exec.scan", "delay:50").ok());
   Client client = Connect();
   ASSERT_TRUE(OkOf(client
                        .Call(SubmitJson("riding", "manager[//employee[/name]]",
@@ -485,7 +489,7 @@ TEST_F(ServiceTest, DrainShedsNewSubmitsAndFinishesInFlight) {
   Result<JsonValue> polled = client.Call(PollJson("riding", 20'000));
   ASSERT_TRUE(polled.ok());
   EXPECT_TRUE(OkOf(polled.value())) << StringField(polled.value(), "error");
-  FailpointRegistry::Global().Disable("exec.batch");
+  FailpointRegistry::Global().Disable("exec.scan");
 
   // The drain runs to completion on its own.
   const auto deadline =
@@ -524,8 +528,10 @@ TEST_F(ServiceTest, DrainDeadlineCancelsStragglers) {
 
 TEST_F(ServiceTest, PollFromSecondConnectionTransfersOwnership) {
   StartServer();
+  // Every index scan stalls when it opens, so the query is still in flight
+  // when the submitter disconnects, whatever the batch size.
   ASSERT_TRUE(
-      FailpointRegistry::Global().Enable("exec.batch", "delay:20").ok());
+      FailpointRegistry::Global().Enable("exec.scan", "delay:50").ok());
 
   Client taker = Connect();
   {
@@ -545,7 +551,7 @@ TEST_F(ServiceTest, PollFromSecondConnectionTransfersOwnership) {
   }  // submitter disconnects abruptly
 
   Result<JsonValue> final_poll = taker.Call(PollJson("handoff", 20'000));
-  FailpointRegistry::Global().Disable("exec.batch");
+  FailpointRegistry::Global().Disable("exec.scan");
   ASSERT_TRUE(final_poll.ok());
   ASSERT_TRUE(OkOf(final_poll.value()))
       << StringField(final_poll.value(), "error");

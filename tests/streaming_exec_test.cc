@@ -38,7 +38,6 @@ Pattern Pat(std::string_view text) {
 void ExpectIdenticalTuples(const TupleSet& a, const TupleSet& b) {
   ASSERT_EQ(a.slots(), b.slots());
   ASSERT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.ordered_by_slot(), b.ordered_by_slot());
   if (a.size() == 0) return;
   const size_t n = a.size() * a.arity();
   EXPECT_TRUE(std::equal(a.Row(0), a.Row(0) + n, b.Row(0)))
@@ -135,7 +134,7 @@ TEST(StreamingExecTest, PipelinedPlanPeakIsBounded) {
   std::vector<OpStats> op_stats;
   ExecStats stats =
       std::move(exec.ExecuteStreaming(pattern, plan,
-                                      [&](const TupleSet& batch) {
+                                      [&](const ColumnBatch& batch) {
                                         sunk_rows += batch.size();
                                         return Status();
                                       },
@@ -171,7 +170,7 @@ TEST(StreamingExecTest, SortMakesThePlanBlocking) {
   ExecStats stats =
       std::move(exec.ExecuteStreaming(
                     pattern, plan,
-                    [](const TupleSet&) { return Status(); }, &op_stats))
+                    [](const ColumnBatch&) { return Status(); }, &op_stats))
           .value();
   const uint64_t ab_rows = op_stats[static_cast<size_t>(ab)].rows;
   ASSERT_GE(ab_rows, 1600u);
@@ -273,7 +272,7 @@ TEST(StreamingExecTest, SinkErrorAbortsExecution) {
   Executor exec(db, options);
   int batches_seen = 0;
   Result<ExecStats> result = exec.ExecuteStreaming(
-      pattern, plan, [&](const TupleSet&) {
+      pattern, plan, [&](const ColumnBatch&) {
         return ++batches_seen >= 2 ? Status::Internal("sink full")
                                    : Status();
       });

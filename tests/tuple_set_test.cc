@@ -35,40 +35,6 @@ TEST(TupleSetTest, SlotLookup) {
   EXPECT_EQ(set.SlotOf(9), -1);
 }
 
-TEST(TupleSetTest, AppendConcat) {
-  TupleSet set({0, 1, 2});
-  NodeId left[] = {1, 2};
-  NodeId right[] = {3};
-  set.AppendConcat(left, 2, right, 1);
-  ASSERT_EQ(set.size(), 1u);
-  EXPECT_EQ(set.At(0, 2), 3u);
-}
-
-TEST(TupleSetTest, SortBySlotIsStable) {
-  TupleSet set({0, 1});
-  NodeId rows[][2] = {{5, 1}, {3, 2}, {5, 0}, {1, 9}};
-  for (auto& r : rows) set.AppendRow(r);
-  set.SortBySlot(0);
-  EXPECT_EQ(set.At(0, 0), 1u);
-  EXPECT_EQ(set.At(1, 0), 3u);
-  // Stability: the two rows with key 5 keep input order (1 before 0).
-  EXPECT_EQ(set.At(2, 1), 1u);
-  EXPECT_EQ(set.At(3, 1), 0u);
-  EXPECT_EQ(set.ordered_by_slot(), 0);
-  EXPECT_EQ(set.OrderedByNode(), 0);
-  EXPECT_TRUE(set.IsSortedBySlot(0));
-}
-
-TEST(TupleSetTest, IsSortedDetectsDisorder) {
-  TupleSet set({0});
-  NodeId a = 2, b = 1;
-  set.AppendRow(&a);
-  set.AppendRow(&b);
-  EXPECT_FALSE(set.IsSortedBySlot(0));
-  set.SortBySlot(0);
-  EXPECT_TRUE(set.IsSortedBySlot(0));
-}
-
 TEST(TupleSetTest, CanonicalReordersColumnsAndRows) {
   TupleSet set({5, 2});  // columns out of pattern order
   NodeId r1[] = {10, 99};
@@ -132,12 +98,6 @@ TEST(TupleSetTest, CanonicalMatchesNaiveSort) {
           << "trial " << trial << " row " << r;
     }
   }
-}
-
-TEST(TupleSetTest, OrderedByNodeUnknownByDefault) {
-  TupleSet set({4});
-  EXPECT_EQ(set.ordered_by_slot(), -1);
-  EXPECT_EQ(set.OrderedByNode(), kNoPatternNode);
 }
 
 }  // namespace
