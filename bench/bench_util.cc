@@ -164,19 +164,6 @@ std::string ParseJsonFlag(int* argc, char** argv) {
   return path;
 }
 
-namespace {
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
 JsonReport::JsonReport(std::string bench, std::string path)
     : bench_(std::move(bench)), path_(std::move(path)) {}
 

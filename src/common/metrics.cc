@@ -207,25 +207,28 @@ std::string U64(uint64_t v) {
 }  // namespace
 
 std::string MetricsSnapshot::ToJson() const {
-  // Instrument names are identifier-like by convention, so no escaping is
-  // needed beyond quoting.
+  // Labeled series names carry quotes (family{k="v"}), so every name goes
+  // through the JSON string writer.
   std::string out = "{\"counters\":{";
   for (size_t i = 0; i < counters.size(); ++i) {
     if (i > 0) out += ',';
-    out += '"' + counters[i].first + "\":" + U64(counters[i].second);
+    AppendJsonString(counters[i].first, &out);
+    out += ':';
+    AppendJsonUint(counters[i].second, &out);
   }
   out += "},\"gauges\":{";
   for (size_t i = 0; i < gauges.size(); ++i) {
     if (i > 0) out += ',';
-    out += '"' + gauges[i].first + "\":" +
-           StrFormat("%lld", static_cast<long long>(gauges[i].second));
+    AppendJsonString(gauges[i].first, &out);
+    out += ':' + StrFormat("%lld", static_cast<long long>(gauges[i].second));
   }
   out += "},\"histograms\":{";
   for (size_t i = 0; i < histograms.size(); ++i) {
     const HistogramData& h = histograms[i];
     if (i > 0) out += ',';
-    out += '"' + h.name + "\":{\"count\":" + U64(h.count) +
-           ",\"sum\":" + U64(h.sum) + ",\"buckets\":[";
+    AppendJsonString(h.name, &out);
+    out += ":{\"count\":" + U64(h.count) + ",\"sum\":" + U64(h.sum) +
+           ",\"buckets\":[";
     for (size_t b = 0; b < h.buckets.size(); ++b) {
       if (b > 0) out += ',';
       out += "[" + U64(h.buckets[b].first) + "," + U64(h.buckets[b].second) +

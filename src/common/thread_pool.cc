@@ -1,12 +1,6 @@
 #include "common/thread_pool.h"
 
-#include <cstdio>
-#include <exception>
-
-#include "common/failpoint.h"
 #include "common/metrics.h"
-#include "common/str_util.h"
-#include "common/trace.h"
 
 namespace sjos {
 
@@ -33,34 +27,19 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::Submit(std::function<Status()> task) {
-  PendingTask pending{0, std::move(task), {}};
-  std::snprintf(pending.trace_qid, sizeof(pending.trace_qid), "%s",
-                CurrentTraceQueryId());
+void ThreadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    pending.seq = next_seq_++;
-    queue_.push_back(std::move(pending));
-    ++in_flight_;
+    queue_.push_back(std::move(task));
   }
   tasks_submitted_->Add(1);
   queue_depth_->Add(1);
   task_cv_.notify_one();
 }
 
-Status ThreadPool::WaitAll() {
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return in_flight_ == 0; });
-  Status first = std::move(first_error_);
-  first_error_ = Status::OK();
-  first_error_seq_ = UINT64_MAX;
-  next_seq_ = 0;
-  return first;
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    PendingTask task;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       task_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
@@ -70,36 +49,7 @@ void ThreadPool::WorkerLoop() {
     }
     queue_depth_->Sub(1);
     tasks_run_->Add(1);
-    Status status;
-    // Injected dispatch fault: the task body never runs, but the error
-    // still flows through the earliest-error-wins WaitAll protocol below.
-    SJOS_FAILPOINT_CHECK("pool.task.dispatch", status);
-    if (!status.ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (task.seq < first_error_seq_) {
-        first_error_seq_ = task.seq;
-        first_error_ = std::move(status);
-      }
-      if (--in_flight_ == 0) done_cv_.notify_all();
-      continue;
-    }
-    try {
-      TraceQueryScope qid_scope(task.trace_qid);
-      TraceSpan span("pool.task");
-      status = task.fn();
-    } catch (const std::exception& e) {
-      status = Status::Internal(StrFormat("task threw: %s", e.what()));
-    } catch (...) {
-      status = Status::Internal("task threw a non-std exception");
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!status.ok() && task.seq < first_error_seq_) {
-        first_error_seq_ = task.seq;
-        first_error_ = std::move(status);
-      }
-      if (--in_flight_ == 0) done_cv_.notify_all();
-    }
+    task();
   }
 }
 

@@ -1,4 +1,6 @@
-// Wall-clock timing for optimization/execution measurements in the benches.
+// Monotonic timing: the stopwatch the benches and the engine measure
+// phases with, and the one steady-clock "now" the service layers stamp
+// admission, quota and drain decisions with.
 
 #ifndef SJOS_COMMON_TIMER_H_
 #define SJOS_COMMON_TIMER_H_
@@ -34,6 +36,14 @@ class Timer {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
+
+/// Microseconds on the steady clock since its (arbitrary) epoch.
+inline uint64_t SteadyNowMicros() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 }  // namespace sjos
 

@@ -14,8 +14,8 @@ namespace sjos {
 namespace {
 
 /// The recording thread's current query-id tag; spans copy it at record
-/// time so cross-thread work (pool workers re-opening the scope) carries
-/// the submitting query's id.
+/// time, so a worker that opens the scope for the query it runs tags its
+/// spans with that query's id.
 thread_local char t_trace_qid[kTraceQueryIdBytes] = {0};
 
 int64_t SteadyNowNanos() {
@@ -25,15 +25,6 @@ int64_t SteadyNowNanos() {
 }
 
 void FlushGlobalTracerAtExit() { (void)Tracer::Global().Stop(); }
-
-/// Appends `name` JSON-escaped (span names are controlled literals, but a
-/// stray quote must not corrupt the output file).
-void AppendEscaped(const char* name, std::string* out) {
-  for (const char* p = name; *p != '\0'; ++p) {
-    if (*p == '"' || *p == '\\') out->push_back('\\');
-    out->push_back(*p);
-  }
-}
 
 }  // namespace
 
@@ -165,17 +156,17 @@ std::string Tracer::ToJson() const {
     for (const Event& ev : ring->events) {
       if (!first) out += ',';
       first = false;
-      out += "{\"name\":\"";
-      AppendEscaped(ev.name, &out);
+      out += "{\"name\":";
+      AppendJsonString(ev.name, &out);
       out += StrFormat(
-          "\",\"cat\":\"sjos\",\"ph\":\"X\",\"ts\":%lld,\"dur\":%lld,"
+          ",\"cat\":\"sjos\",\"ph\":\"X\",\"ts\":%lld,\"dur\":%lld,"
           "\"pid\":1,\"tid\":%u",
           static_cast<long long>(ev.ts_us), static_cast<long long>(ev.dur_us),
           ring->tid);
       if (ev.qid[0] != '\0') {
-        out += ",\"args\":{\"qid\":\"";
-        AppendEscaped(ev.qid, &out);
-        out += "\"}";
+        out += ",\"args\":{\"qid\":";
+        AppendJsonString(ev.qid, &out);
+        out += '}';
       }
       out += '}';
     }

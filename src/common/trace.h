@@ -93,11 +93,10 @@ class Tracer {
 };
 
 /// Tags every span the calling thread records (until destruction) with a
-/// query id, so Perfetto can filter one query's spans across ThreadPool
-/// workers. Scopes nest and restore the previous tag on destruction; the
-/// Engine opens one per query, and partitioned-join workers re-open it
-/// inside their tasks. Ids longer than kTraceQueryIdBytes - 1 are
-/// truncated in the trace output.
+/// query id, so Perfetto can filter one query's spans. Scopes nest and
+/// restore the previous tag on destruction; the Engine opens one per query,
+/// and its worker task opens one before its pool.task span. Ids longer
+/// than kTraceQueryIdBytes - 1 are truncated in the trace output.
 class TraceQueryScope {
  public:
   explicit TraceQueryScope(const char* qid);

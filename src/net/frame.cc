@@ -3,9 +3,11 @@
 #include <cerrno>
 #include <cstring>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/types.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 namespace sjos {
@@ -24,6 +26,15 @@ void PutHeader(std::string_view payload, char header[kFrameHeaderBytes]) {
   header[3] = static_cast<char>(len & 0xFF);
 }
 
+/// The payload length a big-endian header declares.
+uint64_t GetHeader(const char* header) {
+  uint64_t len = 0;
+  for (size_t i = 0; i < kFrameHeaderBytes; ++i) {
+    len = (len << 8) | static_cast<unsigned char>(header[i]);
+  }
+  return len;
+}
+
 }  // namespace
 
 std::string EncodeFrame(std::string_view payload) {
@@ -40,11 +51,7 @@ FrameDecode DecodeFrame(std::string_view buffer, size_t max_payload,
                         std::string_view* payload, size_t* consumed,
                         uint64_t* declared) {
   if (buffer.size() < kFrameHeaderBytes) return FrameDecode::kNeedMore;
-  const uint64_t len =
-      (static_cast<uint64_t>(static_cast<unsigned char>(buffer[0])) << 24) |
-      (static_cast<uint64_t>(static_cast<unsigned char>(buffer[1])) << 16) |
-      (static_cast<uint64_t>(static_cast<unsigned char>(buffer[2])) << 8) |
-      static_cast<uint64_t>(static_cast<unsigned char>(buffer[3]));
+  const uint64_t len = GetHeader(buffer.data());
   if (declared != nullptr) *declared = len;
   if (len > max_payload || len > kFrameAbsoluteMaxPayload) {
     return FrameDecode::kOversize;
@@ -63,38 +70,6 @@ namespace {
 bool IsConnectionLostErrno(int err) {
   return err == ECONNRESET || err == EPIPE || err == ETIMEDOUT ||
          err == ECONNABORTED || err == ENETRESET || err == ESHUTDOWN;
-}
-
-/// Writes every byte of iov[0..count), looping over partial writes. The
-/// iovecs are consumed as they are written.
-Status SendAll(int fd, iovec* iov, size_t count) {
-  while (count > 0) {
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = count;
-    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (IsConnectionLostErrno(errno)) {
-        return Status::Unavailable(std::string("send failed: ") +
-                                   std::strerror(errno));
-      }
-      return Status::Internal(std::string("send failed: ") +
-                              std::strerror(errno));
-    }
-    if (n == 0) return Status::Internal("send wrote zero bytes");
-    size_t written = static_cast<size_t>(n);
-    while (count > 0 && written >= iov->iov_len) {
-      written -= iov->iov_len;
-      ++iov;
-      --count;
-    }
-    if (count > 0) {
-      iov->iov_base = static_cast<char*>(iov->iov_base) + written;
-      iov->iov_len -= written;
-    }
-  }
-  return Status::OK();
 }
 
 /// Reads exactly `len` bytes. *eof_at_start is set (with OK returned,
@@ -141,6 +116,83 @@ Status RecvAll(int fd, char* data, size_t len, bool* eof_at_start,
 
 }  // namespace
 
+Result<ListenSocket> Listen(const std::string& host, uint16_t port,
+                            int backlog) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return Status::Internal(std::string("socket failed: ") +
+                            std::strerror(errno));
+  }
+  // Closes the socket and passes `status` on: every failure below.
+  const auto fail = [fd](Status status) {
+    ::close(fd);
+    return status;
+  };
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    return fail(Status::InvalidArgument("bad listen address '" + host + "'"));
+  }
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    return fail(Status::Internal("bind to " + host + ":" +
+                                 std::to_string(port) +
+                                 " failed: " + std::strerror(errno)));
+  }
+  if (::listen(fd, backlog) != 0) {
+    return fail(Status::Internal(std::string("listen failed: ") +
+                                 std::strerror(errno)));
+  }
+  sockaddr_in bound;
+  socklen_t len = sizeof(bound);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
+    return fail(Status::Internal(std::string("getsockname failed: ") +
+                                 std::strerror(errno)));
+  }
+  return ListenSocket{fd, ntohs(bound.sin_port)};
+}
+
+void SetSocketTimeout(int fd, int option, uint64_t timeout_ms) {
+  timeval tv;
+  tv.tv_sec = static_cast<time_t>(timeout_ms / 1000);
+  tv.tv_usec = static_cast<suseconds_t>((timeout_ms % 1000) * 1000);
+  ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv));
+}
+
+Status SendAll(int fd, iovec* iov, size_t count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (IsConnectionLostErrno(errno)) {
+        return Status::Unavailable(std::string("send failed: ") +
+                                   std::strerror(errno));
+      }
+      return Status::Internal(std::string("send failed: ") +
+                              std::strerror(errno));
+    }
+    if (n == 0) return Status::Internal("send wrote zero bytes");
+    size_t written = static_cast<size_t>(n);
+    while (count > 0 && written >= iov->iov_len) {
+      written -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<char*>(iov->iov_base) + written;
+      iov->iov_len -= written;
+    }
+  }
+  return Status::OK();
+}
+
 Status SendFrame(int fd, std::string_view payload) {
   // The header and the payload go out in one sendmsg, so a multi-MB
   // response is never copied into a concatenated frame.
@@ -163,11 +215,7 @@ Status RecvFrame(int fd, size_t max_payload, std::string* payload,
     if (clean_eof != nullptr) *clean_eof = true;
     return Status::OK();
   }
-  const uint64_t len =
-      (static_cast<uint64_t>(static_cast<unsigned char>(header[0])) << 24) |
-      (static_cast<uint64_t>(static_cast<unsigned char>(header[1])) << 16) |
-      (static_cast<uint64_t>(static_cast<unsigned char>(header[2])) << 8) |
-      static_cast<uint64_t>(static_cast<unsigned char>(header[3]));
+  const uint64_t len = GetHeader(header);
   if (len > max_payload || len > kFrameAbsoluteMaxPayload) {
     return Status::ResourceExhausted(
         "frame of " + std::to_string(len) + " bytes exceeds the limit of " +

@@ -6,6 +6,10 @@
 // configured maximum is unrecoverable for the stream (the bytes that
 // follow cannot be resynchronized), so the server answers once and
 // closes; everything else leaves the connection usable.
+//
+// This file also holds the socket primitives both servers share: Listen
+// (the one listener setup), SendAll (the one write loop; the HTTP server
+// sends its unframed responses through it) and SetSocketTimeout.
 
 #ifndef SJOS_NET_FRAME_H_
 #define SJOS_NET_FRAME_H_
@@ -14,6 +18,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+
+#include <sys/uio.h>
 
 #include "common/status.h"
 
@@ -42,6 +48,29 @@ enum class FrameDecode {
 FrameDecode DecodeFrame(std::string_view buffer, size_t max_payload,
                         std::string_view* payload, size_t* consumed,
                         uint64_t* declared = nullptr);
+
+/// A listening TCP socket and the port it is bound to.
+struct ListenSocket {
+  int fd = -1;
+  uint16_t port = 0;
+};
+
+/// Creates an IPv4 TCP socket (SO_REUSEADDR), binds it to `host`:`port`
+/// and listens with `backlog`. Port 0 binds an ephemeral port; the result
+/// carries the port actually bound. Every failure closes the socket and
+/// returns a Status naming the failed step.
+Result<ListenSocket> Listen(const std::string& host, uint16_t port,
+                            int backlog);
+
+/// Sets the socket timeout `option` (SO_RCVTIMEO or SO_SNDTIMEO) on `fd`
+/// to `timeout_ms` milliseconds.
+void SetSocketTimeout(int fd, int option, uint64_t timeout_ms);
+
+/// Writes every byte of iov[0..count) to `fd`, looping over partial
+/// writes; the iovecs are consumed as they are written. SIGPIPE is
+/// suppressed (MSG_NOSIGNAL). A lost peer is Unavailable; other errors
+/// (a send timeout included) are Internal.
+Status SendAll(int fd, iovec* iov, size_t count);
 
 /// Writes one frame to `fd`, looping over partial writes. SIGPIPE is
 /// suppressed (MSG_NOSIGNAL); a closed peer surfaces as a Status.

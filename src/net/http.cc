@@ -1,18 +1,14 @@
 #include "net/http.h"
 
 #include <cerrno>
-#include <cstring>
-#include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include "common/metrics.h"
 #include "common/str_util.h"
 #include "net/codec.h"
+#include "net/frame.h"
 #include "net/json.h"
 #include "service/query_log.h"
 
@@ -45,18 +41,6 @@ const char* StatusText(int http_status) {
   return "Error";
 }
 
-/// Writes all of `data`, honouring the socket's send timeout.
-bool SendAll(int fd, std::string_view data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 ObservabilityServer::ObservabilityServer(Engine* engine,
@@ -67,46 +51,10 @@ ObservabilityServer::~ObservabilityServer() { Stop(); }
 
 Status ObservabilityServer::Start() {
   SJOS_CHECK(!started_.load(), "ObservabilityServer::Start called twice");
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::Internal(std::string("socket failed: ") +
-                            std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad listen address '" + options_.host +
-                                   "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    Status st = Status::Internal("bind to " + options_.host + ":" +
-                                 std::to_string(options_.port) +
-                                 " failed: " + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  if (::listen(listen_fd_, 16) != 0) {
-    Status st = Status::Internal(std::string("listen failed: ") +
-                                 std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  sockaddr_in bound;
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port_ = ntohs(bound.sin_port);
-  }
+  Result<ListenSocket> listener = Listen(options_.host, options_.port, 16);
+  if (!listener.ok()) return listener.status();
+  listen_fd_ = listener.value().fd;
+  port_ = listener.value().port;
   started_.store(true);
   stopping_.store(false);
   serve_thread_ = std::thread(&ObservabilityServer::ServeLoop, this);
@@ -116,28 +64,27 @@ Status ObservabilityServer::Start() {
 void ObservabilityServer::Stop() {
   if (!started_.exchange(false)) return;
   stopping_.store(true);
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // Shut the listener down to unblock accept(), and close it only once the
+  // serve loop has exited: closing first would let accept() run on a
+  // descriptor number the process may already have reused.
+  ::shutdown(listen_fd_, SHUT_RDWR);
   if (serve_thread_.joinable()) serve_thread_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
 }
 
 void ObservabilityServer::ServeLoop() {
+  // Stop resets listen_fd_ only after joining this thread.
+  const int listen_fd = listen_fd_;
   while (!stopping_.load(std::memory_order_relaxed)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (stopping_.load(std::memory_order_relaxed)) return;
       if (errno == EINTR) continue;
       return;
     }
-    timeval tv;
-    tv.tv_sec = static_cast<time_t>(options_.io_timeout_ms / 1000);
-    tv.tv_usec =
-        static_cast<suseconds_t>((options_.io_timeout_ms % 1000) * 1000);
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    SetSocketTimeout(fd, SO_RCVTIMEO, kHttpIoTimeoutMs);
+    SetSocketTimeout(fd, SO_SNDTIMEO, kHttpIoTimeoutMs);
     ServeConnection(fd);
     ::close(fd);
   }
@@ -149,7 +96,7 @@ void ObservabilityServer::ServeConnection(int fd) {
   std::string head;
   char buf[1024];
   while (head.find("\r\n\r\n") == std::string::npos &&
-         head.size() < options_.max_request_bytes) {
+         head.size() < kHttpMaxRequestBytes) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) break;
     head.append(buf, static_cast<size_t>(n));
@@ -191,7 +138,8 @@ void ObservabilityServer::ServeConnection(int fd) {
   response += StrFormat("Content-Length: %zu\r\n", body.size());
   response += "Connection: close\r\n\r\n";
   response += body;
-  SendAll(fd, response);
+  iovec iov{response.data(), response.size()};
+  (void)SendAll(fd, &iov, 1);
 }
 
 void ObservabilityServer::HandlePath(const std::string& path,
@@ -222,7 +170,7 @@ void ObservabilityServer::HandlePath(const std::string& path,
 
 std::string ObservabilityServer::StatuszJson() const {
   std::string out = "{";
-  AppendInFlightAndSlow(*engine_, options_.statusz_slow_queries, &out);
+  AppendInFlightAndSlow(*engine_, kStatuszSlowQueries, &out);
   out += ",\"queries_logged\":";
   AppendJsonUint(engine_->query_log().appended(), &out);
   out += ",\"slow_total\":";

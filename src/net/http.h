@@ -11,7 +11,9 @@
 //
 // Deliberately tiny: GET only, one request per connection (Connection:
 // close), recv/send timeouts so a stuck client cannot wedge the accept
-// loop. Not a general web server — an operator port.
+// loop. Not a general web server — an operator port. The listener and
+// the write loop are net/frame.h's Listen and SendAll, shared with the
+// query server; the limits below are fixed, not configured.
 //
 // Lifetime: the server must be destroyed (or Stop()ed) before the Engine
 // it reads from.
@@ -34,17 +36,17 @@ struct HttpServerOptions {
   /// Listen address; 0 picks an ephemeral port (read back with port()).
   std::string host = "127.0.0.1";
   uint16_t port = 0;
-
-  /// Ceiling on the request head we will buffer before answering 400.
-  size_t max_request_bytes = 8192;
-
-  /// Per-connection recv/send timeout; a client slower than this is cut
-  /// off rather than allowed to block the (single-threaded) serve loop.
-  uint64_t io_timeout_ms = 2000;
-
-  /// Entries returned in /statusz's "slow" array.
-  size_t statusz_slow_queries = 16;
 };
+
+/// Ceiling on the request head the server buffers before answering 400.
+inline constexpr size_t kHttpMaxRequestBytes = 8192;
+
+/// Per-connection recv/send timeout; a client slower than this is cut off
+/// rather than allowed to block the (single-threaded) serve loop.
+inline constexpr uint64_t kHttpIoTimeoutMs = 2000;
+
+/// Entries returned in /statusz's "slow" array.
+inline constexpr size_t kStatuszSlowQueries = 16;
 
 class ObservabilityServer {
  public:
@@ -59,8 +61,8 @@ class ObservabilityServer {
   /// the socket) when the address cannot be bound.
   Status Start();
 
-  /// Shuts down the listener and joins the serve thread. Idempotent;
-  /// called by the destructor.
+  /// Shuts down the listener, joins the serve thread, then closes the
+  /// listener. Idempotent; called by the destructor.
   void Stop();
 
   /// The bound port (after Start); useful with HttpServerOptions::port == 0.

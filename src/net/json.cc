@@ -421,36 +421,5 @@ Result<JsonValue> ParseJson(std::string_view text, size_t max_depth) {
   return JsonParser(text, max_depth).Parse();
 }
 
-void AppendJsonString(std::string_view text, std::string* out) {
-  static constexpr char kHexDigits[] = "0123456789abcdef";
-  out->push_back('"');
-  for (unsigned char c : text) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\b': *out += "\\b"; break;
-      case '\f': *out += "\\f"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          const char escape[] = {'\\', 'u', '0', '0', kHexDigits[c >> 4],
-                                 kHexDigits[c & 0xF]};
-          out->append(escape, sizeof(escape));
-        } else {
-          out->push_back(static_cast<char>(c));
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendJsonUint(uint64_t value, std::string* out) {
-  char digits[20];
-  const char* end = std::to_chars(digits, digits + sizeof(digits), value).ptr;
-  out->append(digits, static_cast<size_t>(end - digits));
-}
-
 }  // namespace net
 }  // namespace sjos

@@ -13,8 +13,9 @@
 // make. The parser builds every element in place in its parent. After the
 // grammar check, a number converts digit by digit when it is an integer of
 // at most 15 digits (exact in a double), and through std::from_chars on the
-// accepted span otherwise, which rounds as strtod does. The writers format
-// integers with std::to_chars.
+// accepted span otherwise, which rounds as strtod does. The writers,
+// AppendJsonString and AppendJsonUint, are common/str_util's, re-exported
+// here for the codec and its callers.
 
 #ifndef SJOS_NET_JSON_H_
 #define SJOS_NET_JSON_H_
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/str_util.h"
 
 namespace sjos {
 namespace net {
@@ -99,13 +101,10 @@ class JsonValue {
 /// use on hostile input — a depth breach is a ParseError, not a crash).
 Result<JsonValue> ParseJson(std::string_view text, size_t max_depth = 64);
 
-/// Appends `text` JSON-escaped (quotes included) to `*out`. Control
-/// characters are \u-escaped; input is treated as raw bytes.
-void AppendJsonString(std::string_view text, std::string* out);
-
-/// Renders a uint64 exactly (JSON writers elsewhere in the repo go
-/// through doubles, which would corrupt large node ids).
-void AppendJsonUint(uint64_t value, std::string* out);
+/// The JSON writers live in common/str_util; net:: callers keep their
+/// spelling.
+using ::sjos::AppendJsonString;
+using ::sjos::AppendJsonUint;
 
 }  // namespace net
 }  // namespace sjos

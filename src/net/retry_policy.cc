@@ -4,17 +4,14 @@
 #include <chrono>
 #include <thread>
 
+#include "common/timer.h"
+
 namespace sjos {
 namespace net {
 
 RetryClock RetryClock::Real() {
   RetryClock clock;
-  clock.now_us = []() {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  };
+  clock.now_us = SteadyNowMicros;
   clock.sleep_us = [](uint64_t us) {
     std::this_thread::sleep_for(std::chrono::microseconds(us));
   };

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <iterator>
 #include <thread>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -24,13 +21,6 @@ namespace sjos {
 namespace net {
 
 namespace {
-
-uint64_t NowUs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 struct ServerMetrics {
   Counter& connections;
@@ -69,6 +59,25 @@ struct ServerMetrics {
   }
 };
 
+/// The query text of a submit or explain, parsed as XPath or as the
+/// pattern syntax per the request's xpath flag.
+Result<Pattern> ParseWireQuery(const WireRequest& req) {
+  if (!req.xpath) return ParsePattern(req.query);
+  Result<XPathQuery> q = ParseXPath(req.query);
+  if (!q.ok()) return q.status();
+  return std::move(q).value().pattern;
+}
+
+/// The shed response for a tenant whose quota did not admit the request.
+std::string QuotaShedResponse(const std::string& id, const std::string& tenant,
+                              const TenantQuotaTable::Decision& decision) {
+  return EncodeErrorResponse(
+      id,
+      Status::ResourceExhausted("tenant '" + tenant + "' over its " +
+                                decision.reason + " quota — retry later"),
+      decision.retry_after_ms);
+}
+
 void CountRequest(Verb verb, const std::string& tenant) {
   MetricsRegistry& reg = MetricsRegistry::Global();
   reg.GetCounter("sjos_server_requests_total", {{"verb", VerbName(verb)}})
@@ -101,46 +110,10 @@ QueryServer::~QueryServer() {
 
 Status QueryServer::Start() {
   SJOS_CHECK(!started_.load(), "QueryServer::Start called twice");
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::Internal(std::string("socket failed: ") +
-                            std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::InvalidArgument("bad listen address '" + options_.host +
-                                   "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    Status st = Status::Internal("bind to " + options_.host + ":" +
-                                 std::to_string(options_.port) +
-                                 " failed: " + std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    Status st = Status::Internal(std::string("listen failed: ") +
-                                 std::strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return st;
-  }
-  sockaddr_in bound;
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port_ = ntohs(bound.sin_port);
-  }
+  Result<ListenSocket> listener = Listen(options_.host, options_.port, 64);
+  if (!listener.ok()) return listener.status();
+  listen_fd_ = listener.value().fd;
+  port_ = listener.value().port;
   started_.store(true);
   stopping_.store(false);
   accept_thread_ = std::thread(&QueryServer::AcceptLoop, this);
@@ -153,12 +126,10 @@ void QueryServer::Stop() {
   // Shut the listener down to unblock accept(), and close it only once the
   // accept loop has exited: closing first would let accept() run on a
   // descriptor number the process may already have reused.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   std::lock_guard<std::mutex> lock(conn_mu_);
   for (auto& conn : connections_) {
     if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
@@ -208,9 +179,9 @@ void QueryServer::DrainImpl(uint64_t deadline_ms) {
   // (draining_ was set before this thread started).
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
 
-  const uint64_t start_us = NowUs();
+  const uint64_t start_us = SteadyNowMicros();
   while (live_queries_.load(std::memory_order_relaxed) > 0 &&
-         NowUs() - start_us < deadline_ms * 1000) {
+         SteadyNowMicros() - start_us < deadline_ms * 1000) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   if (live_queries_.load(std::memory_order_relaxed) > 0) {
@@ -230,7 +201,7 @@ void QueryServer::DrainImpl(uint64_t deadline_ms) {
   // Grace window: every query is terminal; let clients collect results
   // before their connections die.
   std::this_thread::sleep_for(
-      std::chrono::milliseconds(options_.drain_grace_ms));
+      std::chrono::milliseconds(kDrainGraceMs));
   Stop();
   drained_.store(true, std::memory_order_release);
 }
@@ -253,10 +224,7 @@ void QueryServer::AcceptLoop() {
   // Stop resets listen_fd_ only after joining this thread.
   const int listen_fd = listen_fd_;
   while (!stopping_.load(std::memory_order_relaxed)) {
-    sockaddr_in peer;
-    socklen_t len = sizeof(peer);
-    const int fd =
-        ::accept(listen_fd, reinterpret_cast<sockaddr*>(&peer), &len);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // listener closed by Stop/drain (or a fatal accept error)
@@ -274,11 +242,7 @@ void QueryServer::AcceptLoop() {
       // which RecvFrame maps to DeadlineExceeded and the serve loop
       // treats as "close the connection". Catches both idle clients and
       // slow-loris peers trickling a frame byte by byte.
-      timeval tv;
-      tv.tv_sec = static_cast<time_t>(options_.idle_timeout_ms / 1000);
-      tv.tv_usec =
-          static_cast<suseconds_t>((options_.idle_timeout_ms % 1000) * 1000);
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+      SetSocketTimeout(fd, SO_RCVTIMEO, options_.idle_timeout_ms);
     }
     std::lock_guard<std::mutex> lock(conn_mu_);
     ReapFinishedLocked();
@@ -452,7 +416,7 @@ std::string QueryServer::HandleSubmit(Connection* conn,
     return EncodeErrorResponse(
         req.id,
         Status::Unavailable("server is draining — no new submits"),
-        options_.drain_retry_after_ms);
+        kDrainRetryAfterMs);
   }
 
   // Idempotency: one id, one execution. A re-submit of a live id attaches
@@ -472,10 +436,7 @@ std::string QueryServer::HandleSubmit(Connection* conn,
         queries_.erase(it);
       } else {
         it->second.owner_conn = conn->id;
-        if (std::find(conn->owned_ids.begin(), conn->owned_ids.end(),
-                      req.id) == conn->owned_ids.end()) {
-          conn->owned_ids.push_back(req.id);
-        }
+        conn->Own(req.id);
         ServerMetrics::Get().attaches.Add();
         std::string out;
         AppendOkHead(req.id, &out);
@@ -506,16 +467,9 @@ std::string QueryServer::HandleSubmit(Connection* conn,
   }
 
   Timer parse_timer;
-  Pattern pattern;
-  if (req.xpath) {
-    Result<XPathQuery> q = ParseXPath(req.query);
-    if (!q.ok()) return EncodeErrorResponse(req.id, q.status());
-    pattern = std::move(q).value().pattern;
-  } else {
-    Result<Pattern> p = ParsePattern(req.query);
-    if (!p.ok()) return EncodeErrorResponse(req.id, p.status());
-    pattern = std::move(p).value();
-  }
+  Result<Pattern> parsed = ParseWireQuery(req);
+  if (!parsed.ok()) return EncodeErrorResponse(req.id, parsed.status());
+  Pattern pattern = std::move(parsed).value();
 
   QueryOptions options = req.ToQueryOptions();
   // Text→Pattern time happened here, outside the Engine; hand it over so
@@ -526,14 +480,9 @@ std::string QueryServer::HandleSubmit(Connection* conn,
   const std::string tenant = options.tenant;
 
   // Gate 3 — per-tenant quota.
-  const TenantQuotaTable::Decision decision = quotas_.Admit(tenant, NowUs());
-  if (!decision.admitted) {
-    return EncodeErrorResponse(
-        req.id,
-        Status::ResourceExhausted("tenant '" + tenant + "' over its " +
-                                  decision.reason + " quota — retry later"),
-        decision.retry_after_ms);
-  }
+  const TenantQuotaTable::Decision decision =
+      quotas_.Admit(tenant, SteadyNowMicros());
+  if (!decision.admitted) return QuotaShedResponse(req.id, tenant, decision);
 
   const uint64_t cap = quotas_.LiveBytesCap(tenant);
   if (cap > 0) {
@@ -558,10 +507,7 @@ std::string QueryServer::HandleSubmit(Connection* conn,
     lq.owner_conn = conn->id;
     lq.generation = next_generation_++;
   }
-  if (std::find(conn->owned_ids.begin(), conn->owned_ids.end(), req.id) ==
-      conn->owned_ids.end()) {
-    conn->owned_ids.push_back(req.id);
-  }
+  conn->Own(req.id);
 
   std::string out;
   AppendOkHead(req.id, &out);
@@ -599,14 +545,11 @@ std::string QueryServer::HandlePoll(Connection* conn, const WireRequest& req) {
     handle = it->second.handle;
     generation = it->second.generation;
   }
-  if (std::find(conn->owned_ids.begin(), conn->owned_ids.end(), req.id) ==
-      conn->owned_ids.end()) {
-    conn->owned_ids.push_back(req.id);
-  }
+  conn->Own(req.id);
 
   bool done = handle.Done();
   if (!done && req.wait_ms > 0) {
-    done = handle.WaitFor(std::min(req.wait_ms, options_.max_poll_wait_ms));
+    done = handle.WaitFor(std::min(req.wait_ms, kMaxPollWaitMs));
   }
   if (!done) {
     std::string out;
@@ -655,16 +598,9 @@ std::string QueryServer::HandleCancel(Connection* conn,
 }
 
 std::string QueryServer::HandleExplain(const WireRequest& req) {
-  Pattern pattern;
-  if (req.xpath) {
-    Result<XPathQuery> q = ParseXPath(req.query);
-    if (!q.ok()) return EncodeErrorResponse(req.id, q.status());
-    pattern = std::move(q).value().pattern;
-  } else {
-    Result<Pattern> p = ParsePattern(req.query);
-    if (!p.ok()) return EncodeErrorResponse(req.id, p.status());
-    pattern = std::move(p).value();
-  }
+  Result<Pattern> parsed = ParseWireQuery(req);
+  if (!parsed.ok()) return EncodeErrorResponse(req.id, parsed.status());
+  const Pattern& pattern = parsed.value();
   Result<PlannedQuery> planned = engine_->Plan(pattern, req.ToQueryOptions());
   if (!planned.ok()) return EncodeErrorResponse(req.id, planned.status());
 
@@ -720,7 +656,7 @@ std::string QueryServer::HandleUpdate(const WireRequest& req) {
     ServerMetrics::Get().drain_shed.Add();
     return EncodeErrorResponse(
         req.id, Status::Unavailable("server is draining — no new updates"),
-        options_.drain_retry_after_ms);
+        kDrainRetryAfterMs);
   }
 
   // Idempotency: a mutation id that already completed replays its stored
@@ -739,14 +675,8 @@ std::string QueryServer::HandleUpdate(const WireRequest& req) {
 
   const std::string tenant = req.tenant.empty() ? "default" : req.tenant;
   const TenantQuotaTable::Decision decision =
-      quotas_.AdmitWrite(tenant, NowUs());
-  if (!decision.admitted) {
-    return EncodeErrorResponse(
-        req.id,
-        Status::ResourceExhausted("tenant '" + tenant + "' over its " +
-                                  decision.reason + " quota — retry later"),
-        decision.retry_after_ms);
-  }
+      quotas_.AdmitWrite(tenant, SteadyNowMicros());
+  if (!decision.admitted) return QuotaShedResponse(req.id, tenant, decision);
 
   // One write at a time: apply-then-record must be atomic per id, or a
   // concurrent retry of the same id could slip past the replay check

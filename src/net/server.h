@@ -45,6 +45,7 @@
 #ifndef SJOS_NET_SERVER_H_
 #define SJOS_NET_SERVER_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -81,10 +82,6 @@ struct ServerOptions {
   /// Quota applied to tenants without an explicit SetQuota entry.
   TenantQuota default_quota;
 
-  /// Upper bound on a poll's wait_ms block (keeps one connection thread
-  /// from sleeping unboundedly).
-  uint64_t max_poll_wait_ms = 10'000;
-
   /// Per-connection receive timeout (SO_RCVTIMEO): a connection that
   /// stays silent — or stalls mid-frame, the slow-loris shape — longer
   /// than this is closed and counted in sjos_server_idle_closed_total.
@@ -100,15 +97,18 @@ struct ServerOptions {
   /// Default drain deadline when the wire 'drain' verb carries no
   /// wait_ms: in-flight queries still running after this are cancelled.
   uint64_t drain_deadline_ms = 5'000;
-
-  /// After the last query finishes during drain, connections stay up this
-  /// long so clients can collect final results before the listener's
-  /// sockets close.
-  uint64_t drain_grace_ms = 250;
-
-  /// Hint attached to submits shed by the drain gate.
-  uint64_t drain_retry_after_ms = 500;
 };
+
+/// Upper bound on a poll's wait_ms block (keeps one connection thread from
+/// sleeping unboundedly).
+inline constexpr uint64_t kMaxPollWaitMs = 10'000;
+
+/// After the last query finishes during drain, connections stay up this
+/// long so clients can collect final results before their sockets close.
+inline constexpr uint64_t kDrainGraceMs = 250;
+
+/// Retry hint attached to submits and updates shed by the drain gate.
+inline constexpr uint64_t kDrainRetryAfterMs = 500;
 
 /// Byte cap on the responses the replay ring retains, on top of its entry
 /// capacity: 256 entries of maximum-size frames would otherwise pin
@@ -218,6 +218,13 @@ class QueryServer {
     std::thread thread;
     std::atomic<bool> finished{false};
     std::vector<std::string> owned_ids;
+
+    void Own(const std::string& id) {
+      if (std::find(owned_ids.begin(), owned_ids.end(), id) ==
+          owned_ids.end()) {
+        owned_ids.push_back(id);
+      }
+    }
   };
 
   void AcceptLoop();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -67,13 +68,6 @@ struct ScopedTraceSession {
   bool owned = false;
 };
 
-uint64_t EngineNowUs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 }  // namespace
 
 void QueryHandle::Cancel() {
@@ -138,15 +132,9 @@ Engine::Engine(EngineOptions options)
     : options_(options),
       cache_(PlanCacheConfig{options.plan_cache_capacity,
                              options.plan_cache_shards}),
-      pool_(std::make_unique<ThreadPool>(
-          std::max<size_t>(1, options.max_in_flight))),
       admission_(options.admission),
-      query_log_(std::make_unique<QueryLog>(options.query_log)) {}
-
-Engine::~Engine() {
-  // Drain submitted queries before any member they reference goes away.
-  pool_.reset();
-}
+      query_log_(std::make_unique<QueryLog>(options.query_log)),
+      pool_(options.max_in_flight) {}
 
 void Engine::RebuildEstimatorLocked() {
   estimator_.emplace(PositionalHistogramEstimator::Build(
@@ -425,8 +413,8 @@ Result<QueryResult> Engine::RunQuery(const Pattern& pattern,
                                      const std::atomic<bool>* cancel_token,
                                      QueryErrorInfo* error_info) {
   ScopedTraceSession trace_session(options.trace_path);
-  // Tags every span this query emits (workers included, via the pool's
-  // qid propagation) with args:{qid} for per-query Perfetto filtering.
+  // Tags every span this query emits with args:{qid} for per-query
+  // Perfetto filtering.
   TraceQueryScope qid_scope(options.query_id);
   EngineMetrics::Get().queries.Add();
   if (!options.tenant.empty()) {
@@ -560,27 +548,21 @@ Result<QueryResult> Engine::RunQuery(const Pattern& pattern,
 Result<QueryResult> Engine::Query(const Pattern& pattern,
                                   const QueryOptions& options,
                                   QueryErrorInfo* error_info) {
-  if (options.query_id.empty()) {
-    QueryOptions with_id = options;
-    with_id.query_id =
-        "q-" + std::to_string(
-                   next_query_id_.fetch_add(1, std::memory_order_relaxed));
-    return RunQuery(pattern, with_id, /*cancel_token=*/nullptr, error_info);
+  if (!options.query_id.empty()) {
+    return RunQuery(pattern, options, /*cancel_token=*/nullptr, error_info);
   }
-  return RunQuery(pattern, options, /*cancel_token=*/nullptr, error_info);
+  QueryOptions with_id = options;
+  with_id.query_id = NextQueryId();
+  return RunQuery(pattern, with_id, /*cancel_token=*/nullptr, error_info);
 }
 
 bool Engine::CheckAdmission(uint64_t* retry_after_ms) {
-  return admission_.ShouldShed(EngineNowUs(), retry_after_ms);
+  return admission_.ShouldShed(SteadyNowMicros(), retry_after_ms);
 }
 
 QueryHandle Engine::Submit(Pattern pattern, QueryOptions options) {
   auto state = std::make_shared<QueryHandle::State>();
-  if (options.query_id.empty()) {
-    options.query_id =
-        "q-" + std::to_string(
-                   next_query_id_.fetch_add(1, std::memory_order_relaxed));
-  }
+  if (options.query_id.empty()) options.query_id = NextQueryId();
   state->query_id = options.query_id;
 
   // Adaptive admission: when the dispatch queue has fallen too far
@@ -589,7 +571,7 @@ QueryHandle Engine::Submit(Pattern pattern, QueryOptions options) {
   // one step earlier via CheckAdmission so its response carries the hint;
   // this path covers direct API users.)
   uint64_t retry_after_ms = 0;
-  if (admission_.ShouldShed(EngineNowUs(), &retry_after_ms)) {
+  if (admission_.ShouldShed(SteadyNowMicros(), &retry_after_ms)) {
     state->error_info.verdict = "adaptive-shed";
     state->error_info.query_id = options.query_id;
     state->error_info.retry_after_ms = retry_after_ms;
@@ -606,81 +588,41 @@ QueryHandle Engine::Submit(Pattern pattern, QueryOptions options) {
         .GetCounter("sjos_engine_submits_total", {{"tenant", options.tenant}})
         .Add();
   }
-  // Publishes the outcome on the handle; the first call wins. The
-  // callback runs while still holding mu: any thread that observes
-  // done == true (Done/Wait/WaitFor all lock mu) then has the callback's
-  // effects happen-before it, so a caller may tear down the resources the
-  // callback releases (the server's quota table) the moment completion is
-  // visible. This is why SetDoneCallback forbids callbacks that touch the
-  // handle.
-  const auto complete = [](QueryHandle::State& st,
-                           Result<QueryResult> outcome,
-                           QueryErrorInfo error_info) {
-    {
-      std::lock_guard<std::mutex> lk(st.mu);
-      if (st.done) return;
-      st.result.emplace(std::move(outcome));
-      st.error_info = std::move(error_info);
-      st.done = true;
-      if (st.on_done) {
-        std::function<void()> on_done = std::move(st.on_done);
-        on_done();
-      }
-    }
-    st.cv.notify_all();
-  };
-  // An injected pool.task.dispatch fault makes the pool destroy a task
-  // without running it. The deleter of this token runs when the last copy
-  // of the task is destroyed and completes a handle the task never
-  // reached, so Wait() and the done-callback still fire; after a normal
-  // run the handle is already done and the deleter does nothing.
-  std::shared_ptr<void> drop_token(
-      nullptr, [state, complete, query_id = options.query_id](void*) {
-        QueryErrorInfo error_info;
-        error_info.query_id = query_id;
-        complete(*state,
-                 Status::Internal("query '" + query_id +
-                                  "' dropped before dispatch (failpoint "
-                                  "'pool.task.dispatch')"),
-                 std::move(error_info));
-      });
-  const uint64_t enqueued_us = EngineNowUs();
-  auto task = [this, state, complete, drop_token = std::move(drop_token),
-               enqueued_us, pattern = std::move(pattern),
-               options = std::move(options)]() -> Status {
+  const uint64_t enqueued_us = SteadyNowMicros();
+  pool_.Submit([this, state, enqueued_us, pattern = std::move(pattern),
+                 options = std::move(options)] {
+    // Tags the task's span (and everything the query records) with the
+    // query's id; the worker thread has no ambient id of its own.
+    TraceQueryScope qid_scope(options.query_id);
+    TraceSpan span("pool.task");
     // Submit→dispatch delay: the adaptive-admission controller's signal.
-    const uint64_t dispatched_us = EngineNowUs();
+    const uint64_t dispatched_us = SteadyNowMicros();
     admission_.RecordQueueDelay(
         dispatched_us > enqueued_us ? dispatched_us - enqueued_us : 0,
         dispatched_us);
-    Status injected = Status::OK();
-    SJOS_FAILPOINT_CHECK("service.submit", injected);
+    Status predispatch = Status::OK();
+    SJOS_FAILPOINT_CHECK("service.submit", predispatch);
     std::optional<Result<QueryResult>> outcome;
     QueryErrorInfo error_info;
-    // Queries that die before RunQuery still get an audit record (RunQuery
-    // writes its own for everything that reaches it).
-    auto log_predispatch = [this, &options](const Status& status,
-                                            const std::string& verdict) {
+    if (predispatch.ok() && state->cancel.load(std::memory_order_relaxed)) {
+      // Distinct from the governor's mid-execute "cancelled": this query
+      // never optimized or executed at all.
+      predispatch = Status::Cancelled("query cancelled before start");
+      error_info.verdict = "cancelled-before-dispatch";
+    }
+    if (!predispatch.ok()) {
+      // Queries that die before RunQuery still get an audit record
+      // (RunQuery writes its own for everything that reaches it).
+      error_info.query_id = options.query_id;
       QueryLogRecord rec;
       rec.query_id = options.query_id;
       rec.tenant = options.tenant;
       rec.optimizer = OptimizerKindName(options.optimizer);
       rec.ok = false;
-      rec.status_code = StatusCodeName(status.code());
-      rec.verdict = verdict;
+      rec.status_code = StatusCodeName(predispatch.code());
+      rec.verdict = error_info.verdict;
       query_log_->Append(std::move(rec));
-    };
-    if (!injected.ok()) {
-      error_info.query_id = options.query_id;
-      log_predispatch(injected, "");
-      outcome.emplace(std::move(injected));
-    } else if (state->cancel.load(std::memory_order_relaxed)) {
-      // Distinct from the governor's mid-execute "cancelled": this query
-      // never optimized or executed at all.
-      error_info.verdict = "cancelled-before-dispatch";
-      error_info.query_id = options.query_id;
-      log_predispatch(Status::Cancelled(""), "cancelled-before-dispatch");
-      outcome.emplace(Status::Cancelled("query cancelled before start"));
+      outcome.emplace(std::move(predispatch));
     } else {
       const size_t now = in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
       size_t peak = peak_in_flight_.load(std::memory_order_relaxed);
@@ -688,17 +630,44 @@ QueryHandle Engine::Submit(Pattern pattern, QueryOptions options) {
                                peak, now, std::memory_order_relaxed)) {
       }
       EngineMetrics::Get().in_flight.Add(1);
-      outcome.emplace(RunQuery(pattern, options, &state->cancel, &error_info));
-      EngineMetrics::Get().in_flight.Sub(1);
-      in_flight_.fetch_sub(1, std::memory_order_relaxed);
+      struct InFlightRelease {
+        Engine* engine;
+        ~InFlightRelease() {
+          EngineMetrics::Get().in_flight.Sub(1);
+          engine->in_flight_.fetch_sub(1, std::memory_order_relaxed);
+        }
+      } release{this};
+      try {
+        outcome.emplace(
+            RunQuery(pattern, options, &state->cancel, &error_info));
+      } catch (const std::exception& e) {
+        error_info.query_id = options.query_id;
+        outcome.emplace(Status::Internal(
+            "query '" + options.query_id + "' threw: " + e.what()));
+      } catch (...) {
+        error_info.query_id = options.query_id;
+        outcome.emplace(Status::Internal(
+            "query '" + options.query_id + "' threw a non-std exception"));
+      }
     }
-    complete(*state, std::move(*outcome), std::move(error_info));
-    return Status::OK();
-  };
-  {
-    std::lock_guard<std::mutex> lock(submit_mu_);
-    pool_->Submit(std::move(task));
-  }
+    // Publishes the outcome. The callback runs while still holding mu:
+    // any thread that observes done == true (Done/Wait/WaitFor all lock
+    // mu) then has the callback's effects happen-before it, so a caller
+    // may tear down the resources the callback releases (the server's
+    // quota table) the moment completion is visible. This is why
+    // SetDoneCallback forbids callbacks that touch the handle.
+    {
+      std::lock_guard<std::mutex> lock(state->mu);
+      state->result.emplace(std::move(*outcome));
+      state->error_info = std::move(error_info);
+      state->done = true;
+      if (state->on_done) {
+        std::function<void()> on_done = std::move(state->on_done);
+        on_done();
+      }
+    }
+    state->cv.notify_all();
+  });
   return QueryHandle(state);
 }
 

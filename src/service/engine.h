@@ -224,7 +224,6 @@ class QueryHandle {
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
-  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -348,11 +347,6 @@ class Engine {
   std::atomic<uint64_t> stats_version_{1};
   std::atomic<uint64_t> doc_id_{0};
 
-  /// The pool's Submit/WaitAll contract is single-caller; Engine::Submit
-  /// serializes through this mutex.
-  std::mutex submit_mu_;
-  std::unique_ptr<ThreadPool> pool_;
-
   std::atomic<size_t> in_flight_{0};
   std::atomic<size_t> peak_in_flight_{0};
 
@@ -375,10 +369,19 @@ class Engine {
 
   /// Sequence for Engine-assigned "q-<n>" ids.
   std::atomic<uint64_t> next_query_id_{1};
+  std::string NextQueryId() {
+    return "q-" + std::to_string(
+                      next_query_id_.fetch_add(1, std::memory_order_relaxed));
+  }
 
   QueueDelayController admission_;
 
   std::unique_ptr<QueryLog> query_log_;
+
+  /// The worker queue Submit() enqueues onto; its worker count is the
+  /// admission gate. Declared last so it is destroyed first: its
+  /// destructor runs every queued query before any member they use goes.
+  ThreadPool pool_;
 };
 
 }  // namespace sjos

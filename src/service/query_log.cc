@@ -40,31 +40,11 @@ struct QueryLogMetrics {
   }
 };
 
-void AppendQuoted(std::string_view value, std::string* out) {
-  out->push_back('"');
-  for (char c : value) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += StrFormat("\\u%04x", c);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendField(std::string_view key, std::string_view value, bool* first,
                  std::string* out) {
   if (!*first) out->push_back(',');
   *first = false;
-  AppendQuoted(key, out);
+  AppendJsonString(key, out);
   out->push_back(':');
   *out += value;
 }
@@ -72,7 +52,7 @@ void AppendField(std::string_view key, std::string_view value, bool* first,
 void AppendStringField(std::string_view key, std::string_view value,
                        bool* first, std::string* out) {
   std::string quoted;
-  AppendQuoted(value, &quoted);
+  AppendJsonString(value, &quoted);
   AppendField(key, quoted, first, out);
 }
 
@@ -93,7 +73,7 @@ std::string FlightRecord::ToJson() const {
   for (size_t i = 0; i < spans.size(); ++i) {
     if (i > 0) out += ',';
     out += "{\"name\":";
-    AppendQuoted(spans[i].name, &out);
+    AppendJsonString(spans[i].name, &out);
     out += ",\"start_ms\":" + FormatDouble(spans[i].start_ms, 3);
     out += ",\"dur_ms\":" + FormatDouble(spans[i].dur_ms, 3);
     out += '}';
@@ -101,7 +81,7 @@ std::string FlightRecord::ToJson() const {
   out += "],\"counter_deltas\":{";
   for (size_t i = 0; i < counter_deltas.size(); ++i) {
     if (i > 0) out += ',';
-    AppendQuoted(counter_deltas[i].first, &out);
+    AppendJsonString(counter_deltas[i].first, &out);
     out += ':' + U64(counter_deltas[i].second);
   }
   out += "}}";

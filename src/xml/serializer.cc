@@ -4,7 +4,7 @@ namespace sjos {
 
 namespace {
 
-void AppendEscaped(std::string_view text, std::string* out) {
+void AppendXmlEscaped(std::string_view text, std::string* out) {
   for (char c : text) {
     switch (c) {
       case '<':
@@ -51,7 +51,7 @@ void SerializeNode(const Document& doc, NodeId id, int depth, bool pretty,
       *out += ' ';
       *out += doc.TagNameOf(child).substr(1);
       *out += "=\"";
-      AppendEscaped(doc.TextOf(child), out);
+      AppendXmlEscaped(doc.TextOf(child), out);
       *out += '"';
     } else {
       element_children.push_back(child);
@@ -64,7 +64,7 @@ void SerializeNode(const Document& doc, NodeId id, int depth, bool pretty,
     return;
   }
   *out += '>';
-  AppendEscaped(text, out);
+  AppendXmlEscaped(text, out);
   for (NodeId child : element_children) {
     SerializeNode(doc, child, depth + 1, pretty, out);
   }

@@ -218,9 +218,9 @@ TEST_F(FailpointExecTest, ExecSitesInjectCleanErrors) {
   }
 }
 
-// The Engine pool drops a task's body on an injected dispatch fault; the
-// submitted query's handle must still complete (with an Internal error and
-// its done-callback run) instead of leaving Wait() blocked forever.
+// An injected fault at dispatch fails a submitted query before it runs;
+// its handle must still complete (with an Internal error and its
+// done-callback run) instead of leaving Wait() blocked forever.
 TEST_F(FailpointExecTest, DispatchFaultCompletesEngineHandle) {
   SetUpDatabase();
   EngineOptions engine_options;
@@ -232,19 +232,19 @@ TEST_F(FailpointExecTest, DispatchFaultCompletesEngineHandle) {
       engine.Apply(LoadDocument{GeneratePers(config).value(), "Pers"}).ok());
 
   ASSERT_TRUE(
-      FailpointRegistry::Global().Enable("pool.task.dispatch", "error").ok());
+      FailpointRegistry::Global().Enable("service.submit", "error").ok());
   QueryHandle dropped = engine.Submit(pattern_);
   std::atomic<bool> callback_ran{false};
   dropped.SetDoneCallback([&callback_ran] { callback_ran.store(true); });
   const Result<QueryResult>& failed = dropped.Wait();
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
-  EXPECT_NE(failed.status().message().find("pool.task.dispatch"),
+  EXPECT_NE(failed.status().message().find("service.submit"),
             std::string::npos);
   EXPECT_TRUE(callback_ran.load());
   FailpointRegistry::Global().DisableAll();
 
-  // The pool keeps serving once disarmed.
+  // The engine keeps serving once disarmed.
   QueryHandle clean = engine.Submit(pattern_);
   ASSERT_TRUE(clean.Wait().ok()) << clean.Wait().status().ToString();
   EXPECT_GT(clean.Wait().value().stats.result_rows, 0u);

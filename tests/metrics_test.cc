@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "net/json.h"
 
 namespace sjos {
 namespace {
@@ -121,6 +122,34 @@ TEST(MetricsTest, SnapshotAndJsonExport) {
   EXPECT_NE(json.find("\"queue_depth\":-2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"histograms\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"batch_rows\""), std::string::npos) << json;
+}
+
+// Labeled series are registered under names that contain quotes
+// (family{k="v"}); the JSON export must escape them, or one labeled
+// series makes the whole document unparseable.
+TEST(MetricsTest, JsonExportOfLabeledSeriesParses) {
+  MetricsRegistry registry;
+  registry.GetCounter("requests_total", {{"verb", "submit"}}).Add(3);
+  registry.GetHistogram("latency_us", {{"path", "/metrics"}}).Observe(42);
+
+  const std::string json = registry.Snapshot().ToJson();
+  Result<net::JsonValue> parsed = net::ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << json;
+
+  const net::JsonValue* counters = parsed.value().Find("counters");
+  ASSERT_NE(counters, nullptr) << json;
+  const net::JsonValue* counter =
+      counters->Find("requests_total{verb=\"submit\"}");
+  ASSERT_NE(counter, nullptr) << json;
+  EXPECT_EQ(counter->number_value(), 3.0);
+
+  const net::JsonValue* histograms = parsed.value().Find("histograms");
+  ASSERT_NE(histograms, nullptr) << json;
+  const net::JsonValue* histogram =
+      histograms->Find("latency_us{path=\"/metrics\"}");
+  ASSERT_NE(histogram, nullptr) << json;
+  ASSERT_NE(histogram->Find("count"), nullptr) << json;
+  EXPECT_EQ(histogram->Find("count")->number_value(), 1.0);
 }
 
 TEST(MetricsTest, PrometheusExport) {

@@ -19,6 +19,7 @@
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "net/http.h"
 #include "net/json.h"
 #include "query/pattern_parser.h"
@@ -180,6 +181,45 @@ TEST(ObservabilityTest, SuccessfulQueryIdFlowsToTraceAndAuditLog) {
   }
   EXPECT_TRUE(found);
   std::remove(trace_path.c_str());
+}
+
+// A submitted query runs on an Engine worker whose thread has no ambient
+// query id; the worker's pool.task span must still carry the query's id.
+TEST(ObservabilityTest, SubmittedQueryPoolTaskSpanCarriesItsId) {
+  const std::string trace_path = TempPath("observability_pool_task.json");
+  std::remove(trace_path.c_str());
+  ASSERT_TRUE(Tracer::Global().Start(trace_path).ok());
+  {
+    Engine engine;
+    ASSERT_TRUE(engine.OpenDatabase(SmallPers()).ok());
+    QueryOptions options;
+    options.query_id = "pooled-9";
+    QueryHandle handle = engine.Submit(Parse("employee[/name]"), options);
+    EXPECT_TRUE(handle.Wait().ok());
+    // Destroying the engine joins its workers, so the task's span (closed
+    // after the handle completes) is recorded before the trace stops.
+  }
+  ASSERT_TRUE(Tracer::Global().Stop().ok());
+
+  const std::string trace = ReadFileOrEmpty(trace_path);
+  std::remove(trace_path.c_str());
+  Result<net::JsonValue> parsed = net::ParseJson(trace);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const net::JsonValue* events = parsed.value().Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  size_t pool_tasks = 0;
+  for (const net::JsonValue& ev : events->array()) {
+    const net::JsonValue* name = ev.Find("name");
+    if (name == nullptr || name->string_value() != "pool.task") continue;
+    ++pool_tasks;
+    const net::JsonValue* args = ev.Find("args");
+    ASSERT_NE(args, nullptr) << trace;
+    ASSERT_NE(args->Find("qid"), nullptr) << trace;
+    EXPECT_EQ(args->Find("qid")->string_value(), "pooled-9");
+  }
+  EXPECT_EQ(pool_tasks, 1u) << trace;
+  EXPECT_NE(trace.find("\"args\":{\"qid\":\"pooled-9\"}"),
+            std::string::npos);
 }
 
 TEST(ObservabilityTest, InFlightQueryVisibleInStatuszUnderItsId) {

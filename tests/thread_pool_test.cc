@@ -1,10 +1,14 @@
-// The execution thread pool: batch submit/wait semantics, deterministic
-// earliest-submission error selection, exception capture, and reuse.
+// The Engine's worker queue: every submitted task runs, the worker count
+// is clamped to at least one, and destruction runs what is still queued.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <stdexcept>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "common/thread_pool.h"
 
@@ -12,75 +16,61 @@ namespace sjos {
 namespace {
 
 TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] {
-      count.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    });
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      pool.Submit(
+          [&count] { count.fetch_add(1, std::memory_order_relaxed); });
+    }
   }
-  EXPECT_TRUE(pool.WaitAll().ok());
   EXPECT_EQ(count.load(), 100);
 }
 
 TEST(ThreadPoolTest, ZeroWorkerCountClampedToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_workers(), 1u);
   std::atomic<int> count{0};
-  pool.Submit([&count] {
-    ++count;
-    return Status::OK();
-  });
-  EXPECT_TRUE(pool.WaitAll().ok());
+  {
+    ThreadPool pool(0);
+    EXPECT_EQ(pool.num_workers(), 1u);
+    pool.Submit([&count] { ++count; });
+  }
   EXPECT_EQ(count.load(), 1);
 }
 
-TEST(ThreadPoolTest, ReportsEarliestSubmittedError) {
-  ThreadPool pool(4);
-  for (int i = 0; i < 20; ++i) {
-    pool.Submit([i]() -> Status {
-      if (i == 7) return Status::OutOfRange("task 7 overflowed");
-      if (i == 13) return Status::Internal("task 13 broke");
-      return Status::OK();
+// Engine::~Engine relies on this: queries still queued when the pool is
+// destroyed run (and complete their handles) before the workers join.
+TEST(ThreadPoolTest, DestructorRunsQueuedTasks) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::vector<int> order;
+  // Frees the only worker only after the destructor below has started, so
+  // every later task is still queued when it does.
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+    }
+    cv.notify_all();
+  });
+  {
+    ThreadPool pool(1);
+    pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return release; });
     });
+    for (int i = 0; i < 10; ++i) {
+      pool.Submit([&order, &mu, i] {
+        std::lock_guard<std::mutex> lock(mu);
+        order.push_back(i);
+      });
+    }
   }
-  Status status = pool.WaitAll();
-  ASSERT_FALSE(status.ok());
-  // Task 7 was submitted before task 13, so its error wins regardless of
-  // which worker finished first.
-  EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
-  EXPECT_EQ(status.message(), "task 7 overflowed");
-}
-
-TEST(ThreadPoolTest, ExceptionBecomesInternalStatus) {
-  ThreadPool pool(2);
-  pool.Submit([]() -> Status { throw std::runtime_error("boom"); });
-  Status status = pool.WaitAll();
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_NE(status.message().find("boom"), std::string::npos);
-}
-
-TEST(ThreadPoolTest, ReusableAcrossBatches) {
-  ThreadPool pool(3);
-  pool.Submit([]() -> Status { return Status::Internal("first batch fails"); });
-  EXPECT_FALSE(pool.WaitAll().ok());
-  // The error state was consumed; a clean second batch reports OK.
-  std::atomic<int> count{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&count] {
-      ++count;
-      return Status::OK();
-    });
-  }
-  EXPECT_TRUE(pool.WaitAll().ok());
-  EXPECT_EQ(count.load(), 10);
-}
-
-TEST(ThreadPoolTest, WaitAllWithNothingSubmittedIsOk) {
-  ThreadPool pool(2);
-  EXPECT_TRUE(pool.WaitAll().ok());
+  releaser.join();
+  // All ran, in submission (FIFO) order.
+  ASSERT_EQ(order.size(), 10u);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "net/json.h"
 
 namespace sjos {
 namespace {
@@ -188,6 +189,38 @@ TEST(TraceTest, JsonEscapesNameCharacters) {
   const std::string json = ReadFile(path);
   EXPECT_NE(json.find("quote\\\"back\\\\slash"), std::string::npos) << json;
   std::remove(path.c_str());
+}
+
+// A query id is client-supplied wire text and may hold any byte; the
+// trace file must stay valid JSON and carry the id back unchanged.
+TEST(TraceTest, QueryIdWithControlCharactersRoundTrips) {
+  Tracer& tracer = Tracer::Global();
+  const std::string path = TempPath("trace_qid_escape.json");
+  const std::string qid = "line\nctl\x01quote\"end";
+  ASSERT_TRUE(tracer.Start(path).ok());
+  {
+    TraceQueryScope scope(qid);
+    tracer.RecordSpan("odd_qid", nullptr, 0, 1);
+  }
+  const std::string json = tracer.ToJson();
+  ASSERT_TRUE(tracer.Stop().ok());
+  std::remove(path.c_str());
+
+  Result<net::JsonValue> parsed = net::ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << json;
+  const net::JsonValue* events = parsed.value().Find("traceEvents");
+  ASSERT_NE(events, nullptr) << json;
+  bool found = false;
+  for (const net::JsonValue& ev : events->array()) {
+    const net::JsonValue* name = ev.Find("name");
+    if (name == nullptr || name->string_value() != "odd_qid") continue;
+    found = true;
+    const net::JsonValue* args = ev.Find("args");
+    ASSERT_NE(args, nullptr) << json;
+    ASSERT_NE(args->Find("qid"), nullptr) << json;
+    EXPECT_EQ(args->Find("qid")->string_value(), qid);
+  }
+  EXPECT_TRUE(found) << json;
 }
 
 }  // namespace
