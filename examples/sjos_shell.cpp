@@ -265,11 +265,10 @@ class Shell {
     if (verb == "stats") {
       PlanCacheCounters c = engine_.plan_cache().Counters();
       std::printf(
-          "plan cache: %zu/%zu entries (stats version %llu)\n"
+          "plan cache: %zu/%zu entries\n"
           "  hits=%llu misses=%llu evictions=%llu invalidations=%llu "
           "qerror_evictions=%llu\n",
           engine_.plan_cache().Size(), engine_.plan_cache().capacity(),
-          static_cast<unsigned long long>(engine_.stats_version()),
           static_cast<unsigned long long>(c.hits),
           static_cast<unsigned long long>(c.misses),
           static_cast<unsigned long long>(c.evictions),

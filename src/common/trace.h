@@ -5,10 +5,12 @@
 // allocates after the ring exists; when tracing is disabled the whole path
 // is a single relaxed atomic load and branch, and no ring is ever created.
 //
-// Enable with the SJOS_TRACE=<file> environment variable (flushed at
-// process exit) or programmatically via Start()/Stop() — the Engine does
-// this for QueryOptions::trace_path. Rings overwrite their oldest events
-// when full; the dropped count is reported in the flush output's metadata.
+// A session starts one of two ways: the SJOS_TRACE=<file> environment
+// variable (flushed at process exit), or Start()/Stop() on the global
+// tracer (the shell's \trace command). A session is process-wide: it
+// records every query that runs while it is active. Rings overwrite their
+// oldest events when full; the dropped count is reported in the flush
+// output's metadata.
 
 #ifndef SJOS_COMMON_TRACE_H_
 #define SJOS_COMMON_TRACE_H_

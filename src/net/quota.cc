@@ -1,7 +1,6 @@
 #include "net/quota.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/metrics.h"
 
@@ -14,30 +13,41 @@ namespace {
 /// suggest a short fixed backoff.
 constexpr uint64_t kInFlightRetryHintMs = 50;
 
+/// Charges one token from `bucket` (limited at `rate` per second, 0 =
+/// unlimited). On a shed, fills `decision` with `reason` and the wait
+/// until the next token, and counts it.
+bool Spend(TokenBucket& bucket, double rate, const char* reason,
+           uint64_t now_us, TenantQuotaTable::Decision* decision) {
+  if (rate <= 0 || bucket.TryTake(now_us)) return true;
+  decision->reason = reason;
+  decision->retry_after_ms = bucket.WaitMs(now_us);
+  MetricsRegistry::Global()
+      .GetCounter("sjos_server_shed_total", {{"reason", reason}})
+      .Add();
+  return false;
+}
+
 }  // namespace
+
+TenantQuotaTable::TenantState::TenantState(const TenantQuota& q)
+    : quota(q),
+      reads(std::max(1.0, q.qps), q.qps),
+      writes(std::max(1.0, q.write_qps), q.write_qps) {}
 
 TenantQuotaTable::TenantQuotaTable(TenantQuota default_quota)
     : default_quota_(default_quota) {}
 
 TenantQuotaTable::TenantState& TenantQuotaTable::GetLocked(
     const std::string& tenant) {
-  auto it = tenants_.find(tenant);
-  if (it == tenants_.end()) {
-    TenantState state;
-    state.quota = default_quota_;
-    it = tenants_.emplace(tenant, std::move(state)).first;
-  }
-  return it->second;
+  return tenants_.try_emplace(tenant, default_quota_).first->second;
 }
 
 void TenantQuotaTable::SetQuota(const std::string& tenant, TenantQuota quota) {
   std::lock_guard<std::mutex> lock(mu_);
   TenantState& state = GetLocked(tenant);
-  state.quota = quota;
-  state.bucket_started = false;
-  state.tokens = 0.0;
-  state.write_bucket_started = false;
-  state.write_tokens = 0.0;
+  const uint64_t in_flight = state.in_flight;
+  state = TenantState(quota);
+  state.in_flight = in_flight;
 }
 
 TenantQuotaTable::Decision TenantQuotaTable::Admit(const std::string& tenant,
@@ -55,33 +65,8 @@ TenantQuotaTable::Decision TenantQuotaTable::Admit(const std::string& tenant,
         .Add();
     return decision;
   }
-
-  if (state.quota.qps > 0) {
-    const double burst = state.quota.burst > 0
-                             ? state.quota.burst
-                             : std::max(1.0, state.quota.qps);
-    if (!state.bucket_started) {
-      // A fresh bucket starts full so a tenant's first burst is admitted.
-      state.tokens = burst;
-      state.last_refill_us = now_us;
-      state.bucket_started = true;
-    } else if (now_us > state.last_refill_us) {
-      const double elapsed_s =
-          static_cast<double>(now_us - state.last_refill_us) / 1e6;
-      state.tokens = std::min(burst, state.tokens + elapsed_s * state.quota.qps);
-      state.last_refill_us = now_us;
-    }
-    if (state.tokens < 1.0) {
-      decision.reason = "qps";
-      const double deficit_s = (1.0 - state.tokens) / state.quota.qps;
-      decision.retry_after_ms =
-          std::max<uint64_t>(1, static_cast<uint64_t>(std::ceil(deficit_s * 1e3)));
-      MetricsRegistry::Global()
-          .GetCounter("sjos_server_shed_total", {{"reason", "qps"}})
-          .Add();
-      return decision;
-    }
-    state.tokens -= 1.0;
+  if (!Spend(state.reads, state.quota.qps, "qps", now_us, &decision)) {
+    return decision;
   }
 
   state.in_flight += 1;
@@ -94,38 +79,9 @@ TenantQuotaTable::Decision TenantQuotaTable::AdmitWrite(
   std::lock_guard<std::mutex> lock(mu_);
   TenantState& state = GetLocked(tenant);
   Decision decision;
-
-  if (state.quota.write_qps > 0) {
-    const double burst = state.quota.write_burst > 0
-                             ? state.quota.write_burst
-                             : std::max(1.0, state.quota.write_qps);
-    if (!state.write_bucket_started) {
-      // Like the read bucket: start full so the first burst is admitted.
-      state.write_tokens = burst;
-      state.write_last_refill_us = now_us;
-      state.write_bucket_started = true;
-    } else if (now_us > state.write_last_refill_us) {
-      const double elapsed_s =
-          static_cast<double>(now_us - state.write_last_refill_us) / 1e6;
-      state.write_tokens = std::min(
-          burst, state.write_tokens + elapsed_s * state.quota.write_qps);
-      state.write_last_refill_us = now_us;
-    }
-    if (state.write_tokens < 1.0) {
-      decision.reason = "write_qps";
-      const double deficit_s =
-          (1.0 - state.write_tokens) / state.quota.write_qps;
-      decision.retry_after_ms = std::max<uint64_t>(
-          1, static_cast<uint64_t>(std::ceil(deficit_s * 1e3)));
-      MetricsRegistry::Global()
-          .GetCounter("sjos_server_shed_total", {{"reason", "write_qps"}})
-          .Add();
-      return decision;
-    }
-    state.write_tokens -= 1.0;
-  }
-
-  decision.admitted = true;
+  decision.admitted =
+      Spend(state.writes, state.quota.write_qps, "write_qps", now_us,
+            &decision);
   return decision;
 }
 

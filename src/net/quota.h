@@ -1,5 +1,7 @@
 // Per-tenant resource governance for the query server: an in-flight cap,
-// a QPS token bucket, and a per-query live-bytes clamp. Admission is a
+// a QPS token bucket, a write token bucket, and a per-query live-bytes
+// clamp. Both buckets are net::TokenBucket with capacity max(1, rate) —
+// one second of burst — and start full. Admission is a
 // pure decision — the server turns a rejection into a kResourceExhausted
 // wire response with a retry_after_ms hint instead of queueing, so an
 // over-quota tenant sheds load explicitly rather than growing the engine
@@ -15,6 +17,8 @@
 #include <string>
 #include <unordered_map>
 
+#include "net/retry_policy.h"
+
 namespace sjos {
 namespace net {
 
@@ -28,9 +32,6 @@ struct TenantQuota {
   /// Sustained submissions per second, enforced by a token bucket.
   double qps = 0.0;
 
-  /// Bucket capacity; 0 → max(1, qps) — one second of burst.
-  double burst = 0.0;
-
   /// Per-query live-bytes clamp: a submitted query runs with
   /// min(requested, this) as its governor max_live_bytes budget.
   uint64_t max_live_bytes = 0;
@@ -38,9 +39,6 @@ struct TenantQuota {
   /// Sustained update (insert/delete/flush) submissions per second,
   /// enforced by a separate write token bucket. 0 = unlimited writes.
   double write_qps = 0.0;
-
-  /// Write bucket capacity; 0 → max(1, write_qps).
-  double write_burst = 0.0;
 };
 
 /// Thread-safe quota table. Tenants not explicitly configured get the
@@ -49,16 +47,17 @@ class TenantQuotaTable {
  public:
   explicit TenantQuotaTable(TenantQuota default_quota = {});
 
-  /// Replaces `tenant`'s quota (resets its token bucket; in-flight count
-  /// is preserved).
+  /// Replaces `tenant`'s quota (resets both token buckets; the in-flight
+  /// count is preserved).
   void SetQuota(const std::string& tenant, TenantQuota quota);
 
   struct Decision {
     bool admitted = false;
-    /// Shed hint: when the bucket refills enough for one token (QPS), or
-    /// a fixed guess for an in-flight rejection. 0 when admitted.
+    /// Shed hint: when the bucket refills enough for one token (qps or
+    /// write_qps), or a fixed guess for an in-flight rejection. 0 when
+    /// admitted.
     uint64_t retry_after_ms = 0;
-    /// "in_flight" or "qps" when shed; "" when admitted.
+    /// "in_flight", "qps" or "write_qps" when shed; "" when admitted.
     std::string reason;
   };
 
@@ -86,14 +85,12 @@ class TenantQuotaTable {
 
  private:
   struct TenantState {
+    explicit TenantState(const TenantQuota& q);
+
     TenantQuota quota;
     uint64_t in_flight = 0;
-    double tokens = 0.0;
-    uint64_t last_refill_us = 0;
-    bool bucket_started = false;
-    double write_tokens = 0.0;
-    uint64_t write_last_refill_us = 0;
-    bool write_bucket_started = false;
+    TokenBucket reads;
+    TokenBucket writes;
   };
 
   TenantState& GetLocked(const std::string& tenant);

@@ -1,5 +1,6 @@
 #include "net/resilient_client.h"
 
+#include <atomic>
 #include <utility>
 
 #include "common/metrics.h"
@@ -60,6 +61,13 @@ bool CodeIs(const JsonValue& resp, std::string_view name) {
   return code != nullptr && code->is_string() && code->string_value() == name;
 }
 
+/// A distinct jitter seed per client, so clients that fail together draw
+/// different backoff delays.
+uint64_t NextJitterSeed() {
+  static std::atomic<uint64_t> clients{0};
+  return 0x5EEDBACC0FFEEULL + clients.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 ResilientClient::ResilientClient(std::string host, uint16_t port,
@@ -68,11 +76,10 @@ ResilientClient::ResilientClient(std::string host, uint16_t port,
       port_(port),
       options_(std::move(options)),
       backoff_(options_.retry.base_backoff_ms, options_.retry.max_backoff_ms,
-               options_.retry.rng_seed),
-      budget_(options_.retry.budget_tokens, options_.retry.budget_refill_per_s,
-              options_.clock.now_us()),
-      breaker_(options_.retry.breaker_failure_threshold,
-               options_.retry.breaker_open_ms) {
+               NextJitterSeed()),
+      budget_(options_.retry.budget_tokens,
+              options_.retry.budget_refill_per_s),
+      breaker_(options_.retry.breaker_failure_threshold, kBreakerOpenMs) {
   ClientMetrics::Get();
 }
 
@@ -133,7 +140,7 @@ Result<JsonValue> ResilientClient::Call(std::string_view request_json,
       // requested cadence — but never terminal-done errors, which also
       // carry no hint.
       if (!IsOk(resp) && hint > 0 && attempts < max_attempts) {
-        if (!budget_.TryAcquire(options_.clock.now_us())) return result;
+        if (!budget_.TryTake(options_.clock.now_us())) return result;
         options_.clock.sleep_us(hint * 1000);
         ++stats_.retries;
         ++stats_.hint_waits;
@@ -153,7 +160,7 @@ Result<JsonValue> ResilientClient::Call(std::string_view request_json,
     if (!transport_loss || !idempotent || attempts >= max_attempts) {
       return result;
     }
-    if (!budget_.TryAcquire(options_.clock.now_us())) {
+    if (!budget_.TryTake(options_.clock.now_us())) {
       return Status::ResourceExhausted("retry budget exhausted after: " +
                                        st.ToString());
     }

@@ -6,6 +6,9 @@
 // so a re-submit after a torn reply attaches to the live query (or replays
 // its stored terminal response) instead of double-executing.
 //
+// Each instance seeds its backoff jitter differently (a process-wide
+// counter), so clients that fail together do not retry in lockstep.
+//
 // Like Client, an instance is not thread-safe — one per thread. The
 // metrics it bumps (sjos_client_*) are process-global.
 
@@ -83,7 +86,7 @@ class ResilientClient {
   ResilientClientOptions options_;
   Client client_;
   Backoff backoff_;
-  RetryBudget budget_;
+  TokenBucket budget_;
   CircuitBreaker breaker_;
   Stats stats_;
   /// Dials after the first successful one count as reconnects.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <thread>
 
 #include "common/timer.h"
@@ -38,14 +39,18 @@ uint64_t Backoff::NextDelayMs() {
 
 void Backoff::Reset() { prev_ms_ = base_ms_; }
 
-RetryBudget::RetryBudget(double capacity, double refill_per_s,
-                         uint64_t now_us)
+TokenBucket::TokenBucket(double capacity, double refill_per_s)
     : capacity_(std::max(capacity, 0.0)),
-      refill_per_s_(std::max(refill_per_s, 0.0)),
-      tokens_(capacity_),
-      last_refill_us_(now_us) {}
+      refill_per_s_(std::max(refill_per_s, 0.0)) {}
 
-void RetryBudget::Refill(uint64_t now_us) {
+void TokenBucket::Refill(uint64_t now_us) {
+  if (!started_) {
+    // A fresh bucket starts full so the first burst is admitted.
+    tokens_ = capacity_;
+    last_refill_us_ = now_us;
+    started_ = true;
+    return;
+  }
   if (now_us <= last_refill_us_) return;
   const double elapsed_s =
       static_cast<double>(now_us - last_refill_us_) / 1e6;
@@ -53,14 +58,21 @@ void RetryBudget::Refill(uint64_t now_us) {
   last_refill_us_ = now_us;
 }
 
-bool RetryBudget::TryAcquire(uint64_t now_us) {
+bool TokenBucket::TryTake(uint64_t now_us) {
   Refill(now_us);
   if (tokens_ < 1.0) return false;
   tokens_ -= 1.0;
   return true;
 }
 
-double RetryBudget::Tokens(uint64_t now_us) {
+uint64_t TokenBucket::WaitMs(uint64_t now_us) {
+  Refill(now_us);
+  const double deficit_s = std::max(0.0, 1.0 - tokens_) / refill_per_s_;
+  return std::max<uint64_t>(1,
+                            static_cast<uint64_t>(std::ceil(deficit_s * 1e3)));
+}
+
+double TokenBucket::Tokens(uint64_t now_us) {
   Refill(now_us);
   return tokens_;
 }

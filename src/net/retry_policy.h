@@ -1,9 +1,11 @@
 // Retry-timing building blocks for the resilient client: capped exponential
-// backoff with decorrelated jitter, a token-bucket retry budget that caps
-// the retry amplification a client can impose on a struggling server, and a
-// per-endpoint circuit breaker (closed → open → half-open probe → closed).
-// Everything takes time through an injectable RetryClock so unit tests can
-// pin backoff sequences and breaker transitions without real sleeps.
+// backoff with decorrelated jitter, a continuous-refill token bucket (the
+// client's retry budget, which caps the retry amplification it can impose
+// on a struggling server, and the server's per-tenant qps and write
+// buckets), and a per-endpoint circuit breaker (closed → open → half-open
+// probe → closed). Everything takes time as an argument or through an
+// injectable RetryClock so unit tests can pin backoff sequences, bucket
+// arithmetic and breaker transitions without real sleeps.
 
 #ifndef SJOS_NET_RETRY_POLICY_H_
 #define SJOS_NET_RETRY_POLICY_H_
@@ -41,12 +43,12 @@ struct RetryPolicy {
   double budget_tokens = 10.0;
   double budget_refill_per_s = 1.0;
   /// Breaker: this many consecutive transport failures open the circuit;
-  /// after open_ms one probe is let through (half-open).
+  /// after kBreakerOpenMs one probe is let through (half-open).
   uint32_t breaker_failure_threshold = 5;
-  uint64_t breaker_open_ms = 1000;
-  /// Seed for the jitter PRNG (deterministic across runs for a fixed seed).
-  uint64_t rng_seed = 0x5EEDBACC0FFEEULL;
 };
+
+/// How long an open breaker refuses requests before its half-open probe.
+inline constexpr uint64_t kBreakerOpenMs = 1000;
 
 /// Decorrelated-jitter backoff (Brooker/AWS style): each delay is drawn
 /// uniformly from [base, prev * 3], capped. Grows exponentially in
@@ -68,15 +70,19 @@ class Backoff {
   Rng rng_;
 };
 
-/// Continuous-refill token bucket. Not thread-safe; the owning client
-/// serializes access.
-class RetryBudget {
+/// Continuous-refill token bucket. It starts full on first use; refill
+/// accrues lazily from the time elapsed since the previous call. Not
+/// thread-safe; the owner serializes access.
+class TokenBucket {
  public:
-  RetryBudget(double capacity, double refill_per_s, uint64_t now_us);
+  TokenBucket(double capacity, double refill_per_s);
 
-  /// Spends one token if available. Refill accrues lazily from the elapsed
-  /// time since the last call.
-  bool TryAcquire(uint64_t now_us);
+  /// Spends one token at `now_us` if one is available.
+  bool TryTake(uint64_t now_us);
+
+  /// Milliseconds until one token is available at `now_us`, rounded up and
+  /// at least 1. Requires a positive refill rate.
+  uint64_t WaitMs(uint64_t now_us);
 
   /// Current balance (after lazy refill); exposed for tests and stats.
   double Tokens(uint64_t now_us);
@@ -86,8 +92,9 @@ class RetryBudget {
 
   double capacity_;
   double refill_per_s_;
-  double tokens_;
-  uint64_t last_refill_us_;
+  double tokens_ = 0.0;
+  uint64_t last_refill_us_ = 0;
+  bool started_ = false;
 };
 
 /// Per-endpoint circuit breaker. Consecutive transport failures open the

@@ -343,7 +343,10 @@ void QueryServer::ServeConnection(Connection* conn) {
       auto it = queries_.find(id);
       if (it == queries_.end() || it->second.owner_conn != conn->id) continue;
       const bool was_done = it->second.handle.Done();
-      if (!was_done) it->second.handle.Cancel();
+      if (!was_done) {
+        it->second.handle.Cancel();
+        it->second.disconnect_cancelled = true;
+      }
       owned.push_back(
           {id, it->second.handle, !was_done, it->second.generation});
     }
@@ -521,20 +524,24 @@ std::string QueryServer::HandlePoll(Connection* conn, const WireRequest& req) {
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
     auto it = queries_.find(req.id);
+    const ReplayRing::Entry* parked =
+        it == queries_.end() ? completed_.Find(req.id) : nullptr;
+    if ((it != queries_.end() && it->second.disconnect_cancelled) ||
+        (parked != nullptr && parked->disconnect_cancelled)) {
+      // The result was lost to a disconnect-cancel (still unwinding, or
+      // already parked in the ring); NotFound tells a resilient client to
+      // re-submit under the same id.
+      return EncodeErrorResponse(
+          req.id, Status::NotFound(
+                      "query '" + req.id +
+                      "' was cancelled when its connection dropped — "
+                      "re-submit it"));
+    }
+    if (parked != nullptr) {
+      ServerMetrics::Get().replays.Add();
+      return parked->response;
+    }
     if (it == queries_.end()) {
-      if (const ReplayRing::Entry* done = completed_.Find(req.id)) {
-        if (done->disconnect_cancelled) {
-          // The result was lost to a disconnect-cancel; NotFound tells a
-          // resilient client to re-submit under the same id.
-          return EncodeErrorResponse(
-              req.id, Status::NotFound(
-                          "query '" + req.id +
-                          "' was cancelled when its connection dropped — "
-                          "re-submit it"));
-        }
-        ServerMetrics::Get().replays.Add();
-        return done->response;
-      }
       return EncodeErrorResponse(
           req.id, Status::NotFound("no query with id '" + req.id + "'"));
     }

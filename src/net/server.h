@@ -208,6 +208,10 @@ class QueryServer {
     /// Bumped on every insert under an id; consumers re-check it before
     /// erasing so a replaced entry is never clobbered.
     uint64_t generation = 0;
+    /// Set (under queries_mu_) when the owner's disconnect cancelled the
+    /// query. A poll then answers NotFound, exactly as it will once the
+    /// teardown parks the entry in the replay ring, and never adopts it.
+    bool disconnect_cancelled = false;
   };
 
   /// One accepted connection: the fd, its serving thread, and the wire

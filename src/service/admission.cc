@@ -72,9 +72,9 @@ bool QueueDelayController::ShouldShed(uint64_t now_us,
   // threshold the queue sits, the longer clients should stay away.
   const uint64_t excess_ms = (p95_us - threshold_us) / 1000;
   if (retry_after_ms != nullptr) {
-    *retry_after_ms =
-        std::clamp(excess_ms + options_.min_retry_after_ms,
-                   options_.min_retry_after_ms, options_.max_retry_after_ms);
+    *retry_after_ms = std::clamp(excess_ms + kAdmissionMinRetryAfterMs,
+                                 kAdmissionMinRetryAfterMs,
+                                 kAdmissionMaxRetryAfterMs);
   }
   AdaptiveShedCounter().Add();
   return true;

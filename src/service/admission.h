@@ -14,6 +14,10 @@
 
 namespace sjos {
 
+/// Bounds for the computed retry_after_ms hint.
+inline constexpr uint64_t kAdmissionMinRetryAfterMs = 10;
+inline constexpr uint64_t kAdmissionMaxRetryAfterMs = 1000;
+
 struct AdmissionOptions {
   /// Shed when the window's p95 queue delay exceeds this. 0 disables
   /// adaptive admission entirely (the default — opt-in per deployment).
@@ -31,10 +35,6 @@ struct AdmissionOptions {
   /// reopens. This is the controller's recovery path — without it, a
   /// saturated window would shed forever.
   uint64_t stale_after_ms = 1000;
-
-  /// Bounds for the computed retry_after_ms hint.
-  uint64_t min_retry_after_ms = 10;
-  uint64_t max_retry_after_ms = 1000;
 };
 
 /// Thread-safe. One instance per Engine.

@@ -18,6 +18,9 @@ namespace sjos {
 
 namespace {
 
+/// Plan-cache entries per Engine.
+constexpr size_t kPlanCacheCapacity = 256;
+
 struct EngineMetrics {
   Counter& queries;
   Counter& submits;
@@ -54,19 +57,6 @@ std::vector<std::pair<std::string, uint64_t>> CounterDeltas(
   std::sort(deltas.begin(), deltas.end());
   return deltas;
 }
-
-/// Starts a trace session for one query when `path` is non-empty and no
-/// session is already active (an active session — e.g. SJOS_TRACE — keeps
-/// collecting instead); stops it when the query finishes.
-struct ScopedTraceSession {
-  explicit ScopedTraceSession(const std::string& path) {
-    if (!path.empty()) owned = Tracer::Global().Start(path).ok();
-  }
-  ~ScopedTraceSession() {
-    if (owned) Tracer::Global().Stop();
-  }
-  bool owned = false;
-};
 
 }  // namespace
 
@@ -130,8 +120,7 @@ const std::string& QueryHandle::query_id() const {
 
 Engine::Engine(EngineOptions options)
     : options_(options),
-      cache_(PlanCacheConfig{options.plan_cache_capacity,
-                             options.plan_cache_shards}),
+      cache_(kPlanCacheCapacity),
       admission_(options.admission),
       query_log_(std::make_unique<QueryLog>(options.query_log)),
       pool_(options.max_in_flight) {}
@@ -141,11 +130,11 @@ void Engine::RebuildEstimatorLocked() {
       db_->doc(), db_->index(), db_->stats()));
 }
 
-void Engine::InstallDatabaseLocked(Database db) {
+size_t Engine::InstallDatabaseLocked(Database db) {
   db_.emplace(std::move(db));
   RebuildEstimatorLocked();
-  doc_id_.fetch_add(1, std::memory_order_relaxed);
-  stats_version_.fetch_add(1, std::memory_order_relaxed);
+  // New statistics wholesale: no cached plan may outlive the old document.
+  return cache_.Clear();
 }
 
 void Engine::ApplyDeltaLocked(const Database::MutationDelta& delta,
@@ -198,9 +187,8 @@ Result<MutationResult> Engine::ApplyFoldLocked(const FoldMutation& fold) {
   const uint64_t after = db_->LiveNodeCount();
   result.nodes_added = after > before ? after - before : 0;
   result.nodes_removed = before > after ? before - after : 0;
-  // Same logical document (id and stats version are kept): every tag in
-  // the dictionary was rescaled, so invalidate by the full tag set — the
-  // fine-grained path — rather than the old lazy version-bump sweep.
+  // Every tag in the dictionary was rescaled, so invalidate by the full
+  // tag set — the fine-grained path.
   const TagDictionary& dict = db_->doc().dict();
   std::vector<std::string> names;
   names.reserve(dict.size());
@@ -283,12 +271,9 @@ Result<MutationResult> Engine::Apply(Mutation mutation) {
   if (LoadDocument* load = std::get_if<LoadDocument>(&mutation)) {
     MutationResult result;
     result.nodes_added = load->doc.NumNodes();
-    InstallDatabaseLocked(
+    result.cache_invalidated = InstallDatabaseLocked(
         Database::Open(std::move(load->doc), std::move(load->name)));
     result.estimator_rebuilt = true;
-    // The new document gets a fresh id, so old entries could never be hit
-    // again — drop them eagerly instead of letting them squat in the LRU.
-    result.cache_invalidated = cache_.Clear();
     result.scope = "global";
     return result;
   }
@@ -310,7 +295,6 @@ Result<MutationResult> Engine::Apply(Mutation mutation) {
 Status Engine::OpenDatabase(Database db) {
   std::unique_lock<std::shared_mutex> lock = WriteLock();
   InstallDatabaseLocked(std::move(db));
-  cache_.Clear();
   return Status::OK();
 }
 
@@ -332,17 +316,13 @@ Result<PlannedQuery> Engine::PlanLocked(const Pattern& pattern,
     return Status::NotFound("no database loaded — apply a LoadDocument first");
   }
   PatternFingerprint fp = pattern.CanonicalFingerprint();
-  const uint64_t version = stats_version_.load(std::memory_order_relaxed);
-  const bool cache_enabled =
-      options.use_plan_cache && options_.plan_cache_capacity > 0;
 
   PlannedQuery planned;
-  planned.cache_key = PlanCache::MakeKey(
-      fp.key, doc_id_.load(std::memory_order_relaxed), options.optimizer);
+  planned.cache_key = PlanCache::MakeKey(fp.key, options.optimizer);
 
-  if (cache_enabled) {
+  if (options.use_plan_cache) {
     CachedPlan cached;
-    if (cache_.Get(planned.cache_key, version, &cached)) {
+    if (cache_.Get(planned.cache_key, &cached)) {
       // Cached plans live in canonical node-id space; translate to this
       // pattern's ids. For the pattern the plan was cached from this is
       // the identity, so results are byte-identical to a fresh optimize.
@@ -376,7 +356,7 @@ Result<PlannedQuery> Engine::PlanLocked(const Pattern& pattern,
 
   // Don't cache fallback plans: FP stood in because the search ran out of
   // budget, and a later, better-budgeted query should get the real search.
-  if (cache_enabled && planned.fallback_from.empty()) {
+  if (options.use_plan_cache && planned.fallback_from.empty()) {
     std::vector<PatternNodeId> to_canonical(fp.canonical_to_node.size());
     for (size_t i = 0; i < fp.canonical_to_node.size(); ++i) {
       to_canonical[static_cast<size_t>(fp.canonical_to_node[i])] =
@@ -387,7 +367,6 @@ Result<PlannedQuery> Engine::PlanLocked(const Pattern& pattern,
     entry.algorithm = planned.algorithm;
     entry.search_cost = planned.search_cost;
     entry.modelled_cost = planned.modelled_cost;
-    entry.stats_version = version;
     // Tag set for fine-grained invalidation: a mutation touching none of
     // these tags cannot change this plan's costs.
     entry.tags.reserve(pattern.NumNodes());
@@ -412,7 +391,6 @@ Result<QueryResult> Engine::RunQuery(const Pattern& pattern,
                                      const QueryOptions& options,
                                      const std::atomic<bool>* cancel_token,
                                      QueryErrorInfo* error_info) {
-  ScopedTraceSession trace_session(options.trace_path);
   // Tags every span this query emits with args:{qid} for per-query
   // Perfetto filtering.
   TraceQueryScope qid_scope(options.query_id);
@@ -519,7 +497,6 @@ Result<QueryResult> Engine::RunQuery(const Pattern& pattern,
   // Self-eviction: a plan that mis-estimated this badly should not keep
   // being served — drop it so the next occurrence re-optimizes.
   if (options_.cache_max_q_error > 0 && options.use_plan_cache &&
-      options_.plan_cache_capacity > 0 &&
       executed.value().stats.max_q_error > options_.cache_max_q_error) {
     cache_.EvictForQError(planned.value().cache_key);
   }
@@ -624,19 +601,6 @@ QueryHandle Engine::Submit(Pattern pattern, QueryOptions options) {
       query_log_->Append(std::move(rec));
       outcome.emplace(std::move(predispatch));
     } else {
-      const size_t now = in_flight_.fetch_add(1, std::memory_order_relaxed) + 1;
-      size_t peak = peak_in_flight_.load(std::memory_order_relaxed);
-      while (now > peak && !peak_in_flight_.compare_exchange_weak(
-                               peak, now, std::memory_order_relaxed)) {
-      }
-      EngineMetrics::Get().in_flight.Add(1);
-      struct InFlightRelease {
-        Engine* engine;
-        ~InFlightRelease() {
-          EngineMetrics::Get().in_flight.Sub(1);
-          engine->in_flight_.fetch_sub(1, std::memory_order_relaxed);
-        }
-      } release{this};
       try {
         outcome.emplace(
             RunQuery(pattern, options, &state->cancel, &error_info));
@@ -680,6 +644,9 @@ std::shared_ptr<Engine::InFlightEntry> Engine::RegisterInFlight(
   entry->start = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(in_flight_mu_);
   in_flight_entries_.push_back(entry);
+  peak_in_flight_ = std::max(peak_in_flight_, in_flight_entries_.size());
+  EngineMetrics::Get().in_flight.Set(
+      static_cast<int64_t>(in_flight_entries_.size()));
   return entry;
 }
 
@@ -689,9 +656,16 @@ void Engine::UnregisterInFlight(const InFlightEntry* entry) {
        ++it) {
     if (it->get() == entry) {
       in_flight_entries_.erase(it);
-      return;
+      break;
     }
   }
+  EngineMetrics::Get().in_flight.Set(
+      static_cast<int64_t>(in_flight_entries_.size()));
+}
+
+size_t Engine::peak_in_flight() const {
+  std::lock_guard<std::mutex> lock(in_flight_mu_);
+  return peak_in_flight_;
 }
 
 std::vector<InFlightInfo> Engine::InFlightQueries() const {

@@ -9,15 +9,14 @@
 //
 // Planning: Engine::Plan resolves QueryOptions::optimizer to one of the
 // paper's five algorithms and consults the plan cache first — key =
-// canonical pattern fingerprint + document id + optimizer kind, entries
-// invalidated globally by the stats version bumped on every load and
-// fine-grained (by touched tag set) on folds and subtree mutations, plans
-// stored in canonical node-id space and remapped per concrete pattern. A hit
-// skips estimation and search entirely (no optimize:<ALGO> span appears in
-// a trace); plans that came from a deadline-triggered FP fallback are
-// never cached. After execution, a plan whose measured max_q_error
-// exceeds EngineOptions::cache_max_q_error is self-evicted so the next
-// occurrence re-optimizes.
+// optimizer kind + canonical pattern fingerprint, the whole cache cleared
+// on every load and entries dropped by touched tag set on folds and
+// subtree mutations, plans stored in canonical node-id space and remapped
+// per concrete pattern. A hit skips estimation and search entirely (no
+// optimize:<ALGO> span appears in a trace); plans that came from a
+// deadline-triggered FP fallback are never cached. After execution, a
+// plan whose measured max_q_error exceeds EngineOptions::cache_max_q_error
+// is self-evicted so the next occurrence re-optimizes.
 //
 // Concurrency: Submit() enqueues the query on the Engine's pool and
 // returns a future-style QueryHandle; at most EngineOptions::max_in_flight
@@ -25,6 +24,9 @@
 // queue in FIFO order), each under its own governor with the handle's
 // cancel token. Mutations (Engine::Apply — loads, folds, subtree
 // inserts/deletes, flushes) are writer-exclusive against running queries.
+// Every query inside RunQuery — submitted or synchronous — sits in one
+// in-flight registry, which /statusz, the sjos_engine_in_flight gauge and
+// peak_in_flight() all read.
 
 #ifndef SJOS_SERVICE_ENGINE_H_
 #define SJOS_SERVICE_ENGINE_H_
@@ -62,11 +64,6 @@ struct EngineOptions {
   /// Admission gate: queries executing concurrently via Submit(). Also
   /// the Engine pool's worker count.
   size_t max_in_flight = 4;
-
-  /// Plan cache sizing; a capacity of 0 disables caching entirely
-  /// (Get/Put are never consulted).
-  size_t plan_cache_capacity = 256;
-  size_t plan_cache_shards = 8;
 
   /// Self-eviction threshold: a cached (or just-cached) plan whose
   /// executed ExecStats::max_q_error exceeds this is dropped from the
@@ -274,18 +271,9 @@ class Engine {
   PlanCache& plan_cache() { return cache_; }
   const PlanCache& plan_cache() const { return cache_; }
 
-  /// Monotonic statistics version; bumped when the document identity
-  /// changes (load / OpenDatabase). Folds and differential mutations keep
-  /// the version and invalidate by tag set instead.
-  uint64_t stats_version() const {
-    return stats_version_.load(std::memory_order_relaxed);
-  }
-
-  /// High-water mark of concurrently executing submitted queries (the
-  /// admission gate's observable).
-  size_t peak_in_flight() const {
-    return peak_in_flight_.load(std::memory_order_relaxed);
-  }
+  /// High-water mark of the in-flight registry: queries concurrently
+  /// inside RunQuery, submitted or synchronous (the set /statusz lists).
+  size_t peak_in_flight() const;
 
   /// The audit/slow-query log (always present; file sinks only when
   /// EngineOptions::query_log configures paths).
@@ -302,9 +290,9 @@ class Engine {
   std::shared_lock<std::shared_mutex> ReadLock() const;
   std::unique_lock<std::shared_mutex> WriteLock();
 
-  /// Replaces db_/estimator_ under an already-held exclusive db_mu_; bumps
-  /// the document id and stats version (a global invalidation event).
-  void InstallDatabaseLocked(Database db);
+  /// Replaces db_/estimator_ and clears the plan cache, under an
+  /// already-held exclusive db_mu_. Returns the number of plans dropped.
+  size_t InstallDatabaseLocked(Database db);
 
   /// Apply() branches, all under exclusive db_mu_.
   Result<MutationResult> ApplyFoldLocked(const FoldMutation& fold);
@@ -330,7 +318,7 @@ class Engine {
 
   const EngineOptions options_;
 
-  /// Guards db_/estimator_/doc_id_: queries hold it shared, mutations
+  /// Guards db_/estimator_: queries hold it shared, mutations
   /// exclusively. Taken only through ReadLock()/WriteLock().
   mutable std::shared_mutex db_mu_;
   /// A mutation holds this while it waits for db_mu_, and every query
@@ -344,15 +332,12 @@ class Engine {
   CostModel cost_model_;
 
   PlanCache cache_;
-  std::atomic<uint64_t> stats_version_{1};
-  std::atomic<uint64_t> doc_id_{0};
-
-  std::atomic<size_t> in_flight_{0};
-  std::atomic<size_t> peak_in_flight_{0};
 
   /// One registry slot per query inside RunQuery. The executor publishes
   /// live bytes straight into the entry's atomic (no locking on the query
-  /// path); InFlightQueries() snapshots under in_flight_mu_.
+  /// path); InFlightQueries() snapshots under in_flight_mu_. Register and
+  /// Unregister set the sjos_engine_in_flight gauge to the registry size
+  /// and raise the peak, under the same lock.
   struct InFlightEntry {
     std::string query_id;
     std::string tenant;
@@ -366,6 +351,7 @@ class Engine {
 
   mutable std::mutex in_flight_mu_;
   std::vector<std::shared_ptr<InFlightEntry>> in_flight_entries_;
+  size_t peak_in_flight_ = 0;
 
   /// Sequence for Engine-assigned "q-<n>" ids.
   std::atomic<uint64_t> next_query_id_{1};

@@ -1,7 +1,6 @@
 #include "service/plan_cache.h"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "common/metrics.h"
@@ -23,8 +22,8 @@ struct CacheMetrics {
     static CacheMetrics* m = [] {
       MetricsRegistry& reg = MetricsRegistry::Global();
       // The unlabeled invalidations series stays the all-scope total; the
-      // scope-labeled series split it into global (version bump / Clear)
-      // versus tagset (fine-grained mutation) drops.
+      // scope-labeled series split it into global (Clear on a load) versus
+      // tagset (fine-grained mutation) drops.
       return new CacheMetrics{
           reg.GetCounter("sjos_plan_cache_hits_total"),
           reg.GetCounter("sjos_plan_cache_misses_total"),
@@ -58,107 +57,75 @@ bool SortedIntersects(const std::vector<std::string>& a,
 
 }  // namespace
 
-PlanCache::PlanCache(PlanCacheConfig config)
-    : per_shard_capacity_(std::max<size_t>(
-          1, config.capacity / std::max<size_t>(1, config.shards))),
-      shards_(std::max<size_t>(1, config.shards)) {}
+PlanCache::PlanCache(size_t capacity)
+    : capacity_(std::max<size_t>(1, capacity)) {}
 
-std::string PlanCache::MakeKey(std::string_view pattern_key, uint64_t doc_id,
+std::string PlanCache::MakeKey(std::string_view pattern_key,
                                OptimizerKind kind) {
-  std::string key = "doc";
-  key += std::to_string(doc_id);
-  key += '|';
-  key += OptimizerKindName(kind);
+  std::string key(OptimizerKindName(kind));
   key += '|';
   key += pattern_key;
   return key;
 }
 
-PlanCache::Shard& PlanCache::ShardFor(const std::string& key) {
-  return shards_[std::hash<std::string>{}(key) % shards_.size()];
-}
-
-bool PlanCache::EraseLocked(Shard& shard, const std::string& key) {
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) return false;
-  shard.lru.erase(it->second);
-  shard.index.erase(it);
+bool PlanCache::Get(const std::string& key, CachedPlan* out) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it == index_.end()) {
+    ++counters_.misses;
+    CacheMetrics::Get().misses.Add();
+    return false;
+  }
+  lru_.splice(lru_.begin(), lru_, it->second);
+  *out = it->second->plan;
+  ++counters_.hits;
+  CacheMetrics::Get().hits.Add();
   return true;
 }
 
-bool PlanCache::Get(const std::string& key, uint64_t stats_version,
-                    CachedPlan* out) {
-  Shard& shard = ShardFor(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      if (it->second->plan.stats_version != stats_version) {
-        // Optimized under different statistics: stale, not reusable.
-        shard.lru.erase(it->second);
-        shard.index.erase(it);
-        invalidations_global_.fetch_add(1, std::memory_order_relaxed);
-        CacheMetrics::Get().invalidations.Add();
-        CacheMetrics::Get().invalidations_global.Add();
-      } else {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        *out = it->second->plan;
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        CacheMetrics::Get().hits.Add();
-        return true;
-      }
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  CacheMetrics::Get().misses.Add();
-  return false;
-}
-
 void PlanCache::Put(const std::string& key, CachedPlan plan) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it != index_.end()) {
     it->second->plan = std::move(plan);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  shard.lru.push_front(Entry{key, std::move(plan)});
-  shard.index[key] = shard.lru.begin();
-  if (shard.lru.size() > per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().key);
-    shard.lru.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+  lru_.push_front(Entry{key, std::move(plan)});
+  index_[key] = lru_.begin();
+  if (lru_.size() > capacity_) {
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
+    ++counters_.evictions;
     CacheMetrics::Get().evictions.Add();
   }
 }
 
 void PlanCache::EvictForQError(const std::string& key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (EraseLocked(shard, key)) {
-    qerror_evictions_.fetch_add(1, std::memory_order_relaxed);
-    CacheMetrics::Get().qerror_evictions.Add();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(key);
+  if (it == index_.end()) return;
+  lru_.erase(it->second);
+  index_.erase(it);
+  ++counters_.qerror_evictions;
+  CacheMetrics::Get().qerror_evictions.Add();
 }
 
 size_t PlanCache::InvalidateTags(const std::vector<std::string>& tags) {
   if (tags.empty()) return 0;
   size_t dropped = 0;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (SortedIntersects(it->plan.tags, tags)) {
-        shard.index.erase(it->key);
-        it = shard.lru.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (SortedIntersects(it->plan.tags, tags)) {
+      index_.erase(it->key);
+      it = lru_.erase(it);
+      ++dropped;
+    } else {
+      ++it;
     }
   }
   if (dropped > 0) {
-    invalidations_tagset_.fetch_add(dropped, std::memory_order_relaxed);
+    counters_.invalidations_tagset += dropped;
     CacheMetrics::Get().invalidations.Add(dropped);
     CacheMetrics::Get().invalidations_tagset.Add(dropped);
   }
@@ -166,42 +133,27 @@ size_t PlanCache::InvalidateTags(const std::vector<std::string>& tags) {
 }
 
 size_t PlanCache::Clear() {
-  size_t total = 0;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    size_t dropped = shard.lru.size();
-    shard.lru.clear();
-    shard.index.clear();
-    if (dropped > 0) {
-      invalidations_global_.fetch_add(dropped, std::memory_order_relaxed);
-      CacheMetrics::Get().invalidations.Add(dropped);
-      CacheMetrics::Get().invalidations_global.Add(dropped);
-      total += dropped;
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  const size_t dropped = lru_.size();
+  lru_.clear();
+  index_.clear();
+  if (dropped > 0) {
+    counters_.invalidations_global += dropped;
+    CacheMetrics::Get().invalidations.Add(dropped);
+    CacheMetrics::Get().invalidations_global.Add(dropped);
   }
-  return total;
+  return dropped;
 }
 
 size_t PlanCache::Size() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.lru.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return lru_.size();
 }
 
 PlanCacheCounters PlanCache::Counters() const {
-  PlanCacheCounters c;
-  c.hits = hits_.load(std::memory_order_relaxed);
-  c.misses = misses_.load(std::memory_order_relaxed);
-  c.evictions = evictions_.load(std::memory_order_relaxed);
-  c.invalidations_global =
-      invalidations_global_.load(std::memory_order_relaxed);
-  c.invalidations_tagset =
-      invalidations_tagset_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  PlanCacheCounters c = counters_;
   c.invalidations = c.invalidations_global + c.invalidations_tagset;
-  c.qerror_evictions = qerror_evictions_.load(std::memory_order_relaxed);
   return c;
 }
 

@@ -1,29 +1,28 @@
-// Sharded LRU plan cache: the Engine's amortizer for repeated query
-// patterns. Entries are keyed on Pattern::CanonicalFingerprint().key +
-// document id + optimizer kind, so a hit is only possible when the same
-// algorithm would see the same logical pattern against the same document —
-// and plans are stored in CANONICAL pattern-node-id space (see
-// PhysicalPlan::WithRemappedPatternNodes), so a plan cached under one
+// LRU plan cache: the Engine's amortizer for repeated query patterns.
+// Entries are keyed on optimizer kind + Pattern::CanonicalFingerprint().key,
+// so a hit is only possible when the same algorithm would see the same
+// logical pattern — and plans are stored in CANONICAL pattern-node-id space
+// (see PhysicalPlan::WithRemappedPatternNodes), so a plan cached under one
 // sibling ordering replays correctly for any reordering of the same
 // pattern.
 //
 // Staleness: the paper's cost model (Sec. 3.2) makes a chosen join order a
-// function of the document statistics, so every catalog/stats mutation
-// (document load, fold) bumps the Engine's stats version; each entry
-// remembers the version it was optimized under and Get() drops entries
-// from older versions instead of serving a mis-costed plan. Entries whose
-// executed max_q_error exceeds the Engine's threshold are self-evicted
-// (EvictForQError) so the next occurrence re-optimizes against reality.
+// function of the document statistics, so each event that changes them
+// makes exactly one call here. A document load clears the cache (Clear);
+// a fold or subtree mutation drops the entries whose tag set it touched
+// (InvalidateTags); an executed plan whose max_q_error exceeds the
+// Engine's threshold is self-evicted (EvictForQError) so the next
+// occurrence re-optimizes against reality. The Engine makes the load's
+// Clear under its exclusive database lock and every Get/Put under the
+// shared one, so no plan from an old document survives or gets inserted.
 //
-// Concurrency: shards are independent (key-hash selected), each guarded by
-// one mutex around an intrusive LRU list + hash map; safe for concurrent
-// Get/Put/Erase from Engine worker threads. Counters are mirrored into
-// MetricsRegistry::Global() as sjos_plan_cache_*_total.
+// Concurrency: one mutex around one LRU list + hash map; safe for
+// concurrent Get/Put/Erase from Engine worker threads. Counters are
+// mirrored into MetricsRegistry::Global() as sjos_plan_cache_*_total.
 
 #ifndef SJOS_SERVICE_PLAN_CACHE_H_
 #define SJOS_SERVICE_PLAN_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <mutex>
@@ -37,13 +36,6 @@
 
 namespace sjos {
 
-/// Sizing of a PlanCache. Capacity is split evenly across shards (at
-/// least one entry per shard).
-struct PlanCacheConfig {
-  size_t capacity = 256;
-  size_t shards = 8;
-};
-
 /// One cached optimization outcome. `plan` is in canonical pattern-node-id
 /// space; callers remap through the fingerprint of the concrete pattern.
 struct CachedPlan {
@@ -52,8 +44,6 @@ struct CachedPlan {
   std::string algorithm;
   double search_cost = 0.0;
   double modelled_cost = 0.0;
-  /// Engine stats version the plan was optimized under.
-  uint64_t stats_version = 0;
   /// Sorted, unique tag names the plan's pattern touches. Fine-grained
   /// invalidation (InvalidateTags) drops exactly the entries whose tag set
   /// intersects a mutation's touched tags.
@@ -67,29 +57,26 @@ struct PlanCacheCounters {
   uint64_t misses = 0;
   uint64_t evictions = 0;         // capacity (LRU) evictions
   uint64_t invalidations = 0;     // all invalidations (global + tagset)
-  uint64_t invalidations_global = 0;  // stats-version drops + Clear()
+  uint64_t invalidations_global = 0;  // Clear() drops
   uint64_t invalidations_tagset = 0;  // InvalidateTags drops
   uint64_t qerror_evictions = 0;  // EvictForQError drops
 };
 
 class PlanCache {
  public:
-  explicit PlanCache(PlanCacheConfig config = {});
+  /// `capacity` entries (at least one).
+  explicit PlanCache(size_t capacity);
 
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Composes the full cache key from the pattern's canonical key, the
-  /// owning document's id, and the planning algorithm.
-  static std::string MakeKey(std::string_view pattern_key, uint64_t doc_id,
-                             OptimizerKind kind);
+  /// Composes the full cache key, `<kind>|<pattern-key>`.
+  static std::string MakeKey(std::string_view pattern_key, OptimizerKind kind);
 
-  /// Looks up `key`. An entry from a stats version other than
-  /// `stats_version` is dropped (counted as an invalidation) and reported
-  /// as a miss. On a hit the entry moves to the shard's MRU position.
-  bool Get(const std::string& key, uint64_t stats_version, CachedPlan* out);
+  /// Looks up `key`. On a hit the entry moves to the MRU position.
+  bool Get(const std::string& key, CachedPlan* out);
 
-  /// Inserts or replaces `key`. Evicts the shard's LRU entry on overflow.
+  /// Inserts or replaces `key`. Evicts the LRU entry on overflow.
   void Put(const std::string& key, CachedPlan plan);
 
   /// Drops `key` because its plan mis-estimated badly at execution time.
@@ -105,7 +92,7 @@ class PlanCache {
   size_t Clear();
 
   size_t Size() const;
-  size_t capacity() const { return per_shard_capacity_ * shards_.size(); }
+  size_t capacity() const { return capacity_; }
   PlanCacheCounters Counters() const;
 
  private:
@@ -113,24 +100,13 @@ class PlanCache {
     std::string key;
     CachedPlan plan;
   };
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
-  };
 
-  Shard& ShardFor(const std::string& key);
-  bool EraseLocked(Shard& shard, const std::string& key);
+  const size_t capacity_;
 
-  size_t per_shard_capacity_;
-  std::vector<Shard> shards_;
-
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> invalidations_global_{0};
-  std::atomic<uint64_t> invalidations_tagset_{0};
-  std::atomic<uint64_t> qerror_evictions_{0};
+  mutable std::mutex mu_;
+  std::list<Entry> lru_;  // front = most recently used
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  PlanCacheCounters counters_;  // `invalidations` is derived in Counters()
 };
 
 }  // namespace sjos

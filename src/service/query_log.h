@@ -55,8 +55,8 @@ struct FlightRecord {
 struct QueryLogRecord {
   std::string query_id;
   std::string tenant;
-  /// The plan-cache key — canonical pattern fingerprint + doc id +
-  /// optimizer kind — a stable identity for "the same query".
+  /// The plan-cache key — `<optimizer kind>|<canonical pattern
+  /// fingerprint>` — a stable identity for "the same query".
   std::string fingerprint;
   std::string optimizer;    // OptimizerKindName of the planning algorithm
   std::string status_code;  // StatusCodeName of the outcome

@@ -71,10 +71,6 @@ struct QueryOptions {
   /// built-in default).
   size_t batch_rows = 0;
 
-  /// When non-empty, the Engine traces the whole query (optimize spans
-  /// included) to this path; see common/trace.h.
-  std::string trace_path;
-
   /// Whether the Engine's plan cache may serve and store this query's
   /// plan. Off = always optimize fresh (the cache is left untouched).
   bool use_plan_cache = true;

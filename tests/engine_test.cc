@@ -16,6 +16,7 @@
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "exec/executor.h"
 #include "query/pattern_parser.h"
 #include "service/engine.h"
@@ -118,6 +119,36 @@ TEST(EngineTest, AdmissionGateBoundsConcurrency) {
   }
   EXPECT_GE(engine.peak_in_flight(), 1u);
   EXPECT_LE(engine.peak_in_flight(), 2u);
+}
+
+TEST(EngineTest, InFlightGaugeCountsSynchronousQueries) {
+  // One registry counts every query inside RunQuery, so a synchronous
+  // Query shows in the gauge exactly as it does in InFlightQueries().
+  Gauge& gauge = MetricsRegistry::Global().GetGauge("sjos_engine_in_flight");
+  Engine engine;
+  ASSERT_TRUE(engine.OpenDatabase(SmallPers()).ok());
+  Pattern pattern = Parse("manager[//employee[/name]][//department]");
+  QueryOptions options;
+  options.use_plan_cache = false;
+
+  ASSERT_TRUE(FailpointRegistry::Global().Enable("exec.batch", "delay:20").ok());
+  std::thread runner([&] { EXPECT_TRUE(engine.Query(pattern, options).ok()); });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  size_t listed = 0;
+  while ((listed = engine.InFlightQueries().size()) == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const int64_t gauged = gauge.Value();
+  FailpointRegistry::Global().Disable("exec.batch");
+  runner.join();
+
+  EXPECT_EQ(listed, 1u);
+  EXPECT_EQ(gauged, static_cast<int64_t>(listed));
+  EXPECT_EQ(engine.InFlightQueries().size(), 0u);
+  EXPECT_EQ(gauge.Value(), 0);
+  EXPECT_EQ(engine.peak_in_flight(), 1u);
 }
 
 TEST(EngineTest, CancelBeforeDispatchReturnsCancelled) {
@@ -268,14 +299,15 @@ TEST(EngineTest, WarmHitSkipsOptimizationEntirely) {
       MetricsRegistry::Global().GetCounter("sjos_plan_cache_hits_total");
   const uint64_t hits_before = hits.Value();
 
-  QueryOptions options;
-  options.trace_path = cold_path;
-  Result<QueryResult> cold = engine.Query(pattern, options);
+  ASSERT_TRUE(Tracer::Global().Start(cold_path).ok());
+  Result<QueryResult> cold = engine.Query(pattern);
+  ASSERT_TRUE(Tracer::Global().Stop().ok());
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_FALSE(cold.value().planned.cache_hit);
 
-  options.trace_path = warm_path;
-  Result<QueryResult> warm = engine.Query(pattern, options);
+  ASSERT_TRUE(Tracer::Global().Start(warm_path).ok());
+  Result<QueryResult> warm = engine.Query(pattern);
+  ASSERT_TRUE(Tracer::Global().Stop().ok());
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_TRUE(warm.value().planned.cache_hit);
   EXPECT_EQ(warm.value().planned.opt_stats.plans_considered, 0u);
@@ -327,8 +359,8 @@ TEST(AdmissionTest, ShedsPastThresholdAndReopensOnStaleWindow) {
   controller.RecordQueueDelay(500'000, now);  // crosses min_samples
   EXPECT_GT(controller.P95DelayUs(), 50'000u);
   ASSERT_TRUE(controller.ShouldShed(now, &hint));
-  EXPECT_GE(hint, options.min_retry_after_ms);
-  EXPECT_LE(hint, options.max_retry_after_ms);
+  EXPECT_GE(hint, kAdmissionMinRetryAfterMs);
+  EXPECT_LE(hint, kAdmissionMaxRetryAfterMs);
 
   // A window of healthy delays clears the brownout without any clock
   // movement — recovery through fresh samples.
@@ -380,7 +412,7 @@ TEST(EngineTest, AdaptiveShedReturnsImmediateHandleWithHint) {
 
   uint64_t hint = 0;
   EXPECT_TRUE(engine.CheckAdmission(&hint));
-  EXPECT_GE(hint, opts.admission.min_retry_after_ms);
+  EXPECT_GE(hint, kAdmissionMinRetryAfterMs);
 
   QueryHandle handle = engine.Submit(Parse("employee[/name]"), QueryOptions());
   ASSERT_TRUE(handle.valid());

@@ -196,7 +196,6 @@ TEST_F(ServiceTest, TenantOverInFlightQuotaIsShedNotQueued) {
 TEST_F(ServiceTest, TenantOverQpsQuotaIsShedWithRetryHint) {
   ServerOptions options;
   options.default_quota.qps = 1.0;
-  options.default_quota.burst = 1.0;
   StartServer(options);
   Client client = Connect();
 
@@ -596,6 +595,52 @@ TEST_F(ServiceTest, DisconnectCancelledQueryRerunsOnResubmit) {
       retry.Call(SubmitJson("orphan", "manager[//employee[/name]]"))
           .value()));
   Result<JsonValue> polled = retry.Call(PollJson("orphan", 20'000));
+  ASSERT_TRUE(polled.ok());
+  ASSERT_TRUE(OkOf(polled.value())) << StringField(polled.value(), "error");
+  const JsonValue* result = polled.value().Find("result");
+  ASSERT_NE(result, nullptr);
+  EXPECT_GT(result->Find("row_count")->number_value(), 0.0);
+}
+
+TEST_F(ServiceTest, PollWhileDisconnectCancelUnwindsAnswersNotFound) {
+  // The teardown cancels a dropped connection's query, then waits for it
+  // to unwind before parking its terminal in the replay ring. A long batch
+  // stall holds that window open; a poll landing inside it must get the
+  // same NotFound the ring gives, never the undelivered Cancelled.
+  StartServer();
+  ASSERT_TRUE(
+      FailpointRegistry::Global().Enable("exec.batch", "delay:1500").ok());
+  {
+    Client doomed = Connect();
+    ASSERT_TRUE(OkOf(doomed
+                         .Call(SubmitJson("limbo",
+                                          "manager[//employee[/name]]",
+                                          ",\"use_plan_cache\":false"))
+                         .value()));
+    // Past dispatch, so the disconnect cancels a running query.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (engine_->InFlightQueries().empty() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(engine_->InFlightQueries().size(), 1u);
+  }  // disconnect: the teardown cancels "limbo", which then sits in a stall
+
+  // Let the teardown's cancel land; the stall keeps the query unwinding.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  Client poller = Connect();
+  Result<JsonValue> ghost = poller.Call(PollJson("limbo", 5'000));
+  ASSERT_TRUE(ghost.ok());
+  EXPECT_FALSE(OkOf(ghost.value()));
+  EXPECT_EQ(StringField(ghost.value(), "code"), "NotFound");
+  FailpointRegistry::Global().Disable("exec.batch");
+
+  // The re-submit runs it fresh.
+  ASSERT_TRUE(OkOf(
+      poller.Call(SubmitJson("limbo", "manager[//employee[/name]]"))
+          .value()));
+  Result<JsonValue> polled = poller.Call(PollJson("limbo", 20'000));
   ASSERT_TRUE(polled.ok());
   ASSERT_TRUE(OkOf(polled.value())) << StringField(polled.value(), "error");
   const JsonValue* result = polled.value().Find("result");

@@ -156,8 +156,9 @@ TEST(ObservabilityTest, SuccessfulQueryIdFlowsToTraceAndAuditLog) {
 
   QueryOptions options;
   options.query_id = "trace-me-42";
-  options.trace_path = trace_path;
+  ASSERT_TRUE(Tracer::Global().Start(trace_path).ok());
   Result<QueryResult> r = engine.Query(Parse("employee[/name]"), options);
+  ASSERT_TRUE(Tracer::Global().Stop().ok());
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().query_id, "trace-me-42");
 

@@ -1,5 +1,5 @@
 // Plan-cache unit tests: the canonical pattern fingerprint (what must and
-// must not collide), the sharded LRU's eviction/recency behavior, and the
+// must not collide), the LRU's eviction/recency behavior, and the
 // Engine-level invalidation paths — tag-set invalidation after Fold
 // forcing re-optimization, and q-error self-eviction after a badly
 // mis-estimated execution.
@@ -96,30 +96,27 @@ TEST(PatternFingerprintTest, TagsAreLengthPrefixed) {
   EXPECT_NE(Parse("ab[/c]").CanonicalKey(), Parse("a[/bc]").CanonicalKey());
 }
 
-TEST(PlanCacheTest, KeySeparatesDocumentAndOptimizer) {
+TEST(PlanCacheTest, KeySeparatesOptimizer) {
   const std::string fp = Parse("a[/b]").CanonicalKey();
-  EXPECT_NE(PlanCache::MakeKey(fp, 1, OptimizerKind::kDpp),
-            PlanCache::MakeKey(fp, 2, OptimizerKind::kDpp));
-  EXPECT_NE(PlanCache::MakeKey(fp, 1, OptimizerKind::kDpp),
-            PlanCache::MakeKey(fp, 1, OptimizerKind::kFp));
+  EXPECT_NE(PlanCache::MakeKey(fp, OptimizerKind::kDpp),
+            PlanCache::MakeKey(fp, OptimizerKind::kFp));
 }
 
 TEST(PlanCacheTest, LruEvictsColdestAndGetRefreshes) {
-  PlanCache cache(PlanCacheConfig{2, 1});  // one shard, two entries
+  PlanCache cache(2);
   CachedPlan plan;
-  plan.stats_version = 1;
   cache.Put("k1", plan);
   cache.Put("k2", plan);
 
   // Touch k1 so k2 becomes the LRU victim.
   CachedPlan out;
-  EXPECT_TRUE(cache.Get("k1", 1, &out));
+  EXPECT_TRUE(cache.Get("k1", &out));
   cache.Put("k3", plan);
 
   EXPECT_EQ(cache.Size(), 2u);
-  EXPECT_TRUE(cache.Get("k1", 1, &out));
-  EXPECT_FALSE(cache.Get("k2", 1, &out));
-  EXPECT_TRUE(cache.Get("k3", 1, &out));
+  EXPECT_TRUE(cache.Get("k1", &out));
+  EXPECT_FALSE(cache.Get("k2", &out));
+  EXPECT_TRUE(cache.Get("k3", &out));
 
   PlanCacheCounters c = cache.Counters();
   EXPECT_EQ(c.evictions, 1u);
@@ -127,27 +124,9 @@ TEST(PlanCacheTest, LruEvictsColdestAndGetRefreshes) {
   EXPECT_EQ(c.misses, 1u);
 }
 
-TEST(PlanCacheTest, StaleStatsVersionDropsEntry) {
-  PlanCache cache(PlanCacheConfig{4, 1});
-  CachedPlan plan;
-  plan.stats_version = 1;
-  cache.Put("k", plan);
-
-  CachedPlan out;
-  EXPECT_FALSE(cache.Get("k", 2, &out));  // newer stats: entry dropped
-  EXPECT_EQ(cache.Size(), 0u);
-  EXPECT_FALSE(cache.Get("k", 1, &out));  // gone for good
-
-  PlanCacheCounters c = cache.Counters();
-  EXPECT_EQ(c.invalidations, 1u);
-  EXPECT_EQ(c.misses, 2u);
-  EXPECT_EQ(c.hits, 0u);
-}
-
 TEST(PlanCacheTest, ClearCountsDroppedEntriesAsInvalidations) {
-  PlanCache cache(PlanCacheConfig{8, 2});
+  PlanCache cache(8);
   CachedPlan plan;
-  plan.stats_version = 1;
   cache.Put("a", plan);
   cache.Put("b", plan);
   cache.Put("c", plan);
@@ -190,7 +169,6 @@ TEST(PlanCacheTest, FoldInvalidatesByTagSetAndForcesReoptimize) {
   opts.cache_max_q_error = 0;
   Engine engine(opts);
   ASSERT_TRUE(engine.OpenDatabase(SmallPers()).ok());
-  const uint64_t loaded_version = engine.stats_version();
   Pattern pattern = Parse("manager[//employee[/name]][//department]");
 
   ASSERT_TRUE(engine.Query(pattern).ok());
@@ -199,13 +177,12 @@ TEST(PlanCacheTest, FoldInvalidatesByTagSetAndForcesReoptimize) {
   EXPECT_TRUE(warm.value().planned.cache_hit);
 
   // Fold rescales every tag, so it invalidates by the full tag set — the
-  // fine-grained path — without bumping the global stats version.
+  // fine-grained path — and drops nothing globally.
   const uint64_t tagset_before =
       engine.plan_cache().Counters().invalidations_tagset;
   const uint64_t global_before =
       engine.plan_cache().Counters().invalidations_global;
   ASSERT_TRUE(engine.Apply(FoldMutation{2}).ok());
-  EXPECT_EQ(engine.stats_version(), loaded_version);
   EXPECT_GT(engine.plan_cache().Counters().invalidations_tagset,
             tagset_before);
   EXPECT_EQ(engine.plan_cache().Counters().invalidations_global,

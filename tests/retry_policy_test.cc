@@ -1,11 +1,16 @@
 // Deterministic tests for the retry machinery: backoff jitter bounds and
-// cap, token-bucket budget exhaustion and refill, circuit-breaker state
+// cap, token-bucket exhaustion and refill, circuit-breaker state
 // transitions — all on a fake clock, no real sleeps — plus the resilient
 // client honoring server retry_after_ms hints over its own backoff
 // (verified against a live quota-shedding server with the sleeps
-// intercepted).
+// intercepted) and drawing its own jitter per client.
 
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <string>
@@ -60,26 +65,26 @@ TEST(BackoffTest, DegenerateBaseEqualsCap) {
 }
 
 // ---------------------------------------------------------------------------
-// RetryBudget
+// TokenBucket
 
-TEST(RetryBudgetTest, ExhaustsAtCapacityAndRefillsOverTime) {
+TEST(TokenBucketTest, ExhaustsAtCapacityAndRefillsOverTime) {
   uint64_t now = 1'000'000;
-  RetryBudget budget(/*capacity=*/3.0, /*refill_per_s=*/1.0, now);
-  EXPECT_TRUE(budget.TryAcquire(now));
-  EXPECT_TRUE(budget.TryAcquire(now));
-  EXPECT_TRUE(budget.TryAcquire(now));
-  EXPECT_FALSE(budget.TryAcquire(now));  // exhausted, no time passed
+  TokenBucket budget(/*capacity=*/3.0, /*refill_per_s=*/1.0);
+  EXPECT_TRUE(budget.TryTake(now));
+  EXPECT_TRUE(budget.TryTake(now));
+  EXPECT_TRUE(budget.TryTake(now));
+  EXPECT_FALSE(budget.TryTake(now));  // exhausted, no time passed
 
   now += 500'000;  // +0.5 s → +0.5 tokens: still under 1
-  EXPECT_FALSE(budget.TryAcquire(now));
+  EXPECT_FALSE(budget.TryTake(now));
   now += 600'000;  // total +1.1 s → crosses 1 token
-  EXPECT_TRUE(budget.TryAcquire(now));
-  EXPECT_FALSE(budget.TryAcquire(now));
+  EXPECT_TRUE(budget.TryTake(now));
+  EXPECT_FALSE(budget.TryTake(now));
 }
 
-TEST(RetryBudgetTest, RefillIsCappedAtCapacity) {
+TEST(TokenBucketTest, RefillIsCappedAtCapacity) {
   uint64_t now = 0;
-  RetryBudget budget(2.0, 10.0, now);
+  TokenBucket budget(2.0, 10.0);
   now += 60'000'000;  // a minute of refill cannot exceed capacity
   EXPECT_DOUBLE_EQ(budget.Tokens(now), 2.0);
 }
@@ -147,7 +152,6 @@ TEST(ResilientClientHintTest, ShedHintDrivesTheSleepNotBackoff) {
       engine.OpenDatabase(MakePaperDataset("Pers", scale).value()).ok());
   ServerOptions server_options;
   server_options.default_quota.qps = 0.001;  // ~everything past burst sheds
-  server_options.default_quota.burst = 1.0;
   QueryServer server(&engine, server_options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -184,6 +188,49 @@ TEST(ResilientClientHintTest, ShedHintDrivesTheSleepNotBackoff) {
   EXPECT_EQ(hinted.stats().retries, 2u);
 
   server.Stop();  // cancels and drains the burn query
+}
+
+// ---------------------------------------------------------------------------
+// ResilientClient jitter: clients that fail together must not retry in
+// lockstep, so each draws its own backoff sequence.
+
+TEST(ResilientClientJitterTest, ClientsDrawDifferentBackoffSequences) {
+  // A bound but never-listening socket: every connect is refused, and no
+  // other process can take the port while the test holds it.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+  const uint16_t closed_port = ntohs(addr.sin_port);
+
+  auto record_backoff = [closed_port] {
+    std::vector<uint64_t> sleeps_us;
+    ResilientClientOptions options;
+    options.clock.now_us = [] { return uint64_t{1'000'000}; };
+    options.clock.sleep_us = [&sleeps_us](uint64_t us) {
+      sleeps_us.push_back(us);
+    };
+    options.retry.max_attempts = 9;
+    options.retry.budget_tokens = 100.0;
+    options.retry.breaker_failure_threshold = 100;
+    ResilientClient client("127.0.0.1", closed_port, options);
+    Result<JsonValue> r = client.Call("{\"verb\":\"ping\"}");
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+    return sleeps_us;
+  };
+  const std::vector<uint64_t> first = record_backoff();
+  const std::vector<uint64_t> second = record_backoff();
+  ::close(fd);
+
+  ASSERT_EQ(first.size(), 8u);
+  ASSERT_EQ(second.size(), 8u);
+  EXPECT_NE(first, second);
 }
 
 }  // namespace
