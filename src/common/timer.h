@@ -11,12 +11,10 @@
 namespace sjos {
 
 /// Monotonic stopwatch. Construction starts it; ElapsedMicros()/ElapsedMs()
-/// read without stopping, Restart() resets the origin.
+/// read without stopping.
 class Timer {
  public:
   Timer() : start_(Clock::now()) {}
-
-  void Restart() { start_ = Clock::now(); }
 
   int64_t ElapsedMicros() const {
     return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
@@ -26,10 +24,6 @@ class Timer {
 
   double ElapsedMs() const {
     return static_cast<double>(ElapsedMicros()) / 1000.0;
-  }
-
-  double ElapsedSeconds() const {
-    return static_cast<double>(ElapsedMicros()) / 1e6;
   }
 
  private:

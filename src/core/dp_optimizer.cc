@@ -6,11 +6,9 @@
 // the paper charges to DP.
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "common/failpoint.h"
-#include "common/timer.h"
-#include "common/trace.h"
 #include "core/move_gen.h"
 #include "core/opt_status.h"
 #include "core/optimizer.h"
@@ -24,18 +22,12 @@ class DpOptimizer : public Optimizer {
  public:
   const char* name() const override { return "DP"; }
 
-  Result<OptimizeResult> Optimize(const OptimizeContext& ctx) override {
-    TraceSpan span("optimize:", name());
-    Timer timer;
-    SJOS_FAILPOINT("opt.search");
-    SJOS_RETURN_IF_ERROR(ctx.pattern->Validate());
-    if (ctx.pattern->NumNodes() > kMaxPatternNodes) {
-      return Status::Unsupported("pattern too large for DP optimization");
-    }
-
+ private:
+  Status Search(const OptimizeContext& ctx, const Timer& timer,
+                OptimizeResult* out) override {
     MoveGenerator gen(*ctx.pattern, *ctx.estimates, *ctx.cost_model);
     const size_t num_edges = gen.num_edges();
-    OptimizerStats stats;
+    OptimizerStats& stats = out->stats;
 
     struct Entry {
       OptStatus status;
@@ -49,39 +41,30 @@ class DpOptimizer : public Optimizer {
     levels[0].push_back(Entry{OptStatus::Start(*ctx.pattern), 0.0, -1, {}});
     ++stats.statuses_generated;
 
-    const double deadline_ms = ctx.options.deadline_ms;
     std::vector<Move> moves;
-    {
-      TraceSpan search_span("optimize.search:", name());
-      for (size_t lv = 0; lv < num_edges; ++lv) {
-        std::unordered_map<StatusKey, size_t, StatusKeyHash> index;
-        for (size_t i = 0; i < levels[lv].size(); ++i) {
-          // Deadline poll at each level start and every 64 expansions —
-          // a level of a large pattern can hold thousands of statuses.
-          if ((i & 63) == 0) {
-            SJOS_FAILPOINT("opt.search.step");
-            if (deadline_ms > 0.0 && timer.ElapsedMs() >= deadline_ms) {
-              return FallbackToFp(ctx, name(), stats, timer.ElapsedMs());
-            }
-          }
-          const Entry& entry = levels[lv][i];
-          moves.clear();
-          stats.plans_considered += gen.Enumerate(entry.status, {}, &moves);
-          ++stats.statuses_expanded;
-          for (const Move& move : moves) {
-            OptStatus next = gen.Apply(entry.status, move);
-            const double cost = entry.cost + move.cost;
-            ++stats.statuses_generated;
-            StatusKey key = next.Key();
-            auto it = index.find(key);
-            if (it == index.end()) {
-              index.emplace(key, levels[lv + 1].size());
-              levels[lv + 1].push_back(
-                  Entry{next, cost, static_cast<int>(i), move});
-            } else if (cost < levels[lv + 1][it->second].cost) {
-              levels[lv + 1][it->second] =
-                  Entry{next, cost, static_cast<int>(i), move};
-            }
+    for (size_t lv = 0; lv < num_edges; ++lv) {
+      std::unordered_map<StatusKey, size_t, StatusKeyHash> index;
+      for (size_t i = 0; i < levels[lv].size(); ++i) {
+        // Deadline poll at each level start and every 64 expansions —
+        // a level of a large pattern can hold thousands of statuses.
+        if ((i & 63) == 0) SJOS_RETURN_IF_ERROR(PollDeadline(ctx, timer));
+        const Entry& entry = levels[lv][i];
+        moves.clear();
+        stats.plans_considered += gen.Enumerate(entry.status, {}, &moves);
+        ++stats.statuses_expanded;
+        for (const Move& move : moves) {
+          OptStatus next = gen.Apply(entry.status, move);
+          const double cost = entry.cost + move.cost;
+          ++stats.statuses_generated;
+          StatusKey key = next.Key();
+          auto it = index.find(key);
+          if (it == index.end()) {
+            index.emplace(key, levels[lv + 1].size());
+            levels[lv + 1].push_back(
+                Entry{next, cost, static_cast<int>(i), move});
+          } else if (cost < levels[lv + 1][it->second].cost) {
+            levels[lv + 1][it->second] =
+                Entry{next, cost, static_cast<int>(i), move};
           }
         }
       }
@@ -112,13 +95,11 @@ class DpOptimizer : public Optimizer {
       at = entry.parent;
     }
 
-    Result<OptimizeResult> result =
-        BuildResultFromMoves(ctx, gen, chosen, best_cost);
-    if (!result.ok()) return result;
-    result.value().stats = stats;
-    result.value().stats.opt_time_ms = timer.ElapsedMs();
-    RecordOptimizerMetrics(result.value().stats);
-    return result;
+    Result<PhysicalPlan> plan = BuildPlanFromMoves(gen, chosen);
+    if (!plan.ok()) return plan.status();
+    out->plan = std::move(plan).value();
+    out->search_cost = best_cost;
+    return Status::OK();
   }
 };
 

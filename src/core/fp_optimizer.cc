@@ -13,14 +13,11 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "common/failpoint.h"
-#include "common/timer.h"
-#include "common/trace.h"
 #include "core/opt_status.h"
 #include "core/optimizer.h"
-#include "plan/plan_props.h"
 
 namespace sjos {
 
@@ -33,14 +30,9 @@ class FpOptimizer : public Optimizer {
  public:
   const char* name() const override { return "FP"; }
 
-  Result<OptimizeResult> Optimize(const OptimizeContext& ctx) override {
-    TraceSpan span("optimize:", name());
-    Timer timer;
-    SJOS_FAILPOINT("opt.search");
-    SJOS_RETURN_IF_ERROR(ctx.pattern->Validate());
-    if (ctx.pattern->NumNodes() > kMaxPatternNodes) {
-      return Status::Unsupported("pattern too large for FP optimization");
-    }
+ private:
+  Status Search(const OptimizeContext& ctx, const Timer& /*timer*/,
+                OptimizeResult* out) override {
     for (size_t i = 0; i < ctx.pattern->NumNodes(); ++i) {
       if (!ctx.pattern->node(static_cast<PatternNodeId>(i)).indexed) {
         return Status::Unsupported(
@@ -77,26 +69,17 @@ class FpOptimizer : public Optimizer {
     }
 
     PhysicalPlan plan;
-    int root_op = BuildPlan(&plan, best_root, kNoPatternNode);
-    plan.SetRoot(root_op);
-    SJOS_RETURN_IF_ERROR(ValidatePlan(plan, pattern));
-
-    OptimizeResult result;
-    result.plan = std::move(plan);
-    result.search_cost = best_cost;
-    Result<PlanProps> props = ComputePlanProps(result.plan, pattern,
-                                               *ctx.estimates, *ctx.cost_model);
-    if (!props.ok()) return props.status();
-    SJOS_CHECK(props.value().fully_pipelined, "FP produced a blocking plan");
-    result.modelled_cost = props.value().total_cost;
-    AnnotatePlanEstimates(&result.plan, props.value());
-    result.stats = stats_;
-    result.stats.opt_time_ms = timer.ElapsedMs();
-    RecordOptimizerMetrics(result.stats);
-    return result;
+    plan.SetRoot(BuildPlan(&plan, best_root, kNoPatternNode));
+    for (size_t i = 0; i < plan.NumOps(); ++i) {
+      SJOS_CHECK(plan.At(static_cast<int>(i)).op != PlanOp::kSort,
+                 "FP produced a blocking plan");
+    }
+    out->plan = std::move(plan);
+    out->search_cost = best_cost;
+    out->stats = stats_;
+    return Status::OK();
   }
 
- private:
   /// Best fully-pipelined plan for the component of `r` obtained by
   /// removing the edge towards `blocked`, with output ordered by `r`.
   struct SubPlan {

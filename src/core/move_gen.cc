@@ -13,11 +13,6 @@ MoveGenerator::MoveGenerator(const Pattern& pattern,
       cost_model_(&cost_model),
       edges_(pattern.Edges()) {}
 
-double MoveGenerator::ClusterCardOf(const OptStatus& status,
-                                    PatternNodeId node) const {
-  return estimates_->ClusterCard(status.ClusterMaskOf(node));
-}
-
 size_t MoveGenerator::Enumerate(const OptStatus& status,
                                 const MoveGenOptions& options,
                                 std::vector<Move>* out) const {

@@ -73,9 +73,6 @@ class MoveGenerator {
   /// with the pattern's explicit order-by (Sec. 3.1.2).
   double FinalOrderFixCost(const OptStatus& status) const;
 
-  /// Estimated tuple count of the cluster holding `node` in `status`.
-  double ClusterCardOf(const OptStatus& status, PatternNodeId node) const;
-
  private:
   const Pattern* pattern_;
   const PatternEstimates* estimates_;

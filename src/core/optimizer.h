@@ -1,6 +1,13 @@
-// The optimizer interface shared by the five algorithms of Sec. 3, plus
-// the statistics each run reports (optimization time and the number of
-// alternative plans considered — the currency of Table 2).
+// The optimizer interface shared by the five algorithms of Sec. 3, the
+// statistics each run reports (optimization time and the number of
+// alternative plans considered — the currency of Table 2), and the
+// paper's line-up of algorithms.
+//
+// Optimizer::Optimize is the one driver: it validates the pattern, wraps
+// the algorithm's search in the `optimize.search:<name>` span, degrades a
+// deadline breach to FP, finishes the plan (validation, modelled cost,
+// per-operator estimates) and publishes the run's metrics. Each algorithm
+// supplies only its search.
 //
 // Expert path: these factories and OptimizeContext are the low-level
 // optimization API — you bring your own PatternEstimates and CostModel and
@@ -15,9 +22,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
+#include "common/timer.h"
 #include "estimate/composite.h"
 #include "plan/cost_model.h"
 #include "plan/plan.h"
@@ -29,14 +38,15 @@ namespace sjos {
 /// govern execution).
 struct OptimizerOptions {
   /// Wall-clock budget for the plan search in milliseconds (0 =
-  /// unlimited). DP and the best-first engines (DPP, DPAP-*) poll it
-  /// during search; on a breach they degrade gracefully to the linear FP
+  /// unlimited). DP and the best-first searches (DPP, DPAP-*) poll it
+  /// during search; on a breach the driver degrades gracefully to the FP
   /// heuristic instead of failing, recording the fallback in metrics
   /// (sjos_opt_deadline_fallbacks_total), OptimizeResult::fallback_from,
   /// and the plan's EXPLAIN note. Only when FP itself cannot plan the
   /// pattern (unindexed nodes) does the breach surface as
   /// Status::DeadlineExceeded. FP ignores the deadline — it IS the
-  /// fallback, and its search is linear in the pattern size.
+  /// fallback. Its search is memoized per (node, blocked neighbour) and
+  /// tries every join order of a node's neighbours, at most 8! per node.
   double deadline_ms = 0.0;
 };
 
@@ -54,15 +64,7 @@ struct OptimizerStats {
   uint64_t statuses_generated = 0;  // statuses created (incl. duplicates)
   uint64_t statuses_expanded = 0;   // statuses whose moves were enumerated
   double opt_time_ms = 0.0;         // wall-clock optimization time
-
-  std::string ToString() const;
 };
-
-/// Publishes one run's statistics to the global MetricsRegistry
-/// (sjos_opt_runs_total, plans-considered/statuses counters, and the
-/// sjos_opt_time_us histogram). Every algorithm calls it once per
-/// successful Optimize.
-void RecordOptimizerMetrics(const OptimizerStats& stats);
 
 /// The outcome of one optimization.
 struct OptimizeResult {
@@ -87,37 +89,64 @@ class Optimizer {
   /// Finds an evaluation plan for the context's pattern. Fails on invalid
   /// patterns, patterns over kMaxPatternNodes, or (for restricted search
   /// spaces) when no plan within the space exists.
-  virtual Result<OptimizeResult> Optimize(const OptimizeContext& ctx) = 0;
+  Result<OptimizeResult> Optimize(const OptimizeContext& ctx);
 
   /// Algorithm name as used in the paper's tables ("DP", "DPP", ...).
   virtual const char* name() const = 0;
+
+ protected:
+  /// The searches' poll point: fires the `opt.search.step` failpoint and
+  /// returns DeadlineExceeded once the context's deadline has passed on
+  /// `timer`, which the driver turns into the FP fallback.
+  static Status PollDeadline(const OptimizeContext& ctx, const Timer& timer);
+
+ private:
+  /// The algorithm's search over a validated pattern. Fills `out->plan`
+  /// and `out->search_cost`, and counts its work in `out->stats` — also
+  /// when it fails, so a deadline breach (PollDeadline's status) reports
+  /// the partial work.
+  virtual Status Search(const OptimizeContext& ctx, const Timer& timer,
+                        OptimizeResult* out) = 0;
 };
 
-/// Factory helpers for the paper's line-up.
+/// The paper's Sec. 3 line-up, selectable per query.
+enum class OptimizerKind : uint8_t {
+  kDp,      // exhaustive dynamic programming (Sec. 3.1)
+  kDpp,     // DP with pruning and lookahead (optimal; the default; Sec. 3.2)
+  kDpapEb,  // approximate: expansion bound = number of pattern edges
+  kDpapLd,  // approximate: left-deep plans only (Sec. 3.3.2)
+  kFp,      // fully pipelined: the cheapest plan with no sort (Sec. 3.4)
+};
+
+inline constexpr OptimizerKind kAllOptimizerKinds[] = {
+    OptimizerKind::kDp, OptimizerKind::kDpp, OptimizerKind::kDpapEb,
+    OptimizerKind::kDpapLd, OptimizerKind::kFp};
+
+/// Stable lower-case name: "dp", "dpp", "dpap-eb", "dpap-ld", "fp".
+const char* OptimizerKindName(OptimizerKind kind);
+
+/// Inverse of OptimizerKindName (case-sensitive); InvalidArgument listing
+/// the accepted names otherwise.
+Result<OptimizerKind> ParseOptimizerKind(std::string_view name);
+
+/// Instantiates `kind` with the paper's Table 1 settings (DPAP-EB bound
+/// T_e = number of pattern edges, chosen per Sec. 4.2).
+std::unique_ptr<Optimizer> MakeOptimizer(OptimizerKind kind, size_t num_edges);
+
+/// All five algorithms, in kAllOptimizerKinds order.
+std::vector<std::unique_ptr<Optimizer>> MakePaperOptimizers(size_t num_edges);
+
+/// One factory per algorithm, for the benches that sweep them.
 std::unique_ptr<Optimizer> MakeDpOptimizer();
+/// `lookahead = false` is DPP' of Table 2.
 std::unique_ptr<Optimizer> MakeDppOptimizer(bool lookahead = true);
 /// DPP with subtree navigation offered on every edge (extension beyond
 /// the paper's join-only plan space; see bench_nav for the ablation).
 std::unique_ptr<Optimizer> MakeDppNavOptimizer();
+/// `expansion_bound` is T_e; 0 is raised to 1.
 std::unique_ptr<Optimizer> MakeDpapEbOptimizer(uint32_t expansion_bound);
 std::unique_ptr<Optimizer> MakeDpapLdOptimizer();
 std::unique_ptr<Optimizer> MakeFpOptimizer();
-
-/// All five algorithms with the paper's Table 1 settings (DPAP-EB bound =
-/// number of pattern edges, chosen per Sec. 4.2).
-std::vector<std::unique_ptr<Optimizer>> MakePaperOptimizers(size_t num_edges);
-
-/// Graceful degradation shared by the search-based optimizers: called when
-/// `from_name`'s search exceeded OptimizerOptions::deadline_ms after
-/// `elapsed_ms` with `partial_stats` of work done. Re-plans with FP (its
-/// own deadline cleared), folds the abandoned search's counters into the
-/// returned stats, marks the result (fallback_from + plan note) and bumps
-/// sjos_opt_deadline_fallbacks_total. Returns DeadlineExceeded when FP
-/// cannot plan the pattern either.
-Result<OptimizeResult> FallbackToFp(const OptimizeContext& ctx,
-                                    const char* from_name,
-                                    const OptimizerStats& partial_stats,
-                                    double elapsed_ms);
 
 }  // namespace sjos
 

@@ -1,19 +1,10 @@
 #include "core/plan_builder.h"
 
-#include "common/metrics.h"
-#include "common/timer.h"
-#include "common/trace.h"
-#include "plan/plan_props.h"
-
 namespace sjos {
 
-Result<OptimizeResult> BuildResultFromMoves(const OptimizeContext& ctx,
-                                            const MoveGenerator& gen,
-                                            const std::vector<Move>& moves,
-                                            double search_cost) {
-  TraceSpan span("optimize.build_plan");
-  Timer build_timer;
-  const Pattern& pattern = *ctx.pattern;
+Result<PhysicalPlan> BuildPlanFromMoves(const MoveGenerator& gen,
+                                        const std::vector<Move>& moves) {
+  const Pattern& pattern = gen.pattern();
   if (moves.size() != pattern.NumEdges()) {
     return Status::Internal("move sequence does not cover all pattern edges");
   }
@@ -101,23 +92,7 @@ Result<OptimizeResult> BuildResultFromMoves(const OptimizeContext& ctx,
     root = plan.AddSort(pattern.order_by(), root);
   }
   plan.SetRoot(root);
-  SJOS_RETURN_IF_ERROR(ValidatePlan(plan, pattern));
-
-  OptimizeResult result;
-  result.plan = std::move(plan);
-  result.search_cost = search_cost;
-  Result<PlanProps> props = ComputePlanProps(result.plan, pattern,
-                                             *ctx.estimates, *ctx.cost_model);
-  if (!props.ok()) return props.status();
-  result.modelled_cost = props.value().total_cost;
-  AnnotatePlanEstimates(&result.plan, props.value());
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  static Counter& built = registry.GetCounter("sjos_opt_plans_built_total");
-  static Histogram& build_us =
-      registry.GetHistogram("sjos_opt_build_plan_us");
-  built.Add(1);
-  build_us.Observe(static_cast<uint64_t>(build_timer.ElapsedMicros()));
-  return result;
+  return plan;
 }
 
 }  // namespace sjos

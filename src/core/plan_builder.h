@@ -1,25 +1,23 @@
 // Turns a chosen move sequence (the output of the status-based optimizers)
 // into an executable PhysicalPlan, appending the final order-fixing sort
-// when the pattern demands an explicit result order, and packages the
-// OptimizeResult with both the search cost and the full modelled cost.
+// when the pattern demands an explicit result order. The optimizer driver
+// finishes the plan (validation, modelled cost, estimates).
 
 #ifndef SJOS_CORE_PLAN_BUILDER_H_
 #define SJOS_CORE_PLAN_BUILDER_H_
 
 #include <vector>
 
+#include "common/status.h"
 #include "core/move_gen.h"
-#include "core/optimizer.h"
+#include "plan/plan.h"
 
 namespace sjos {
 
 /// Materializes `moves` (in application order, starting from the start
-/// status) as a plan and fills an OptimizeResult. `search_cost` is the
-/// accumulated move cost including any final order fix.
-Result<OptimizeResult> BuildResultFromMoves(const OptimizeContext& ctx,
-                                            const MoveGenerator& gen,
-                                            const std::vector<Move>& moves,
-                                            double search_cost);
+/// status) as a plan over `gen`'s pattern.
+Result<PhysicalPlan> BuildPlanFromMoves(const MoveGenerator& gen,
+                                        const std::vector<Move>& moves);
 
 }  // namespace sjos
 

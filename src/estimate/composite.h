@@ -49,11 +49,6 @@ class PatternEstimates {
     return edge_cards_[edge_index];
   }
 
-  /// sel(edge) = |A join B| / (|A| |B|); 0 when either input is empty.
-  double EdgeSelectivity(size_t edge_index) const {
-    return edge_sels_[edge_index];
-  }
-
   /// Mean descendant count of pattern node `id`'s tag — the per-anchor
   /// cost of evaluating one of its outgoing edges by navigation.
   double NodeSubtreeSize(PatternNodeId id) const {
@@ -65,9 +60,6 @@ class PatternEstimates {
   double ClusterCard(NodeMask mask) const;
 
   size_t NumEdges() const { return edges_.size(); }
-  const Pattern::Edge& EdgeAt(size_t edge_index) const {
-    return edges_[edge_index];
-  }
 
  private:
   const Pattern* pattern_ = nullptr;

@@ -1,6 +1,5 @@
 #include "exec/executor.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <utility>
@@ -15,25 +14,6 @@
 namespace sjos {
 
 namespace {
-
-/// Worst q-error over the plan's annotated joins; the actual is the join's
-/// measured output rows (identical across batch sizes), so the figure is
-/// too. 0 when no join carries an estimate.
-double ComputeMaxQError(const PhysicalPlan& plan,
-                        const std::vector<OpStats>& op_stats) {
-  double max_q = 0.0;
-  for (size_t i = 0; i < plan.NumOps(); ++i) {
-    const PlanNode& node = plan.At(static_cast<int>(i));
-    if (node.op != PlanOp::kStackTreeAnc &&
-        node.op != PlanOp::kStackTreeDesc) {
-      continue;
-    }
-    if (node.est_rows < 0.0) continue;
-    max_q = std::max(
-        max_q, QError(node.est_rows, static_cast<double>(op_stats[i].rows)));
-  }
-  return max_q;
-}
 
 void RecordExecutionMetrics(const ExecStats& stats,
                             const std::vector<OpStats>& op_stats) {
@@ -140,7 +120,7 @@ Status Executor::Run(const Pattern& pattern, const PhysicalPlan& plan,
   stats->peak_live_rows = ctx.peak_live_rows;
   stats->peak_live_bytes = ctx.peak_live_bytes;
   stats->wall_ms = timer.ElapsedMs();
-  if (st.ok()) stats->max_q_error = ComputeMaxQError(plan, *op_stats);
+  if (st.ok()) stats->max_q_error = MaxJoinQError(plan, *op_stats);
   // Keeps the partial counters readable (last_stats()/last_verdict())
   // whether the query finishes or a limit / injected fault cuts it short.
   last_stats_ = *stats;

@@ -53,10 +53,10 @@ struct ExecStats {
   /// (batches, sort buffers, join state, accumulated results). For a
   /// pipelined plan it is bounded by O(batch × depth) + result size.
   uint64_t peak_live_rows = 0;
-  /// Worst q-error (max(est/act, act/est), clamped finite — see QError)
-  /// over the plan's annotated join nodes; 0 when the plan carries no
-  /// estimates. Depends only on the plan and its join output counters, so
-  /// it is identical across batch sizes.
+  /// Worst q-error (max(est/act, act/est), clamped finite — see
+  /// MaxJoinQError) over the plan's annotated join nodes; 0 when the plan
+  /// carries no estimates. Depends only on the plan and its join output
+  /// counters, so it is identical across batch sizes.
   double max_q_error = 0.0;
   /// Byte-denominated companion of peak_live_rows: rows × arity ×
   /// sizeof(NodeId) charged by the operator owning each buffer. The figure

@@ -13,8 +13,8 @@ std::string NodeLabel(const Pattern& pattern, PatternNodeId id) {
 }
 
 void PrintNode(const PhysicalPlan& plan, const Pattern& pattern,
-               const PlanProps* props, const std::vector<OpStats>* op_stats,
-               int index, int depth, std::string* out) {
+               const std::vector<OpStats>* op_stats, int index, int depth,
+               std::string* out) {
   const PlanNode& node = plan.At(index);
   out->append(static_cast<size_t>(depth) * 2, ' ');
   switch (node.op) {
@@ -36,11 +36,6 @@ void PrintNode(const PhysicalPlan& plan, const Pattern& pattern,
                         AxisToken(node.axis),
                         NodeLabel(pattern, node.desc_node).c_str());
       break;
-  }
-  if (props != nullptr) {
-    const OpProps& op = props->ops[static_cast<size_t>(index)];
-    *out += StrFormat("  [rows~%.0f cost~%.0f ordered-by %s]", op.est_rows,
-                      op.est_cost, NodeLabel(pattern, op.ordered_by).c_str());
   }
   if (op_stats != nullptr && static_cast<size_t>(index) < op_stats->size()) {
     const OpStats& os = (*op_stats)[static_cast<size_t>(index)];
@@ -69,10 +64,10 @@ void PrintNode(const PhysicalPlan& plan, const Pattern& pattern,
   }
   *out += '\n';
   if (node.left >= 0) {
-    PrintNode(plan, pattern, props, op_stats, node.left, depth + 1, out);
+    PrintNode(plan, pattern, op_stats, node.left, depth + 1, out);
   }
   if (node.right >= 0) {
-    PrintNode(plan, pattern, props, op_stats, node.right, depth + 1, out);
+    PrintNode(plan, pattern, op_stats, node.right, depth + 1, out);
   }
 }
 
@@ -115,26 +110,7 @@ void SignatureOf(const PhysicalPlan& plan, const Pattern& pattern, int index,
 std::string PrintPlan(const PhysicalPlan& plan, const Pattern& pattern) {
   if (plan.Empty()) return "<empty plan>\n";
   std::string out;
-  PrintNode(plan, pattern, nullptr, nullptr, plan.root(), 0, &out);
-  return out;
-}
-
-std::string PrintPlanWithEstimates(const PhysicalPlan& plan,
-                                   const Pattern& pattern,
-                                   const PatternEstimates& estimates,
-                                   const CostModel& cost_model) {
-  if (plan.Empty()) return "<empty plan>\n";
-  Result<PlanProps> props = ComputePlanProps(plan, pattern, estimates, cost_model);
-  std::string out;
-  if (!props.ok()) {
-    out = "<invalid plan: " + props.status().ToString() + ">\n";
-    PrintNode(plan, pattern, nullptr, nullptr, plan.root(), 0, &out);
-    return out;
-  }
-  PrintNode(plan, pattern, &props.value(), nullptr, plan.root(), 0, &out);
-  out += StrFormat("total modelled cost: %.1f%s\n", props.value().total_cost,
-                   props.value().fully_pipelined ? " (fully pipelined)" : "");
-  if (!plan.note().empty()) out += "note: " + plan.note() + "\n";
+  PrintNode(plan, pattern, nullptr, plan.root(), 0, &out);
   return out;
 }
 
@@ -142,22 +118,8 @@ std::string PrintPlanAnalyze(const PhysicalPlan& plan, const Pattern& pattern,
                              const std::vector<OpStats>& op_stats) {
   if (plan.Empty()) return "<empty plan>\n";
   std::string out;
-  PrintNode(plan, pattern, nullptr, &op_stats, plan.root(), 0, &out);
-  // Estimator-accuracy summary over the annotated joins that executed.
-  double max_q = 0.0;
-  for (size_t i = 0; i < plan.NumOps(); ++i) {
-    const PlanNode& node = plan.At(static_cast<int>(i));
-    if (node.op != PlanOp::kStackTreeAnc && node.op != PlanOp::kStackTreeDesc) {
-      continue;
-    }
-    if (node.est_rows < 0.0 || i >= op_stats.size() ||
-        op_stats[i].batches == 0) {
-      continue;
-    }
-    const double q =
-        QError(node.est_rows, static_cast<double>(op_stats[i].rows));
-    if (q > max_q) max_q = q;
-  }
+  PrintNode(plan, pattern, &op_stats, plan.root(), 0, &out);
+  const double max_q = MaxJoinQError(plan, op_stats);
   if (max_q > 0.0) out += StrFormat("max join q-error: %.2f\n", max_q);
   if (!plan.note().empty()) out += "note: " + plan.note() + "\n";
   return out;

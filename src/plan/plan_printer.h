@@ -1,6 +1,6 @@
 // Text rendering of physical plans, in the spirit of the paper's Fig. 2
-// plan drawings: an indented operator tree annotated with join nodes, axes,
-// output ordering, and (when estimates are supplied) rows/cost.
+// plan drawings: an indented operator tree annotated with join nodes and
+// axes, and (EXPLAIN ANALYZE) each operator's measured counters.
 
 #ifndef SJOS_PLAN_PLAN_PRINTER_H_
 #define SJOS_PLAN_PLAN_PRINTER_H_
@@ -8,9 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "estimate/composite.h"
 #include "exec/op_stats.h"
-#include "plan/cost_model.h"
 #include "plan/plan.h"
 #include "query/pattern.h"
 
@@ -19,12 +17,6 @@ namespace sjos {
 /// Renders `plan` as an indented tree. Pattern node ids are shown with
 /// their tags, e.g. "#1(employee)".
 std::string PrintPlan(const PhysicalPlan& plan, const Pattern& pattern);
-
-/// Same, with per-operator estimated rows and cumulative cost columns.
-std::string PrintPlanWithEstimates(const PhysicalPlan& plan,
-                                   const Pattern& pattern,
-                                   const PatternEstimates& estimates,
-                                   const CostModel& cost_model);
 
 /// EXPLAIN ANALYZE: the plan tree annotated with the measured per-operator
 /// counters of one execution (ExecResult::op_stats, indexed by plan node):

@@ -1,5 +1,7 @@
 #include "plan/plan_props.h"
 
+#include <algorithm>
+
 #include "common/str_util.h"
 
 namespace sjos {
@@ -237,6 +239,20 @@ double QError(double est_rows, double actual_rows) {
   const double est = est_rows < 1.0 ? 1.0 : est_rows;
   const double act = actual_rows < 1.0 ? 1.0 : actual_rows;
   return est > act ? est / act : act / est;
+}
+
+double MaxJoinQError(const PhysicalPlan& plan,
+                     const std::vector<OpStats>& op_stats) {
+  double max_q = 0.0;
+  for (size_t i = 0; i < plan.NumOps() && i < op_stats.size(); ++i) {
+    const PlanNode& node = plan.At(static_cast<int>(i));
+    const bool is_join = node.op == PlanOp::kStackTreeAnc ||
+                         node.op == PlanOp::kStackTreeDesc;
+    if (!is_join || node.est_rows < 0.0 || op_stats[i].batches == 0) continue;
+    max_q = std::max(
+        max_q, QError(node.est_rows, static_cast<double>(op_stats[i].rows)));
+  }
+  return max_q;
 }
 
 }  // namespace sjos

@@ -11,6 +11,7 @@
 
 #include "common/status.h"
 #include "estimate/composite.h"
+#include "exec/op_stats.h"
 #include "plan/cost_model.h"
 #include "plan/plan.h"
 #include "query/pattern.h"
@@ -58,6 +59,13 @@ void AnnotatePlanEstimates(PhysicalPlan* plan, const PlanProps& props);
 /// sides clamped to >= 1 row, so the result is always finite and >= 1
 /// (an estimate of 0 for an empty actual is a perfect 1.0).
 double QError(double est_rows, double actual_rows);
+
+/// Worst q-error over the plan's annotated joins against one execution's
+/// measured output rows (`op_stats`, indexed by plan node); joins that
+/// never served a batch are skipped. 0 when no join qualifies. ExecStats'
+/// max_q_error and EXPLAIN ANALYZE both report it.
+double MaxJoinQError(const PhysicalPlan& plan,
+                     const std::vector<OpStats>& op_stats);
 
 }  // namespace sjos
 

@@ -1,48 +1,22 @@
 // QueryOptions: the one knob struct of the service layer. It unifies what
 // the low-level API splits across ExecOptions (execution) and
 // OptimizerOptions (plan search) and adds the two service-level choices —
-// which of the paper's five algorithms plans the query (OptimizerKind) and
-// whether the Engine's plan cache may serve it. The old structs stay as
-// the expert path; QueryOptions derives them via ExecView()/OptimizerView()
-// so limits are declared once and enforced everywhere.
+// which of the paper's five algorithms plans the query (OptimizerKind,
+// declared with the line-up in core/optimizer.h) and whether the Engine's
+// plan cache may serve it. The old structs stay as the expert path;
+// QueryOptions derives them via ExecView()/OptimizerView() so limits are
+// declared once and enforced everywhere.
 
 #ifndef SJOS_SERVICE_QUERY_OPTIONS_H_
 #define SJOS_SERVICE_QUERY_OPTIONS_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <string_view>
 
-#include "common/status.h"
 #include "core/optimizer.h"
 #include "exec/executor.h"
 
 namespace sjos {
-
-/// The paper's Sec. 3 line-up, selectable per query.
-enum class OptimizerKind : uint8_t {
-  kDp,      // exhaustive dynamic programming
-  kDpp,     // DP with pruning (optimal; the default)
-  kDpapEb,  // approximate, expansion-bound = number of pattern edges
-  kDpapLd,  // approximate, limited-discrepancy
-  kFp,      // fixed-permutation linear heuristic
-};
-
-inline constexpr OptimizerKind kAllOptimizerKinds[] = {
-    OptimizerKind::kDp, OptimizerKind::kDpp, OptimizerKind::kDpapEb,
-    OptimizerKind::kDpapLd, OptimizerKind::kFp};
-
-/// Stable lower-case name: "dp", "dpp", "dpap-eb", "dpap-ld", "fp".
-const char* OptimizerKindName(OptimizerKind kind);
-
-/// Inverse of OptimizerKindName (case-sensitive); InvalidArgument listing
-/// the accepted names otherwise.
-Result<OptimizerKind> ParseOptimizerKind(std::string_view name);
-
-/// Instantiates `kind` with the paper's Table 1 settings (DPAP-EB bound =
-/// number of pattern edges, clamped to >= 1).
-std::unique_ptr<Optimizer> MakeOptimizer(OptimizerKind kind, size_t num_edges);
 
 /// Per-query settings for Engine::Plan/Query/Submit. Zero limits mean
 /// unlimited; the defaults match the low-level structs' defaults.

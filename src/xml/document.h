@@ -93,11 +93,6 @@ class Document {
   const TagId* TagData() const { return tags_.data(); }
   const uint16_t* LevelData() const { return levels_.data(); }
 
-  /// The full positional record of node `key` (key space).
-  NodePos PosOf(NodeId key) const {
-    return {key, EndOf(key), levels_[key >> key_shift_]};
-  }
-
   /// True if `a` is a proper ancestor of `d` (both base keys).
   bool IsAncestor(NodeId a, NodeId d) const { return a < d && d <= EndOf(a); }
 

@@ -29,27 +29,6 @@ using TagId = uint32_t;
 inline constexpr NodeId kInvalidNode = std::numeric_limits<NodeId>::max();
 inline constexpr TagId kInvalidTag = std::numeric_limits<TagId>::max();
 
-/// The structural position of one element: its pre-order interval and depth.
-/// `start` is the node's pre-order rank, `end` the rank of its last
-/// descendant (inclusive; == start for a leaf), `level` its depth (root = 0).
-struct NodePos {
-  NodeId start = 0;
-  NodeId end = 0;
-  uint16_t level = 0;
-
-  /// True if this node is a proper ancestor of `d`.
-  bool Contains(const NodePos& d) const {
-    return start < d.start && d.start <= end;
-  }
-
-  /// True if this node is the parent of `d`.
-  bool IsParentOf(const NodePos& d) const {
-    return Contains(d) && d.level == level + 1;
-  }
-
-  bool operator==(const NodePos& other) const = default;
-};
-
 /// Interns tag names to dense TagIds. Lookup by name or id; ids are assigned
 /// in first-seen order and are stable for the life of the dictionary.
 class TagDictionary {

@@ -1,7 +1,8 @@
 // Engine service-facade tests: lifecycle errors, concurrent Submit parity
 // with synchronous Query, the admission gate, cooperative cancellation,
-// submit-path fault injection, and the warm-cache contract (no optimize
-// span in the trace, hit counter incremented).
+// submit-path fault injection, the warm-cache contract (no optimize span
+// in the trace, hit counter incremented) and the optimizer driver's spans
+// for every algorithm.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -322,6 +324,37 @@ TEST(EngineTest, WarmHitSkipsOptimizationEntirely) {
   EXPECT_EQ(warm_trace.find("optimize:"), std::string::npos);
   std::remove(cold_path.c_str());
   std::remove(warm_path.c_str());
+}
+
+// The optimizer driver wraps every algorithm's search in
+// optimize.search:<name> and finishes every plan, FP's included, under
+// optimize.build_plan.
+TEST(EngineTest, EveryOptimizerKindTracesItsSearchAndPlanFinish) {
+  Engine engine;
+  ASSERT_TRUE(engine.OpenDatabase(SmallPers()).ok());
+  Pattern pattern = Parse("manager[//employee[/name]][//department]");
+  const std::string path = ::testing::TempDir() + "/engine_kinds.json";
+  const std::pair<OptimizerKind, const char*> kinds[] = {
+      {OptimizerKind::kDp, "DP"},         {OptimizerKind::kDpp, "DPP"},
+      {OptimizerKind::kDpapEb, "DPAP-EB"}, {OptimizerKind::kDpapLd, "DPAP-LD"},
+      {OptimizerKind::kFp, "FP"}};
+  for (const auto& [kind, name] : kinds) {
+    QueryOptions options;
+    options.optimizer = kind;
+    options.use_plan_cache = false;
+    ASSERT_TRUE(Tracer::Global().Start(path).ok());
+    Result<PlannedQuery> planned = engine.Plan(pattern, options);
+    ASSERT_TRUE(Tracer::Global().Stop().ok());
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    const std::string trace = ReadFileOrEmpty(path);
+    const std::string search =
+        std::string("\"name\":\"optimize.search:") + name + "\"";
+    EXPECT_NE(trace.find(search), std::string::npos) << search;
+    EXPECT_NE(trace.find("\"name\":\"optimize.build_plan\""),
+              std::string::npos)
+        << name;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(EngineTest, LoadReplacesDatabaseAndClearsCache) {

@@ -23,23 +23,6 @@ Document SmallDoc() {
   return std::move(doc).value();
 }
 
-TEST(NodePosTest, ContainsIsProper) {
-  NodePos a{0, 3, 0};
-  NodePos b{1, 2, 1};
-  EXPECT_TRUE(a.Contains(b));
-  EXPECT_FALSE(b.Contains(a));
-  EXPECT_FALSE(a.Contains(a));
-}
-
-TEST(NodePosTest, ParentNeedsAdjacentLevel) {
-  NodePos a{0, 3, 0};
-  NodePos child{1, 2, 1};
-  NodePos grandchild{2, 2, 2};
-  EXPECT_TRUE(a.IsParentOf(child));
-  EXPECT_FALSE(a.IsParentOf(grandchild));
-  EXPECT_TRUE(a.Contains(grandchild));
-}
-
 TEST(TagDictionaryTest, InternIsIdempotent) {
   TagDictionary dict;
   TagId a = dict.Intern("alpha");
