@@ -183,7 +183,8 @@ bool FieldBool(const net::JsonValue& v, const char* key) {
 
 std::string FieldString(const net::JsonValue& v, const char* key) {
   const net::JsonValue* f = Field(v, key);
-  return f != nullptr && f->is_string() ? f->string_value() : std::string();
+  return f != nullptr && f->is_string() ? std::string(f->string_value())
+                                        : std::string();
 }
 
 /// One worker: claims arrival slots off the shared schedule, runs each

@@ -643,8 +643,7 @@ class RemoteShell {
     const net::JsonValue* code = response.Find("code");
     const net::JsonValue* error = response.Find("error");
     std::printf("server error [%s]: %s\n",
-                code != nullptr ? code->string_value().c_str() : "?",
-                error != nullptr ? error->string_value().c_str() : "?");
+                StrOr(code, "?").c_str(), StrOr(error, "?").c_str());
     const net::JsonValue* retry = response.Find("retry_after_ms");
     if (retry != nullptr) {
       std::printf("  retry after %.0f ms\n", retry->number_value());
@@ -683,7 +682,8 @@ class RemoteShell {
       PrintError(response);
       const net::JsonValue* verdict = response.Find("verdict");
       if (verdict != nullptr && !verdict->string_value().empty()) {
-        std::printf("governor verdict: %s\n", verdict->string_value().c_str());
+        std::printf("governor verdict: %s\n",
+                    std::string(verdict->string_value()).c_str());
       }
       return;
     }
@@ -700,7 +700,7 @@ class RemoteShell {
     }
     std::printf("%.0f matches in %.3f ms (%s%s)\n",
                 rows != nullptr ? rows->number_value() : 0.0, wall_ms,
-                algorithm != nullptr ? algorithm->string_value().c_str() : "?",
+                StrOr(algorithm, "?").c_str(),
                 cache_hit != nullptr && cache_hit->bool_value() ? ", cache hit"
                                                                 : "");
   }
@@ -767,8 +767,7 @@ class RemoteShell {
     const net::JsonValue* algorithm = response->Find("algorithm");
     const net::JsonValue* plan = response->Find("plan");
     std::printf("%s plan:\n%s",
-                algorithm != nullptr ? algorithm->string_value().c_str() : "?",
-                plan != nullptr ? plan->string_value().c_str() : "");
+                StrOr(algorithm, "?").c_str(), StrOr(plan, "").c_str());
   }
 
   void Stats() {
@@ -776,7 +775,7 @@ class RemoteShell {
         Call("{\"verb\":\"stats\",\"id\":\"m\"}");
     if (!response) return;
     const net::JsonValue* text = response->Find("prometheus");
-    if (text != nullptr) std::printf("%s", text->string_value().c_str());
+    std::printf("%s", StrOr(text, "").c_str());
   }
 
   /// Shared field reader for the stats verb's in_flight/slow arrays.
@@ -786,7 +785,12 @@ class RemoteShell {
   }
   static std::string Str(const net::JsonValue& obj, const char* key) {
     const net::JsonValue* v = obj.Find(key);
-    return v != nullptr && v->is_string() ? v->string_value() : std::string();
+    return v != nullptr && v->is_string() ? std::string(v->string_value())
+                                          : std::string();
+  }
+  /// The string of `v`, or `absent` when the field is missing.
+  static std::string StrOr(const net::JsonValue* v, const char* absent) {
+    return v != nullptr ? std::string(v->string_value()) : absent;
   }
 
   void Top() {
@@ -847,7 +851,7 @@ class RemoteShell {
     const net::JsonValue* db = response->Find("db");
     const net::JsonValue* nodes = response->Find("nodes");
     std::printf("pong: db=%s nodes=%.0f\n",
-                db != nullptr ? db->string_value().c_str() : "(none)",
+                StrOr(db, "(none)").c_str(),
                 nodes != nullptr ? nodes->number_value() : 0.0);
   }
 

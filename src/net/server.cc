@@ -484,7 +484,7 @@ std::string QueryServer::HandleSubmit(Connection* conn,
 
   // Gate 3 — per-tenant quota.
   const TenantQuotaTable::Decision decision =
-      quotas_.Admit(tenant, SteadyNowMicros());
+      quotas_.Admit(tenant, quota_now_us_());
   if (!decision.admitted) return QuotaShedResponse(req.id, tenant, decision);
 
   const uint64_t cap = quotas_.LiveBytesCap(tenant);
@@ -682,7 +682,7 @@ std::string QueryServer::HandleUpdate(const WireRequest& req) {
 
   const std::string tenant = req.tenant.empty() ? "default" : req.tenant;
   const TenantQuotaTable::Decision decision =
-      quotas_.AdmitWrite(tenant, SteadyNowMicros());
+      quotas_.AdmitWrite(tenant, quota_now_us_());
   if (!decision.admitted) return QuotaShedResponse(req.id, tenant, decision);
 
   // One write at a time: apply-then-record must be atomic per id, or a

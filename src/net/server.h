@@ -49,6 +49,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -57,6 +58,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/timer.h"
 #include "net/codec.h"
 #include "net/quota.h"
 #include "service/engine.h"
@@ -191,6 +193,14 @@ class QueryServer {
 
   TenantQuotaTable& quotas() { return quotas_; }
 
+  /// Test seam: the clock the tenant quota gates charge at, in
+  /// RetryClock's now_us shape (the steady clock unless a test pins it,
+  /// so retry_after_ms hints do not drift with real time). Set it before
+  /// Start().
+  void SetQuotaClockForTesting(std::function<uint64_t()> now_us) {
+    quota_now_us_ = std::move(now_us);
+  }
+
   /// Submitted-but-unreleased queries across all connections — returns to
   /// 0 once every query finished (the soak test's leak check).
   size_t live_queries() const {
@@ -252,6 +262,7 @@ class QueryServer {
   Engine* engine_;
   const ServerOptions options_;
   TenantQuotaTable quotas_;
+  std::function<uint64_t()> quota_now_us_ = SteadyNowMicros;
 
   std::atomic<bool> stopping_{false};
   std::atomic<bool> started_{false};

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <thread>
 
 #include "common/failpoint.h"
@@ -44,9 +45,13 @@ class GovernorTest : public ::testing::Test {
   PhysicalPlan plan_;
 };
 
-// A delay failpoint makes any plan slow; a 20 ms deadline must then fire
-// whichever site is slow and whatever the batch size, leaving partial
-// stats and a verdict.
+// A delay failpoint makes any plan slow; a deadline well above an
+// unbounded run of the plan must then fire whichever site is slow and
+// whatever the batch size, leaving partial stats and a verdict. The
+// deadline is measured, not fixed, so that the clean re-run fits under it
+// on a sanitized build too. Each 30 ms delay lands before a deadline
+// check (a batch delay right before one, the scan delays while the plan
+// opens), and the delays add up past the deadline before the last check.
 TEST_F(GovernorTest, DeadlineFiresAtEverySlowSite) {
   struct Mode {
     const char* point;
@@ -57,18 +62,25 @@ TEST_F(GovernorTest, DeadlineFiresAtEverySlowSite) {
   for (const Mode& mode : modes) {
     SCOPED_TRACE(mode.point + std::string(" batch_rows=") +
                  std::to_string(mode.batch_rows));
-    ASSERT_TRUE(
-        FailpointRegistry::Global().Enable(mode.point, "delay:30").ok());
     ExecOptions options;
     options.batch_rows = mode.batch_rows;
-    options.deadline_ms = 20;
+    Executor unbounded(*db_, options);
+    ASSERT_TRUE(unbounded.Execute(pattern_, plan_).ok());
+    // 20 ms plus twice the unbounded run.
+    const uint64_t deadline_ms =
+        20 + 2 * static_cast<uint64_t>(
+                     std::ceil(unbounded.last_stats().wall_ms));
+    SCOPED_TRACE("deadline_ms=" + std::to_string(deadline_ms));
+    ASSERT_TRUE(
+        FailpointRegistry::Global().Enable(mode.point, "delay:30").ok());
+    options.deadline_ms = deadline_ms;
     Executor exec(*db_, options);
     Result<ExecResult> result = exec.Execute(pattern_, plan_);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
     EXPECT_STREQ(exec.last_verdict().c_str(), "deadline");
     // Partial stats survive the abort: the clock ran past the deadline.
-    EXPECT_GE(exec.last_stats().wall_ms, 20.0);
+    EXPECT_GE(exec.last_stats().wall_ms, static_cast<double>(deadline_ms));
     FailpointRegistry::Global().DisableAll();
     // No poisoned state: the same executor runs clean.
     Result<ExecResult> clean = exec.Execute(pattern_, plan_);

@@ -407,6 +407,146 @@ TEST(JsonTest, CopyAndMoveKeepContents) {
   EXPECT_TRUE(SameJson(move_assigned, original));
 }
 
+TEST(JsonTest, ChildrenStayPutWhenTheRootMoves) {
+  Result<JsonValue> parsed =
+      ParseJson("{\"rows\":[[1,2],[3,4]],\"s\":\"text\"}");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue* rows = parsed.value().Find("rows");
+  const JsonValue* s = parsed.value().Find("s");
+  ASSERT_NE(rows, nullptr);
+  ASSERT_NE(s, nullptr);
+
+  // Moving the Result moves only the root; the children live in the
+  // arena, so pointers into the tree stay valid.
+  Result<JsonValue> moved = std::move(parsed);
+  EXPECT_EQ(moved.value().Find("rows"), rows);
+  EXPECT_EQ(rows->array()[1].array()[0].number_value(), 3.0);
+  EXPECT_EQ(s->string_value(), "text");
+
+  // A poll loop move-assigns each response over the previous one.
+  Result<JsonValue> response = ParseJson("{\"ok\":true,\"done\":false}");
+  ASSERT_TRUE(response.ok());
+  response = std::move(moved);
+  EXPECT_EQ(response.value().Find("rows"), rows);
+  EXPECT_EQ(rows->array()[1].array()[1].number_value(), 4.0);
+  EXPECT_EQ(s->string_value(), "text");
+  response = ParseJson("[\"next\"]");  // frees the earlier tree
+  ASSERT_TRUE(response.ok());
+  EXPECT_EQ(response.value().array()[0].string_value(), "next");
+}
+
+TEST(JsonTest, CopiedChildOutlivesItsRoot) {
+  JsonValue child;
+  {
+    Result<JsonValue> root = ParseJson(
+        "{\"a\":{\"b\":[\"x\",{\"c\":\"yz\"}],\"n\":7},\"d\":1}");
+    ASSERT_TRUE(root.ok()) << root.status().ToString();
+    child = *root.value().Find("a");
+  }  // the root and its arena are gone
+  ASSERT_TRUE(child.is_object());
+  const JsonValue* b = child.Find("b");
+  ASSERT_NE(b, nullptr);
+  ASSERT_EQ(b->array().size(), 2u);
+  EXPECT_EQ(b->array()[0].string_value(), "x");
+  EXPECT_EQ(b->array()[1].Find("c")->string_value(), "yz");
+  EXPECT_EQ(child.Find("n")->number_value(), 7.0);
+
+  JsonValue& alias = child;
+  child = alias;
+  child = std::move(alias);
+  ASSERT_TRUE(child.is_object());
+  EXPECT_EQ(child.Find("b")->array()[1].Find("c")->string_value(), "yz");
+
+  // Assigning a value one of its own children copies the child before
+  // the old tree is freed.
+  child = *child.Find("b");
+  ASSERT_TRUE(child.is_array());
+  EXPECT_EQ(child.array()[0].string_value(), "x");
+  EXPECT_EQ(child.array()[1].Find("c")->string_value(), "yz");
+}
+
+/// `levels` nested arrays, innermost empty.
+std::string NestedArrays(size_t levels) {
+  return std::string(levels, '[') + std::string(levels, ']');
+}
+
+TEST(JsonTest, EmptyContainersAndExactMaxDepth) {
+  Result<JsonValue> v = ParseJson(
+      "{\"a\":[],\"o\":{},\"s\":\"\",\"n\":[[],{},\"\"]}");
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  const JsonValue& root = v.value();
+  ASSERT_TRUE(root.Find("a")->is_array());
+  EXPECT_TRUE(root.Find("a")->array().empty());
+  ASSERT_TRUE(root.Find("o")->is_object());
+  EXPECT_TRUE(root.Find("o")->members().empty());
+  ASSERT_TRUE(root.Find("s")->is_string());
+  EXPECT_TRUE(root.Find("s")->string_value().empty());
+  const JsonValue* n = root.Find("n");
+  ASSERT_EQ(n->array().size(), 3u);
+  EXPECT_TRUE(n->array()[0].is_array() && n->array()[0].array().empty());
+  EXPECT_TRUE(n->array()[1].is_object() && n->array()[1].members().empty());
+  EXPECT_TRUE(n->array()[2].is_string());
+  const JsonValue copy = root;
+  EXPECT_TRUE(SameJson(copy, root));
+  const JsonValue empty_copy = *root.Find("o");
+  EXPECT_TRUE(empty_copy.is_object() && empty_copy.members().empty());
+
+  // The root sits at depth 0, so max_depth + 1 levels parse and one more
+  // does not, scalars and objects included.
+  constexpr size_t kMaxDepth = 8;
+  EXPECT_TRUE(ParseJson(NestedArrays(kMaxDepth + 1), kMaxDepth).ok());
+  Result<JsonValue> deep = ParseJson(NestedArrays(kMaxDepth + 2), kMaxDepth);
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().message(), "JSON error at byte 9: nesting too deep");
+  Result<JsonValue> deep_number = ParseJson(
+      std::string(kMaxDepth + 1, '[') + "1" + std::string(kMaxDepth + 1, ']'),
+      kMaxDepth);
+  ASSERT_FALSE(deep_number.ok());
+  EXPECT_EQ(deep_number.status().message(),
+            "JSON error at byte 9: nesting too deep");
+  std::string objects;
+  for (size_t i = 0; i < kMaxDepth; ++i) objects += "{\"k\":";
+  Result<JsonValue> at_limit =
+      ParseJson(objects + "1" + std::string(kMaxDepth, '}'), kMaxDepth);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  Result<JsonValue> past_limit = ParseJson(
+      objects + "{\"k\":1}" + std::string(kMaxDepth, '}'), kMaxDepth);
+  ASSERT_FALSE(past_limit.ok());
+  EXPECT_NE(past_limit.status().message().find("nesting too deep"),
+            std::string::npos);
+}
+
+TEST(JsonTest, LongStringsAndEmbeddedNuls) {
+  // Longer than one 64 KiB arena block, with and without escapes.
+  std::string big(200'000, ' ');
+  for (size_t i = 0; i < big.size(); ++i) big[i] = 'a' + i % 26;
+  Result<JsonValue> v = ParseJson("[\"" + big + "\",\"" + big + "\\n\"]");
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  ASSERT_EQ(v.value().array().size(), 2u);
+  EXPECT_EQ(v.value().array()[0].string_value(), big);
+  EXPECT_EQ(v.value().array()[1].string_value(), big + "\n");
+  const JsonValue copy = v.value();
+  EXPECT_EQ(copy.array()[1].string_value(), big + "\n");
+
+  // NUL bytes travel escaped and come back inside keys and values.
+  const std::string nul("a\0b\0", 4);
+  std::string text = "{";
+  AppendJsonString(nul, &text);
+  text += ':';
+  AppendJsonString(nul, &text);
+  text += '}';
+  Result<JsonValue> obj = ParseJson(text);
+  ASSERT_TRUE(obj.ok()) << obj.status().ToString();
+  ASSERT_EQ(obj.value().members().size(), 1u);
+  EXPECT_EQ(obj.value().members()[0].first, nul);
+  EXPECT_EQ(obj.value().Find("a"), nullptr);
+  const JsonValue* found = obj.value().Find(nul);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(found->string_value(), nul);
+  const JsonValue made = JsonValue::MakeString(nul);
+  EXPECT_EQ(JsonValue(made).string_value(), nul);
+}
+
 /// A random value tree: numbers are integers or dyadic fractions, so
 /// %.17g writes them exactly; strings hold arbitrary bytes, control
 /// characters and quotes included.
@@ -669,9 +809,10 @@ TEST(EncoderGoldenTest, DoneErrors) {
 }
 
 TEST(EncoderGoldenTest, RowsDecodeToTheCanonicalOrder) {
+  // 100K rows: the decoded tree spans many arena blocks.
   Rng rng(77);
   QueryResult qr = MakeResult({6, 0, 3, 1}, {});
-  for (int r = 0; r < 500; ++r) {
+  for (int r = 0; r < 100'000; ++r) {
     const NodeId row[4] = {
         static_cast<NodeId>(rng.NextBelow(4)),
         static_cast<NodeId>(rng.NextBelow(uint64_t{1} << 32)),
@@ -679,9 +820,10 @@ TEST(EncoderGoldenTest, RowsDecodeToTheCanonicalOrder) {
         static_cast<NodeId>(rng.NextBelow(1000))};
     qr.tuples.AppendRow(row);
   }
-  Result<JsonValue> v = ParseJson(EncodeDoneResult("r6", qr, 1 << 20));
+  Result<JsonValue> v =
+      ParseJson(EncodeDoneResult("r6", qr, kFrameAbsoluteMaxPayload));
   ASSERT_TRUE(v.ok()) << v.status().ToString();
-  const std::vector<JsonValue>& rows =
+  const std::span<const JsonValue> rows =
       v.value().Find("result")->Find("rows")->array();
   const std::vector<std::vector<NodeId>> canonical = qr.tuples.Canonical();
   ASSERT_EQ(rows.size(), canonical.size());

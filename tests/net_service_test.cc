@@ -59,7 +59,8 @@ bool OkOf(const JsonValue& v) {
 
 std::string StringField(const JsonValue& v, const char* key) {
   const JsonValue* f = v.Find(key);
-  return f != nullptr && f->is_string() ? f->string_value() : std::string();
+  return f != nullptr && f->is_string() ? std::string(f->string_value())
+                                        : std::string();
 }
 
 class ServiceTest : public ::testing::Test {
@@ -295,7 +296,7 @@ TEST_F(ServiceTest, WireResultsMatchInProcessForAllOptimizers) {
     // the same order.
     ASSERT_EQ(rows->array().size(), reference.size());
     for (size_t r = 0; r < reference.size(); ++r) {
-      const std::vector<JsonValue>& row = rows->array()[r].array();
+      const std::span<const JsonValue> row = rows->array()[r].array();
       ASSERT_EQ(row.size(), reference[r].size());
       for (size_t c = 0; c < reference[r].size(); ++c) {
         EXPECT_EQ(static_cast<uint64_t>(row[c].number_value()),

@@ -153,6 +153,9 @@ TEST(ResilientClientHintTest, ShedHintDrivesTheSleepNotBackoff) {
   ServerOptions server_options;
   server_options.default_quota.qps = 0.001;  // ~everything past burst sheds
   QueryServer server(&engine, server_options);
+  // The server's quota clock stands still too, so every shed carries the
+  // same retry_after_ms however long the round trips take.
+  server.SetQuotaClockForTesting([] { return uint64_t{1'000'000}; });
   ASSERT_TRUE(server.Start().ok());
 
   // Fake clock: time stands still (so the qps bucket never refills) and
