@@ -3,8 +3,8 @@
 // ("slots"), stored row-major in one flat vector. It only collects and
 // reads rows. The executor trades in columnar ColumnBatch batches
 // (exec/column_batch.h) and converts to a TupleSet once, at the end of
-// Executor::Execute; the TwigJoin oracle returns one too. CanonicalRows()
-// is the order the wire encoder writes.
+// Executor::Execute; the TwigJoin oracle returns one too. CanonicalOrder()
+// is the order the wire encoder writes, as a permutation of the stored rows.
 
 #ifndef SJOS_EXEC_TUPLE_SET_H_
 #define SJOS_EXEC_TUPLE_SET_H_
@@ -47,13 +47,21 @@ class TupleSet {
 
   void Reserve(size_t rows) { data_.reserve(rows * arity()); }
 
-  /// The rows in canonical order, flat: columns reordered by ascending
-  /// pattern-node id, rows sorted lexicographically (duplicates kept),
-  /// arity() ids per row. The wire encoder writes results in this order.
-  std::vector<NodeId> CanonicalRows() const;
+  /// The canonical order as a permutation of the stored result: canonical
+  /// row i, column c is At(rows[i], columns[c]).
+  struct Order {
+    /// Slot indices by ascending pattern-node id.
+    std::vector<size_t> columns;
+    /// Row indices, rows compared lexicographically over `columns`
+    /// (stable, so duplicates keep their stored order).
+    std::vector<uint32_t> rows;
+  };
 
-  /// CanonicalRows() split into one vector per row, for result comparison
-  /// in tests.
+  /// The canonical order. The wire encoder writes results in this order.
+  Order CanonicalOrder() const;
+
+  /// The rows in canonical order, one vector per row, for result
+  /// comparison in tests.
   std::vector<std::vector<NodeId>> Canonical() const;
 
  private:

@@ -16,27 +16,52 @@ namespace {
 
 constexpr size_t kMaxIdBytes = 256;
 
-/// Appends `[[a,b,...],...]`'s inner rows from a flat row-major buffer.
-/// A row of k ids takes at most 11k + 2 bytes (a NodeId has at most 10
-/// digits; the brackets, k - 1 commas and the comma before the row), so
-/// the rows are written straight into one resize of `out`.
-void AppendRows(const std::vector<NodeId>& rows, size_t arity,
-                std::string* out) {
-  const size_t n = arity == 0 ? 0 : rows.size() / arity;
-  const size_t start = out->size();
-  out->resize(start + n * (11 * arity + 2));
-  char* p = out->data() + start;
-  const NodeId* id = rows.data();
-  for (size_t r = 0; r < n; ++r) {
-    if (r > 0) *p++ = ',';
+/// Decimal digits of `id`.
+uint32_t DigitCount(NodeId id) {
+  return 1u + (id >= 10) + (id >= 100) + (id >= 1000) + (id >= 10000) +
+         (id >= 100000) + (id >= 1000000) + (id >= 10000000) +
+         (id >= 100000000) + (id >= 1000000000);
+}
+
+/// Bytes `[[a,b,...],...]`'s inner rows take: every id's digits, plus the
+/// brackets and arity - 1 commas of each row and the commas between rows.
+/// The digits do not depend on the row order, so they are summed in
+/// storage order.
+size_t RowsBytes(const TupleSet& tuples) {
+  const size_t n = tuples.size();
+  if (n == 0) return 0;
+  const NodeId* id = tuples.Row(0);
+  const NodeId* const end = id + n * tuples.arity();
+  size_t digits = 0;
+  while (id != end) {
+    // 32-bit sums vectorize; a block's digits stay far below 2^32.
+    const NodeId* const block_end =
+        id + std::min<size_t>(static_cast<size_t>(end - id), size_t{1} << 24);
+    uint32_t block = 0;
+    for (; id != block_end; ++id) block += DigitCount(*id);
+    digits += block;
+  }
+  return digits + n * (tuples.arity() + 1) + (n - 1);
+}
+
+/// Writes `[[a,b,...],...]`'s inner rows in `order` at `p`, which has
+/// exactly RowsBytes(tuples) bytes before `end`; returns the end of the
+/// rows.
+char* WriteRows(const TupleSet& tuples, const TupleSet::Order& order,
+                char* p, char* const end) {
+  const size_t* const cols = order.columns.data();
+  const size_t arity = order.columns.size();
+  for (size_t i = 0; i < order.rows.size(); ++i) {
+    if (i > 0) *p++ = ',';
     *p++ = '[';
-    for (size_t c = 0; c < arity; ++c, ++id) {
+    const NodeId* row = tuples.Row(order.rows[i]);
+    for (size_t c = 0; c < arity; ++c) {
       if (c > 0) *p++ = ',';
-      p = std::to_chars(p, p + 10, *id).ptr;
+      p = std::to_chars(p, end, row[cols[c]]).ptr;
     }
     *p++ = ']';
   }
-  out->resize(static_cast<size_t>(p - out->data()));
+  return p;
 }
 
 Result<Verb> ParseVerb(std::string_view name) {
@@ -210,53 +235,59 @@ void AppendOkHead(std::string_view id, std::string* out) {
 
 std::string EncodeDoneResult(std::string_view id, const QueryResult& qr,
                              size_t max_payload) {
-  const size_t nrows = qr.tuples.size();
-  const size_t arity = qr.tuples.arity();
+  const TupleSet& tuples = qr.tuples;
+  const size_t nrows = tuples.size();
+  std::vector<PatternNodeId> slots = tuples.slots();
+  std::sort(slots.begin(), slots.end());
+
+  std::string head;
+  AppendOkHead(id, &head);
+  head += ",\"done\":true,\"result\":{\"slots\":[";
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (i > 0) head += ',';
+    AppendJsonUint(static_cast<uint64_t>(slots[i]), &head);
+  }
+  head += "],\"rows\":[";
+
+  std::string tail = "],\"row_count\":";
+  AppendJsonUint(nrows, &tail);
+  tail += ",\"stats\":{\"result_rows\":";
+  AppendJsonUint(qr.stats.result_rows, &tail);
+  tail += ",\"wall_ms\":" + FormatDouble(qr.stats.wall_ms, 3);
+  tail += ",\"peak_live_rows\":";
+  AppendJsonUint(qr.stats.peak_live_rows, &tail);
+  tail += ",\"peak_live_bytes\":";
+  AppendJsonUint(qr.stats.peak_live_bytes, &tail);
+  tail += ",\"max_q_error\":" + FormatDouble(qr.stats.max_q_error, 4);
+  tail += "},\"algorithm\":";
+  AppendJsonString(qr.planned.algorithm, &tail);
+  tail += ",\"cache_hit\":";
+  tail += qr.planned.cache_hit ? "true" : "false";
+  tail += ",\"fallback_from\":";
+  AppendJsonString(qr.planned.fallback_from, &tail);
+  tail += ",\"query_id\":";
+  AppendJsonString(qr.query_id, &tail);
+  tail += "}}";
+
   // A response the framing layer could never carry must degrade to an
-  // explicit error, not an SJOS_CHECK abort inside SendFrame. The
-  // estimate is also an upper bound on the bytes the rows take, so it
-  // sizes the buffer.
-  const size_t approx_bytes = nrows * (arity + 1) * 12 + 4096;
-  if (approx_bytes > std::min(max_payload, kFrameAbsoluteMaxPayload)) {
+  // explicit error, not an SJOS_CHECK abort inside SendFrame. The size is
+  // exact, so it also sizes the buffer the rows are written into.
+  const size_t rows_bytes = RowsBytes(tuples);
+  const size_t bytes = head.size() + rows_bytes + tail.size();
+  if (bytes > std::min(max_payload, kFrameAbsoluteMaxPayload)) {
     return EncodeErrorResponse(
         id, Status::ResourceExhausted(
                 "result of " + std::to_string(nrows) +
                 " rows is too large for one response frame — tighten the "
                 "query or raise max_frame_bytes"));
   }
-  std::vector<PatternNodeId> slots = qr.tuples.slots();
-  std::sort(slots.begin(), slots.end());
-  const std::vector<NodeId> rows = qr.tuples.CanonicalRows();
-
-  std::string out;
-  out.reserve(approx_bytes);
-  AppendOkHead(id, &out);
-  out += ",\"done\":true,\"result\":{\"slots\":[";
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (i > 0) out += ',';
-    AppendJsonUint(static_cast<uint64_t>(slots[i]), &out);
-  }
-  out += "],\"rows\":[";
-  AppendRows(rows, arity, &out);
-  out += "],\"row_count\":";
-  AppendJsonUint(nrows, &out);
-  out += ",\"stats\":{\"result_rows\":";
-  AppendJsonUint(qr.stats.result_rows, &out);
-  out += ",\"wall_ms\":" + FormatDouble(qr.stats.wall_ms, 3);
-  out += ",\"peak_live_rows\":";
-  AppendJsonUint(qr.stats.peak_live_rows, &out);
-  out += ",\"peak_live_bytes\":";
-  AppendJsonUint(qr.stats.peak_live_bytes, &out);
-  out += ",\"max_q_error\":" + FormatDouble(qr.stats.max_q_error, 4);
-  out += "},\"algorithm\":";
-  AppendJsonString(qr.planned.algorithm, &out);
-  out += ",\"cache_hit\":";
-  out += qr.planned.cache_hit ? "true" : "false";
-  out += ",\"fallback_from\":";
-  AppendJsonString(qr.planned.fallback_from, &out);
-  out += ",\"query_id\":";
-  AppendJsonString(qr.query_id, &out);
-  out += "}}";
+  const TupleSet::Order order = tuples.CanonicalOrder();
+  std::string out(bytes, '\0');
+  char* p = std::copy(head.begin(), head.end(), out.data());
+  char* const rows_end = p + rows_bytes;
+  p = WriteRows(tuples, order, p, rows_end);
+  SJOS_CHECK(p == rows_end, "EncodeDoneResult: row bytes miscounted");
+  std::copy(tail.begin(), tail.end(), p);
   return out;
 }
 

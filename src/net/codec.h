@@ -19,8 +19,10 @@
 //    "error":"tenant 'acme' at max in-flight","retry_after_ms":50}
 //
 // A finished query's terminal poll reply carries its rows in canonical
-// form (TupleSet::CanonicalRows: columns by ascending pattern-node id,
-// rows sorted), so equal results are equal bytes:
+// form (TupleSet::CanonicalOrder: columns by ascending pattern-node id,
+// rows sorted), so equal results are equal bytes. The encoder sizes the
+// reply exactly, then writes every row once, straight from the result
+// through that permutation:
 //
 //   {"id":"q1","ok":true,"done":true,"result":{"slots":[0,1],
 //    "rows":[[3,4],[3,9]],"row_count":2,"stats":{...},"algorithm":"DPP",
@@ -102,8 +104,8 @@ std::string EncodeErrorResponse(std::string_view id, const Status& status,
 void AppendOkHead(std::string_view id, std::string* out);
 
 /// The terminal reply of a query that succeeded, rows in canonical form.
-/// A result whose size estimate exceeds `max_payload` (or the absolute
-/// frame ceiling) becomes a ResourceExhausted EncodeErrorResponse instead.
+/// A reply whose exact size exceeds `max_payload` (or the absolute frame
+/// ceiling) becomes a ResourceExhausted EncodeErrorResponse instead.
 std::string EncodeDoneResult(std::string_view id, const QueryResult& qr,
                              size_t max_payload);
 

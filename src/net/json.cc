@@ -54,6 +54,29 @@ class JsonValue::Arena {
     return run;
   }
 
+  /// The free tail of the current block, where a run of unknown length is
+  /// built in place; `*bytes` is its size. Nothing is taken until Take(),
+  /// so otherwise the next run reuses the tail.
+  char* Tail(size_t* bytes) {
+    *bytes = static_cast<size_t>(end_ - cur_);
+    return cur_;
+  }
+
+  /// Takes the first `bytes` of the tail.
+  void Take(size_t bytes) { cur_ += Rounded(bytes); }
+
+  /// Gives up the current block's tail for a new block whose tail holds at
+  /// least `bytes`: a block of exactly that size when it is longer than a
+  /// block.
+  void StartBlock(size_t bytes) {
+    const size_t size = std::max(bytes, kBlockBytes);
+    Block* block = static_cast<Block*>(::operator new(sizeof(Block) + size));
+    block->next = blocks_;
+    blocks_ = block;
+    cur_ = reinterpret_cast<char*>(block + 1);
+    end_ = cur_ + size;
+  }
+
   /// A copy of `text` in the arena; empty text takes no space.
   std::string_view Copy(std::string_view text) {
     if (text.empty()) return {};
@@ -70,17 +93,12 @@ class JsonValue::Arena {
 
   Arena(char* cur, char* end) : cur_(cur), end_(end) {}
 
-  /// Starts a block for a run that does not fit the current one; a run
-  /// longer than a block gets a block of exactly its size.
+  /// Starts a block for a run that does not fit the current one.
   void* AllocateSlow(size_t bytes) {
-    const size_t size = std::max(bytes, kBlockBytes);
-    Block* block = static_cast<Block*>(::operator new(sizeof(Block) + size));
-    block->next = blocks_;
-    blocks_ = block;
-    char* data = reinterpret_cast<char*>(block + 1);
-    cur_ = data + bytes;
-    end_ = data + size;
-    return data;
+    StartBlock(bytes);
+    void* run = cur_;
+    cur_ += bytes;
+    return run;
   }
 
   char* cur_;
@@ -432,6 +450,7 @@ class JsonParser {
     SkipWs();
     if (Consume(']')) return true;
     const size_t base = items_.size();
+    if (depth < max_depth_ && AtDigit() && ParseIntegerRow(out)) return true;
     while (true) {
       SkipWs();
       Node item;
@@ -455,6 +474,59 @@ class JsonParser {
     out->size = static_cast<uint32_t>(n);
     out->items = run;
     return true;
+  }
+
+  /// Reads the items of a result row, an array of short unsigned
+  /// integers, from p_ (at its first item) straight into the arena's free
+  /// tail. Returns true with the array in `out` and p_ past its ']'. At
+  /// the first item that is not an integer of at most kMaxExactDigits
+  /// digits followed at once by ',' or ']' (a sign, fraction, exponent,
+  /// whitespace, a longer integer or any other value), returns false with
+  /// the items before it on items_ and p_ at it, so the general loop goes
+  /// on from there and reports any error as it would have.
+  bool ParseIntegerRow(Node* out) {
+    Arena& a = arena();
+    size_t bytes = 0;
+    JsonValue* run = reinterpret_cast<JsonValue*>(a.Tail(&bytes));
+    size_t capacity = bytes / sizeof(JsonValue);
+    size_t n = 0;
+    const char* p = p_;
+    const char* const end = end_;
+    while (p != end && static_cast<unsigned char>(*p - '0') < 10) {
+      const char* const item = p;
+      uint64_t value = static_cast<uint64_t>(*p++ - '0');
+      if (value != 0) {
+        while (p != end && static_cast<unsigned char>(*p - '0') < 10 &&
+               static_cast<size_t>(p - item) <= kMaxExactDigits) {
+          value = value * 10 + static_cast<uint64_t>(*p++ - '0');
+        }
+      }
+      if (p == end || (*p != ',' && *p != ']') ||
+          static_cast<size_t>(p - item) > kMaxExactDigits) {
+        p = item;
+        break;
+      }
+      if (n == capacity) {
+        // Move the row to a block with room for twice as many items.
+        a.StartBlock(2 * n * sizeof(JsonValue));
+        JsonValue* moved = reinterpret_cast<JsonValue*>(a.Tail(&bytes));
+        for (size_t i = 0; i < n; ++i) new (moved + i) JsonValue(run[i].node_);
+        run = moved;
+        capacity = bytes / sizeof(JsonValue);
+      }
+      new (run + n++) JsonValue(
+          Node{.kind = Kind::kNumber, .number = static_cast<double>(value)});
+      if (*p++ == ']') {
+        a.Take(n * sizeof(JsonValue));
+        out->size = static_cast<uint32_t>(n);
+        out->items = run;
+        p_ = p;
+        return true;
+      }
+    }
+    for (size_t i = 0; i < n; ++i) items_.push_back(run[i].node_);
+    p_ = p;
+    return false;
   }
 
   /// Parses the string at p_ into the arena. Text without escapes is

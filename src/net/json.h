@@ -14,7 +14,9 @@
 // block gets a block of its own). Every string's decoded text and
 // every array's items or object's members live there as one contiguous
 // run: the parser collects a container's children on a stack it reuses
-// and copies them into the arena when the container closes. Values inside
+// and copies them into the arena when the container closes, except that a
+// result row (an array of short unsigned integers) is written straight
+// into the free tail of the arena's current block. Values inside
 // the arena own nothing, so moving the root (or the Result holding it)
 // never moves the children; copying any value deep-copies its tree into a
 // fresh arena, sized to fit, that the copy owns. Counts are 32-bit, so a

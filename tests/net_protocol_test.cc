@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -25,6 +27,7 @@
 #include <unistd.h>
 
 #include "common/rng.h"
+#include "common/str_util.h"
 #include "net/client.h"
 #include "net/codec.h"
 #include "net/frame.h"
@@ -516,6 +519,113 @@ TEST(JsonTest, EmptyContainersAndExactMaxDepth) {
             std::string::npos);
 }
 
+/// Expects `text` to parse to an array of numbers equal, bit for bit, to
+/// `want`.
+void ExpectNumberArray(const std::string& text, size_t max_depth,
+                       const std::vector<double>& want) {
+  Result<JsonValue> v = ParseJson(text, max_depth);
+  ASSERT_TRUE(v.ok()) << text << ": " << v.status().ToString();
+  ASSERT_TRUE(v.value().is_array()) << text;
+  const std::span<const JsonValue> items = v.value().array();
+  ASSERT_EQ(items.size(), want.size()) << text;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_TRUE(items[i].is_number()) << text << " item " << i;
+    const double got = items[i].number_value();
+    EXPECT_EQ(std::memcmp(&got, &want[i], sizeof(double)), 0)
+        << text << " item " << i << ": " << got << " vs " << want[i];
+  }
+}
+
+void ExpectNumberArray(const std::string& text,
+                       const std::vector<double>& want) {
+  ExpectNumberArray(text, 64, want);
+}
+
+TEST(JsonTest, IntegerRowEdgeCases) {
+  // A result row of short unsigned integers is read straight into the
+  // arena; anything else in it hands over to the general array loop. The
+  // trees, messages and byte offsets below are the general parser's.
+  ExpectJsonError("[01]", "2: expected ',' or ']' in array");
+  ExpectNumberArray("[0,1]", {0, 1});
+  ExpectNumberArray("[1 ,2]", {1, 2});
+  ExpectNumberArray("[ 1,2 ]", {1, 2});
+  ExpectNumberArray("[1,-2]", {1, -2});
+  ExpectNumberArray("[1,2.5]", {1, 2.5});
+  ExpectNumberArray("[1,2e3]", {1, 2000});
+  ExpectNumberArray("[1,1E2]", {1, 100});
+  ExpectNumberArray("[1,2,-0]", {1, 2, -0.0});
+  ExpectNumberArray("[7,\t8\n,9\r]", {7, 8, 9});
+  ExpectNumberArray("[4294967295,0]", {4294967295.0, 0});
+  // 15 digits are read digit by digit; 16 go through from_chars, which
+  // rounds 2^53 + 1 to even.
+  ExpectNumberArray("[999999999999999,123456789012345]",
+                    {999999999999999.0, 123456789012345.0});
+  ExpectNumberArray("[1,1234567890123456,2]", {1, 1234567890123456.0, 2});
+  ExpectNumberArray("[9007199254740993]", {9007199254740992.0});
+  ExpectNumberArray("[3,99999999999999999999]", {3, 1e20});
+  ExpectJsonError("[1,]", "3: invalid number");
+  ExpectJsonError("[1", "2: expected ',' or ']' in array");
+  ExpectJsonError("[1,2", "4: expected ',' or ']' in array");
+  ExpectJsonError("[1,2]x", "5: trailing characters after the JSON document");
+  ExpectJsonError("[1,2,01]", "6: expected ',' or ']' in array");
+  ExpectJsonError("[1,2,3.]", "7: invalid number: missing fraction digits");
+  ExpectJsonError("[1,2,3e]", "7: invalid number: missing exponent digits");
+  ExpectJsonError("[1,2,-]", "6: invalid number");
+  ExpectJsonError("[1,2 3]", "5: expected ',' or ']' in array");
+  ExpectJsonError("[1,2,x]", "5: invalid number");
+  ExpectJsonError("[1,2,1e400]", "10: number out of range");
+  ExpectJsonError("[1,2,,3]", "5: invalid number");
+
+  // Items that are not integers end the row's fast path mid-array.
+  Result<JsonValue> mixed = ParseJson("[1,2,\"s\",[3],{\"k\":4},null,true,5]");
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  const std::span<const JsonValue> items = mixed.value().array();
+  ASSERT_EQ(items.size(), 8u);
+  EXPECT_EQ(items[1].number_value(), 2.0);
+  EXPECT_EQ(items[2].string_value(), "s");
+  EXPECT_EQ(items[3].array()[0].number_value(), 3.0);
+  EXPECT_EQ(items[4].Find("k")->number_value(), 4.0);
+  EXPECT_TRUE(items[5].is_null());
+  EXPECT_TRUE(items[6].bool_value());
+  EXPECT_EQ(items[7].number_value(), 5.0);
+  EXPECT_TRUE(SameJson(ParseJson("[[1,2],[3]]").value(),
+                       ParseJson("[ [ 1 , 2 ] , [ 3 ] ]").value()));
+
+  // The integers of a row sit one level below it: a row whose integers
+  // are at max_depth parses, one level deeper does not.
+  constexpr size_t kMaxDepth = 8;
+  Result<JsonValue> at_limit = ParseJson(
+      std::string(kMaxDepth, '[') + "1,2" + std::string(kMaxDepth, ']'),
+      kMaxDepth);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  const JsonValue* row = &at_limit.value();
+  for (size_t level = 1; level < kMaxDepth; ++level) row = &row->array()[0];
+  ASSERT_EQ(row->array().size(), 2u);
+  EXPECT_EQ(row->array()[1].number_value(), 2.0);
+  Result<JsonValue> past_limit = ParseJson(
+      std::string(kMaxDepth + 1, '[') + "1,2" + std::string(kMaxDepth + 1, ']'),
+      kMaxDepth);
+  ASSERT_FALSE(past_limit.ok());
+  EXPECT_EQ(past_limit.status().message(),
+            "JSON error at byte 9: nesting too deep");
+
+  // One row of 100K integers outgrows many arena blocks; so does one that
+  // hands over to the general loop only at its last item.
+  std::string big = "[";
+  std::vector<double> want;
+  for (uint32_t i = 0; i < 100'000; ++i) {
+    const uint32_t id = i * 2654435761u;
+    if (i > 0) big += ',';
+    big += std::to_string(id);
+    want.push_back(id);
+  }
+  ExpectNumberArray(big + "]", want);
+  want.push_back(0.5);
+  ExpectNumberArray(big + ",0.5]", want);
+  ExpectJsonError(big + ",]",
+                  std::to_string(big.size() + 1) + ": invalid number");
+}
+
 TEST(JsonTest, LongStringsAndEmbeddedNuls) {
   // Longer than one 64 KiB arena block, with and without escapes.
   std::string big(200'000, ' ');
@@ -777,6 +887,187 @@ TEST(EncoderGoldenTest, OversizeResultBecomesAnError) {
             "{\"id\":\"r5\",\"ok\":false,\"code\":\"ResourceExhausted\","
             "\"error\":\"result of 6 rows is too large for one response frame "
             "\xe2\x80\x94 tighten the query or raise max_frame_bytes\"}");
+}
+
+TEST(EncoderGoldenTest, ResultOverTheOldEstimateFits) {
+  // The size guard once estimated 12 bytes per id, 12 more per row and
+  // 4096 for the envelope: 4384 bytes for this 335-byte reply.
+  const std::string reply = EncodeDoneResult("r1", MixedResult(), 1 << 20);
+  ASSERT_LT(reply.size(), 1000u);
+  EXPECT_EQ(EncodeDoneResult("r1", MixedResult(), 1000), reply);
+
+  // A Pers-like result: 100K rows of five ids, ~37 bytes a row against
+  // the old estimate's 72.
+  Rng rng(9);
+  QueryResult qr = MakeResult({0, 3, 4, 1, 2}, {});
+  for (int r = 0; r < 100'000; ++r) {
+    NodeId row[5];
+    for (NodeId& id : row) id = static_cast<NodeId>(rng.NextBelow(200'000));
+    qr.tuples.AppendRow(row);
+  }
+  const std::string big = EncodeDoneResult("r7", qr, kFrameAbsoluteMaxPayload);
+  ASSERT_EQ(big.rfind("{\"id\":\"r7\",\"ok\":true,", 0), 0u);
+  ASSERT_LT(big.size(), size_t{100'000} * (5 + 1) * 12);
+  EXPECT_EQ(EncodeDoneResult("r7", qr, big.size()), big);
+}
+
+TEST(EncoderGoldenTest, OneByteOverTheLimitIsAnError) {
+  const std::string reply = EncodeDoneResult("r5", MixedResult(), 1 << 20);
+  EXPECT_EQ(EncodeDoneResult("r5", MixedResult(), reply.size()), reply);
+  EXPECT_EQ(EncodeDoneResult("r5", MixedResult(), reply.size() - 1),
+            "{\"id\":\"r5\",\"ok\":false,\"code\":\"ResourceExhausted\","
+            "\"error\":\"result of 6 rows is too large for one response frame "
+            "\xe2\x80\x94 tighten the query or raise max_frame_bytes\"}");
+}
+
+/// The row encoding EncodeDoneResult had before it wrote through the
+/// canonical permutation: columns permuted into a flat row-major copy,
+/// row indices stable-sorted, rows copied out in order, then written with
+/// to_chars. The envelope is written field by field as the encoder does.
+std::string ReferenceEncodeDoneResult(std::string_view id,
+                                      const QueryResult& qr) {
+  const TupleSet& t = qr.tuples;
+  const size_t n = t.size();
+  const size_t a = t.arity();
+  std::vector<size_t> col_order(a);
+  for (size_t c = 0; c < a; ++c) col_order[c] = c;
+  std::sort(col_order.begin(), col_order.end(), [&](size_t x, size_t y) {
+    return t.slots()[x] < t.slots()[y];
+  });
+  std::vector<NodeId> permuted(n * a);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < a; ++c) permuted[r * a + c] = t.At(r, col_order[c]);
+  }
+  std::vector<size_t> order(n);
+  for (size_t r = 0; r < n; ++r) order[r] = r;
+  std::stable_sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    return std::lexicographical_compare(
+        permuted.begin() + x * a, permuted.begin() + (x + 1) * a,
+        permuted.begin() + y * a, permuted.begin() + (y + 1) * a);
+  });
+  std::vector<NodeId> sorted;
+  sorted.reserve(n * a);
+  for (size_t r : order) {
+    sorted.insert(sorted.end(), permuted.begin() + r * a,
+                  permuted.begin() + (r + 1) * a);
+  }
+  std::vector<PatternNodeId> slots = t.slots();
+  std::sort(slots.begin(), slots.end());
+
+  std::string out;
+  AppendOkHead(id, &out);
+  out += ",\"done\":true,\"result\":{\"slots\":[";
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (i > 0) out += ',';
+    AppendJsonUint(static_cast<uint64_t>(slots[i]), &out);
+  }
+  out += "],\"rows\":[";
+  for (size_t r = 0; r < n; ++r) {
+    if (r > 0) out += ',';
+    out += '[';
+    for (size_t c = 0; c < a; ++c) {
+      if (c > 0) out += ',';
+      char buf[16];
+      out.append(buf, std::to_chars(buf, buf + sizeof(buf),
+                                    sorted[r * a + c]).ptr);
+    }
+    out += ']';
+  }
+  out += "],\"row_count\":";
+  AppendJsonUint(n, &out);
+  out += ",\"stats\":{\"result_rows\":";
+  AppendJsonUint(qr.stats.result_rows, &out);
+  out += ",\"wall_ms\":" + FormatDouble(qr.stats.wall_ms, 3);
+  out += ",\"peak_live_rows\":";
+  AppendJsonUint(qr.stats.peak_live_rows, &out);
+  out += ",\"peak_live_bytes\":";
+  AppendJsonUint(qr.stats.peak_live_bytes, &out);
+  out += ",\"max_q_error\":" + FormatDouble(qr.stats.max_q_error, 4);
+  out += "},\"algorithm\":";
+  AppendJsonString(qr.planned.algorithm, &out);
+  out += ",\"cache_hit\":";
+  out += qr.planned.cache_hit ? "true" : "false";
+  out += ",\"fallback_from\":";
+  AppendJsonString(qr.planned.fallback_from, &out);
+  out += ",\"query_id\":";
+  AppendJsonString(qr.query_id, &out);
+  out += "}}";
+  return out;
+}
+
+/// A random id of `digits` decimal digits (1-10); at either end of the
+/// 32-bit range about one time in eight.
+NodeId RandomId(Rng* rng, size_t digits) {
+  if (rng->NextBelow(8) == 0) return rng->NextBool(0.5) ? 0 : 4294967295u;
+  uint64_t lo = 1;
+  for (size_t d = 1; d < digits; ++d) lo *= 10;
+  const uint64_t hi = std::min<uint64_t>(lo * 10, uint64_t{1} << 32);
+  if (digits == 1) lo = 0;
+  return static_cast<NodeId>(lo + rng->NextBelow(hi - lo));
+}
+
+TEST(EncoderGoldenTest, MatchesTheReferenceEncoderOnRandomResults) {
+  Rng rng(2020);
+  size_t checked = 0;
+  for (size_t arity = 1; arity <= 8; ++arity) {
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<PatternNodeId> slots;
+      for (size_t c = 0; c < arity; ++c) {
+        slots.push_back(static_cast<PatternNodeId>(c * 2 + rng.NextBelow(2)));
+      }
+      rng.Shuffle(&slots);
+      QueryResult qr = MakeResult(slots, {});
+      const size_t sizes[] = {0, 1, 2, 1 + rng.NextBelow(300)};
+      const size_t rows = trial < 4 ? sizes[trial] : sizes[3];
+      // Each column draws from one digit length, or from all of them; a
+      // third of the trials repeat a few rows many times over.
+      std::vector<size_t> digits(arity);
+      for (size_t& d : digits) d = rng.NextBelow(11);  // 0: any length
+      std::vector<std::vector<NodeId>> pool(trial % 3 == 0 ? 3 : 0);
+      for (size_t r = 0; r < rows; ++r) {
+        std::vector<NodeId> row(arity);
+        if (!pool.empty() && r >= pool.size() && rng.NextBool(0.9)) {
+          row = pool[rng.NextBelow(pool.size())];
+        } else {
+          for (size_t c = 0; c < arity; ++c) {
+            row[c] = RandomId(&rng, digits[c] == 0 ? 1 + rng.NextBelow(10)
+                                                   : digits[c]);
+          }
+          if (r < pool.size()) pool[r] = row;
+        }
+        qr.tuples.AppendRow(row.data());
+      }
+      qr.stats.result_rows = rows;
+      qr.stats.wall_ms = static_cast<double>(rng.NextBelow(100000)) / 7;
+      qr.planned.algorithm = "DPP";
+      qr.query_id = "d" + std::to_string(checked);
+      ASSERT_EQ(EncodeDoneResult("x", qr, kFrameAbsoluteMaxPayload),
+                ReferenceEncodeDoneResult("x", qr))
+          << "arity " << arity << " trial " << trial;
+      ++checked;
+    }
+  }
+
+  // 100K rows: presorted in canonical order, reversed, and shuffled.
+  for (int shape = 0; shape < 3; ++shape) {
+    const size_t arity = 3 + static_cast<size_t>(shape) * 2;
+    std::vector<std::vector<NodeId>> rows(100'000, std::vector<NodeId>(arity));
+    for (std::vector<NodeId>& row : rows) {
+      for (size_t c = 0; c < arity; ++c) {
+        row[c] = RandomId(&rng, c == 0 ? 1 + rng.NextBelow(10) : 1 + c % 6);
+      }
+    }
+    std::vector<PatternNodeId> slots(arity);
+    for (size_t c = 0; c < arity; ++c) slots[c] = static_cast<PatternNodeId>(c);
+    if (shape < 2) std::sort(rows.begin(), rows.end());
+    if (shape == 1) std::reverse(rows.begin(), rows.end());
+    if (shape == 2) rng.Shuffle(&slots);
+    QueryResult qr = MakeResult(slots, rows);
+    qr.planned.algorithm = "FP";
+    ASSERT_EQ(EncodeDoneResult("big", qr, kFrameAbsoluteMaxPayload),
+              ReferenceEncodeDoneResult("big", qr))
+        << "shape " << shape;
+  }
 }
 
 TEST(EncoderGoldenTest, DoneErrors) {

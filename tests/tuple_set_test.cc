@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -66,6 +67,34 @@ std::vector<std::vector<NodeId>> NaiveCanonical(const TupleSet& set) {
   return rows;
 }
 
+/// Checks CanonicalOrder() and Canonical() against NaiveCanonical: columns
+/// by ascending pattern-node id, every stored row exactly once, rows as the
+/// naive sort has them, and equal rows in their stored order.
+void ExpectCanonical(const TupleSet& set, const std::string& label) {
+  const std::vector<std::vector<NodeId>> expected = NaiveCanonical(set);
+  EXPECT_EQ(set.Canonical(), expected) << label;
+  const TupleSet::Order order = set.CanonicalOrder();
+  const size_t arity = set.arity();
+  ASSERT_EQ(order.columns.size(), arity) << label;
+  for (size_t c = 1; c < arity; ++c) {
+    EXPECT_LT(set.slots()[order.columns[c - 1]], set.slots()[order.columns[c]])
+        << label;
+  }
+  ASSERT_EQ(order.rows.size(), set.size()) << label;
+  std::vector<uint32_t> seen = order.rows;
+  std::sort(seen.begin(), seen.end());
+  for (size_t r = 0; r < seen.size(); ++r) ASSERT_EQ(seen[r], r) << label;
+  for (size_t r = 0; r < set.size(); ++r) {
+    for (size_t c = 0; c < arity; ++c) {
+      ASSERT_EQ(set.At(order.rows[r], order.columns[c]), expected[r][c])
+          << label << " row " << r << " column " << c;
+    }
+    if (r > 0 && expected[r] == expected[r - 1]) {
+      ASSERT_LT(order.rows[r - 1], order.rows[r]) << label << " row " << r;
+    }
+  }
+}
+
 TEST(TupleSetTest, CanonicalMatchesNaiveSort) {
   // The wire encoder writes rows in this order, so any divergence from
   // the plain lexicographic sort changes response bytes.
@@ -88,14 +117,49 @@ TEST(TupleSetTest, CanonicalMatchesNaiveSort) {
       for (NodeId& id : row) id = static_cast<NodeId>(rng.NextBelow(domain));
       set.AppendRow(row.data());
     }
-    const std::vector<std::vector<NodeId>> expected = NaiveCanonical(set);
-    EXPECT_EQ(set.Canonical(), expected) << "trial " << trial;
-    const std::vector<NodeId> flat = set.CanonicalRows();
-    ASSERT_EQ(flat.size(), rows * arity) << "trial " << trial;
-    for (size_t r = 0; r < rows; ++r) {
-      EXPECT_TRUE(std::equal(expected[r].begin(), expected[r].end(),
-                             flat.begin() + r * arity))
-          << "trial " << trial << " row " << r;
+    ExpectCanonical(set, "trial " + std::to_string(trial));
+  }
+}
+
+TEST(TupleSetTest, CanonicalOrderAcrossIdWidthsAndRowCounts) {
+  // The order sorts a key of the first two canonical ids, each as wide as
+  // its largest id, above the row index; ties on it are sorted by the
+  // remaining ids. Cover keys of both widths, row indices crossing digit
+  // boundaries, leading ids that never vary, and presorted and reversed
+  // input.
+  Rng rng(7);
+  const uint64_t domains[] = {1, 2, 2048, 2049, 1 << 20, uint64_t{1} << 32};
+  const size_t row_counts[] = {1, 2, 2047, 2048, 2049, 70'000};
+  int shape = 0;
+  for (const size_t rows : row_counts) {
+    for (const uint64_t lead_domain : domains) {
+      const size_t arity = 1 + static_cast<size_t>(shape) % 4;
+      std::vector<PatternNodeId> slots(arity);
+      for (size_t c = 0; c < arity; ++c) {
+        slots[c] = static_cast<PatternNodeId>(arity - c);  // reversed
+      }
+      std::vector<std::vector<NodeId>> data(rows, std::vector<NodeId>(arity));
+      for (std::vector<NodeId>& row : data) {
+        for (size_t c = 0; c < arity; ++c) {
+          // The last stored columns lead the canonical order.
+          const uint64_t domain = c + 2 >= arity ? lead_domain : 5;
+          row[c] = static_cast<NodeId>(rng.NextBelow(domain));
+        }
+      }
+      if (shape % 3 != 0) {
+        std::sort(data.begin(), data.end(), [](const auto& x, const auto& y) {
+          return std::lexicographical_compare(x.rbegin(), x.rend(),
+                                              y.rbegin(), y.rend());
+        });
+      }
+      if (shape % 3 == 2) std::reverse(data.begin(), data.end());
+      TupleSet set(slots);
+      set.Reserve(rows);
+      for (const std::vector<NodeId>& row : data) set.AppendRow(row.data());
+      ExpectCanonical(set, "rows " + std::to_string(rows) + " domain " +
+                               std::to_string(lead_domain) + " arity " +
+                               std::to_string(arity));
+      ++shape;
     }
   }
 }
