@@ -4,7 +4,7 @@
 // can run it in the background and stop it by closing the pipe:
 //
 //   ./build/examples/sjos_serve --dataset Pers --nodes 20000 --port 7544 &
-//   ... drive it with sjos_shell --connect 127.0.0.1:7544 or bench_loadgen
+//   ... drive it with sjos_shell --connect 127.0.0.1:7544
 //
 // The chosen port is printed as "LISTENING <port>" on stdout (flushed) so
 // scripts can scrape it when --port 0 picked an ephemeral one. With
@@ -16,11 +16,9 @@
 // Graceful drain: SIGTERM, the stdin command "drain", or the wire 'drain'
 // verb all begin a drain (stop accepting, shed new submits with retry
 // hints, finish or deadline-cancel in-flight work), after which the
-// process exits — "DRAINING" is printed when it starts. SIGKILL, by
-// contrast, is the chaos harness's restart hammer: no drain, clients must
-// recover via the resilient client. --idle-timeout-ms arms the
-// slow-loris/idle reaper and --admission-threshold-ms the queue-delay
-// adaptive admission gate.
+// process exits — "DRAINING" is printed when it starts. --idle-timeout-ms
+// arms the slow-loris/idle reaper. Every query runs under the server-wide
+// byte bound (net::kMaxQueryLiveBytes) or a smaller one it asks for.
 
 #include <cerrno>
 #include <csignal>
@@ -70,9 +68,6 @@ int main(int argc, char** argv) {
   net::HttpServerOptions http_options;
   EngineOptions engine_options;
   bool http_enabled = false;
-  uint64_t quota_in_flight = 0;
-  uint64_t quota_qps = 0;
-  uint64_t quota_write_qps = 0;
   // The paper workload's broad Pers twigs return ~100k-row results; the
   // standalone server defaults to a frame budget that carries them.
   server_options.max_frame_bytes = 16 * 1024 * 1024;
@@ -90,12 +85,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--max-in-flight") == 0) {
       engine_options.max_in_flight =
           static_cast<size_t>(ArgU64(argc, argv, &i, arg));
-    } else if (std::strcmp(arg, "--quota-in-flight") == 0) {
-      quota_in_flight = ArgU64(argc, argv, &i, arg);
-    } else if (std::strcmp(arg, "--quota-qps") == 0) {
-      quota_qps = ArgU64(argc, argv, &i, arg);
-    } else if (std::strcmp(arg, "--quota-write-qps") == 0) {
-      quota_write_qps = ArgU64(argc, argv, &i, arg);
     } else if (std::strcmp(arg, "--max-connections") == 0) {
       server_options.max_connections =
           static_cast<size_t>(ArgU64(argc, argv, &i, arg));
@@ -115,27 +104,17 @@ int main(int argc, char** argv) {
       server_options.drain_deadline_ms = ArgU64(argc, argv, &i, arg);
     } else if (std::strcmp(arg, "--idle-timeout-ms") == 0) {
       server_options.idle_timeout_ms = ArgU64(argc, argv, &i, arg);
-    } else if (std::strcmp(arg, "--admission-threshold-ms") == 0) {
-      engine_options.admission.queue_delay_threshold_ms =
-          ArgU64(argc, argv, &i, arg);
     } else {
       std::fprintf(stderr,
                    "usage: sjos_serve [--port N] [--dataset Pers|DBLP|Mbench] "
                    "[--load file.xml] [--nodes N] [--max-in-flight N] "
-                   "[--quota-in-flight N] [--quota-qps N] "
-                   "[--quota-write-qps N] "
                    "[--max-connections N] [--max-frame-bytes N] "
                    "[--http-port N] [--query-log file.jsonl] "
                    "[--slow-log file.jsonl] [--slow-ms N] "
-                   "[--drain-deadline-ms N] [--idle-timeout-ms N] "
-                   "[--admission-threshold-ms N]\n");
+                   "[--drain-deadline-ms N] [--idle-timeout-ms N]\n");
       return 2;
     }
   }
-
-  server_options.default_quota.max_in_flight = quota_in_flight;
-  server_options.default_quota.qps = static_cast<double>(quota_qps);
-  server_options.default_quota.write_qps = static_cast<double>(quota_write_qps);
 
   Engine engine(engine_options);
   if (!load_path.empty()) {

@@ -25,11 +25,12 @@
 // Remote mode:  sjos_shell --connect 127.0.0.1:7544  talks to a running
 // sjos_serve over the wire protocol instead of an in-process Engine
 // (commands: query, xpath, plan, algo, \metrics, \top, \slow, \insert,
-// \delete, \flush, \drain, ping, quit). The connection rides on
-// net::ResilientClient: a dropped
-// or restarted server is re-dialed transparently and in-flight queries
-// are replayed by id — a one-line "[reconnected]" notice marks each
-// recovery.
+// \delete, \flush, \drain, ping, quit). The connection is a plain
+// net::Client: a request that loses its connection is re-dialed and
+// re-sent once — a one-line "[reconnected]" notice marks it — and a query
+// whose poll answers NotFound (the server restarted) is re-submitted once
+// under the same id. Every request is safe to re-send: the server
+// attaches or replays by id.
 //
 // Observability commands (both modes): \metrics appends a p50/p95/p99
 // digest per histogram, \top lists queries in flight, \slow [n] the most
@@ -49,7 +50,7 @@
 #include "common/trace.h"
 #include "exec/twig_join.h"
 #include "net/json.h"
-#include "net/resilient_client.h"
+#include "net/client.h"
 #include "plan/plan_printer.h"
 #include "query/pattern_parser.h"
 #include "query/workload.h"
@@ -539,13 +540,12 @@ class Shell {
 
 /// The shell's remote face: the same query/xpath/plan commands, executed
 /// on a sjos_serve instance over the wire protocol. Each query is a
-/// submit + blocking poll round trip, carried by net::ResilientClient so
-/// a server restart mid-query reconnects and replays instead of aborting
-/// the shell.
+/// submit + blocking poll round trip on one net::Client, with one
+/// reconnect per request and one re-submit per query (see file comment).
 class RemoteShell {
  public:
   RemoteShell(std::string host, uint16_t port)
-      : client_(std::move(host), port) {}
+      : host_(std::move(host)), port_(port) {}
 
   int Run() {
     std::printf("sjos shell (remote) — query/xpath/plan/algo/"
@@ -611,26 +611,60 @@ class RemoteShell {
            std::to_string(next_id_++);
   }
 
-  /// Prints "[reconnected]" once per transparent re-dial the resilient
-  /// client performed since the last check.
-  void NoteReconnects() {
-    const uint64_t now = client_.stats().reconnects;
-    for (; seen_reconnects_ < now; ++seen_reconnects_) {
-      std::printf("[reconnected]\n");
+  /// One round trip, dialing on first use. A request that loses an
+  /// established connection is re-dialed and re-sent once.
+  Result<net::JsonValue> RoundTrip(const std::string& request) {
+    const bool reconnecting = client_.connected();
+    if (reconnecting) {
+      Result<net::JsonValue> response = client_.Call(request);
+      if (response.ok() ||
+          response.status().code() != StatusCode::kUnavailable) {
+        return response;
+      }
+      client_.Close();
     }
+    Result<net::Client> dialed = net::Client::Connect(host_, port_);
+    if (!dialed.ok()) return dialed.status();
+    client_ = std::move(dialed).value();
+    if (reconnecting) std::printf("[reconnected]\n");
+    return client_.Call(request);
   }
 
-  /// One round trip; prints transport errors and returns the parsed
+  /// RoundTrip that prints transport errors and returns the parsed
   /// response otherwise.
   std::optional<net::JsonValue> Call(const std::string& request) {
-    Result<net::JsonValue> response = client_.Call(request);
-    NoteReconnects();
+    Result<net::JsonValue> response = RoundTrip(request);
     if (!response.ok()) {
       std::printf("transport error: %s\n",
                   response.status().ToString().c_str());
       return std::nullopt;
     }
     return std::move(response).value();
+  }
+
+  static bool IsDone(const net::JsonValue& response) {
+    const net::JsonValue* done = response.Find("done");
+    return done != nullptr && done->is_bool() && done->bool_value();
+  }
+
+  /// Submit, then poll to a terminal reply. A poll answered NotFound
+  /// (the server restarted and lost the id) re-submits the same id once.
+  std::optional<net::JsonValue> Execute(const std::string& id,
+                                        const std::string& submit) {
+    std::string poll = "{\"verb\":\"poll\",\"id\":";
+    net::AppendJsonString(id, &poll);
+    poll += ",\"wait_ms\":10000}";
+    bool resubmitted = false;
+    std::optional<net::JsonValue> response = Call(submit);
+    while (response && IsOk(*response) && !IsDone(*response)) {
+      response = Call(poll);
+      if (response && !resubmitted && !IsOk(*response) &&
+          Str(*response, "code") == "NotFound") {
+        resubmitted = true;
+        response = Call(submit);
+      }
+    }
+    return response;
   }
 
   static bool IsOk(const net::JsonValue& response) {
@@ -667,17 +701,10 @@ class RemoteShell {
 
   void RunQuery(bool xpath, const std::string& text) {
     const std::string id = NextId();
-    // Execute drives submit + poll to a terminal state, reconnecting and
-    // re-submitting the same id across server restarts.
-    Result<net::JsonValue> terminal =
-        client_.Execute(id, SubmitRequest("submit", id, text, xpath));
-    NoteReconnects();
-    if (!terminal.ok()) {
-      std::printf("transport error: %s\n",
-                  terminal.status().ToString().c_str());
-      return;
-    }
-    const net::JsonValue& response = terminal.value();
+    std::optional<net::JsonValue> terminal =
+        Execute(id, SubmitRequest("submit", id, text, xpath));
+    if (!terminal) return;
+    const net::JsonValue& response = *terminal;
     if (!IsOk(response)) {
       PrintError(response);
       const net::JsonValue* verdict = response.Find("verdict");
@@ -855,10 +882,11 @@ class RemoteShell {
                 nodes != nullptr ? nodes->number_value() : 0.0);
   }
 
-  net::ResilientClient client_;
+  const std::string host_;
+  const uint16_t port_;
+  net::Client client_;
   std::string algo_ = "dpp";
   uint64_t next_id_ = 1;
-  uint64_t seen_reconnects_ = 0;
 };
 
 }  // namespace
@@ -875,8 +903,8 @@ int main(int argc, char** argv) {
       const std::string host = target.substr(0, colon);
       const uint16_t port = static_cast<uint16_t>(
           std::strtoul(target.c_str() + colon + 1, nullptr, 10));
-      // The resilient client dials lazily (and re-dials on loss); the
-      // shell still starts even if the server is momentarily down.
+      // The client dials lazily (and re-dials once per request on loss);
+      // the shell still starts even if the server is momentarily down.
       RemoteShell remote(host, port);
       return remote.Run();
     }

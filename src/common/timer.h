@@ -1,6 +1,6 @@
 // Monotonic timing: the stopwatch the benches and the engine measure
-// phases with, and the one steady-clock "now" the service layers stamp
-// admission, quota and drain decisions with.
+// phases with, and the one steady-clock "now" the server times its drain
+// deadline with.
 
 #ifndef SJOS_COMMON_TIMER_H_
 #define SJOS_COMMON_TIMER_H_

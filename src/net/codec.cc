@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <charconv>
+#include <limits>
 #include <vector>
 
 #include "common/str_util.h"
 #include "net/frame.h"
 #include "net/json.h"
+#include "net/server.h"
 #include "service/engine.h"
 
 namespace sjos {
@@ -101,7 +103,9 @@ QueryOptions WireRequest::ToQueryOptions() const {
     options.optimizer = ParseOptimizerKind(optimizer).value();
   }
   options.deadline_ms = deadline_ms;
-  options.max_live_bytes = max_live_bytes;
+  options.max_live_bytes = max_live_bytes == 0
+                               ? kMaxQueryLiveBytes
+                               : std::min(max_live_bytes, kMaxQueryLiveBytes);
   options.max_join_output_rows = max_join_output_rows;
   options.use_plan_cache = use_plan_cache;
   options.tenant = tenant.empty() ? "default" : tenant;
@@ -164,6 +168,14 @@ Result<WireRequest> DecodeRequest(std::string_view payload) {
   if (req.tenant.size() > kMaxIdBytes) {
     return Status::InvalidArgument("field 'tenant' exceeds " +
                                    std::to_string(kMaxIdBytes) + " bytes");
+  }
+  // Order keys are NodeIds (32 bits): a wider value must not wrap onto
+  // another node.
+  constexpr uint64_t kMaxKey = std::numeric_limits<NodeId>::max();
+  if (req.parent > kMaxKey || req.node > kMaxKey) {
+    return Status::InvalidArgument(
+        std::string("field '") + (req.parent > kMaxKey ? "parent" : "node") +
+        "' exceeds the 32-bit node key range");
   }
 
   switch (req.verb) {
@@ -303,10 +315,6 @@ std::string EncodeDoneError(std::string_view id, const Status& status,
   AppendJsonString(info.verdict, &out);
   out += ",\"query_id\":";
   AppendJsonString(info.query_id, &out);
-  if (info.retry_after_ms > 0) {
-    out += ",\"retry_after_ms\":";
-    AppendJsonUint(info.retry_after_ms, &out);
-  }
   // The flight recorder rides along so a failed remote query can be
   // diagnosed without shell access to the server's audit log.
   if (!info.flight.empty()) out += ",\"flight\":" + info.flight.ToJson();

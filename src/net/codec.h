@@ -15,8 +15,8 @@
 // add "code" (StatusCodeName), "error", and — for load shedding — a
 // "retry_after_ms" hint:
 //
-//   {"id":"q1","ok":false,"code":"ResourceExhausted",
-//    "error":"tenant 'acme' at max in-flight","retry_after_ms":50}
+//   {"id":"q1","ok":false,"code":"Unavailable",
+//    "error":"server is draining — no new submits","retry_after_ms":500}
 //
 // A finished query's terminal poll reply carries its rows in canonical
 // form (TupleSet::CanonicalOrder: columns by ascending pattern-node id,
@@ -84,15 +84,16 @@ struct WireRequest {
   uint64_t node = 0;         // delete: order key of the subtree root
 
   /// Service-layer options derived from the wire fields (tenant label
-  /// included). The server clamps max_live_bytes against the tenant quota
-  /// afterwards.
+  /// included). max_live_bytes becomes min(requested, kMaxQueryLiveBytes),
+  /// and a request of 0 gets the cap, so every wire query has a byte bound.
   QueryOptions ToQueryOptions() const;
 };
 
 /// Parses and validates one request payload. InvalidArgument/ParseError
 /// on malformed JSON, a non-object payload, a missing/unknown verb, bad
-/// field types, an over-long id (> 256 bytes), a missing id or query on
-/// verbs that need one, or an unknown optimizer name.
+/// field types, an over-long id (> 256 bytes), a 'parent' or 'node' key
+/// past the 32-bit NodeId range, a missing id or query on verbs that need
+/// one, or an unknown optimizer name.
 Result<WireRequest> DecodeRequest(std::string_view payload);
 
 /// `{"id":<id>,"ok":false,"code":...,"error":...[,"retry_after_ms":N]}`.
@@ -110,8 +111,7 @@ std::string EncodeDoneResult(std::string_view id, const QueryResult& qr,
                              size_t max_payload);
 
 /// The terminal reply of a query that failed: code, message, governor
-/// verdict, query id, the optional retry_after_ms hint and, when recorded,
-/// the failure flight record.
+/// verdict, query id and, when recorded, the failure flight record.
 std::string EncodeDoneError(std::string_view id, const Status& status,
                             const QueryErrorInfo& info);
 

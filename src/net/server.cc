@@ -38,9 +38,7 @@ struct ServerMetrics {
       reg.SetHelp("sjos_server_connections_total",
                   "Connections accepted by the query server");
       reg.SetHelp("sjos_server_requests_total",
-                  "Wire requests decoded, by verb and by tenant");
-      reg.SetHelp("sjos_server_shed_total",
-                  "Submissions shed by per-tenant quota, by reason");
+                  "Wire requests decoded, by verb");
       reg.SetHelp("sjos_server_drain_shed_total",
                   "Submissions shed because the server is draining");
       reg.SetHelp("sjos_server_idle_closed_total",
@@ -68,30 +66,18 @@ Result<Pattern> ParseWireQuery(const WireRequest& req) {
   return std::move(q).value().pattern;
 }
 
-/// The shed response for a tenant whose quota did not admit the request.
-std::string QuotaShedResponse(const std::string& id, const std::string& tenant,
-                              const TenantQuotaTable::Decision& decision) {
-  return EncodeErrorResponse(
-      id,
-      Status::ResourceExhausted("tenant '" + tenant + "' over its " +
-                                decision.reason + " quota — retry later"),
-      decision.retry_after_ms);
-}
-
-void CountRequest(Verb verb, const std::string& tenant) {
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  reg.GetCounter("sjos_server_requests_total", {{"verb", VerbName(verb)}})
+/// One request of `verb`. The label set is the fixed verb list: a
+/// client-chosen tenant name never mints a series.
+void CountRequest(Verb verb) {
+  MetricsRegistry::Global()
+      .GetCounter("sjos_server_requests_total", {{"verb", VerbName(verb)}})
       .Add();
-  if (!tenant.empty()) {
-    reg.GetCounter("sjos_server_requests_total", {{"tenant", tenant}}).Add();
-  }
 }
 
 }  // namespace
 
 QueryServer::QueryServer(Engine* engine, ServerOptions options)
     : engine_(engine), options_(std::move(options)),
-      quotas_(options_.default_quota),
       completed_(options_.completed_ring_capacity) {
   // Eager metric registration: drain/idle/attach counters must exist (at
   // 0) in any export sjos_promcheck sees, not only after the first event.
@@ -185,8 +171,8 @@ void QueryServer::DrainImpl(uint64_t deadline_ms) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   if (live_queries_.load(std::memory_order_relaxed) > 0) {
-    // Deadline: cancel the stragglers and wait them out so their quota
-    // slots release before shutdown.
+    // Deadline: cancel the stragglers and wait them out so their slots
+    // release before shutdown.
     std::vector<QueryHandle> handles;
     {
       std::lock_guard<std::mutex> lock(queries_mu_);
@@ -248,7 +234,7 @@ void QueryServer::AcceptLoop() {
     ReapFinishedLocked();
     if (connections_.size() >= options_.max_connections) {
       // Shed the connection itself, with the same explicit contract as
-      // tenant shedding: one clean response, then close.
+      // the drain gate: one clean response, then close.
       (void)SendFrame(fd, EncodeErrorResponse(
                               "", Status::ResourceExhausted(
                                       "server at its connection limit"),
@@ -326,8 +312,8 @@ void QueryServer::ServeConnection(Connection* conn) {
 
   // Cancel-on-disconnect: every query this connection still owns (a query
   // re-attached or polled by a newer connection has a different owner and
-  // is spared) is cancelled if unfinished, drained so admission slots and
-  // tenant quota release deterministically, and its terminal response is
+  // is spared) is cancelled if unfinished, drained so its live slot
+  // releases deterministically, and its terminal response is
   // parked in the completed ring. Responses never delivered because we
   // cancelled them here are flagged so a re-submit re-runs them.
   struct Doomed {
@@ -395,7 +381,7 @@ std::string QueryServer::HandleRequest(Connection* conn,
     return EncodeErrorResponse("", decoded.status());
   }
   const WireRequest& req = decoded.value();
-  CountRequest(req.verb, req.tenant);
+  CountRequest(req.verb);
   switch (req.verb) {
     case Verb::kPing: return HandlePing(req);
     case Verb::kSubmit: return HandleSubmit(conn, req);
@@ -411,7 +397,7 @@ std::string QueryServer::HandleRequest(Connection* conn,
 
 std::string QueryServer::HandleSubmit(Connection* conn,
                                       const WireRequest& req) {
-  // Gate 1 — drain: a draining server takes no new work, only lets the
+  // Drain gate: a draining server takes no new work, only lets the
   // in-flight finish. The hint paces clients toward a live replica (or a
   // restarted self).
   if (draining_.load(std::memory_order_relaxed)) {
@@ -424,8 +410,7 @@ std::string QueryServer::HandleSubmit(Connection* conn,
 
   // Idempotency: one id, one execution. A re-submit of a live id attaches
   // (reconnected client resuming after a torn reply); a completed id
-  // replays its stored terminal response. Both must run before any
-  // admission gate — neither creates new work.
+  // replays its stored terminal response. Neither creates new work.
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
     auto it = queries_.find(req.id);
@@ -434,8 +419,8 @@ std::string QueryServer::HandleSubmit(Connection* conn,
         // Doomed by a disconnect (or an explicit cancel): the client
         // clearly still wants the result, so replace the entry with a
         // fresh run below. The old handle unwinds on its own — its done
-        // callback releases its own quota charge — and the generation
-        // bump keeps its teardown from touching the new entry.
+        // callback releases its own live slot — and the generation bump
+        // keeps its teardown from touching the new entry.
         queries_.erase(it);
       } else {
         it->second.owner_conn = conn->id;
@@ -457,18 +442,6 @@ std::string QueryServer::HandleSubmit(Connection* conn,
     }
   }
 
-  // Gate 2 — adaptive admission: when the engine's dispatch queue has
-  // fallen behind, shed before charging quota so the hint reaches the
-  // client with no side effects to undo.
-  uint64_t adaptive_hint = 0;
-  if (engine_->CheckAdmission(&adaptive_hint)) {
-    return EncodeErrorResponse(
-        req.id,
-        Status::Unavailable(
-            "engine overloaded (queue delay p95 over threshold)"),
-        adaptive_hint);
-  }
-
   Timer parse_timer;
   Result<Pattern> parsed = ParseWireQuery(req);
   if (!parsed.ok()) return EncodeErrorResponse(req.id, parsed.status());
@@ -478,27 +451,11 @@ std::string QueryServer::HandleSubmit(Connection* conn,
   // Text→Pattern time happened here, outside the Engine; hand it over so
   // the audit record's parse phase is honest.
   options.parse_ms = parse_timer.ElapsedMs();
-  // By value: `options` is moved into Submit below, and the quota release
-  // in the done-callback must use the same key Admit charged.
-  const std::string tenant = options.tenant;
-
-  // Gate 3 — per-tenant quota.
-  const TenantQuotaTable::Decision decision =
-      quotas_.Admit(tenant, quota_now_us_());
-  if (!decision.admitted) return QuotaShedResponse(req.id, tenant, decision);
-
-  const uint64_t cap = quotas_.LiveBytesCap(tenant);
-  if (cap > 0) {
-    options.max_live_bytes = options.max_live_bytes == 0
-                                 ? cap
-                                 : std::min(options.max_live_bytes, cap);
-  }
 
   QueryHandle handle = engine_->Submit(std::move(pattern), std::move(options));
   live_queries_.fetch_add(1, std::memory_order_relaxed);
   ServerMetrics::Get().live_queries.Add(1);
-  handle.SetDoneCallback([this, tenant] {
-    quotas_.Release(tenant);
+  handle.SetDoneCallback([this] {
     live_queries_.fetch_sub(1, std::memory_order_relaxed);
     ServerMetrics::Get().live_queries.Sub(1);
   });
@@ -506,7 +463,6 @@ std::string QueryServer::HandleSubmit(Connection* conn,
     std::lock_guard<std::mutex> lock(queries_mu_);
     LiveQuery& lq = queries_[req.id];
     lq.handle = handle;
-    lq.tenant = tenant;
     lq.owner_conn = conn->id;
     lq.generation = next_generation_++;
   }
@@ -529,7 +485,7 @@ std::string QueryServer::HandlePoll(Connection* conn, const WireRequest& req) {
     if ((it != queries_.end() && it->second.disconnect_cancelled) ||
         (parked != nullptr && parked->disconnect_cancelled)) {
       // The result was lost to a disconnect-cancel (still unwinding, or
-      // already parked in the ring); NotFound tells a resilient client to
+      // already parked in the ring); NotFound tells the client to
       // re-submit under the same id.
       return EncodeErrorResponse(
           req.id, Status::NotFound(
@@ -666,29 +622,13 @@ std::string QueryServer::HandleUpdate(const WireRequest& req) {
         kDrainRetryAfterMs);
   }
 
-  // Idempotency: a mutation id that already completed replays its stored
-  // response byte for byte instead of mutating again — a resilient client
-  // retrying after a torn reply must not double-insert. Checked before
-  // the write quota so replays cost no tokens.
-  {
-    std::lock_guard<std::mutex> lock(queries_mu_);
-    if (const ReplayRing::Entry* done = completed_.Find(req.id)) {
-      if (!done->disconnect_cancelled) {
-        ServerMetrics::Get().replays.Add();
-        return done->response;
-      }
-    }
-  }
-
-  const std::string tenant = req.tenant.empty() ? "default" : req.tenant;
-  const TenantQuotaTable::Decision decision =
-      quotas_.AdmitWrite(tenant, quota_now_us_());
-  if (!decision.admitted) return QuotaShedResponse(req.id, tenant, decision);
-
   // One write at a time: apply-then-record must be atomic per id, or a
   // concurrent retry of the same id could slip past the replay check
-  // above and mutate twice.
+  // below and mutate twice.
   std::lock_guard<std::mutex> write_lock(update_mu_);
+  // Idempotency: a mutation id that already completed replays its stored
+  // response byte for byte instead of mutating again — a client retrying
+  // after a torn reply must not double-insert.
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
     if (const ReplayRing::Entry* done = completed_.Find(req.id)) {

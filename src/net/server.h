@@ -12,30 +12,32 @@
 //   ping    → liveness + database identity
 //   drain   → BeginDrain (graceful shutdown; see below)
 //
-// Admission: every submit passes (in order) the drain gate, the Engine's
-// queue-delay adaptive admission, and the per-tenant TenantQuotaTable; a
-// shed at any gate is an explicit error response with a retry_after_ms
-// hint — shed, never queued. Admitted queries release their quota slot
-// through the QueryHandle done-callback, so completion (success, failure,
-// or cancel) frees it without requiring a poll.
+// Admission: a draining server sheds every submit and update with an
+// explicit Unavailable response and a retry_after_ms hint — shed, never
+// queued — and a connection past max_connections is answered with one
+// ResourceExhausted frame and closed. Every admitted query runs with a
+// byte bound (kMaxQueryLiveBytes, applied in WireRequest::ToQueryOptions).
+// Admitted queries leave the live count through the QueryHandle
+// done-callback, so completion (success, failure, or cancel) frees the
+// slot without requiring a poll.
 //
 // Idempotency: queries live in one server-wide table keyed by the
 // client-supplied wire id, which must be unique per server lifetime. A
-// re-submit of a live id attaches to the running query (no re-execution,
-// no extra quota charge) and transfers ownership to the submitting
-// connection; polls work from any connection and also transfer ownership.
+// re-submit of a live id attaches to the running query (no re-execution)
+// and transfers ownership to the submitting connection; polls work from
+// any connection and also transfer ownership.
 // Terminal responses are retained in a recently-completed ring bounded by
 // entries and by bytes (ReplayRing):
 // re-submitting a completed id replays the stored response byte for byte,
 // except entries that were cancelled by a disconnect — those were never
 // delivered, so a re-submit re-runs them and a poll answers NotFound
-// (telling a resilient client to re-submit).
+// (telling the client to re-submit).
 //
 // Connections: one thread per connection, one in-flight request per
 // connection (submitted queries complete in the background; concurrency
 // comes from multiple connections). A client disconnect cancels every
-// live query the connection still owns and drains them so admission slots
-// and tenant quota are freed deterministically. An optional per-connection
+// live query the connection still owns and drains them so their slots are
+// freed deterministically. An optional per-connection
 // receive timeout reaps idle and half-open connections (slow-loris
 // defense).
 //
@@ -49,7 +51,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -60,14 +61,13 @@
 #include "common/status.h"
 #include "common/timer.h"
 #include "net/codec.h"
-#include "net/quota.h"
 #include "service/engine.h"
 
 namespace sjos {
 namespace net {
 
 struct ServerOptions {
-  /// Listen address. Tests and the loadgen use the loopback default; 0
+  /// Listen address. Tests and perfbench use the loopback default; 0
   /// picks an ephemeral port (read it back with port()).
   std::string host = "127.0.0.1";
   uint16_t port = 0;
@@ -80,9 +80,6 @@ struct ServerOptions {
   /// Concurrent connections; one past the limit is answered with a
   /// kResourceExhausted frame and closed.
   size_t max_connections = 64;
-
-  /// Quota applied to tenants without an explicit SetQuota entry.
-  TenantQuota default_quota;
 
   /// Per-connection receive timeout (SO_RCVTIMEO): a connection that
   /// stays silent — or stalls mid-frame, the slow-loris shape — longer
@@ -116,6 +113,14 @@ inline constexpr uint64_t kDrainRetryAfterMs = 500;
 /// capacity: 256 entries of maximum-size frames would otherwise pin
 /// gigabytes.
 inline constexpr size_t kReplayRingMaxBytes = size_t{32} << 20;
+
+/// Byte bound on every wire query's live intermediate set (the governor's
+/// max_live_bytes): WireRequest::ToQueryOptions runs each query with
+/// min(requested, this), and a request of 0 gets this cap. It sits about
+/// 110x above the 2.3 MB peak live set of the perfbench pers_wire
+/// workload (~1e5-row Pers results), so it bounds a runaway query without
+/// touching a real one.
+inline constexpr uint64_t kMaxQueryLiveBytes = uint64_t{256} << 20;
 
 /// The recently-completed ring: terminal responses kept for idempotent
 /// replay, oldest first. It holds at most `capacity` entries and evicts
@@ -191,16 +196,6 @@ class QueryServer {
   /// The bound port (after Start); useful with ServerOptions::port == 0.
   uint16_t port() const { return port_; }
 
-  TenantQuotaTable& quotas() { return quotas_; }
-
-  /// Test seam: the clock the tenant quota gates charge at, in
-  /// RetryClock's now_us shape (the steady clock unless a test pins it,
-  /// so retry_after_ms hints do not drift with real time). Set it before
-  /// Start().
-  void SetQuotaClockForTesting(std::function<uint64_t()> now_us) {
-    quota_now_us_ = std::move(now_us);
-  }
-
   /// Submitted-but-unreleased queries across all connections — returns to
   /// 0 once every query finished (the soak test's leak check).
   size_t live_queries() const {
@@ -211,7 +206,6 @@ class QueryServer {
   /// One server-wide live query, keyed by wire id in queries_ below.
   struct LiveQuery {
     QueryHandle handle;
-    std::string tenant;
     /// Connection currently responsible for it (disconnect-cancel checks
     /// this before dooming a query another connection took over).
     uint64_t owner_conn = 0;
@@ -261,8 +255,6 @@ class QueryServer {
 
   Engine* engine_;
   const ServerOptions options_;
-  TenantQuotaTable quotas_;
-  std::function<uint64_t()> quota_now_us_ = SteadyNowMicros;
 
   std::atomic<bool> stopping_{false};
   std::atomic<bool> started_{false};

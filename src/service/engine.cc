@@ -121,7 +121,6 @@ const std::string& QueryHandle::query_id() const {
 Engine::Engine(EngineOptions options)
     : options_(options),
       cache_(kPlanCacheCapacity),
-      admission_(options.admission),
       query_log_(std::make_unique<QueryLog>(options.query_log)),
       pool_(options.max_in_flight) {}
 
@@ -395,13 +394,6 @@ Result<QueryResult> Engine::RunQuery(const Pattern& pattern,
   // Perfetto filtering.
   TraceQueryScope qid_scope(options.query_id);
   EngineMetrics::Get().queries.Add();
-  if (!options.tenant.empty()) {
-    // Per-tenant series of the same family; the unlabeled series remains
-    // the all-tenants total.
-    MetricsRegistry::Global()
-        .GetCounter("sjos_engine_queries_total", {{"tenant", options.tenant}})
-        .Add();
-  }
 
   // Flight-recorder baseline: a counters-only snapshot taken before any
   // work, diffed on failure to show what moved while the query ran.
@@ -533,50 +525,18 @@ Result<QueryResult> Engine::Query(const Pattern& pattern,
   return RunQuery(pattern, with_id, /*cancel_token=*/nullptr, error_info);
 }
 
-bool Engine::CheckAdmission(uint64_t* retry_after_ms) {
-  return admission_.ShouldShed(SteadyNowMicros(), retry_after_ms);
-}
-
 QueryHandle Engine::Submit(Pattern pattern, QueryOptions options) {
   auto state = std::make_shared<QueryHandle::State>();
   if (options.query_id.empty()) options.query_id = NextQueryId();
   state->query_id = options.query_id;
 
-  // Adaptive admission: when the dispatch queue has fallen too far
-  // behind, shed now — an immediately-completed handle with a pacing
-  // hint — instead of deepening the backlog. (The network server sheds
-  // one step earlier via CheckAdmission so its response carries the hint;
-  // this path covers direct API users.)
-  uint64_t retry_after_ms = 0;
-  if (admission_.ShouldShed(SteadyNowMicros(), &retry_after_ms)) {
-    state->error_info.verdict = "adaptive-shed";
-    state->error_info.query_id = options.query_id;
-    state->error_info.retry_after_ms = retry_after_ms;
-    state->result.emplace(Status::Unavailable(
-        "engine overloaded (queue delay p95 over threshold) — retry in " +
-        std::to_string(retry_after_ms) + " ms"));
-    state->done = true;
-    return QueryHandle(state);
-  }
-
   EngineMetrics::Get().submits.Add();
-  if (!options.tenant.empty()) {
-    MetricsRegistry::Global()
-        .GetCounter("sjos_engine_submits_total", {{"tenant", options.tenant}})
-        .Add();
-  }
-  const uint64_t enqueued_us = SteadyNowMicros();
-  pool_.Submit([this, state, enqueued_us, pattern = std::move(pattern),
+  pool_.Submit([this, state, pattern = std::move(pattern),
                  options = std::move(options)] {
     // Tags the task's span (and everything the query records) with the
     // query's id; the worker thread has no ambient id of its own.
     TraceQueryScope qid_scope(options.query_id);
     TraceSpan span("pool.task");
-    // Submit→dispatch delay: the adaptive-admission controller's signal.
-    const uint64_t dispatched_us = SteadyNowMicros();
-    admission_.RecordQueueDelay(
-        dispatched_us > enqueued_us ? dispatched_us - enqueued_us : 0,
-        dispatched_us);
     Status predispatch = Status::OK();
     SJOS_FAILPOINT_CHECK("service.submit", predispatch);
     std::optional<Result<QueryResult>> outcome;
@@ -618,7 +578,7 @@ QueryHandle Engine::Submit(Pattern pattern, QueryOptions options) {
     // any thread that observes done == true (Done/Wait/WaitFor all lock
     // mu) then has the callback's effects happen-before it, so a caller
     // may tear down the resources the callback releases (the server's
-    // quota table) the moment completion is visible. This is why
+    // live-query count) the moment completion is visible. This is why
     // SetDoneCallback forbids callbacks that touch the handle.
     {
       std::lock_guard<std::mutex> lock(state->mu);

@@ -49,7 +49,6 @@
 #include "estimate/positional_histogram.h"
 #include "exec/executor.h"
 #include "plan/cost_model.h"
-#include "service/admission.h"
 #include "service/mutation.h"
 #include "service/plan_cache.h"
 #include "service/query_log.h"
@@ -74,11 +73,6 @@ struct EngineOptions {
   /// only (no file sinks) with a 100 ms slow-query threshold; sjos_serve
   /// wires file paths from its flags. See service/query_log.h.
   QueryLogOptions query_log;
-
-  /// Queue-delay adaptive admission (disabled by default). When the p95
-  /// Submit→dispatch delay exceeds the threshold, new submits are shed
-  /// with a retry_after_ms hint. See service/admission.h.
-  AdmissionOptions admission;
 };
 
 /// Outcome of the planning phase of one query.
@@ -123,10 +117,6 @@ struct QueryErrorInfo {
   std::string verdict;
   /// The id the query ran under, stable from Submit to this error report.
   std::string query_id;
-  /// Pacing hint attached by adaptive admission ("adaptive-shed" verdict):
-  /// how long the caller should stay away before re-submitting. 0 when
-  /// the failure was not a shed.
-  uint64_t retry_after_ms = 0;
   /// Failure flight recorder: engine phase spans and the counter deltas
   /// observed across the query's lifetime (see service/query_log.h).
   /// Filled for every failure that reached the Engine's run path.
@@ -179,8 +169,8 @@ class QueryHandle {
   /// worker that completed it (immediately, on the calling thread, if it
   /// already did). The callback's effects happen-before any observation
   /// of completion through Done/Wait/WaitFor — the network service relies
-  /// on this to release per-tenant quota before a client can react to the
-  /// result, with or without a poll, cancelled queries included. The
+  /// on this to release its live-query slot before a client can react to
+  /// the result, with or without a poll, cancelled queries included. The
   /// callback runs under the handle's internal lock: keep it small,
   /// non-blocking, and never touch the handle from inside it. At most one
   /// callback per handle state.
@@ -258,15 +248,6 @@ class Engine {
   /// and returns immediately. At most EngineOptions::max_in_flight
   /// submitted queries execute concurrently.
   QueryHandle Submit(Pattern pattern, QueryOptions options = {});
-
-  /// Adaptive-admission pre-check: true when a submit arriving now would
-  /// be shed, with the pacing hint in *retry_after_ms (may be null). The
-  /// network server calls this before charging tenant quota so the shed
-  /// response carries the hint; Submit() itself re-checks for direct API
-  /// users. Always false when EngineOptions::admission is disabled.
-  bool CheckAdmission(uint64_t* retry_after_ms);
-
-  QueueDelayController& admission() { return admission_; }
 
   PlanCache& plan_cache() { return cache_; }
   const PlanCache& plan_cache() const { return cache_; }
@@ -359,8 +340,6 @@ class Engine {
     return "q-" + std::to_string(
                       next_query_id_.fetch_add(1, std::memory_order_relaxed));
   }
-
-  QueueDelayController admission_;
 
   std::unique_ptr<QueryLog> query_log_;
 

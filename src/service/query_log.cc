@@ -108,9 +108,6 @@ std::string QueryLogRecord::ToJsonl() const {
   AppendField("optimize_ms", FormatDouble(optimize_ms, 3), &first, &out);
   AppendField("execute_ms", FormatDouble(execute_ms, 3), &first, &out);
   AppendField("total_ms", FormatDouble(total_ms, 3), &first, &out);
-  if (retry_after_ms > 0) {
-    AppendField("retry_after_ms", U64(retry_after_ms), &first, &out);
-  }
   AppendField("ts_us", StrFormat("%lld", static_cast<long long>(ts_us)),
               &first, &out);
   if (!flight.empty()) AppendField("flight", flight.ToJson(), &first, &out);

@@ -74,8 +74,6 @@ struct QueryLogRecord {
   double optimize_ms = 0.0;
   double execute_ms = 0.0;
   double total_ms = 0.0;
-  /// Shed/retry hint mirrored from the admission layer; 0 = none.
-  uint64_t retry_after_ms = 0;
   /// Wall-clock microseconds since the Unix epoch at record time.
   int64_t ts_us = 0;
   /// Failure context; empty (and omitted from the JSONL) on success.

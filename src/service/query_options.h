@@ -49,12 +49,10 @@ struct QueryOptions {
   /// plan. Off = always optimize fresh (the cache is left untouched).
   bool use_plan_cache = true;
 
-  /// Attribution label for multi-tenant serving (the network service sets
-  /// it from the wire request). Non-empty: the engine additionally bumps
-  /// per-tenant series of its query/submit counters,
-  /// e.g. sjos_engine_queries_total{tenant="<name>"}. Purely
-  /// observational — quota enforcement lives in the server's
-  /// TenantQuotaTable.
+  /// Attribution label (the network service sets it from the wire
+  /// request). Purely observational: it is copied into the audit record
+  /// and /statusz, and mints no metric series, so client-chosen names
+  /// cannot grow the registry.
   std::string tenant;
 
   /// The query's identity across trace spans (args:{qid}), governor

@@ -41,7 +41,7 @@ TEST(StatusTest, GovernanceCodesRoundTrip) {
   EXPECT_EQ(c.code(), StatusCode::kCancelled);
   EXPECT_EQ(c.ToString(), "Cancelled: caller gave up");
 
-  // The transport-loss class the resilient client keys its retries on.
+  // The transport-loss class the shell re-dials on.
   Status u = Status::Unavailable("connection closed mid-payload");
   EXPECT_FALSE(u.ok());
   EXPECT_EQ(u.code(), StatusCode::kUnavailable);

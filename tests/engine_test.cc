@@ -373,89 +373,5 @@ TEST(EngineTest, LoadReplacesDatabaseAndClearsCache) {
   EXPECT_FALSE(r.value().planned.cache_hit);
 }
 
-TEST(AdmissionTest, ShedsPastThresholdAndReopensOnStaleWindow) {
-  AdmissionOptions options;
-  options.queue_delay_threshold_ms = 50;
-  options.window = 32;
-  options.min_samples = 16;
-  options.stale_after_ms = 1000;
-  QueueDelayController controller(options);
-
-  uint64_t now = 1'000'000;
-  uint64_t hint = 0;
-  // Below min_samples even huge delays must not shed — a cold engine
-  // cannot brown out on a handful of outliers.
-  for (size_t i = 0; i + 1 < options.min_samples; ++i) {
-    controller.RecordQueueDelay(500'000, now);
-    EXPECT_FALSE(controller.ShouldShed(now, &hint));
-  }
-  controller.RecordQueueDelay(500'000, now);  // crosses min_samples
-  EXPECT_GT(controller.P95DelayUs(), 50'000u);
-  ASSERT_TRUE(controller.ShouldShed(now, &hint));
-  EXPECT_GE(hint, kAdmissionMinRetryAfterMs);
-  EXPECT_LE(hint, kAdmissionMaxRetryAfterMs);
-
-  // A window of healthy delays clears the brownout without any clock
-  // movement — recovery through fresh samples.
-  for (size_t i = 0; i < options.window; ++i) {
-    controller.RecordQueueDelay(1'000, now);
-  }
-  EXPECT_FALSE(controller.ShouldShed(now, &hint));
-
-  // A saturated window that stops receiving samples (shedding cut all
-  // inflow) goes stale and reopens admission by itself.
-  for (size_t i = 0; i < options.window; ++i) {
-    controller.RecordQueueDelay(500'000, now);
-  }
-  EXPECT_TRUE(controller.ShouldShed(now, &hint));
-  now += (options.stale_after_ms + 1) * 1000;
-  EXPECT_FALSE(controller.ShouldShed(now, &hint));
-}
-
-TEST(AdmissionTest, DisabledThresholdNeverSheds) {
-  QueueDelayController controller(AdmissionOptions{});  // threshold 0
-  uint64_t hint = 0;
-  for (int i = 0; i < 256; ++i) {
-    controller.RecordQueueDelay(10'000'000, 1'000'000);
-  }
-  EXPECT_FALSE(controller.ShouldShed(1'000'000, &hint));
-  EXPECT_EQ(controller.P95DelayUs(), 0u);
-}
-
-TEST(EngineTest, AdaptiveShedReturnsImmediateHandleWithHint) {
-  EngineOptions opts;
-  opts.admission.queue_delay_threshold_ms = 10;
-  opts.admission.min_samples = 16;
-  opts.admission.stale_after_ms = 60'000;  // primed window must not expire
-  Engine engine(opts);
-  ASSERT_TRUE(engine.OpenDatabase(SmallPers()).ok());
-
-  // Prime the controller with a saturated window instead of racing real
-  // load against the worker pool: the engine samples the same steady
-  // clock, so hand-recorded delays stamped "now" stay fresh.
-  auto steady_now_us = [] {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  };
-  for (int i = 0; i < 32; ++i) {
-    engine.admission().RecordQueueDelay(200'000, steady_now_us());
-  }
-
-  uint64_t hint = 0;
-  EXPECT_TRUE(engine.CheckAdmission(&hint));
-  EXPECT_GE(hint, kAdmissionMinRetryAfterMs);
-
-  QueryHandle handle = engine.Submit(Parse("employee[/name]"), QueryOptions());
-  ASSERT_TRUE(handle.valid());
-  EXPECT_TRUE(handle.Done());  // shed completes the handle immediately
-  const Result<QueryResult>& outcome = handle.Wait();
-  ASSERT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(handle.error_info().verdict, "adaptive-shed");
-  EXPECT_GT(handle.error_info().retry_after_ms, 0u);
-}
-
 }  // namespace
 }  // namespace sjos

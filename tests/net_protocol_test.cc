@@ -777,9 +777,48 @@ TEST(CodecTest, DecodesFullSubmit) {
   EXPECT_EQ(options.deadline_ms, 250u);
 }
 
+TEST(CodecTest, EveryWireQueryGetsAByteBound) {
+  WireRequest req;
+  // 0 asks for no bound of its own and gets the server-wide cap.
+  EXPECT_EQ(req.ToQueryOptions().max_live_bytes, kMaxQueryLiveBytes);
+  // A smaller request is kept; a larger one is clamped to the cap.
+  req.max_live_bytes = 4096;
+  EXPECT_EQ(req.ToQueryOptions().max_live_bytes, 4096u);
+  req.max_live_bytes = kMaxQueryLiveBytes + 1;
+  EXPECT_EQ(req.ToQueryOptions().max_live_bytes, kMaxQueryLiveBytes);
+}
+
+TEST(CodecTest, UpdateKeysPastTheNodeIdRangeAreRejected) {
+  // 2^32 narrowed to a 32-bit NodeId is key 0, the root: it must be
+  // refused, not wrapped onto another node.
+  Result<WireRequest> parent = DecodeRequest(
+      "{\"verb\":\"update\",\"id\":\"u1\",\"action\":\"insert\","
+      "\"parent\":4294967296,\"xml\":\"<x/>\"}");
+  ASSERT_FALSE(parent.ok());
+  EXPECT_EQ(parent.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parent.status().message().find("'parent'"), std::string::npos)
+      << parent.status().ToString();
+
+  Result<WireRequest> node = DecodeRequest(
+      "{\"verb\":\"update\",\"id\":\"u2\",\"action\":\"delete\","
+      "\"node\":4294967296}");
+  ASSERT_FALSE(node.ok());
+  EXPECT_EQ(node.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(node.status().message().find("'node'"), std::string::npos)
+      << node.status().ToString();
+
+  // The largest NodeId still decodes.
+  Result<WireRequest> max_key = DecodeRequest(
+      "{\"verb\":\"update\",\"id\":\"u3\",\"action\":\"delete\","
+      "\"node\":4294967295}");
+  ASSERT_TRUE(max_key.ok()) << max_key.status().ToString();
+  EXPECT_EQ(max_key.value().node, 4294967295u);
+}
+
 TEST(CodecTest, ErrorResponseShapesAreParseable) {
   const std::string shed = EncodeErrorResponse(
-      "q9", Status::ResourceExhausted("over quota"), /*retry_after_ms=*/120);
+      "q9", Status::ResourceExhausted("at the connection limit"),
+      /*retry_after_ms=*/120);
   Result<JsonValue> v = ParseJson(shed);
   ASSERT_TRUE(v.ok());
   EXPECT_FALSE(v.value().Find("ok")->bool_value());
@@ -1085,7 +1124,6 @@ TEST(EncoderGoldenTest, DoneErrors) {
   QueryErrorInfo shed;
   shed.verdict = "adaptive-shed";
   shed.query_id = "q-3";
-  shed.retry_after_ms = 75;
   shed.flight.spans.push_back({"plan", 0.5, 1.25});
   shed.flight.counter_deltas.push_back({"sjos_x_total", 3});
   EXPECT_EQ(
@@ -1094,7 +1132,7 @@ TEST(EncoderGoldenTest, DoneErrors) {
       "{\"id\":\"e2\",\"ok\":false,\"done\":true,\"code\":"
       "\"ResourceExhausted\",\"error\":\"adaptive admission shed\","
       "\"verdict\":\"adaptive-shed\",\"query_id\":\"q-3\","
-      "\"retry_after_ms\":75,\"flight\":{\"spans\":[{\"name\":\"plan\","
+      "\"flight\":{\"spans\":[{\"name\":\"plan\","
       "\"start_ms\":0.500,\"dur_ms\":1.250}],\"counter_deltas\":"
       "{\"sjos_x_total\":3}}}");
 }
@@ -1134,7 +1172,6 @@ TEST(JsonTest, MutatedResponsesParseOrFailCleanly) {
   QueryErrorInfo shed;
   shed.verdict = "adaptive-shed";
   shed.query_id = "q-3";
-  shed.retry_after_ms = 75;
   shed.flight.spans.push_back({"plan", 0.5, 1.25});
   const std::string corpus[] = {
       EncodeDoneResult("r1", MixedResult(), 1 << 20),

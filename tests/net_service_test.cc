@@ -1,8 +1,8 @@
 // Loopback service tests: the submit/poll/cancel lifecycle over real
-// sockets, per-tenant quota shedding (shed, never queued), cancel-on-
-// disconnect freeing admission slots, result byte-identity with the
-// in-process Engine for all five optimizer kinds, and the stats verb
-// passing the Prometheus conformance checker.
+// sockets, cancel-on-disconnect freeing live slots, result byte-identity
+// with the in-process Engine for all five optimizer kinds, the update verb
+// (insert/delete/flush, replay by id), tenant labels that mint no metric
+// series, and the stats verb passing the Prometheus conformance checker.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "common/metrics.h"
 #include "net/client.h"
 #include "net/json.h"
-#include "net/resilient_client.h"
 #include "net/server.h"
 #include "query/pattern_parser.h"
 #include "query/workload.h"
@@ -152,73 +151,8 @@ TEST_F(ServiceTest, CancelShortensSlowQuery) {
   EXPECT_EQ(server_->live_queries(), 0u);
 }
 
-TEST_F(ServiceTest, TenantOverInFlightQuotaIsShedNotQueued) {
-  ServerOptions options;
-  options.default_quota.max_in_flight = 1;
-  StartServer(options);
-  // Every index scan stalls 100 ms when it opens: a fixed stall per query,
-  // whatever the batch size, that keeps "a" in flight.
-  ASSERT_TRUE(
-      FailpointRegistry::Global().Enable("exec.scan", "delay:100").ok());
-  Client client = Connect();
-
-  ASSERT_TRUE(OkOf(client
-                       .Call(SubmitJson("a", "manager[//employee[/name]]",
-                                        ",\"use_plan_cache\":false"))
-                       .value()));
-
-  // Second submit for the same (default) tenant: an immediate shed with a
-  // retry hint — not queued behind the first.
-  Result<JsonValue> shed =
-      client.Call(SubmitJson("b", "manager[//employee[/name]]"));
-  ASSERT_TRUE(shed.ok());
-  EXPECT_FALSE(OkOf(shed.value()));
-  EXPECT_EQ(StringField(shed.value(), "code"), "ResourceExhausted");
-  ASSERT_NE(shed.value().Find("retry_after_ms"), nullptr);
-  EXPECT_GT(shed.value().Find("retry_after_ms")->number_value(), 0.0);
-
-  // A different tenant has its own bucket and is admitted.
-  Result<JsonValue> other = client.Call(SubmitJson(
-      "c", "manager[//employee[/name]]", ",\"tenant\":\"other\""));
-  ASSERT_TRUE(other.ok());
-  EXPECT_TRUE(OkOf(other.value())) << StringField(other.value(), "error");
-
-  // Draining the first frees the slot; the tenant can submit again.
-  ASSERT_TRUE(client.Call(PollJson("a", 20'000)).ok());
-  ASSERT_TRUE(client.Call(PollJson("c", 20'000)).ok());
-  FailpointRegistry::Global().DisableAll();
-  Result<JsonValue> after =
-      client.Call(SubmitJson("d", "manager[//employee[/name]]"));
-  ASSERT_TRUE(after.ok());
-  EXPECT_TRUE(OkOf(after.value()));
-  ASSERT_TRUE(client.Call(PollJson("d", 20'000)).ok());
-}
-
-TEST_F(ServiceTest, TenantOverQpsQuotaIsShedWithRetryHint) {
-  ServerOptions options;
-  options.default_quota.qps = 1.0;
-  StartServer(options);
-  Client client = Connect();
-
-  Result<JsonValue> first =
-      client.Call(SubmitJson("a", "manager[//employee[/name]]"));
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(OkOf(first.value()));
-
-  Result<JsonValue> second =
-      client.Call(SubmitJson("b", "manager[//employee[/name]]"));
-  ASSERT_TRUE(second.ok());
-  EXPECT_FALSE(OkOf(second.value()));
-  EXPECT_EQ(StringField(second.value(), "code"), "ResourceExhausted");
-  EXPECT_GT(second.value().Find("retry_after_ms")->number_value(), 0.0);
-
-  ASSERT_TRUE(client.Call(PollJson("a", 20'000)).ok());
-}
-
-TEST_F(ServiceTest, DisconnectCancelsLiveQueriesAndFreesQuota) {
-  ServerOptions options;
-  options.default_quota.max_in_flight = 2;
-  StartServer(options);
+TEST_F(ServiceTest, DisconnectCancelsLiveQueriesAndFreesSlots) {
+  StartServer();
   ASSERT_TRUE(
       FailpointRegistry::Global().Enable("exec.batch", "delay:50").ok());
 
@@ -235,22 +169,20 @@ TEST_F(ServiceTest, DisconnectCancelsLiveQueriesAndFreesQuota) {
                              "manager[//employee[/name]][//department]",
                              ",\"use_plan_cache\":false"))
                          .value()));
-    EXPECT_EQ(server_->quotas().TotalInFlight(), 2u);
+    EXPECT_EQ(server_->live_queries(), 2u);
   }  // abrupt disconnect: both queries must be cancelled and drained
 
   // The connection thread cancels + waits on its way out; give it a
   // bounded window to unwind.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while ((server_->live_queries() > 0 ||
-          server_->quotas().TotalInFlight() > 0) &&
+  while (server_->live_queries() > 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(server_->live_queries(), 0u);
-  EXPECT_EQ(server_->quotas().TotalInFlight(), 0u);
 
-  // The freed slots are immediately usable by a new connection.
+  // The server keeps serving new connections.
   Client fresh = Connect();
   Result<JsonValue> next = fresh.Call(
       SubmitJson("fresh", "manager[//employee[/name]]"));
@@ -363,8 +295,8 @@ TEST_F(ServiceTest, DuplicateIdAttachesInsteadOfDoubleExecuting) {
   ASSERT_TRUE(OkOf(
       client.Call(SubmitJson("dup", "manager[//employee[/name]]")).value()));
   // Idempotent re-submit: attaches to the live query — no second
-  // execution, no extra quota charge, and an explicit attached marker so
-  // a resilient client knows its retry landed.
+  // execution, and an explicit attached marker so a re-sending client
+  // knows its retry landed.
   Result<JsonValue> second =
       client.Call(SubmitJson("dup", "manager[//employee[/name]]"));
   ASSERT_TRUE(second.ok());
@@ -543,7 +475,7 @@ TEST_F(ServiceTest, PollFromSecondConnectionTransfersOwnership) {
                          .value()));
     // One poll from the second connection adopts the query, so the
     // submitter's disconnect below must NOT cancel it — the reconnected-
-    // client ride-through the resilient client depends on.
+    // client ride-through that replay by id depends on.
     Result<JsonValue> adopt = taker.Call(PollJson("handoff", 0));
     ASSERT_TRUE(adopt.ok());
     ASSERT_TRUE(OkOf(adopt.value()))
@@ -585,7 +517,7 @@ TEST_F(ServiceTest, DisconnectCancelledQueryRerunsOnResubmit) {
 
   Client retry = Connect();
   // A poll must NOT replay the never-delivered Cancelled terminal: it
-  // answers NotFound, telling a resilient client to re-submit.
+  // answers NotFound, telling the client to re-submit.
   Result<JsonValue> ghost = retry.Call(PollJson("orphan", 0));
   ASSERT_TRUE(ghost.ok());
   EXPECT_FALSE(OkOf(ghost.value()));
@@ -672,28 +604,157 @@ TEST_F(ServiceTest, IdleConnectionIsReapedBySlowLorisDefense) {
   EXPECT_TRUE(OkOf(pong.value()));
 }
 
-TEST_F(ServiceTest, ResilientClientRidesReconnectAndReplay) {
+TEST_F(ServiceTest, ReconnectedClientReplaysCompletedIdByteForByte) {
   StartServer();
-  // In-process end-to-end over the real socket: run a query through
-  // ResilientClient::Execute, then force a reconnect by closing the
-  // client side and execute again — the second id is fresh, the first
-  // replays from the ring through the new connection.
-  ResilientClient client("127.0.0.1", server_->port());
-  const std::string submit1 =
-      SubmitJson("res-1", "manager[//employee[/name]]");
-  Result<JsonValue> first = client.Execute("res-1", submit1);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  ASSERT_TRUE(OkOf(first.value()));
-  const double rows =
-      first.value().Find("result")->Find("row_count")->number_value();
+  const std::string submit = SubmitJson("re-1", "manager[//employee[/name]]");
+  std::string first;
+  {
+    Client client = Connect();
+    ASSERT_TRUE(OkOf(client.Call(submit).value()));
+    ASSERT_TRUE(client.Send(PollJson("re-1", 20'000)).ok());
+    Result<std::string> terminal = client.Receive();
+    ASSERT_TRUE(terminal.ok()) << terminal.status().ToString();
+    first = std::move(terminal).value();
+  }  // the connection drops after the result was delivered
 
-  client.Close();  // simulate a dropped connection
-  Result<JsonValue> replay = client.Execute("res-1", submit1);
-  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-  ASSERT_TRUE(OkOf(replay.value()));
-  EXPECT_DOUBLE_EQ(
-      replay.value().Find("result")->Find("row_count")->number_value(), rows);
-  EXPECT_GE(client.stats().reconnects, 1u);
+  // A re-dialed client re-submits the same id: the server replays the
+  // stored terminal response instead of running the query again.
+  Client again = Connect();
+  ASSERT_TRUE(again.Send(submit).ok());
+  Result<std::string> replayed = again.Receive();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(replayed.value(), first);
+  EXPECT_EQ(server_->live_queries(), 0u);
+}
+
+/// Number of counter series in the three families that once carried a
+/// tenant label.
+size_t RequestSeriesCount() {
+  size_t n = 0;
+  for (const auto& [name, value] : MetricsRegistry::Global().CounterValues()) {
+    for (const char* family :
+         {"sjos_server_requests_total", "sjos_engine_queries_total",
+          "sjos_engine_submits_total"}) {
+      if (name.rfind(family, 0) == 0) ++n;
+    }
+  }
+  return n;
+}
+
+TEST_F(ServiceTest, TenantNamesMintNoMetricSeries) {
+  StartServer();
+  Client client = Connect();
+  auto run = [&](const std::string& id, const std::string& tenant) {
+    std::string extra = ",\"tenant\":";
+    AppendJsonString(tenant, &extra);
+    ASSERT_TRUE(
+        OkOf(client.Call(SubmitJson(id, "employee[/name]", extra)).value()));
+    ASSERT_TRUE(OkOf(client.Call(PollJson(id, 20'000)).value()));
+  };
+  run("warm-0", "tenant-warm");
+  run("warm-1", "tenant-warm");
+  const size_t series = RequestSeriesCount();
+  const size_t all_series = MetricsRegistry::Global().CounterValues().size();
+
+  constexpr int kTenants = 32;
+  for (int t = 0; t < kTenants; ++t) {
+    run("t-" + std::to_string(t), "tenant-" + std::to_string(t));
+  }
+  EXPECT_EQ(RequestSeriesCount(), series);
+  EXPECT_LT(MetricsRegistry::Global().CounterValues().size(),
+            all_series + kTenants);
+
+  // The tenant still reaches the audit record.
+  bool logged = false;
+  for (const QueryLogRecord& rec : engine_->query_log().Recent(8)) {
+    if (rec.query_id == "t-31") logged = rec.tenant == "tenant-31";
+  }
+  EXPECT_TRUE(logged);
+}
+
+std::string UpdateJson(const std::string& id, const std::string& fields) {
+  std::string out = "{\"verb\":\"update\",\"id\":";
+  AppendJsonString(id, &out);
+  out += fields;
+  out += "}";
+  return out;
+}
+
+TEST_F(ServiceTest, UpdateVerbInsertsDeletesFlushesAndReplaysById) {
+  StartServer();
+  Client client = Connect();
+  auto live_nodes = [&] {
+    Result<JsonValue> pong = client.Call("{\"verb\":\"ping\",\"id\":\"p\"}");
+    EXPECT_TRUE(pong.ok());
+    return pong.value().Find("nodes")->number_value();
+  };
+  // Submits `query` and returns its terminal poll reply.
+  int seq = 0;
+  auto query = [&](const std::string& text) {
+    const std::string id = "uq-" + std::to_string(seq++);
+    EXPECT_TRUE(OkOf(client.Call(SubmitJson(id, text)).value()));
+    Result<JsonValue> polled = client.Call(PollJson(id, 20'000));
+    EXPECT_TRUE(polled.ok());
+    EXPECT_TRUE(OkOf(polled.value())) << StringField(polled.value(), "error");
+    return std::move(polled).value();
+  };
+  const double base_nodes = live_nodes();
+
+  // Insert under the root (order key 0).
+  const std::string insert = UpdateJson(
+      "ins-1",
+      ",\"action\":\"insert\",\"parent\":0,\"xml\":\"<zz><yy/></zz>\"");
+  ASSERT_TRUE(client.Send(insert).ok());
+  Result<std::string> inserted = client.Receive();
+  ASSERT_TRUE(inserted.ok());
+  Result<JsonValue> parsed = ParseJson(inserted.value());
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_TRUE(OkOf(parsed.value())) << inserted.value();
+  EXPECT_EQ(parsed.value().Find("nodes_added")->number_value(), 2.0);
+  EXPECT_EQ(live_nodes(), base_nodes + 2);
+
+  // A re-sent id replays the stored bytes and inserts nothing.
+  ASSERT_TRUE(client.Send(insert).ok());
+  Result<std::string> replayed = client.Receive();
+  ASSERT_TRUE(replayed.ok());
+  EXPECT_EQ(replayed.value(), inserted.value());
+  EXPECT_EQ(live_nodes(), base_nodes + 2);
+
+  // A later query sees the inserted subtree.
+  JsonValue found = query("zz[/yy]");
+  ASSERT_EQ(found.Find("result")->Find("row_count")->number_value(), 1.0);
+
+  // A flush folds the overlay into the base and keeps the subtree.
+  Result<JsonValue> flushed =
+      client.Call(UpdateJson("flush-1", ",\"action\":\"flush\""));
+  ASSERT_TRUE(flushed.ok());
+  ASSERT_TRUE(OkOf(flushed.value())) << StringField(flushed.value(), "error");
+  EXPECT_EQ(live_nodes(), base_nodes + 2);
+  found = query("zz[/yy]");
+  const JsonValue* rows = found.Find("result")->Find("rows");
+  ASSERT_EQ(rows->array().size(), 1u);
+  const uint64_t zz_key =
+      static_cast<uint64_t>(rows->array()[0].array()[0].number_value());
+
+  // Deleting the subtree's root removes both nodes.
+  Result<JsonValue> deleted = client.Call(UpdateJson(
+      "del-1", ",\"action\":\"delete\",\"node\":" + std::to_string(zz_key)));
+  ASSERT_TRUE(deleted.ok());
+  ASSERT_TRUE(OkOf(deleted.value())) << StringField(deleted.value(), "error");
+  EXPECT_EQ(deleted.value().Find("nodes_removed")->number_value(), 2.0);
+  EXPECT_EQ(live_nodes(), base_nodes);
+  EXPECT_EQ(query("zz[/yy]").Find("result")->Find("row_count")->number_value(),
+            0.0);
+
+  // A parent key past the NodeId range is refused, not wrapped to the
+  // root.
+  Result<JsonValue> wide = client.Call(UpdateJson(
+      "ins-2",
+      ",\"action\":\"insert\",\"parent\":4294967296,\"xml\":\"<x/>\""));
+  ASSERT_TRUE(wide.ok());
+  EXPECT_FALSE(OkOf(wide.value()));
+  EXPECT_EQ(StringField(wide.value(), "code"), "InvalidArgument");
+  EXPECT_EQ(live_nodes(), base_nodes);
 }
 
 }  // namespace

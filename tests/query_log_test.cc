@@ -64,7 +64,6 @@ TEST(QueryLogTest, RecordSerializesToParseableJson) {
   rec.verdict = "deadline";
   rec.ok = false;
   rec.status_code = "DeadlineExceeded";
-  rec.retry_after_ms = 50;
   rec.flight.spans.push_back({"plan", 0.0, 1.5});
   rec.flight.spans.push_back({"execute", 1.5, 11.0});
   rec.flight.counter_deltas.emplace_back("sjos_engine_queries_total", 1);
@@ -80,7 +79,6 @@ TEST(QueryLogTest, RecordSerializesToParseableJson) {
   EXPECT_EQ(v.Find("verdict")->string_value(), "deadline");
   EXPECT_FALSE(v.Find("ok")->bool_value());
   EXPECT_EQ(v.Find("est_rows")->number_value(), 100.0);
-  EXPECT_EQ(v.Find("retry_after_ms")->number_value(), 50.0);
   ASSERT_NE(v.Find("flight"), nullptr);
   const net::JsonValue& flight = *v.Find("flight");
   ASSERT_TRUE(flight.is_object());
@@ -93,10 +91,9 @@ TEST(QueryLogTest, RecordSerializesToParseableJson) {
   EXPECT_EQ(v.Find("ts_us")->number_value(), 0.0);
 }
 
-TEST(QueryLogTest, SuccessRecordOmitsFlightAndRetry) {
+TEST(QueryLogTest, SuccessRecordOmitsFlight) {
   const std::string line = MakeRecord("q-1", 3.0).ToJsonl();
   EXPECT_EQ(line.find("flight"), std::string::npos) << line;
-  EXPECT_EQ(line.find("retry_after_ms"), std::string::npos) << line;
   ASSERT_TRUE(net::ParseJson(line).ok()) << line;
 }
 
