@@ -5,8 +5,9 @@
 // kernels.
 //
 // With --json <file> the binary instead times every production kernel in
-// exec/vector_kernels.h on document-derived columns and writes its
-// rows/sec (the BENCH_kernels.json trajectory artifact). The two SSE2
+// exec/vector_kernels.h on document-derived columns, and the whole-input
+// Stack-Tree merge in both variants, and writes their rows/sec (the
+// BENCH_kernels.json trajectory artifact). The two SSE2
 // kernels are also timed against their scalar references, and a checksum
 // over one sweep of each verifies that kernel and reference agree.
 
@@ -304,6 +305,23 @@ int RunKernelComparison(const std::string& path) {
         return h;
       },
       reps));
+
+  // The Stack-Tree merge itself, whole-input t0//t1 in both variants: its
+  // rows are inputs plus output, the work the paper's cost model charges.
+  const ColumnBatch t0_rows = Candidates(db, "t0", 0);
+  const ColumnBatch t1_rows = Candidates(db, "t1", 1);
+  for (bool by_anc : {false, true}) {
+    auto join = [&] {
+      return static_cast<uint64_t>(
+          StackTreeJoin(db.doc(), t0_rows, 0, t1_rows, 0, Axis::kDescendant,
+                        by_anc)
+              .value()
+              .size());
+    };
+    rows.push_back(TimeKernel(by_anc ? "stack_tree_anc" : "stack_tree_desc",
+                              t0_rows.size() + t1_rows.size() + join(), join,
+                              reps));
+  }
 
   std::string out = "{\n  \"bench\": \"bench_join_micro\",\n";
   out += "  \"mode\": \"kernels\",\n";

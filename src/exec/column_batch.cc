@@ -44,20 +44,27 @@ void ColumnBatch::AppendBatch(const ColumnBatch& other) {
   AppendRange(other, 0, other.size());
 }
 
-void ColumnBatch::AppendCross(const ColumnBatch& left, size_t left_row,
-                              const ColumnBatch& right, size_t right_begin,
-                              size_t n) {
+void ColumnBatch::AppendCrossRuns(const ColumnBatch& left,
+                                  const ColumnBatch& right,
+                                  const CrossRun* runs, size_t nruns) {
   SJOS_CHECK(left.arity() + right.arity() == arity(),
-             "AppendCross arity mismatch");
-  for (size_t c = 0; c < left.arity(); ++c) {
-    cols_[c].insert(cols_[c].end(), n, left.cols_[c][left_row]);
-  }
-  for (size_t c = 0; c < right.arity(); ++c) {
-    const auto& src = right.cols_[c];
-    cols_[left.arity() + c].insert(
-        cols_[left.arity() + c].end(),
-        src.begin() + static_cast<long>(right_begin),
-        src.begin() + static_cast<long>(right_begin + n));
+             "AppendCrossRuns arity mismatch");
+  size_t n = 0;
+  for (size_t r = 0; r < nruns; ++r) n += runs[r].n;
+  for (size_t c = 0; c < arity(); ++c) {
+    cols_[c].resize(rows_ + n);
+    NodeId* dst = cols_[c].data() + rows_;
+    if (c < left.arity()) {
+      const NodeId* src = left.Col(c);
+      for (size_t r = 0; r < nruns; ++r) {
+        dst = std::fill_n(dst, runs[r].n, src[runs[r].left_row]);
+      }
+    } else {
+      const NodeId* src = right.Col(c - left.arity());
+      for (size_t r = 0; r < nruns; ++r) {
+        dst = std::copy_n(src + runs[r].right_begin, runs[r].n, dst);
+      }
+    }
   }
   rows_ += n;
 }

@@ -60,12 +60,19 @@ class ColumnBatch {
   /// Appends every row of `other`, which must have the same arity (checked).
   void AppendBatch(const ColumnBatch& other);
 
-  /// Appends the cross product of one ancestor row and a contiguous run of
-  /// descendant rows: each left column contributes `n` copies of its value
-  /// at `left_row`, each right column a straight copy of rows
-  /// [right_begin, right_begin+n). The join's expansion kernel.
-  void AppendCross(const ColumnBatch& left, size_t left_row,
-                   const ColumnBatch& right, size_t right_begin, size_t n);
+  /// One ancestor row times a contiguous run of descendant rows.
+  struct CrossRun {
+    uint32_t left_row;
+    uint32_t right_begin;
+    uint32_t n;
+  };
+
+  /// Appends the cross products runs[0..nruns), in order: for each run,
+  /// each left column contributes `n` copies of its value at `left_row`,
+  /// each right column a straight copy of rows [right_begin, right_begin+n).
+  /// Each output column is written in one pass. The join's expansion kernel.
+  void AppendCrossRuns(const ColumnBatch& left, const ColumnBatch& right,
+                       const CrossRun* runs, size_t nruns);
 
   /// Appends the rows of `other` selected by sel[0..sel_n), in sel order.
   void AppendGather(const ColumnBatch& other, const uint32_t* sel,

@@ -130,8 +130,15 @@ Result<StackTreeMerge::Wait> StackTreeMerge::Run(bool anc_eos, bool desc_eos,
       held_back = end == an && !anc_eos;
       if (held_back) break;
       const NodeId a = akey[anc_.next_row];
+      const NodeId a_end = view_.EndKeyOf(a);
+      if (a_end < d) {
+        // Closed before d, so before every later descendant: dead rows.
+        anc_.dead_rows += end - anc_.next_row;
+        anc_.next_row = end;
+        continue;
+      }
       while (!stack_ag_.empty() && stack_end_.back() < a) PopEntry();
-      Push(Cut(&anc_, a, end), stats);
+      Push(Cut(&anc_, a, end), a_end, stats);
     }
     if (held_back || (anc_.next_row == an && !anc_eos)) {
       if (ready_pos_ < ready_.size()) continue;  // emit what pops released
@@ -142,6 +149,21 @@ Result<StackTreeMerge::Wait> StackTreeMerge::Run(bool anc_eos, bool desc_eos,
     Match(cur_dg_, stats);
     Unref(&desc_, cur_dg_);
     have_dg_ = false;
+    if (stack_ag_.empty()) {
+      // No open ancestor: the descendants before the next ancestor's start
+      // (every one left, once the ancestors have ended) match nothing.
+      const ColumnBatch& dw = *desc_.rows;
+      const NodeId* dkey = dw.Col(desc_.slot);
+      const size_t to =
+          anc_.next_row < an
+              ? static_cast<size_t>(
+                    std::lower_bound(dkey + desc_.next_row, dkey + dw.size(),
+                                     akey[anc_.next_row]) -
+                    dkey)
+              : dw.size();
+      desc_.dead_rows += to - desc_.next_row;
+      desc_.next_row = to;
+    }
   }
 }
 
@@ -157,12 +179,10 @@ void StackTreeMerge::Unref(Side* side, uint32_t group) {
   if (--g.refs == 0) side->dead_rows += g.end - g.begin;
 }
 
-void StackTreeMerge::Push(uint32_t ag, JoinStats* stats) {
-  const NodeId a = anc_.groups[ag].elem;
+void StackTreeMerge::Push(uint32_t ag, NodeId end, JoinStats* stats) {
   stack_ag_.push_back(ag);
-  stack_end_.push_back(view_.EndKeyOf(a));
-  stack_level_.push_back(view_.LevelOf(a));
-  buffers_.emplace_back();
+  stack_end_.push_back(end);
+  stack_level_.push_back(view_.LevelOf(anc_.groups[ag].elem));
   if (stats != nullptr) {
     ++stats->stack_pushes;
     stats->max_stack_depth =
@@ -171,20 +191,29 @@ void StackTreeMerge::Push(uint32_t ag, JoinStats* stats) {
 }
 
 void StackTreeMerge::PopEntry() {
-  PairBuffers popped = std::move(buffers_.back());
-  buffers_.pop_back();
-  Unref(&anc_, stack_ag_.back());
+  const uint32_t ag = stack_ag_.back();
+  Unref(&anc_, ag);
   stack_ag_.pop_back();
   stack_end_.pop_back();
   stack_level_.pop_back();
-  if (!by_ancestor_) return;  // Desc variant emits eagerly
-  // Release the popped entry's pairs, self before inherit: to the output
-  // if it was the bottom, otherwise into the new top's inherit list (keeps
-  // ancestor order).
-  std::vector<GroupPair>& dst =
-      buffers_.empty() ? ready_ : buffers_.back().inherit;
-  dst.insert(dst.end(), popped.self.begin(), popped.self.end());
-  dst.insert(dst.end(), popped.inherit.begin(), popped.inherit.end());
+  // Only the bottom's pop releases pairs (the Desc variant holds none).
+  if (stack_ag_.empty() && !held_.empty()) Release(ag);
+}
+
+void StackTreeMerge::Release(uint32_t bottom_ag) {
+  // The paper's self/inherit lists, expanded at the bottom's pop, walk the
+  // nested entries in pre-order: each entry's own pairs in arrival order,
+  // then its nested entries' in push order. Pre-order of nested ancestors
+  // is their document order, which is group order, so a stable counting
+  // sort on the group yields exactly that sequence.
+  bucket_.assign(anc_.groups.size() - bottom_ag + 1, 0);
+  for (const GroupPair& p : held_) ++bucket_[p.ag - bottom_ag + 1];
+  for (size_t k = 1; k < bucket_.size(); ++k) bucket_[k] += bucket_[k - 1];
+  // Pops come only after emission drained the ready pairs.
+  SJOS_CHECK(ready_.empty(), "release with rows due for output");
+  ready_.resize(held_.size());
+  for (const GroupPair& p : held_) ready_[bucket_[p.ag - bottom_ag]++] = p;
+  held_.clear();
 }
 
 void StackTreeMerge::Match(uint32_t dg, JoinStats* stats) {
@@ -210,7 +239,7 @@ void StackTreeMerge::Match(uint32_t dg, JoinStats* stats) {
     if (by_ancestor_) {
       ++anc_.groups[pair.ag].refs;
       ++desc_.groups[dg].refs;
-      buffers_[k].self.push_back(pair);
+      held_.push_back(pair);
     } else {
       // Emitted before the merge moves on, and Compact runs only once
       // they are out, so Desc pairs take no references.
@@ -223,46 +252,62 @@ void StackTreeMerge::Match(uint32_t dg, JoinStats* stats) {
 
 Status StackTreeMerge::Emit(size_t cap, ColumnBatch* out, JoinStats* stats,
                             bool* drained) {
-  const ColumnBatch& anc = *anc_.rows;
-  const ColumnBatch& desc = *desc_.rows;
-  for (; ready_pos_ < ready_.size(); ++ready_pos_) {
-    const GroupPair pair = ready_[ready_pos_];
-    const Group& ga = anc_.groups[pair.ag];
-    const Group& gd = desc_.groups[pair.dg];
-    const size_t na = ga.end - ga.begin;
-    const size_t nd = gd.end - gd.begin;
-    // Each ancestor row expands as columnar appends: constant fill of the
-    // ancestor cells, contiguous copy of the descendant run. The row
-    // budget clamps inside the expansion — a single pair of large groups
-    // can exceed it on its own — so exactly the rows that fit are emitted
-    // and counted before the join fails.
-    for (; emit_ar_ < na; ++emit_ar_, emit_dr_ = 0) {
-      while (emit_dr_ < nd) {
-        if (out->size() >= cap) {
-          *drained = false;
-          return Status::OK();
+  constexpr size_t kMaxRuns = 1024;
+  const uint64_t budget = max_output_rows_ == 0
+                              ? std::numeric_limits<uint64_t>::max()
+                              : max_output_rows_;
+  for (;;) {
+    // Plan a pass of runs, then write each output column once. Each run
+    // is one ancestor row times a contiguous descendant run, clamped to
+    // the room left in `out` and to the row budget — a single pair of
+    // large groups can exceed it on its own — so exactly the rows that fit
+    // are emitted and counted before the join fails.
+    const size_t room = out->size() >= cap ? 0 : cap - out->size();
+    size_t planned = 0;
+    bool over_budget = false;
+    runs_.clear();
+    while (ready_pos_ < ready_.size()) {
+      const GroupPair pair = ready_[ready_pos_];
+      const Group& ga = anc_.groups[pair.ag];
+      const Group& gd = desc_.groups[pair.dg];
+      if (emit_ar_ == ga.end - ga.begin) {  // every row of the pair planned
+        emit_ar_ = 0;
+        ++ready_pos_;
+        --buffered_pairs_;
+        if (by_ancestor_) {
+          Unref(&anc_, pair.ag);
+          Unref(&desc_, pair.dg);
         }
-        size_t take = std::min(nd - emit_dr_, cap - out->size());
-        if (max_output_rows_ != 0) {
-          if (emitted_rows_ >= max_output_rows_) {
-            return Status::OutOfRange(
-                "structural join output exceeded the configured row budget");
-          }
-          take = static_cast<size_t>(
-              std::min<uint64_t>(take, max_output_rows_ - emitted_rows_));
-        }
-        out->AppendCross(anc, ga.begin + emit_ar_, desc, gd.begin + emit_dr_,
-                         take);
-        emit_dr_ += take;
-        emitted_rows_ += take;
-        if (stats != nullptr) stats->output_rows += take;
+        continue;
+      }
+      if (planned == room || runs_.size() == kMaxRuns) break;
+      over_budget = emitted_rows_ + planned == budget;
+      if (over_budget) break;
+      const size_t nd = gd.end - gd.begin;
+      const size_t take = static_cast<size_t>(std::min<uint64_t>(
+          std::min(nd - emit_dr_, room - planned),
+          budget - emitted_rows_ - planned));
+      runs_.push_back({ga.begin + static_cast<uint32_t>(emit_ar_),
+                       gd.begin + static_cast<uint32_t>(emit_dr_),
+                       static_cast<uint32_t>(take)});
+      planned += take;
+      emit_dr_ += take;
+      if (emit_dr_ == nd) {
+        emit_dr_ = 0;
+        ++emit_ar_;
       }
     }
-    emit_ar_ = 0;
-    --buffered_pairs_;
-    if (by_ancestor_) {
-      Unref(&anc_, pair.ag);
-      Unref(&desc_, pair.dg);
+    out->AppendCrossRuns(*anc_.rows, *desc_.rows, runs_.data(), runs_.size());
+    emitted_rows_ += planned;
+    if (stats != nullptr) stats->output_rows += planned;
+    if (over_budget) {
+      return Status::OutOfRange(
+          "structural join output exceeded the configured row budget");
+    }
+    if (ready_pos_ == ready_.size()) break;
+    if (planned == room) {
+      *drained = false;
+      return Status::OK();
     }
   }
   ready_.clear();
@@ -304,10 +349,7 @@ void StackTreeMerge::Compact(ColumnBatch* window) {
   } else if (have_dg_) {
     cur_dg_ = remap[cur_dg_];
   }
-  for (PairBuffers& b : buffers_) {
-    for (GroupPair& p : b.self) p.*field = remap[p.*field];
-    for (GroupPair& p : b.inherit) p.*field = remap[p.*field];
-  }
+  for (GroupPair& p : held_) p.*field = remap[p.*field];
 }
 
 Result<ColumnBatch> StackTreeJoin(DocView view, const ColumnBatch& anc,

@@ -6,8 +6,14 @@
 // in-memory stack of nested open ancestors:
 //   * Stack-Tree-Desc emits pairs as each descendant arrives → output
 //     ordered by the DESCENDANT.
-//   * Stack-Tree-Anc buffers pairs in per-stack-entry self/inherit lists
-//     and releases them as entries pop → output ordered by the ANCESTOR.
+//   * Stack-Tree-Anc holds pairs until the bottom stack entry pops and
+//     releases them then → output ordered by the ANCESTOR. The paper's
+//     self/inherit lists expand, at the bottom's pop, into a pre-order walk
+//     of the nested entries: ancestor document order. So the merge keeps
+//     the bottom entry's pairs in one vector in arrival order and releases
+//     them with one stable counting sort on the ancestor group, O(1) per
+//     pair however deep the stack, where copying the lists into the
+//     parent's inherit list costs once per level.
 //
 // This implementation is tuple-generalized the way Timber generalizes
 // element joins: inputs are tuple sets sorted by their join column; runs of
@@ -22,7 +28,14 @@
 // whole inputs; the streaming join operators (exec/operator.h) run it over
 // windows they refill batch by batch. Group detection, the parent-child
 // level filter over the stack, and cross-product expansion are column
-// sweeps through exec/vector_kernels.h and ColumnBatch::AppendCross.
+// sweeps through exec/vector_kernels.h and ColumnBatch::AppendCrossRuns:
+// emission plans up to 1024 runs (one ancestor row × a contiguous
+// descendant run) and then writes each output column once.
+//
+// Rows no open ancestor can match cost no stack work: an ancestor that
+// closes before the current descendant is skipped as dead (no push, no
+// pop), and while the stack is empty the descendants before the next
+// ancestor's start are skipped with one binary search.
 
 #ifndef SJOS_EXEC_STACK_TREE_H_
 #define SJOS_EXEC_STACK_TREE_H_
@@ -44,6 +57,8 @@ class QueryGovernor;
 struct JoinStats {
   uint64_t element_pairs = 0;  // matched (ancestor, descendant) elements
   uint64_t output_rows = 0;    // tuples emitted (after group expansion)
+  // Pushes and depth count live ancestors only: one closing before the
+  // descendant that follows it is skipped without a push.
   uint64_t stack_pushes = 0;
   uint64_t max_stack_depth = 0;
 };
@@ -58,7 +73,7 @@ struct JoinStats {
 /// next batch or end-of-stream arrives.
 ///
 /// A window row stays live while a stack entry or a buffered pair refers
-/// to it (or it has not been cut yet); Compact drops the others.
+/// to it (or it has not been cut or skipped yet); Compact drops the others.
 class StackTreeMerge {
  public:
   /// Why Run stopped.
@@ -94,8 +109,8 @@ class StackTreeMerge {
   /// Run returned kAncestor or kDescendant: no rows are then due.
   void Compact(ColumnBatch* window);
 
-  /// Matched pairs held for later emission: the Anc variant's self/inherit
-  /// lists plus any pairs whose rows are not yet fully emitted.
+  /// Matched pairs held for later emission: the Anc variant's pairs under
+  /// the bottom stack entry plus any pairs whose rows are not yet emitted.
   uint64_t buffered_pairs() const { return buffered_pairs_; }
   static constexpr uint64_t kPairBytes = 8;
 
@@ -114,8 +129,8 @@ class StackTreeMerge {
     uint32_t ag;
     uint32_t dg;
   };
-  /// One input: its window, the groups cut from it so far, and the first
-  /// row not yet cut.
+  /// One input: its window, the groups cut from it so far, the first row
+  /// not yet cut or skipped, and how many rows nothing refers to.
   struct Side {
     const ColumnBatch* rows;
     size_t slot;
@@ -123,16 +138,14 @@ class StackTreeMerge {
     size_t next_row = 0;
     size_t dead_rows = 0;
   };
-  struct PairBuffers {
-    std::vector<GroupPair> self;
-    std::vector<GroupPair> inherit;
-  };
-
   /// Cuts rows [next_row, end) of `side`, all holding `elem`, as a group.
   static uint32_t Cut(Side* side, NodeId elem, size_t end);
   void Unref(Side* side, uint32_t group);
-  void Push(uint32_t ag, JoinStats* stats);
+  void Push(uint32_t ag, NodeId end, JoinStats* stats);
   void PopEntry();
+  /// Moves `held_` to `ready_`, stably ordered by ancestor group, once the
+  /// bottom entry (group `bottom_ag`) pops.
+  void Release(uint32_t bottom_ag);
   void Match(uint32_t dg, JoinStats* stats);
   /// Emits the ready pairs into `out` up to `cap` rows; sets `*drained`
   /// once none are left.
@@ -147,21 +160,25 @@ class StackTreeMerge {
 
   // The stack of open ancestor groups, struct-of-arrays: the retirement
   // scans read the end column, the parent-child filter sweeps the level
-  // column. `buffers_` (parallel to the columns) carries the Anc variant's
-  // per-entry self/inherit pair lists.
+  // column.
   std::vector<uint32_t> stack_ag_;
   std::vector<NodeId> stack_end_;
   std::vector<uint16_t> stack_level_;
-  std::vector<PairBuffers> buffers_;
   std::vector<uint32_t> sel_;  // match selection over stack entries
+  // The Anc variant's pairs under the current bottom entry, in arrival
+  // order, and the counting sort's bucket starts.
+  std::vector<GroupPair> held_;
+  std::vector<uint32_t> bucket_;
 
   bool have_dg_ = false;  // a descendant group is cut but not yet matched
   uint32_t cur_dg_ = 0;
   uint64_t desc_groups_cut_ = 0;
 
   // Emission cursor: pairs due for output, in output order, and the
-  // position inside the current pair's cross product.
+  // position inside the current pair's cross product; `runs_` stages one
+  // emission pass.
   std::vector<GroupPair> ready_;
+  std::vector<ColumnBatch::CrossRun> runs_;
   size_t ready_pos_ = 0;
   size_t emit_ar_ = 0, emit_dr_ = 0;
   uint64_t emitted_rows_ = 0;

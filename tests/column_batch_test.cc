@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -112,7 +113,62 @@ TEST(ColumnBatch, SortBySlotMatchesStableSortOfRows) {
   }
 }
 
-TEST(ColumnBatch, AppendCrossExpandsOneAncestorTimesRun) {
+/// Row-at-a-time reference for AppendCrossRuns: appends each run's rows
+/// (left row, then right row) to `want` one by one.
+void AppendCrossRunsReference(const ColumnBatch& left, const ColumnBatch& right,
+                              const std::vector<ColumnBatch::CrossRun>& runs,
+                              ColumnBatch* want) {
+  std::vector<NodeId> row(left.arity() + right.arity());
+  for (const ColumnBatch::CrossRun& run : runs) {
+    for (uint32_t i = 0; i < run.n; ++i) {
+      for (size_t c = 0; c < left.arity(); ++c) {
+        row[c] = left.At(run.left_row, c);
+      }
+      for (size_t c = 0; c < right.arity(); ++c) {
+        row[left.arity() + c] = right.At(run.right_begin + i, c);
+      }
+      want->AppendRow(row.data());
+    }
+  }
+}
+
+void ExpectSameBatch(const ColumnBatch& got, const ColumnBatch& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t r = 0; r < want.size(); ++r) {
+    for (size_t c = 0; c < want.arity(); ++c) {
+      ASSERT_EQ(got.At(r, c), want.At(r, c)) << "row " << r << " col " << c;
+    }
+  }
+}
+
+/// The output schema of a cross of `left` and `right`.
+std::vector<PatternNodeId> CrossSlots(const ColumnBatch& left,
+                                      const ColumnBatch& right) {
+  std::vector<PatternNodeId> slots = left.slots();
+  for (PatternNodeId s : right.slots()) slots.push_back(s + 100);
+  return slots;
+}
+
+TEST(ColumnBatch, AppendCrossRunsWithNoRowsKeepsTheBatch) {
+  Rng rng(0xC705);
+  const ColumnBatch left = RandomBatch(&rng, 2, 3);
+  const ColumnBatch right = RandomBatch(&rng, 1, 4);
+  ColumnBatch out(CrossSlots(left, right));
+  const std::vector<ColumnBatch::CrossRun> first = {{2, 1, 2}};
+  out.AppendCrossRuns(left, right, first.data(), first.size());
+  ColumnBatch want(out.slots());
+  AppendCrossRunsReference(left, right, first, &want);
+  // No runs, then only zero-length runs: nothing is appended.
+  out.AppendCrossRuns(left, right, nullptr, 0);
+  const std::vector<ColumnBatch::CrossRun> empty = {{0, 0, 0}, {1, 4, 0}};
+  out.AppendCrossRuns(left, right, empty.data(), empty.size());
+  ExpectSameBatch(out, want);
+  for (size_t c = 0; c < out.arity(); ++c) {
+    EXPECT_EQ(out.Raw(c).size(), out.size()) << "column " << c;
+  }
+}
+
+TEST(ColumnBatch, AppendCrossRunsSingleRowRuns) {
   ColumnBatch left({PatternNodeId{1}, PatternNodeId{2}});
   std::vector<NodeId> lrow = {10, 20};
   left.AppendRow(lrow.data());
@@ -122,14 +178,58 @@ TEST(ColumnBatch, AppendCrossExpandsOneAncestorTimesRun) {
   for (NodeId id : {100u, 101u, 102u, 103u}) right.AppendRow(&id);
 
   ColumnBatch out({PatternNodeId{1}, PatternNodeId{2}, PatternNodeId{5}});
-  out.AppendCross(left, 1, right, 1, 2);  // left row 1 × right rows [1, 3)
+  // Left row 1 × right row 1, then left row 0 × right row 3.
+  const std::vector<ColumnBatch::CrossRun> runs = {{1, 1, 1}, {0, 3, 1}};
+  out.AppendCrossRuns(left, right, runs.data(), runs.size());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out.At(0, 0), 11u);
   EXPECT_EQ(out.At(0, 1), 21u);
   EXPECT_EQ(out.At(0, 2), 101u);
-  EXPECT_EQ(out.At(1, 0), 11u);
-  EXPECT_EQ(out.At(1, 1), 21u);
-  EXPECT_EQ(out.At(1, 2), 102u);
+  EXPECT_EQ(out.At(1, 0), 10u);
+  EXPECT_EQ(out.At(1, 1), 20u);
+  EXPECT_EQ(out.At(1, 2), 103u);
+}
+
+TEST(ColumnBatch, AppendCrossRunsLongRun) {
+  Rng rng(0x1096);
+  const ColumnBatch left = RandomBatch(&rng, 1, 5);
+  const ColumnBatch right = RandomBatch(&rng, 2, 5000);
+  ColumnBatch out(CrossSlots(left, right));
+  const std::vector<ColumnBatch::CrossRun> runs = {{3, 7, 4321}, {4, 0, 1}};
+  out.AppendCrossRuns(left, right, runs.data(), runs.size());
+  ColumnBatch want(out.slots());
+  AppendCrossRunsReference(left, right, runs, &want);
+  ExpectSameBatch(out, want);
+  EXPECT_EQ(out.size(), 4322u);
+}
+
+TEST(ColumnBatch, AppendCrossRunsMatchesRowwiseAcrossArities) {
+  Rng rng(0xA217);
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t left_arity = 1 + rng.NextBelow(3);
+    const size_t right_arity = 1 + rng.NextBelow(3);
+    const ColumnBatch left =
+        RandomBatch(&rng, left_arity, 1 + rng.NextBelow(20));
+    const ColumnBatch right =
+        RandomBatch(&rng, right_arity, 1 + rng.NextBelow(40));
+    ColumnBatch out(CrossSlots(left, right));
+    ColumnBatch want(out.slots());
+    // Several passes onto the same batch, each with a mix of run lengths
+    // (zero-length runs included).
+    for (int pass = 0; pass < 3; ++pass) {
+      std::vector<ColumnBatch::CrossRun> runs(rng.NextBelow(12));
+      for (ColumnBatch::CrossRun& run : runs) {
+        run.left_row = static_cast<uint32_t>(rng.NextBelow(left.size()));
+        run.right_begin = static_cast<uint32_t>(rng.NextBelow(right.size()));
+        run.n = static_cast<uint32_t>(
+            rng.NextBelow(right.size() - run.right_begin + 1));
+      }
+      out.AppendCrossRuns(left, right, runs.data(), runs.size());
+      AppendCrossRunsReference(left, right, runs, &want);
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ExpectSameBatch(out, want);
+  }
 }
 
 TEST(ColumnBatch, AppendGatherSelectsRowsInSelOrder) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "exec/executor.h"
 #include "exec/operator.h"
 #include "exec/stack_tree.h"
@@ -410,6 +415,153 @@ TEST_P(StackTreeSweep, OperatorMatchesWholeInputJoin) {
         ExpectOperatorMatchesKernel(
             db, {in.anc, in.anc_slot, in.desc, in.desc_slot, axis, by_anc});
       }
+    }
+  }
+}
+
+/// Brute-force join of `c`'s inputs with the rows in the exact order each
+/// variant emits them: Desc by (descendant element, ancestor row,
+/// descendant row); Anc by (ancestor element, descendant element, ancestor
+/// row, descendant row) — each matched element pair expands ancestor row
+/// by ancestor row, so with one row per element this is (ancestor row,
+/// descendant row).
+ColumnBatch OrderedRefJoin(const Database& db, const JoinCase& c) {
+  // (first key, second key, ancestor row, descendant row)
+  std::vector<std::tuple<NodeId, NodeId, size_t, size_t>> hits;
+  for (size_t i = 0; i < c.anc.size(); ++i) {
+    for (size_t j = 0; j < c.desc.size(); ++j) {
+      const NodeId a = c.anc.At(i, c.anc_slot);
+      const NodeId d = c.desc.At(j, c.desc_slot);
+      const bool match = c.axis == Axis::kDescendant
+                             ? db.doc().IsAncestor(a, d)
+                             : db.doc().IsParent(a, d);
+      if (match) {
+        hits.emplace_back(c.by_ancestor ? a : d, c.by_ancestor ? d : 0, i, j);
+      }
+    }
+  }
+  std::sort(hits.begin(), hits.end());
+  std::vector<PatternNodeId> slots = c.anc.slots();
+  slots.insert(slots.end(), c.desc.slots().begin(), c.desc.slots().end());
+  ColumnBatch out(std::move(slots));
+  out.set_ordered_by_slot(c.by_ancestor
+                              ? static_cast<int>(c.anc_slot)
+                              : static_cast<int>(c.anc.arity() + c.desc_slot));
+  std::vector<NodeId> row(out.arity());
+  for (const auto& [k1, k2, i, j] : hits) {
+    for (size_t k = 0; k < c.anc.arity(); ++k) row[k] = c.anc.At(i, k);
+    for (size_t k = 0; k < c.desc.arity(); ++k) {
+      row[c.anc.arity() + k] = c.desc.At(j, k);
+    }
+    out.AppendRow(row.data());
+  }
+  return out;
+}
+
+// Sorting the output, as MatchesBruteForceOnRandomTrees does, would hide a
+// change in emission order: here the kernel's and the operator's rows must
+// equal an independently ordered reference column by column, on trees
+// deep enough to stack twenty nested ancestors.
+TEST(StackTreeOrderTest, EmitsExactlyTheReferenceOrder) {
+  for (uint32_t max_depth : {3u, 8u, 14u, 20u}) {
+    for (uint64_t seed : {uint64_t{21}, uint64_t{22}}) {
+      TreeGenConfig config;
+      config.target_nodes = 300;
+      config.max_depth = max_depth;
+      config.num_tags = 2;
+      config.seed = seed;
+      Database db = Database::Open(GenerateTree(config).value());
+      const ColumnBatch t0 = Candidates(db, "t0", 0);
+      const ColumnBatch t1 = Candidates(db, "t1", 1);
+      struct Inputs {
+        const char* name;
+        ColumnBatch anc;
+        ColumnBatch desc;
+      };
+      const Inputs inputs[] = {
+          {"scans", t0, t1},
+          {"self join", t0, Candidates(db, "t0", 1)},
+          {"repeated rows", WithRuns(t0, 5, 3), WithRuns(t1, 6, 2)},
+      };
+      for (const Inputs& in : inputs) {
+        for (Axis axis : {Axis::kDescendant, Axis::kChild}) {
+          for (bool by_anc : {false, true}) {
+            SCOPED_TRACE(std::string(in.name) + (by_anc ? " Anc" : " Desc") +
+                         (axis == Axis::kChild ? " /" : " //") + " depth " +
+                         std::to_string(max_depth) + " seed " +
+                         std::to_string(seed));
+            const JoinCase c{in.anc, 0, in.desc, 0, axis, by_anc};
+            const ColumnBatch want = OrderedRefJoin(db, c);
+            Result<ColumnBatch> kernel = StackTreeJoin(
+                db.View(), c.anc, 0, c.desc, 0, axis, by_anc);
+            ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+            ExpectSameRows(kernel.value(), want);
+            for (size_t batch_rows :
+                 {size_t{1}, size_t{2}, size_t{7}, size_t{1024}}) {
+              SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+              Streamed st = StreamJoin(db, c, batch_rows);
+              ASSERT_TRUE(st.status.ok()) << st.status.ToString();
+              ExpectSameRows(st.rows, want);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Rows no open ancestor can match are skipped: empty <a/> elements close
+// before the next descendant (dead ancestors, some at window ends), and
+// the runs of <b/> between them meet an empty stack (unmatched descendant
+// runs, three rows per element, so they straddle batch boundaries). The
+// skips must change no row, counter or failure point, must leave dead
+// ancestors off the stack, and must count the skipped rows dead: they are
+// most of the descendant rows, so the windows would not compact otherwise.
+TEST(StackTreeOperatorTest, SkipsRowsNoOpenAncestorCanMatch) {
+  std::string xml = "<r>";
+  for (int i = 0; i < 60; ++i) {
+    xml += "<a/><a/>";
+    for (int j = 0; j < 8; ++j) xml += "<b/>";
+    xml += "<a><a/><b/><a><b/></a></a>";
+  }
+  xml += "</r>";
+  Database db = Db(xml);
+  const ColumnBatch a_keys = Candidates(db, "a", 0);
+  const ColumnBatch b_keys = Candidates(db, "b", 1);
+  // Live ancestors: those containing the first descendant after them.
+  uint64_t live = 0;
+  for (size_t i = 0; i < a_keys.size(); ++i) {
+    const NodeId a = a_keys.At(i, 0);
+    const NodeId* b = b_keys.Col(0);
+    const NodeId* next = std::upper_bound(b, b + b_keys.size(), a);
+    if (next != b + b_keys.size() && db.doc().IsAncestor(a, *next)) ++live;
+  }
+  ASSERT_EQ(live, 120u);  // two of the five <a> per repetition
+  const ColumnBatch a = WithRuns(a_keys, 5, 2);
+  const ColumnBatch b = WithRuns(b_keys, 6, 3);
+  for (Axis axis : {Axis::kDescendant, Axis::kChild}) {
+    for (bool by_anc : {false, true}) {
+      SCOPED_TRACE(std::string(by_anc ? "Anc" : "Desc") +
+                   (axis == Axis::kChild ? " /" : " //"));
+      JoinCase c{a, 0, b, 0, axis, by_anc};
+      JoinStats stats;
+      const ColumnBatch full =
+          std::move(StackTreeJoin(db.View(), a, 0, b, 0, axis, by_anc,
+                                  &stats))
+              .value();
+      EXPECT_EQ(stats.stack_pushes, live);
+      EXPECT_EQ(stats.max_stack_depth, 2u);
+      ExpectSameRows(full, OrderedRefJoin(db, c));
+      ExpectOperatorMatchesKernel(db, c);
+      for (size_t batch_rows : {size_t{1}, size_t{7}}) {
+        SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+        Streamed st = StreamJoin(db, c, batch_rows);
+        ASSERT_TRUE(st.status.ok()) << st.status.ToString();
+        // Skipped rows count as dead, so the windows still compact.
+        EXPECT_LT(st.join.peak_live_rows, (a.size() + b.size()) / 4);
+      }
+      c.max_output_rows = full.size() / 2 + 1;
+      ExpectOperatorMatchesKernel(db, c);
     }
   }
 }
