@@ -371,7 +371,7 @@ int RunKernelComparison(const std::string& path) {
 // Custom main: strip --json before google-benchmark sees the flags. --json
 // switches to the kernel mode.
 int main(int argc, char** argv) {
-  const std::string json = sjos::bench::ParseJsonFlag(&argc, argv);
+  const std::string json = sjos::bench::ParseFlag(&argc, argv, "--json");
   if (!json.empty()) return sjos::RunKernelComparison(json);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -12,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -199,7 +200,15 @@ BENCHMARK(BM_EnginePlanWarmFp)->DenseRange(3, 7, 2);
 }  // namespace sjos
 
 int main(int argc, char** argv) {
-  sjos::g_plan_cache_enabled = sjos::bench::ParsePlanCacheFlag(&argc, argv);
+  const std::string plan_cache =
+      sjos::bench::ParseFlag(&argc, argv, "--plan-cache");
+  if (plan_cache == "off") {
+    sjos::g_plan_cache_enabled = false;
+  } else if (!plan_cache.empty() && plan_cache != "on") {
+    std::fprintf(stderr, "--plan-cache expects on|off, got %s\n",
+                 plan_cache.c_str());
+    return 1;
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -1,12 +1,13 @@
 #include "bench_util.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "common/metrics.h"
 #include "common/str_util.h"
-#include "common/timer.h"
 #include "exec/executor.h"
 #include "plan/plan_printer.h"
 #include "plan/random_plans.h"
@@ -16,12 +17,21 @@ namespace bench {
 
 namespace {
 
-/// Repetition policy: repeat cheap operations until this much wall time
-/// has accumulated so mean timings are stable.
-constexpr double kMinOptTimingMs = 20.0;
-constexpr int kMaxOptReps = 512;
-constexpr double kMinEvalTimingMs = 50.0;
-constexpr int kMaxEvalReps = 64;
+/// Within a rep, an operation faster than this runs again until its runs
+/// add up to about this long, and the rep reads the fastest of them.
+constexpr double kMinRepMs = 50.0;
+
+/// Runs `sample` once and fills in its wall time.
+Result<Run> TimeOnce(const Sample& sample) {
+  const auto start = std::chrono::steady_clock::now();
+  Result<Run> r = sample();
+  if (!r.ok()) return r;
+  Run run = r.value();
+  run.ms = std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+               .count();
+  return run;
+}
 
 }  // namespace
 
@@ -42,86 +52,118 @@ QueryEnv::QueryEnv(const DatasetHandle& dataset, Pattern pattern)
   estimates_ = std::make_unique<PatternEstimates>(std::move(estimates).value());
 }
 
-void TimeExecution(const QueryEnv& env, const PhysicalPlan& plan,
-                   uint64_t eval_row_budget, Measurement* m,
-                   ExecLimits limits) {
-  ExecOptions options = limits.ExecView();
-  options.max_join_output_rows = eval_row_budget;
-  Executor exec(env.db(), options);
-  // One untimed warm-up run eliminates cold-cache noise on plans measured
-  // with a single rep; a capped warm-up is reported directly.
-  {
-    Timer warmup;
-    Result<ExecResult> result = exec.Execute(env.pattern(), plan);
+namespace {
+
+/// Executes `plan` once; a run that trips `row_budget` is capped (its time
+/// is the time spent before the abort).
+Sample ExecuteSample(const QueryEnv& env, PhysicalPlan plan,
+                     uint64_t row_budget) {
+  ExecOptions options;
+  options.max_join_output_rows = row_budget;
+  auto exec = std::make_shared<Executor>(env.db(), options);
+  return [&env, exec, plan = std::move(plan), row_budget]() -> Result<Run> {
+    Result<ExecResult> result = exec->Execute(env.pattern(), plan);
+    Run run;
     if (!result.ok()) {
-      m->eval_capped = true;
-      m->eval_ms = warmup.ElapsedMs();
-      return;
+      if (row_budget == 0 ||
+          result.status().code() != StatusCode::kOutOfRange) {
+        return result.status();
+      }
+      run.capped = true;
+      return run;
     }
-  }
-  Timer total;
-  int reps = 0;
-  double sum_ms = 0.0;
-  for (; reps < kMaxEvalReps; ++reps) {
-    Result<ExecResult> result = exec.Execute(env.pattern(), plan);
-    if (!result.ok()) {
-      // Row budget exceeded: report the time spent before the abort.
-      m->eval_capped = true;
-      m->eval_ms = total.ElapsedMs();
-      return;
-    }
-    sum_ms += result.value().stats.wall_ms;
-    m->result_rows = result.value().stats.result_rows;
-    m->peak_live_rows = result.value().stats.peak_live_rows;
-    if (sum_ms >= kMinEvalTimingMs) {
-      ++reps;
-      break;
-    }
-  }
-  m->eval_ms = sum_ms / reps;
+    run.rows = result.value().stats.result_rows;
+    run.peak_live_rows = result.value().stats.peak_live_rows;
+    return run;
+  };
 }
 
-Measurement MeasureOptimizer(const QueryEnv& env, Optimizer* optimizer,
-                             uint64_t eval_row_budget, ExecLimits limits) {
-  Measurement m;
-  m.algo = optimizer->name();
+}  // namespace
 
-  Result<OptimizeResult> first = optimizer->Optimize(env.ctx());
-  SJOS_CHECK(first.ok(), first.status().ToString().c_str());
-  OptimizeResult chosen = std::move(first).value();
-
-  // Stabilize the optimization timing with repeated runs.
-  Timer timer;
-  int reps = 0;
-  for (; reps < kMaxOptReps && timer.ElapsedMs() < kMinOptTimingMs; ++reps) {
-    Result<OptimizeResult> r = optimizer->Optimize(env.ctx());
-    SJOS_CHECK(r.ok(), "optimizer rerun failed");
-  }
-  m.opt_ms = reps > 0 ? timer.ElapsedMs() / reps : chosen.stats.opt_time_ms;
-
-  m.plans_considered = chosen.stats.plans_considered;
-  m.modelled_cost = chosen.modelled_cost;
-  m.signature = PlanSignature(chosen.plan, env.pattern());
-  TimeExecution(env, chosen.plan, eval_row_budget, &m, limits);
-  return m;
+Cell Optimized(const QueryEnv& env, std::unique_ptr<Optimizer> optimizer) {
+  Result<OptimizeResult> chosen = optimizer->Optimize(env.ctx());
+  SJOS_CHECK(chosen.ok(), chosen.status().ToString().c_str());
+  Cell cell;
+  cell.m.algo = optimizer->name();
+  cell.m.plans_considered = chosen.value().stats.plans_considered;
+  cell.m.modelled_cost = chosen.value().modelled_cost;
+  cell.m.signature = PlanSignature(chosen.value().plan, env.pattern());
+  cell.execute =
+      ExecuteSample(env, std::move(chosen).value().plan, /*row_budget=*/0);
+  std::shared_ptr<Optimizer> shared = std::move(optimizer);
+  cell.optimize = [&env, shared]() -> Result<Run> {
+    Result<OptimizeResult> r = shared->Optimize(env.ctx());
+    if (!r.ok()) return r.status();
+    return Run{};
+  };
+  return cell;
 }
 
-Measurement MeasureBadPlan(const QueryEnv& env, size_t samples, uint64_t seed,
-                           uint64_t eval_row_budget, ExecLimits limits) {
-  Measurement m;
-  m.algo = "Bad";
+Cell BadPlan(const QueryEnv& env, size_t samples, uint64_t seed,
+             uint64_t row_budget) {
   Result<WorstPlanResult> worst = WorstOfRandomPlans(
       env.pattern(), env.estimates(), env.cost_model(), samples, seed);
   SJOS_CHECK(worst.ok(), worst.status().ToString().c_str());
-  m.modelled_cost = worst.value().modelled_cost;
-  m.signature = PlanSignature(worst.value().plan, env.pattern());
-  TimeExecution(env, worst.value().plan, eval_row_budget, &m, limits);
-  return m;
+  Cell cell;
+  cell.m.algo = "Bad";
+  cell.m.modelled_cost = worst.value().modelled_cost;
+  cell.m.signature = PlanSignature(worst.value().plan, env.pattern());
+  cell.execute =
+      ExecuteSample(env, std::move(worst).value().plan, row_budget);
+  return cell;
 }
 
-bool ParsePlanCacheFlag(int* argc, char** argv, bool default_on) {
-  bool on = default_on;
-  const std::string flag = "--plan-cache";
+Status TimeRow(std::vector<Cell>* row) {
+  // One slot per timed operation: each cell's optimization, if it has
+  // one, then its execution.
+  struct Slot {
+    const Sample* sample;
+    double* ms;
+    Measurement* eval;  // null for an optimization
+    int runs = 1;       // runs per rep
+  };
+  std::vector<Slot> slots;
+  for (Cell& cell : *row) {
+    if (cell.optimize) {
+      slots.push_back({&cell.optimize, &cell.m.opt_ms, nullptr});
+    }
+    slots.push_back({&cell.execute, &cell.m.eval_ms, &cell.m});
+  }
+  // The untimed warm-up run also sizes each operation's runs per rep.
+  int max_runs = 1;
+  for (Slot& slot : slots) {
+    Result<Run> r = TimeOnce(*slot.sample);
+    if (!r.ok()) return r.status();
+    if (!r.value().capped && r.value().ms < kMinRepMs) {
+      slot.runs = static_cast<int>(kMinRepMs / std::max(r.value().ms, 1e-3));
+      max_runs = std::max(max_runs, slot.runs);
+    }
+    *slot.ms = std::numeric_limits<double>::infinity();
+  }
+  // Round-robin at the grain of single runs, each slot's runs spread
+  // evenly over a rep's passes, so a fast or slow stretch of the host
+  // longer than one pass reaches every slot alike.
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (int64_t i = 0; i < max_runs; ++i) {
+      for (Slot& slot : slots) {
+        if ((i + 1) * slot.runs / max_runs == i * slot.runs / max_runs) {
+          continue;
+        }
+        Result<Run> r = TimeOnce(*slot.sample);
+        if (!r.ok()) return r.status();
+        *slot.ms = std::min(*slot.ms, r.value().ms);
+        if (slot.eval != nullptr) {
+          slot.eval->result_rows = r.value().rows;
+          slot.eval->peak_live_rows = r.value().peak_live_rows;
+          slot.eval->eval_capped = r.value().capped;
+        }
+      }
+    }
+  }
+  return Status::OK();
+}
+
+std::string ParseFlag(int* argc, char** argv, const std::string& flag) {
   std::string value;
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
@@ -132,56 +174,27 @@ bool ParsePlanCacheFlag(int* argc, char** argv, bool default_on) {
       value = arg.substr(flag.size() + 1);
     } else {
       argv[out++] = argv[i];
-      continue;
-    }
-    if (value == "on") {
-      on = true;
-    } else if (value == "off") {
-      on = false;
-    } else {
-      std::fprintf(stderr, "bench: ignoring %s %s (expected on|off)\n",
-                   flag.c_str(), value.c_str());
     }
   }
   *argc = out;
-  return on;
+  return value;
 }
 
-std::string ParseJsonFlag(int* argc, char** argv) {
-  std::string path;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < *argc) {
-      path = argv[++i];
-    } else if (arg.rfind("--json=", 0) == 0) {
-      path = arg.substr(7);
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
-  return path;
+void JsonReport::Add(const std::string& section, const std::string& query,
+                     const Measurement& m) {
+  if (!path_.empty()) rows_.push_back({section, query, m});
 }
 
-JsonReport::JsonReport(std::string bench, std::string path)
-    : bench_(std::move(bench)), path_(std::move(path)) {}
-
-void JsonReport::Add(const std::string& query, const Measurement& m) {
-  if (!active()) return;
-  rows_.emplace_back(query, m);
-}
-
-bool JsonReport::Write() const {
-  if (!active()) return true;
-  std::string out = "{\n  \"bench\": ";
-  AppendJsonString(bench_, &out);
-  out += ",\n  \"results\": [";
+bool JsonReport::Write(const std::vector<Claim>& claims) const {
+  if (path_.empty()) return true;
+  std::string out = "{\n  \"bench\": \"paper\",\n  \"results\": [";
   for (size_t i = 0; i < rows_.size(); ++i) {
-    const Measurement& m = rows_[i].second;
+    const Measurement& m = rows_[i].m;
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"query\": ";
-    AppendJsonString(rows_[i].first, &out);
+    out += "    {\"section\": ";
+    AppendJsonString(rows_[i].section, &out);
+    out += ", \"query\": ";
+    AppendJsonString(rows_[i].query, &out);
     out += ", \"algo\": ";
     AppendJsonString(m.algo, &out);
     out += StrFormat(
@@ -194,6 +207,17 @@ bool JsonReport::Write() const {
         m.eval_capped ? "true" : "false");
     AppendJsonString(m.signature, &out);
     out += '}';
+  }
+  out += "\n  ],\n  \"claims\": [";
+  for (size_t i = 0; i < claims.size(); ++i) {
+    const Claim& c = claims[i];
+    out += i == 0 ? "\n" : ",\n";
+    out += "    {\"name\": ";
+    AppendJsonString(c.name, &out);
+    out += StrFormat(", \"ratio\": %.6f, \"op\": ", c.ratio);
+    AppendJsonString(c.op, &out);
+    out += StrFormat(", \"threshold\": %.6f, \"pass\": %s}", c.threshold,
+                     c.pass ? "true" : "false");
   }
   out += "\n  ],\n  \"metrics\": ";
   out += MetricsRegistry::Global().Snapshot().ToJson();
@@ -209,48 +233,6 @@ bool JsonReport::Write() const {
     std::fprintf(stderr, "bench: short write to %s\n", path_.c_str());
   }
   return ok;
-}
-
-ExecLimits ParseLimitFlags(int* argc, char** argv) {
-  ExecLimits limits;
-  const std::string deadline_flag = "--deadline-ms";
-  const std::string mem_flag = "--mem-limit-bytes";
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == deadline_flag && i + 1 < *argc) {
-      limits.deadline_ms = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg.rfind(deadline_flag + "=", 0) == 0) {
-      limits.deadline_ms =
-          std::strtoull(arg.c_str() + deadline_flag.size() + 1, nullptr, 10);
-    } else if (arg == mem_flag && i + 1 < *argc) {
-      limits.max_live_bytes = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg.rfind(mem_flag + "=", 0) == 0) {
-      limits.max_live_bytes =
-          std::strtoull(arg.c_str() + mem_flag.size() + 1, nullptr, 10);
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
-  return limits;
-}
-
-void PrintRule(const std::vector<int>& widths) {
-  for (int w : widths) {
-    std::fputc('+', stdout);
-    for (int i = 0; i < w + 2; ++i) std::fputc('-', stdout);
-  }
-  std::fputs("+\n", stdout);
-}
-
-void PrintRow(const std::vector<int>& widths,
-              const std::vector<std::string>& cells) {
-  for (size_t i = 0; i < widths.size(); ++i) {
-    const std::string& cell = i < cells.size() ? cells[i] : std::string();
-    std::printf("| %*s ", widths[i], cell.c_str());
-  }
-  std::fputs("|\n", stdout);
 }
 
 std::string Ms(double ms) {

@@ -1,11 +1,12 @@
-// Shared machinery for the table/figure reproduction benches: environment
-// construction (data set + estimates + cost model per query), stabilized
-// timing of optimization and plan execution, the worst-of-random "Bad
-// Plan" baseline, and fixed-width table printing in the paper's style.
+// Shared machinery for the benches: environment construction (data set +
+// estimates + cost model per query), the one timing rule of the paper's
+// tables (interleaved minimum of kReps), the worst-of-random "Bad Plan"
+// baseline, the JSON report, and flag parsing.
 
 #ifndef SJOS_BENCH_BENCH_UTIL_H_
 #define SJOS_BENCH_BENCH_UTIL_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,7 +14,6 @@
 #include "core/optimizer.h"
 #include "estimate/positional_histogram.h"
 #include "query/workload.h"
-#include "service/query_options.h"
 #include "storage/catalog.h"
 
 namespace sjos {
@@ -39,7 +39,9 @@ class QueryEnv {
 
   const Database& db() const { return *db_; }
   const Pattern& pattern() const { return pattern_; }
-  OptimizeContext ctx() const { return {&pattern_, estimates_.get(), &cost_model_}; }
+  OptimizeContext ctx() const {
+    return {&pattern_, estimates_.get(), &cost_model_, {}};
+  }
   const PatternEstimates& estimates() const { return *estimates_; }
   const CostModel& cost_model() const { return cost_model_; }
 
@@ -53,8 +55,8 @@ class QueryEnv {
 /// One algorithm's measured numbers for one query.
 struct Measurement {
   std::string algo;
-  double opt_ms = 0.0;       // mean optimization wall time
-  double eval_ms = 0.0;      // plan execution wall time
+  double opt_ms = 0.0;   // optimization time (0 when not optimized)
+  double eval_ms = 0.0;  // execution time
   uint64_t plans_considered = 0;
   uint64_t result_rows = 0;
   uint64_t peak_live_rows = 0;  // execution's intermediate-memory high-water
@@ -63,69 +65,82 @@ struct Measurement {
   std::string signature;     // compact plan shape
 };
 
-/// Governance limits applied to every timed execution. The benches share
-/// the service layer's QueryOptions instead of a private struct so
-/// deadline/memory-limit plumbing exists exactly once; only deadline_ms
-/// and max_live_bytes are consulted here (0 disables a limit). A governed
-/// run the governor cuts short reports `eval_capped`, exactly like the
-/// row-budget safety valve.
-using ExecLimits = QueryOptions;
-
-/// Runs `optimizer` on `env`: optimization timed over repeated runs (mean),
-/// the chosen plan executed once (re-run and averaged if very fast).
-Measurement MeasureOptimizer(const QueryEnv& env, Optimizer* optimizer,
-                             uint64_t eval_row_budget = 0,
-                             ExecLimits limits = {});
-
-/// Worst-of-`samples` random plans by modelled cost, then executed with a
-/// row budget (`eval_capped` set if it tripped).
-Measurement MeasureBadPlan(const QueryEnv& env, size_t samples, uint64_t seed,
-                           uint64_t eval_row_budget, ExecLimits limits = {});
-
-/// Executes a plan with stabilized timing; fills eval_ms/result_rows/
-/// eval_capped of `m`.
-void TimeExecution(const QueryEnv& env, const PhysicalPlan& plan,
-                   uint64_t eval_row_budget, Measurement* m,
-                   ExecLimits limits = {});
-
-/// Parses and strips `--deadline-ms N` and `--mem-limit-bytes N` flags
-/// (both also accept the `=N` form) so any bench can run governed. Absent
-/// flags leave the corresponding limit at 0 (off).
-ExecLimits ParseLimitFlags(int* argc, char** argv);
-
-/// Parses and strips a `--plan-cache on|off` / `--plan-cache=on|off` flag
-/// from argv. Returns `default_on` when the flag is absent.
-bool ParsePlanCacheFlag(int* argc, char** argv, bool default_on = true);
-
-/// Parses and strips a `--json <file>` / `--json=<file>` flag from argv.
-/// Returns the path, or empty when absent.
-std::string ParseJsonFlag(int* argc, char** argv);
-
-/// Accumulates per-query measurements and writes them as one JSON object
-/// ({"bench", "results": [...], "metrics": <registry snapshot>}) so the
-/// BENCH_*.json trajectory tooling can diff runs. Inactive (Add/Write are
-/// no-ops) when constructed with an empty path.
-class JsonReport {
- public:
-  JsonReport(std::string bench, std::string path);
-
-  bool active() const { return !path_.empty(); }
-  void Add(const std::string& query, const Measurement& m);
-  /// Writes the report file; returns false (with a note on stderr) when
-  /// the file cannot be written. No-op returning true when inactive.
-  bool Write() const;
-
- private:
-  std::string bench_;
-  std::string path_;
-  std::vector<std::pair<std::string, Measurement>> rows_;
+/// What one run of an operation reports; the timer fills in `ms`.
+struct Run {
+  double ms = 0.0;
+  uint64_t rows = 0;
+  uint64_t peak_live_rows = 0;
+  bool capped = false;
 };
 
-/// printf-style table output: pads `text` to `width` (right-aligned for
-/// numbers via FormatCell helpers).
-void PrintRule(const std::vector<int>& widths);
-void PrintRow(const std::vector<int>& widths,
-              const std::vector<std::string>& cells);
+/// One timed operation; each call runs it once.
+using Sample = std::function<Result<Run>()>;
+
+/// One cell of a timed row: an optimization (empty when the plan is fixed)
+/// and an execution, and the Measurement that timing them fills in.
+struct Cell {
+  Measurement m;
+  Sample optimize;
+  Sample execute;
+};
+
+/// Timed reps per cell. A constant: every table reads the same rule.
+inline constexpr int kReps = 5;
+
+/// `optimizer` plans `env` once (signature, counters, cost); the cell
+/// times that optimization and the chosen plan's execution.
+Cell Optimized(const QueryEnv& env, std::unique_ptr<Optimizer> optimizer);
+
+/// Worst of `samples` random plans by modelled cost, executed under
+/// `row_budget` join output rows (`eval_capped` set if it trips).
+Cell BadPlan(const QueryEnv& env, size_t samples, uint64_t seed,
+             uint64_t row_budget);
+
+/// The timing rule of every paper table. Every operation in `row` (each
+/// cell's optimization and execution) gets one untimed warm-up run, then
+/// kReps reps go round-robin across the row, so a slow stretch of a
+/// shared host hits all cells alike. A cell reads the minimum of its
+/// reps. An operation shorter than 50 ms runs about 50 ms worth of times
+/// per rep, its runs spread evenly through the rep's round-robin, and
+/// the rep reads the fastest. Fails on the first run that errors.
+Status TimeRow(std::vector<Cell>* row);
+
+/// Parses and strips `<flag> <value>` / `<flag>=<value>` from argv.
+/// Returns the value, or empty when absent.
+std::string ParseFlag(int* argc, char** argv, const std::string& flag);
+
+/// One checked claim of the paper: `ratio <op> threshold` passes.
+struct Claim {
+  std::string name;
+  double ratio = 0.0;
+  std::string op;  // ">" or ">="
+  double threshold = 0.0;
+  bool pass = false;
+};
+
+/// Accumulates measurements and writes them with the claims as one
+/// JSON object ({"bench": "paper", "results": [...], "claims": [...],
+/// "metrics": <registry snapshot>}). Inactive (Add/Write are no-ops)
+/// when constructed with an empty path.
+class JsonReport {
+ public:
+  explicit JsonReport(std::string path) : path_(std::move(path)) {}
+
+  void Add(const std::string& section, const std::string& query,
+           const Measurement& m);
+  /// Writes the report file; returns false (with a note on stderr) when
+  /// the file cannot be written. No-op returning true when inactive.
+  bool Write(const std::vector<Claim>& claims) const;
+
+ private:
+  struct Row {
+    std::string section;
+    std::string query;
+    Measurement m;
+  };
+  std::string path_;
+  std::vector<Row> rows_;
+};
 
 /// "12.345" / "0.012" style fixed-point with sensible precision for ms.
 std::string Ms(double ms);

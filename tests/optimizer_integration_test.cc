@@ -186,7 +186,7 @@ const PinnedPlan kSweepPins[] = {
      18, 16, 14, 21831.282716049383, 24789.282716049383},
 };
 
-// Table 2's setting (bench_table2): paper-scale Pers, positional
+// Table 2's setting (bench_paper's table2): paper-scale Pers, positional
 // histograms, Q.Pers.3.d. EXPERIMENTS.md records the same counts.
 const PinnedPlan kTable2Pins[] = {
     {"Q.Pers.3.d", "DP",
@@ -369,6 +369,37 @@ TEST(Table2Setting, ChosenPlansArePinned) {
   CostModel cm;
   ExpectPinned(query.id, {&query.pattern, &pe, &cm, {}}, kTable2Pins,
                std::size(kTable2Pins));
+}
+
+// Table 3's migration (Sec. 4.3): at x1 DPP's optimum sorts a small
+// intermediate; from x10 on the sort no longer pays and DPP picks the fully
+// pipelined plan, the one FP finds.
+TEST(Table3Setting, OptimumBecomesFullyPipelinedAtScale) {
+  BenchQuery query = std::move(FindQuery("Q.Pers.3.d")).value();
+  CostModel cm;
+  for (uint32_t fold : {1u, 10u}) {
+    DatasetScale scale;
+    scale.fold = fold;
+    Database db = std::move(MakePaperDataset("Pers", scale)).value();
+    PositionalHistogramEstimator hist =
+        PositionalHistogramEstimator::Build(db.doc(), db.index(), db.stats());
+    PatternEstimates pe =
+        std::move(PatternEstimates::Make(query.pattern, db.doc(), hist))
+            .value();
+    OptimizeContext ctx{&query.pattern, &pe, &cm, {}};
+    OptimizeResult dpp = std::move(MakeDppOptimizer()->Optimize(ctx)).value();
+    OptimizeResult fp = std::move(MakeFpOptimizer()->Optimize(ctx)).value();
+    PlanProps props =
+        std::move(ComputePlanProps(dpp.plan, query.pattern, pe, cm)).value();
+    const std::string dpp_plan = PlanSignature(dpp.plan, query.pattern);
+    if (fold == 1) {
+      EXPECT_GT(props.num_sorts, 0u) << dpp_plan;
+    } else {
+      EXPECT_EQ(props.num_sorts, 0u) << "x" << fold << ": " << dpp_plan;
+      EXPECT_EQ(dpp_plan, PlanSignature(fp.plan, query.pattern))
+          << "x" << fold;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperQueries, WorkloadSweep,
