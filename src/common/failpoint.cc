@@ -85,8 +85,8 @@ void Failpoint::FireNoFail() { Fire(); }
 
 void Failpoint::CountFired() {
   FiredCounter().Add();
-  // Per-point series of the same family, so a flight-recorder counter
-  // delta names exactly which point fired during a failed query.
+  // Per-point series of the same family, so /metrics names exactly which
+  // point fired.
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (fired_counter_ == nullptr) {

@@ -181,8 +181,7 @@ class MetricsRegistry {
   MetricsSnapshot Snapshot() const;
 
   /// Counters-only snapshot, (series name, value) in name order. Much
-  /// cheaper than Snapshot() — no histogram bucket walk — cheap enough for
-  /// the engine's per-query flight-recorder baseline.
+  /// cheaper than Snapshot(): no histogram bucket walk.
   std::vector<std::pair<std::string, uint64_t>> CounterValues() const;
 
   /// Zeroes every instrument without destroying it.

@@ -94,8 +94,7 @@ struct ExecOptions {
 
   /// Budget on live intermediate bytes (0 = unlimited), measured as
   /// rows × arity × sizeof(NodeId) across all resident buffers — see
-  /// ExecStats::peak_live_bytes. The first breach halves the batch size
-  /// once as relief; a breach that survives relief fails the query with
+  /// ExecStats::peak_live_bytes. The first breach fails the query with
   /// Status::ResourceExhausted.
   uint64_t max_live_bytes = 0;
 

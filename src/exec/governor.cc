@@ -56,25 +56,9 @@ Status QueryGovernor::FailCancelled() {
   return Status::Cancelled(MessageHead() + "cancelled by caller");
 }
 
-Status QueryGovernor::Check(uint64_t cur_live_bytes, size_t* batch_rows) {
+Status QueryGovernor::Check(uint64_t cur_live_bytes) {
   SJOS_RETURN_IF_ERROR(CheckDeadline());
   if (max_live_bytes_ == 0 || cur_live_bytes <= max_live_bytes_) {
-    if (relief_grace_left_ > 0) --relief_grace_left_;
-    return Status::OK();
-  }
-  if (!relief_used_) {
-    // First breach: halve the batch size once and give in-flight batches a
-    // short grace window to drain before judging the budget again.
-    relief_used_ = true;
-    relief_grace_left_ = kReliefGraceChecks;
-    if (*batch_rows > 1) *batch_rows /= 2;
-    MetricsRegistry::Global()
-        .GetCounter("sjos_governor_batch_halvings_total")
-        .Add();
-    return Status::OK();
-  }
-  if (relief_grace_left_ > 0) {
-    --relief_grace_left_;
     return Status::OK();
   }
   return FailMemory(cur_live_bytes);

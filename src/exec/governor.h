@@ -11,14 +11,9 @@
 // unwinds with Status::DeadlineExceeded / Status::ResourceExhausted while
 // keeping the partial ExecStats gathered so far, and the governor
 // remembers which limit fired (verdict()) for shell/EXPLAIN reporting.
-//
-// Memory relief: the first byte-budget breach does not fail the query.
-// The governor halves the streaming batch size once and grants a short
-// grace window (kReliefGraceChecks boundary checks) for in-flight batches
-// to drain; only a breach that survives the relief attempt becomes
-// ResourceExhausted. This makes batch-driven residency genuinely
-// recoverable while keeping a Sort whose buffer alone exceeds the budget
-// deterministically fatal.
+// The first byte-budget breach fails the query: a query's memory sits in
+// Sort buffers, Stack-Tree-Anc's held pairs and the accumulated result,
+// none of which a smaller batch would shrink.
 
 #ifndef SJOS_EXEC_GOVERNOR_H_
 #define SJOS_EXEC_GOVERNOR_H_
@@ -37,10 +32,6 @@ namespace sjos {
 /// query.
 class QueryGovernor {
  public:
-  /// Boundary checks the first byte-budget breach is forgiven for while
-  /// the halved batch size takes effect.
-  static constexpr uint32_t kReliefGraceChecks = 8;
-
   /// `deadline_ms` / `max_live_bytes` of 0 disable that limit.
   /// `external_cancel`, when non-null, is an externally owned flag (e.g. a
   /// QueryHandle's cancel token) polled at every governance point; once it
@@ -59,9 +50,8 @@ class QueryGovernor {
   uint64_t max_live_bytes() const { return max_live_bytes_; }
 
   /// Full boundary check: deadline first, then the byte budget against
-  /// `cur_live_bytes`. On the first byte breach halves `*batch_rows` (if
-  /// > 1) instead of failing and opens the grace window.
-  Status Check(uint64_t cur_live_bytes, size_t* batch_rows);
+  /// `cur_live_bytes`.
+  Status Check(uint64_t cur_live_bytes);
 
   /// Deadline and external-cancel check only; joins poll it between
   /// descendant groups.
@@ -70,9 +60,6 @@ class QueryGovernor {
   /// Which limit cut the query short: "" (none), "deadline", "memory", or
   /// "cancelled" (external cancel token).
   const char* verdict() const;
-
-  /// True once the byte-budget relief (batch halving) has been spent.
-  bool relief_used() const { return relief_used_; }
 
  private:
   Status FailDeadline();
@@ -88,10 +75,6 @@ class QueryGovernor {
   const std::atomic<bool>* const external_cancel_;
   const std::string query_id_;
   const std::chrono::steady_clock::time_point deadline_at_;
-
-  // Byte-budget relief state.
-  bool relief_used_ = false;
-  uint32_t relief_grace_left_ = 0;
 
   // 0 = none, 1 = deadline, 2 = memory, 3 = cancelled; the first limit to
   // fire wins.

@@ -77,8 +77,7 @@ Status Operator::PullTimed(Operator* op, ColumnBatch* out, bool* eos) {
   // never mid-batch.
   SJOS_FAILPOINT("exec.batch");
   if (op->ctx_->governor != nullptr) {
-    SJOS_RETURN_IF_ERROR(op->ctx_->governor->Check(op->ctx_->cur_live_bytes,
-                                                   &op->ctx_->batch_rows));
+    SJOS_RETURN_IF_ERROR(op->ctx_->governor->Check(op->ctx_->cur_live_bytes));
   }
   TraceSpan span("NextBatch:", op->Name());
   out->Clear();
@@ -175,15 +174,11 @@ Status ScanOperator::Close() { return Status::OK(); }
 // ---------------------------------------------------------------------------
 // SortOperator
 
-SortOperator::SortOperator(ExecContext* ctx, int plan_index,
-                           PatternNodeId sort_by, size_t sort_slot,
+SortOperator::SortOperator(ExecContext* ctx, int plan_index, size_t sort_slot,
                            std::unique_ptr<Operator> child)
-    : Operator(ctx, plan_index, child->slots(),
-               static_cast<int>(sort_slot)),
+    : Operator(ctx, plan_index, child->slots(), static_cast<int>(sort_slot)),
       sort_slot_(sort_slot),
-      child_(std::move(child)) {
-  (void)sort_by;
-}
+      child_(std::move(child)) {}
 
 Status SortOperator::Open() {
   SJOS_FAILPOINT("exec.sort");
@@ -404,13 +399,11 @@ Status StackTreeJoinBase::Open() {
 }
 
 Status StackTreeJoinBase::NextBatch(ColumnBatch* out, bool* eos) {
-  // Re-read the cap every round: a child pull may shrink ctx_->batch_rows
-  // (governor batch halving), and a stale larger snapshot could then never
-  // be reached.
-  while (!done_ && out->size() < ctx_->batch_rows) {
+  const size_t cap = ctx_->batch_rows;
+  while (!done_ && out->size() < cap) {
     JoinStats stats;
-    Result<StackTreeMerge::Wait> wait = merge_->Run(
-        anc_.eos, desc_.eos, ctx_->batch_rows, out, &stats);
+    Result<StackTreeMerge::Wait> wait =
+        merge_->Run(anc_.eos, desc_.eos, cap, out, &stats);
     ctx_->stats->join_output_rows += stats.output_rows;
     ctx_->stats->element_pairs += stats.element_pairs;
     if (!wait.ok()) return wait.status();
@@ -518,8 +511,7 @@ Result<std::unique_ptr<Operator>> CompileOperatorTree(ExecContext* ctx,
             StrFormat("sort by pattern node %d not in input", node.sort_by));
       }
       return std::unique_ptr<Operator>(std::make_unique<SortOperator>(
-          ctx, index, node.sort_by, static_cast<size_t>(slot),
-          std::move(child).value()));
+          ctx, index, static_cast<size_t>(slot), std::move(child).value()));
     }
     case PlanOp::kNavigate: {
       Result<std::unique_ptr<Operator>> child =

@@ -64,7 +64,6 @@ struct ExecContext {
   std::vector<OpStats>* op_stats = nullptr;  // per plan node (required)
   /// Deadline/byte-budget enforcement, polled at every PullTimed batch
   /// boundary. Null when the query runs without limits (the common case).
-  /// The governor may halve batch_rows once as byte-budget relief.
   QueryGovernor* governor = nullptr;
 
   uint64_t cur_live_rows = 0;
@@ -188,10 +187,10 @@ class ScanOperator : public Operator {
 /// the buffer out; the buffer is the node's peak_live_rows.
 class SortOperator : public Operator {
  public:
-  /// Fails (Internal) at construction-time validation in Compile if
-  /// `sort_by` is not in the child schema; see CompileOperatorTree.
-  SortOperator(ExecContext* ctx, int plan_index, PatternNodeId sort_by,
-               size_t sort_slot, std::unique_ptr<Operator> child);
+  /// Sorts by child column `sort_slot`; CompileOperatorTree resolves the
+  /// plan's sort_by pattern node to it (Internal if it is missing).
+  SortOperator(ExecContext* ctx, int plan_index, size_t sort_slot,
+               std::unique_ptr<Operator> child);
   Status Open() override;
   Status NextBatch(ColumnBatch* out, bool* eos) override;
   Status Close() override;

@@ -262,7 +262,7 @@ Status StackTreeMerge::Emit(size_t cap, ColumnBatch* out, JoinStats* stats,
     // the room left in `out` and to the row budget — a single pair of
     // large groups can exceed it on its own — so exactly the rows that fit
     // are emitted and counted before the join fails.
-    const size_t room = out->size() >= cap ? 0 : cap - out->size();
+    const size_t room = cap - out->size();
     size_t planned = 0;
     bool over_budget = false;
     runs_.clear();

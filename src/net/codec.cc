@@ -315,9 +315,6 @@ std::string EncodeDoneError(std::string_view id, const Status& status,
   AppendJsonString(info.verdict, &out);
   out += ",\"query_id\":";
   AppendJsonString(info.query_id, &out);
-  // The flight recorder rides along so a failed remote query can be
-  // diagnosed without shell access to the server's audit log.
-  if (!info.flight.empty()) out += ",\"flight\":" + info.flight.ToJson();
   out += "}";
   return out;
 }

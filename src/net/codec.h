@@ -111,7 +111,7 @@ std::string EncodeDoneResult(std::string_view id, const QueryResult& qr,
                              size_t max_payload);
 
 /// The terminal reply of a query that failed: code, message, governor
-/// verdict, query id and, when recorded, the failure flight record.
+/// verdict and query id.
 std::string EncodeDoneError(std::string_view id, const Status& status,
                             const QueryErrorInfo& info);
 

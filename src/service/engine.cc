@@ -4,7 +4,6 @@
 #include <chrono>
 #include <exception>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -40,23 +39,6 @@ struct EngineMetrics {
     return *m;
   }
 };
-
-/// Counter deltas since `baseline` (non-zero only, name order): the
-/// flight recorder's "what moved while this query ran" view.
-std::vector<std::pair<std::string, uint64_t>> CounterDeltas(
-    const std::vector<std::pair<std::string, uint64_t>>& baseline) {
-  std::unordered_map<std::string, uint64_t> base;
-  base.reserve(baseline.size());
-  for (const auto& [name, value] : baseline) base.emplace(name, value);
-  std::vector<std::pair<std::string, uint64_t>> deltas;
-  for (auto& [name, value] : MetricsRegistry::Global().CounterValues()) {
-    auto it = base.find(name);
-    const uint64_t before = it == base.end() ? 0 : it->second;
-    if (value > before) deltas.emplace_back(std::move(name), value - before);
-  }
-  std::sort(deltas.begin(), deltas.end());
-  return deltas;
-}
 
 }  // namespace
 
@@ -395,11 +377,6 @@ Result<QueryResult> Engine::RunQuery(const Pattern& pattern,
   TraceQueryScope qid_scope(options.query_id);
   EngineMetrics::Get().queries.Add();
 
-  // Flight-recorder baseline: a counters-only snapshot taken before any
-  // work, diffed on failure to show what moved while the query ran.
-  const std::vector<std::pair<std::string, uint64_t>> baseline =
-      MetricsRegistry::Global().CounterValues();
-
   // /statusz registration; the executor publishes live bytes straight
   // into the entry. Unregistered on every exit path below.
   std::shared_ptr<InFlightEntry> entry = RegisterInFlight(options);
@@ -417,28 +394,22 @@ Result<QueryResult> Engine::RunQuery(const Pattern& pattern,
 
   Timer timer;
   double plan_ms = 0.0;
+  bool executor_ran = false;  // Executor::Execute was called
 
   // Every failure exit funnels through here: finishes the audit record,
-  // attaches the flight recorder to it and to error_info, and appends.
+  // fills error_info, and appends. A query that failed before the executor
+  // ran records no execution time.
   auto fail = [&](const Status& status, const std::string& verdict) {
     rec.ok = false;
     rec.status_code = StatusCodeName(status.code());
     rec.verdict = verdict;
     rec.optimize_ms = plan_ms;
     rec.total_ms = timer.ElapsedMs();
-    rec.execute_ms = std::max(0.0, rec.total_ms - plan_ms);
-    FlightRecord flight;
-    flight.spans.push_back({"plan", 0.0, plan_ms});
-    if (rec.execute_ms > 0.0) {
-      flight.spans.push_back({"execute", plan_ms, rec.execute_ms});
-    }
-    flight.counter_deltas = CounterDeltas(baseline);
+    if (executor_ran) rec.execute_ms = std::max(0.0, rec.total_ms - plan_ms);
     if (error_info != nullptr) {
       error_info->verdict = verdict;
       error_info->query_id = options.query_id;
-      error_info->flight = flight;
     }
-    rec.flight = std::move(flight);
     query_log_->Append(std::move(rec));
     return status;
   };
@@ -473,11 +444,11 @@ Result<QueryResult> Engine::RunQuery(const Pattern& pattern,
   }
 
   Executor executor(*db_, exec);
+  executor_ran = true;
   Result<ExecResult> executed = executor.Execute(pattern, planned.value().plan);
   if (!executed.ok()) {
     if (error_info != nullptr) {
       error_info->partial_stats = executor.last_stats();
-      error_info->op_stats = executor.last_op_stats();
     }
     rec.actual_rows = executor.last_stats().result_rows;
     rec.max_q_error = executor.last_stats().max_q_error;

@@ -113,14 +113,9 @@ struct QueryResult {
 /// apart.
 struct QueryErrorInfo {
   ExecStats partial_stats;
-  std::vector<OpStats> op_stats;
   std::string verdict;
   /// The id the query ran under, stable from Submit to this error report.
   std::string query_id;
-  /// Failure flight recorder: engine phase spans and the counter deltas
-  /// observed across the query's lifetime (see service/query_log.h).
-  /// Filled for every failure that reached the Engine's run path.
-  FlightRecord flight;
 };
 
 /// One entry of Engine::InFlightQueries(): a query currently planning or

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <iterator>
 #include <string_view>
+#include <utility>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
@@ -68,26 +69,6 @@ int64_t WallNowUs() {
 
 }  // namespace
 
-std::string FlightRecord::ToJson() const {
-  std::string out = "{\"spans\":[";
-  for (size_t i = 0; i < spans.size(); ++i) {
-    if (i > 0) out += ',';
-    out += "{\"name\":";
-    AppendJsonString(spans[i].name, &out);
-    out += ",\"start_ms\":" + FormatDouble(spans[i].start_ms, 3);
-    out += ",\"dur_ms\":" + FormatDouble(spans[i].dur_ms, 3);
-    out += '}';
-  }
-  out += "],\"counter_deltas\":{";
-  for (size_t i = 0; i < counter_deltas.size(); ++i) {
-    if (i > 0) out += ',';
-    AppendJsonString(counter_deltas[i].first, &out);
-    out += ':' + U64(counter_deltas[i].second);
-  }
-  out += "}}";
-  return out;
-}
-
 std::string QueryLogRecord::ToJsonl() const {
   std::string out = "{";
   bool first = true;
@@ -110,7 +91,6 @@ std::string QueryLogRecord::ToJsonl() const {
   AppendField("total_ms", FormatDouble(total_ms, 3), &first, &out);
   AppendField("ts_us", StrFormat("%lld", static_cast<long long>(ts_us)),
               &first, &out);
-  if (!flight.empty()) AppendField("flight", flight.ToJson(), &first, &out);
   out += '}';
   return out;
 }

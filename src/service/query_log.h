@@ -6,10 +6,6 @@
 // path. Records whose total_ms reaches QueryLogOptions::slow_query_ms are
 // additionally promoted to a separate slow-query sink, ClickHouse
 // query_log style.
-//
-// Failed queries carry a FlightRecord: the engine's coarse phase spans and
-// the process-counter deltas observed across the query's lifetime, so a
-// postmortem does not require re-running the query with SJOS_TRACE armed.
 
 #ifndef SJOS_SERVICE_QUERY_LOG_H_
 #define SJOS_SERVICE_QUERY_LOG_H_
@@ -21,35 +17,11 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
 
 namespace sjos {
-
-/// Always-on failure context captured by the Engine when a query ends in
-/// an error (governor verdicts and injected faults included): engine-level
-/// phase spans plus every process counter that moved while the query ran.
-struct FlightRecord {
-  struct Span {
-    std::string name;     // "plan", "execute"
-    double start_ms = 0;  // offset from query start
-    double dur_ms = 0;
-  };
-
-  std::vector<Span> spans;
-  /// Counters that changed during the query, (series name, delta) in name
-  /// order. Under concurrency deltas may include neighbours' activity —
-  /// they bound, not isolate, the query's own work.
-  std::vector<std::pair<std::string, uint64_t>> counter_deltas;
-
-  bool empty() const { return spans.empty() && counter_deltas.empty(); }
-
-  /// {"spans":[{"name":...,"start_ms":...,"dur_ms":...}],
-  ///  "counter_deltas":{"<series>":N,...}}
-  std::string ToJson() const;
-};
 
 /// One finished query, as recorded in the audit log.
 struct QueryLogRecord {
@@ -76,8 +48,6 @@ struct QueryLogRecord {
   double total_ms = 0.0;
   /// Wall-clock microseconds since the Unix epoch at record time.
   int64_t ts_us = 0;
-  /// Failure context; empty (and omitted from the JSONL) on success.
-  FlightRecord flight;
 
   /// One JSON object, no trailing newline.
   std::string ToJsonl() const;

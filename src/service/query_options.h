@@ -34,7 +34,7 @@ struct QueryOptions {
   uint64_t deadline_ms = 0;
 
   /// Budget on live intermediate bytes (0 = unlimited); see
-  /// ExecOptions::max_live_bytes for enforcement and relief semantics.
+  /// ExecOptions::max_live_bytes for enforcement.
   uint64_t max_live_bytes = 0;
 
   /// Abort any single join whose output exceeds this many rows

@@ -53,6 +53,13 @@ TEST(EngineTest, QueryWithoutDatabaseIsNotFound) {
   Result<QueryResult> r = engine.Query(Parse("a[/b]"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+  // The audit record shows the failure, and no execution time: the
+  // executor never ran.
+  const std::vector<QueryLogRecord> recent = engine.query_log().Recent(1);
+  ASSERT_EQ(recent.size(), 1u);
+  EXPECT_FALSE(recent[0].ok);
+  EXPECT_EQ(recent[0].status_code, "NotFound");
+  EXPECT_EQ(recent[0].execute_ms, 0.0);
   EXPECT_EQ(engine.Apply(FoldMutation{2}).status().code(),
             StatusCode::kNotFound);
 }

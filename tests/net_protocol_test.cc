@@ -1121,20 +1121,19 @@ TEST(EncoderGoldenTest, DoneErrors) {
       "\"DeadlineExceeded\",\"error\":\"deadline of 5 ms exceeded\","
       "\"verdict\":\"deadline\",\"query_id\":\"q-2\"}");
 
-  QueryErrorInfo shed;
-  shed.verdict = "adaptive-shed";
-  shed.query_id = "q-3";
-  shed.flight.spans.push_back({"plan", 0.5, 1.25});
-  shed.flight.counter_deltas.push_back({"sjos_x_total", 3});
+  QueryErrorInfo memory;
+  memory.verdict = "memory";
+  memory.query_id = "q-3";
   EXPECT_EQ(
-      EncodeDoneError(
-          "e2", Status::ResourceExhausted("adaptive admission shed"), shed),
+      EncodeDoneError("e2",
+                      Status::ResourceExhausted(
+                          "query 'q-3' live set 9216 bytes exceeds budget "
+                          "of 8192 bytes"),
+                      memory),
       "{\"id\":\"e2\",\"ok\":false,\"done\":true,\"code\":"
-      "\"ResourceExhausted\",\"error\":\"adaptive admission shed\","
-      "\"verdict\":\"adaptive-shed\",\"query_id\":\"q-3\","
-      "\"flight\":{\"spans\":[{\"name\":\"plan\","
-      "\"start_ms\":0.500,\"dur_ms\":1.250}],\"counter_deltas\":"
-      "{\"sjos_x_total\":3}}}");
+      "\"ResourceExhausted\",\"error\":\"query 'q-3' live set 9216 bytes "
+      "exceeds budget of 8192 bytes\",\"verdict\":\"memory\","
+      "\"query_id\":\"q-3\"}");
 }
 
 TEST(EncoderGoldenTest, RowsDecodeToTheCanonicalOrder) {
@@ -1169,13 +1168,16 @@ TEST(JsonTest, MutatedResponsesParseOrFailCleanly) {
   // Byte-level fuzz of the client side: flipped, inserted, deleted and
   // truncated bytes in real responses. Every input must either parse or
   // fail with ParseError; the sanitizer builds catch anything worse.
-  QueryErrorInfo shed;
-  shed.verdict = "adaptive-shed";
-  shed.query_id = "q-3";
-  shed.flight.spans.push_back({"plan", 0.5, 1.25});
+  QueryErrorInfo memory;
+  memory.verdict = "memory";
+  memory.query_id = "q-3";
   const std::string corpus[] = {
       EncodeDoneResult("r1", MixedResult(), 1 << 20),
-      EncodeDoneError("e2", Status::ResourceExhausted("shed"), shed),
+      EncodeDoneError("e2",
+                      Status::ResourceExhausted(
+                          "query 'q-3' live set 9216 bytes exceeds budget "
+                          "of 8192 bytes"),
+                      memory),
       EncodeErrorResponse("q9", Status::InvalidArgument("bad \"query\"\n"),
                           120),
       "{\"s\":\"\\ud83d\\ude00\\u0041\",\"n\":[-0.5e-3,1E+2,true,null]}",

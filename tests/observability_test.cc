@@ -178,7 +178,6 @@ TEST(ObservabilityTest, SuccessfulQueryIdFlowsToTraceAndAuditLog) {
     EXPECT_EQ(rec.status_code, "OK");
     EXPECT_GT(rec.actual_rows, 0u);
     EXPECT_GT(rec.total_ms, 0.0);
-    EXPECT_TRUE(rec.flight.empty());
   }
   EXPECT_TRUE(found);
   std::remove(trace_path.c_str());
@@ -267,7 +266,7 @@ TEST(ObservabilityTest, InFlightQueryVisibleInStatuszUnderItsId) {
   server.Stop();
 }
 
-TEST(ObservabilityTest, DeadlineKilledQueryCarriesIdAndFlightRecord) {
+TEST(ObservabilityTest, DeadlineKilledQueryCarriesIdAndPhaseTimes) {
   Engine engine;
   ASSERT_TRUE(engine.OpenDatabase(SmallPers()).ok());
 
@@ -289,15 +288,8 @@ TEST(ObservabilityTest, DeadlineKilledQueryCarriesIdAndFlightRecord) {
   EXPECT_EQ(info.query_id, "doomed-1");
   EXPECT_EQ(info.verdict, "deadline");
 
-  // Flight recorder: phase spans plus the counters that moved.
-  ASSERT_FALSE(info.flight.empty());
-  ASSERT_FALSE(info.flight.spans.empty());
-  EXPECT_EQ(info.flight.spans.front().name, "plan");
-  EXPECT_FALSE(info.flight.counter_deltas.empty());
-  Result<net::JsonValue> flight_json = net::ParseJson(info.flight.ToJson());
-  ASSERT_TRUE(flight_json.ok()) << info.flight.ToJson();
-
-  // The same failure (id, verdict, flight) landed in the audit log.
+  // The same failure (id, verdict) landed in the audit log, whose phase
+  // times account for the query's whole wall time.
   bool found = false;
   for (const QueryLogRecord& rec : engine.query_log().Recent(16)) {
     if (rec.query_id != "doomed-1") continue;
@@ -305,7 +297,8 @@ TEST(ObservabilityTest, DeadlineKilledQueryCarriesIdAndFlightRecord) {
     EXPECT_FALSE(rec.ok);
     EXPECT_EQ(rec.status_code, "DeadlineExceeded");
     EXPECT_EQ(rec.verdict, "deadline");
-    EXPECT_FALSE(rec.flight.empty());
+    EXPECT_GT(rec.execute_ms, 0.0);
+    EXPECT_NEAR(rec.optimize_ms + rec.execute_ms, rec.total_ms, 0.1);
   }
   EXPECT_TRUE(found);
 }

@@ -64,9 +64,6 @@ TEST(QueryLogTest, RecordSerializesToParseableJson) {
   rec.verdict = "deadline";
   rec.ok = false;
   rec.status_code = "DeadlineExceeded";
-  rec.flight.spans.push_back({"plan", 0.0, 1.5});
-  rec.flight.spans.push_back({"execute", 1.5, 11.0});
-  rec.flight.counter_deltas.emplace_back("sjos_engine_queries_total", 1);
 
   const std::string line = rec.ToJsonl();
   Result<net::JsonValue> parsed = net::ParseJson(line);
@@ -79,22 +76,8 @@ TEST(QueryLogTest, RecordSerializesToParseableJson) {
   EXPECT_EQ(v.Find("verdict")->string_value(), "deadline");
   EXPECT_FALSE(v.Find("ok")->bool_value());
   EXPECT_EQ(v.Find("est_rows")->number_value(), 100.0);
-  ASSERT_NE(v.Find("flight"), nullptr);
-  const net::JsonValue& flight = *v.Find("flight");
-  ASSERT_TRUE(flight.is_object());
-  EXPECT_EQ(flight.Find("spans")->array().size(), 2u);
-  EXPECT_EQ(flight.Find("counter_deltas")
-                ->Find("sjos_engine_queries_total")
-                ->number_value(),
-            1.0);
   // ts_us is stamped by Append, not serialization; unset stays explicit.
   EXPECT_EQ(v.Find("ts_us")->number_value(), 0.0);
-}
-
-TEST(QueryLogTest, SuccessRecordOmitsFlight) {
-  const std::string line = MakeRecord("q-1", 3.0).ToJsonl();
-  EXPECT_EQ(line.find("flight"), std::string::npos) << line;
-  ASSERT_TRUE(net::ParseJson(line).ok()) << line;
 }
 
 TEST(QueryLogTest, InMemoryRingServesRecentAndSlow) {
