@@ -141,7 +141,8 @@ std::unique_ptr<Optimizer> MakeDpOptimizer();
 /// `lookahead = false` is DPP' of Table 2.
 std::unique_ptr<Optimizer> MakeDppOptimizer(bool lookahead = true);
 /// DPP with subtree navigation offered on every edge (extension beyond
-/// the paper's join-only plan space; see bench_nav for the ablation).
+/// the paper's join-only plan space; `bench_paper --only nav` runs the
+/// ablation).
 std::unique_ptr<Optimizer> MakeDppNavOptimizer();
 /// `expansion_bound` is T_e; 0 is raised to 1.
 std::unique_ptr<Optimizer> MakeDpapEbOptimizer(uint32_t expansion_bound);

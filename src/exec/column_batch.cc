@@ -110,15 +110,4 @@ bool ColumnBatch::IsSortedBySlot(size_t slot) const {
   return kernels::IsNonDecreasing(cols_[slot].data(), size());
 }
 
-TupleSet ColumnBatch::ToRows() const {
-  TupleSet out(slots_);
-  out.Reserve(size());
-  std::vector<NodeId> row(arity());
-  for (size_t r = 0; r < size(); ++r) {
-    for (size_t c = 0; c < arity(); ++c) row[c] = cols_[c][r];
-    out.AppendRow(row.data());
-  }
-  return out;
-}
-
 }  // namespace sjos

@@ -4,7 +4,7 @@
 // permutation, group detection) run as straight-line sweeps over dense
 // uint32 arrays instead of strided row-major walks. Operators, the
 // Stack-Tree merge and the streaming sink all trade in ColumnBatch;
-// ToRows() is the one conversion, to the TupleSet a finished result is.
+// TupleSet::AppendBatch is the one conversion, to the row-major result.
 
 #ifndef SJOS_EXEC_COLUMN_BATCH_H_
 #define SJOS_EXEC_COLUMN_BATCH_H_
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "exec/tuple_set.h"
 #include "query/pattern.h"
 #include "xml/node.h"
 
@@ -101,9 +100,6 @@ class ColumnBatch {
 
   /// True if rows are non-decreasing in `slot` (kernels::IsNonDecreasing).
   bool IsSortedBySlot(size_t slot) const;
-
-  /// The rows as a row-major TupleSet (same slots, same row order).
-  TupleSet ToRows() const;
 
  private:
   std::vector<PatternNodeId> slots_;

@@ -79,15 +79,14 @@ Status Executor::Run(const Pattern& pattern, const PhysicalPlan& plan,
   ctx.op_stats = op_stats;
   ctx.governor = governor.has_limits() ? &governor : nullptr;
   ctx.live_observer = options_.live_bytes_observer;
-  ColumnBatch acc;
   Status st = [&]() -> Status {
     Result<std::unique_ptr<Operator>> compiled =
         CompileOperatorTree(&ctx, plan, plan.root());
     if (!compiled.ok()) return compiled.status();
     Operator* root = compiled.value().get();
-    acc = root->MakeBatch();
     SJOS_RETURN_IF_ERROR(Operator::OpenTimed(root));
     ColumnBatch batch = root->MakeBatch();
+    if (rows != nullptr) *rows = TupleSet(batch.slots());
     const uint64_t row_bytes = batch.arity() * sizeof(NodeId);
     bool eos = false;
     while (!eos) {
@@ -104,9 +103,10 @@ Status Executor::Run(const Pattern& pattern, const PhysicalPlan& plan,
       if (batch.size() == 0) continue;
       stats->result_rows += batch.size();
       if (rows != nullptr) {
-        // Accumulated result rows count as live, so the peak is honest
-        // about total residency.
-        acc.AppendBatch(batch);
+        // Each batch is transposed into the result rows as it arrives, the
+        // one copy a result row gets. Accumulated result rows count as
+        // live, so the peak is honest about total residency.
+        rows->AppendBatch(batch);
         ctx.AddLive(batch.size(), batch.size() * row_bytes);
       } else {
         SJOS_RETURN_IF_ERROR((*sink)(batch));
@@ -116,7 +116,6 @@ Status Executor::Run(const Pattern& pattern, const PhysicalPlan& plan,
     TraceSpan close_span("Close:", root->Name());
     return root->Close();
   }();
-  if (st.ok() && rows != nullptr) *rows = acc.ToRows();
   stats->peak_live_rows = ctx.peak_live_rows;
   stats->peak_live_bytes = ctx.peak_live_bytes;
   stats->wall_ms = timer.ElapsedMs();

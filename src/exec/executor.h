@@ -5,10 +5,11 @@
 // paper's Sec. 4.3 identifies as dominant — run in O(batch × plan depth)
 // intermediate memory. It is the only engine: concurrency across queries
 // lives in the Engine's worker pool, not inside one plan. Batches are
-// columnar (ColumnBatch) from scan to sink: Execute converts the collected
-// rows to a TupleSet once, at the end, and ExecuteStreaming hands each
-// batch to its sink as it is. Wall time plus operator-level counters let
-// benches decompose where time and memory went.
+// columnar (ColumnBatch) from scan to sink: Execute transposes each root
+// batch into the result TupleSet as it arrives, with no second pass, and
+// ExecuteStreaming hands each batch to its sink as it is. Wall time plus
+// operator-level counters let benches decompose where time and memory
+// went.
 //
 // Expert path: Executor is the low-level execution API — you bring your own
 // Database, plan (from core/optimizer.h), and ExecOptions. Most callers
@@ -158,8 +159,8 @@ class Executor {
   /// The one execution path behind Execute and ExecuteStreaming: compiles
   /// the plan into an operator tree, pulls batches from the root, and
   /// records last_stats()/last_op_stats()/last_verdict(). With `rows`
-  /// non-null the batches accumulate there (counted as live rows, and
-  /// converted inside the timed call); otherwise each goes to `*sink`.
+  /// non-null each batch is appended there as it arrives (counted as live
+  /// rows, inside the timed call); otherwise each goes to `*sink`.
   Status Run(const Pattern& pattern, const PhysicalPlan& plan,
              TupleSet* rows, const BatchSink* sink, ExecStats* stats,
              std::vector<OpStats>* op_stats);

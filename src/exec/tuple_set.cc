@@ -5,6 +5,8 @@
 #include <numeric>
 #include <utility>
 
+#include "exec/column_batch.h"
+
 namespace sjos {
 
 TupleSet::TupleSet(std::vector<PatternNodeId> slots)
@@ -19,6 +21,21 @@ int TupleSet::SlotOf(PatternNodeId node) const {
 
 void TupleSet::AppendRow(const NodeId* row) {
   data_.insert(data_.end(), row, row + arity());
+}
+
+void TupleSet::AppendBatch(const ColumnBatch& batch) {
+  SJOS_CHECK(batch.slots() == slots_, "AppendBatch schema mismatch");
+  const size_t a = arity();
+  const size_t n = batch.size();
+  if (n == 0) return;
+  std::vector<const NodeId*> cols(a);
+  for (size_t c = 0; c < a; ++c) cols[c] = batch.Col(c);
+  const size_t old = data_.size();
+  data_.resize(old + n * a);
+  NodeId* out = data_.data() + old;
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < a; ++c) *out++ = cols[c][r];
+  }
 }
 
 TupleSet::Order TupleSet::CanonicalOrder() const {

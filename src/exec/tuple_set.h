@@ -2,9 +2,10 @@
 // assigns one document node to every pattern node in the set's schema
 // ("slots"), stored row-major in one flat vector. It only collects and
 // reads rows. The executor trades in columnar ColumnBatch batches
-// (exec/column_batch.h) and converts to a TupleSet once, at the end of
-// Executor::Execute; the TwigJoin oracle returns one too. CanonicalOrder()
-// is the order the wire encoder writes, as a permutation of the stored rows.
+// (exec/column_batch.h); Executor::Execute transposes each root batch into
+// its TupleSet with AppendBatch as the batch arrives, and the TwigJoin
+// oracle returns one too. CanonicalOrder() is the order the wire encoder
+// writes, as a permutation of the stored rows.
 
 #ifndef SJOS_EXEC_TUPLE_SET_H_
 #define SJOS_EXEC_TUPLE_SET_H_
@@ -17,6 +18,8 @@
 #include "xml/node.h"
 
 namespace sjos {
+
+class ColumnBatch;
 
 /// A finished result: rows of pattern-node bindings.
 class TupleSet {
@@ -44,6 +47,11 @@ class TupleSet {
 
   /// Appends one row; `row` must have arity() entries.
   void AppendRow(const NodeId* row);
+
+  /// Appends every row of `batch`, which must have the same slots
+  /// (checked), in batch order: each row is written once, straight from
+  /// the batch's columns.
+  void AppendBatch(const ColumnBatch& batch);
 
   void Reserve(size_t rows) { data_.reserve(rows * arity()); }
 

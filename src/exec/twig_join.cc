@@ -53,7 +53,8 @@ class PathStackRun {
     const size_t k = path_.size();
     if (k == 1) {
       // Single-node pattern: candidates are the solutions.
-      return streams_[0].ToRows();
+      out.AppendBatch(streams_[0]);
+      return out;
     }
     for (;;) {
       if (Eof(k - 1) && stacks_[k - 1].empty()) {

@@ -15,8 +15,9 @@
 //     (hash join on the common prefix columns) into full twig matches.
 //
 // This is the natural baseline to compare against the optimizer's binary
-// structural join plans (see bench_twig): one holistic operator with no
-// join-order decisions versus an optimized binary-join tree.
+// structural join plans (`bench_paper --only twig` runs the comparison):
+// one holistic operator with no join-order decisions versus an optimized
+// binary-join tree.
 
 #ifndef SJOS_EXEC_TWIG_JOIN_H_
 #define SJOS_EXEC_TWIG_JOIN_H_

@@ -6,9 +6,20 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <new>
 #include <system_error>
 #include <type_traits>
+
+// Under ASan a block on the free list is poisoned past its link, so
+// reading through a view that outlived its root still reports.
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 namespace sjos {
 namespace net {
@@ -16,30 +27,110 @@ namespace net {
 static_assert(sizeof(JsonValue) <= 24,
               "JsonValue must stay small: result frames hold ~1e5 numbers");
 
+namespace {
+
+/// The size of one parse-tree block, the unit the free list keeps.
+constexpr size_t kJsonBlockBytes = size_t{64} << 10;
+
+/// Free parse-tree blocks, shared by every thread: a root that dies gives
+/// its kJsonBlockBytes blocks back here, and the next parse takes them
+/// before asking the heap, so a client reading result after result reuses
+/// memory it has already faulted in. At most kJsonBlockPoolMaxBytes are
+/// kept; a block over the bound goes back to the heap. One list under one
+/// mutex, not one per thread, so a thread-per-connection server keeps the
+/// bound once, not once per connection.
+class BlockPool {
+ public:
+  /// Takes a block of kJsonBlockBytes from the list, or from the heap when
+  /// the list is empty.
+  static void* Take() {
+    Pool& pool = Get();
+    {
+      std::lock_guard<std::mutex> lock(pool.mu);
+      if (FreeBlock* block = pool.head) {
+        ASAN_UNPOISON_MEMORY_REGION(block + 1, kPoisonedBytes);
+        pool.head = block->next;
+        --pool.blocks;
+        return block;
+      }
+    }
+    return ::operator new(kJsonBlockBytes);
+  }
+
+  /// Keeps `block` (kJsonBlockBytes long) for reuse, or frees it when the
+  /// list is full.
+  static void Give(void* block) {
+    Pool& pool = Get();
+    {
+      std::lock_guard<std::mutex> lock(pool.mu);
+      if ((pool.blocks + 1) * kJsonBlockBytes <= kJsonBlockPoolMaxBytes) {
+        FreeBlock* free_block = new (block) FreeBlock{pool.head};
+        pool.head = free_block;
+        ++pool.blocks;
+        ASAN_POISON_MEMORY_REGION(free_block + 1, kPoisonedBytes);
+        return;
+      }
+    }
+    ::operator delete(block);
+  }
+
+  static size_t Bytes() {
+    Pool& pool = Get();
+    std::lock_guard<std::mutex> lock(pool.mu);
+    return pool.blocks * kJsonBlockBytes;
+  }
+
+ private:
+  struct FreeBlock {
+    FreeBlock* next;
+  };
+  static constexpr size_t kPoisonedBytes = kJsonBlockBytes - sizeof(FreeBlock);
+  struct Pool {
+    std::mutex mu;
+    FreeBlock* head = nullptr;
+    size_t blocks = 0;
+  };
+
+  /// Never destroyed, so a tree that dies during static destruction can
+  /// still give its blocks back.
+  static Pool& Get() {
+    static Pool* pool = new Pool;
+    return *pool;
+  }
+};
+
+}  // namespace
+
+size_t JsonBlockPoolBytes() { return BlockPool::Bytes(); }
+
 /// A chain of blocks handing out 8-aligned runs that are freed all at once.
 /// The arena object sits at the front of its first block, so a root's whole
-/// tree costs one allocation per block.
+/// tree costs one allocation per block. Blocks of kJsonBlockBytes come from
+/// and go back to the BlockPool; a block sized to fit a longer run (or a
+/// copy's exact size) comes from and goes back to the heap.
 class JsonValue::Arena {
  public:
-  static constexpr size_t kBlockBytes = size_t{64} << 10;
+  /// A new arena in a pooled block, for a parse.
+  static Arena* CreatePooled() {
+    return Place(BlockPool::Take(), kJsonBlockBytes);
+  }
 
-  /// A new arena whose first block has room for `bytes`.
+  /// A new arena whose first block has room for exactly `bytes`, for a
+  /// copy.
   static Arena* Create(size_t bytes) {
-    static_assert(sizeof(Arena) % 8 == 0,
-                  "the first block's runs start right after the arena");
-    void* memory = ::operator new(sizeof(Arena) + bytes);
-    char* data = static_cast<char*>(memory) + sizeof(Arena);
-    return new (memory) Arena(data, data + bytes);
+    const size_t total = sizeof(Arena) + bytes;
+    return Place(::operator new(total), total);
   }
 
   static void Destroy(Arena* arena) {
     for (Block* b = arena->blocks_; b != nullptr;) {
       Block* next = b->next;
-      ::operator delete(b);
+      Release(b, b->bytes);
       b = next;
     }
+    const size_t first_bytes = arena->first_bytes_;
     arena->~Arena();
-    ::operator delete(arena);
+    Release(arena, first_bytes);
   }
 
   /// `bytes` rounded up to the arena's alignment; every run takes this
@@ -66,15 +157,17 @@ class JsonValue::Arena {
   void Take(size_t bytes) { cur_ += Rounded(bytes); }
 
   /// Gives up the current block's tail for a new block whose tail holds at
-  /// least `bytes`: a block of exactly that size when it is longer than a
-  /// block.
+  /// least `bytes`: a pooled block when that fits, else a block of exactly
+  /// that size.
   void StartBlock(size_t bytes) {
-    const size_t size = std::max(bytes, kBlockBytes);
-    Block* block = static_cast<Block*>(::operator new(sizeof(Block) + size));
-    block->next = blocks_;
+    const size_t total = sizeof(Block) + bytes;
+    const bool pooled = total <= kJsonBlockBytes;
+    void* memory = pooled ? BlockPool::Take() : ::operator new(total);
+    Block* block = new (memory)
+        Block{blocks_, pooled ? kJsonBlockBytes : total};
     blocks_ = block;
     cur_ = reinterpret_cast<char*>(block + 1);
-    end_ = cur_ + size;
+    end_ = static_cast<char*>(memory) + block->bytes;
   }
 
   /// A copy of `text` in the arena; empty text takes no space.
@@ -88,10 +181,32 @@ class JsonValue::Arena {
  private:
   struct Block {
     Block* next;
+    /// The whole allocation, this header included.
+    size_t bytes;
   };
   static_assert(sizeof(Block) % 8 == 0);
 
-  Arena(char* cur, char* end) : cur_(cur), end_(end) {}
+  /// Builds the arena at the front of `memory`, `bytes` long.
+  static Arena* Place(void* memory, size_t bytes) {
+    static_assert(sizeof(Arena) % 8 == 0,
+                  "the first block's runs start right after the arena");
+    char* data = static_cast<char*>(memory) + sizeof(Arena);
+    return new (memory)
+        Arena(data, static_cast<char*>(memory) + bytes, bytes);
+  }
+
+  /// Returns a block of `bytes` to the pool if it is pool-sized, else to
+  /// the heap.
+  static void Release(void* memory, size_t bytes) {
+    if (bytes == kJsonBlockBytes) {
+      BlockPool::Give(memory);
+    } else {
+      ::operator delete(memory);
+    }
+  }
+
+  Arena(char* cur, char* end, size_t first_bytes)
+      : cur_(cur), end_(end), first_bytes_(first_bytes) {}
 
   /// Starts a block for a run that does not fit the current one.
   void* AllocateSlow(size_t bytes) {
@@ -105,6 +220,8 @@ class JsonValue::Arena {
   char* end_;
   /// Blocks after the first, newest first.
   Block* blocks_ = nullptr;
+  /// The first block's whole allocation, this arena included.
+  size_t first_bytes_;
 };
 
 size_t JsonValue::TreeBytes(const Node& node) {
@@ -280,6 +397,10 @@ JsonValue JsonValue::MakeObject(
   return JsonValue(view);
 }
 
+/// The parser's stacks are kept for the next parse while they hold at
+/// most this many bytes (a 1e5-row result frame needs about 1.6 MB).
+constexpr size_t kMaxSpareStackBytes = size_t{4} << 20;
+
 /// The recursive-descent parser. Each container collects its children on
 /// a stack the parser reuses (nested containers push above their parent's
 /// children) and copies them into the arena as one run when it closes.
@@ -290,10 +411,15 @@ class JsonParser {
       : begin_(text.data()),
         p_(text.data()),
         end_(text.data() + text.size()),
-        max_depth_(max_depth) {}
+        max_depth_(max_depth),
+        stacks_(TakeStacks()),
+        items_(stacks_->items),
+        members_(stacks_->members),
+        scratch_(stacks_->text) {}
 
   ~JsonParser() {
     if (arena_ != nullptr) Arena::Destroy(arena_);
+    GiveStacks(std::move(stacks_));
   }
   JsonParser(const JsonParser&) = delete;
   JsonParser& operator=(const JsonParser&) = delete;
@@ -318,6 +444,50 @@ class JsonParser {
     Node value;
   };
 
+  /// The children stacks and the string buffer one parse works in.
+  struct Stacks {
+    std::vector<Node> items;
+    std::vector<PendingMember> members;
+    std::string text;
+  };
+
+  /// One spare Stacks, shared by every thread, so a client decoding result
+  /// after result does not grow its stacks again each time.
+  struct Spare {
+    std::mutex mu;
+    std::unique_ptr<Stacks> stacks;
+  };
+  static Spare& spare() {
+    static Spare* spare = new Spare;
+    return *spare;
+  }
+
+  static std::unique_ptr<Stacks> TakeStacks() {
+    Spare& s = spare();
+    {
+      std::lock_guard<std::mutex> lock(s.mu);
+      if (s.stacks != nullptr) return std::move(s.stacks);
+    }
+    return std::make_unique<Stacks>();
+  }
+
+  /// Keeps `stacks`, emptied, as the spare unless they are over
+  /// kMaxSpareStackBytes or another parse already returned a spare.
+  static void GiveStacks(std::unique_ptr<Stacks> stacks) {
+    if (stacks->items.capacity() * sizeof(Node) +
+            stacks->members.capacity() * sizeof(PendingMember) +
+            stacks->text.capacity() >
+        kMaxSpareStackBytes) {
+      return;
+    }
+    stacks->items.clear();
+    stacks->members.clear();
+    stacks->text.clear();
+    Spare& s = spare();
+    std::lock_guard<std::mutex> lock(s.mu);
+    if (s.stacks == nullptr) s.stacks = std::move(stacks);
+  }
+
   /// Integers of at most this many digits are below 2^53, so converting
   /// them digit by digit is exact and needs no from_chars.
   static constexpr size_t kMaxExactDigits = 15;
@@ -330,7 +500,7 @@ class JsonParser {
 
   /// The tree's arena, made on first use.
   Arena& arena() {
-    if (arena_ == nullptr) arena_ = Arena::Create(Arena::kBlockBytes);
+    if (arena_ == nullptr) arena_ = Arena::CreatePooled();
     return *arena_;
   }
 
@@ -692,11 +862,12 @@ class JsonParser {
   Status error_;
   /// The arena of the tree being built; handed to the root on success.
   Arena* arena_ = nullptr;
+  std::unique_ptr<Stacks> stacks_;
   /// Children of the containers still open, innermost last.
-  std::vector<Node> items_;
-  std::vector<PendingMember> members_;
+  std::vector<Node>& items_;
+  std::vector<PendingMember>& members_;
   /// Decoding buffer for strings with escapes.
-  std::string scratch_;
+  std::string& scratch_;
 };
 
 Result<JsonValue> ParseJson(std::string_view text, size_t max_depth) {

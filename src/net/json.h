@@ -11,7 +11,14 @@
 // a 16-byte trivially-copyable node (kind, bool, a 32-bit count and a
 // union of number / items / members / chars) plus an owner pointer. The
 // root owns one bump arena, a chain of 64 KiB blocks (a run longer than a
-// block gets a block of its own). Every string's decoded text and
+// block gets a block of its own). When a root dies its 64 KiB blocks go to
+// one process-wide free list (under one mutex, bounded by
+// kJsonBlockPoolMaxBytes), and the next parse on any thread takes its
+// blocks from there before the heap, so a client decoding result after
+// result stops faulting in a fresh ~16 MB tree each time. Blocks past the
+// bound, and blocks sized to fit one longer run, go back to the heap.
+// Under AddressSanitizer a listed block is poisoned, so a view that
+// outlives its root still reports. Every string's decoded text and
 // every array's items or object's members live there as one contiguous
 // run: the parser collects a container's children on a stack it reuses
 // and copies them into the arena when the container closes, except that a
@@ -30,6 +37,7 @@
 #ifndef SJOS_NET_JSON_H_
 #define SJOS_NET_JSON_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -138,6 +146,14 @@ class JsonValue {
   /// and for values with no children or text.
   Arena* arena_ = nullptr;
 };
+
+/// Bound on the 64 KiB parse-tree blocks kept for reuse once their trees die:
+/// twice the ~16 MB tree of a 1e5-row result frame.
+inline constexpr size_t kJsonBlockPoolMaxBytes = size_t{32} << 20;
+
+/// Bytes of parse-tree blocks on the free list now (at most
+/// kJsonBlockPoolMaxBytes).
+size_t JsonBlockPoolBytes();
 
 /// Parses exactly one JSON document: leading/trailing whitespace allowed,
 /// trailing garbage rejected, nesting capped at `max_depth` (guards stack

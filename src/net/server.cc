@@ -66,6 +66,11 @@ Result<Pattern> ParseWireQuery(const WireRequest& req) {
   return std::move(q).value().pattern;
 }
 
+/// `response` as a buffer the reply and the replay ring can share.
+SharedResponse Share(std::string response) {
+  return std::make_shared<const std::string>(std::move(response));
+}
+
 /// One request of `verb`. The label set is the fixed verb list: a
 /// client-chosen tenant name never mints a series.
 void CountRequest(Verb verb) {
@@ -252,15 +257,15 @@ void QueryServer::AcceptLoop() {
   }
 }
 
-void ReplayRing::Push(std::string id, std::string response,
+void ReplayRing::Push(std::string id, SharedResponse response,
                       bool disconnect_cancelled) {
   if (capacity_ == 0) return;
-  bytes_ += response.size();
+  bytes_ += response->size();
   entries_.push_back(
       {std::move(id), std::move(response), disconnect_cancelled});
   while (entries_.size() > capacity_ ||
          (bytes_ > kReplayRingMaxBytes && entries_.size() > 1)) {
-    bytes_ -= entries_.front().response.size();
+    bytes_ -= entries_.front().response->size();
     entries_.pop_front();
   }
 }
@@ -275,7 +280,7 @@ const ReplayRing::Entry* ReplayRing::Find(const std::string& id) const {
 void ReplayRing::Erase(const std::string& id) {
   for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
     if (it->id == id) {
-      bytes_ -= it->response.size();
+      bytes_ -= it->response->size();
       entries_.erase(std::next(it).base());
       return;
     }
@@ -306,8 +311,8 @@ void QueryServer::ServeConnection(Connection* conn) {
       break;
     }
     if (clean_eof) break;
-    const std::string response = HandleRequest(conn, payload);
-    if (!SendFrame(conn->fd, response).ok()) break;
+    const SharedResponse response = HandleRequest(conn, payload);
+    if (!SendFrame(conn->fd, *response).ok()) break;
   }
 
   // Cancel-on-disconnect: every query this connection still owns (a query
@@ -321,6 +326,7 @@ void QueryServer::ServeConnection(Connection* conn) {
     QueryHandle handle;
     bool we_cancelled = false;
     uint64_t generation = 0;
+    SharedResponse response;
   };
   std::vector<Doomed> owned;
   {
@@ -333,14 +339,21 @@ void QueryServer::ServeConnection(Connection* conn) {
         it->second.handle.Cancel();
         it->second.disconnect_cancelled = true;
       }
-      owned.push_back(
-          {id, it->second.handle, !was_done, it->second.generation});
+      owned.push_back({id, it->second.handle, !was_done,
+                       it->second.generation, nullptr});
     }
   }
+  // Responses are encoded outside queries_mu_: an encode takes
+  // milliseconds for a large result, and every other connection's submit
+  // and poll waits on that lock.
   uint64_t cancelled = 0;
   for (Doomed& d : owned) {
-    d.handle.Wait();
+    const Result<QueryResult>& result = d.handle.Wait();
     if (d.we_cancelled) ++cancelled;
+    d.response = Share(
+        result.ok()
+            ? EncodeDoneResult(d.id, result.value(), options_.max_frame_bytes)
+            : EncodeDoneError(d.id, result.status(), d.handle.error_info()));
   }
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
@@ -355,13 +368,7 @@ void QueryServer::ServeConnection(Connection* conn) {
       const bool disconnect_cancelled =
           d.we_cancelled && !result.ok() &&
           result.status().code() == StatusCode::kCancelled;
-      std::string response =
-          result.ok()
-              ? EncodeDoneResult(d.id, result.value(),
-                                 options_.max_frame_bytes)
-              : EncodeDoneError(d.id, result.status(),
-                                d.handle.error_info());
-      completed_.Push(d.id, std::move(response), disconnect_cancelled);
+      completed_.Push(d.id, std::move(d.response), disconnect_cancelled);
       queries_.erase(it);
     }
   }
@@ -374,38 +381,39 @@ void QueryServer::ServeConnection(Connection* conn) {
   conn->finished.store(true, std::memory_order_release);
 }
 
-std::string QueryServer::HandleRequest(Connection* conn,
-                                       std::string_view payload) {
+SharedResponse QueryServer::HandleRequest(Connection* conn,
+                                          std::string_view payload) {
   Result<WireRequest> decoded = DecodeRequest(payload);
   if (!decoded.ok()) {
-    return EncodeErrorResponse("", decoded.status());
+    return Share(EncodeErrorResponse("", decoded.status()));
   }
   const WireRequest& req = decoded.value();
   CountRequest(req.verb);
   switch (req.verb) {
-    case Verb::kPing: return HandlePing(req);
+    case Verb::kPing: return Share(HandlePing(req));
     case Verb::kSubmit: return HandleSubmit(conn, req);
     case Verb::kPoll: return HandlePoll(conn, req);
-    case Verb::kCancel: return HandleCancel(conn, req);
-    case Verb::kExplain: return HandleExplain(req);
-    case Verb::kStats: return HandleStats(req);
-    case Verb::kDrain: return HandleDrain(req);
+    case Verb::kCancel: return Share(HandleCancel(conn, req));
+    case Verb::kExplain: return Share(HandleExplain(req));
+    case Verb::kStats: return Share(HandleStats(req));
+    case Verb::kDrain: return Share(HandleDrain(req));
     case Verb::kUpdate: return HandleUpdate(req);
   }
-  return EncodeErrorResponse(req.id, Status::Internal("unreachable verb"));
+  return Share(
+      EncodeErrorResponse(req.id, Status::Internal("unreachable verb")));
 }
 
-std::string QueryServer::HandleSubmit(Connection* conn,
-                                      const WireRequest& req) {
+SharedResponse QueryServer::HandleSubmit(Connection* conn,
+                                         const WireRequest& req) {
   // Drain gate: a draining server takes no new work, only lets the
   // in-flight finish. The hint paces clients toward a live replica (or a
   // restarted self).
   if (draining_.load(std::memory_order_relaxed)) {
     ServerMetrics::Get().drain_shed.Add();
-    return EncodeErrorResponse(
+    return Share(EncodeErrorResponse(
         req.id,
         Status::Unavailable("server is draining — no new submits"),
-        kDrainRetryAfterMs);
+        kDrainRetryAfterMs));
   }
 
   // Idempotency: one id, one execution. A re-submit of a live id attaches
@@ -429,7 +437,7 @@ std::string QueryServer::HandleSubmit(Connection* conn,
         std::string out;
         AppendOkHead(req.id, &out);
         out += ",\"queued\":true,\"attached\":true}";
-        return out;
+        return Share(std::move(out));
       }
     } else if (const ReplayRing::Entry* done = completed_.Find(req.id)) {
       if (!done->disconnect_cancelled) {
@@ -444,7 +452,7 @@ std::string QueryServer::HandleSubmit(Connection* conn,
 
   Timer parse_timer;
   Result<Pattern> parsed = ParseWireQuery(req);
-  if (!parsed.ok()) return EncodeErrorResponse(req.id, parsed.status());
+  if (!parsed.ok()) return Share(EncodeErrorResponse(req.id, parsed.status()));
   Pattern pattern = std::move(parsed).value();
 
   QueryOptions options = req.ToQueryOptions();
@@ -471,10 +479,11 @@ std::string QueryServer::HandleSubmit(Connection* conn,
   std::string out;
   AppendOkHead(req.id, &out);
   out += ",\"queued\":true}";
-  return out;
+  return Share(std::move(out));
 }
 
-std::string QueryServer::HandlePoll(Connection* conn, const WireRequest& req) {
+SharedResponse QueryServer::HandlePoll(Connection* conn,
+                                       const WireRequest& req) {
   QueryHandle handle;
   uint64_t generation = 0;
   {
@@ -487,19 +496,19 @@ std::string QueryServer::HandlePoll(Connection* conn, const WireRequest& req) {
       // The result was lost to a disconnect-cancel (still unwinding, or
       // already parked in the ring); NotFound tells the client to
       // re-submit under the same id.
-      return EncodeErrorResponse(
+      return Share(EncodeErrorResponse(
           req.id, Status::NotFound(
                       "query '" + req.id +
                       "' was cancelled when its connection dropped — "
-                      "re-submit it"));
+                      "re-submit it")));
     }
     if (parked != nullptr) {
       ServerMetrics::Get().replays.Add();
       return parked->response;
     }
     if (it == queries_.end()) {
-      return EncodeErrorResponse(
-          req.id, Status::NotFound("no query with id '" + req.id + "'"));
+      return Share(EncodeErrorResponse(
+          req.id, Status::NotFound("no query with id '" + req.id + "'")));
     }
     // Polling adopts the query: once a (possibly reconnected) client is
     // following an id, the previous connection's disconnect must not
@@ -518,16 +527,17 @@ std::string QueryServer::HandlePoll(Connection* conn, const WireRequest& req) {
     std::string out;
     AppendOkHead(req.id, &out);
     out += ",\"done\":false}";
-    return out;
+    return Share(std::move(out));
   }
   const Result<QueryResult>& result = handle.Wait();
-  std::string response =
+  SharedResponse response = Share(
       result.ok()
           ? EncodeDoneResult(req.id, result.value(), options_.max_frame_bytes)
-          : EncodeDoneError(req.id, result.status(), handle.error_info());
+          : EncodeDoneError(req.id, result.status(), handle.error_info()));
   {
-    // Consume: move the terminal response into the replay ring — unless a
-    // newer generation took the id over in the meantime.
+    // Consume: park the terminal response in the replay ring, which shares
+    // this reply's buffer — unless a newer generation took the id over in
+    // the meantime.
     std::lock_guard<std::mutex> lock(queries_mu_);
     auto it = queries_.find(req.id);
     if (it != queries_.end() && it->second.generation == generation) {
@@ -612,14 +622,14 @@ std::string QueryServer::HandlePing(const WireRequest& req) {
   return out;
 }
 
-std::string QueryServer::HandleUpdate(const WireRequest& req) {
+SharedResponse QueryServer::HandleUpdate(const WireRequest& req) {
   // Writes obey the same drain gate as submits: a draining server only
   // finishes what it already accepted.
   if (draining_.load(std::memory_order_relaxed)) {
     ServerMetrics::Get().drain_shed.Add();
-    return EncodeErrorResponse(
+    return Share(EncodeErrorResponse(
         req.id, Status::Unavailable("server is draining — no new updates"),
-        kDrainRetryAfterMs);
+        kDrainRetryAfterMs));
   }
 
   // One write at a time: apply-then-record must be atomic per id, or a
@@ -656,7 +666,7 @@ std::string QueryServer::HandleUpdate(const WireRequest& req) {
   if (!result.ok()) {
     // Failed mutations changed nothing and are not recorded: the client
     // may retry the same id after fixing the request.
-    return EncodeErrorResponse(req.id, result.status());
+    return Share(EncodeErrorResponse(req.id, result.status()));
   }
   const MutationResult& mr = result.value();
 
@@ -680,11 +690,12 @@ std::string QueryServer::HandleUpdate(const WireRequest& req) {
   AppendJsonUint(engine_->has_database() ? engine_->db().LiveNodeCount() : 0,
                  &out);
   out += "}";
+  SharedResponse response = Share(std::move(out));
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
-    completed_.Push(req.id, out, /*disconnect_cancelled=*/false);
+    completed_.Push(req.id, response, /*disconnect_cancelled=*/false);
   }
-  return out;
+  return response;
 }
 
 std::string QueryServer::HandleDrain(const WireRequest& req) {

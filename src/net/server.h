@@ -122,6 +122,11 @@ inline constexpr size_t kReplayRingMaxBytes = size_t{32} << 20;
 /// touching a real one.
 inline constexpr uint64_t kMaxQueryLiveBytes = uint64_t{256} << 20;
 
+/// One encoded response frame payload. A terminal response is shared, not
+/// copied: the reply that sends it, its replay-ring entry and every replay
+/// hold the same buffer.
+using SharedResponse = std::shared_ptr<const std::string>;
+
 /// The recently-completed ring: terminal responses kept for idempotent
 /// replay, oldest first. It holds at most `capacity` entries and evicts
 /// the oldest while the retained response bytes exceed
@@ -132,7 +137,7 @@ class ReplayRing {
  public:
   struct Entry {
     std::string id;
-    std::string response;
+    SharedResponse response;
     /// True when a disconnect cancelled the query before its result was
     /// ever delivered: re-submits re-run instead of replaying, and polls
     /// answer NotFound.
@@ -141,7 +146,8 @@ class ReplayRing {
 
   explicit ReplayRing(size_t capacity) : capacity_(capacity) {}
 
-  void Push(std::string id, std::string response, bool disconnect_cancelled);
+  void Push(std::string id, SharedResponse response,
+            bool disconnect_cancelled);
 
   /// Newest entry under `id` (a re-run under a replayed id resolves to its
   /// latest terminal response), or nullptr.
@@ -243,15 +249,15 @@ class QueryServer {
   /// grants the poll grace, then Stop()s.
   void DrainImpl(uint64_t deadline_ms);
 
-  std::string HandleRequest(Connection* conn, std::string_view payload);
-  std::string HandleSubmit(Connection* conn, const WireRequest& req);
-  std::string HandlePoll(Connection* conn, const WireRequest& req);
+  SharedResponse HandleRequest(Connection* conn, std::string_view payload);
+  SharedResponse HandleSubmit(Connection* conn, const WireRequest& req);
+  SharedResponse HandlePoll(Connection* conn, const WireRequest& req);
   std::string HandleCancel(Connection* conn, const WireRequest& req);
   std::string HandleExplain(const WireRequest& req);
   std::string HandleStats(const WireRequest& req);
   std::string HandlePing(const WireRequest& req);
   std::string HandleDrain(const WireRequest& req);
-  std::string HandleUpdate(const WireRequest& req);
+  SharedResponse HandleUpdate(const WireRequest& req);
 
   Engine* engine_;
   const ServerOptions options_;

@@ -1,8 +1,9 @@
 // Property tests for the columnar batch core: ColumnBatch -> TupleSet
-// conversion over random schemas and sizes (including empty and arity-1
-// batches), the stable sort against a row-wise std::stable_sort, the
-// columnar appenders, and seeded fuzz of the two SSE2 kernels against
-// their scalar references, including the sign-bias boundary values.
+// conversion (TupleSet::AppendBatch) over random schemas and sizes
+// (including empty and arity-1 batches), the stable sort against a
+// row-wise std::stable_sort, the columnar appenders, and seeded fuzz of
+// the two SSE2 kernels against their scalar references, including the
+// sign-bias boundary values.
 
 #include <gtest/gtest.h>
 
@@ -56,32 +57,57 @@ void ExpectSameContent(const TupleSet& rows, const ColumnBatch& cols) {
   }
 }
 
-TEST(ColumnBatchToRows, RandomArityAndSizes) {
+/// The rows of `cols` as a TupleSet with its slots.
+TupleSet AppendedRows(const ColumnBatch& cols) {
+  TupleSet rows(cols.slots());
+  rows.AppendBatch(cols);
+  return rows;
+}
+
+TEST(TupleSetAppendBatch, RandomArityAndSizes) {
   Rng rng(0xC01BEEF);
   for (int iter = 0; iter < 200; ++iter) {
     const size_t arity = 1 + rng.NextBelow(6);
     const size_t rows = rng.NextBelow(64);
     ColumnBatch cols = RandomBatch(&rng, arity, rows);
-    ExpectSameContent(cols.ToRows(), cols);
+    ExpectSameContent(AppendedRows(cols), cols);
   }
 }
 
-TEST(ColumnBatchToRows, EmptyBatchesKeepSchemaAndOrdering) {
+TEST(TupleSetAppendBatch, EmptyBatchesKeepSchemaAndOrdering) {
   ColumnBatch cols({PatternNodeId{3}, PatternNodeId{1}});
   cols.set_ordered_by_slot(1);
   EXPECT_EQ(cols.size(), 0u);
   EXPECT_EQ(cols.arity(), 2u);
   EXPECT_EQ(cols.ordered_by_slot(), 1);
   EXPECT_EQ(cols.OrderedByNode(), PatternNodeId{1});
-  TupleSet back = cols.ToRows();
+  TupleSet back = AppendedRows(cols);
   EXPECT_EQ(back.slots(), cols.slots());
   EXPECT_TRUE(back.empty());
 }
 
-TEST(ColumnBatchToRows, ArityOne) {
+TEST(TupleSetAppendBatch, ArityOne) {
   Rng rng(0xA117);
   ColumnBatch cols = RandomBatch(&rng, 1, 37);
-  ExpectSameContent(cols.ToRows(), cols);
+  ExpectSameContent(AppendedRows(cols), cols);
+}
+
+TEST(TupleSetAppendBatch, SuccessiveBatchesConcatenateInOrder) {
+  Rng rng(0xBA7C4);
+  const ColumnBatch first = RandomBatch(&rng, 3, 29);
+  ColumnBatch second(first.slots());
+  for (size_t r = 0; r < 17; ++r) {
+    const NodeId row[3] = {static_cast<NodeId>(r), 7, static_cast<NodeId>(-1)};
+    second.AppendRow(row);
+  }
+  TupleSet rows(first.slots());
+  rows.AppendBatch(first);
+  rows.AppendBatch(ColumnBatch(first.slots()));
+  rows.AppendBatch(second);
+  ColumnBatch both(first.slots());
+  both.AppendBatch(first);
+  both.AppendBatch(second);
+  ExpectSameContent(rows, both);
 }
 
 TEST(ColumnBatch, SortBySlotMatchesStableSortOfRows) {

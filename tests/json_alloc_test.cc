@@ -1,6 +1,7 @@
 // Allocation regression test for the wire decoder: ParseJson builds a
 // whole result frame into one arena, so a 100K-row result costs a few
-// hundred heap allocations (one per 64 KiB block), not one per row. This
+// hundred heap allocations (one per 64 KiB block), not one per row, and a
+// second parse takes the first tree's blocks back from the free list. This
 // binary replaces the global operator new with a counting one; it is its
 // own executable so no other test sees the counter.
 
@@ -8,9 +9,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -96,6 +99,58 @@ TEST(JsonAllocTest, ResultFrameParsesInFewAllocations) {
   EXPECT_EQ(copy.Find("result")->Find("rows")->array().size(),
             static_cast<size_t>(kRows));
 }
+
+TEST(JsonAllocTest, SecondParseReusesTheFirstTreesBlocks) {
+  const std::string frame = ResultFrame();
+  ASSERT_TRUE(ParseJson(frame).ok());
+  // The first tree's blocks and the parser's stacks were kept when it
+  // died; a second parse of the same frame takes them back. What is left
+  // is the one run longer than a block, the 1e5-item rows array.
+  const uint64_t before = g_allocations.load();
+  Result<JsonValue> v = ParseJson(frame);
+  const uint64_t allocations = g_allocations.load() - before;
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  EXPECT_EQ(v.value().Find("result")->Find("rows")->array().size(),
+            static_cast<size_t>(kRows));
+  EXPECT_LE(allocations, 4u);
+}
+
+TEST(JsonAllocTest, FreeListStaysUnderItsBound) {
+  // About 700K rows of 4 items: ~45 MB of 64 KiB blocks, over the bound.
+  std::string text = "[";
+  for (int r = 0; r < 700'000; ++r) {
+    if (r > 0) text += ',';
+    text += "[1,22,333,4444]";
+  }
+  text += ']';
+  {
+    Result<JsonValue> v = ParseJson(text);
+    ASSERT_TRUE(v.ok()) << v.status().ToString();
+    ASSERT_EQ(v.value().array().size(), 700'000u);
+  }
+  // The tree died with more blocks than the list keeps: it is full, and
+  // no fuller.
+  EXPECT_EQ(JsonBlockPoolBytes(), kJsonBlockPoolMaxBytes);
+  ASSERT_TRUE(ParseJson(text).ok());
+  EXPECT_EQ(JsonBlockPoolBytes(), kJsonBlockPoolMaxBytes);
+}
+
+#ifdef __SANITIZE_ADDRESS__
+TEST(JsonAllocDeathTest, ViewOutlivingItsRootIsCaught) {
+  // A listed block is poisoned, so reading through a view of a dead tree
+  // still reports although the block was never freed.
+  EXPECT_DEATH(
+      {
+        std::string_view text;
+        {
+          Result<JsonValue> v = ParseJson(R"({"key":"a string value"})");
+          text = v.value().Find("key")->string_value();
+        }
+        std::printf("%c\n", text[0]);
+      },
+      "use-after-poison");
+}
+#endif
 
 }  // namespace
 }  // namespace net

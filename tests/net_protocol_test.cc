@@ -468,6 +468,38 @@ TEST(JsonTest, CopiedChildOutlivesItsRoot) {
   EXPECT_EQ(child.array()[1].Find("c")->string_value(), "yz");
 }
 
+TEST(JsonTest, TreesDieOnAnotherThreadThanTheirParse) {
+  // A dead tree's blocks go to one process-wide free list, whichever
+  // thread drops it, while parses on other threads take blocks from it.
+  // Each tree spans a few dozen blocks; TSan checks the list's hand-offs.
+  std::string text = "{\"rows\":[";
+  for (int r = 0; r < 20'000; ++r) {
+    if (r > 0) text += ',';
+    text += '[';
+    text += std::to_string(r);
+    text += ",7,\"s\"]";
+  }
+  text += "]}";
+  auto check = [](const JsonValue& tree) {
+    const JsonValue* rows = tree.Find("rows");
+    ASSERT_NE(rows, nullptr);
+    ASSERT_EQ(rows->array().size(), 20'000u);
+    EXPECT_EQ(rows->array()[19'999].array()[0].number_value(), 19'999.0);
+    EXPECT_EQ(rows->array()[123].array()[2].string_value(), "s");
+  };
+  for (int round = 0; round < 20; ++round) {
+    Result<JsonValue> parsed = ParseJson(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    std::thread reader([&check, tree = std::move(parsed).value()] {
+      check(tree);
+    });  // the tree dies on the reader thread
+    Result<JsonValue> local = ParseJson(text);
+    ASSERT_TRUE(local.ok()) << local.status().ToString();
+    check(local.value());
+    reader.join();
+  }
+}
+
 /// `levels` nested arrays, innermost empty.
 std::string NestedArrays(size_t levels) {
   return std::string(levels, '[') + std::string(levels, ']');
@@ -1228,12 +1260,17 @@ TEST(JsonTest, MutatedResponsesParseOrFailCleanly) {
 // ---------------------------------------------------------------------------
 // Replay ring
 
+SharedResponse Response(std::string text) {
+  return std::make_shared<const std::string>(std::move(text));
+}
+
 TEST(ReplayRingTest, RetainedBytesStayUnderTheCap) {
   // Entry capacity alone would keep all 48 one-MiB responses.
   ReplayRing ring(/*capacity=*/256);
   const size_t kResponse = size_t{1} << 20;
   for (int i = 0; i < 48; ++i) {
-    ring.Push("q" + std::to_string(i), std::string(kResponse, 'x'), false);
+    ring.Push("q" + std::to_string(i), Response(std::string(kResponse, 'x')),
+              false);
     EXPECT_LE(ring.bytes(), kReplayRingMaxBytes);
   }
   EXPECT_EQ(ring.size(), kReplayRingMaxBytes / kResponse);
@@ -1241,15 +1278,16 @@ TEST(ReplayRingTest, RetainedBytesStayUnderTheCap) {
   // The newest response still replays; the oldest were evicted.
   const ReplayRing::Entry* newest = ring.Find("q47");
   ASSERT_NE(newest, nullptr);
-  EXPECT_EQ(newest->response.size(), kResponse);
+  EXPECT_EQ(newest->response->size(), kResponse);
   EXPECT_EQ(ring.Find("q0"), nullptr);
 
   // A single response over the cap is kept (the newest always replays)
   // until the next push evicts it.
-  ring.Push("huge", std::string(kReplayRingMaxBytes + 1, 'y'), false);
+  ring.Push("huge", Response(std::string(kReplayRingMaxBytes + 1, 'y')),
+            false);
   EXPECT_EQ(ring.size(), 1u);
   ASSERT_NE(ring.Find("huge"), nullptr);
-  ring.Push("small", "{}", false);
+  ring.Push("small", Response("{}"), false);
   EXPECT_EQ(ring.Find("huge"), nullptr);
   EXPECT_EQ(ring.bytes(), 2u);
 
@@ -1260,9 +1298,9 @@ TEST(ReplayRingTest, RetainedBytesStayUnderTheCap) {
 
 TEST(ReplayRingTest, EntryCapacityStillApplies) {
   ReplayRing ring(/*capacity=*/2);
-  ring.Push("a", "1", false);
-  ring.Push("b", "22", false);
-  ring.Push("c", "333", false);
+  ring.Push("a", Response("1"), false);
+  ring.Push("b", Response("22"), false);
+  ring.Push("c", Response("333"), false);
   EXPECT_EQ(ring.size(), 2u);
   EXPECT_EQ(ring.bytes(), 5u);
   EXPECT_EQ(ring.Find("a"), nullptr);
@@ -1271,13 +1309,31 @@ TEST(ReplayRingTest, EntryCapacityStillApplies) {
 
 TEST(ReplayRingTest, EraseDropsTheEntryFindReturns) {
   ReplayRing ring(/*capacity=*/4);
-  ring.Push("q", "old", false);
-  ring.Push("q", "poison", true);
+  ring.Push("q", Response("old"), false);
+  ring.Push("q", Response("poison"), true);
   ASSERT_TRUE(ring.Find("q")->disconnect_cancelled);
   ring.Erase("q");
   ASSERT_NE(ring.Find("q"), nullptr);
-  EXPECT_EQ(ring.Find("q")->response, "old");
+  EXPECT_EQ(*ring.Find("q")->response, "old");
   EXPECT_EQ(ring.bytes(), 3u);
+}
+
+TEST(ReplayRingTest, FindReturnsThePushedBufferItself) {
+  ReplayRing ring(/*capacity=*/4);
+  const SharedResponse reply = Response(std::string(1000, 'r'));
+  const std::string* bytes = reply.get();
+  ring.Push("q", reply, false);
+  // The ring holds the reply's buffer, not a copy of it.
+  ASSERT_NE(ring.Find("q"), nullptr);
+  EXPECT_EQ(ring.Find("q")->response.get(), bytes);
+  EXPECT_EQ(reply.use_count(), 2);
+  EXPECT_EQ(ring.bytes(), 1000u);
+  // A replay shares it too, and outlives the entry's eviction.
+  const SharedResponse replay = ring.Find("q")->response;
+  EXPECT_EQ(replay.get(), bytes);
+  ring.Erase("q");
+  EXPECT_EQ(ring.bytes(), 0u);
+  EXPECT_EQ(*replay, std::string(1000, 'r'));
 }
 
 // ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "exec/executor.h"
 #include "exec/naive_matcher.h"
@@ -279,6 +280,69 @@ TEST(StreamingExecTest, SinkErrorAbortsExecution) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
   EXPECT_EQ(batches_seen, 2);
+}
+
+TEST(StreamingExecTest, ExecuteRowsAreTheStreamedBatchesInOrder) {
+  // Execute appends each root batch to its result as the batch arrives;
+  // its rows must be exactly ExecuteStreaming's batches, concatenated in
+  // the order the sink saw them. Chains of 1..6 nodes cover arity 1..6
+  // (300 to 3400 rows, so 1024-row batches come several to a result), and
+  // a tag the document lacks gives zero rows.
+  TreeGenConfig config;
+  config.target_nodes = 500;
+  config.max_depth = 12;
+  config.num_tags = 2;
+  config.seed = 46;
+  Database db = Database::Open(GenerateTree(config).value());
+  std::vector<std::string> patterns;
+  std::string chain = "t0";
+  for (int arity = 1; arity <= 6; ++arity) {
+    std::string text = chain;
+    for (int i = 1; i < arity; ++i) text += "]";
+    patterns.push_back(text);
+    chain += "[//t" + std::to_string(arity % 2);
+  }
+  patterns.push_back("t0[//t1[//absent]]");
+
+  Rng rng(47);
+  for (const std::string& text : patterns) {
+    Pattern pattern = Pat(text);
+    PhysicalPlan plan = std::move(RandomPlan(pattern, &rng)).value();
+    for (size_t batch_rows : {size_t{1}, size_t{7}, size_t{1024}}) {
+      SCOPED_TRACE(text + " batch_rows=" + std::to_string(batch_rows));
+      ExecOptions options;
+      options.batch_rows = batch_rows;
+      Executor exec(db, options);
+      ExecResult result = std::move(exec.Execute(pattern, plan)).value();
+      ASSERT_EQ(result.tuples.arity(), pattern.NumNodes());
+      std::vector<NodeId> streamed;
+      size_t batches = 0;
+      Result<ExecStats> stats = exec.ExecuteStreaming(
+          pattern, plan, [&](const ColumnBatch& batch) {
+            EXPECT_EQ(batch.slots(), result.tuples.slots());
+            EXPECT_LE(batch.size(), batch_rows);
+            for (size_t r = 0; r < batch.size(); ++r) {
+              for (size_t c = 0; c < batch.arity(); ++c) {
+                streamed.push_back(batch.At(r, c));
+              }
+            }
+            ++batches;
+            return Status();
+          });
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      EXPECT_EQ(stats.value().result_rows, result.stats.result_rows);
+      ASSERT_EQ(streamed.size(), result.tuples.size() * pattern.NumNodes());
+      if (text.find("absent") != std::string::npos) {
+        EXPECT_EQ(result.tuples.size(), 0u);
+        EXPECT_EQ(batches, 0u);
+        continue;
+      }
+      ASSERT_GT(result.tuples.size(), 0u);
+      EXPECT_TRUE(std::equal(streamed.begin(), streamed.end(),
+                             result.tuples.Row(0)))
+          << "Execute's rows differ from the streamed batches";
+    }
+  }
 }
 
 TEST(StreamingExecTest, BatchSizeResolutionPrecedence) {
