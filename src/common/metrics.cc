@@ -231,8 +231,11 @@ std::string MetricsSnapshot::ToJson() const {
            ",\"buckets\":[";
     for (size_t b = 0; b < h.buckets.size(); ++b) {
       if (b > 0) out += ',';
-      out += "[" + U64(h.buckets[b].first) + "," + U64(h.buckets[b].second) +
-             "]";
+      out += '[';
+      out += U64(h.buckets[b].first);
+      out += ',';
+      out += U64(h.buckets[b].second);
+      out += ']';
     }
     out += "]}";
   }

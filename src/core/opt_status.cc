@@ -9,9 +9,12 @@ namespace sjos {
 OptStatus OptStatus::Start(const Pattern& pattern) {
   SJOS_CHECK(pattern.NumNodes() <= kMaxPatternNodes,
              "pattern too large for status-based optimization");
+  // Loop to the checked local: GCC cannot bound the uint8_t member by the
+  // check and warns that the loop may write past the arrays.
+  const size_t n = pattern.NumNodes();
   OptStatus s;
-  s.n_ = static_cast<uint8_t>(pattern.NumNodes());
-  for (size_t i = 0; i < s.n_; ++i) {
+  s.n_ = static_cast<uint8_t>(n);
+  for (size_t i = 0; i < n; ++i) {
     s.rep_[i] = static_cast<uint8_t>(i);
     s.order_[i] = static_cast<uint8_t>(i);
   }

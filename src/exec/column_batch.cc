@@ -54,15 +54,27 @@ void ColumnBatch::AppendCrossRuns(const ColumnBatch& left,
   for (size_t c = 0; c < arity(); ++c) {
     cols_[c].resize(rows_ + n);
     NodeId* dst = cols_[c].data() + rows_;
+    // A one-row run, the common case when each element has one row, is a
+    // single store.
     if (c < left.arity()) {
       const NodeId* src = left.Col(c);
       for (size_t r = 0; r < nruns; ++r) {
-        dst = std::fill_n(dst, runs[r].n, src[runs[r].left_row]);
+        const CrossRun& run = runs[r];
+        if (run.n == 1) {
+          *dst++ = src[run.left_row];
+        } else {
+          dst = std::fill_n(dst, run.n, src[run.left_row]);
+        }
       }
     } else {
       const NodeId* src = right.Col(c - left.arity());
       for (size_t r = 0; r < nruns; ++r) {
-        dst = std::copy_n(src + runs[r].right_begin, runs[r].n, dst);
+        const CrossRun& run = runs[r];
+        if (run.n == 1) {
+          *dst++ = src[run.right_begin];
+        } else {
+          dst = std::copy_n(src + run.right_begin, run.n, dst);
+        }
       }
     }
   }

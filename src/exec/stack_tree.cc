@@ -77,7 +77,8 @@ StackTreeMerge::StackTreeMerge(DocView view, const ColumnBatch* anc,
     : view_(view),
       axis_(axis),
       by_ancestor_(output_by_ancestor),
-      max_output_rows_(max_output_rows),
+      budget_(max_output_rows == 0 ? std::numeric_limits<uint64_t>::max()
+                                   : max_output_rows),
       governor_(governor) {
   anc_.rows = anc;
   anc_.slot = anc_slot;
@@ -89,8 +90,14 @@ Result<StackTreeMerge::Wait> StackTreeMerge::Run(bool anc_eos, bool desc_eos,
                                                  size_t cap, ColumnBatch* out,
                                                  JoinStats* stats) {
   for (;;) {
-    // Rows already due go out first: emission order is release order.
-    if (ready_pos_ < ready_.size()) {
+    // Pending rows go out once they fill `out`, make an emission pass, or
+    // would cross the row budget (so the merge fails at the match that
+    // crosses it, not after matching on), and before Run returns for more
+    // input or done: emission order is release order.
+    const uint64_t room = cap - out->size();
+    if (pending_rows_ != 0 &&
+        (pending_rows_ >= room || pending_rows_ >= kMaxRuns ||
+         pending_rows_ > budget_ - emitted_rows_)) {
       bool drained = false;
       SJOS_RETURN_IF_ERROR(Emit(cap, out, stats, &drained));
       if (!drained) return Wait::kOutput;
@@ -99,8 +106,8 @@ Result<StackTreeMerge::Wait> StackTreeMerge::Run(bool anc_eos, bool desc_eos,
     if (!have_dg_) {
       const ColumnBatch& dw = *desc_.rows;
       if (desc_.next_row == dw.size()) {
-        if (!desc_eos) return Wait::kDescendant;
-        if (stack_ag_.empty()) return Wait::kDone;
+        if (!desc_eos) return Flush(Wait::kDescendant, cap, out, stats);
+        if (stack_ag_.empty()) return Flush(Wait::kDone, cap, out, stats);
         // Drain the stack so buffered Anc pairs are released bottom-up.
         while (!stack_ag_.empty()) PopEntry();
         continue;
@@ -108,7 +115,9 @@ Result<StackTreeMerge::Wait> StackTreeMerge::Run(bool anc_eos, bool desc_eos,
       const NodeId* dkey = dw.Col(desc_.slot);
       const size_t end =
           kernels::RunLengthEnd(dkey, dw.size(), desc_.next_row);
-      if (end == dw.size() && !desc_eos) return Wait::kDescendant;
+      if (end == dw.size() && !desc_eos) {
+        return Flush(Wait::kDescendant, cap, out, stats);
+      }
       // Deadline poll every 64 groups: frequent enough to bound overshoot,
       // rare enough that the steady_clock read never shows up in profiles.
       if (governor_ != nullptr && (desc_groups_cut_ & 63) == 0) {
@@ -141,8 +150,7 @@ Result<StackTreeMerge::Wait> StackTreeMerge::Run(bool anc_eos, bool desc_eos,
       Push(Cut(&anc_, a, end), a_end, stats);
     }
     if (held_back || (anc_.next_row == an && !anc_eos)) {
-      if (ready_pos_ < ready_.size()) continue;  // emit what pops released
-      return Wait::kAncestor;
+      return Flush(Wait::kAncestor, cap, out, stats);
     }
     // Retire entries that closed before d.
     while (!stack_ag_.empty() && stack_end_.back() < d) PopEntry();
@@ -205,14 +213,19 @@ void StackTreeMerge::Release(uint32_t bottom_ag) {
   // nested entries in pre-order: each entry's own pairs in arrival order,
   // then its nested entries' in push order. Pre-order of nested ancestors
   // is their document order, which is group order, so a stable counting
-  // sort on the group yields exactly that sequence.
+  // sort on the group yields exactly that sequence. The released pairs
+  // queue behind any still pending.
   bucket_.assign(anc_.groups.size() - bottom_ag + 1, 0);
-  for (const GroupPair& p : held_) ++bucket_[p.ag - bottom_ag + 1];
+  for (const GroupPair& p : held_) {
+    ++bucket_[p.ag - bottom_ag + 1];
+    pending_rows_ += RowsOf(p);
+  }
+  const size_t base = ready_.size();
   for (size_t k = 1; k < bucket_.size(); ++k) bucket_[k] += bucket_[k - 1];
-  // Pops come only after emission drained the ready pairs.
-  SJOS_CHECK(ready_.empty(), "release with rows due for output");
-  ready_.resize(held_.size());
-  for (const GroupPair& p : held_) ready_[bucket_[p.ag - bottom_ag]++] = p;
+  ready_.resize(base + held_.size());
+  for (const GroupPair& p : held_) {
+    ready_[base + bucket_[p.ag - bottom_ag]++] = p;
+  }
   held_.clear();
 }
 
@@ -241,21 +254,35 @@ void StackTreeMerge::Match(uint32_t dg, JoinStats* stats) {
       ++desc_.groups[dg].refs;
       held_.push_back(pair);
     } else {
-      // Emitted before the merge moves on, and Compact runs only once
-      // they are out, so Desc pairs take no references.
+      // Run emits every pending pair before it returns for more input,
+      // and Compact runs only then, so Desc pairs take no references.
       ready_.push_back(pair);
+      pending_rows_ += RowsOf(pair);
     }
   }
   buffered_pairs_ += nmatch;
   if (stats != nullptr) stats->element_pairs += nmatch;
 }
 
+uint64_t StackTreeMerge::RowsOf(GroupPair pair) const {
+  const Group& ga = anc_.groups[pair.ag];
+  const Group& gd = desc_.groups[pair.dg];
+  return uint64_t{ga.end - ga.begin} * (gd.end - gd.begin);
+}
+
+Result<StackTreeMerge::Wait> StackTreeMerge::Flush(Wait wait, size_t cap,
+                                                   ColumnBatch* out,
+                                                   JoinStats* stats) {
+  if (pending_rows_ != 0) {
+    bool drained = false;
+    SJOS_RETURN_IF_ERROR(Emit(cap, out, stats, &drained));
+    if (!drained) return Wait::kOutput;
+  }
+  return wait;
+}
+
 Status StackTreeMerge::Emit(size_t cap, ColumnBatch* out, JoinStats* stats,
                             bool* drained) {
-  constexpr size_t kMaxRuns = 1024;
-  const uint64_t budget = max_output_rows_ == 0
-                              ? std::numeric_limits<uint64_t>::max()
-                              : max_output_rows_;
   for (;;) {
     // Plan a pass of runs, then write each output column once. Each run
     // is one ancestor row times a contiguous descendant run, clamped to
@@ -266,39 +293,37 @@ Status StackTreeMerge::Emit(size_t cap, ColumnBatch* out, JoinStats* stats,
     size_t planned = 0;
     bool over_budget = false;
     runs_.clear();
-    while (ready_pos_ < ready_.size()) {
+    while (ready_pos_ < ready_.size() && planned < room &&
+           runs_.size() < kMaxRuns) {
+      over_budget = emitted_rows_ + planned == budget_;
+      if (over_budget) break;
       const GroupPair pair = ready_[ready_pos_];
       const Group& ga = anc_.groups[pair.ag];
       const Group& gd = desc_.groups[pair.dg];
-      if (emit_ar_ == ga.end - ga.begin) {  // every row of the pair planned
-        emit_ar_ = 0;
-        ++ready_pos_;
-        --buffered_pairs_;
-        if (by_ancestor_) {
-          Unref(&anc_, pair.ag);
-          Unref(&desc_, pair.dg);
-        }
-        continue;
-      }
-      if (planned == room || runs_.size() == kMaxRuns) break;
-      over_budget = emitted_rows_ + planned == budget;
-      if (over_budget) break;
       const size_t nd = gd.end - gd.begin;
       const size_t take = static_cast<size_t>(std::min<uint64_t>(
           std::min(nd - emit_dr_, room - planned),
-          budget - emitted_rows_ - planned));
+          budget_ - emitted_rows_ - planned));
       runs_.push_back({ga.begin + static_cast<uint32_t>(emit_ar_),
                        gd.begin + static_cast<uint32_t>(emit_dr_),
                        static_cast<uint32_t>(take)});
       planned += take;
       emit_dr_ += take;
-      if (emit_dr_ == nd) {
-        emit_dr_ = 0;
-        ++emit_ar_;
+      if (emit_dr_ < nd) continue;
+      emit_dr_ = 0;
+      if (++emit_ar_ < ga.end - ga.begin) continue;
+      // Every row of the pair is planned.
+      emit_ar_ = 0;
+      ++ready_pos_;
+      --buffered_pairs_;
+      if (by_ancestor_) {
+        Unref(&anc_, pair.ag);
+        Unref(&desc_, pair.dg);
       }
     }
     out->AppendCrossRuns(*anc_.rows, *desc_.rows, runs_.data(), runs_.size());
     emitted_rows_ += planned;
+    pending_rows_ -= planned;
     if (stats != nullptr) stats->output_rows += planned;
     if (over_budget) {
       return Status::OutOfRange(
@@ -322,8 +347,10 @@ void StackTreeMerge::Compact(ColumnBatch* window) {
   const size_t live = window->size() - side->dead_rows;
   if (side->dead_rows <= live) return;
   // Keep the referred-to groups, then the uncut tail, packed in order.
-  std::vector<uint32_t> remap(side->groups.size());
-  std::vector<std::pair<size_t, size_t>> keep;
+  std::vector<uint32_t>& remap = compact_remap_;
+  std::vector<std::pair<size_t, size_t>>& keep = compact_keep_;
+  remap.resize(side->groups.size());
+  keep.clear();
   uint32_t rows = 0;
   uint32_t kept = 0;
   for (size_t i = 0; i < side->groups.size(); ++i) {

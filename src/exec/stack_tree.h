@@ -28,9 +28,13 @@
 // whole inputs; the streaming join operators (exec/operator.h) run it over
 // windows they refill batch by batch. Group detection, the parent-child
 // level filter over the stack, and cross-product expansion are column
-// sweeps through exec/vector_kernels.h and ColumnBatch::AppendCrossRuns:
-// emission plans up to 1024 runs (one ancestor row × a contiguous
-// descendant run) and then writes each output column once.
+// sweeps through exec/vector_kernels.h and ColumnBatch::AppendCrossRuns.
+// Matched pairs queue with an exact count of the rows they will emit, and
+// the merge emits them only once they fill the output batch, make a pass
+// of kMaxRuns rows, or would cross the row budget, and before it returns
+// for more input: one emission per output batch or pass, not one per
+// descendant group. A pass plans up to kMaxRuns runs (one ancestor row ×
+// a contiguous descendant run) and then writes each output column once.
 //
 // Rows no open ancestor can match cost no stack work: an ancestor that
 // closes before the current descendant is skipped as dead (no push, no
@@ -41,6 +45,7 @@
 #define SJOS_EXEC_STACK_TREE_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -98,8 +103,12 @@ class StackTreeMerge {
   /// Merges as far as the windows allow, appending joined rows (anc
   /// columns, then desc columns) to `out` until it holds `cap` rows.
   /// `anc_eos`/`desc_eos` say that no rows follow a window's last row.
-  /// Adds to `stats` (may be null). Fails with OutOfRange once the row
-  /// budget is exceeded, after emitting exactly the rows that fit.
+  /// Matched rows are emitted in batches, not as each descendant group
+  /// matches, but every return except kOutput leaves none pending, so the
+  /// caller sees the same rows, counters and batch boundaries as with
+  /// emission after every match. Adds to `stats` (may be null). Fails with
+  /// OutOfRange once the row budget is exceeded, after emitting exactly
+  /// the rows that fit.
   Result<Wait> Run(bool anc_eos, bool desc_eos, size_t cap, ColumnBatch* out,
                    JoinStats* stats);
 
@@ -111,8 +120,14 @@ class StackTreeMerge {
 
   /// Matched pairs held for later emission: the Anc variant's pairs under
   /// the bottom stack entry plus any pairs whose rows are not yet emitted.
+  /// Between Run calls the latter are only those left when `out` filled.
   uint64_t buffered_pairs() const { return buffered_pairs_; }
   static constexpr uint64_t kPairBytes = 8;
+
+  /// Rows pending that make the merge emit, and the most runs one
+  /// emission pass plans. Without this bound a merge with no row cap
+  /// (StackTreeJoin) would queue every pair until its inputs end.
+  static constexpr size_t kMaxRuns = 1024;
 
  private:
   /// A run of window rows sharing one join element. `refs` counts the
@@ -147,6 +162,12 @@ class StackTreeMerge {
   /// bottom entry (group `bottom_ag`) pops.
   void Release(uint32_t bottom_ag);
   void Match(uint32_t dg, JoinStats* stats);
+  /// Rows a matched pair emits: the product of its two group sizes.
+  uint64_t RowsOf(GroupPair pair) const;
+  /// Emits every pending row and returns `wait`, or kOutput if `out`
+  /// fills first.
+  Result<Wait> Flush(Wait wait, size_t cap, ColumnBatch* out,
+                     JoinStats* stats);
   /// Emits the ready pairs into `out` up to `cap` rows; sets `*drained`
   /// once none are left.
   Status Emit(size_t cap, ColumnBatch* out, JoinStats* stats, bool* drained);
@@ -154,7 +175,7 @@ class StackTreeMerge {
   DocView view_;
   Axis axis_;
   bool by_ancestor_;
-  uint64_t max_output_rows_;
+  uint64_t budget_;  // max_output_rows, or UINT64_MAX for none
   QueryGovernor* governor_;
   Side anc_, desc_;
 
@@ -174,15 +195,21 @@ class StackTreeMerge {
   uint32_t cur_dg_ = 0;
   uint64_t desc_groups_cut_ = 0;
 
-  // Emission cursor: pairs due for output, in output order, and the
-  // position inside the current pair's cross product; `runs_` stages one
-  // emission pass.
+  // Emission cursor: pairs due for output, in output order, the rows of
+  // theirs not yet emitted, and the position inside the current pair's
+  // cross product; `runs_` stages one emission pass.
   std::vector<GroupPair> ready_;
   std::vector<ColumnBatch::CrossRun> runs_;
   size_t ready_pos_ = 0;
   size_t emit_ar_ = 0, emit_dr_ = 0;
+  uint64_t pending_rows_ = 0;
   uint64_t emitted_rows_ = 0;
   uint64_t buffered_pairs_ = 0;
+
+  // Compact's scratch, reused across calls. It holds group numbers and
+  // row ranges, never rows, so it stays out of the live-byte accounting.
+  std::vector<uint32_t> compact_remap_;
+  std::vector<std::pair<size_t, size_t>> compact_keep_;
 };
 
 /// Joins `anc` (sorted by column `anc_slot`) with `desc` (sorted by column

@@ -36,7 +36,8 @@ std::string ValuePredicate::ToString() const {
 
 PatternNodeId Pattern::AddRoot(std::string tag) {
   SJOS_CHECK(nodes_.empty(), "AddRoot on non-empty pattern");
-  nodes_.push_back(PatternNode{std::move(tag), kNoPatternNode, Axis::kChild});
+  nodes_.push_back(
+      PatternNode{std::move(tag), kNoPatternNode, Axis::kChild, {}});
   return 0;
 }
 

@@ -265,6 +265,8 @@ struct JoinCase {
 struct Streamed {
   Status status;
   ColumnBatch rows;  // every batch the operator returned before any error
+  std::vector<size_t> batch_sizes;
+  uint64_t peak_live_bytes = 0;
   ExecStats stats;
   OpStats join;
 };
@@ -302,11 +304,13 @@ Streamed StreamJoin(const Database& db, const JoinCase& c, size_t batch_rows) {
     if (!r.status.ok()) break;
     EXPECT_LE(batch.size(), batch_rows);
     EXPECT_TRUE(eos || !batch.empty()) << "empty batch without eos";
+    r.batch_sizes.push_back(batch.size());
     r.rows.AppendBatch(batch);
   }
   EXPECT_TRUE(join->Close().ok());
   EXPECT_EQ(ctx.cur_live_rows, 0u);
   EXPECT_EQ(ctx.cur_live_bytes, 0u);
+  r.peak_live_bytes = ctx.peak_live_bytes;
   r.join = op_stats[0];
   return r;
 }
@@ -617,6 +621,218 @@ TEST(StackTreeOperatorTest, RowBudgetFailsAtTheSameRow) {
       ExpectOperatorMatchesKernel(db, c);
       if (budget < full) {
         EXPECT_EQ(StreamJoin(db, c, 2).stats.join_output_rows, budget);
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Batched emission. The merge queues matched pairs and emits them once they
+// fill the output batch, make a pass of kMaxRuns rows, or would cross the
+// row budget: the batches must come out exactly as if each descendant
+// group's rows were emitted as it matched.
+
+/// Every batch but the last holds exactly `batch_rows` rows.
+void ExpectFullBatches(const Streamed& s, size_t batch_rows) {
+  for (size_t i = 0; i + 1 < s.batch_sizes.size(); ++i) {
+    EXPECT_EQ(s.batch_sizes[i], batch_rows) << "batch " << i;
+  }
+}
+
+TEST(StackTreeBatchTest, EveryBatchButTheLastIsFull) {
+  for (uint32_t max_depth : {4u, 12u}) {
+    TreeGenConfig config;
+    config.target_nodes = 500;
+    config.max_depth = max_depth;
+    config.num_tags = 2;
+    config.seed = 31;
+    Database db = Database::Open(GenerateTree(config).value());
+    const ColumnBatch t0 = Candidates(db, "t0", 0);
+    const ColumnBatch t1 = Candidates(db, "t1", 1);
+    struct Inputs {
+      const char* name;
+      ColumnBatch anc;
+      ColumnBatch desc;
+    };
+    const Inputs inputs[] = {
+        {"scans", t0, t1},
+        {"repeated rows", WithRuns(t0, 5, 3), WithRuns(t1, 6, 2)},
+    };
+    for (const Inputs& in : inputs) {
+      for (Axis axis : {Axis::kDescendant, Axis::kChild}) {
+        for (bool by_anc : {false, true}) {
+          SCOPED_TRACE(std::string(in.name) + (by_anc ? " Anc" : " Desc") +
+                       (axis == Axis::kChild ? " /" : " //") + " depth " +
+                       std::to_string(max_depth));
+          const JoinCase c{in.anc, 0, in.desc, 0, axis, by_anc};
+          const ColumnBatch want = OrderedRefJoin(db, c);
+          ASSERT_GT(want.size(), 7u);
+          for (size_t batch_rows :
+               {size_t{1}, size_t{2}, size_t{7}, size_t{1024}}) {
+            SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+            Streamed st = StreamJoin(db, c, batch_rows);
+            ASSERT_TRUE(st.status.ok()) << st.status.ToString();
+            ExpectSameRows(st.rows, want);
+            ExpectFullBatches(st, batch_rows);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Forty nested <a>, thirty rows each, over one <b>: that descendant alone
+// matches 1200 rows, more than one emission pass plans and more than any
+// batch size here holds, so its rows span several passes and batches.
+TEST(StackTreeBatchTest, OneDescendantSpansSeveralBatches) {
+  constexpr int kNest = 40;
+  std::string xml = "<r><b/>";
+  for (int i = 0; i < kNest; ++i) xml += "<a><b/>";
+  xml += "<b/>";
+  for (int i = 0; i < kNest; ++i) xml += "</a>";
+  xml += "<b/></r>";
+  Database db = Db(xml);
+  const ColumnBatch a = WithRuns(Candidates(db, "a", 0), 5, 30);
+  const ColumnBatch b = Candidates(db, "b", 1);
+  ASSERT_EQ(kNest * 30u, 1200u);
+  static_assert(StackTreeMerge::kMaxRuns < 1200);
+  for (bool by_anc : {false, true}) {
+    SCOPED_TRACE(by_anc ? "Anc" : "Desc");
+    const JoinCase c{a, 0, b, 0, Axis::kDescendant, by_anc};
+    const ColumnBatch want = OrderedRefJoin(db, c);
+    // The deepest <b> matches every <a>; the k-th <b> inside them, k.
+    ASSERT_EQ(want.size(), 30u * (kNest + kNest * (kNest + 1) / 2));
+    Result<ColumnBatch> kernel =
+        StackTreeJoin(db.View(), a, 0, b, 0, Axis::kDescendant, by_anc);
+    ASSERT_TRUE(kernel.ok()) << kernel.status().ToString();
+    ExpectSameRows(kernel.value(), want);
+    ExpectOperatorMatchesKernel(db, c);
+    for (size_t batch_rows : {size_t{1}, size_t{2}, size_t{7}, size_t{1024}}) {
+      SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+      Streamed st = StreamJoin(db, c, batch_rows);
+      ASSERT_TRUE(st.status.ok()) << st.status.ToString();
+      ExpectSameRows(st.rows, want);
+      ExpectFullBatches(st, batch_rows);
+    }
+  }
+}
+
+// One <a> encloses every other element, so the Anc variant holds every
+// pair until that bottom entry pops at the end and releases 2 x 600 rows
+// at once: the release spans several passes and batches, in ancestor
+// order, and the pairs stay buffered (and counted live) until emitted.
+TEST(StackTreeBatchTest, OneBottomPopReleasesOverSeveralBatches) {
+  std::string xml = "<a>";
+  for (int i = 0; i < 100; ++i) xml += "<b/><b/><a><b/><b/></a>";
+  xml += "</a>";
+  Database db = Db(xml);
+  const ColumnBatch a = Candidates(db, "a", 0);
+  const ColumnBatch b = WithRuns(Candidates(db, "b", 1), 6, 2);
+  const JoinCase c{a, 0, b, 0, Axis::kDescendant, /*by_ancestor=*/true};
+  const ColumnBatch want = OrderedRefJoin(db, c);
+  ASSERT_EQ(want.size(), 2u * (400 + 200));
+  ASSERT_GT(want.size(), StackTreeMerge::kMaxRuns);
+  ExpectOperatorMatchesKernel(db, c);
+  for (size_t batch_rows : {size_t{1}, size_t{2}, size_t{7}, size_t{1024}}) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+    Streamed st = StreamJoin(db, c, batch_rows);
+    ASSERT_TRUE(st.status.ok()) << st.status.ToString();
+    ExpectSameRows(st.rows, want);
+    ExpectFullBatches(st, batch_rows);
+    // Nothing is emitted before the root pops, so at some point every
+    // pair is buffered: the operator's peak covers them.
+    EXPECT_GE(st.peak_live_bytes,
+              want.size() / 2 * StackTreeMerge::kPairBytes);
+  }
+}
+
+struct Windowed {
+  Status status;
+  ColumnBatch rows;
+  JoinStats stats;
+};
+
+/// Runs the merge the way the join operators do: each window is refilled
+/// `batch_rows` input rows at a time and compacted first, and the output
+/// drains whenever it holds `batch_rows` rows.
+Windowed WindowedMerge(const Database& db, const JoinCase& c,
+                       size_t batch_rows) {
+  std::vector<PatternNodeId> slots = c.anc.slots();
+  slots.insert(slots.end(), c.desc.slots().begin(), c.desc.slots().end());
+  Windowed r{Status::OK(), ColumnBatch(slots), {}};
+  r.rows.set_ordered_by_slot(
+      c.by_ancestor ? static_cast<int>(c.anc_slot)
+                    : static_cast<int>(c.anc.arity() + c.desc_slot));
+  ColumnBatch windows[] = {ColumnBatch(c.anc.slots()),
+                           ColumnBatch(c.desc.slots())};
+  const ColumnBatch* inputs[] = {&c.anc, &c.desc};
+  size_t pos[] = {0, 0};
+  StackTreeMerge merge(db.View(), &windows[0], c.anc_slot, &windows[1],
+                       c.desc_slot, c.axis, c.by_ancestor, c.max_output_rows,
+                       nullptr);
+  ColumnBatch out(slots);
+  for (;;) {
+    Result<StackTreeMerge::Wait> wait =
+        merge.Run(pos[0] == c.anc.size(), pos[1] == c.desc.size(), batch_rows,
+                  &out, &r.stats);
+    r.rows.AppendBatch(out);
+    out.Clear();
+    if (!wait.ok()) {
+      r.status = wait.status();
+      return r;
+    }
+    if (wait.value() == StackTreeMerge::Wait::kDone) return r;
+    if (wait.value() == StackTreeMerge::Wait::kOutput) continue;
+    const size_t side = wait.value() == StackTreeMerge::Wait::kAncestor ? 0 : 1;
+    merge.Compact(&windows[side]);
+    const size_t take = std::min(batch_rows, inputs[side]->size() - pos[side]);
+    windows[side].AppendRange(*inputs[side], pos[side], take);
+    pos[side] += take;
+  }
+}
+
+// The whole-input join and the windowed merge differ only in when rows
+// are emitted and input arrives; every JoinStats field must agree, also
+// when the row budget cuts the join short.
+TEST(StackTreeBatchTest, WindowedMergeAgreesOnEveryJoinStat) {
+  TreeGenConfig config;
+  config.target_nodes = 1000;
+  config.max_depth = 10;
+  config.num_tags = 2;
+  config.seed = 32;
+  Database db = Database::Open(GenerateTree(config).value());
+  const ColumnBatch t0 = WithRuns(Candidates(db, "t0", 0), 5, 3);
+  const ColumnBatch t1 = WithRuns(Candidates(db, "t1", 1), 6, 4);
+  for (Axis axis : {Axis::kDescendant, Axis::kChild}) {
+    for (bool by_anc : {false, true}) {
+      JoinCase c{t0, 0, t1, 0, axis, by_anc};
+      const uint64_t full =
+          std::move(StackTreeJoin(db.View(), t0, 0, t1, 0, axis, by_anc))
+              .value()
+              .size();
+      ASSERT_GT(full, 2 * StackTreeMerge::kMaxRuns) << "too few rows for passes";
+      for (uint64_t budget : {uint64_t{0}, uint64_t{1}, full / 2 + 1}) {
+        c.max_output_rows = budget;
+        JoinStats want;
+        Result<ColumnBatch> kernel =
+            StackTreeJoin(db.View(), t0, 0, t1, 0, axis, by_anc, &want,
+                          budget);
+        for (size_t batch_rows :
+             {size_t{1}, size_t{2}, size_t{7}, size_t{1024}}) {
+          SCOPED_TRACE(std::string(by_anc ? "Anc" : "Desc") +
+                       (axis == Axis::kChild ? " /" : " //") +
+                       " budget=" + std::to_string(budget) +
+                       " batch_rows=" + std::to_string(batch_rows));
+          const Windowed w = WindowedMerge(db, c, batch_rows);
+          EXPECT_EQ(w.stats.element_pairs, want.element_pairs);
+          EXPECT_EQ(w.stats.output_rows, want.output_rows);
+          EXPECT_EQ(w.stats.stack_pushes, want.stack_pushes);
+          EXPECT_EQ(w.stats.max_stack_depth, want.max_stack_depth);
+          EXPECT_EQ(w.status.ToString(), kernel.status().ToString());
+          EXPECT_EQ(w.rows.size(), want.output_rows);
+          if (kernel.ok()) ExpectSameRows(w.rows, kernel.value());
+        }
+        ExpectOperatorMatchesKernel(db, c);
       }
     }
   }
