@@ -96,7 +96,7 @@ Result<StackTreeMerge::Wait> StackTreeMerge::Run(bool anc_eos, bool desc_eos,
     // input or done: emission order is release order.
     const uint64_t room = cap - out->size();
     if (pending_rows_ != 0 &&
-        (pending_rows_ >= room || pending_rows_ >= kMaxRuns ||
+        (pending_rows_ >= room || pending_rows_ >= kPassRows ||
          pending_rows_ > budget_ - emitted_rows_)) {
       bool drained = false;
       SJOS_RETURN_IF_ERROR(Emit(cap, out, stats, &drained));
@@ -121,7 +121,17 @@ Result<StackTreeMerge::Wait> StackTreeMerge::Run(bool anc_eos, bool desc_eos,
       // Deadline poll every 64 groups: frequent enough to bound overshoot,
       // rare enough that the steady_clock read never shows up in profiles.
       if (governor_ != nullptr && (desc_groups_cut_ & 63) == 0) {
-        SJOS_RETURN_IF_ERROR(governor_->CheckDeadline());
+        if (stopped_.ok()) stopped_ = governor_->CheckDeadline();
+        if (!stopped_.ok()) {
+          // Rows matched before the poll go out before the failure, so a
+          // deadline or cancel leaves them emitted and counted. Run comes
+          // back here after `out` drains and does not poll again.
+          Result<Wait> flushed = Flush(Wait::kDone, cap, out, stats);
+          if (!flushed.ok() || flushed.value() == Wait::kOutput) {
+            return flushed;
+          }
+          return stopped_;
+        }
       }
       ++desc_groups_cut_;
       cur_dg_ = Cut(&desc_, dkey[desc_.next_row], end);
@@ -294,7 +304,7 @@ Status StackTreeMerge::Emit(size_t cap, ColumnBatch* out, JoinStats* stats,
     bool over_budget = false;
     runs_.clear();
     while (ready_pos_ < ready_.size() && planned < room &&
-           runs_.size() < kMaxRuns) {
+           runs_.size() < kPassRows) {
       over_budget = emitted_rows_ + planned == budget_;
       if (over_budget) break;
       const GroupPair pair = ready_[ready_pos_];

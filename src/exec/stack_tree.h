@@ -31,9 +31,9 @@
 // sweeps through exec/vector_kernels.h and ColumnBatch::AppendCrossRuns.
 // Matched pairs queue with an exact count of the rows they will emit, and
 // the merge emits them only once they fill the output batch, make a pass
-// of kMaxRuns rows, or would cross the row budget, and before it returns
+// of kPassRows rows, or would cross the row budget, and before it returns
 // for more input: one emission per output batch or pass, not one per
-// descendant group. A pass plans up to kMaxRuns runs (one ancestor row ×
+// descendant group. A pass plans up to kPassRows runs (one ancestor row ×
 // a contiguous descendant run) and then writes each output column once.
 //
 // Rows no open ancestor can match cost no stack work: an ancestor that
@@ -108,7 +108,9 @@ class StackTreeMerge {
   /// caller sees the same rows, counters and batch boundaries as with
   /// emission after every match. Adds to `stats` (may be null). Fails with
   /// OutOfRange once the row budget is exceeded, after emitting exactly
-  /// the rows that fit.
+  /// the rows that fit. A deadline or cancel seen at a poll fails after
+  /// the rows matched before it are emitted, across kOutput returns if
+  /// they do not fit.
   Result<Wait> Run(bool anc_eos, bool desc_eos, size_t cap, ColumnBatch* out,
                    JoinStats* stats);
 
@@ -124,10 +126,12 @@ class StackTreeMerge {
   uint64_t buffered_pairs() const { return buffered_pairs_; }
   static constexpr uint64_t kPairBytes = 8;
 
-  /// Rows pending that make the merge emit, and the most runs one
-  /// emission pass plans. Without this bound a merge with no row cap
-  /// (StackTreeJoin) would queue every pair until its inputs end.
-  static constexpr size_t kMaxRuns = 1024;
+  /// Pending rows that make the merge emit before `out` fills. Without
+  /// this bound a merge with no row cap (StackTreeJoin) would queue every
+  /// pair until its inputs end. A pass also plans at most this many runs:
+  /// a run holds at least one row, so a pass that reaches that cap emits
+  /// at least the rows that triggered it.
+  static constexpr size_t kPassRows = 1024;
 
  private:
   /// A run of window rows sharing one join element. `refs` counts the
@@ -194,6 +198,7 @@ class StackTreeMerge {
   bool have_dg_ = false;  // a descendant group is cut but not yet matched
   uint32_t cur_dg_ = 0;
   uint64_t desc_groups_cut_ = 0;
+  Status stopped_;  // the deadline or cancel a poll saw, once it fails
 
   // Emission cursor: pairs due for output, in output order, the rows of
   // theirs not yet emitted, and the position inside the current pair's

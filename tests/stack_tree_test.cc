@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "exec/executor.h"
+#include "exec/governor.h"
 #include "exec/operator.h"
 #include "exec/stack_tree.h"
 #include "storage/catalog.h"
@@ -628,7 +630,7 @@ TEST(StackTreeOperatorTest, RowBudgetFailsAtTheSameRow) {
 
 // ---------------------------------------------------------------------------
 // Batched emission. The merge queues matched pairs and emits them once they
-// fill the output batch, make a pass of kMaxRuns rows, or would cross the
+// fill the output batch, make a pass of kPassRows rows, or would cross the
 // row budget: the batches must come out exactly as if each descendant
 // group's rows were emitted as it matched.
 
@@ -695,7 +697,7 @@ TEST(StackTreeBatchTest, OneDescendantSpansSeveralBatches) {
   const ColumnBatch a = WithRuns(Candidates(db, "a", 0), 5, 30);
   const ColumnBatch b = Candidates(db, "b", 1);
   ASSERT_EQ(kNest * 30u, 1200u);
-  static_assert(StackTreeMerge::kMaxRuns < 1200);
+  static_assert(StackTreeMerge::kPassRows < 1200);
   for (bool by_anc : {false, true}) {
     SCOPED_TRACE(by_anc ? "Anc" : "Desc");
     const JoinCase c{a, 0, b, 0, Axis::kDescendant, by_anc};
@@ -731,7 +733,7 @@ TEST(StackTreeBatchTest, OneBottomPopReleasesOverSeveralBatches) {
   const JoinCase c{a, 0, b, 0, Axis::kDescendant, /*by_ancestor=*/true};
   const ColumnBatch want = OrderedRefJoin(db, c);
   ASSERT_EQ(want.size(), 2u * (400 + 200));
-  ASSERT_GT(want.size(), StackTreeMerge::kMaxRuns);
+  ASSERT_GT(want.size(), StackTreeMerge::kPassRows);
   ExpectOperatorMatchesKernel(db, c);
   for (size_t batch_rows : {size_t{1}, size_t{2}, size_t{7}, size_t{1024}}) {
     SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
@@ -754,9 +756,12 @@ struct Windowed {
 
 /// Runs the merge the way the join operators do: each window is refilled
 /// `batch_rows` input rows at a time and compacted first, and the output
-/// drains whenever it holds `batch_rows` rows.
+/// drains whenever it holds `batch_rows` rows. When `cancel` is given the
+/// merge polls a governor on it, and the flag is raised once the first
+/// output batch has drained.
 Windowed WindowedMerge(const Database& db, const JoinCase& c,
-                       size_t batch_rows) {
+                       size_t batch_rows,
+                       std::atomic<bool>* cancel = nullptr) {
   std::vector<PatternNodeId> slots = c.anc.slots();
   slots.insert(slots.end(), c.desc.slots().begin(), c.desc.slots().end());
   Windowed r{Status::OK(), ColumnBatch(slots), {}};
@@ -767,9 +772,10 @@ Windowed WindowedMerge(const Database& db, const JoinCase& c,
                            ColumnBatch(c.desc.slots())};
   const ColumnBatch* inputs[] = {&c.anc, &c.desc};
   size_t pos[] = {0, 0};
+  QueryGovernor governor(0, 0, cancel);
   StackTreeMerge merge(db.View(), &windows[0], c.anc_slot, &windows[1],
                        c.desc_slot, c.axis, c.by_ancestor, c.max_output_rows,
-                       nullptr);
+                       cancel != nullptr ? &governor : nullptr);
   ColumnBatch out(slots);
   for (;;) {
     Result<StackTreeMerge::Wait> wait =
@@ -782,7 +788,10 @@ Windowed WindowedMerge(const Database& db, const JoinCase& c,
       return r;
     }
     if (wait.value() == StackTreeMerge::Wait::kDone) return r;
-    if (wait.value() == StackTreeMerge::Wait::kOutput) continue;
+    if (wait.value() == StackTreeMerge::Wait::kOutput) {
+      if (cancel != nullptr) cancel->store(true);
+      continue;
+    }
     const size_t side = wait.value() == StackTreeMerge::Wait::kAncestor ? 0 : 1;
     merge.Compact(&windows[side]);
     const size_t take = std::min(batch_rows, inputs[side]->size() - pos[side]);
@@ -810,7 +819,7 @@ TEST(StackTreeBatchTest, WindowedMergeAgreesOnEveryJoinStat) {
           std::move(StackTreeJoin(db.View(), t0, 0, t1, 0, axis, by_anc))
               .value()
               .size();
-      ASSERT_GT(full, 2 * StackTreeMerge::kMaxRuns) << "too few rows for passes";
+      ASSERT_GT(full, 2 * StackTreeMerge::kPassRows) << "too few rows for passes";
       for (uint64_t budget : {uint64_t{0}, uint64_t{1}, full / 2 + 1}) {
         c.max_output_rows = budget;
         JoinStats want;
@@ -834,6 +843,38 @@ TEST(StackTreeBatchTest, WindowedMergeAgreesOnEveryJoinStat) {
         }
         ExpectOperatorMatchesKernel(db, c);
       }
+    }
+  }
+}
+
+// A cancel (or deadline) seen at a poll fails the merge only after every
+// row matched before the poll is out: with one row per element, the Desc
+// variant has then emitted and counted exactly one row per element pair.
+TEST(StackTreeBatchTest, CancelEmitsTheRowsMatchedBeforeThePoll) {
+  TreeGenConfig config;
+  config.target_nodes = 2000;
+  config.max_depth = 10;
+  config.num_tags = 2;
+  config.seed = 33;
+  Database db = Database::Open(GenerateTree(config).value());
+  const ColumnBatch t0 = Candidates(db, "t0", 0);
+  const ColumnBatch t1 = Candidates(db, "t1", 1);
+  const JoinCase c{t0, 0, t1, 0, Axis::kDescendant, /*by_ancestor=*/false};
+  const ColumnBatch want = OrderedRefJoin(db, c);
+  for (size_t batch_rows : {size_t{7}, size_t{64}, size_t{1024}}) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+    ASSERT_GT(want.size(), 2 * batch_rows) << "too few rows to cancel";
+    std::atomic<bool> cancel{false};
+    const Windowed w = WindowedMerge(db, c, batch_rows, &cancel);
+    EXPECT_EQ(w.status.code(), StatusCode::kCancelled) << w.status.ToString();
+    EXPECT_EQ(w.stats.output_rows, w.stats.element_pairs);
+    EXPECT_EQ(w.rows.size(), w.stats.output_rows);
+    EXPECT_GT(w.rows.size(), batch_rows);
+    ASSERT_LT(w.rows.size(), want.size());
+    for (size_t col = 0; col < want.arity(); ++col) {
+      EXPECT_TRUE(std::equal(w.rows.Col(col), w.rows.Col(col) + w.rows.size(),
+                             want.Col(col)))
+          << "column " << col << " is not a prefix";
     }
   }
 }
