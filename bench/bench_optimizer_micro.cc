@@ -36,7 +36,7 @@ struct OptBench {
   CostModel cost_model;
 
   OptimizeContext ctx() const {
-    return {&pattern, estimates.get(), &cost_model};
+    return {&pattern, estimates.get(), &cost_model, {}};
   }
 };
 

@@ -44,39 +44,17 @@ void ColumnBatch::AppendBatch(const ColumnBatch& other) {
   AppendRange(other, 0, other.size());
 }
 
-void ColumnBatch::AppendCrossRuns(const ColumnBatch& left,
-                                  const ColumnBatch& right,
-                                  const CrossRun* runs, size_t nruns) {
+void ColumnBatch::AppendGatherPair(const ColumnBatch& left,
+                                   const uint32_t* lsel,
+                                   const ColumnBatch& right,
+                                   const uint32_t* rsel, size_t n) {
   SJOS_CHECK(left.arity() + right.arity() == arity(),
-             "AppendCrossRuns arity mismatch");
-  size_t n = 0;
-  for (size_t r = 0; r < nruns; ++r) n += runs[r].n;
+             "AppendGatherPair arity mismatch");
+  const size_t nl = left.arity();
   for (size_t c = 0; c < arity(); ++c) {
     cols_[c].resize(rows_ + n);
-    NodeId* dst = cols_[c].data() + rows_;
-    // A one-row run, the common case when each element has one row, is a
-    // single store.
-    if (c < left.arity()) {
-      const NodeId* src = left.Col(c);
-      for (size_t r = 0; r < nruns; ++r) {
-        const CrossRun& run = runs[r];
-        if (run.n == 1) {
-          *dst++ = src[run.left_row];
-        } else {
-          dst = std::fill_n(dst, run.n, src[run.left_row]);
-        }
-      }
-    } else {
-      const NodeId* src = right.Col(c - left.arity());
-      for (size_t r = 0; r < nruns; ++r) {
-        const CrossRun& run = runs[r];
-        if (run.n == 1) {
-          *dst++ = src[run.right_begin];
-        } else {
-          dst = std::copy_n(src + run.right_begin, run.n, dst);
-        }
-      }
-    }
+    kernels::GatherU32(c < nl ? left.Col(c) : right.Col(c - nl),
+                       c < nl ? lsel : rsel, n, cols_[c].data() + rows_);
   }
   rows_ += n;
 }

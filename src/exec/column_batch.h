@@ -59,19 +59,14 @@ class ColumnBatch {
   /// Appends every row of `other`, which must have the same arity (checked).
   void AppendBatch(const ColumnBatch& other);
 
-  /// One ancestor row times a contiguous run of descendant rows.
-  struct CrossRun {
-    uint32_t left_row;
-    uint32_t right_begin;
-    uint32_t n;
-  };
-
-  /// Appends the cross products runs[0..nruns), in order: for each run,
-  /// each left column contributes `n` copies of its value at `left_row`,
-  /// each right column a straight copy of rows [right_begin, right_begin+n).
-  /// Each output column is written in one pass. The join's expansion kernel.
-  void AppendCrossRuns(const ColumnBatch& left, const ColumnBatch& right,
-                       const CrossRun* runs, size_t nruns);
+  /// Appends n rows joined from two batches: row i is row lsel[i] of
+  /// `left` followed by row rsel[i] of `right`. Indices may repeat and
+  /// come in any order. Each output column is one gather. The join's
+  /// expansion kernel: the Stack-Tree merge plans a pass of output rows as
+  /// these two selection vectors.
+  void AppendGatherPair(const ColumnBatch& left, const uint32_t* lsel,
+                        const ColumnBatch& right, const uint32_t* rsel,
+                        size_t n);
 
   /// Appends the rows of `other` selected by sel[0..sel_n), in sel order.
   void AppendGather(const ColumnBatch& other, const uint32_t* sel,

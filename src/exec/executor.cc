@@ -1,5 +1,6 @@
 #include "exec/executor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <utility>
@@ -42,6 +43,23 @@ void RecordExecutionMetrics(const ExecStats& stats,
   if (stats.max_q_error > 0.0) {
     q_error.Observe(
         static_cast<uint64_t>(std::llround(stats.max_q_error * 1000.0)));
+  }
+}
+
+/// Sets each operator's self time: its inclusive time less its children's.
+/// A child runs only inside its parent's timed Open and NextBatch, so the
+/// difference is negative only by floating-point rounding, clamped to 0.
+void SetSelfTimes(const PhysicalPlan& plan, std::vector<OpStats>* op_stats) {
+  for (size_t i = 0; i < op_stats->size(); ++i) {
+    const PlanNode& node = plan.At(static_cast<int>(i));
+    double children_ms = 0.0;
+    for (const int child : {node.left, node.right}) {
+      if (child >= 0) {
+        children_ms += (*op_stats)[static_cast<size_t>(child)].time_ms;
+      }
+    }
+    OpStats& os = (*op_stats)[i];
+    os.self_ms = std::max(0.0, os.time_ms - children_ms);
   }
 }
 
@@ -119,6 +137,7 @@ Status Executor::Run(const Pattern& pattern, const PhysicalPlan& plan,
   stats->peak_live_rows = ctx.peak_live_rows;
   stats->peak_live_bytes = ctx.peak_live_bytes;
   stats->wall_ms = timer.ElapsedMs();
+  SetSelfTimes(plan, op_stats);
   if (st.ok()) stats->max_q_error = MaxJoinQError(plan, *op_stats);
   // Keeps the partial counters readable (last_stats()/last_verdict())
   // whether the query finishes or a limit / injected fault cuts it short.

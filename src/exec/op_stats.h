@@ -17,6 +17,9 @@ struct OpStats {
   uint64_t rows = 0;     // rows this operator emitted
   uint64_t batches = 0;  // NextBatch calls served
   double time_ms = 0.0;  // inclusive wall time (operator + its children)
+  /// time_ms less the children's time_ms: the operator's own work. Set
+  /// once the execution finishes (or fails).
+  double self_ms = 0.0;
   /// Max rows simultaneously resident in this operator's own buffers
   /// (input batches, sort buffer, join stack/stage).
   uint64_t peak_live_rows = 0;

@@ -294,34 +294,41 @@ Result<StackTreeMerge::Wait> StackTreeMerge::Flush(Wait wait, size_t cap,
 Status StackTreeMerge::Emit(size_t cap, ColumnBatch* out, JoinStats* stats,
                             bool* drained) {
   for (;;) {
-    // Plan a pass of runs, then write each output column once. Each run
-    // is one ancestor row times a contiguous descendant run, clamped to
-    // the room left in `out` and to the row budget — a single pair of
-    // large groups can exceed it on its own — so exactly the rows that fit
-    // are emitted and counted before the join fails.
+    // Plan a pass: the ancestor-window and descendant-window row of each
+    // output row, in output order, for up to kPassRows rows clamped to the
+    // room left in `out` and to the row budget (a single pair of large
+    // groups can exceed either on its own), so exactly the rows that fit
+    // are emitted and counted before the join fails. Then gather each
+    // output column once.
     const size_t room = cap - out->size();
+    const size_t limit = static_cast<size_t>(std::min<uint64_t>(
+        std::min(room, kPassRows), budget_ - emitted_rows_));
     size_t planned = 0;
-    bool over_budget = false;
-    runs_.clear();
-    while (ready_pos_ < ready_.size() && planned < room &&
-           runs_.size() < kPassRows) {
-      over_budget = emitted_rows_ + planned == budget_;
-      if (over_budget) break;
+    while (ready_pos_ < ready_.size() && planned < limit) {
       const GroupPair pair = ready_[ready_pos_];
       const Group& ga = anc_.groups[pair.ag];
       const Group& gd = desc_.groups[pair.dg];
-      const size_t nd = gd.end - gd.begin;
-      const size_t take = static_cast<size_t>(std::min<uint64_t>(
-          std::min(nd - emit_dr_, room - planned),
-          budget_ - emitted_rows_ - planned));
-      runs_.push_back({ga.begin + static_cast<uint32_t>(emit_ar_),
-                       gd.begin + static_cast<uint32_t>(emit_dr_),
-                       static_cast<uint32_t>(take)});
+      // The pair's rows from the cursor on, ancestor-major: each ancestor
+      // row with every descendant row.
+      const uint64_t done = uint64_t{emit_ar_} * (gd.end - gd.begin) + emit_dr_;
+      const size_t take = static_cast<size_t>(
+          std::min<uint64_t>(RowsOf(pair) - done, limit - planned));
+      uint32_t a = ga.begin + emit_ar_;
+      uint32_t d = gd.begin + emit_dr_;
+      uint32_t* const asel = asel_.data() + planned;
+      uint32_t* const dsel = dsel_.data() + planned;
+      for (size_t i = 0; i < take; ++i) {
+        asel[i] = a;
+        dsel[i] = d;
+        if (++d == gd.end) {
+          d = gd.begin;
+          ++a;
+        }
+      }
       planned += take;
-      emit_dr_ += take;
-      if (emit_dr_ < nd) continue;
-      emit_dr_ = 0;
-      if (++emit_ar_ < ga.end - ga.begin) continue;
+      emit_ar_ = a - ga.begin;
+      emit_dr_ = d - gd.begin;
+      if (a < ga.end) break;  // the pass is full inside the pair
       // Every row of the pair is planned.
       emit_ar_ = 0;
       ++ready_pos_;
@@ -331,18 +338,19 @@ Status StackTreeMerge::Emit(size_t cap, ColumnBatch* out, JoinStats* stats,
         Unref(&desc_, pair.dg);
       }
     }
-    out->AppendCrossRuns(*anc_.rows, *desc_.rows, runs_.data(), runs_.size());
+    out->AppendGatherPair(*anc_.rows, asel_.data(), *desc_.rows,
+                          dsel_.data(), planned);
     emitted_rows_ += planned;
     pending_rows_ -= planned;
     if (stats != nullptr) stats->output_rows += planned;
-    if (over_budget) {
-      return Status::OutOfRange(
-          "structural join output exceeded the configured row budget");
-    }
     if (ready_pos_ == ready_.size()) break;
     if (planned == room) {
       *drained = false;
       return Status::OK();
+    }
+    if (emitted_rows_ == budget_) {
+      return Status::OutOfRange(
+          "structural join output exceeded the configured row budget");
     }
   }
   ready_.clear();

@@ -26,15 +26,17 @@
 // or the output batch is full (even inside one group cross product), and
 // picks up exactly where it stopped. StackTreeJoin runs it once over two
 // whole inputs; the streaming join operators (exec/operator.h) run it over
-// windows they refill batch by batch. Group detection, the parent-child
-// level filter over the stack, and cross-product expansion are column
-// sweeps through exec/vector_kernels.h and ColumnBatch::AppendCrossRuns.
-// Matched pairs queue with an exact count of the rows they will emit, and
-// the merge emits them only once they fill the output batch, make a pass
-// of kPassRows rows, or would cross the row budget, and before it returns
-// for more input: one emission per output batch or pass, not one per
-// descendant group. A pass plans up to kPassRows runs (one ancestor row ×
-// a contiguous descendant run) and then writes each output column once.
+// windows they refill batch by batch. Group detection and the parent-child
+// level filter over the stack are column sweeps through
+// exec/vector_kernels.h. Matched pairs queue with an exact count of the
+// rows they will emit, and the merge emits them only once they fill the
+// output batch, make a pass of kPassRows rows, or would cross the row
+// budget, and before it returns for more input: one emission per output
+// batch or pass, not one per descendant group. A pass plans up to
+// kPassRows output rows as two selection vectors, the ancestor-window row
+// and the descendant-window row of each, whole group pairs at a time, and
+// ColumnBatch::AppendGatherPair then writes each output column with one
+// gather.
 //
 // Rows no open ancestor can match cost no stack work: an ancestor that
 // closes before the current descendant is skipped as dead (no push, no
@@ -44,6 +46,7 @@
 #ifndef SJOS_EXEC_STACK_TREE_H_
 #define SJOS_EXEC_STACK_TREE_H_
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -126,11 +129,11 @@ class StackTreeMerge {
   uint64_t buffered_pairs() const { return buffered_pairs_; }
   static constexpr uint64_t kPairBytes = 8;
 
-  /// Pending rows that make the merge emit before `out` fills. Without
-  /// this bound a merge with no row cap (StackTreeJoin) would queue every
-  /// pair until its inputs end. A pass also plans at most this many runs:
-  /// a run holds at least one row, so a pass that reaches that cap emits
-  /// at least the rows that triggered it.
+  /// Pending rows that make the merge emit before `out` fills, and the
+  /// most output rows one emission pass plans (the length of its two
+  /// selection vectors). Without the trigger a merge with no row cap
+  /// (StackTreeJoin) would queue every pair until its inputs end; with
+  /// it, one pass usually emits what the trigger queued.
   static constexpr size_t kPassRows = 1024;
 
  private:
@@ -202,11 +205,10 @@ class StackTreeMerge {
 
   // Emission cursor: pairs due for output, in output order, the rows of
   // theirs not yet emitted, and the position inside the current pair's
-  // cross product; `runs_` stages one emission pass.
+  // cross product.
   std::vector<GroupPair> ready_;
-  std::vector<ColumnBatch::CrossRun> runs_;
   size_t ready_pos_ = 0;
-  size_t emit_ar_ = 0, emit_dr_ = 0;
+  uint32_t emit_ar_ = 0, emit_dr_ = 0;
   uint64_t pending_rows_ = 0;
   uint64_t emitted_rows_ = 0;
   uint64_t buffered_pairs_ = 0;
@@ -215,6 +217,12 @@ class StackTreeMerge {
   // row ranges, never rows, so it stays out of the live-byte accounting.
   std::vector<uint32_t> compact_remap_;
   std::vector<std::pair<size_t, size_t>> compact_keep_;
+
+  // One emission pass, planned: the ancestor-window and descendant-window
+  // row of each output row. Row indices, not rows, so they stay out of the
+  // live-byte accounting like Compact's scratch.
+  std::array<uint32_t, kPassRows> asel_;
+  std::array<uint32_t, kPassRows> dsel_;
 };
 
 /// Joins `anc` (sorted by column `anc_slot`) with `desc` (sorted by column

@@ -46,10 +46,11 @@ void PrintNode(const PhysicalPlan& plan, const Pattern& pattern,
                           : StrFormat("%.1f", static_cast<double>(os.rows) /
                                                   static_cast<double>(os.batches));
     *out += StrFormat(
-        "  [rows=%llu batches=%llu avg=%s time=%.3fms peak-live=%llu",
+        "  [rows=%llu batches=%llu avg=%s time=%.3fms self=%.3fms "
+        "peak-live=%llu",
         static_cast<unsigned long long>(os.rows),
         static_cast<unsigned long long>(os.batches), avg.c_str(), os.time_ms,
-        static_cast<unsigned long long>(os.peak_live_rows));
+        os.self_ms, static_cast<unsigned long long>(os.peak_live_rows));
     const bool is_join = node.op == PlanOp::kStackTreeAnc ||
                          node.op == PlanOp::kStackTreeDesc;
     if (is_join && node.est_rows >= 0.0) {

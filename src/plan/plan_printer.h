@@ -20,9 +20,10 @@ std::string PrintPlan(const PhysicalPlan& plan, const Pattern& pattern);
 
 /// EXPLAIN ANALYZE: the plan tree annotated with the measured per-operator
 /// counters of one execution (ExecResult::op_stats, indexed by plan node):
-/// rows emitted, batches served, inclusive wall time, and the operator's
-/// own peak live rows. Blocking operators stand out by their peak
-/// (rows-sized for Sort, ~batch-sized for streaming nodes).
+/// rows emitted, batches served, inclusive wall time, self time (inclusive
+/// less the children's), and the operator's own peak live rows. Blocking
+/// operators stand out by their peak (rows-sized for Sort, ~batch-sized for
+/// streaming nodes).
 std::string PrintPlanAnalyze(const PhysicalPlan& plan, const Pattern& pattern,
                              const std::vector<OpStats>& op_stats);
 

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -139,22 +138,20 @@ TEST(ColumnBatch, SortBySlotMatchesStableSortOfRows) {
   }
 }
 
-/// Row-at-a-time reference for AppendCrossRuns: appends each run's rows
-/// (left row, then right row) to `want` one by one.
-void AppendCrossRunsReference(const ColumnBatch& left, const ColumnBatch& right,
-                              const std::vector<ColumnBatch::CrossRun>& runs,
-                              ColumnBatch* want) {
+/// Row-at-a-time reference for AppendGatherPair: appends row lsel[i] of
+/// `left` followed by row rsel[i] of `right` to `want`, one row at a time.
+void AppendGatherPairReference(const ColumnBatch& left,
+                               const std::vector<uint32_t>& lsel,
+                               const ColumnBatch& right,
+                               const std::vector<uint32_t>& rsel,
+                               ColumnBatch* want) {
   std::vector<NodeId> row(left.arity() + right.arity());
-  for (const ColumnBatch::CrossRun& run : runs) {
-    for (uint32_t i = 0; i < run.n; ++i) {
-      for (size_t c = 0; c < left.arity(); ++c) {
-        row[c] = left.At(run.left_row, c);
-      }
-      for (size_t c = 0; c < right.arity(); ++c) {
-        row[left.arity() + c] = right.At(run.right_begin + i, c);
-      }
-      want->AppendRow(row.data());
+  for (size_t i = 0; i < lsel.size(); ++i) {
+    for (size_t c = 0; c < left.arity(); ++c) row[c] = left.At(lsel[i], c);
+    for (size_t c = 0; c < right.arity(); ++c) {
+      row[left.arity() + c] = right.At(rsel[i], c);
     }
+    want->AppendRow(row.data());
   }
 }
 
@@ -167,34 +164,40 @@ void ExpectSameBatch(const ColumnBatch& got, const ColumnBatch& want) {
   }
 }
 
-/// The output schema of a cross of `left` and `right`.
-std::vector<PatternNodeId> CrossSlots(const ColumnBatch& left,
-                                      const ColumnBatch& right) {
+/// The output schema of a join of `left` and `right`.
+std::vector<PatternNodeId> PairSlots(const ColumnBatch& left,
+                                     const ColumnBatch& right) {
   std::vector<PatternNodeId> slots = left.slots();
   for (PatternNodeId s : right.slots()) slots.push_back(s + 100);
   return slots;
 }
 
-TEST(ColumnBatch, AppendCrossRunsWithNoRowsKeepsTheBatch) {
+/// `n` random row indices below `rows`.
+std::vector<uint32_t> RandomSel(Rng* rng, size_t rows, size_t n) {
+  std::vector<uint32_t> sel(n);
+  for (uint32_t& i : sel) i = static_cast<uint32_t>(rng->NextBelow(rows));
+  return sel;
+}
+
+TEST(ColumnBatch, AppendGatherPairWithNoRowsKeepsTheBatch) {
   Rng rng(0xC705);
   const ColumnBatch left = RandomBatch(&rng, 2, 3);
   const ColumnBatch right = RandomBatch(&rng, 1, 4);
-  ColumnBatch out(CrossSlots(left, right));
-  const std::vector<ColumnBatch::CrossRun> first = {{2, 1, 2}};
-  out.AppendCrossRuns(left, right, first.data(), first.size());
+  ColumnBatch out(PairSlots(left, right));
+  const std::vector<uint32_t> lsel = {2, 2}, rsel = {1, 2};
+  out.AppendGatherPair(left, lsel.data(), right, rsel.data(), lsel.size());
   ColumnBatch want(out.slots());
-  AppendCrossRunsReference(left, right, first, &want);
-  // No runs, then only zero-length runs: nothing is appended.
-  out.AppendCrossRuns(left, right, nullptr, 0);
-  const std::vector<ColumnBatch::CrossRun> empty = {{0, 0, 0}, {1, 4, 0}};
-  out.AppendCrossRuns(left, right, empty.data(), empty.size());
+  AppendGatherPairReference(left, lsel, right, rsel, &want);
+  // No rows, with and without selection vectors: nothing is appended.
+  out.AppendGatherPair(left, nullptr, right, nullptr, 0);
+  out.AppendGatherPair(left, lsel.data(), right, rsel.data(), 0);
   ExpectSameBatch(out, want);
   for (size_t c = 0; c < out.arity(); ++c) {
     EXPECT_EQ(out.Raw(c).size(), out.size()) << "column " << c;
   }
 }
 
-TEST(ColumnBatch, AppendCrossRunsSingleRowRuns) {
+TEST(ColumnBatch, AppendGatherPairRepeatedAndOutOfOrderIndices) {
   ColumnBatch left({PatternNodeId{1}, PatternNodeId{2}});
   std::vector<NodeId> lrow = {10, 20};
   left.AppendRow(lrow.data());
@@ -204,58 +207,68 @@ TEST(ColumnBatch, AppendCrossRunsSingleRowRuns) {
   for (NodeId id : {100u, 101u, 102u, 103u}) right.AppendRow(&id);
 
   ColumnBatch out({PatternNodeId{1}, PatternNodeId{2}, PatternNodeId{5}});
-  // Left row 1 × right row 1, then left row 0 × right row 3.
-  const std::vector<ColumnBatch::CrossRun> runs = {{1, 1, 1}, {0, 3, 1}};
-  out.AppendCrossRuns(left, right, runs.data(), runs.size());
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out.At(0, 0), 11u);
-  EXPECT_EQ(out.At(0, 1), 21u);
-  EXPECT_EQ(out.At(0, 2), 101u);
-  EXPECT_EQ(out.At(1, 0), 10u);
-  EXPECT_EQ(out.At(1, 1), 20u);
-  EXPECT_EQ(out.At(1, 2), 103u);
+  // Left row 1 twice (with right rows 3 and 1), then left row 0 with
+  // right row 1 again.
+  const std::vector<uint32_t> lsel = {1, 1, 0}, rsel = {3, 1, 1};
+  out.AppendGatherPair(left, lsel.data(), right, rsel.data(), lsel.size());
+  ASSERT_EQ(out.size(), 3u);
+  const NodeId want[3][3] = {{11, 21, 103}, {11, 21, 101}, {10, 20, 101}};
+  for (size_t r = 0; r < 3; ++r) {
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_EQ(out.At(r, c), want[r][c]) << "row " << r << " col " << c;
+    }
+  }
 }
 
-TEST(ColumnBatch, AppendCrossRunsLongRun) {
-  Rng rng(0x1096);
-  const ColumnBatch left = RandomBatch(&rng, 1, 5);
-  const ColumnBatch right = RandomBatch(&rng, 2, 5000);
-  ColumnBatch out(CrossSlots(left, right));
-  const std::vector<ColumnBatch::CrossRun> runs = {{3, 7, 4321}, {4, 0, 1}};
-  out.AppendCrossRuns(left, right, runs.data(), runs.size());
-  ColumnBatch want(out.slots());
-  AppendCrossRunsReference(left, right, runs, &want);
-  ExpectSameBatch(out, want);
-  EXPECT_EQ(out.size(), 4322u);
-}
-
-TEST(ColumnBatch, AppendCrossRunsMatchesRowwiseAcrossArities) {
+TEST(ColumnBatch, AppendGatherPairMatchesRowwiseAcrossArities) {
   Rng rng(0xA217);
   for (int trial = 0; trial < 60; ++trial) {
-    const size_t left_arity = 1 + rng.NextBelow(3);
-    const size_t right_arity = 1 + rng.NextBelow(3);
+    const size_t left_arity = 1 + rng.NextBelow(6);
+    const size_t right_arity = 1 + rng.NextBelow(6);
     const ColumnBatch left =
         RandomBatch(&rng, left_arity, 1 + rng.NextBelow(20));
     const ColumnBatch right =
-        RandomBatch(&rng, right_arity, 1 + rng.NextBelow(40));
-    ColumnBatch out(CrossSlots(left, right));
+        RandomBatch(&rng, right_arity, 1 + rng.NextBelow(2000));
+    ColumnBatch out(PairSlots(left, right));
     ColumnBatch want(out.slots());
-    // Several passes onto the same batch, each with a mix of run lengths
-    // (zero-length runs included).
-    for (int pass = 0; pass < 3; ++pass) {
-      std::vector<ColumnBatch::CrossRun> runs(rng.NextBelow(12));
-      for (ColumnBatch::CrossRun& run : runs) {
-        run.left_row = static_cast<uint32_t>(rng.NextBelow(left.size()));
-        run.right_begin = static_cast<uint32_t>(rng.NextBelow(right.size()));
-        run.n = static_cast<uint32_t>(
-            rng.NextBelow(right.size() - run.right_begin + 1));
-      }
-      out.AppendCrossRuns(left, right, runs.data(), runs.size());
-      AppendCrossRunsReference(left, right, runs, &want);
+    // Several passes onto the same batch: no rows, one row, a full pass of
+    // 1024 rows, and a random count. Random indices repeat and come out of
+    // order.
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{1024},
+                           static_cast<size_t>(rng.NextBelow(64))}) {
+      const std::vector<uint32_t> lsel = RandomSel(&rng, left.size(), n);
+      const std::vector<uint32_t> rsel = RandomSel(&rng, right.size(), n);
+      out.AppendGatherPair(left, lsel.data(), right, rsel.data(), n);
+      AppendGatherPairReference(left, lsel, right, rsel, &want);
     }
-    SCOPED_TRACE("trial " + std::to_string(trial));
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
     ExpectSameBatch(out, want);
   }
+}
+
+TEST(ColumnBatch, AppendGatherPairJoinLayout) {
+  // The layouts the Stack-Tree merge plans: a multi-row ancestor group
+  // against one descendant row, one ancestor row against a descendant
+  // run, and a full group cross product, ancestor-major.
+  Rng rng(0x1096);
+  const ColumnBatch left = RandomBatch(&rng, 1, 5);
+  const ColumnBatch right = RandomBatch(&rng, 2, 5000);
+  ColumnBatch out(PairSlots(left, right));
+  std::vector<uint32_t> lsel, rsel;
+  auto plan = [&lsel, &rsel](uint32_t a, uint32_t d) {
+    lsel.push_back(a);
+    rsel.push_back(d);
+  };
+  for (uint32_t a = 0; a < 5; ++a) plan(a, 4999);
+  for (uint32_t d = 7; d < 4328; ++d) plan(3, d);
+  for (uint32_t a = 1; a < 4; ++a) {
+    for (uint32_t d = 10; d < 13; ++d) plan(a, d);
+  }
+  out.AppendGatherPair(left, lsel.data(), right, rsel.data(), lsel.size());
+  ColumnBatch want(out.slots());
+  AppendGatherPairReference(left, lsel, right, rsel, &want);
+  ExpectSameBatch(out, want);
+  EXPECT_EQ(out.size(), 5u + 4321u + 9u);
 }
 
 TEST(ColumnBatch, AppendGatherSelectsRowsInSelOrder) {

@@ -109,7 +109,7 @@ void RunDifferential(const Database& db, const std::string& dataset_name) {
         PatternEstimates::Make(pattern, db.doc(), estimator);
     ASSERT_TRUE(estimates.ok()) << estimates.status().ToString();
     CostModel cost_model;
-    OptimizeContext ctx{&pattern, &estimates.value(), &cost_model};
+    OptimizeContext ctx{&pattern, &estimates.value(), &cost_model, {}};
 
     for (const std::unique_ptr<Optimizer>& optimizer :
          MakePaperOptimizers(pattern.NumEdges())) {

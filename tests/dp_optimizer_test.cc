@@ -28,7 +28,7 @@ struct QueryFixture {
         pe(std::move(PatternEstimates::Make(pattern, db.doc(), est)).value()),
         cm() {}
 
-  OptimizeContext ctx() const { return {&pattern, &pe, &cm}; }
+  OptimizeContext ctx() const { return {&pattern, &pe, &cm, {}}; }
 };
 
 QueryFixture PersSetup(std::string_view pattern_text, uint64_t nodes = 1500) {
@@ -93,7 +93,7 @@ TEST(DpOptimizerTest, RejectsInvalidPattern) {
   QueryFixture s = PersSetup("manager[//employee]");
   Pattern empty;
   ExactEstimator est(s.db.doc(), s.db.index());
-  OptimizeContext ctx{&empty, &s.pe, &s.cm};
+  OptimizeContext ctx{&empty, &s.pe, &s.cm, {}};
   EXPECT_FALSE(MakeDpOptimizer()->Optimize(ctx).ok());
 }
 

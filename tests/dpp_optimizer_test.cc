@@ -27,7 +27,7 @@ struct QueryFixture {
         pe(std::move(PatternEstimates::Make(pattern, db.doc(), est)).value()),
         cm() {}
 
-  OptimizeContext ctx() const { return {&pattern, &pe, &cm}; }
+  OptimizeContext ctx() const { return {&pattern, &pe, &cm, {}}; }
 };
 
 QueryFixture PersSetup(std::string_view pattern_text, uint64_t nodes = 1500) {

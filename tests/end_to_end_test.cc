@@ -42,7 +42,7 @@ TEST(EndToEndTest, HandWrittenDocumentThroughFullPipeline) {
   PatternEstimates pe =
       std::move(PatternEstimates::Make(pattern, db.doc(), est)).value();
   CostModel cm;
-  OptimizeContext ctx{&pattern, &pe, &cm};
+  OptimizeContext ctx{&pattern, &pe, &cm, {}};
 
   OptimizeResult r = std::move(MakeDppOptimizer()->Optimize(ctx)).value();
   Executor exec(db);
@@ -67,7 +67,7 @@ TEST(EndToEndTest, FoldingPreservesResultMultiplicity) {
     PatternEstimates pe =
         std::move(PatternEstimates::Make(pattern, db.doc(), est)).value();
     CostModel cm;
-    OptimizeContext ctx{&pattern, &pe, &cm};
+    OptimizeContext ctx{&pattern, &pe, &cm, {}};
     OptimizeResult r = std::move(MakeFpOptimizer()->Optimize(ctx)).value();
     Executor exec(db);
     ExecResult result = std::move(exec.Execute(pattern, r.plan)).value();
@@ -91,7 +91,7 @@ TEST(EndToEndTest, XmarkQueriesAcrossAllOptimizers) {
     PatternEstimates pe =
         std::move(PatternEstimates::Make(pattern, db.doc(), est)).value();
     CostModel cm;
-    OptimizeContext ctx{&pattern, &pe, &cm};
+    OptimizeContext ctx{&pattern, &pe, &cm, {}};
     auto expected = std::move(NaiveMatch(db.doc(), pattern)).value();
     Executor exec(db);
     for (const auto& optimizer : MakePaperOptimizers(pattern.NumEdges())) {
@@ -114,7 +114,7 @@ TEST(EndToEndTest, PlanPrintingIsStableAcrossRuns) {
   PatternEstimates pe =
       std::move(PatternEstimates::Make(pattern, db.doc(), est)).value();
   CostModel cm;
-  OptimizeContext ctx{&pattern, &pe, &cm};
+  OptimizeContext ctx{&pattern, &pe, &cm, {}};
   OptimizeResult r1 = std::move(MakeDppOptimizer()->Optimize(ctx)).value();
   OptimizeResult r2 = std::move(MakeDppOptimizer()->Optimize(ctx)).value();
   EXPECT_EQ(PlanSignature(r1.plan, pattern), PlanSignature(r2.plan, pattern));

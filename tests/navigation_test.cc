@@ -216,7 +216,7 @@ class NavigationOptimizerTest : public ::testing::Test {
     Pattern pattern = Pat(text);
     PatternEstimates pe =
         std::move(PatternEstimates::Make(pattern, db_->doc(), *est_)).value();
-    OptimizeContext ctx{&pattern, &pe, &cm_};
+    OptimizeContext ctx{&pattern, &pe, &cm_, {}};
     // Matches are independent of index availability: compare against the
     // same pattern with all nodes indexed via the oracle.
     auto expected = std::move(NaiveMatch(db_->doc(), pattern)).value();
@@ -275,8 +275,8 @@ TEST_F(NavigationOptimizerTest, NavigationChosenWhereItWins) {
       std::move(PatternEstimates::Make(indexed, db_->doc(), *est_)).value();
   PatternEstimates pe_u =
       std::move(PatternEstimates::Make(unindexed, db_->doc(), *est_)).value();
-  OptimizeContext ctx_i{&indexed, &pe_i, &cm_};
-  OptimizeContext ctx_u{&unindexed, &pe_u, &cm_};
+  OptimizeContext ctx_i{&indexed, &pe_i, &cm_, {}};
+  OptimizeContext ctx_u{&unindexed, &pe_u, &cm_, {}};
   OptimizeResult best_i = std::move(MakeDppOptimizer()->Optimize(ctx_i)).value();
   OptimizeResult best_u = std::move(MakeDppOptimizer()->Optimize(ctx_u)).value();
   std::string signature = PlanSignature(best_u.plan, unindexed);
@@ -293,7 +293,7 @@ TEST_F(NavigationOptimizerTest, FpReportsUnsupported) {
   Pattern pattern = Pat("manager[//employee?]");
   PatternEstimates pe =
       std::move(PatternEstimates::Make(pattern, db_->doc(), *est_)).value();
-  OptimizeContext ctx{&pattern, &pe, &cm_};
+  OptimizeContext ctx{&pattern, &pe, &cm_, {}};
   Result<OptimizeResult> r = MakeFpOptimizer()->Optimize(ctx);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);

@@ -246,7 +246,9 @@ TEST(JsonTest, RejectsMalformedDocuments) {
   for (const char* text : cases) {
     Result<JsonValue> v = ParseJson(text);
     EXPECT_FALSE(v.ok()) << "accepted: " << text;
-    if (!v.ok()) EXPECT_EQ(v.status().code(), StatusCode::kParseError);
+    if (!v.ok()) {
+      EXPECT_EQ(v.status().code(), StatusCode::kParseError);
+    }
   }
 }
 
@@ -1111,7 +1113,7 @@ TEST(EncoderGoldenTest, MatchesTheReferenceEncoderOnRandomResults) {
       qr.stats.result_rows = rows;
       qr.stats.wall_ms = static_cast<double>(rng.NextBelow(100000)) / 7;
       qr.planned.algorithm = "DPP";
-      qr.query_id = "d" + std::to_string(checked);
+      qr.query_id = StrFormat("d%zu", checked);
       ASSERT_EQ(EncodeDoneResult("x", qr, kFrameAbsoluteMaxPayload),
                 ReferenceEncodeDoneResult("x", qr))
           << "arity " << arity << " trial " << trial;
@@ -1269,8 +1271,9 @@ TEST(ReplayRingTest, RetainedBytesStayUnderTheCap) {
   ReplayRing ring(/*capacity=*/256);
   const size_t kResponse = size_t{1} << 20;
   for (int i = 0; i < 48; ++i) {
-    ring.Push("q" + std::to_string(i), Response(std::string(kResponse, 'x')),
-              false);
+    std::string id = "q";
+    id += std::to_string(i);
+    ring.Push(std::move(id), Response(std::string(kResponse, 'x')), false);
     EXPECT_LE(ring.bytes(), kReplayRingMaxBytes);
   }
   EXPECT_EQ(ring.size(), kReplayRingMaxBytes / kResponse);

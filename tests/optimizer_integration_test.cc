@@ -267,7 +267,7 @@ class WorkloadSweep : public ::testing::TestWithParam<const char*> {
             .value());
   }
 
-  OptimizeContext Ctx() const { return {&query_.pattern, pe_.get(), &cm_}; }
+  OptimizeContext Ctx() const { return {&query_.pattern, pe_.get(), &cm_, {}}; }
 
   BenchQuery query_;
   std::unique_ptr<Database> db_;
@@ -343,7 +343,7 @@ TEST_P(WorkloadSweep, HistogramEstimatesStillYieldCorrectPlans) {
   PatternEstimates pe =
       std::move(PatternEstimates::Make(query_.pattern, db_->doc(), hist))
           .value();
-  OptimizeContext ctx{&query_.pattern, &pe, &cm_};
+  OptimizeContext ctx{&query_.pattern, &pe, &cm_, {}};
   auto expected = std::move(NaiveMatch(db_->doc(), query_.pattern)).value();
   Executor exec(*db_);
   for (const auto& optimizer : MakePaperOptimizers(query_.pattern.NumEdges())) {

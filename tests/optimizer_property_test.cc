@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.h"
 #include "core/optimizer.h"
 #include "estimate/exact_estimator.h"
@@ -30,7 +32,9 @@ namespace {
 Pattern RandomPattern(Rng* rng, size_t nodes, uint32_t num_tags) {
   Pattern p;
   auto tag = [&] {
-    return "t" + std::to_string(rng->NextBelow(num_tags));
+    std::string t = "t";
+    t += std::to_string(rng->NextBelow(num_tags));
+    return t;
   };
   p.AddRoot(tag());
   for (size_t i = 1; i < nodes; ++i) {
@@ -73,7 +77,7 @@ TEST_P(RandomizedSweep, AllAlgorithmsAgreeOnRandomInstances) {
       PatternEstimates pe =
           std::move(PatternEstimates::Make(pattern, db.doc(), *estimator))
               .value();
-      OptimizeContext ctx{&pattern, &pe, &cm};
+      OptimizeContext ctx{&pattern, &pe, &cm, {}};
 
       OptimizeResult dp = std::move(MakeDpOptimizer()->Optimize(ctx)).value();
       for (const auto& optimizer :

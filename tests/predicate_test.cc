@@ -130,7 +130,7 @@ TEST(PredicateExecutionTest, MatchesOracleOnPers) {
     Pattern pattern = Pat(text);
     PatternEstimates pe =
         std::move(PatternEstimates::Make(pattern, db.doc(), est)).value();
-    OptimizeContext ctx{&pattern, &pe, &cm};
+    OptimizeContext ctx{&pattern, &pe, &cm, {}};
     auto expected = std::move(NaiveMatch(db.doc(), pattern)).value();
     Executor exec(db);
     for (const auto& optimizer : MakePaperOptimizers(pattern.NumEdges())) {
@@ -156,7 +156,7 @@ TEST(PredicateExecutionTest, SelectivePredicateShrinksIntermediates) {
   auto run = [&](Pattern& pattern) {
     PatternEstimates pe =
         std::move(PatternEstimates::Make(pattern, db.doc(), est)).value();
-    OptimizeContext ctx{&pattern, &pe, &cm};
+    OptimizeContext ctx{&pattern, &pe, &cm, {}};
     OptimizeResult r = std::move(MakeDppOptimizer()->Optimize(ctx)).value();
     return std::move(exec.Execute(pattern, r.plan)).value();
   };

@@ -21,11 +21,18 @@ Database Db(std::string_view xml) {
   return Database::Open(std::move(ParseXml(xml)).value());
 }
 
+/// The generated tree's tag name "t<t>".
+std::string TagName(uint32_t t) {
+  std::string name = "t";
+  name += std::to_string(t);
+  return name;
+}
+
 /// Candidate list of the first pattern node with tag `tag` mapped to
 /// pattern slot `slot`.
 ColumnBatch Candidates(const Database& db, std::string_view tag,
                        PatternNodeId slot) {
-     ColumnBatch set({slot});
+  ColumnBatch set({slot});
   TagId id = db.doc().dict().Find(tag);
   if (id != kInvalidTag) {
     for (NodeId n : db.index().Postings(id)) set.AppendRow(&n);
@@ -37,9 +44,9 @@ ColumnBatch Candidates(const Database& db, std::string_view tag,
 /// Brute-force reference join over two single-column inputs.
 std::vector<std::pair<NodeId, NodeId>> RefJoin(const Database& db,
                                                const ColumnBatch& anc,
-                                                  const ColumnBatch& desc,
-                                                  Axis axis) {
-     std::vector<std::pair<NodeId, NodeId>> out;
+                                               const ColumnBatch& desc,
+                                               Axis axis) {
+  std::vector<std::pair<NodeId, NodeId>> out;
   for (size_t i = 0; i < anc.size(); ++i) {
     for (size_t j = 0; j < desc.size(); ++j) {
       NodeId a = anc.At(i, 0);
@@ -202,8 +209,8 @@ TEST_P(StackTreeSweep, MatchesBruteForceOnRandomTrees) {
   Database db = Database::Open(GenerateTree(config).value());
   for (uint32_t t0 = 0; t0 < std::min<uint32_t>(param.num_tags, 3); ++t0) {
     for (uint32_t t1 = 0; t1 < std::min<uint32_t>(param.num_tags, 3); ++t1) {
-      ColumnBatch anc = Candidates(db, "t" + std::to_string(t0), 0);
-      ColumnBatch desc = Candidates(db, "t" + std::to_string(t1), 1);
+      ColumnBatch anc = Candidates(db, TagName(t0), 0);
+      ColumnBatch desc = Candidates(db, TagName(t1), 1);
       for (Axis axis : {Axis::kDescendant, Axis::kChild}) {
         auto ref = RefJoin(db, anc, desc, axis);
         for (bool by_anc : {false, true}) {
@@ -383,9 +390,7 @@ TEST_P(StackTreeSweep, OperatorMatchesWholeInputJoin) {
   config.num_tags = param.num_tags;
   config.seed = param.seed;
   Database db = Database::Open(GenerateTree(config).value());
-  auto tag = [&](uint32_t t) {
-    return "t" + std::to_string(t % param.num_tags);
-  };
+  auto tag = [&](uint32_t t) { return TagName(t % param.num_tags); };
   const ColumnBatch t0 = Candidates(db, tag(0), 0);
   const ColumnBatch t1 = Candidates(db, tag(1), 1);
   const ColumnBatch t2 = Candidates(db, tag(2), 2);
@@ -842,6 +847,90 @@ TEST(StackTreeBatchTest, WindowedMergeAgreesOnEveryJoinStat) {
           if (kernel.ok()) ExpectSameRows(w.rows, kernel.value());
         }
         ExpectOperatorMatchesKernel(db, c);
+      }
+    }
+  }
+}
+
+/// The first `n` rows of `rows`, with its schema and ordering.
+ColumnBatch Prefix(const ColumnBatch& rows, size_t n) {
+  ColumnBatch out(rows.slots());
+  out.set_ordered_by_slot(rows.ordered_by_slot());
+  out.AppendRange(rows, 0, n);
+  return out;
+}
+
+// Groups of several rows against one-row groups, both ways round: each
+// matched element pair is a block of |ancestor group| x |descendant group|
+// rows that an emission pass plans as a whole. Row budgets and batch caps
+// that are not multiples of the group sizes cut inside a block, and
+// neither size divides kPassRows, so passes end inside blocks too.
+TEST(StackTreeBatchTest, BudgetsAndCapsCutInsideGroupBlocks) {
+  static_assert(StackTreeMerge::kPassRows % 13 != 0 &&
+                StackTreeMerge::kPassRows % 11 != 0);
+  TreeGenConfig config;
+  config.target_nodes = 600;
+  config.max_depth = 10;
+  config.num_tags = 2;
+  config.seed = 34;
+  Database db = Database::Open(GenerateTree(config).value());
+  const ColumnBatch t0 = Candidates(db, "t0", 0);
+  const ColumnBatch t1 = Candidates(db, "t1", 1);
+  struct Inputs {
+    const char* name;
+    ColumnBatch anc;
+    ColumnBatch desc;
+  };
+  const Inputs inputs[] = {
+      {"13-row ancestor groups x one-row descendants", WithRuns(t0, 5, 13),
+       t1},
+      {"one-row ancestors x 11-row descendant groups", t0,
+       WithRuns(t1, 6, 11)},
+  };
+  for (const Inputs& in : inputs) {
+    for (Axis axis : {Axis::kDescendant, Axis::kChild}) {
+      for (bool by_anc : {false, true}) {
+        JoinCase c{in.anc, 0, in.desc, 0, axis, by_anc};
+        const ColumnBatch want = OrderedRefJoin(db, c);
+        ASSERT_GT(want.size(), StackTreeMerge::kPassRows);
+        for (uint64_t budget : {uint64_t{0}, uint64_t{20},
+                                uint64_t{want.size() / 2 + 3}}) {
+          SCOPED_TRACE(testing::Message()
+                       << in.name << (by_anc ? " Anc" : " Desc")
+                       << (axis == Axis::kChild ? " /" : " //")
+                       << " budget=" << budget);
+          c.max_output_rows = budget;
+          const size_t rows = budget == 0 ? want.size() : budget;
+          JoinStats stats;
+          Result<ColumnBatch> kernel = StackTreeJoin(
+              db.View(), c.anc, 0, c.desc, 0, axis, by_anc, &stats, budget);
+          EXPECT_EQ(kernel.ok(), budget == 0);
+          EXPECT_EQ(stats.output_rows, rows);
+          if (kernel.ok()) ExpectSameRows(kernel.value(), want);
+          for (size_t batch_rows :
+               {size_t{1}, size_t{2}, size_t{7}, size_t{1024}}) {
+            SCOPED_TRACE(testing::Message() << "batch_rows=" << batch_rows);
+            const Windowed w = WindowedMerge(db, c, batch_rows);
+            EXPECT_EQ(w.status.ToString(), kernel.status().ToString());
+            EXPECT_EQ(w.stats.element_pairs, stats.element_pairs);
+            EXPECT_EQ(w.stats.output_rows, stats.output_rows);
+            EXPECT_EQ(w.stats.stack_pushes, stats.stack_pushes);
+            EXPECT_EQ(w.stats.max_stack_depth, stats.max_stack_depth);
+            ExpectSameRows(w.rows, Prefix(want, rows));
+            const Streamed st = StreamJoin(db, c, batch_rows);
+            EXPECT_EQ(st.status.ToString(), kernel.status().ToString());
+            EXPECT_EQ(st.stats.join_output_rows, stats.output_rows);
+            EXPECT_EQ(st.stats.element_pairs, stats.element_pairs);
+            // The operator drops the batch that fails, so it returns a
+            // prefix of the rows the budget let through.
+            ASSERT_LE(st.rows.size(), rows);
+            if (budget == 0) {
+              EXPECT_EQ(st.rows.size(), rows);
+            }
+            ExpectSameRows(st.rows, Prefix(want, st.rows.size()));
+            ExpectFullBatches(st, batch_rows);
+          }
+        }
       }
     }
   }

@@ -232,6 +232,40 @@ TEST(StreamingExecTest, ExplainAnalyzeShowsEstimatesAndQError) {
   EXPECT_EQ(idle.find("max join q-error:"), std::string::npos) << idle;
 }
 
+TEST(StreamingExecTest, SelfTimesAreNonNegativeAndSumToTheRootTime) {
+  TreeGenConfig config;
+  config.target_nodes = 3000;
+  config.max_depth = 9;
+  config.num_tags = 3;
+  config.seed = 46;
+  Database db = Database::Open(GenerateTree(config).value());
+  Pattern pattern = Pat("t0[//t1[/t2]][//t2]");
+  Rng rng(47);
+  for (int i = 0; i < 8; ++i) {
+    SCOPED_TRACE(testing::Message() << "plan " << i);
+    PhysicalPlan plan = std::move(RandomPlan(pattern, &rng)).value();
+    ExecOptions options;
+    options.batch_rows = i % 2 == 0 ? 7 : 1024;
+    Executor exec(db, options);
+    ExecResult result = std::move(exec.Execute(pattern, plan)).value();
+    double self_sum = 0.0;
+    for (const OpStats& os : result.op_stats) {
+      EXPECT_GE(os.self_ms, 0.0);
+      EXPECT_LE(os.self_ms, os.time_ms);
+      self_sum += os.self_ms;
+    }
+    // Each operator's time counts once as self time: the tree's self times
+    // add up to the root's inclusive time.
+    const double root_ms =
+        result.op_stats[static_cast<size_t>(plan.root())].time_ms;
+    EXPECT_GT(root_ms, 0.0);
+    EXPECT_NEAR(self_sum, root_ms, 1e-9 * (1.0 + root_ms));
+    const std::string text =
+        PrintPlanAnalyze(plan, pattern, result.op_stats);
+    EXPECT_NE(text.find(" self="), std::string::npos) << text;
+  }
+}
+
 TEST(StreamingExecTest, RowBudgetErrorIsBatchSizeInvariant) {
   Database db = Db(WideDoc());
   Pattern pattern = Pat("a[//b[//c]]");

@@ -107,7 +107,7 @@ TEST(TwigJoinTest, AgreesWithOptimizedBinaryPlans) {
     if (q.dataset != "Pers") continue;
     PatternEstimates pe =
         std::move(PatternEstimates::Make(q.pattern, db.doc(), est)).value();
-    OptimizeContext ctx{&q.pattern, &pe, &cm};
+    OptimizeContext ctx{&q.pattern, &pe, &cm, {}};
     OptimizeResult r = std::move(MakeDppOptimizer()->Optimize(ctx)).value();
     Executor exec(db);
     ExecResult binary = std::move(exec.Execute(q.pattern, r.plan)).value();
