@@ -267,14 +267,12 @@ class Shell {
       PlanCacheCounters c = engine_.plan_cache().Counters();
       std::printf(
           "plan cache: %zu/%zu entries\n"
-          "  hits=%llu misses=%llu evictions=%llu invalidations=%llu "
-          "qerror_evictions=%llu\n",
+          "  hits=%llu misses=%llu evictions=%llu invalidations=%llu\n",
           engine_.plan_cache().Size(), engine_.plan_cache().capacity(),
           static_cast<unsigned long long>(c.hits),
           static_cast<unsigned long long>(c.misses),
           static_cast<unsigned long long>(c.evictions),
-          static_cast<unsigned long long>(c.invalidations),
-          static_cast<unsigned long long>(c.qerror_evictions));
+          static_cast<unsigned long long>(c.invalidations));
     } else if (verb == "clear") {
       engine_.plan_cache().Clear();
       std::printf("plan cache cleared\n");
@@ -406,7 +404,8 @@ class Shell {
 
   void Stats() {
     if (!Ready()) return;
-    std::printf("%s", engine_.db().stats().ToString(engine_.db().doc()).c_str());
+    std::printf("%s",
+                engine_.db().stats().ToString(engine_.db().doc()).c_str());
   }
 
   void ChooseAlgo(std::istringstream* words) {

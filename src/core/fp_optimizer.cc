@@ -6,12 +6,15 @@
 // For each candidate result-order node r, the pattern is "picked up" at r:
 // r's neighbors root the sub-pattern trees, each of which is recursively
 // planned to produce results ordered by its own root. The sub-plans are
-// then joined with r's candidate list in every possible order, keeping the
-// cheapest permutation. Memoized on (subtree root, blocked neighbor), the
-// classic re-rooting decomposition. The chosen plan is the CHEAPEST
-// fully-pipelined plan — the guarantee the paper proves.
+// then joined with r's candidate list in the cheapest order, found by a DP
+// over subsets of r's neighbors. Memoized on (subtree root, blocked
+// neighbor), the classic re-rooting decomposition. The chosen plan is the
+// CHEAPEST fully-pipelined plan — the guarantee the paper proves.
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -22,9 +25,6 @@
 namespace sjos {
 
 namespace {
-
-/// Neighbor fan-out above which permutation enumeration is refused.
-constexpr size_t kMaxFanout = 8;
 
 class FpOptimizer : public Optimizer {
  public:
@@ -43,7 +43,6 @@ class FpOptimizer : public Optimizer {
     ctx_ = &ctx;
     memo_.clear();
     stats_ = OptimizerStats{};
-    fanout_error_ = Status::OK();
 
     const Pattern& pattern = *ctx.pattern;
     // Candidate result orders: the explicit order-by node if given,
@@ -61,7 +60,6 @@ class FpOptimizer : public Optimizer {
     double best_cost = 0.0;
     for (PatternNodeId r : roots) {
       const SubPlan& sub = Solve(r, kNoPatternNode);
-      if (!fanout_error_.ok()) return fanout_error_;
       if (best_root == kNoPatternNode || sub.cost < best_cost) {
         best_root = r;
         best_cost = sub.cost;
@@ -110,11 +108,6 @@ class FpOptimizer : public Optimizer {
     if (neighbors.empty()) {
       return memo_.emplace(key, std::move(plan)).first->second;
     }
-    if (neighbors.size() > kMaxFanout) {
-      fanout_error_ = Status::Unsupported(
-          "FP permutation enumeration limited to fan-out 8");
-      return memo_.emplace(key, std::move(plan)).first->second;
-    }
 
     double children_cost = 0.0;
     for (PatternNodeId u : neighbors) {
@@ -124,26 +117,52 @@ class FpOptimizer : public Optimizer {
     }
     ++stats_.statuses_expanded;
 
-    // Enumerate join orders of the sub-pattern plans with r.
-    std::vector<PatternNodeId> perm = neighbors;
-    std::sort(perm.begin(), perm.end());
-    double best = -1.0;
-    do {
-      double cost = 0.0;
-      NodeMask current = MaskOf(r);
-      for (PatternNodeId u : perm) {
-        const SubPlan& sub = memo_.at(MemoKey(u, r));
-        cost += JoinStepCost(r, u, current, sub.mask);
-        current |= sub.mask;
+    // Subset DP over the join order of the sub-pattern plans with r. A
+    // step's cost depends only on the set S already joined, so best_[S]
+    // (the cheapest cost of joining S first, summed in join order) is the
+    // minimum over the neighbor joined last. order_ row S keeps, among
+    // the cheapest, the lexicographically smallest order of S.
+    std::sort(neighbors.begin(), neighbors.end());
+    const size_t k = neighbors.size();
+    const uint32_t full = (uint32_t{1} << k) - 1;
+    best_.resize(size_t{full} + 1);
+    joined_.resize(size_t{full} + 1);
+    order_.resize((size_t{full} + 1) * k);
+    best_[0] = 0.0;
+    joined_[0] = MaskOf(r);
+    for (uint32_t s = 1; s <= full; ++s) {
+      const int low = std::countr_zero(s);
+      joined_[s] = joined_[s & (s - 1)] |
+                   memo_.at(MemoKey(neighbors[low], r)).mask;
+      const size_t len = static_cast<size_t>(std::popcount(s));
+      uint8_t* row = &order_[s * k];
+      bool found = false;
+      for (uint32_t rest = s; rest != 0; rest &= rest - 1) {
+        const int last = std::countr_zero(rest);
+        const uint32_t prev = s & ~(uint32_t{1} << last);
+        const NodeMask sub_mask = joined_[s] & ~joined_[prev];
+        const double cost = best_[prev] + JoinStepCost(r, neighbors[last],
+                                                       joined_[prev],
+                                                       sub_mask);
+        const uint8_t* prefix = &order_[prev * k];
+        if (found) {
+          if (cost > best_[s]) continue;
+          if (cost == best_[s]) {
+            const int c = std::memcmp(prefix, row, len - 1);
+            if (c > 0 || (c == 0 && last > row[len - 1])) continue;
+          }
+        }
+        found = true;
+        best_[s] = cost;
+        std::memcpy(row, prefix, len - 1);
+        row[len - 1] = static_cast<uint8_t>(last);
       }
-      ++stats_.plans_considered;
-      if (best < 0.0 || cost < best) {
-        best = cost;
-        plan.perm = perm;
-      }
-    } while (std::next_permutation(perm.begin(), perm.end()));
-
-    plan.cost = children_cost + best;
+    }
+    stats_.plans_considered += k;  // one complete order per last neighbor
+    for (size_t i = 0; i < k; ++i) {
+      plan.perm.push_back(neighbors[order_[full * k + i]]);
+    }
+    plan.cost = children_cost + best_[full];
     return memo_.emplace(key, std::move(plan)).first->second;
   }
 
@@ -188,7 +207,11 @@ class FpOptimizer : public Optimizer {
   const OptimizeContext* ctx_ = nullptr;
   std::unordered_map<int, SubPlan> memo_;
   OptimizerStats stats_;
-  Status fanout_error_;
+  // Subset-DP tables, indexed by a set of sorted-neighbor positions;
+  // reused across sub-problems and written before they are read.
+  std::vector<double> best_;
+  std::vector<NodeMask> joined_;
+  std::vector<uint8_t> order_;  // row S: |S| positions, stride k
 };
 
 }  // namespace

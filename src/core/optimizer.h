@@ -46,7 +46,7 @@ struct OptimizerOptions {
   /// pattern (unindexed nodes) does the breach surface as
   /// Status::DeadlineExceeded. FP ignores the deadline — it IS the
   /// fallback. Its search is memoized per (node, blocked neighbour) and
-  /// tries every join order of a node's neighbours, at most 8! per node.
+  /// orders a node's k neighbours by a DP over their 2^k subsets.
   double deadline_ms = 0.0;
 };
 
@@ -60,7 +60,10 @@ struct OptimizeContext {
 
 /// Per-run search statistics.
 struct OptimizerStats {
-  uint64_t plans_considered = 0;    // alternatives costed during search
+  /// Alternatives costed during search. FP counts the complete join
+  /// orders it compares per sub-problem: one per neighbour that can be
+  /// joined last (k! for k <= 2 neighbours, k for more).
+  uint64_t plans_considered = 0;
   uint64_t statuses_generated = 0;  // statuses created (incl. duplicates)
   uint64_t statuses_expanded = 0;   // statuses whose moves were enumerated
   double opt_time_ms = 0.0;         // wall-clock optimization time

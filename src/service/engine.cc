@@ -259,7 +259,8 @@ Result<MutationResult> Engine::Apply(Mutation mutation) {
     return result;
   }
   if (!db_.has_value()) {
-    return Status::NotFound("no database loaded — apply a LoadDocument first");
+    return Status::NotFound(
+        "no database loaded — apply a LoadDocument first");
   }
   if (const FoldMutation* fold = std::get_if<FoldMutation>(&mutation)) {
     return ApplyFoldLocked(*fold);
@@ -294,7 +295,8 @@ Result<PlannedQuery> Engine::PlanLocked(const Pattern& pattern,
                                         const QueryOptions& options) {
   SJOS_RETURN_IF_ERROR(pattern.Validate());
   if (!db_.has_value()) {
-    return Status::NotFound("no database loaded — apply a LoadDocument first");
+    return Status::NotFound(
+        "no database loaded — apply a LoadDocument first");
   }
   PatternFingerprint fp = pattern.CanonicalFingerprint();
 
@@ -309,7 +311,6 @@ Result<PlannedQuery> Engine::PlanLocked(const Pattern& pattern,
       // the identity, so results are byte-identical to a fresh optimize.
       planned.plan = cached.plan.WithRemappedPatternNodes(fp.canonical_to_node);
       planned.algorithm = std::move(cached.algorithm);
-      planned.search_cost = cached.search_cost;
       planned.modelled_cost = cached.modelled_cost;
       planned.cache_hit = true;
       return planned;
@@ -332,7 +333,6 @@ Result<PlannedQuery> Engine::PlanLocked(const Pattern& pattern,
   planned.algorithm = opt.fallback_from.empty() ? optimizer->name() : "FP";
   planned.fallback_from = std::move(opt.fallback_from);
   planned.opt_stats = opt.stats;
-  planned.search_cost = opt.search_cost;
   planned.modelled_cost = opt.modelled_cost;
 
   // Don't cache fallback plans: FP stood in because the search ran out of
@@ -346,7 +346,6 @@ Result<PlannedQuery> Engine::PlanLocked(const Pattern& pattern,
     CachedPlan entry;
     entry.plan = planned.plan.WithRemappedPatternNodes(to_canonical);
     entry.algorithm = planned.algorithm;
-    entry.search_cost = planned.search_cost;
     entry.modelled_cost = planned.modelled_cost;
     // Tag set for fine-grained invalidation: a mutation touching none of
     // these tags cannot change this plan's costs.
@@ -453,15 +452,10 @@ Result<QueryResult> Engine::RunQuery(const Pattern& pattern,
     rec.actual_rows = executor.last_stats().result_rows;
     rec.max_q_error = executor.last_stats().max_q_error;
     rec.peak_live_bytes = executor.last_stats().peak_live_bytes;
-    for (const OpStats& op : executor.last_op_stats()) rec.batches += op.batches;
+    for (const OpStats& op : executor.last_op_stats()) {
+      rec.batches += op.batches;
+    }
     return fail(executed.status(), executor.last_verdict());
-  }
-
-  // Self-eviction: a plan that mis-estimated this badly should not keep
-  // being served — drop it so the next occurrence re-optimizes.
-  if (options_.cache_max_q_error > 0 && options.use_plan_cache &&
-      executed.value().stats.max_q_error > options_.cache_max_q_error) {
-    cache_.EvictForQError(planned.value().cache_key);
   }
 
   QueryResult out;

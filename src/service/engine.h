@@ -14,9 +14,7 @@
 // subtree mutations, plans stored in canonical node-id space and remapped
 // per concrete pattern. A hit skips estimation and search entirely (no
 // optimize:<ALGO> span appears in a trace); plans that came from a
-// deadline-triggered FP fallback are never cached. After execution, a
-// plan whose measured max_q_error exceeds EngineOptions::cache_max_q_error
-// is self-evicted so the next occurrence re-optimizes.
+// deadline-triggered FP fallback are never cached.
 //
 // Concurrency: Submit() enqueues the query on the Engine's pool and
 // returns a future-style QueryHandle; at most EngineOptions::max_in_flight
@@ -64,11 +62,6 @@ struct EngineOptions {
   /// the Engine pool's worker count.
   size_t max_in_flight = 4;
 
-  /// Self-eviction threshold: a cached (or just-cached) plan whose
-  /// executed ExecStats::max_q_error exceeds this is dropped from the
-  /// cache. 0 disables self-eviction.
-  double cache_max_q_error = 64.0;
-
   /// Audit/slow-query log settings. The defaults keep the log in-memory
   /// only (no file sinks) with a 100 ms slow-query threshold; sjos_serve
   /// wires file paths from its flags. See service/query_log.h.
@@ -85,7 +78,6 @@ struct PlannedQuery {
   std::string fallback_from;
   /// Zeroed on a cache hit (no search ran).
   OptimizerStats opt_stats;
-  double search_cost = 0.0;
   double modelled_cost = 0.0;
   /// True when the plan came from the cache (no estimation, no search).
   bool cache_hit = false;

@@ -16,7 +16,6 @@ struct CacheMetrics {
   Counter& invalidations;
   Counter& invalidations_global;
   Counter& invalidations_tagset;
-  Counter& qerror_evictions;
 
   static CacheMetrics& Get() {
     static CacheMetrics* m = [] {
@@ -32,8 +31,7 @@ struct CacheMetrics {
           reg.GetCounter("sjos_plan_cache_invalidations_total",
                          {{"scope", "global"}}),
           reg.GetCounter("sjos_plan_cache_invalidations_total",
-                         {{"scope", "tagset"}}),
-          reg.GetCounter("sjos_plan_cache_qerror_evictions_total")};
+                         {{"scope", "tagset"}})};
     }();
     return *m;
   }
@@ -99,16 +97,6 @@ void PlanCache::Put(const std::string& key, CachedPlan plan) {
     ++counters_.evictions;
     CacheMetrics::Get().evictions.Add();
   }
-}
-
-void PlanCache::EvictForQError(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = index_.find(key);
-  if (it == index_.end()) return;
-  lru_.erase(it->second);
-  index_.erase(it);
-  ++counters_.qerror_evictions;
-  CacheMetrics::Get().qerror_evictions.Add();
 }
 
 size_t PlanCache::InvalidateTags(const std::vector<std::string>& tags) {

@@ -10,9 +10,10 @@
 // function of the document statistics, so each event that changes them
 // makes exactly one call here. A document load clears the cache (Clear);
 // a fold or subtree mutation drops the entries whose tag set it touched
-// (InvalidateTags); an executed plan whose max_q_error exceeds the
-// Engine's threshold is self-evicted (EvictForQError) so the next
-// occurrence re-optimizes against reality. The Engine makes the load's
+// (InvalidateTags). No other event invalidates a plan (the LRU still
+// evicts at capacity): the estimator and the optimizers are
+// deterministic, so re-planning unchanged statistics returns the same
+// plan. The Engine makes the load's
 // Clear under its exclusive database lock and every Get/Put under the
 // shared one, so no plan from an old document survives or gets inserted.
 //
@@ -42,7 +43,6 @@ struct CachedPlan {
   PhysicalPlan plan;
   /// Algorithm name as the optimizer reported it ("DP", "DPP", ...).
   std::string algorithm;
-  double search_cost = 0.0;
   double modelled_cost = 0.0;
   /// Sorted, unique tag names the plan's pattern touches. Fine-grained
   /// invalidation (InvalidateTags) drops exactly the entries whose tag set
@@ -59,7 +59,6 @@ struct PlanCacheCounters {
   uint64_t invalidations = 0;     // all invalidations (global + tagset)
   uint64_t invalidations_global = 0;  // Clear() drops
   uint64_t invalidations_tagset = 0;  // InvalidateTags drops
-  uint64_t qerror_evictions = 0;  // EvictForQError drops
 };
 
 class PlanCache {
@@ -78,9 +77,6 @@ class PlanCache {
 
   /// Inserts or replaces `key`. Evicts the LRU entry on overflow.
   void Put(const std::string& key, CachedPlan plan);
-
-  /// Drops `key` because its plan mis-estimated badly at execution time.
-  void EvictForQError(const std::string& key);
 
   /// Fine-grained invalidation: drops every entry whose tag set intersects
   /// `tags` (which must be sorted). Returns the number of entries dropped;

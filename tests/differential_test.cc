@@ -176,9 +176,7 @@ TEST(DifferentialTest, PlanCacheWarmMatchesCold) {
     SCOPED_TRACE(OptimizerKindName(kind));
     for (size_t batch_rows : {size_t{1}, size_t{3}, size_t{1024}}) {
       SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
-      EngineOptions engine_opts;
-      engine_opts.cache_max_q_error = 0;  // isolate the warm/cold contract
-      Engine engine(engine_opts);
+      Engine engine;
       // The generator is deterministic, so every engine sees the same doc.
       ASSERT_TRUE(
           engine.Apply(LoadDocument{GeneratePers(config).value(), "Pers"})
@@ -227,9 +225,7 @@ TEST(DifferentialTest, MutationScheduleMatchesReparseOracle) {
   PersGenConfig config;
   config.target_nodes = 600;
   config.seed = 7;
-  EngineOptions engine_opts;
-  engine_opts.cache_max_q_error = 0;
-  Engine engine(engine_opts);
+  Engine engine;
   ASSERT_TRUE(
       engine.Apply(LoadDocument{GeneratePers(config).value(), "Pers"}).ok());
 

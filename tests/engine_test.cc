@@ -81,9 +81,7 @@ TEST(EngineTest, ConcurrentSubmitsMatchSynchronousQuery) {
       "manager[/employee][/department]",
   };
 
-  EngineOptions opts;
-  opts.cache_max_q_error = 0;  // deterministic residency for the hit check
-  Engine engine(opts);
+  Engine engine;
   ASSERT_TRUE(engine.OpenDatabase(SmallPers()).ok());
 
   std::vector<Pattern> patterns;
@@ -140,7 +138,8 @@ TEST(EngineTest, InFlightGaugeCountsSynchronousQueries) {
   QueryOptions options;
   options.use_plan_cache = false;
 
-  ASSERT_TRUE(FailpointRegistry::Global().Enable("exec.batch", "delay:20").ok());
+  ASSERT_TRUE(
+      FailpointRegistry::Global().Enable("exec.batch", "delay:20").ok());
   std::thread runner([&] { EXPECT_TRUE(engine.Query(pattern, options).ok()); });
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -237,7 +236,8 @@ TEST(EngineTest, CancelMidExecuteReportsGovernorVerdict) {
   // the dispatch gate (peak_in_flight flips to 1 after the pre-dispatch
   // cancel check): the cancel must land in the governor, whose verdict is
   // "cancelled", not "cancelled-before-dispatch".
-  ASSERT_TRUE(FailpointRegistry::Global().Enable("exec.batch", "delay:20").ok());
+  ASSERT_TRUE(
+      FailpointRegistry::Global().Enable("exec.batch", "delay:20").ok());
   Engine engine;
   ASSERT_TRUE(engine.OpenDatabase(SmallPers()).ok());
   Pattern pattern = Parse("manager[//employee[/name]][//department]");
@@ -295,9 +295,7 @@ TEST(EngineTest, SubmitFailpointInjectsError) {
 }
 
 TEST(EngineTest, WarmHitSkipsOptimizationEntirely) {
-  EngineOptions opts;
-  opts.cache_max_q_error = 0;  // keep the entry resident
-  Engine engine(opts);
+  Engine engine;
   ASSERT_TRUE(engine.OpenDatabase(SmallPers()).ok());
   Pattern pattern = Parse("manager[//employee[/name]][//department]");
 
@@ -365,9 +363,7 @@ TEST(EngineTest, EveryOptimizerKindTracesItsSearchAndPlanFinish) {
 }
 
 TEST(EngineTest, LoadReplacesDatabaseAndClearsCache) {
-  EngineOptions opts;
-  opts.cache_max_q_error = 0;
-  Engine engine(opts);
+  Engine engine;
   ASSERT_TRUE(engine.OpenDatabase(SmallPers(7)).ok());
   Pattern pattern = Parse("employee[/name]");
   ASSERT_TRUE(engine.Query(pattern).ok());

@@ -1,14 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "core/optimizer.h"
 #include "estimate/exact_estimator.h"
+#include "estimate/positional_histogram.h"
 #include "exec/executor.h"
 #include "exec/naive_matcher.h"
+#include "plan/plan_printer.h"
 #include "plan/plan_props.h"
 #include "query/pattern_parser.h"
 #include "query/workload.h"
 #include "storage/catalog.h"
 #include "xml/generators/pers_gen.h"
+#include "xml/generators/tree_gen.h"
+#include "xml/parser.h"
 
 namespace sjos {
 namespace {
@@ -79,7 +90,8 @@ TEST(FpOptimizerTest, CheapestAmongPipelinedNeverBelowGlobalOptimum) {
   for (const char* pattern :
        {"manager[//employee[/name]]", kRunningExample}) {
     QueryFixture s = PersSetup(pattern);
-    OptimizeResult opt = std::move(MakeDppOptimizer()->Optimize(s.ctx())).value();
+    OptimizeResult opt =
+        std::move(MakeDppOptimizer()->Optimize(s.ctx())).value();
     OptimizeResult fp = std::move(MakeFpOptimizer()->Optimize(s.ctx())).value();
     EXPECT_GE(fp.search_cost + 1e-9, opt.search_cost) << pattern;
   }
@@ -132,6 +144,220 @@ TEST(FpOptimizerTest, OrderByShrinksSearch) {
       std::move(MakeFpOptimizer()->Optimize(fixed.ctx())).value();
   EXPECT_LT(ordered.stats.plans_considered, any.stats.plans_considered);
   EXPECT_GE(ordered.search_cost + 1e-9, any.search_cost);
+}
+
+/// The Thm. 3.1 reference: FP's search as a plain permutation loop. Each
+/// sub-problem costs every order of its neighbours' joins, summed in join
+/// order, and keeps the first cheapest in lexicographic order.
+class PermutationFp {
+ public:
+  PermutationFp(const Pattern& pattern, const PatternEstimates& est,
+                const CostModel& cm)
+      : pattern_(pattern), est_(est), cm_(cm) {}
+
+  /// The cheapest fully-pipelined plan and its search cost.
+  std::pair<PhysicalPlan, double> Plan() {
+    std::vector<PatternNodeId> roots;
+    for (size_t i = 0; i < pattern_.NumNodes(); ++i) {
+      const PatternNodeId r = static_cast<PatternNodeId>(i);
+      if (pattern_.order_by() == kNoPatternNode || pattern_.order_by() == r) {
+        roots.push_back(r);
+      }
+    }
+    PatternNodeId best_root = kNoPatternNode;
+    double best_cost = 0.0;
+    for (PatternNodeId r : roots) {
+      const double cost = Solve(r, kNoPatternNode).cost;
+      if (best_root == kNoPatternNode || cost < best_cost) {
+        best_root = r;
+        best_cost = cost;
+      }
+    }
+    PhysicalPlan plan;
+    plan.SetRoot(Build(&plan, best_root, kNoPatternNode));
+    return {std::move(plan), best_cost};
+  }
+
+ private:
+  struct Sub {
+    double cost = 0.0;
+    NodeMask mask = 0;
+    std::vector<PatternNodeId> perm;
+  };
+
+  const Sub& Solve(PatternNodeId r, PatternNodeId blocked) {
+    auto it = memo_.find({r, blocked});
+    if (it != memo_.end()) return it->second;
+    Sub sub;
+    sub.mask = MaskOf(r);
+    std::vector<PatternNodeId> perm;
+    double children_cost = 0.0;
+    for (PatternNodeId u : pattern_.NeighborsOf(r)) {
+      if (u == blocked) continue;
+      perm.push_back(u);
+      const Sub& child = Solve(u, r);
+      children_cost += child.cost;
+      sub.mask |= child.mask;
+    }
+    std::sort(perm.begin(), perm.end());
+    double best = -1.0;
+    do {
+      double cost = 0.0;
+      NodeMask current = MaskOf(r);
+      for (PatternNodeId u : perm) {
+        const NodeMask child = memo_.at({u, r}).mask;
+        cost += pattern_.node(u).parent == r
+                    ? cm_.StackTreeAnc(est_.ClusterCard(current | child),
+                                       est_.ClusterCard(current))
+                    : cm_.StackTreeDesc(est_.ClusterCard(child),
+                                        est_.ClusterCard(current | child));
+        current |= child;
+      }
+      if (best < 0.0 || cost < best) {
+        best = cost;
+        sub.perm = perm;
+      }
+    } while (std::next_permutation(perm.begin(), perm.end()));
+    sub.cost = children_cost + best;
+    return memo_.emplace(std::make_pair(r, blocked), std::move(sub))
+        .first->second;
+  }
+
+  int Build(PhysicalPlan* plan, PatternNodeId r, PatternNodeId blocked) {
+    int current = plan->AddIndexScan(r);
+    for (PatternNodeId u : memo_.at({r, blocked}).perm) {
+      const int child = Build(plan, u, r);
+      current = pattern_.node(u).parent == r
+                    ? plan->AddJoin(PlanOp::kStackTreeAnc, r, u,
+                                    pattern_.node(u).axis, current, child)
+                    : plan->AddJoin(PlanOp::kStackTreeDesc, u, r,
+                                    pattern_.node(r).axis, child, current);
+    }
+    return current;
+  }
+
+  const Pattern& pattern_;
+  const PatternEstimates& est_;
+  const CostModel& cm_;
+  std::map<std::pair<PatternNodeId, PatternNodeId>, Sub> memo_;
+};
+
+/// A random tree of `nodes` nodes over the generator's tags; half the
+/// nodes hang off the root, so stars with high fan-out are common.
+Pattern RandomStarBiasedPattern(Rng* rng, size_t nodes, uint32_t num_tags) {
+  Pattern p;
+  auto tag = [&] {
+    std::string t = "t";
+    t += std::to_string(rng->NextBelow(num_tags));
+    return t;
+  };
+  p.AddRoot(tag());
+  for (size_t i = 1; i < nodes; ++i) {
+    const PatternNodeId parent =
+        rng->NextBool(0.5)
+            ? PatternNodeId{0}
+            : static_cast<PatternNodeId>(rng->NextBelow(p.NumNodes()));
+    p.AddChild(parent, tag(),
+               rng->NextBool(0.5) ? Axis::kDescendant : Axis::kChild);
+  }
+  if (rng->NextBool(0.3)) {
+    p.set_order_by(static_cast<PatternNodeId>(rng->NextBelow(nodes)));
+  }
+  return p;
+}
+
+TEST(FpOptimizerTest, SubsetDpMatchesPermutationSearch) {
+  // Thm. 3.1 oracle: on random patterns of up to 8 nodes, FP's subset DP
+  // returns the permutation search's plan at the bit-identical cost.
+  size_t cases = 0;
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    TreeGenConfig config;
+    config.target_nodes = 200 + rng.NextBelow(200);
+    config.max_depth = 3 + static_cast<uint32_t>(rng.NextBelow(6));
+    config.num_tags = 3 + static_cast<uint32_t>(rng.NextBelow(4));
+    config.seed = seed * 131;
+    Database db = Database::Open(GenerateTree(config).value());
+    ExactEstimator exact(db.doc(), db.index());
+    PositionalHistogramEstimator hist = PositionalHistogramEstimator::Build(
+        db.doc(), db.index(), db.stats());
+    CostModel cm;
+    for (int round = 0; round < 6; ++round) {
+      Pattern pattern =
+          RandomStarBiasedPattern(&rng, 2 + rng.NextBelow(7), config.num_tags);
+      for (const CardinalityEstimator* estimator :
+           {static_cast<const CardinalityEstimator*>(&exact),
+            static_cast<const CardinalityEstimator*>(&hist)}) {
+        PatternEstimates pe = std::move(PatternEstimates::Make(
+                                            pattern, db.doc(), *estimator))
+                                  .value();
+        OptimizeContext ctx{&pattern, &pe, &cm, {}};
+        Result<OptimizeResult> fp = MakeFpOptimizer()->Optimize(ctx);
+        ASSERT_TRUE(fp.ok())
+            << pattern.ToString() << ": " << fp.status().ToString();
+        auto [plan, cost] = PermutationFp(pattern, pe, cm).Plan();
+        EXPECT_EQ(fp.value().search_cost, cost)
+            << "seed=" << seed << " pattern=" << pattern.ToString();
+        EXPECT_EQ(PlanSignature(fp.value().plan, pattern),
+                  PlanSignature(plan, pattern))
+            << "seed=" << seed << " pattern=" << pattern.ToString();
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 360u);
+}
+
+/// "c<i>", built piece by piece (GCC 12's -Wrestrict misfires on
+/// "literal" + std::string&&).
+std::string ChildTag(size_t i) {
+  std::string tag = "c";
+  tag += std::to_string(i);
+  return tag;
+}
+
+TEST(FpOptimizerTest, PlansStarsOfAnyFanout) {
+  // Fan-out 9 and 15 (a 16-node star, the largest pattern admitted) plan
+  // and execute to the naive matcher's result.
+  std::string xml = "<doc>";
+  for (size_t r = 0; r < 6; ++r) {
+    xml += "<r>";
+    for (size_t c = 0; c < 15; ++c) {
+      if (r < 3 && (r + c) % 7 == 6) continue;  // hubs 0-2 miss children
+      const int copies = (r == 4 && c % 5 == 0) ? 2 : 1;
+      for (int k = 0; k < copies; ++k) {
+        xml += '<';
+        xml += ChildTag(c);
+        xml += "/>";
+      }
+    }
+    xml += "</r>";
+  }
+  xml += "<r><r><c0/></r></r></doc>";
+  Database db = Database::Open(std::move(ParseXml(xml)).value());
+  ExactEstimator exact(db.doc(), db.index());
+  CostModel cm;
+  Executor exec(db);
+  for (size_t fanout : {size_t{9}, size_t{15}}) {
+    Pattern pattern;
+    pattern.AddRoot("r");
+    for (size_t c = 0; c < fanout; ++c) {
+      pattern.AddChild(0, ChildTag(c),
+                       c % 2 == 0 ? Axis::kChild : Axis::kDescendant);
+    }
+    PatternEstimates pe =
+        std::move(PatternEstimates::Make(pattern, db.doc(), exact)).value();
+    OptimizeContext ctx{&pattern, &pe, &cm, {}};
+    Result<OptimizeResult> r = MakeFpOptimizer()->Optimize(ctx);
+    ASSERT_TRUE(r.ok()) << "fan-out " << fanout << ": "
+                        << r.status().ToString();
+    EXPECT_EQ(r.value().plan.NumOps(), 2 * fanout + 1);
+    ExecResult result =
+        std::move(exec.Execute(pattern, r.value().plan)).value();
+    auto expected = std::move(NaiveMatch(db.doc(), pattern)).value();
+    EXPECT_FALSE(expected.empty()) << "fan-out " << fanout;
+    EXPECT_EQ(result.tuples.Canonical(), expected) << "fan-out " << fanout;
+  }
 }
 
 }  // namespace

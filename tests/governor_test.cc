@@ -10,6 +10,7 @@
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
+#include "core/opt_status.h"
 #include "core/optimizer.h"
 #include "estimate/positional_histogram.h"
 #include "exec/executor.h"
@@ -17,6 +18,7 @@
 #include "exec/naive_matcher.h"
 #include "exec/operators.h"
 #include "exec/stack_tree.h"
+#include "plan/plan_printer.h"
 #include "plan/random_plans.h"
 #include "query/pattern_parser.h"
 #include "storage/catalog.h"
@@ -215,6 +217,37 @@ TEST_F(GovernorTest, DpOptimizerDeadlineFallsBackToFp) {
   Result<OptimizeResult> result = MakeDpOptimizer()->Optimize(ctx);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().fallback_from, "DP");
+}
+
+// The fallback plans every admitted pattern: DPP cut short on a 16-node
+// star (fan-out 15, the largest pattern admitted) returns FP's own plan.
+TEST_F(GovernorTest, FallbackPlansTheLargestStar) {
+  Pattern star;
+  star.AddRoot("manager");
+  const char* tags[] = {"employee", "name", "department"};
+  for (size_t i = 0; i < kMaxPatternNodes - 1; ++i) {
+    star.AddChild(0, tags[i % 3], Axis::kDescendant);
+  }
+  PositionalHistogramEstimator estimator = PositionalHistogramEstimator::Build(
+      db_->doc(), db_->index(), db_->stats());
+  Result<PatternEstimates> estimates =
+      PatternEstimates::Make(star, db_->doc(), estimator);
+  ASSERT_TRUE(estimates.ok());
+  CostModel cost_model;
+  OptimizeContext ctx{&star, &estimates.value(), &cost_model, {}};
+  Result<OptimizeResult> fp = MakeFpOptimizer()->Optimize(ctx);
+  ASSERT_TRUE(fp.ok()) << fp.status().ToString();
+
+  ctx.options.deadline_ms = 1.0;
+  ASSERT_TRUE(
+      FailpointRegistry::Global().Enable("opt.search.step", "delay:5").ok());
+  Result<OptimizeResult> result = MakeDppOptimizer()->Optimize(ctx);
+  FailpointRegistry::Global().DisableAll();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().fallback_from, "DPP");
+  EXPECT_EQ(PlanSignature(result.value().plan, star),
+            PlanSignature(fp.value().plan, star));
+  EXPECT_EQ(result.value().search_cost, fp.value().search_cost);
 }
 
 }  // namespace

@@ -34,14 +34,6 @@ Document Doc(const std::string& xml) {
   return std::move(doc).value();
 }
 
-/// Engine with self-eviction off, loaded with `xml`, so cache residency in
-/// these tests depends only on the mutations under test.
-Engine MakeEngine() {
-  EngineOptions opts;
-  opts.cache_max_q_error = 0;
-  return Engine(opts);
-}
-
 uint64_t Rows(Engine& engine, const Pattern& pattern) {
   Result<QueryResult> r = engine.Query(pattern);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
@@ -55,13 +47,13 @@ bool CacheHit(Engine& engine, const Pattern& pattern) {
 }
 
 TEST(MutationApiTest, ApplyWithoutDatabaseIsNotFound) {
-  Engine engine = MakeEngine();
+  Engine engine;
   Result<MutationResult> r = engine.Apply(InsertSubtree{0, 0, "<x/>"});
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
 TEST(MutationApiTest, LoadReportsGlobalScope) {
-  Engine engine = MakeEngine();
+  Engine engine;
   Result<MutationResult> loaded =
       engine.Apply(LoadDocument{Doc("<a><b/><b/></a>"), "first"});
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -83,7 +75,7 @@ TEST(MutationApiTest, LoadReportsGlobalScope) {
 }
 
 TEST(MutationApiTest, InsertIsIncrementalAndInvalidatesByTagSet) {
-  Engine engine = MakeEngine();
+  Engine engine;
   ASSERT_TRUE(
       engine.Apply(LoadDocument{Doc("<a><b/><b/><c><d/></c></a>")}).ok());
   Pattern touched = Parse("a[//b]");   // shares tags {a, b} with the insert
@@ -127,7 +119,7 @@ TEST(MutationApiTest, InsertIsIncrementalAndInvalidatesByTagSet) {
 }
 
 TEST(MutationApiTest, DeleteIsIncrementalAndInvalidatesByTagSet) {
-  Engine engine = MakeEngine();
+  Engine engine;
   ASSERT_TRUE(
       engine.Apply(LoadDocument{Doc("<a><b/><b/><c><d/></c></a>")}).ok());
   Pattern touched = Parse("a[//b]");
@@ -161,7 +153,7 @@ TEST(MutationApiTest, DeleteIsIncrementalAndInvalidatesByTagSet) {
 }
 
 TEST(MutationApiTest, FlushRebuildsEstimatorWithoutInvalidation) {
-  Engine engine = MakeEngine();
+  Engine engine;
   ASSERT_TRUE(engine.Apply(LoadDocument{Doc("<a><b/></a>")}).ok());
 
   // No overlay: a flush is a complete no-op.
@@ -190,7 +182,7 @@ TEST(MutationApiTest, FlushRebuildsEstimatorWithoutInvalidation) {
 }
 
 TEST(MutationApiTest, InsertGapExhaustionAutoFlushesAndRetries) {
-  Engine engine = MakeEngine();
+  Engine engine;
   ASSERT_TRUE(engine.Apply(LoadDocument{Doc("<a><b/></a>")}).ok());
   // Hammer the same insertion point. At the storage layer this exhausts
   // the key gap with ResourceExhausted; the Engine must absorb that by
@@ -211,7 +203,7 @@ TEST(MutationApiTest, InsertGapExhaustionAutoFlushesAndRetries) {
 }
 
 TEST(MutationApiTest, InvalidFragmentRejectedWithoutStateChange) {
-  Engine engine = MakeEngine();
+  Engine engine;
   ASSERT_TRUE(engine.Apply(LoadDocument{Doc("<a><b/></a>")}).ok());
   const uint64_t live = engine.db().LiveNodeCount();
   EXPECT_FALSE(
@@ -227,7 +219,7 @@ TEST(MutationApiTest, InvalidFragmentRejectedWithoutStateChange) {
 // by a dense key. The parent is resolved before the key domain is spaced,
 // then mapped through its slot, so a non-root parent is found.
 TEST(MutationApiTest, FirstInsertUnderNonRootParent) {
-  Engine engine = MakeEngine();
+  Engine engine;
   ASSERT_TRUE(engine.Apply(LoadDocument{Doc("<a><b/><c/><d/></a>")}).ok());
   ASSERT_FALSE(engine.db().doc().Spaced());
   EXPECT_EQ(Rows(engine, Parse("b[/y]")), 0u);
@@ -245,7 +237,7 @@ TEST(MutationApiTest, FirstInsertUnderNonRootParent) {
   // A fragment too large for any leaf's key gap respaces, fails the gap
   // check, and takes the flush-and-retry path with the dense parent key
   // still resolved (through its slot) to the same node.
-  Engine big = MakeEngine();
+  Engine big;
   ASSERT_TRUE(big.Apply(LoadDocument{Doc("<a><b/><c/><d/></a>")}).ok());
   std::string fragment = "<e>";
   for (int i = 0; i < 40; ++i) fragment += "<f/>";
@@ -264,7 +256,7 @@ TEST(MutationApiTest, FirstInsertUnderNonRootParent) {
 // flush route every base-aligned key to the base document, which would
 // bring the deleted node back and lose the inserted one.
 TEST(MutationApiTest, InsertNeverReusesDeletedBaseKey) {
-  Engine engine = MakeEngine();
+  Engine engine;
   ASSERT_TRUE(engine.Apply(LoadDocument{Doc("<a><b/><c/><d/></a>")}).ok());
   // The first insert respaces: b=64, c=128, d=192.
   ASSERT_TRUE(engine.Apply(InsertSubtree{0, kAppend, "<z/>"}).ok());
@@ -287,7 +279,7 @@ TEST(MutationApiTest, InsertNeverReusesDeletedBaseKey) {
 }
 
 TEST(MutationApiTest, FoldAndReloadThroughApply) {
-  Engine engine = MakeEngine();
+  Engine engine;
   ASSERT_TRUE(engine.Apply(LoadDocument{Doc("<a><b/><b/></a>")}).ok());
   EXPECT_EQ(engine.db().LiveNodeCount(), 3u);
 

@@ -1,8 +1,7 @@
 // Plan-cache unit tests: the canonical pattern fingerprint (what must and
 // must not collide), the LRU's eviction/recency behavior, and the
-// Engine-level invalidation paths — tag-set invalidation after Fold
-// forcing re-optimization, and q-error self-eviction after a badly
-// mis-estimated execution.
+// Engine-level invalidation path — tag-set invalidation after Fold
+// forcing re-optimization.
 
 #include <gtest/gtest.h>
 
@@ -137,10 +136,7 @@ TEST(PlanCacheTest, ClearCountsDroppedEntriesAsInvalidations) {
 }
 
 TEST(PlanCacheTest, EngineHitsAcrossSiblingReorder) {
-  // Self-eviction off so residency depends only on what this test does.
-  EngineOptions opts;
-  opts.cache_max_q_error = 0;
-  Engine engine(opts);
+  Engine engine;
   ASSERT_TRUE(engine.OpenDatabase(SmallPers()).ok());
   Pattern a = Parse("manager[//employee[/name]][//department]");
   Pattern b = Parse("manager[//department][//employee[/name]]");
@@ -165,9 +161,7 @@ TEST(PlanCacheTest, EngineHitsAcrossSiblingReorder) {
 }
 
 TEST(PlanCacheTest, FoldInvalidatesByTagSetAndForcesReoptimize) {
-  EngineOptions opts;
-  opts.cache_max_q_error = 0;
-  Engine engine(opts);
+  Engine engine;
   ASSERT_TRUE(engine.OpenDatabase(SmallPers()).ok());
   Pattern pattern = Parse("manager[//employee[/name]][//department]");
 
@@ -198,22 +192,6 @@ TEST(PlanCacheTest, FoldInvalidatesByTagSetAndForcesReoptimize) {
   Result<QueryResult> rewarmed = engine.Query(pattern);
   ASSERT_TRUE(rewarmed.ok());
   EXPECT_TRUE(rewarmed.value().planned.cache_hit);
-}
-
-TEST(PlanCacheTest, QErrorSelfEviction) {
-  // Any join's q-error is >= 1, so a 0.5 threshold evicts after every
-  // execution: the plan is cached during planning, dropped after running.
-  EngineOptions opts;
-  opts.cache_max_q_error = 0.5;
-  Engine engine(opts);
-  ASSERT_TRUE(engine.OpenDatabase(SmallPers()).ok());
-  Pattern pattern = Parse("manager[//employee[/name]]");
-
-  ASSERT_TRUE(engine.Query(pattern).ok());
-  Result<QueryResult> second = engine.Query(pattern);
-  ASSERT_TRUE(second.ok());
-  EXPECT_FALSE(second.value().planned.cache_hit);
-  EXPECT_GE(engine.plan_cache().Counters().qerror_evictions, 2u);
 }
 
 }  // namespace
