@@ -28,9 +28,10 @@
 // \delete, \flush, \drain, ping, quit). The connection is a plain
 // net::Client: a request that loses its connection is re-dialed and
 // re-sent once — a one-line "[reconnected]" notice marks it — and a query
-// whose poll answers NotFound (the server restarted) is re-submitted once
-// under the same id. Every request is safe to re-send: the server
-// attaches or replays by id.
+// whose poll answers NotFound (the server restarted, or the query was
+// cancelled with its dropped connection) is re-submitted once under the
+// same id. Every request is safe to re-send: the server attaches a live
+// query by id, runs a finished read again, and replays an update by id.
 //
 // Observability commands (both modes): \metrics appends a p50/p95/p99
 // digest per histogram, \top lists queries in flight, \slow [n] the most
@@ -601,10 +602,10 @@ class RemoteShell {
     return std::string(Trim(rest));
   }
 
-  /// Query ids must be unique per server lifetime (the server's
-  /// idempotency table replays completed ids), so the shell prefixes its
-  /// counter with the process id — two shell sessions against one server
-  /// never collide.
+  /// Request ids must be unique per server lifetime (a live query attaches
+  /// by id, and the replay ring answers a completed update id with its
+  /// stored reply), so the shell prefixes its counter with the process
+  /// id — two shell sessions against one server never collide.
   std::string NextId() {
     return "sh-" + std::to_string(::getpid()) + "-" +
            std::to_string(next_id_++);
@@ -647,7 +648,8 @@ class RemoteShell {
   }
 
   /// Submit, then poll to a terminal reply. A poll answered NotFound
-  /// (the server restarted and lost the id) re-submits the same id once.
+  /// (the server restarted and lost the id, or a re-sent poll found the
+  /// reply already consumed) re-submits the same id once.
   std::optional<net::JsonValue> Execute(const std::string& id,
                                         const std::string& submit) {
     std::string poll = "{\"verb\":\"poll\",\"id\":";
@@ -733,7 +735,7 @@ class RemoteShell {
 
   /// \insert/\delete/\flush over the wire: one update-verb round trip.
   /// The per-process unique id makes a shell retry after a torn reply
-  /// replay instead of double-applying.
+  /// replay the stored reply instead of double-applying.
   void Update(const std::string& action, std::istringstream* words) {
     std::string request = "{\"verb\":\"update\",\"id\":";
     net::AppendJsonString(NextId(), &request);

@@ -59,18 +59,6 @@ void ColumnBatch::AppendGatherPair(const ColumnBatch& left,
   rows_ += n;
 }
 
-void ColumnBatch::AppendGather(const ColumnBatch& other, const uint32_t* sel,
-                               size_t sel_n) {
-  SJOS_CHECK(other.arity() == arity(), "AppendGather arity mismatch");
-  for (size_t c = 0; c < cols_.size(); ++c) {
-    const size_t old = cols_[c].size();
-    cols_[c].resize(old + sel_n);
-    kernels::GatherU32(other.cols_[c].data(), sel, sel_n,
-                       cols_[c].data() + old);
-  }
-  rows_ += sel_n;
-}
-
 void ColumnBatch::Clear() {
   for (auto& col : cols_) col.clear();
   rows_ = 0;

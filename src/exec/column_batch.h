@@ -68,10 +68,6 @@ class ColumnBatch {
                         const ColumnBatch& right, const uint32_t* rsel,
                         size_t n);
 
-  /// Appends the rows of `other` selected by sel[0..sel_n), in sel order.
-  void AppendGather(const ColumnBatch& other, const uint32_t* sel,
-                    size_t sel_n);
-
   /// Drops all rows, keeping the schema and ordering property.
   void Clear();
 

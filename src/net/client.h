@@ -1,6 +1,7 @@
 // Blocking client for the QueryServer wire protocol: connects over TCP,
 // sends one framed JSON request, reads one framed JSON response. Used by
-// the loopback tests, the load generator, and the shell's --connect mode.
+// the loopback tests, perfbench's pers_wire workload, and the shell's
+// --connect mode.
 // Move-only (owns the socket); not thread-safe — one Client per thread.
 
 #ifndef SJOS_NET_CLIENT_H_

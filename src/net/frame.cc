@@ -35,35 +35,6 @@ uint64_t GetHeader(const char* header) {
   return len;
 }
 
-}  // namespace
-
-std::string EncodeFrame(std::string_view payload) {
-  char header[kFrameHeaderBytes];
-  PutHeader(payload, header);
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  out.append(header, kFrameHeaderBytes);
-  out.append(payload);
-  return out;
-}
-
-FrameDecode DecodeFrame(std::string_view buffer, size_t max_payload,
-                        std::string_view* payload, size_t* consumed,
-                        uint64_t* declared) {
-  if (buffer.size() < kFrameHeaderBytes) return FrameDecode::kNeedMore;
-  const uint64_t len = GetHeader(buffer.data());
-  if (declared != nullptr) *declared = len;
-  if (len > max_payload || len > kFrameAbsoluteMaxPayload) {
-    return FrameDecode::kOversize;
-  }
-  if (buffer.size() < kFrameHeaderBytes + len) return FrameDecode::kNeedMore;
-  *payload = buffer.substr(kFrameHeaderBytes, static_cast<size_t>(len));
-  *consumed = kFrameHeaderBytes + static_cast<size_t>(len);
-  return FrameDecode::kOk;
-}
-
-namespace {
-
 /// True for errno values meaning "the peer or path went away" — the
 /// retryable transport-loss class, as opposed to local programming or
 /// resource errors.

@@ -1,11 +1,10 @@
 // Wire framing: every message is a 4-byte big-endian payload length
-// followed by that many bytes of UTF-8 JSON. The buffer-level encode/
-// decode pair is socket-free (the protocol tests drive it directly); the
-// fd-level helpers loop over partial reads/writes and keep EINTR and
-// peer-close conditions as clean Statuses. A length prefix above the
-// configured maximum is unrecoverable for the stream (the bytes that
-// follow cannot be resynchronized), so the server answers once and
-// closes; everything else leaves the connection usable.
+// followed by that many bytes of UTF-8 JSON. SendFrame and RecvFrame loop
+// over partial writes/reads and keep EINTR and peer-close conditions as
+// clean Statuses. A length prefix above the configured maximum is
+// unrecoverable for the stream (the bytes that follow cannot be
+// resynchronized), so the server answers once and closes; everything else
+// leaves the connection usable.
 //
 // This file also holds the socket primitives both servers share: Listen
 // (the one listener setup), SendAll (the one write loop; the HTTP server
@@ -31,23 +30,6 @@ inline constexpr size_t kFrameHeaderBytes = 4;
 /// Hard ceiling any server/client accepts regardless of configuration —
 /// a prefix above this is always treated as a framing attack/corruption.
 inline constexpr size_t kFrameAbsoluteMaxPayload = 64u << 20;  // 64 MiB
-
-/// Prefixes `payload` with its big-endian 32-bit length.
-std::string EncodeFrame(std::string_view payload);
-
-enum class FrameDecode {
-  kOk,        // one full frame extracted
-  kNeedMore,  // buffer holds only part of a frame
-  kOversize,  // declared length exceeds max_payload — stream unusable
-};
-
-/// Tries to extract one frame from the head of `buffer`. On kOk, *payload
-/// points into `buffer` and *consumed is the total bytes (header included)
-/// to drop from the front. On kOversize, *declared (when non-null) gets
-/// the offending length.
-FrameDecode DecodeFrame(std::string_view buffer, size_t max_payload,
-                        std::string_view* payload, size_t* consumed,
-                        uint64_t* declared = nullptr);
 
 /// A listening TCP socket and the port it is bound to.
 struct ListenSocket {

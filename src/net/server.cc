@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <iterator>
 #include <thread>
 
 #include <sys/socket.h>
@@ -43,6 +42,8 @@ struct ServerMetrics {
                   "Submissions shed because the server is draining");
       reg.SetHelp("sjos_server_idle_closed_total",
                   "Connections reaped by the read/idle timeout");
+      reg.SetHelp("sjos_server_replayed_responses_total",
+                  "Re-sent update ids answered from the replay ring");
       return new ServerMetrics{
           reg.GetCounter("sjos_server_connections_total"),
           reg.GetCounter("sjos_server_disconnect_cancels_total"),
@@ -64,11 +65,6 @@ Result<Pattern> ParseWireQuery(const WireRequest& req) {
   Result<XPathQuery> q = ParseXPath(req.query);
   if (!q.ok()) return q.status();
   return std::move(q).value().pattern;
-}
-
-/// `response` as a buffer the reply and the replay ring can share.
-SharedResponse Share(std::string response) {
-  return std::make_shared<const std::string>(std::move(response));
 }
 
 /// One request of `verb`. The label set is the fixed verb list: a
@@ -257,15 +253,13 @@ void QueryServer::AcceptLoop() {
   }
 }
 
-void ReplayRing::Push(std::string id, SharedResponse response,
-                      bool disconnect_cancelled) {
+void ReplayRing::Push(std::string id, std::string response) {
   if (capacity_ == 0) return;
-  bytes_ += response->size();
-  entries_.push_back(
-      {std::move(id), std::move(response), disconnect_cancelled});
+  bytes_ += response.size();
+  entries_.push_back({std::move(id), std::move(response)});
   while (entries_.size() > capacity_ ||
          (bytes_ > kReplayRingMaxBytes && entries_.size() > 1)) {
-    bytes_ -= entries_.front().response->size();
+    bytes_ -= entries_.front().response.size();
     entries_.pop_front();
   }
 }
@@ -275,16 +269,6 @@ const ReplayRing::Entry* ReplayRing::Find(const std::string& id) const {
     if (it->id == id) return &*it;
   }
   return nullptr;
-}
-
-void ReplayRing::Erase(const std::string& id) {
-  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-    if (it->id == id) {
-      bytes_ -= it->response->size();
-      entries_.erase(std::next(it).base());
-      return;
-    }
-  }
 }
 
 void QueryServer::ServeConnection(Connection* conn) {
@@ -311,67 +295,31 @@ void QueryServer::ServeConnection(Connection* conn) {
       break;
     }
     if (clean_eof) break;
-    const SharedResponse response = HandleRequest(conn, payload);
-    if (!SendFrame(conn->fd, *response).ok()) break;
+    if (!SendFrame(conn->fd, HandleRequest(conn, payload)).ok()) break;
   }
 
   // Cancel-on-disconnect: every query this connection still owns (a query
   // re-attached or polled by a newer connection has a different owner and
-  // is spared) is cancelled if unfinished, drained so its live slot
-  // releases deterministically, and its terminal response is
-  // parked in the completed ring. Responses never delivered because we
-  // cancelled them here are flagged so a re-submit re-runs them.
-  struct Doomed {
-    std::string id;
-    QueryHandle handle;
-    bool we_cancelled = false;
-    uint64_t generation = 0;
-    SharedResponse response;
-  };
-  std::vector<Doomed> owned;
+  // is spared) is cancelled if unfinished and leaves the table in the same
+  // step, so a poll answers NotFound and a re-submit runs it fresh. Each is
+  // then drained outside the lock so its live slot releases
+  // deterministically.
+  std::vector<QueryHandle> owned;
+  uint64_t cancelled = 0;
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
     for (const std::string& id : conn->owned_ids) {
       auto it = queries_.find(id);
       if (it == queries_.end() || it->second.owner_conn != conn->id) continue;
-      const bool was_done = it->second.handle.Done();
-      if (!was_done) {
+      if (!it->second.handle.Done()) {
         it->second.handle.Cancel();
-        it->second.disconnect_cancelled = true;
+        ++cancelled;
       }
-      owned.push_back({id, it->second.handle, !was_done,
-                       it->second.generation, nullptr});
-    }
-  }
-  // Responses are encoded outside queries_mu_: an encode takes
-  // milliseconds for a large result, and every other connection's submit
-  // and poll waits on that lock.
-  uint64_t cancelled = 0;
-  for (Doomed& d : owned) {
-    const Result<QueryResult>& result = d.handle.Wait();
-    if (d.we_cancelled) ++cancelled;
-    d.response = Share(
-        result.ok()
-            ? EncodeDoneResult(d.id, result.value(), options_.max_frame_bytes)
-            : EncodeDoneError(d.id, result.status(), d.handle.error_info()));
-  }
-  {
-    std::lock_guard<std::mutex> lock(queries_mu_);
-    for (Doomed& d : owned) {
-      auto it = queries_.find(d.id);
-      // A replaced entry (the id was re-submitted fresh in the meantime)
-      // has a newer generation: leave it alone.
-      if (it == queries_.end() || it->second.generation != d.generation) {
-        continue;
-      }
-      const Result<QueryResult>& result = d.handle.Wait();
-      const bool disconnect_cancelled =
-          d.we_cancelled && !result.ok() &&
-          result.status().code() == StatusCode::kCancelled;
-      completed_.Push(d.id, std::move(d.response), disconnect_cancelled);
+      owned.push_back(std::move(it->second.handle));
       queries_.erase(it);
     }
   }
+  for (QueryHandle& handle : owned) handle.Wait();
   conn->owned_ids.clear();
   if (cancelled > 0) ServerMetrics::Get().disconnect_cancels.Add(cancelled);
   // Signal EOF to a peer still reading (e.g. after an oversize-frame
@@ -381,54 +329,50 @@ void QueryServer::ServeConnection(Connection* conn) {
   conn->finished.store(true, std::memory_order_release);
 }
 
-SharedResponse QueryServer::HandleRequest(Connection* conn,
-                                          std::string_view payload) {
+std::string QueryServer::HandleRequest(Connection* conn,
+                                       std::string_view payload) {
   Result<WireRequest> decoded = DecodeRequest(payload);
-  if (!decoded.ok()) {
-    return Share(EncodeErrorResponse("", decoded.status()));
-  }
+  if (!decoded.ok()) return EncodeErrorResponse("", decoded.status());
   const WireRequest& req = decoded.value();
   CountRequest(req.verb);
   switch (req.verb) {
-    case Verb::kPing: return Share(HandlePing(req));
+    case Verb::kPing: return HandlePing(req);
     case Verb::kSubmit: return HandleSubmit(conn, req);
     case Verb::kPoll: return HandlePoll(conn, req);
-    case Verb::kCancel: return Share(HandleCancel(conn, req));
-    case Verb::kExplain: return Share(HandleExplain(req));
-    case Verb::kStats: return Share(HandleStats(req));
-    case Verb::kDrain: return Share(HandleDrain(req));
+    case Verb::kCancel: return HandleCancel(conn, req);
+    case Verb::kExplain: return HandleExplain(req);
+    case Verb::kStats: return HandleStats(req);
+    case Verb::kDrain: return HandleDrain(req);
     case Verb::kUpdate: return HandleUpdate(req);
   }
-  return Share(
-      EncodeErrorResponse(req.id, Status::Internal("unreachable verb")));
+  return EncodeErrorResponse(req.id, Status::Internal("unreachable verb"));
 }
 
-SharedResponse QueryServer::HandleSubmit(Connection* conn,
-                                         const WireRequest& req) {
+std::string QueryServer::HandleSubmit(Connection* conn,
+                                      const WireRequest& req) {
   // Drain gate: a draining server takes no new work, only lets the
   // in-flight finish. The hint paces clients toward a live replica (or a
   // restarted self).
   if (draining_.load(std::memory_order_relaxed)) {
     ServerMetrics::Get().drain_shed.Add();
-    return Share(EncodeErrorResponse(
-        req.id,
-        Status::Unavailable("server is draining — no new submits"),
-        kDrainRetryAfterMs));
+    return EncodeErrorResponse(
+        req.id, Status::Unavailable("server is draining — no new submits"),
+        kDrainRetryAfterMs);
   }
 
-  // Idempotency: one id, one execution. A re-submit of a live id attaches
-  // (reconnected client resuming after a torn reply); a completed id
-  // replays its stored terminal response. Neither creates new work.
+  // Idempotency: a re-submit of a live id attaches (reconnected client
+  // resuming after a torn reply) and creates no new work. A consumed id is
+  // gone from the table, so its re-submit runs the read again.
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
     auto it = queries_.find(req.id);
     if (it != queries_.end()) {
       if (it->second.handle.CancelRequested()) {
-        // Doomed by a disconnect (or an explicit cancel): the client
-        // clearly still wants the result, so replace the entry with a
-        // fresh run below. The old handle unwinds on its own — its done
-        // callback releases its own live slot — and the generation bump
-        // keeps its teardown from touching the new entry.
+        // Doomed by an explicit cancel: the client clearly still wants
+        // the result, so replace the entry with a fresh run below. The old
+        // handle unwinds on its own — its done callback releases its own
+        // live slot — and the generation bump keeps a poll of the old run
+        // from consuming the new entry.
         queries_.erase(it);
       } else {
         it->second.owner_conn = conn->id;
@@ -437,22 +381,14 @@ SharedResponse QueryServer::HandleSubmit(Connection* conn,
         std::string out;
         AppendOkHead(req.id, &out);
         out += ",\"queued\":true,\"attached\":true}";
-        return Share(std::move(out));
+        return out;
       }
-    } else if (const ReplayRing::Entry* done = completed_.Find(req.id)) {
-      if (!done->disconnect_cancelled) {
-        ServerMetrics::Get().replays.Add();
-        return done->response;
-      }
-      // Cancelled-on-disconnect and never delivered: fall through and
-      // re-run it fresh (drop the poison entry so polls stop seeing it).
-      completed_.Erase(req.id);
     }
   }
 
   Timer parse_timer;
   Result<Pattern> parsed = ParseWireQuery(req);
-  if (!parsed.ok()) return Share(EncodeErrorResponse(req.id, parsed.status()));
+  if (!parsed.ok()) return EncodeErrorResponse(req.id, parsed.status());
   Pattern pattern = std::move(parsed).value();
 
   QueryOptions options = req.ToQueryOptions();
@@ -479,36 +415,21 @@ SharedResponse QueryServer::HandleSubmit(Connection* conn,
   std::string out;
   AppendOkHead(req.id, &out);
   out += ",\"queued\":true}";
-  return Share(std::move(out));
+  return out;
 }
 
-SharedResponse QueryServer::HandlePoll(Connection* conn,
-                                       const WireRequest& req) {
+std::string QueryServer::HandlePoll(Connection* conn,
+                                    const WireRequest& req) {
   QueryHandle handle;
   uint64_t generation = 0;
   {
     std::lock_guard<std::mutex> lock(queries_mu_);
     auto it = queries_.find(req.id);
-    const ReplayRing::Entry* parked =
-        it == queries_.end() ? completed_.Find(req.id) : nullptr;
-    if ((it != queries_.end() && it->second.disconnect_cancelled) ||
-        (parked != nullptr && parked->disconnect_cancelled)) {
-      // The result was lost to a disconnect-cancel (still unwinding, or
-      // already parked in the ring); NotFound tells the client to
-      // re-submit under the same id.
-      return Share(EncodeErrorResponse(
-          req.id, Status::NotFound(
-                      "query '" + req.id +
-                      "' was cancelled when its connection dropped — "
-                      "re-submit it")));
-    }
-    if (parked != nullptr) {
-      ServerMetrics::Get().replays.Add();
-      return parked->response;
-    }
     if (it == queries_.end()) {
-      return Share(EncodeErrorResponse(
-          req.id, Status::NotFound("no query with id '" + req.id + "'")));
+      // Never submitted, already consumed, or cancelled by its
+      // connection's drop: a re-submit under the same id runs it.
+      return EncodeErrorResponse(
+          req.id, Status::NotFound("no query with id '" + req.id + "'"));
     }
     // Polling adopts the query: once a (possibly reconnected) client is
     // following an id, the previous connection's disconnect must not
@@ -527,25 +448,23 @@ SharedResponse QueryServer::HandlePoll(Connection* conn,
     std::string out;
     AppendOkHead(req.id, &out);
     out += ",\"done\":false}";
-    return Share(std::move(out));
+    return out;
   }
-  const Result<QueryResult>& result = handle.Wait();
-  SharedResponse response = Share(
-      result.ok()
-          ? EncodeDoneResult(req.id, result.value(), options_.max_frame_bytes)
-          : EncodeDoneError(req.id, result.status(), handle.error_info()));
   {
-    // Consume: park the terminal response in the replay ring, which shares
-    // this reply's buffer — unless a newer generation took the id over in
-    // the meantime.
+    // Consume: the id leaves the table — unless a newer generation took
+    // it over in the meantime. The reply is encoded after the lock is
+    // released; this poll's handle keeps the result alive.
     std::lock_guard<std::mutex> lock(queries_mu_);
     auto it = queries_.find(req.id);
     if (it != queries_.end() && it->second.generation == generation) {
-      completed_.Push(req.id, response, /*disconnect_cancelled=*/false);
       queries_.erase(it);
     }
   }
-  return response;
+  const Result<QueryResult>& result = handle.Wait();
+  return result.ok()
+             ? EncodeDoneResult(req.id, result.value(),
+                                options_.max_frame_bytes)
+             : EncodeDoneError(req.id, result.status(), handle.error_info());
 }
 
 std::string QueryServer::HandleCancel(Connection* conn,
@@ -622,14 +541,14 @@ std::string QueryServer::HandlePing(const WireRequest& req) {
   return out;
 }
 
-SharedResponse QueryServer::HandleUpdate(const WireRequest& req) {
+std::string QueryServer::HandleUpdate(const WireRequest& req) {
   // Writes obey the same drain gate as submits: a draining server only
   // finishes what it already accepted.
   if (draining_.load(std::memory_order_relaxed)) {
     ServerMetrics::Get().drain_shed.Add();
-    return Share(EncodeErrorResponse(
+    return EncodeErrorResponse(
         req.id, Status::Unavailable("server is draining — no new updates"),
-        kDrainRetryAfterMs));
+        kDrainRetryAfterMs);
   }
 
   // One write at a time: apply-then-record must be atomic per id, or a
@@ -639,14 +558,9 @@ SharedResponse QueryServer::HandleUpdate(const WireRequest& req) {
   // Idempotency: a mutation id that already completed replays its stored
   // response byte for byte instead of mutating again — a client retrying
   // after a torn reply must not double-insert.
-  {
-    std::lock_guard<std::mutex> lock(queries_mu_);
-    if (const ReplayRing::Entry* done = completed_.Find(req.id)) {
-      if (!done->disconnect_cancelled) {
-        ServerMetrics::Get().replays.Add();
-        return done->response;
-      }
-    }
+  if (const ReplayRing::Entry* done = completed_.Find(req.id)) {
+    ServerMetrics::Get().replays.Add();
+    return done->response;
   }
 
   Mutation mutation;
@@ -666,7 +580,7 @@ SharedResponse QueryServer::HandleUpdate(const WireRequest& req) {
   if (!result.ok()) {
     // Failed mutations changed nothing and are not recorded: the client
     // may retry the same id after fixing the request.
-    return Share(EncodeErrorResponse(req.id, result.status()));
+    return EncodeErrorResponse(req.id, result.status());
   }
   const MutationResult& mr = result.value();
 
@@ -690,12 +604,8 @@ SharedResponse QueryServer::HandleUpdate(const WireRequest& req) {
   AppendJsonUint(engine_->has_database() ? engine_->db().LiveNodeCount() : 0,
                  &out);
   out += "}";
-  SharedResponse response = Share(std::move(out));
-  {
-    std::lock_guard<std::mutex> lock(queries_mu_);
-    completed_.Push(req.id, response, /*disconnect_cancelled=*/false);
-  }
-  return response;
+  completed_.Push(req.id, out);
+  return out;
 }
 
 std::string QueryServer::HandleDrain(const WireRequest& req) {

@@ -7,7 +7,7 @@
 //   cancel  → QueryHandle::Cancel
 //   explain → Engine::Plan (plan text, no execution)
 //   update  → Engine::Apply (insert/delete/flush; serialized writes,
-//             idempotent replay through the completed ring)
+//             idempotent replay through the replay ring)
 //   stats   → MetricsRegistry Prometheus text export
 //   ping    → liveness + database identity
 //   drain   → BeginDrain (graceful shutdown; see below)
@@ -25,19 +25,20 @@
 // client-supplied wire id, which must be unique per server lifetime. A
 // re-submit of a live id attaches to the running query (no re-execution)
 // and transfers ownership to the submitting connection; polls work from
-// any connection and also transfer ownership.
-// Terminal responses are retained in a recently-completed ring bounded by
-// entries and by bytes (ReplayRing):
-// re-submitting a completed id replays the stored response byte for byte,
-// except entries that were cancelled by a disconnect — those were never
-// delivered, so a re-submit re-runs them and a poll answers NotFound
-// (telling the client to re-submit).
+// any connection and also transfer ownership. A read has no side effects,
+// so its reply goes out once and is freed: the poll that consumes it
+// removes the id, and a later poll answers NotFound while a later submit
+// runs the read again. Only an update must never apply twice, so update
+// replies are retained in a recently-completed ring bounded by entries
+// and by bytes (ReplayRing), and a re-sent update id replays its stored
+// reply byte for byte.
 //
 // Connections: one thread per connection, one in-flight request per
 // connection (submitted queries complete in the background; concurrency
 // comes from multiple connections). A client disconnect cancels every
-// live query the connection still owns and drains them so their slots are
-// freed deterministically. An optional per-connection
+// live query the connection still owns, removes it from the table (a poll
+// answers NotFound, a re-submit runs it again) and drains it so its slot
+// is freed deterministically. An optional per-connection
 // receive timeout reaps idle and half-open connections (slow-loris
 // defense).
 //
@@ -87,10 +88,9 @@ struct ServerOptions {
   /// 0 disables (the default; long-polling clients may sit idle).
   uint64_t idle_timeout_ms = 0;
 
-  /// Capacity of the recently-completed ring (terminal responses kept for
+  /// Capacity of the recently-completed ring (update replies kept for
   /// idempotent replay). Oldest entries are evicted first, also while the
-  /// retained responses exceed kReplayRingMaxBytes; a client re-submitting
-  /// an evicted id re-runs the query.
+  /// retained replies exceed kReplayRingMaxBytes.
   size_t completed_ring_capacity = 256;
 
   /// Default drain deadline when the wire 'drain' verb carries no
@@ -109,7 +109,7 @@ inline constexpr uint64_t kDrainGraceMs = 250;
 /// Retry hint attached to submits and updates shed by the drain gate.
 inline constexpr uint64_t kDrainRetryAfterMs = 500;
 
-/// Byte cap on the responses the replay ring retains, on top of its entry
+/// Byte cap on the replies the replay ring retains, on top of its entry
 /// capacity: 256 entries of maximum-size frames would otherwise pin
 /// gigabytes.
 inline constexpr size_t kReplayRingMaxBytes = size_t{32} << 20;
@@ -122,42 +122,28 @@ inline constexpr size_t kReplayRingMaxBytes = size_t{32} << 20;
 /// touching a real one.
 inline constexpr uint64_t kMaxQueryLiveBytes = uint64_t{256} << 20;
 
-/// One encoded response frame payload. A terminal response is shared, not
-/// copied: the reply that sends it, its replay-ring entry and every replay
-/// hold the same buffer.
-using SharedResponse = std::shared_ptr<const std::string>;
-
-/// The recently-completed ring: terminal responses kept for idempotent
-/// replay, oldest first. It holds at most `capacity` entries and evicts
-/// the oldest while the retained response bytes exceed
-/// kReplayRingMaxBytes — never the newest entry, so the latest response
-/// always replays (one response over the cap stays until the next push).
-/// Not thread-safe; the server guards it with its query-table mutex.
+/// The recently-completed ring: update replies kept for idempotent replay,
+/// oldest first. It holds at most `capacity` entries and evicts the oldest
+/// while the retained reply bytes exceed kReplayRingMaxBytes — never the
+/// newest entry, so the latest reply always replays (one reply over the
+/// cap stays until the next push). Not thread-safe; the server guards it
+/// with its update mutex.
 class ReplayRing {
  public:
   struct Entry {
     std::string id;
-    SharedResponse response;
-    /// True when a disconnect cancelled the query before its result was
-    /// ever delivered: re-submits re-run instead of replaying, and polls
-    /// answer NotFound.
-    bool disconnect_cancelled = false;
+    std::string response;
   };
 
   explicit ReplayRing(size_t capacity) : capacity_(capacity) {}
 
-  void Push(std::string id, SharedResponse response,
-            bool disconnect_cancelled);
+  void Push(std::string id, std::string response);
 
-  /// Newest entry under `id` (a re-run under a replayed id resolves to its
-  /// latest terminal response), or nullptr.
+  /// Newest entry under `id`, or nullptr.
   const Entry* Find(const std::string& id) const;
 
-  /// Drops the entry Find(id) returns, if any.
-  void Erase(const std::string& id);
-
   size_t size() const { return entries_.size(); }
-  /// Total response bytes retained.
+  /// Total reply bytes retained.
   size_t bytes() const { return bytes_; }
 
  private:
@@ -218,10 +204,6 @@ class QueryServer {
     /// Bumped on every insert under an id; consumers re-check it before
     /// erasing so a replaced entry is never clobbered.
     uint64_t generation = 0;
-    /// Set (under queries_mu_) when the owner's disconnect cancelled the
-    /// query. A poll then answers NotFound, exactly as it will once the
-    /// teardown parks the entry in the replay ring, and never adopts it.
-    bool disconnect_cancelled = false;
   };
 
   /// One accepted connection: the fd, its serving thread, and the wire
@@ -249,15 +231,15 @@ class QueryServer {
   /// grants the poll grace, then Stop()s.
   void DrainImpl(uint64_t deadline_ms);
 
-  SharedResponse HandleRequest(Connection* conn, std::string_view payload);
-  SharedResponse HandleSubmit(Connection* conn, const WireRequest& req);
-  SharedResponse HandlePoll(Connection* conn, const WireRequest& req);
+  std::string HandleRequest(Connection* conn, std::string_view payload);
+  std::string HandleSubmit(Connection* conn, const WireRequest& req);
+  std::string HandlePoll(Connection* conn, const WireRequest& req);
   std::string HandleCancel(Connection* conn, const WireRequest& req);
   std::string HandleExplain(const WireRequest& req);
   std::string HandleStats(const WireRequest& req);
   std::string HandlePing(const WireRequest& req);
   std::string HandleDrain(const WireRequest& req);
-  SharedResponse HandleUpdate(const WireRequest& req);
+  std::string HandleUpdate(const WireRequest& req);
 
   Engine* engine_;
   const ServerOptions options_;
@@ -272,16 +254,17 @@ class QueryServer {
   std::vector<std::unique_ptr<Connection>> connections_;
   uint64_t next_conn_id_ = 1;
 
-  /// The server-wide query table and completed ring (see file comment).
+  /// The server-wide query table (see file comment).
   std::mutex queries_mu_;
   std::unordered_map<std::string, LiveQuery> queries_;
-  ReplayRing completed_;
   uint64_t next_generation_ = 1;
 
-  /// Serializes update-verb mutations server-wide: Engine::Apply holds the
-  /// database write lock anyway, so admitting writes one at a time keeps
-  /// the replay ring's store-then-respond step atomic per id.
+  /// Serializes update-verb mutations server-wide and guards the replay
+  /// ring: Engine::Apply holds the database write lock anyway, so
+  /// admitting writes one at a time keeps the ring's check-apply-store
+  /// step atomic per id.
   std::mutex update_mu_;
+  ReplayRing completed_;
 
   std::atomic<bool> draining_{false};
   std::atomic<bool> drained_{false};

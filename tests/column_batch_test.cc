@@ -271,20 +271,6 @@ TEST(ColumnBatch, AppendGatherPairJoinLayout) {
   EXPECT_EQ(out.size(), 5u + 4321u + 9u);
 }
 
-TEST(ColumnBatch, AppendGatherSelectsRowsInSelOrder) {
-  Rng rng(0x6A77);
-  ColumnBatch cols = RandomBatch(&rng, 3, 40);
-  std::vector<uint32_t> sel = {7, 3, 3, 39, 0};
-  ColumnBatch out(cols.slots());
-  out.AppendGather(cols, sel.data(), sel.size());
-  ASSERT_EQ(out.size(), sel.size());
-  for (size_t i = 0; i < sel.size(); ++i) {
-    for (size_t c = 0; c < 3; ++c) {
-      EXPECT_EQ(out.At(i, c), cols.At(sel[i], c));
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Kernel fuzz: the SSE2 kernels against their scalar references on seeded
 // random columns — sizes straddling the 4/8-lane boundaries, plus

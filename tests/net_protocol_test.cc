@@ -1,15 +1,16 @@
-// Wire-protocol hardening tests: frame codec round trips, the strict JSON
-// parser, DecodeRequest's validation, and a malformed-frame corpus fired
-// at a live loopback server — every entry must come back as one clean
-// error response (or, for unrecoverable framing, one response then a
-// close), and the server must stay fully serviceable afterwards. Run
-// under ASan in CI.
+// Wire-protocol hardening tests: frame round trips over a socketpair, the
+// update replay ring, the strict JSON parser, DecodeRequest's validation,
+// and a malformed-frame corpus fired at a live loopback server — every
+// entry must come back as one clean error response (or, for unrecoverable
+// framing, one response then a close), and the server must stay fully
+// serviceable afterwards. Run under ASan in CI.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cerrno>
+#include <atomic>
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -41,75 +42,78 @@ namespace net {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Frame codec (buffer level, no sockets)
+// Framing over a socketpair (no server): round trips, clean EOF vs torn
+// frames, oversize prefixes
+
+/// Sends each of `payloads` as one frame into a fresh socketpair, closes
+/// the sending end, and returns the receiving end.
+int FramedPipe(const std::vector<std::string>& payloads) {
+  int sv[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  for (const std::string& payload : payloads) {
+    EXPECT_TRUE(SendFrame(sv[1], payload).ok());
+  }
+  ::close(sv[1]);
+  return sv[0];
+}
 
 TEST(FrameTest, RoundTrip) {
-  const std::string payload = "{\"verb\":\"ping\"}";
-  const std::string frame = EncodeFrame(payload);
-  ASSERT_EQ(frame.size(), kFrameHeaderBytes + payload.size());
-
-  std::string_view decoded;
-  size_t consumed = 0;
-  ASSERT_EQ(DecodeFrame(frame, 1 << 20, &decoded, &consumed),
-            FrameDecode::kOk);
-  EXPECT_EQ(decoded, payload);
-  EXPECT_EQ(consumed, frame.size());
+  const std::string sent = "{\"verb\":\"ping\"}";
+  const int fd = FramedPipe({sent});
+  std::string payload;
+  bool clean_eof = true;
+  Status st = RecvFrame(fd, 1 << 20, &payload, &clean_eof);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_FALSE(clean_eof);
+  EXPECT_EQ(payload, sent);
+  // Exactly the header and the payload went over the wire.
+  st = RecvFrame(fd, 1 << 20, &payload, &clean_eof);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(clean_eof);
+  ::close(fd);
 }
 
 TEST(FrameTest, EmptyPayloadRoundTrips) {
-  const std::string frame = EncodeFrame("");
-  std::string_view decoded;
-  size_t consumed = 0;
-  ASSERT_EQ(DecodeFrame(frame, 16, &decoded, &consumed), FrameDecode::kOk);
-  EXPECT_TRUE(decoded.empty());
-  EXPECT_EQ(consumed, kFrameHeaderBytes);
+  const int fd = FramedPipe({""});
+  std::string payload = "stale";
+  bool clean_eof = true;
+  Status st = RecvFrame(fd, 16, &payload, &clean_eof);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_FALSE(clean_eof);
+  EXPECT_TRUE(payload.empty());
+  ::close(fd);
 }
 
-TEST(FrameTest, PartialHeaderNeedsMore) {
-  const std::string frame = EncodeFrame("abc");
-  for (size_t cut = 0; cut < kFrameHeaderBytes; ++cut) {
-    std::string_view decoded;
-    size_t consumed = 0;
-    EXPECT_EQ(DecodeFrame(std::string_view(frame).substr(0, cut), 16,
-                          &decoded, &consumed),
-              FrameDecode::kNeedMore);
-  }
-}
-
-TEST(FrameTest, PartialPayloadNeedsMore) {
-  const std::string frame = EncodeFrame("abcdef");
-  std::string_view decoded;
-  size_t consumed = 0;
-  EXPECT_EQ(DecodeFrame(std::string_view(frame).substr(0, frame.size() - 1),
-                        16, &decoded, &consumed),
-            FrameDecode::kNeedMore);
-}
-
-TEST(FrameTest, OversizeDeclaredLength) {
-  std::string frame = EncodeFrame("x");
-  frame[0] = '\x7f';  // declared length now huge
-  std::string_view decoded;
-  size_t consumed = 0;
-  uint64_t declared = 0;
-  EXPECT_EQ(DecodeFrame(frame, 16, &decoded, &consumed, &declared),
-            FrameDecode::kOversize);
-  EXPECT_GT(declared, 16u);
+TEST(FrameTest, OversizeDeclaredLengthIsResourceExhausted) {
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  const char header[4] = {'\x7f', '\x00', '\x00', '\x01'};  // ~2 GiB
+  ASSERT_EQ(::send(sv[1], header, sizeof(header), 0), 4);
+  ASSERT_EQ(::send(sv[1], "x", 1, 0), 1);
+  std::string payload;
+  bool clean_eof = true;
+  Status st = RecvFrame(sv[0], 16, &payload, &clean_eof);
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st.ToString();
+  EXPECT_NE(st.message().find("limit of 16"), std::string::npos)
+      << st.ToString();
+  EXPECT_FALSE(clean_eof);
+  ::close(sv[0]);
+  ::close(sv[1]);
 }
 
 TEST(FrameTest, BackToBackFrames) {
-  const std::string two = EncodeFrame("first") + EncodeFrame("second");
-  std::string_view decoded;
-  size_t consumed = 0;
-  ASSERT_EQ(DecodeFrame(two, 64, &decoded, &consumed), FrameDecode::kOk);
-  EXPECT_EQ(decoded, "first");
-  ASSERT_EQ(DecodeFrame(std::string_view(two).substr(consumed), 64, &decoded,
-                        &consumed),
-            FrameDecode::kOk);
-  EXPECT_EQ(decoded, "second");
+  const int fd = FramedPipe({"first", "second"});
+  std::string payload;
+  bool clean_eof = true;
+  ASSERT_TRUE(RecvFrame(fd, 64, &payload, &clean_eof).ok());
+  EXPECT_EQ(payload, "first");
+  ASSERT_TRUE(RecvFrame(fd, 64, &payload, &clean_eof).ok());
+  EXPECT_EQ(payload, "second");
+  EXPECT_FALSE(clean_eof);
+  ASSERT_TRUE(RecvFrame(fd, 64, &payload, &clean_eof).ok());
+  EXPECT_TRUE(clean_eof);
+  ::close(fd);
 }
-
-// ---------------------------------------------------------------------------
-// fd-level framing: clean EOF vs torn frames (socketpair, no server)
 
 TEST(FrameTest, CleanEofBetweenFramesIsOkWithFlag) {
   int sv[2];
@@ -140,10 +144,10 @@ TEST(FrameTest, CloseMidHeaderIsUnavailableNotEof) {
 
 TEST(FrameTest, SendFrameSurvivesPartialWrites) {
   // A blocking sendmsg interrupted by a signal after moving some bytes
-  // returns a short count. The reader drains a small socket buffer slowly
-  // and signals the writer before every read, so a multi-MB frame goes
+  // returns a short count. The writer sends into a small socket buffer
+  // while a third thread signals it every 50 us, so a multi-MB frame goes
   // out in many short writes that end inside the header or the payload;
-  // both frames must still arrive whole and in order.
+  // RecvFrame must still read both frames whole and in order.
   struct sigaction poke = {};
   poke.sa_handler = [](int) {};
   sigemptyset(&poke.sa_mask);
@@ -165,31 +169,32 @@ TEST(FrameTest, SendFrameSurvivesPartialWrites) {
     if (sent.ok()) sent = SendFrame(sv[0], "");
     ::close(sv[0]);
   });
-  std::string received;
-  char chunk[1500];
-  for (;;) {
-    ::pthread_kill(writer.native_handle(), SIGUSR1);
-    const ssize_t n = ::recv(sv[1], chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    received.append(chunk, static_cast<size_t>(n));
-  }
+  std::atomic<bool> reading{true};
+  std::thread poker([&] {
+    while (reading.load()) {
+      ::pthread_kill(writer.native_handle(), SIGUSR1);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  std::string first;
+  std::string second = "stale";
+  bool clean_eof = true;
+  const Status got_first = RecvFrame(sv[1], big.size(), &first, &clean_eof);
+  const Status got_second = RecvFrame(sv[1], big.size(), &second, &clean_eof);
+  // Unblocks a writer that is still sending (when the frames came back
+  // wrong) instead of leaving the join below to hang.
+  ::shutdown(sv[1], SHUT_RDWR);
+  reading.store(false);
+  poker.join();
   writer.join();
   ::close(sv[1]);
   ASSERT_EQ(::sigaction(SIGUSR1, &saved, nullptr), 0);
   EXPECT_TRUE(sent.ok()) << sent.ToString();
-
-  std::string_view rest = received;
-  std::string_view payload;
-  size_t consumed = 0;
-  ASSERT_EQ(DecodeFrame(rest, big.size(), &payload, &consumed),
-            FrameDecode::kOk);
-  EXPECT_TRUE(payload == big);
-  rest.remove_prefix(consumed);
-  ASSERT_EQ(DecodeFrame(rest, big.size(), &payload, &consumed),
-            FrameDecode::kOk);
-  EXPECT_TRUE(payload.empty());
-  EXPECT_EQ(consumed, rest.size());
+  ASSERT_TRUE(got_first.ok()) << got_first.ToString();
+  EXPECT_TRUE(first == big);
+  ASSERT_TRUE(got_second.ok()) << got_second.ToString();
+  EXPECT_FALSE(clean_eof);
+  EXPECT_TRUE(second.empty());
 }
 
 TEST(FrameTest, CloseMidPayloadIsUnavailableWithByteCounts) {
@@ -1262,81 +1267,45 @@ TEST(JsonTest, MutatedResponsesParseOrFailCleanly) {
 // ---------------------------------------------------------------------------
 // Replay ring
 
-SharedResponse Response(std::string text) {
-  return std::make_shared<const std::string>(std::move(text));
-}
-
 TEST(ReplayRingTest, RetainedBytesStayUnderTheCap) {
-  // Entry capacity alone would keep all 48 one-MiB responses.
+  // Entry capacity alone would keep all 48 one-MiB replies.
   ReplayRing ring(/*capacity=*/256);
   const size_t kResponse = size_t{1} << 20;
   for (int i = 0; i < 48; ++i) {
     std::string id = "q";
     id += std::to_string(i);
-    ring.Push(std::move(id), Response(std::string(kResponse, 'x')), false);
+    ring.Push(std::move(id), std::string(kResponse, 'x'));
     EXPECT_LE(ring.bytes(), kReplayRingMaxBytes);
   }
   EXPECT_EQ(ring.size(), kReplayRingMaxBytes / kResponse);
   EXPECT_EQ(ring.bytes(), ring.size() * kResponse);
-  // The newest response still replays; the oldest were evicted.
+  // The newest reply still replays; the oldest were evicted.
   const ReplayRing::Entry* newest = ring.Find("q47");
   ASSERT_NE(newest, nullptr);
-  EXPECT_EQ(newest->response->size(), kResponse);
+  EXPECT_EQ(newest->response.size(), kResponse);
   EXPECT_EQ(ring.Find("q0"), nullptr);
 
-  // A single response over the cap is kept (the newest always replays)
+  // A single reply over the cap is kept (the newest always replays)
   // until the next push evicts it.
-  ring.Push("huge", Response(std::string(kReplayRingMaxBytes + 1, 'y')),
-            false);
+  ring.Push("huge", std::string(kReplayRingMaxBytes + 1, 'y'));
   EXPECT_EQ(ring.size(), 1u);
   ASSERT_NE(ring.Find("huge"), nullptr);
-  ring.Push("small", Response("{}"), false);
+  ring.Push("small", "{}");
   EXPECT_EQ(ring.Find("huge"), nullptr);
+  EXPECT_EQ(ring.size(), 1u);
   EXPECT_EQ(ring.bytes(), 2u);
-
-  ring.Erase("small");
-  EXPECT_EQ(ring.size(), 0u);
-  EXPECT_EQ(ring.bytes(), 0u);
 }
 
 TEST(ReplayRingTest, EntryCapacityStillApplies) {
   ReplayRing ring(/*capacity=*/2);
-  ring.Push("a", Response("1"), false);
-  ring.Push("b", Response("22"), false);
-  ring.Push("c", Response("333"), false);
+  ring.Push("a", "1");
+  ring.Push("b", "22");
+  ring.Push("c", "333");
   EXPECT_EQ(ring.size(), 2u);
   EXPECT_EQ(ring.bytes(), 5u);
   EXPECT_EQ(ring.Find("a"), nullptr);
   ASSERT_NE(ring.Find("c"), nullptr);
-}
-
-TEST(ReplayRingTest, EraseDropsTheEntryFindReturns) {
-  ReplayRing ring(/*capacity=*/4);
-  ring.Push("q", Response("old"), false);
-  ring.Push("q", Response("poison"), true);
-  ASSERT_TRUE(ring.Find("q")->disconnect_cancelled);
-  ring.Erase("q");
-  ASSERT_NE(ring.Find("q"), nullptr);
-  EXPECT_EQ(*ring.Find("q")->response, "old");
-  EXPECT_EQ(ring.bytes(), 3u);
-}
-
-TEST(ReplayRingTest, FindReturnsThePushedBufferItself) {
-  ReplayRing ring(/*capacity=*/4);
-  const SharedResponse reply = Response(std::string(1000, 'r'));
-  const std::string* bytes = reply.get();
-  ring.Push("q", reply, false);
-  // The ring holds the reply's buffer, not a copy of it.
-  ASSERT_NE(ring.Find("q"), nullptr);
-  EXPECT_EQ(ring.Find("q")->response.get(), bytes);
-  EXPECT_EQ(reply.use_count(), 2);
-  EXPECT_EQ(ring.bytes(), 1000u);
-  // A replay shares it too, and outlives the entry's eviction.
-  const SharedResponse replay = ring.Find("q")->response;
-  EXPECT_EQ(replay.get(), bytes);
-  ring.Erase("q");
-  EXPECT_EQ(ring.bytes(), 0u);
-  EXPECT_EQ(*replay, std::string(1000, 'r'));
+  EXPECT_EQ(ring.Find("c")->response, "333");
 }
 
 // ---------------------------------------------------------------------------
@@ -1508,13 +1477,15 @@ TEST_F(ProtocolServerTest, TruncatedPayloadThenCloseLeavesServerAlive) {
   ExpectServerAlive();
 }
 
-TEST_F(ProtocolServerTest, ResubmitIsIdempotentAttachThenReplay) {
+TEST_F(ProtocolServerTest, ResubmitIsIdempotentAttachThenRerun) {
   // The duplicate-id contract: a re-submit of a live id attaches to the
-  // running query (one execution, no error); after the result has been
-  // consumed, a re-submit replays the stored terminal response.
+  // running query (one execution, no error); once the result has been
+  // consumed, the id is gone and a re-submit runs the read again.
   Client client = Connect();
   const std::string submit =
       "{\"verb\":\"submit\",\"id\":\"dup\",\"query\":\"manager[//name]\"}";
+  const std::string poll =
+      "{\"verb\":\"poll\",\"id\":\"dup\",\"wait_ms\":5000}";
   Result<JsonValue> first = client.Call(submit);
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(first.value().Find("ok")->bool_value());
@@ -1526,9 +1497,8 @@ TEST_F(ProtocolServerTest, ResubmitIsIdempotentAttachThenReplay) {
   ASSERT_NE(attached, nullptr);
   EXPECT_TRUE(attached->bool_value());
 
-  // Consume the result; the terminal response moves to the replay ring.
-  Result<JsonValue> done = client.Call(
-      "{\"verb\":\"poll\",\"id\":\"dup\",\"wait_ms\":5000}");
+  // Consume the result; the id leaves the server.
+  Result<JsonValue> done = client.Call(poll);
   ASSERT_TRUE(done.ok());
   ASSERT_TRUE(done.value().Find("ok")->bool_value());
   ASSERT_TRUE(done.value().Find("done")->bool_value());
@@ -1536,17 +1506,19 @@ TEST_F(ProtocolServerTest, ResubmitIsIdempotentAttachThenReplay) {
   ASSERT_NE(result, nullptr);
   const double rows = result->Find("row_count")->number_value();
 
-  // Third submit: replayed terminal, not a fresh run — done:true with the
-  // same row count, straight from the ring.
+  // Third submit: a fresh run, queued like the first and not attached.
   Result<JsonValue> third = client.Call(submit);
   ASSERT_TRUE(third.ok());
   EXPECT_TRUE(third.value().Find("ok")->bool_value());
-  const JsonValue* replay_done = third.value().Find("done");
-  ASSERT_NE(replay_done, nullptr);
-  EXPECT_TRUE(replay_done->bool_value());
-  const JsonValue* replay_result = third.value().Find("result");
-  ASSERT_NE(replay_result, nullptr);
-  EXPECT_DOUBLE_EQ(replay_result->Find("row_count")->number_value(), rows);
+  EXPECT_TRUE(third.value().Find("queued")->bool_value());
+  EXPECT_EQ(third.value().Find("attached"), nullptr);
+  EXPECT_EQ(third.value().Find("done"), nullptr);
+  Result<JsonValue> rerun = client.Call(poll);
+  ASSERT_TRUE(rerun.ok());
+  ASSERT_TRUE(rerun.value().Find("done")->bool_value());
+  const JsonValue* rerun_result = rerun.value().Find("result");
+  ASSERT_NE(rerun_result, nullptr);
+  EXPECT_DOUBLE_EQ(rerun_result->Find("row_count")->number_value(), rows);
 }
 
 }  // namespace

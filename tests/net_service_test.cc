@@ -1,8 +1,9 @@
 // Loopback service tests: the submit/poll/cancel lifecycle over real
 // sockets, cancel-on-disconnect freeing live slots, result byte-identity
 // with the in-process Engine for all five optimizer kinds, the update verb
-// (insert/delete/flush, replay by id), tenant labels that mint no metric
-// series, and the stats verb passing the Prometheus conformance checker.
+// (insert/delete/flush, replay by id), reads that run again under a
+// consumed id, tenant labels that mint no metric series, and the stats
+// verb passing the Prometheus conformance checker.
 
 #include <gtest/gtest.h>
 
@@ -110,16 +111,12 @@ TEST_F(ServiceTest, SubmitPollLifecycle) {
   EXPECT_GT(result->Find("row_count")->number_value(), 0.0);
   EXPECT_FALSE(StringField(*result, "algorithm").empty());
 
-  // The terminal poll moved the response to the replay ring: polling
-  // again replays the same terminal instead of answering NotFound.
+  // The terminal poll consumed the id: its reply went out once, and
+  // polling again answers NotFound.
   Result<JsonValue> again = client.Call(PollJson("q1", 0));
   ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(OkOf(again.value()));
-  ASSERT_TRUE(again.value().Find("done")->bool_value());
-  const JsonValue* replayed = again.value().Find("result");
-  ASSERT_NE(replayed, nullptr);
-  EXPECT_DOUBLE_EQ(replayed->Find("row_count")->number_value(),
-                   result->Find("row_count")->number_value());
+  EXPECT_FALSE(OkOf(again.value()));
+  EXPECT_EQ(StringField(again.value(), "code"), "NotFound");
 
   EXPECT_EQ(server_->live_queries(), 0u);
 }
@@ -471,7 +468,7 @@ TEST_F(ServiceTest, PollFromSecondConnectionTransfersOwnership) {
                          .value()));
     // One poll from the second connection adopts the query, so the
     // submitter's disconnect below must NOT cancel it — the reconnected-
-    // client ride-through that replay by id depends on.
+    // client ride-through that attach by id depends on.
     Result<JsonValue> adopt = taker.Call(PollJson("handoff", 0));
     ASSERT_TRUE(adopt.ok());
     ASSERT_TRUE(OkOf(adopt.value()))
@@ -502,7 +499,7 @@ TEST_F(ServiceTest, DisconnectCancelledQueryRerunsOnResubmit) {
                          .value()));
   }  // disconnect cancels the still-owned query
 
-  // Wait for the teardown to record the disconnect-cancelled terminal.
+  // Wait for the teardown to drain the disconnect-cancelled query.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (server_->live_queries() > 0 &&
@@ -512,14 +509,14 @@ TEST_F(ServiceTest, DisconnectCancelledQueryRerunsOnResubmit) {
   FailpointRegistry::Global().Disable("exec.batch");
 
   Client retry = Connect();
-  // A poll must NOT replay the never-delivered Cancelled terminal: it
-  // answers NotFound, telling the client to re-submit.
+  // The teardown removed the id with its never-delivered Cancelled
+  // terminal: a poll answers NotFound, telling the client to re-submit.
   Result<JsonValue> ghost = retry.Call(PollJson("orphan", 0));
   ASSERT_TRUE(ghost.ok());
   EXPECT_FALSE(OkOf(ghost.value()));
   EXPECT_EQ(StringField(ghost.value(), "code"), "NotFound");
 
-  // And the re-submit runs the query fresh instead of replaying.
+  // And the re-submit runs the query fresh.
   ASSERT_TRUE(OkOf(
       retry.Call(SubmitJson("orphan", "manager[//employee[/name]]"))
           .value()));
@@ -532,10 +529,10 @@ TEST_F(ServiceTest, DisconnectCancelledQueryRerunsOnResubmit) {
 }
 
 TEST_F(ServiceTest, PollWhileDisconnectCancelUnwindsAnswersNotFound) {
-  // The teardown cancels a dropped connection's query, then waits for it
-  // to unwind before parking its terminal in the replay ring. A long batch
-  // stall holds that window open; a poll landing inside it must get the
-  // same NotFound the ring gives, never the undelivered Cancelled.
+  // The teardown cancels a dropped connection's query and removes its id
+  // in the same step, then waits for it to unwind. A long batch stall
+  // holds that window open; a poll landing inside it must get NotFound,
+  // never the undelivered Cancelled.
   StartServer();
   ASSERT_TRUE(
       FailpointRegistry::Global().Enable("exec.batch", "delay:1500").ok());
@@ -600,26 +597,43 @@ TEST_F(ServiceTest, IdleConnectionIsReapedBySlowLorisDefense) {
   EXPECT_TRUE(OkOf(pong.value()));
 }
 
-TEST_F(ServiceTest, ReconnectedClientReplaysCompletedIdByteForByte) {
+TEST_F(ServiceTest, ReconnectedClientRerunsCompletedId) {
   StartServer();
   const std::string submit = SubmitJson("re-1", "manager[//employee[/name]]");
-  std::string first;
+  Counter& replays = MetricsRegistry::Global().GetCounter(
+      "sjos_server_replayed_responses_total");
+  const uint64_t replays_before = replays.Value();
+  double first_rows = 0.0;
   {
     Client client = Connect();
     ASSERT_TRUE(OkOf(client.Call(submit).value()));
-    ASSERT_TRUE(client.Send(PollJson("re-1", 20'000)).ok());
-    Result<std::string> terminal = client.Receive();
+    Result<JsonValue> terminal = client.Call(PollJson("re-1", 20'000));
     ASSERT_TRUE(terminal.ok()) << terminal.status().ToString();
-    first = std::move(terminal).value();
+    const JsonValue* result = terminal.value().Find("result");
+    ASSERT_NE(result, nullptr);
+    first_rows = result->Find("row_count")->number_value();
   }  // the connection drops after the result was delivered
 
-  // A re-dialed client re-submits the same id: the server replays the
-  // stored terminal response instead of running the query again.
+  // A re-dialed client re-submits the same id: the read has no side
+  // effects, so the server runs it again rather than keeping the reply.
   Client again = Connect();
-  ASSERT_TRUE(again.Send(submit).ok());
-  Result<std::string> replayed = again.Receive();
-  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-  EXPECT_EQ(replayed.value(), first);
+  Result<JsonValue> resubmitted = again.Call(submit);
+  ASSERT_TRUE(resubmitted.ok());
+  ASSERT_TRUE(OkOf(resubmitted.value()));
+  EXPECT_EQ(resubmitted.value().Find("attached"), nullptr);
+  Result<JsonValue> rerun = again.Call(PollJson("re-1", 20'000));
+  ASSERT_TRUE(rerun.ok());
+  ASSERT_TRUE(OkOf(rerun.value())) << StringField(rerun.value(), "error");
+  const JsonValue* result = rerun.value().Find("result");
+  ASSERT_NE(result, nullptr);
+  EXPECT_DOUBLE_EQ(result->Find("row_count")->number_value(), first_rows);
+
+  size_t runs = 0;
+  for (const QueryLogRecord& rec : engine_->query_log().Recent(16)) {
+    if (rec.query_id == "re-1") ++runs;
+  }
+  EXPECT_EQ(runs, 2u);
+  EXPECT_EQ(replays.Value(), replays_before);
   EXPECT_EQ(server_->live_queries(), 0u);
 }
 

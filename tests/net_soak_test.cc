@@ -295,9 +295,10 @@ TEST(NetSoakTest, SustainedMixedLoadLeaksNothing) {
 
 /// Drives the submit of `id` to a definite terminal state on a plain
 /// Client, across a server restart on `port`. A transport loss re-dials
-/// and re-submits the same id (the server attaches to the live query or
-/// replays its stored reply); a poll answered NotFound (a new incarnation
-/// that never saw the id) re-submits it too. Gives up after 10 s.
+/// and re-submits the same id (the server attaches to the live query, or
+/// runs the read again once its reply was consumed); a poll answered
+/// NotFound (a new incarnation that never saw the id, or a query its
+/// dropped connection cancelled) re-submits it too. Gives up after 10 s.
 Result<JsonValue> RunToTerminal(Client* client, uint16_t port,
                                 const std::string& id,
                                 const std::string& submit,
@@ -319,7 +320,7 @@ Result<JsonValue> RunToTerminal(Client* client, uint16_t port,
       continue;
     }
     if (DoneOf(submitted.value()) || !OkOf(submitted.value())) {
-      return submitted;  // a replayed terminal reply, or a refusal
+      return submitted;  // a refusal; a submit reply is never done
     }
     for (;;) {
       Result<JsonValue> polled = client->Call(PollJson(id, 100));
