@@ -64,7 +64,8 @@ void SplitSeriesName(std::string_view series, std::string_view* family,
 }
 
 void Histogram::Observe(uint64_t value) {
-  const size_t bucket = value == 0 ? 0 : static_cast<size_t>(std::bit_width(value));
+  const size_t bucket =
+      value == 0 ? 0 : static_cast<size_t>(std::bit_width(value));
   buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);

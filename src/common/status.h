@@ -30,7 +30,8 @@ enum class StatusCode {
   kUnavailable,
 };
 
-/// Returns a short human-readable name for a StatusCode ("OK", "ParseError"...).
+/// Returns a short human-readable name for a StatusCode ("OK",
+/// "ParseError"...).
 const char* StatusCodeName(StatusCode code);
 
 /// A success-or-error value. Cheap to copy in the OK case (no allocation).

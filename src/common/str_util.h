@@ -26,7 +26,8 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 bool StartsWith(std::string_view text, std::string_view prefix);
 
 /// Formats like printf into a std::string.
-std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+std::string StrFormat(const char* fmt, ...)
+    __attribute__((format(printf, 1, 2)));
 
 /// Renders `v` with `decimals` digits after the point (fixed notation).
 std::string FormatDouble(double v, int decimals);

@@ -117,7 +117,8 @@ size_t MoveGenerator::Enumerate(const OptStatus& status,
   return considered;
 }
 
-OptStatus MoveGenerator::Apply(const OptStatus& status, const Move& move) const {
+OptStatus MoveGenerator::Apply(const OptStatus& status,
+                               const Move& move) const {
   const Pattern::Edge& edge = edges_[move.edge_index];
   // Navigation keeps the anchor cluster's ordering; joins order by the
   // chosen algorithm's side.

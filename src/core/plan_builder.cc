@@ -72,7 +72,8 @@ Result<PhysicalPlan> BuildPlanFromMoves(const MoveGenerator& gen,
     }
     const PlanOp op = move.stack_tree_anc ? PlanOp::kStackTreeAnc
                                           : PlanOp::kStackTreeDesc;
-    int join = plan.AddJoin(op, edge.parent, edge.child, edge.axis, left, right);
+    int join =
+        plan.AddJoin(op, edge.parent, edge.child, edge.axis, left, right);
     const NodeMask desc_mask = desc.mask;
     anc.mask |= desc_mask;
     anc.op = join;

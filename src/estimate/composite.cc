@@ -27,8 +27,9 @@ Result<PatternEstimates> PatternEstimates::Make(
     est.node_subtree_sizes_[i] =
         tag == kInvalidTag ? 0.0 : estimator.AvgSubtreeSize(tag);
     double selectivity =
-        tag == kInvalidTag ? 0.0
-                           : estimator.PredicateSelectivity(tag, node.predicate);
+        tag == kInvalidTag
+            ? 0.0
+            : estimator.PredicateSelectivity(tag, node.predicate);
     est.node_cards_[i] = raw_cards[i] * selectivity;
   }
   est.edge_cards_.resize(est.edges_.size());

@@ -4,7 +4,8 @@
 // pattern edge, and (c) sub-pattern (cluster) cardinalities composed under
 // the standard independence assumption:
 //
-//   |cluster| = Π_{node in cluster} |node| × Π_{edge inside cluster} sel(edge)
+//   |cluster| = Π_{node in cluster} |node|
+//               × Π_{edge inside cluster} sel(edge)
 //   sel(edge) = |A join B| / (|A| × |B|)
 //
 // Clusters are identified by node bit masks (patterns are small trees, so a

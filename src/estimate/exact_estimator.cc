@@ -75,7 +75,8 @@ double ExactEstimator::PredicateSelectivity(
   return selectivity;
 }
 
-double ExactEstimator::EstimateEdgeJoin(TagId ancestor_tag, TagId descendant_tag,
+double ExactEstimator::EstimateEdgeJoin(TagId ancestor_tag,
+                                        TagId descendant_tag,
                                         Axis axis) const {
   uint64_t key = (static_cast<uint64_t>(ancestor_tag) << 33) |
                  (static_cast<uint64_t>(descendant_tag) << 1) |

@@ -1,6 +1,7 @@
 #include "net/json.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -11,6 +12,13 @@
 #include <new>
 #include <system_error>
 #include <type_traits>
+
+#if defined(__x86_64__) || defined(_M_X64)
+#define SJOS_JSON_ROW_WINDOW 1
+#include <emmintrin.h>
+#else
+#define SJOS_JSON_ROW_WINDOW 0
+#endif
 
 // Under ASan a block on the free list is poisoned past its link, so
 // reading through a view that outlived its root still reports.
@@ -24,8 +32,9 @@
 namespace sjos {
 namespace net {
 
-static_assert(sizeof(JsonValue) <= 24,
-              "JsonValue must stay small: result frames hold ~1e5 numbers");
+static_assert(sizeof(JsonValue) == 16,
+              "JsonValue must stay small: result frames hold ~5e5 numbers");
+static_assert(sizeof(JsonValue::Member) == 32);
 
 namespace {
 
@@ -99,6 +108,64 @@ class BlockPool {
   }
 };
 
+/// Integers of at most this many digits are below 2^53, so converting
+/// them digit by digit is exact and needs no from_chars.
+constexpr size_t kMaxExactDigits = 15;
+
+#if SJOS_JSON_ROW_WINDOW
+/// A result row whose ']' lies within this many bytes of its '[' is checked
+/// whole on bit masks of those bytes, then read without a branch per digit.
+constexpr size_t kRowWindow = 64;
+/// The bytes from a row's '[' that reading it in its window may load: the
+/// window, and an 8-byte load at each number in it.
+constexpr size_t kRowWindowReadBytes = kRowWindow + 16;
+/// Items a row in a window can have: "[0,0,...,0]".
+constexpr size_t kRowWindowMaxItems = kRowWindow / 2;
+
+/// Bit i of each mask describes byte i of a row's window.
+struct RowMasks {
+  uint64_t non_digit = 0;
+  uint64_t separator = 0;  // ',' or ']'
+  uint64_t close = 0;      // ']'
+  uint64_t zero = 0;       // '0'
+};
+
+/// Adds the window's 16 bytes from `chunk` * 16 to `m`.
+inline void AddRowChunk(const char* window, int chunk, RowMasks* m) {
+  const __m128i x = _mm_loadu_si128(
+      reinterpret_cast<const __m128i*>(window + 16 * chunk));
+  // A signed compare: bytes from 0x80 read as below '0'.
+  const __m128i non_digit = _mm_or_si128(
+      _mm_cmplt_epi8(x, _mm_set1_epi8('0')),
+      _mm_cmpgt_epi8(x, _mm_set1_epi8('9')));
+  const __m128i close = _mm_cmpeq_epi8(x, _mm_set1_epi8(']'));
+  const __m128i separator =
+      _mm_or_si128(_mm_cmpeq_epi8(x, _mm_set1_epi8(',')), close);
+  const __m128i zero = _mm_cmpeq_epi8(x, _mm_set1_epi8('0'));
+  auto bits = [chunk](__m128i v) {
+    return static_cast<uint64_t>(static_cast<uint16_t>(_mm_movemask_epi8(v)))
+           << (16 * chunk);
+  };
+  m->non_digit |= bits(non_digit);
+  m->separator |= bits(separator);
+  m->close |= bits(close);
+  m->zero |= bits(zero);
+}
+
+/// The value of the `len` (1 to 8) ASCII digits at `p`; loads 8 bytes.
+/// Little-endian: the first digit is the lowest byte, so shifting the
+/// digits to the top leaves leading zeros below them, and three multiplies
+/// fold bytes into pairs, quads and the whole.
+inline uint64_t DigitsValue(const char* p, unsigned len) {
+  uint64_t x;
+  std::memcpy(&x, p, sizeof(x));
+  x = (x << (64 - 8 * len)) & 0x0F0F0F0F0F0F0F0F;
+  x = (x * 2561) >> 8;
+  x = ((x & 0x00FF00FF00FF00FF) * 6553601) >> 16;
+  return ((x & 0x0000FFFF0000FFFF) * 42949672960001) >> 32;
+}
+#endif  // SJOS_JSON_ROW_WINDOW
+
 }  // namespace
 
 size_t JsonBlockPoolBytes() { return BlockPool::Bytes(); }
@@ -170,10 +237,21 @@ class JsonValue::Arena {
     end_ = static_cast<char*>(memory) + block->bytes;
   }
 
-  /// A copy of `text` in the arena; empty text takes no space.
-  std::string_view Copy(std::string_view text) {
+  /// A run of `bytes`; an `owner` run (an owning root's) is preceded by
+  /// the header naming this arena.
+  void* AllocateRun(size_t bytes, bool owner) {
+    if (!owner) return Allocate(bytes);
+    char* header = static_cast<char*>(Allocate(kRunHeaderBytes + bytes));
+    Arena* self = this;
+    std::memcpy(header, &self, sizeof(self));
+    return header + kRunHeaderBytes;
+  }
+
+  /// A copy of `text` in the arena, as AllocateRun places it; empty text
+  /// takes no space.
+  std::string_view Copy(std::string_view text, bool owner = false) {
     if (text.empty()) return {};
-    char* chars = static_cast<char*>(Allocate(text.size()));
+    char* chars = static_cast<char*>(AllocateRun(text.size(), owner));
     std::memcpy(chars, text.data(), text.size());
     return {chars, text.size()};
   }
@@ -249,30 +327,33 @@ size_t JsonValue::TreeBytes(const Node& node) {
   return bytes;
 }
 
-JsonValue::Node JsonValue::Clone(const Node& node, Arena* arena) {
+JsonValue::Node JsonValue::Clone(const Node& node, Arena* arena,
+                                 bool owner) {
   static_assert(std::is_trivially_copyable_v<Node>);
   Node out = node;
+  out.owner = false;
   if (node.size == 0) return out;  // a scalar, or nothing to copy
   switch (node.kind) {
     case Kind::kString:
-      out.chars = arena->Copy({node.chars, node.size}).data();
+      out.chars = arena->Copy({node.chars, node.size}, owner).data();
       break;
     case Kind::kArray: {
       JsonValue* items = static_cast<JsonValue*>(
-          arena->Allocate(node.size * sizeof(JsonValue)));
+          arena->AllocateRun(node.size * sizeof(JsonValue), owner));
       for (uint32_t i = 0; i < node.size; ++i) {
-        new (items + i) JsonValue(Clone(node.items[i].node_, arena));
+        new (items + i) JsonValue(Clone(node.items[i].node_, arena, false));
       }
       out.items = items;
       break;
     }
     case Kind::kObject: {
-      Member* members =
-          static_cast<Member*>(arena->Allocate(node.size * sizeof(Member)));
+      Member* members = static_cast<Member*>(
+          arena->AllocateRun(node.size * sizeof(Member), owner));
       for (uint32_t i = 0; i < node.size; ++i) {
         const Member& m = node.members[i];
-        new (members + i)
-            Member(arena->Copy(m.first), JsonValue(Clone(m.second.node_, arena)));
+        new (members + i) Member(
+            arena->Copy(m.first),
+            JsonValue(Clone(m.second.node_, arena, false)));
       }
       out.members = members;
       break;
@@ -280,14 +361,27 @@ JsonValue::Node JsonValue::Clone(const Node& node, Arena* arena) {
     default:
       break;
   }
+  out.owner = owner;
   return out;
 }
 
+JsonValue::Arena* JsonValue::owned_arena() const {
+  if (!node_.owner) return nullptr;
+  const char* run = node_.kind == Kind::kString
+                        ? node_.chars
+                        : node_.kind == Kind::kArray
+                              ? reinterpret_cast<const char*>(node_.items)
+                              : reinterpret_cast<const char*>(node_.members);
+  Arena* arena;
+  std::memcpy(&arena, run - kRunHeaderBytes, sizeof(arena));
+  return arena;
+}
+
 JsonValue::JsonValue(const JsonValue& other) : node_(other.node_) {
+  node_.owner = false;
   const size_t bytes = TreeBytes(other.node_);
   if (bytes == 0) return;  // the node is the whole value
-  arena_ = Arena::Create(bytes);
-  node_ = Clone(other.node_, arena_);
+  node_ = Clone(other.node_, Arena::Create(kRunHeaderBytes + bytes), true);
 }
 
 JsonValue& JsonValue::operator=(const JsonValue& other) {
@@ -295,23 +389,21 @@ JsonValue& JsonValue::operator=(const JsonValue& other) {
   return *this;
 }
 
-JsonValue::JsonValue(JsonValue&& other) noexcept
-    : node_(other.node_), arena_(std::exchange(other.arena_, nullptr)) {
-  if (arena_ != nullptr) other.node_ = Node();
+JsonValue::JsonValue(JsonValue&& other) noexcept : node_(other.node_) {
+  if (node_.owner) other.node_ = Node();
 }
 
 JsonValue& JsonValue::operator=(JsonValue&& other) noexcept {
   if (this != &other) {
-    if (arena_ != nullptr) Arena::Destroy(arena_);
+    if (Arena* arena = owned_arena()) Arena::Destroy(arena);
     node_ = other.node_;
-    arena_ = std::exchange(other.arena_, nullptr);
-    if (arena_ != nullptr) other.node_ = Node();
+    if (node_.owner) other.node_ = Node();
   }
   return *this;
 }
 
 JsonValue::~JsonValue() {
-  if (arena_ != nullptr) Arena::Destroy(arena_);
+  if (Arena* arena = owned_arena()) Arena::Destroy(arena);
 }
 
 const JsonValue* JsonValue::Find(std::string_view key) const {
@@ -427,9 +519,14 @@ class JsonParser {
   Result<JsonValue> Parse() {
     Node root;
     if (!ParseDocument(&root)) return error_;
-    JsonValue value(root);
-    value.arena_ = std::exchange(arena_, nullptr);
-    return value;
+    // A root with a run owns the arena its run's header names. One without
+    // (a scalar, an empty string or container) owns nothing, and the
+    // parser frees whatever arena it made.
+    if (root.size > 0) {
+      root.owner = true;
+      arena_ = nullptr;
+    }
+    return JsonValue(root);
   }
 
  private:
@@ -487,10 +584,6 @@ class JsonParser {
     std::lock_guard<std::mutex> lock(s.mu);
     if (s.stacks == nullptr) s.stacks = std::move(stacks);
   }
-
-  /// Integers of at most this many digits are below 2^53, so converting
-  /// them digit by digit is exact and needs no from_chars.
-  static constexpr size_t kMaxExactDigits = 15;
 
   bool Fail(const char* why) {
     error_ = Status::ParseError("JSON error at byte " +
@@ -556,7 +649,7 @@ class JsonParser {
       case '[': return ParseArray(out, depth);
       case '"': {
         std::string_view s;
-        if (!ParseString(&s)) return false;
+        if (!ParseString(&s, depth == 0)) return false;
         out->kind = Kind::kString;
         out->size = static_cast<uint32_t>(s.size());
         out->chars = s.data();
@@ -602,7 +695,8 @@ class JsonParser {
       return Fail("expected ',' or '}' in object");
     }
     const size_t n = members_.size() - base;
-    Member* run = static_cast<Member*>(arena().Allocate(n * sizeof(Member)));
+    Member* run = static_cast<Member*>(
+        arena().AllocateRun(n * sizeof(Member), depth == 0));
     for (size_t i = 0; i < n; ++i) {
       const PendingMember& m = members_[base + i];
       new (run + i) Member(m.key, JsonValue(m.value));
@@ -620,25 +714,37 @@ class JsonParser {
     SkipWs();
     if (Consume(']')) return true;
     const size_t base = items_.size();
-    if (depth < max_depth_ && AtDigit() && ParseIntegerRow(out)) return true;
+    if (depth > 0 && depth < max_depth_ && AtDigit() && ParseIntegerRow(out)) {
+      return true;
+    }
+    return ParseItems(out, depth, base);
+  }
+
+  /// The general array loop, from p_ at an item to past the array's ']'.
+  /// The array's items before p_ are on items_ above `base`.
+  bool ParseItems(Node* out, size_t depth, size_t base) {
     while (true) {
       SkipWs();
-      Node item;
-      // Result rows are arrays of integers: parse those without dispatch.
-      if (depth < max_depth_ && AtDigit()) {
-        if (!ParseNumber(&item)) return false;
-      } else if (!ParseValue(&item, depth + 1)) {
-        return false;
+      if (depth + 1 < max_depth_ && AtRow()) {
+        if (!ParseRows(depth + 1)) return false;
+      } else {
+        Node item;
+        // Result rows are arrays of integers: parse those without dispatch.
+        if (depth < max_depth_ && AtDigit()) {
+          if (!ParseNumber(&item)) return false;
+        } else if (!ParseValue(&item, depth + 1)) {
+          return false;
+        }
+        items_.push_back(item);
       }
-      items_.push_back(item);
       SkipWs();
       if (Consume(',')) continue;
       if (Consume(']')) break;
       return Fail("expected ',' or ']' in array");
     }
     const size_t n = items_.size() - base;
-    JsonValue* run =
-        static_cast<JsonValue*>(arena().Allocate(n * sizeof(JsonValue)));
+    JsonValue* run = static_cast<JsonValue*>(
+        arena().AllocateRun(n * sizeof(JsonValue), depth == 0));
     for (size_t i = 0; i < n; ++i) new (run + i) JsonValue(items_[base + i]);
     items_.resize(base);
     out->size = static_cast<uint32_t>(n);
@@ -646,14 +752,114 @@ class JsonParser {
     return true;
   }
 
-  /// Reads the items of a result row, an array of short unsigned
-  /// integers, from p_ (at its first item) straight into the arena's free
-  /// tail. Returns true with the array in `out` and p_ past its ']'. At
-  /// the first item that is not an integer of at most kMaxExactDigits
-  /// digits followed at once by ',' or ']' (a sign, fraction, exponent,
-  /// whitespace, a longer integer or any other value), returns false with
-  /// the items before it on items_ and p_ at it, so the general loop goes
-  /// on from there and reports any error as it would have.
+  /// At a '[' followed at once by a digit: the start of a result row.
+  bool AtRow() const {
+    return end_ - p_ >= 2 && p_[0] == '[' &&
+           static_cast<unsigned char>(p_[1] - '0') < 10;
+  }
+
+  /// Reads the rows of a result, at `depth`, from p_ at the first one
+  /// onto items_, for as long as one follows the last at once after ','.
+  /// p_ stops past the last row's ']'.
+  bool ParseRows(size_t depth) {
+    while (true) {
+      Node row;
+      row.kind = Kind::kArray;
+      if (!ReadRowInWindow(&row)) {
+        ++p_;  // '['
+        const size_t base = items_.size();
+        if (!ParseIntegerRow(&row) && !ParseItems(&row, depth, base)) {
+          return false;
+        }
+      }
+      items_.push_back(row);
+      if (end_ - p_ < 3 || p_[0] != ',' || p_[1] != '[' ||
+          static_cast<unsigned char>(p_[2] - '0') >= 10) {
+        return true;
+      }
+      ++p_;  // ','
+    }
+  }
+
+  /// Reads the result row at p_ (its '[') into the arena's free tail in
+  /// one pass, if its ']' lies in its window and every item is an integer
+  /// ParseIntegerRow would take: no sign, fraction, exponent, whitespace or
+  /// leading zero, at most kMaxExactDigits digits. Returns true with the
+  /// row in `row` and p_ past its ']'. Otherwise returns false having
+  /// taken nothing, and ParseIntegerRow reads the row.
+  bool ReadRowInWindow(Node* row) {
+#if SJOS_JSON_ROW_WINDOW
+    const char* const p = p_;
+    if (static_cast<size_t>(end_ - p) < kRowWindowReadBytes) return false;
+    RowMasks m;
+    AddRowChunk(p, 0, &m);
+    AddRowChunk(p, 1, &m);
+    if (m.close == 0) {
+      AddRowChunk(p, 2, &m);
+      AddRowChunk(p, 3, &m);
+      if (m.close == 0) return false;
+    }
+    // The row is bytes 1 to `close` of the window: digit runs, each after
+    // a non-digit (the '[' or a ','), separated by ',' and ended by the
+    // first ']'. A '0' that starts a run must be the whole run.
+    const unsigned close = static_cast<unsigned>(std::countr_zero(m.close));
+    const uint64_t in_row = (~uint64_t{0} >> (63 - close)) & ~uint64_t{1};
+    const uint64_t after_non_digit = m.non_digit << 1;
+    uint64_t separators = m.non_digit & in_row;
+    if (((separators & ~m.separator) | (m.non_digit & after_non_digit) |
+         (m.zero & after_non_digit & ~(m.non_digit >> 1))) &
+        in_row) {
+      return false;
+    }
+    Arena& a = arena();
+    size_t bytes = 0;
+    char* tail = a.Tail(&bytes);
+    if (bytes < kRowWindowMaxItems * sizeof(JsonValue)) {
+      a.StartBlock(kRowWindowMaxItems * sizeof(JsonValue));
+      tail = a.Tail(&bytes);
+    }
+    JsonValue* const run = reinterpret_cast<JsonValue*>(tail);
+    size_t n = 0;
+    unsigned start = 1;
+    do {
+      const unsigned stop =
+          static_cast<unsigned>(std::countr_zero(separators));
+      const unsigned len = stop - start;
+      uint64_t value;
+      if (len <= 8) {
+        value = DigitsValue(p + start, len);
+      } else if (len <= kMaxExactDigits) {
+        value = DigitsValue(p + start, len - 8) * 100'000'000 +
+                DigitsValue(p + stop - 8, 8);
+      } else {
+        return false;
+      }
+      new (run + n++) JsonValue(Node{
+          .kind = Kind::kNumber,
+          .number = static_cast<double>(static_cast<int64_t>(value))});
+      start = stop + 1;
+      separators &= separators - 1;
+    } while (separators != 0);
+    a.Take(n * sizeof(JsonValue));
+    row->size = static_cast<uint32_t>(n);
+    row->items = run;
+    p_ = p + close + 1;
+    return true;
+#else
+    (void)row;
+    return false;
+#endif
+  }
+
+  /// Reads the items of a result row (never the root), an array of short
+  /// unsigned integers, from p_ (at its first item) straight into the
+  /// arena's free tail. Returns true with the array in `out` and p_ past
+  /// its ']'. At the first item that is not an integer of at most
+  /// kMaxExactDigits digits followed at once by ',' or ']' (a sign,
+  /// fraction, exponent, whitespace, a longer integer or any other value),
+  /// returns false with the items before it on items_ and p_ at it, so the
+  /// general loop goes on from there and reports any error as it would
+  /// have.
   bool ParseIntegerRow(Node* out) {
     Arena& a = arena();
     size_t bytes = 0;
@@ -662,17 +868,21 @@ class JsonParser {
     size_t n = 0;
     const char* p = p_;
     const char* const end = end_;
-    while (p != end && static_cast<unsigned char>(*p - '0') < 10) {
+    while (p != end) {
       const char* const item = p;
-      uint64_t value = static_cast<uint64_t>(*p++ - '0');
+      unsigned digit = static_cast<unsigned char>(*p) - unsigned{'0'};
+      if (digit >= 10) break;
+      uint64_t value = digit;
+      ++p;
       if (value != 0) {
-        while (p != end && static_cast<unsigned char>(*p - '0') < 10 &&
-               static_cast<size_t>(p - item) <= kMaxExactDigits) {
-          value = value * 10 + static_cast<uint64_t>(*p++ - '0');
+        while (p != end &&
+               (digit = static_cast<unsigned char>(*p) - unsigned{'0'}) < 10) {
+          value = value * 10 + digit;
+          ++p;
         }
       }
-      if (p == end || (*p != ',' && *p != ']') ||
-          static_cast<size_t>(p - item) > kMaxExactDigits) {
+      if (p == end || static_cast<size_t>(p - item) > kMaxExactDigits ||
+          (*p != ',' && *p != ']')) {
         p = item;
         break;
       }
@@ -684,8 +894,9 @@ class JsonParser {
         run = moved;
         capacity = bytes / sizeof(JsonValue);
       }
-      new (run + n++) JsonValue(
-          Node{.kind = Kind::kNumber, .number = static_cast<double>(value)});
+      new (run + n++) JsonValue(Node{
+          .kind = Kind::kNumber,
+          .number = static_cast<double>(static_cast<int64_t>(value))});
       if (*p++ == ']') {
         a.Take(n * sizeof(JsonValue));
         out->size = static_cast<uint32_t>(n);
@@ -699,10 +910,10 @@ class JsonParser {
     return false;
   }
 
-  /// Parses the string at p_ into the arena. Text without escapes is
-  /// copied straight from the input; otherwise it is decoded into a
-  /// scratch buffer first.
-  bool ParseString(std::string_view* text) {
+  /// Parses the string at p_ into the arena, as the run of an owning root
+  /// if `root`. Text without escapes is copied straight from the input;
+  /// otherwise it is decoded into a scratch buffer first.
+  bool ParseString(std::string_view* text, bool root = false) {
     ++p_;  // '"'
     const char* const start = p_;
     while (p_ != end_ && *p_ != '"' && *p_ != '\\' &&
@@ -710,7 +921,7 @@ class JsonParser {
       ++p_;
     }
     if (p_ != end_ && *p_ == '"') {
-      *text = arena().Copy({start, static_cast<size_t>(p_ - start)});
+      *text = arena().Copy({start, static_cast<size_t>(p_ - start)}, root);
       ++p_;
       return true;
     }
@@ -721,7 +932,7 @@ class JsonParser {
       const unsigned char c = static_cast<unsigned char>(*p_);
       if (c == '"') {
         ++p_;
-        *text = arena().Copy(*out);
+        *text = arena().Copy(*out, root);
         return true;
       }
       if (c < 0x20) return Fail("unescaped control character in string");
@@ -775,10 +986,15 @@ class JsonParser {
     for (int i = 0; i < 4; ++i) {
       const char c = *p_++;
       value <<= 4;
-      if (c >= '0' && c <= '9') value |= static_cast<uint32_t>(c - '0');
-      else if (c >= 'a' && c <= 'f') value |= static_cast<uint32_t>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') value |= static_cast<uint32_t>(c - 'A' + 10);
-      else return Fail("invalid \\u escape digit");
+      if (c >= '0' && c <= '9') {
+        value |= static_cast<uint32_t>(c - '0');
+      } else if (c >= 'a' && c <= 'f') {
+        value |= static_cast<uint32_t>(c - 'a' + 10);
+      } else if (c >= 'A' && c <= 'F') {
+        value |= static_cast<uint32_t>(c - 'A' + 10);
+      } else {
+        return Fail("invalid \\u escape digit");
+      }
     }
     *out = value;
     return true;

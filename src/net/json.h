@@ -6,16 +6,19 @@
 // the server can answer garbage frames with a clean error response
 // instead of disconnecting.
 //
-// A result frame is mostly numbers (a 1e5-row result holds ~4e5 of them),
+// A result frame is mostly numbers (a 1e5-row result holds ~5e5 of them),
 // so one parse makes O(1) heap allocations, not one per value. A value is
-// a 16-byte trivially-copyable node (kind, bool, a 32-bit count and a
-// union of number / items / members / chars) plus an owner pointer. The
-// root owns one bump arena, a chain of 64 KiB blocks (a run longer than a
-// block gets a block of its own). When a root dies its 64 KiB blocks go to
-// one process-wide free list (under one mutex, bounded by
-// kJsonBlockPoolMaxBytes), and the next parse on any thread takes its
+// one 16-byte trivially-copyable node: kind, bool, an owner flag, a 32-bit
+// count and a union of number / items / members / chars. The root owns one
+// bump arena, a chain of 64 KiB blocks (a run longer than a block gets a
+// block of its own). Only the root owns, so no value carries an owner
+// pointer: an owning root sets its flag, and its run starts 8 bytes into
+// its allocation, after a header naming the arena. A root with no run (a
+// scalar, an empty string or container) owns nothing. When a root dies its
+// 64 KiB blocks go to one process-wide free list (under one mutex, bounded
+// by kJsonBlockPoolMaxBytes), and the next parse on any thread takes its
 // blocks from there before the heap, so a client decoding result after
-// result stops faulting in a fresh ~16 MB tree each time. Blocks past the
+// result stops faulting in a fresh ~11 MB tree each time. Blocks past the
 // bound, and blocks sized to fit one longer run, go back to the heap.
 // Under AddressSanitizer a listed block is poisoned, so a view that
 // outlives its root still reports. Every string's decoded text and
@@ -23,7 +26,9 @@
 // run: the parser collects a container's children on a stack it reuses
 // and copies them into the arena when the container closes, except that a
 // result row (an array of short unsigned integers) is written straight
-// into the free tail of the arena's current block. Values inside
+// into the free tail of the arena's current block. On x86-64 a row that
+// fits 64 bytes is checked whole on SSE2 bit masks and read without a
+// branch per digit; any other row is read by a pointer loop. Values inside
 // the arena own nothing, so moving the root (or the Result holding it)
 // never moves the children; copying any value deep-copies its tree into a
 // fresh arena, sized to fit, that the copy owns. Counts are 32-bit, so a
@@ -122,6 +127,10 @@ class JsonValue {
   struct Node {
     Kind kind = Kind::kNull;
     bool boolean = false;
+    /// Set on a root that owns its tree's arena. Its run (items, members
+    /// or chars) then starts kRunHeaderBytes into an arena allocation
+    /// whose first 8 bytes hold the Arena*.
+    bool owner = false;
     /// String bytes, array items or object members.
     uint32_t size = 0;
     union {
@@ -132,23 +141,28 @@ class JsonValue {
     };
   };
 
+  /// The header before an owning root's run: the arena's address.
+  static constexpr size_t kRunHeaderBytes = 8;
+
   /// A value that owns nothing: an element inside an arena, or a view the
   /// factories deep-copy from.
   explicit JsonValue(const Node& node) : node_(node) {}
 
+  /// The arena this value owns: null unless it is an owning root.
+  Arena* owned_arena() const;
+
   /// Bytes a deep copy of `node`'s children and strings takes in an arena.
   static size_t TreeBytes(const Node& node);
-  /// `node` with its children and strings deep-copied into `arena`.
-  static Node Clone(const Node& node, Arena* arena);
+  /// `node` with its children and strings deep-copied into `arena`; an
+  /// `owner` copy's run gets the header naming `arena`.
+  static Node Clone(const Node& node, Arena* arena, bool owner);
 
   Node node_;
-  /// The arena holding this tree, owned by the root; null inside an arena
-  /// and for values with no children or text.
-  Arena* arena_ = nullptr;
 };
 
 /// Bound on the 64 KiB parse-tree blocks kept for reuse once their trees die:
-/// twice the ~16 MB tree of a 1e5-row result frame.
+/// about three times the ~11 MB tree of a 1e5-row result frame (Q.Pers.2.c's
+/// 111K rows of 5 ids: 8.9 MB of numbers in blocks and a 1.8 MB rows run).
 inline constexpr size_t kJsonBlockPoolMaxBytes = size_t{32} << 20;
 
 /// Bytes of parse-tree blocks on the free list now (at most

@@ -19,13 +19,15 @@ void PrintNode(const PhysicalPlan& plan, const Pattern& pattern,
   out->append(static_cast<size_t>(depth) * 2, ' ');
   switch (node.op) {
     case PlanOp::kIndexScan:
-      *out += StrFormat("IndexScan %s", NodeLabel(pattern, node.scan_node).c_str());
+      *out += StrFormat("IndexScan %s",
+                        NodeLabel(pattern, node.scan_node).c_str());
       break;
     case PlanOp::kSort:
       *out += StrFormat("Sort by %s", NodeLabel(pattern, node.sort_by).c_str());
       break;
     case PlanOp::kNavigate:
-      *out += StrFormat("Navigate %s %s %s", NodeLabel(pattern, node.anc_node).c_str(),
+      *out += StrFormat("Navigate %s %s %s",
+                        NodeLabel(pattern, node.anc_node).c_str(),
                         AxisToken(node.axis),
                         NodeLabel(pattern, node.desc_node).c_str());
       break;
@@ -43,8 +45,9 @@ void PrintNode(const PhysicalPlan& plan, const Pattern& pattern,
     // print `-` rather than dividing by zero.
     std::string avg = os.batches == 0
                           ? "-"
-                          : StrFormat("%.1f", static_cast<double>(os.rows) /
-                                                  static_cast<double>(os.batches));
+                          : StrFormat("%.1f",
+                                      static_cast<double>(os.rows) /
+                                          static_cast<double>(os.batches));
     *out += StrFormat(
         "  [rows=%llu batches=%llu avg=%s time=%.3fms self=%.3fms "
         "peak-live=%llu",

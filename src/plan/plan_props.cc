@@ -92,7 +92,8 @@ Result<PlanProps> Walk(const PhysicalPlan& plan, const Pattern& pattern,
         }
         edge_done[static_cast<size_t>(edge_index)] = true;
         if (node.axis != edges[static_cast<size_t>(edge_index)].axis) {
-          return Status::InvalidArgument("navigate axis disagrees with pattern");
+          return Status::InvalidArgument(
+              "navigate axis disagrees with pattern");
         }
         if ((in.covered & MaskOf(node.anc_node)) == 0) {
           return Status::InvalidArgument(
@@ -207,7 +208,8 @@ Result<PlanProps> Walk(const PhysicalPlan& plan, const Pattern& pattern,
   }
   for (size_t e = 0; e < edge_done.size(); ++e) {
     if (!edge_done[e]) {
-      return Status::InvalidArgument(StrFormat("pattern edge %zu never joined", e));
+      return Status::InvalidArgument(
+          StrFormat("pattern edge %zu never joined", e));
     }
   }
   props.fully_pipelined = props.num_sorts == 0;

@@ -40,8 +40,10 @@ Result<PhysicalPlan> RandomPlan(const Pattern& pattern, Rng* rng) {
   rng->Shuffle(&pending);
 
   for (const Pattern::Edge& edge : pending) {
-    Cluster& anc = clusters[static_cast<size_t>(cluster_of[static_cast<size_t>(edge.parent)])];
-    Cluster& desc = clusters[static_cast<size_t>(cluster_of[static_cast<size_t>(edge.child)])];
+    Cluster& anc = clusters[static_cast<size_t>(
+        cluster_of[static_cast<size_t>(edge.parent)])];
+    Cluster& desc = clusters[static_cast<size_t>(
+        cluster_of[static_cast<size_t>(edge.child)])];
     int left = anc.op;
     int right = desc.op;
     if (anc.ordered_by != edge.parent) {
@@ -50,8 +52,10 @@ Result<PhysicalPlan> RandomPlan(const Pattern& pattern, Rng* rng) {
     if (desc.ordered_by != edge.child) {
       right = plan.AddSort(edge.child, right);
     }
-    PlanOp op = rng->NextBool(0.5) ? PlanOp::kStackTreeAnc : PlanOp::kStackTreeDesc;
-    int join = plan.AddJoin(op, edge.parent, edge.child, edge.axis, left, right);
+    PlanOp op =
+        rng->NextBool(0.5) ? PlanOp::kStackTreeAnc : PlanOp::kStackTreeDesc;
+    int join =
+        plan.AddJoin(op, edge.parent, edge.child, edge.axis, left, right);
     // Merge desc's cluster into anc's.
     anc.mask |= desc.mask;
     anc.op = join;

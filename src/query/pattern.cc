@@ -100,7 +100,8 @@ Status Pattern::Validate() const {
   }
   for (size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].tag.empty()) {
-      return Status::InvalidArgument(StrFormat("pattern node %zu has empty tag", i));
+      return Status::InvalidArgument(
+          StrFormat("pattern node %zu has empty tag", i));
     }
   }
   if (!nodes_[0].indexed) {

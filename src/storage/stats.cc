@@ -18,7 +18,8 @@ double TagLevelHistogram::FractionAtLevel(size_t lv) const {
   return static_cast<double>(counts[lv]) / static_cast<double>(total);
 }
 
-DocumentStats DocumentStats::Collect(const Document& doc, const TagIndex& index) {
+DocumentStats DocumentStats::Collect(const Document& doc,
+                                     const TagIndex& index) {
   DocumentStats stats;
   stats.num_nodes_ = doc.NumNodes();
   stats.max_level_ = doc.MaxLevel();
@@ -86,7 +87,8 @@ const TagLevelHistogram& DocumentStats::LevelsOf(TagId tag) const {
   return tag_levels_[tag];
 }
 
-std::string DocumentStats::ToString(const Document& doc, size_t max_tags) const {
+std::string DocumentStats::ToString(const Document& doc,
+                                    size_t max_tags) const {
   std::string out = StrFormat(
       "nodes=%llu max_level=%u avg_level=%.2f tags=%zu\n",
       static_cast<unsigned long long>(num_nodes_), max_level_, avg_level_,

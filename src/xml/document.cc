@@ -97,7 +97,8 @@ Status Document::Validate() const {
         return Status::Internal(StrFormat("node %u has bad parent", id));
       }
       if (levels_[id] != levels_[p] + 1) {
-        return Status::Internal(StrFormat("node %u level != parent level + 1", id));
+        return Status::Internal(
+            StrFormat("node %u level != parent level + 1", id));
       }
       if (!(p < id && id <= ends_[p])) {
         return Status::Internal(
@@ -106,7 +107,8 @@ Status Document::Validate() const {
       // Sibling/parent nesting: the node's interval must be inside the
       // parent's interval.
       if (ends_[id] > ends_[p]) {
-        return Status::Internal(StrFormat("node %u escapes parent interval", id));
+        return Status::Internal(
+            StrFormat("node %u escapes parent interval", id));
       }
     }
     if (tags_[id] >= dict_.size()) {

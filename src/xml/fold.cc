@@ -3,7 +3,9 @@
 namespace sjos {
 
 Result<Document> FoldDocument(const Document& doc, uint32_t factor) {
-  if (factor == 0) return Status::InvalidArgument("folding factor must be >= 1");
+  if (factor == 0) {
+    return Status::InvalidArgument("folding factor must be >= 1");
+  }
   if (doc.Empty()) return Status::InvalidArgument("cannot fold empty document");
   if (doc.Spaced()) {
     return Status::InvalidArgument(

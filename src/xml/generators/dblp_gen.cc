@@ -65,15 +65,17 @@ class DblpGrower {
     const char* tag;
     if (kind < config_.inproceedings_fraction) {
       tag = "inproceedings";
-    } else if (kind < config_.inproceedings_fraction + config_.article_fraction) {
+    } else if (kind <
+               config_.inproceedings_fraction + config_.article_fraction) {
       tag = "article";
     } else {
       tag = rng_->NextBool(0.5) ? "book" : "phdthesis";
     }
     Open(tag);
-    Leaf("@key", StrFormat("rec/%llu", static_cast<unsigned long long>(serial)));
-    uint64_t authors =
-        1 + rng_->NextBelow(static_cast<uint64_t>(config_.authors_per_record * 2));
+    Leaf("@key",
+         StrFormat("rec/%llu", static_cast<unsigned long long>(serial)));
+    uint64_t authors = 1 + rng_->NextBelow(static_cast<uint64_t>(
+                               config_.authors_per_record * 2));
     for (uint64_t i = 0; i < authors; ++i) {
       Leaf("author", kAuthors[rng_->NextZipf(std::size(kAuthors), 0.7)]);
     }
@@ -82,9 +84,11 @@ class DblpGrower {
                                        1975 + rng_->NextBelow(28))));
     if (std::string_view(tag) == "inproceedings") {
       Leaf("booktitle", kVenues[rng_->NextZipf(std::size(kVenues), 0.5)]);
-      Leaf("pages", StrFormat("%llu-%llu",
-                              static_cast<unsigned long long>(rng_->NextBelow(400)),
-                              static_cast<unsigned long long>(rng_->NextBelow(400) + 400)));
+      Leaf("pages",
+           StrFormat("%llu-%llu",
+                     static_cast<unsigned long long>(rng_->NextBelow(400)),
+                     static_cast<unsigned long long>(rng_->NextBelow(400) +
+                                                     400)));
     } else if (std::string_view(tag) == "article") {
       Leaf("journal", kJournals[rng_->NextZipf(std::size(kJournals), 0.5)]);
       Leaf("volume", StrFormat("%llu", static_cast<unsigned long long>(
@@ -97,7 +101,8 @@ class DblpGrower {
       for (uint64_t i = 0; i < cites; ++i) {
         // Real DBLP cites carry a label attribute -> "@label" child.
         Open("cite");
-        Leaf("@label", StrFormat("[%llu]", static_cast<unsigned long long>(i + 1)));
+        Leaf("@label",
+             StrFormat("[%llu]", static_cast<unsigned long long>(i + 1)));
         builder_->Text(StrFormat("rec/%llu", static_cast<unsigned long long>(
                                                  rng_->NextBelow(serial + 1))));
         builder_->CloseElement();

@@ -65,7 +65,8 @@ class MbenchGrower {
     }
     if (Spend()) {
       builder_->OpenElement("@aUnique1");
-      builder_->Text(StrFormat("%llu", static_cast<unsigned long long>(serial_++)));
+      builder_->Text(
+          StrFormat("%llu", static_cast<unsigned long long>(serial_++)));
       builder_->CloseElement();
     }
     if (Spend()) {
@@ -86,7 +87,8 @@ class MbenchGrower {
     if (level < config_.levels) {
       double mean = level <= 4 ? 2.0 : fanout_;
       uint64_t base = static_cast<uint64_t>(mean);
-      uint64_t kids = base + (rng_->NextBool(mean - static_cast<double>(base)) ? 1 : 0);
+      uint64_t kids =
+          base + (rng_->NextBool(mean - static_cast<double>(base)) ? 1 : 0);
       for (uint64_t i = 0; i < kids; ++i) {
         if (!Spend()) break;
         EmitNest(level + 1);

@@ -15,7 +15,8 @@ void Grow(const TreeGenConfig& config, Rng* rng, DocumentBuilder* builder,
       rng->NextInRange(config.min_fanout, config.max_fanout));
   for (uint64_t i = 0; i < fanout && *budget > 0; ++i) {
     uint64_t tag = rng->NextZipf(config.num_tags, config.tag_skew);
-    builder->OpenElement(StrFormat("t%llu", static_cast<unsigned long long>(tag)));
+    builder->OpenElement(
+        StrFormat("t%llu", static_cast<unsigned long long>(tag)));
     --*budget;
     Grow(config, rng, builder, depth + 1, budget);
     builder->CloseElement();

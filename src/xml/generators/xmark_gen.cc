@@ -61,7 +61,8 @@ class XmarkGrower {
     Open("item");
     Leaf("@id", StrFormat("item%llu", static_cast<unsigned long long>(serial)));
     Leaf("location", "internet");
-    Leaf("name", StrFormat("gadget %llu", static_cast<unsigned long long>(serial)));
+    Leaf("name",
+         StrFormat("gadget %llu", static_cast<unsigned long long>(serial)));
     Leaf("payment", "credit card");
     EmitDescription();
     uint64_t incategories = 1 + rng_->NextBelow(2);
@@ -73,8 +74,10 @@ class XmarkGrower {
 
   void EmitPerson(uint64_t serial) {
     Open("person");
-    Leaf("@id", StrFormat("person%llu", static_cast<unsigned long long>(serial)));
-    Leaf("name", StrFormat("user %llu", static_cast<unsigned long long>(serial)));
+    Leaf("@id",
+         StrFormat("person%llu", static_cast<unsigned long long>(serial)));
+    Leaf("name",
+         StrFormat("user %llu", static_cast<unsigned long long>(serial)));
     Leaf("emailaddress", "user@example.com");
     if (rng_->NextBool(0.5)) {
       Open("address");
@@ -95,7 +98,8 @@ class XmarkGrower {
 
   void EmitAuction(uint64_t serial, uint64_t num_people) {
     Open("open_auction");
-    Leaf("@id", StrFormat("auction%llu", static_cast<unsigned long long>(serial)));
+    Leaf("@id",
+         StrFormat("auction%llu", static_cast<unsigned long long>(serial)));
     Leaf("initial", StrFormat("%llu.00", static_cast<unsigned long long>(
                                              5 + rng_->NextBelow(200))));
     uint64_t bidders = rng_->NextBelow(5);

@@ -205,7 +205,8 @@ class XmlScanner {
     }
   }
 
-  void ParseAttributes(std::vector<std::pair<std::string, std::string>>* attrs) {
+  void ParseAttributes(
+      std::vector<std::pair<std::string, std::string>>* attrs) {
     for (;;) {
       SkipWhitespace();
       if (Eof() || Peek() == '>' || Peek() == '/' || Peek() == '?') return;

@@ -26,7 +26,8 @@ struct ParseOptions {
 
 /// Parses a whole XML document from `input`. Returns the Document or a
 /// ParseError with a byte offset and reason.
-Result<Document> ParseXml(std::string_view input, const ParseOptions& options = {});
+Result<Document> ParseXml(std::string_view input,
+                          const ParseOptions& options = {});
 
 /// Reads `path` and parses it.
 Result<Document> ParseXmlFile(const std::string& path,

@@ -20,7 +20,8 @@ struct SerializeOptions {
 
 /// Renders `doc` as XML text. Elements whose tag begins with '@' are
 /// rendered as attributes of their parent. Text is entity-escaped.
-std::string SerializeXml(const Document& doc, const SerializeOptions& options = {});
+std::string SerializeXml(const Document& doc,
+                        const SerializeOptions& options = {});
 
 }  // namespace sjos
 

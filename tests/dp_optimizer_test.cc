@@ -34,7 +34,8 @@ struct QueryFixture {
 QueryFixture PersSetup(std::string_view pattern_text, uint64_t nodes = 1500) {
   PersGenConfig config;
   config.target_nodes = nodes;
-  return QueryFixture(Database::Open(GeneratePers(config).value()), pattern_text);
+  return QueryFixture(Database::Open(GeneratePers(config).value()),
+                      pattern_text);
 }
 
 TEST(DpOptimizerTest, ProducesValidPlan) {
@@ -47,7 +48,8 @@ TEST(DpOptimizerTest, ProducesValidPlan) {
 }
 
 TEST(DpOptimizerTest, PlanExecutesCorrectly) {
-  QueryFixture s = PersSetup("manager[//employee[/name]][//department[/name]]", 800);
+  QueryFixture s =
+      PersSetup("manager[//employee[/name]][//department[/name]]", 800);
   OptimizeResult r = std::move(MakeDpOptimizer()->Optimize(s.ctx())).value();
   Executor exec(s.db);
   ExecResult result = std::move(exec.Execute(s.pattern, r.plan)).value();

@@ -32,7 +32,8 @@ struct QueryFixture {
 QueryFixture PersSetup(std::string_view pattern_text, uint64_t nodes = 1500) {
   PersGenConfig config;
   config.target_nodes = nodes;
-  return QueryFixture(Database::Open(GeneratePers(config).value()), pattern_text);
+  return QueryFixture(Database::Open(GeneratePers(config).value()),
+                      pattern_text);
 }
 
 const char* kRunningExample =
@@ -49,7 +50,8 @@ TEST(DpapEbTest, ValidPlanAtAnyBound) {
 
 TEST(DpapEbTest, CostNeverBelowOptimal) {
   QueryFixture s = PersSetup(kRunningExample);
-  OptimizeResult optimal = std::move(MakeDppOptimizer()->Optimize(s.ctx())).value();
+  OptimizeResult optimal =
+      std::move(MakeDppOptimizer()->Optimize(s.ctx())).value();
   for (uint32_t te = 1; te <= 8; ++te) {
     OptimizeResult r =
         std::move(MakeDpapEbOptimizer(te)->Optimize(s.ctx())).value();
@@ -59,7 +61,8 @@ TEST(DpapEbTest, CostNeverBelowOptimal) {
 
 TEST(DpapEbTest, LargeBoundRecoversOptimal) {
   QueryFixture s = PersSetup(kRunningExample);
-  OptimizeResult optimal = std::move(MakeDppOptimizer()->Optimize(s.ctx())).value();
+  OptimizeResult optimal =
+      std::move(MakeDppOptimizer()->Optimize(s.ctx())).value();
   OptimizeResult r =
       std::move(MakeDpapEbOptimizer(10000)->Optimize(s.ctx())).value();
   EXPECT_NEAR(r.search_cost, optimal.search_cost, 1e-6);
@@ -98,7 +101,8 @@ TEST(DpapEbTest, PlanExecutesCorrectly) {
 
 TEST(DpapLdTest, PlansAreLeftDeep) {
   QueryFixture s = PersSetup(kRunningExample);
-  OptimizeResult r = std::move(MakeDpapLdOptimizer()->Optimize(s.ctx())).value();
+  OptimizeResult r =
+      std::move(MakeDpapLdOptimizer()->Optimize(s.ctx())).value();
   PlanProps props =
       std::move(ComputePlanProps(r.plan, s.pattern, s.pe, s.cm)).value();
   EXPECT_TRUE(props.left_deep);
@@ -119,13 +123,15 @@ TEST(DpapLdTest, CostNeverBelowOptimal) {
 TEST(DpapLdTest, ConsidersFewerPlansThanDpp) {
   QueryFixture s = PersSetup(kRunningExample);
   OptimizeResult dpp = std::move(MakeDppOptimizer()->Optimize(s.ctx())).value();
-  OptimizeResult ld = std::move(MakeDpapLdOptimizer()->Optimize(s.ctx())).value();
+  OptimizeResult ld =
+      std::move(MakeDpapLdOptimizer()->Optimize(s.ctx())).value();
   EXPECT_LT(ld.stats.plans_considered, dpp.stats.plans_considered);
 }
 
 TEST(DpapLdTest, PlanExecutesCorrectly) {
   QueryFixture s = PersSetup(kRunningExample, 600);
-  OptimizeResult r = std::move(MakeDpapLdOptimizer()->Optimize(s.ctx())).value();
+  OptimizeResult r =
+      std::move(MakeDpapLdOptimizer()->Optimize(s.ctx())).value();
   Executor exec(s.db);
   ExecResult result = std::move(exec.Execute(s.pattern, r.plan)).value();
   auto expected = std::move(NaiveMatch(s.db.doc(), s.pattern)).value();

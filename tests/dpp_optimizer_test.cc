@@ -68,7 +68,8 @@ TEST(DppOptimizerTest, LookaheadReducesWork) {
   // generates dead ends and considers more plans.
   QueryFixture s = PersSetup(
       "manager[//employee[/name]][//manager[/department[/name]]]");
-  OptimizeResult dpp = std::move(MakeDppOptimizer(true)->Optimize(s.ctx())).value();
+  OptimizeResult dpp =
+      std::move(MakeDppOptimizer(true)->Optimize(s.ctx())).value();
   OptimizeResult dpp_prime =
       std::move(MakeDppOptimizer(false)->Optimize(s.ctx())).value();
   EXPECT_NEAR(dpp.search_cost, dpp_prime.search_cost, 1e-6);

@@ -59,7 +59,8 @@ TEST(EndToEndTest, FoldingPreservesResultMultiplicity) {
       "<company><manager><name>a</name>"
       "<employee><name>b</name></employee></manager></company>";
   Document base = std::move(ParseXml(xml)).value();
-  Pattern pattern = std::move(ParsePattern("manager[//employee[/name]]")).value();
+  Pattern pattern =
+      std::move(ParsePattern("manager[//employee[/name]]")).value();
   for (uint32_t fold : {1u, 3u, 10u}) {
     Database db = Database::Open(std::move(FoldDocument(base, fold)).value());
     PositionalHistogramEstimator est = PositionalHistogramEstimator::Build(

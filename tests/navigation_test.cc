@@ -208,7 +208,8 @@ class NavigationOptimizerTest : public ::testing::Test {
   void SetUp() override {
     PersGenConfig config;
     config.target_nodes = 800;
-    db_ = std::make_unique<Database>(Database::Open(GeneratePers(config).value()));
+    db_ = std::make_unique<Database>(
+        Database::Open(GeneratePers(config).value()));
     est_ = std::make_unique<ExactEstimator>(db_->doc(), db_->index());
   }
 
@@ -222,7 +223,8 @@ class NavigationOptimizerTest : public ::testing::Test {
     auto expected = std::move(NaiveMatch(db_->doc(), pattern)).value();
     Executor exec(*db_);
     for (auto* make :
-         {+[]() { return MakeDpOptimizer(); }, +[]() { return MakeDppOptimizer(true); },
+         {+[]() { return MakeDpOptimizer(); },
+          +[]() { return MakeDppOptimizer(true); },
           +[]() { return MakeDpapLdOptimizer(); }}) {
       auto optimizer = make();
       Result<OptimizeResult> r = optimizer->Optimize(ctx);
@@ -236,7 +238,8 @@ class NavigationOptimizerTest : public ::testing::Test {
     auto eb = MakeDpapEbOptimizer(static_cast<uint32_t>(pattern.NumEdges()));
     Result<OptimizeResult> r = eb->Optimize(ctx);
     ASSERT_TRUE(r.ok()) << text;
-    ExecResult result = std::move(exec.Execute(pattern, r.value().plan)).value();
+    ExecResult result =
+        std::move(exec.Execute(pattern, r.value().plan)).value();
     EXPECT_EQ(result.tuples.Canonical(), expected) << text << " / DPAP-EB";
   }
 
@@ -277,8 +280,10 @@ TEST_F(NavigationOptimizerTest, NavigationChosenWhereItWins) {
       std::move(PatternEstimates::Make(unindexed, db_->doc(), *est_)).value();
   OptimizeContext ctx_i{&indexed, &pe_i, &cm_, {}};
   OptimizeContext ctx_u{&unindexed, &pe_u, &cm_, {}};
-  OptimizeResult best_i = std::move(MakeDppOptimizer()->Optimize(ctx_i)).value();
-  OptimizeResult best_u = std::move(MakeDppOptimizer()->Optimize(ctx_u)).value();
+  OptimizeResult best_i =
+      std::move(MakeDppOptimizer()->Optimize(ctx_i)).value();
+  OptimizeResult best_u =
+      std::move(MakeDppOptimizer()->Optimize(ctx_u)).value();
   std::string signature = PlanSignature(best_u.plan, unindexed);
   EXPECT_NE(signature.find("NAV"), std::string::npos) << signature;
 

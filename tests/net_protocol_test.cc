@@ -15,7 +15,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -473,6 +475,60 @@ TEST(JsonTest, CopiedChildOutlivesItsRoot) {
   ASSERT_TRUE(child.is_array());
   EXPECT_EQ(child.array()[0].string_value(), "x");
   EXPECT_EQ(child.array()[1].Find("c")->string_value(), "yz");
+}
+
+TEST(JsonTest, OwningRootsOfEachKindMoveAndCopy) {
+  // A root with children or text owns its tree's arena (named in a header
+  // before its run); one without owns nothing. Each kind is moved and
+  // copied out of its parse, and read after the source is gone.
+  const char* const kDocuments[] = {
+      "{\"a\":[1,[2,3]],\"s\":\"text\",\"o\":{\"k\":null}}",
+      "[[1,2],\"x\",{\"k\":[true]},[]]",
+      "\"a string longer than one word\"",
+      "{}",
+      "[]",
+      "\"\"",
+      "42.5",
+      "true",
+      "null",
+  };
+  for (const char* document : kDocuments) {
+    SCOPED_TRACE(document);
+    const JsonValue want = ParseJson(document).value();
+    JsonValue moved;
+    JsonValue copied;
+    JsonValue move_assigned = ParseJson("[\"old\",[1]]").value();
+    JsonValue copy_assigned = ParseJson("{\"old\":\"tree\"}").value();
+    {
+      Result<JsonValue> a = ParseJson(document);
+      Result<JsonValue> b = ParseJson(document);
+      ASSERT_TRUE(a.ok() && b.ok());
+      moved = std::move(a).value();
+      copied = b.value();
+      move_assigned = std::move(b).value();
+      copy_assigned = copied;
+    }
+    JsonValue move_constructed(std::move(copied));
+    const JsonValue copy_constructed(moved);
+    EXPECT_TRUE(SameJson(moved, want));
+    EXPECT_TRUE(SameJson(move_assigned, want));
+    EXPECT_TRUE(SameJson(copy_assigned, want));
+    EXPECT_TRUE(SameJson(move_constructed, want));
+    EXPECT_TRUE(SameJson(copy_constructed, want));
+    if (want.is_object() && !want.members().empty()) {
+      EXPECT_EQ(moved.Find("s")->string_value(), "text");
+      EXPECT_EQ(copy_constructed.Find("a")->array()[1].array()[1]
+                    .number_value(),
+                3.0);
+    }
+    if (want.is_array() && !want.array().empty()) {
+      EXPECT_EQ(move_assigned.array()[1].string_value(), "x");
+      EXPECT_TRUE(copy_assigned.array()[2].Find("k")->array()[0].bool_value());
+    }
+    if (want.is_string()) {
+      EXPECT_EQ(move_constructed.string_value(), want.string_value());
+    }
+  }
 }
 
 TEST(JsonTest, TreesDieOnAnotherThreadThanTheirParse) {
@@ -1262,6 +1318,196 @@ TEST(JsonTest, MutatedResponsesParseOrFailCleanly) {
   // document valid; the rest must all have been rejected cleanly.
   EXPECT_GT(parsed, 0u);
   EXPECT_LT(parsed, 20000u);
+}
+
+/// An id of a random digit count from 1 to 10 (0 and 4294967295 included),
+/// so rows take every length a NodeId can print at.
+NodeId RandomId(Rng* rng) {
+  static constexpr NodeId kEdges[] = {0, 9, 10, 4294967295u};
+  if (rng->NextBool(0.05)) return kEdges[rng->NextBelow(std::size(kEdges))];
+  const uint64_t digits = 1 + rng->NextBelow(10);
+  uint64_t low = 1;
+  for (uint64_t d = 1; d < digits; ++d) low *= 10;
+  const uint64_t high = std::min<uint64_t>(low * 10, uint64_t{1} << 32);
+  if (digits == 1) low = 0;
+  return static_cast<NodeId>(low + rng->NextBelow(high - low));
+}
+
+/// `rows` random rows over `arity` distinct pattern nodes in a random
+/// order.
+QueryResult RandomResult(Rng* rng, size_t arity, size_t rows) {
+  std::vector<PatternNodeId> slots;
+  for (PatternNodeId s = 0; s < 16; ++s) slots.push_back(s);
+  rng->Shuffle(&slots);
+  slots.resize(arity);
+  QueryResult qr = MakeResult(slots, {});
+  std::vector<NodeId> row(arity);
+  for (size_t r = 0; r < rows; ++r) {
+    for (NodeId& id : row) id = RandomId(rng);
+    qr.tuples.AppendRow(row.data());
+  }
+  qr.stats.result_rows = rows;
+  return qr;
+}
+
+constexpr uint64_t kFrameSeeds[] = {1, 2, 3, 17, 4242};
+
+TEST(JsonTest, RandomResultFramesRoundTrip) {
+  // Rows of 1 to 8 ids of every length: short rows are read in one pass
+  // over their window, long ones item by item; both must give back the
+  // stored rows in canonical order, bit for bit.
+  for (const uint64_t seed : kFrameSeeds) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    for (int frame = 0; frame < 6; ++frame) {
+      const size_t arity = 1 + rng.NextBelow(8);
+      const size_t nrows = rng.NextBelow(5001);
+      const QueryResult qr = RandomResult(&rng, arity, nrows);
+      Result<JsonValue> v =
+          ParseJson(EncodeDoneResult("rt", qr, kFrameAbsoluteMaxPayload));
+      ASSERT_TRUE(v.ok()) << v.status().ToString();
+      const std::span<const JsonValue> rows =
+          v.value().Find("result")->Find("rows")->array();
+      const std::vector<std::vector<NodeId>> want = qr.tuples.Canonical();
+      ASSERT_EQ(rows.size(), want.size());
+      for (size_t r = 0; r < rows.size(); ++r) {
+        const std::span<const JsonValue> items = rows[r].array();
+        ASSERT_EQ(items.size(), arity) << "row " << r;
+        for (size_t c = 0; c < arity; ++c) {
+          ASSERT_TRUE(items[c].is_number()) << "row " << r;
+          const double got = items[c].number_value();
+          const double id = static_cast<double>(want[r][c]);
+          ASSERT_EQ(std::memcmp(&got, &id, sizeof(double)), 0)
+              << "row " << r << " column " << c << ": " << got;
+        }
+      }
+    }
+  }
+}
+
+/// Expects a tree, or a ParseError whose byte offset lies in `text`.
+void ExpectTreeOrErrorInside(const std::string& text) {
+  Result<JsonValue> v = ParseJson(text);
+  if (v.ok()) return;
+  ASSERT_EQ(v.status().code(), StatusCode::kParseError)
+      << v.status().ToString();
+  const std::string& message = v.status().message();
+  const std::string prefix = "JSON error at byte ";
+  ASSERT_EQ(message.rfind(prefix, 0), 0u) << message;
+  size_t offset = 0;
+  const char* digits = message.data() + prefix.size();
+  const auto [end, ec] =
+      std::from_chars(digits, message.data() + message.size(), offset);
+  ASSERT_EQ(ec, std::errc()) << message;
+  ASSERT_EQ(*end, ':') << message;
+  EXPECT_LE(offset, text.size()) << message;
+}
+
+/// The reason of a ParseError, without its byte offset; empty for a tree.
+std::string ErrorReason(const Result<JsonValue>& v) {
+  if (v.ok()) return "";
+  const std::string& message = v.status().message();
+  return message.substr(message.find(':'));
+}
+
+/// `text` with a space after each '[' in [begin, end): every row there then
+/// goes through the item-by-item reader instead of its window.
+std::string SpacedRows(const std::string& text, size_t begin, size_t end) {
+  std::string out = text.substr(0, begin);
+  for (size_t i = begin; i < end; ++i) {
+    out += text[i];
+    if (text[i] == '[') out += ' ';
+  }
+  return out + text.substr(end);
+}
+
+TEST(JsonTest, RowWindowEdgeCases) {
+  // Rows inside a rows array are read in one pass over a 64-byte window
+  // when the whole row checks out; anything else goes item by item. Each
+  // text must read exactly as it does with a space after every '[', which
+  // sends every row item by item.
+  const std::string pad = ",\"tail\":\"" + std::string(100, 'x') + "\"}";
+  const std::string row63 = "[" + std::string(61, '7') + "]";
+  std::string items31 = "[0";
+  for (int i = 1; i < 31; ++i) items31 += ",9";
+  items31 += ']';
+  const std::string cases[] = {
+      "[[0],[9],[10],[0,0]]",
+      "[[1,123456789012345],[999999999999999,7]]",
+      "[[1,1234567890123456,2],[9007199254740993]]",
+      "[[12345678,123456789],[87654321,4294967295]]",
+      "[[1,01]]", "[[00]]", "[[1,2,-3]]", "[[1.5]]", "[[1e2]]",
+      "[[1 ,2]]", "[[1,,2]]", "[[1,]]", "[[1,2]3]", "[[1]2,3]",
+      "[[1,2\x80]]", "[[5\xff,6]]", "[[1,[2]]]", "[[1,\"s\"]]",
+      "[[1,2}]", "[[1,2]", "[" + row63 + "]", "[[1]," + row63 + "]",
+      "[[" + std::string(62, '1') + "]]", "[" + items31 + "]",
+      "[[1,2],[3,4] ,[5,6]]", "[[1,2],[3,4],\n[5,6]]",
+  };
+  for (const std::string& rows : cases) {
+    const std::string text = "{\"rows\":" + rows + pad;
+    SCOPED_TRACE(text);
+    const Result<JsonValue> fast = ParseJson(text);
+    const Result<JsonValue> slow =
+        ParseJson(SpacedRows(text, 0, text.size() - pad.size()));
+    ASSERT_EQ(fast.ok(), slow.ok())
+        << fast.status().ToString() << " / " << slow.status().ToString();
+    EXPECT_EQ(ErrorReason(fast), ErrorReason(slow));
+    if (fast.ok()) {
+      EXPECT_TRUE(SameJson(fast.value(), slow.value()));
+    }
+    // Near the end of the text no row has a whole window to read.
+    ASSERT_EQ(ParseJson(text.substr(0, text.size() - pad.size()) + "}").ok(),
+              fast.ok());
+  }
+  Result<JsonValue> v = ParseJson("{\"rows\":[[1,1234567890123456,2]," +
+                                  items31 + "]" + pad);
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  const std::span<const JsonValue> rows = v.value().Find("rows")->array();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0].array()[1].number_value(), 1234567890123456.0);
+  ASSERT_EQ(rows[1].array().size(), 31u);
+  EXPECT_EQ(rows[1].array()[30].number_value(), 9.0);
+}
+
+TEST(JsonTest, DamagedResultFramesParseOrFailInside) {
+  // Every truncated prefix of a small frame, and a one-byte change at
+  // every offset. Each must give a tree or a ParseError inside the text;
+  // the sanitizer builds catch anything worse. A change among the rows
+  // must also read exactly as it does when every row goes item by item.
+  const char kInteresting[] = "[],0123456789-+.eE x{}:\x01\x80\xff";
+  for (const uint64_t seed : kFrameSeeds) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const std::string frame = EncodeDoneResult(
+        "dmg", RandomResult(&rng, 1 + rng.NextBelow(4), 12), 1 << 20);
+    const size_t rows_begin = frame.find("\"rows\":[") + 7;
+    const size_t rows_end = frame.find("],\"row_count\"") + 1;
+    ASSERT_LT(rows_begin, rows_end);
+    for (size_t size = 0; size < frame.size(); ++size) {
+      ASSERT_NO_FATAL_FAILURE(ExpectTreeOrErrorInside(frame.substr(0, size)))
+          << "prefix of " << size << " bytes";
+    }
+    for (size_t at = 0; at < frame.size(); ++at) {
+      std::string text = frame;
+      text[at] = rng.NextBool(0.7)
+                     ? kInteresting[rng.NextBelow(sizeof(kInteresting) - 1)]
+                     : static_cast<char>(rng.NextBelow(256));
+      ASSERT_NO_FATAL_FAILURE(ExpectTreeOrErrorInside(text))
+          << "byte " << at << " set to " << int{text[at]};
+      if (at < rows_begin || at >= rows_end || text[at] == '"' ||
+          text[at] == '\\') {
+        continue;
+      }
+      const Result<JsonValue> fast = ParseJson(text);
+      const Result<JsonValue> slow =
+          ParseJson(SpacedRows(text, rows_begin, rows_end));
+      ASSERT_EQ(fast.ok(), slow.ok()) << text;
+      EXPECT_EQ(ErrorReason(fast), ErrorReason(slow)) << text;
+      if (fast.ok()) {
+        EXPECT_TRUE(SameJson(fast.value(), slow.value())) << text;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -70,8 +70,10 @@ TEST(OptStatusTest, KeyEqualForSamePartitionDifferentPath) {
   Pattern p = Pat("a[//b[/c]]");
   // Join (a,b) then (b,c), always ordering by the descendant, versus
   // joining (b,c) then (a,b): same final partition, same order node c...
-  OptStatus path1 = OptStatus::Start(p).AfterJoin(0, 1, 0, 1).AfterJoin(1, 2, 1, 2);
-  OptStatus path2 = OptStatus::Start(p).AfterJoin(1, 2, 1, 1).AfterJoin(0, 1, 0, 2);
+  OptStatus path1 =
+      OptStatus::Start(p).AfterJoin(0, 1, 0, 1).AfterJoin(1, 2, 1, 2);
+  OptStatus path2 =
+      OptStatus::Start(p).AfterJoin(1, 2, 1, 1).AfterJoin(0, 1, 0, 2);
   // Orders coincide only if the last move orders by c in both paths.
   EXPECT_TRUE(path1.Key() == path2.Key());
 }

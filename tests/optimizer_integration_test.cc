@@ -77,19 +77,24 @@ const PinnedPlan kSweepPins[] = {
      "((eNest#0 STA @aSixtyFour#3) STD (eNest#1 STA eOccasional#2))",
      10, 10, 8, 7942.5, 9265.5},
     {"Q.DBLP.1.b", "DP",
-     "(sort_inproceedings(((inproceedings#0 STD title#1) STD i#2)) STD author#3)",
+     "(sort_inproceedings(((inproceedings#0 STD title#1) STD i#2)) STD "
+     "author#3)",
      48, 49, 17, 1410.1699863519048, 2277.1699863519048},
     {"Q.DBLP.1.b", "DPP'",
-     "(sort_inproceedings(((inproceedings#0 STD title#1) STD i#2)) STD author#3)",
+     "(sort_inproceedings(((inproceedings#0 STD title#1) STD i#2)) STD "
+     "author#3)",
      11, 12, 9, 1410.1699863519048, 2277.1699863519048},
     {"Q.DBLP.1.b", "DPP",
-     "(sort_inproceedings(((inproceedings#0 STD title#1) STD i#2)) STD author#3)",
+     "(sort_inproceedings(((inproceedings#0 STD title#1) STD i#2)) STD "
+     "author#3)",
      11, 12, 9, 1410.1699863519048, 2277.1699863519048},
     {"Q.DBLP.1.b", "DPAP-EB",
-     "(sort_inproceedings(((inproceedings#0 STD title#1) STD i#2)) STD author#3)",
+     "(sort_inproceedings(((inproceedings#0 STD title#1) STD i#2)) STD "
+     "author#3)",
      11, 12, 6, 1410.1699863519048, 2277.1699863519048},
     {"Q.DBLP.1.b", "DPAP-LD",
-     "(sort_inproceedings(((inproceedings#0 STD title#1) STD i#2)) STD author#3)",
+     "(sort_inproceedings(((inproceedings#0 STD title#1) STD i#2)) STD "
+     "author#3)",
      11, 12, 9, 1410.1699863519048, 2277.1699863519048},
     {"Q.DBLP.1.b", "FP",
      "((inproceedings#0 STA (title#1 STA i#2)) STD author#3)",
@@ -104,7 +109,8 @@ const PinnedPlan kSweepPins[] = {
      "(sort_cite((((article#0 STA cite#3) STD title#1) STD i#2)) STD @label#4)",
      37, 38, 24, 1054.6910063045523, 1564.6910063045523},
     {"Q.DBLP.2.c", "DPAP-EB",
-     "(sort_cite(((sort_article((article#0 STD cite#3)) STD title#1) STD i#2)) STD @label#4)",
+     "(sort_cite(((sort_article((article#0 STD cite#3)) STD title#1) STD i#2)) "
+     "STD @label#4)",
      31, 32, 13, 1058.3077763002768, 1568.3077763002766},
     {"Q.DBLP.2.c", "DPAP-LD",
      "(sort_cite((((article#0 STA cite#3) STD title#1) STD i#2)) STD @label#4)",
@@ -149,40 +155,52 @@ const PinnedPlan kSweepPins[] = {
      "((manager#0 STA (department#3 STA name#4)) STD (employee#1 STA name#2))",
      14, 13, 11, 23321.68888888889, 26099.68888888889},
     {"Q.Pers.3.d", "DP",
-     "((manager#0 STA sort_manager(((manager#3 STD department#4) STD name#5))) STD (employee#1 STA name#2))",
+     "((manager#0 STA sort_manager(((manager#3 STD department#4) STD name#5))) "
+     "STD (employee#1 STA name#2))",
      550, 551, 138, 19274.356043580901, 22232.356043580901},
     {"Q.Pers.3.d", "DPP'",
-     "((manager#0 STA sort_manager(((manager#3 STD department#4) STD name#5))) STD (employee#1 STA name#2))",
+     "((manager#0 STA sort_manager(((manager#3 STD department#4) STD name#5))) "
+     "STD (employee#1 STA name#2))",
      359, 360, 117, 19274.356043580901, 22232.356043580901},
     {"Q.Pers.3.d", "DPP",
-     "((manager#0 STA sort_manager(((manager#3 STD department#4) STD name#5))) STD (employee#1 STA name#2))",
+     "((manager#0 STA sort_manager(((manager#3 STD department#4) STD name#5))) "
+     "STD (employee#1 STA name#2))",
      315, 316, 109, 19274.356043580901, 22232.356043580901},
     {"Q.Pers.3.d", "DPAP-EB",
-     "((manager#0 STA sort_manager(((manager#3 STD department#4) STD name#5))) STD (employee#1 STA name#2))",
+     "((manager#0 STA sort_manager(((manager#3 STD department#4) STD name#5))) "
+     "STD (employee#1 STA name#2))",
      96, 97, 21, 19274.356043580901, 22232.356043580901},
     {"Q.Pers.3.d", "DPAP-LD",
-     "(((manager#0 STA sort_manager(((manager#3 STD department#4) STD name#5))) STD employee#1) STD name#2)",
+     "(((manager#0 STA sort_manager(((manager#3 STD department#4) STD "
+     "name#5))) STD employee#1) STD name#2)",
      78, 79, 36, 41180.417154692019, 44138.417154692019},
     {"Q.Pers.3.d", "FP",
-     "((manager#0 STA (manager#3 STA (department#4 STA name#5))) STD (employee#1 STA name#2))",
+     "((manager#0 STA (manager#3 STA (department#4 STA name#5))) STD "
+     "(employee#1 STA name#2))",
      18, 16, 14, 19451.420370370368, 22409.420370370372},
     {"Q.Pers.4.d", "DP",
-     "((manager#0 STA (department#1 STA name#2)) STD sort_manager(((manager#3 STD employee#4) STD name#5)))",
+     "((manager#0 STA (department#1 STA name#2)) STD sort_manager(((manager#3 "
+     "STD employee#4) STD name#5)))",
      550, 551, 138, 21527.473590631947, 24485.473590631947},
     {"Q.Pers.4.d", "DPP'",
-     "((manager#0 STA (department#1 STA name#2)) STD sort_manager(((manager#3 STD employee#4) STD name#5)))",
+     "((manager#0 STA (department#1 STA name#2)) STD sort_manager(((manager#3 "
+     "STD employee#4) STD name#5)))",
      425, 426, 129, 21527.473590631947, 24485.473590631947},
     {"Q.Pers.4.d", "DPP",
-     "((manager#0 STA (department#1 STA name#2)) STD sort_manager(((manager#3 STD employee#4) STD name#5)))",
+     "((manager#0 STA (department#1 STA name#2)) STD sort_manager(((manager#3 "
+     "STD employee#4) STD name#5)))",
      369, 370, 119, 21527.473590631947, 24485.473590631947},
     {"Q.Pers.4.d", "DPAP-EB",
-     "((manager#0 STA (department#1 STA name#2)) STD sort_manager(((manager#3 STD employee#4) STD name#5)))",
+     "((manager#0 STA (department#1 STA name#2)) STD sort_manager(((manager#3 "
+     "STD employee#4) STD name#5)))",
      96, 97, 21, 21527.473590631947, 24485.473590631947},
     {"Q.Pers.4.d", "DPAP-LD",
-     "(((manager#0 STA sort_manager(((manager#3 STD employee#4) STD name#5))) STD department#1) STD name#2)",
+     "(((manager#0 STA sort_manager(((manager#3 STD employee#4) STD name#5))) "
+     "STD department#1) STD name#2)",
      97, 98, 41, 48598.721738780099, 51556.721738780099},
     {"Q.Pers.4.d", "FP",
-     "((manager#0 STA (department#1 STA name#2)) STD (manager#3 STA (employee#4 STA name#5)))",
+     "((manager#0 STA (department#1 STA name#2)) STD (manager#3 STA "
+     "(employee#4 STA name#5)))",
      18, 16, 14, 21831.282716049383, 24789.282716049383},
 };
 
@@ -190,22 +208,28 @@ const PinnedPlan kSweepPins[] = {
 // histograms, Q.Pers.3.d. EXPERIMENTS.md records the same counts.
 const PinnedPlan kTable2Pins[] = {
     {"Q.Pers.3.d", "DP",
-     "((manager#0 STA sort_manager(((manager#3 STD department#4) STD name#5))) STD (employee#1 STA name#2))",
+     "((manager#0 STA sort_manager(((manager#3 STD department#4) STD name#5))) "
+     "STD (employee#1 STA name#2))",
      550, 551, 138, 59185.50652565276, 66556.50652565276},
     {"Q.Pers.3.d", "DPP'",
-     "((manager#0 STA sort_manager(((manager#3 STD department#4) STD name#5))) STD (employee#1 STA name#2))",
+     "((manager#0 STA sort_manager(((manager#3 STD department#4) STD name#5))) "
+     "STD (employee#1 STA name#2))",
      374, 375, 120, 59185.50652565276, 66556.50652565276},
     {"Q.Pers.3.d", "DPP",
-     "((manager#0 STA sort_manager(((manager#3 STD department#4) STD name#5))) STD (employee#1 STA name#2))",
+     "((manager#0 STA sort_manager(((manager#3 STD department#4) STD name#5))) "
+     "STD (employee#1 STA name#2))",
      327, 328, 112, 59185.50652565276, 66556.50652565276},
     {"Q.Pers.3.d", "DPAP-EB",
-     "((manager#0 STA sort_manager(((manager#3 STD department#4) STD name#5))) STD (employee#1 STA name#2))",
+     "((manager#0 STA sort_manager(((manager#3 STD department#4) STD name#5))) "
+     "STD (employee#1 STA name#2))",
      96, 97, 21, 59185.50652565276, 66556.50652565276},
     {"Q.Pers.3.d", "DPAP-LD",
-     "(((manager#0 STA sort_manager(((manager#3 STD department#4) STD name#5))) STD employee#1) STD name#2)",
+     "(((manager#0 STA sort_manager(((manager#3 STD department#4) STD "
+     "name#5))) STD employee#1) STD name#2)",
      79, 80, 37, 136621.30032840819, 143992.30032840819},
     {"Q.Pers.3.d", "FP",
-     "((manager#0 STA (manager#3 STA (department#4 STA name#5))) STD (employee#1 STA name#2))",
+     "((manager#0 STA (manager#3 STA (department#4 STA name#5))) STD "
+     "(employee#1 STA name#2))",
      18, 16, 14, 59494.390568524723, 66865.390568524715},
 };
 

@@ -116,7 +116,8 @@ TEST(PlanPropsTest, ClassifiesPipelinedAndBlocking) {
   CostModel cm;
 
   PlanProps pipelined =
-      std::move(ComputePlanProps(PipelinedChainPlan(), pattern, pe, cm)).value();
+      std::move(ComputePlanProps(PipelinedChainPlan(), pattern, pe, cm))
+          .value();
   EXPECT_TRUE(pipelined.fully_pipelined);
   EXPECT_EQ(pipelined.num_sorts, 0u);
   EXPECT_EQ(pipelined.num_joins, 2u);
@@ -139,7 +140,8 @@ TEST(PlanPropsTest, CostAccumulatesOverOperators) {
   PlanProps blocking =
       std::move(ComputePlanProps(BlockingChainPlan(), pattern, pe, cm)).value();
   PlanProps pipelined =
-      std::move(ComputePlanProps(PipelinedChainPlan(), pattern, pe, cm)).value();
+      std::move(ComputePlanProps(PipelinedChainPlan(), pattern, pe, cm))
+          .value();
   // The blocking plan pays an extra sort plus the dearer STA join.
   EXPECT_GT(blocking.total_cost, pipelined.total_cost);
 }

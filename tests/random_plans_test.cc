@@ -65,7 +65,8 @@ TEST(WorstOfRandomTest, WorstAtLeastAsCostlyAsAnySample) {
   Rng rng(99);
   for (int i = 0; i < 30; ++i) {
     PhysicalPlan plan = std::move(RandomPlan(pattern, &rng)).value();
-    PlanProps props = std::move(ComputePlanProps(plan, pattern, pe, cm)).value();
+    PlanProps props =
+        std::move(ComputePlanProps(plan, pattern, pe, cm)).value();
     EXPECT_LE(props.total_cost, worst.value().modelled_cost + 1e-9);
   }
 }

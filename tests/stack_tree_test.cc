@@ -824,7 +824,8 @@ TEST(StackTreeBatchTest, WindowedMergeAgreesOnEveryJoinStat) {
           std::move(StackTreeJoin(db.View(), t0, 0, t1, 0, axis, by_anc))
               .value()
               .size();
-      ASSERT_GT(full, 2 * StackTreeMerge::kPassRows) << "too few rows for passes";
+      ASSERT_GT(full, 2 * StackTreeMerge::kPassRows)
+          << "too few rows for passes";
       for (uint64_t budget : {uint64_t{0}, uint64_t{1}, full / 2 + 1}) {
         c.max_output_rows = budget;
         JoinStats want;
