@@ -1,7 +1,6 @@
 #include "net/json.h"
 
 #include <algorithm>
-#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
@@ -12,13 +11,6 @@
 #include <new>
 #include <system_error>
 #include <type_traits>
-
-#if defined(__x86_64__) || defined(_M_X64)
-#define SJOS_JSON_ROW_WINDOW 1
-#include <emmintrin.h>
-#else
-#define SJOS_JSON_ROW_WINDOW 0
-#endif
 
 // Under ASan a block on the free list is poisoned past its link, so
 // reading through a view that outlived its root still reports.
@@ -111,60 +103,6 @@ class BlockPool {
 /// Integers of at most this many digits are below 2^53, so converting
 /// them digit by digit is exact and needs no from_chars.
 constexpr size_t kMaxExactDigits = 15;
-
-#if SJOS_JSON_ROW_WINDOW
-/// A result row whose ']' lies within this many bytes of its '[' is checked
-/// whole on bit masks of those bytes, then read without a branch per digit.
-constexpr size_t kRowWindow = 64;
-/// The bytes from a row's '[' that reading it in its window may load: the
-/// window, and an 8-byte load at each number in it.
-constexpr size_t kRowWindowReadBytes = kRowWindow + 16;
-/// Items a row in a window can have: "[0,0,...,0]".
-constexpr size_t kRowWindowMaxItems = kRowWindow / 2;
-
-/// Bit i of each mask describes byte i of a row's window.
-struct RowMasks {
-  uint64_t non_digit = 0;
-  uint64_t separator = 0;  // ',' or ']'
-  uint64_t close = 0;      // ']'
-  uint64_t zero = 0;       // '0'
-};
-
-/// Adds the window's 16 bytes from `chunk` * 16 to `m`.
-inline void AddRowChunk(const char* window, int chunk, RowMasks* m) {
-  const __m128i x = _mm_loadu_si128(
-      reinterpret_cast<const __m128i*>(window + 16 * chunk));
-  // A signed compare: bytes from 0x80 read as below '0'.
-  const __m128i non_digit = _mm_or_si128(
-      _mm_cmplt_epi8(x, _mm_set1_epi8('0')),
-      _mm_cmpgt_epi8(x, _mm_set1_epi8('9')));
-  const __m128i close = _mm_cmpeq_epi8(x, _mm_set1_epi8(']'));
-  const __m128i separator =
-      _mm_or_si128(_mm_cmpeq_epi8(x, _mm_set1_epi8(',')), close);
-  const __m128i zero = _mm_cmpeq_epi8(x, _mm_set1_epi8('0'));
-  auto bits = [chunk](__m128i v) {
-    return static_cast<uint64_t>(static_cast<uint16_t>(_mm_movemask_epi8(v)))
-           << (16 * chunk);
-  };
-  m->non_digit |= bits(non_digit);
-  m->separator |= bits(separator);
-  m->close |= bits(close);
-  m->zero |= bits(zero);
-}
-
-/// The value of the `len` (1 to 8) ASCII digits at `p`; loads 8 bytes.
-/// Little-endian: the first digit is the lowest byte, so shifting the
-/// digits to the top leaves leading zeros below them, and three multiplies
-/// fold bytes into pairs, quads and the whole.
-inline uint64_t DigitsValue(const char* p, unsigned len) {
-  uint64_t x;
-  std::memcpy(&x, p, sizeof(x));
-  x = (x << (64 - 8 * len)) & 0x0F0F0F0F0F0F0F0F;
-  x = (x * 2561) >> 8;
-  x = ((x & 0x00FF00FF00FF00FF) * 6553601) >> 16;
-  return ((x & 0x0000FFFF0000FFFF) * 42949672960001) >> 32;
-}
-#endif  // SJOS_JSON_ROW_WINDOW
 
 }  // namespace
 
@@ -503,11 +441,21 @@ class JsonParser {
       : begin_(text.data()),
         p_(text.data()),
         end_(text.data() + text.size()),
+        last_stop_(LastNonDigit(text)),
         max_depth_(max_depth),
         stacks_(TakeStacks()),
         items_(stacks_->items),
         members_(stacks_->members),
         scratch_(stacks_->text) {}
+
+  /// The value of last_stop_ for `text`.
+  static const char* LastNonDigit(std::string_view text) {
+    const char* p = text.data() + text.size();
+    while (p != text.data()) {
+      if (static_cast<unsigned char>(*--p - '0') >= 10) return p;
+    }
+    return text.data();
+  }
 
   ~JsonParser() {
     if (arena_ != nullptr) Arena::Destroy(arena_);
@@ -765,12 +713,10 @@ class JsonParser {
     while (true) {
       Node row;
       row.kind = Kind::kArray;
-      if (!ReadRowInWindow(&row)) {
-        ++p_;  // '['
-        const size_t base = items_.size();
-        if (!ParseIntegerRow(&row) && !ParseItems(&row, depth, base)) {
-          return false;
-        }
+      ++p_;  // '['
+      const size_t base = items_.size();
+      if (!ParseIntegerRow(&row) && !ParseItems(&row, depth, base)) {
+        return false;
       }
       items_.push_back(row);
       if (end_ - p_ < 3 || p_[0] != ',' || p_[1] != '[' ||
@@ -781,76 +727,6 @@ class JsonParser {
     }
   }
 
-  /// Reads the result row at p_ (its '[') into the arena's free tail in
-  /// one pass, if its ']' lies in its window and every item is an integer
-  /// ParseIntegerRow would take: no sign, fraction, exponent, whitespace or
-  /// leading zero, at most kMaxExactDigits digits. Returns true with the
-  /// row in `row` and p_ past its ']'. Otherwise returns false having
-  /// taken nothing, and ParseIntegerRow reads the row.
-  bool ReadRowInWindow(Node* row) {
-#if SJOS_JSON_ROW_WINDOW
-    const char* const p = p_;
-    if (static_cast<size_t>(end_ - p) < kRowWindowReadBytes) return false;
-    RowMasks m;
-    AddRowChunk(p, 0, &m);
-    AddRowChunk(p, 1, &m);
-    if (m.close == 0) {
-      AddRowChunk(p, 2, &m);
-      AddRowChunk(p, 3, &m);
-      if (m.close == 0) return false;
-    }
-    // The row is bytes 1 to `close` of the window: digit runs, each after
-    // a non-digit (the '[' or a ','), separated by ',' and ended by the
-    // first ']'. A '0' that starts a run must be the whole run.
-    const unsigned close = static_cast<unsigned>(std::countr_zero(m.close));
-    const uint64_t in_row = (~uint64_t{0} >> (63 - close)) & ~uint64_t{1};
-    const uint64_t after_non_digit = m.non_digit << 1;
-    uint64_t separators = m.non_digit & in_row;
-    if (((separators & ~m.separator) | (m.non_digit & after_non_digit) |
-         (m.zero & after_non_digit & ~(m.non_digit >> 1))) &
-        in_row) {
-      return false;
-    }
-    Arena& a = arena();
-    size_t bytes = 0;
-    char* tail = a.Tail(&bytes);
-    if (bytes < kRowWindowMaxItems * sizeof(JsonValue)) {
-      a.StartBlock(kRowWindowMaxItems * sizeof(JsonValue));
-      tail = a.Tail(&bytes);
-    }
-    JsonValue* const run = reinterpret_cast<JsonValue*>(tail);
-    size_t n = 0;
-    unsigned start = 1;
-    do {
-      const unsigned stop =
-          static_cast<unsigned>(std::countr_zero(separators));
-      const unsigned len = stop - start;
-      uint64_t value;
-      if (len <= 8) {
-        value = DigitsValue(p + start, len);
-      } else if (len <= kMaxExactDigits) {
-        value = DigitsValue(p + start, len - 8) * 100'000'000 +
-                DigitsValue(p + stop - 8, 8);
-      } else {
-        return false;
-      }
-      new (run + n++) JsonValue(Node{
-          .kind = Kind::kNumber,
-          .number = static_cast<double>(static_cast<int64_t>(value))});
-      start = stop + 1;
-      separators &= separators - 1;
-    } while (separators != 0);
-    a.Take(n * sizeof(JsonValue));
-    row->size = static_cast<uint32_t>(n);
-    row->items = run;
-    p_ = p + close + 1;
-    return true;
-#else
-    (void)row;
-    return false;
-#endif
-  }
-
   /// Reads the items of a result row (never the root), an array of short
   /// unsigned integers, from p_ (at its first item) straight into the
   /// arena's free tail. Returns true with the array in `out` and p_ past
@@ -859,7 +735,8 @@ class JsonParser {
   /// fraction, exponent, whitespace, a longer integer or any other value),
   /// returns false with the items before it on items_ and p_ at it, so the
   /// general loop goes on from there and reports any error as it would
-  /// have.
+  /// have. An item from last_stop_ on is left to the general loop too, so
+  /// the digit loop needs no end check.
   bool ParseIntegerRow(Node* out) {
     Arena& a = arena();
     size_t bytes = 0;
@@ -867,21 +744,20 @@ class JsonParser {
     size_t capacity = bytes / sizeof(JsonValue);
     size_t n = 0;
     const char* p = p_;
-    const char* const end = end_;
-    while (p != end) {
+    const char* const stop = last_stop_;
+    while (p < stop) {
       const char* const item = p;
       unsigned digit = static_cast<unsigned char>(*p) - unsigned{'0'};
       if (digit >= 10) break;
       uint64_t value = digit;
       ++p;
       if (value != 0) {
-        while (p != end &&
-               (digit = static_cast<unsigned char>(*p) - unsigned{'0'}) < 10) {
+        while ((digit = static_cast<unsigned char>(*p) - unsigned{'0'}) < 10) {
           value = value * 10 + digit;
           ++p;
         }
       }
-      if (p == end || static_cast<size_t>(p - item) > kMaxExactDigits ||
+      if (static_cast<size_t>(p - item) > kMaxExactDigits ||
           (*p != ',' && *p != ']')) {
         p = item;
         break;
@@ -1074,6 +950,10 @@ class JsonParser {
   const char* const begin_;
   const char* p_;
   const char* const end_;
+  /// The text's last byte that is not a digit, or begin_ if there is none.
+  /// A run of digits that starts before it ends at or before it, so a digit
+  /// loop from there needs no end check.
+  const char* const last_stop_;
   const size_t max_depth_;
   Status error_;
   /// The arena of the tree being built; handed to the root on success.

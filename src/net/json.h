@@ -26,12 +26,12 @@
 // run: the parser collects a container's children on a stack it reuses
 // and copies them into the arena when the container closes, except that a
 // result row (an array of short unsigned integers) is written straight
-// into the free tail of the arena's current block. On x86-64 a row that
-// fits 64 bytes is checked whole on SSE2 bit masks and read without a
-// branch per digit; any other row is read by a pointer loop. Values inside
-// the arena own nothing, so moving the root (or the Result holding it)
-// never moves the children; copying any value deep-copies its tree into a
-// fresh arena, sized to fit, that the copy owns. Counts are 32-bit, so a
+// into the free tail of the arena's current block by a pointer loop. Its
+// digit loop has no end check: an item that starts at or after the text's
+// last non-digit is left to the general loop. Values inside the arena own
+// nothing, so moving the root (or the Result holding it) never moves the
+// children; copying any value deep-copies its tree into a fresh arena,
+// sized to fit, that the copy owns. Counts are 32-bit, so a
 // document over 4 GiB is rejected (frames cap at 64 MiB). After the
 // grammar check, a number converts digit by digit when it is an integer of
 // at most 15 digits (exact in a double), and through std::from_chars on the

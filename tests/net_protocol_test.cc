@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <system_error>
@@ -1353,9 +1354,8 @@ QueryResult RandomResult(Rng* rng, size_t arity, size_t rows) {
 constexpr uint64_t kFrameSeeds[] = {1, 2, 3, 17, 4242};
 
 TEST(JsonTest, RandomResultFramesRoundTrip) {
-  // Rows of 1 to 8 ids of every length: short rows are read in one pass
-  // over their window, long ones item by item; both must give back the
-  // stored rows in canonical order, bit for bit.
+  // Rows of 1 to 8 ids of every length, read by the result-row pointer
+  // loop, must give back the stored rows in canonical order, bit for bit.
   for (const uint64_t seed : kFrameSeeds) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
@@ -1385,9 +1385,13 @@ TEST(JsonTest, RandomResultFramesRoundTrip) {
   }
 }
 
-/// Expects a tree, or a ParseError whose byte offset lies in `text`.
+/// Expects a tree, or a ParseError whose byte offset lies in `text`. The
+/// parse reads a heap copy of exactly the text's bytes, so under ASan a
+/// read past its end reports.
 void ExpectTreeOrErrorInside(const std::string& text) {
-  Result<JsonValue> v = ParseJson(text);
+  const auto copy = std::make_unique<char[]>(text.size());
+  std::memcpy(copy.get(), text.data(), text.size());
+  Result<JsonValue> v = ParseJson(std::string_view(copy.get(), text.size()));
   if (v.ok()) return;
   ASSERT_EQ(v.status().code(), StatusCode::kParseError)
       << v.status().ToString();
@@ -1410,27 +1414,34 @@ std::string ErrorReason(const Result<JsonValue>& v) {
   return message.substr(message.find(':'));
 }
 
-/// `text` with a space after each '[' in [begin, end): every row there then
-/// goes through the item-by-item reader instead of its window.
+/// `text` with a space after each '[' and before each ',' and ']' in
+/// [begin, end): no item there is followed at once by ',' or ']', so every
+/// row there goes through the general array loop, not the result-row
+/// pointer loop.
 std::string SpacedRows(const std::string& text, size_t begin, size_t end) {
   std::string out = text.substr(0, begin);
   for (size_t i = begin; i < end; ++i) {
+    if (text[i] == ',' || text[i] == ']') out += ' ';
     out += text[i];
     if (text[i] == '[') out += ' ';
   }
   return out + text.substr(end);
 }
 
-TEST(JsonTest, RowWindowEdgeCases) {
-  // Rows inside a rows array are read in one pass over a 64-byte window
-  // when the whole row checks out; anything else goes item by item. Each
-  // text must read exactly as it does with a space after every '[', which
-  // sends every row item by item.
+TEST(JsonTest, ResultRowEdgeCases) {
+  // Rows inside a rows array are read by the pointer loop while each item
+  // checks out; anything else goes to the general loop. Each text must
+  // read exactly as it does spaced, which sends every row to the general
+  // loop.
   const std::string pad = ",\"tail\":\"" + std::string(100, 'x') + "\"}";
   const std::string row63 = "[" + std::string(61, '7') + "]";
   std::string items31 = "[0";
   for (int i = 1; i < 31; ++i) items31 += ",9";
   items31 += ']';
+  // More items than a block's free tail holds: the row moves as it grows.
+  std::string items5000 = "[1";
+  for (int i = 1; i < 5000; ++i) items5000 += ",12345";
+  items5000 += ']';
   const std::string cases[] = {
       "[[0],[9],[10],[0,0]]",
       "[[1,123456789012345],[999999999999999,7]]",
@@ -1442,6 +1453,7 @@ TEST(JsonTest, RowWindowEdgeCases) {
       "[[1,2}]", "[[1,2]", "[" + row63 + "]", "[[1]," + row63 + "]",
       "[[" + std::string(62, '1') + "]]", "[" + items31 + "]",
       "[[1,2],[3,4] ,[5,6]]", "[[1,2],[3,4],\n[5,6]]",
+      "[[7]," + items5000 + "," + items5000 + "]",
   };
   for (const std::string& rows : cases) {
     const std::string text = "{\"rows\":" + rows + pad;
@@ -1455,7 +1467,8 @@ TEST(JsonTest, RowWindowEdgeCases) {
     if (fast.ok()) {
       EXPECT_TRUE(SameJson(fast.value(), slow.value()));
     }
-    // Near the end of the text no row has a whole window to read.
+    // With the rows at the end of the text, the digit loop's bound (the
+    // text's last non-digit) lies at or before their last ']'.
     ASSERT_EQ(ParseJson(text.substr(0, text.size() - pad.size()) + "}").ok(),
               fast.ok());
   }
@@ -1472,8 +1485,9 @@ TEST(JsonTest, RowWindowEdgeCases) {
 TEST(JsonTest, DamagedResultFramesParseOrFailInside) {
   // Every truncated prefix of a small frame, and a one-byte change at
   // every offset. Each must give a tree or a ParseError inside the text;
-  // the sanitizer builds catch anything worse. A change among the rows
-  // must also read exactly as it does when every row goes item by item.
+  // the sanitizer builds catch anything worse. A prefix that ends among
+  // the rows, and a change among them, must also read exactly as they do
+  // when every row goes to the general loop.
   const char kInteresting[] = "[],0123456789-+.eE x{}:\x01\x80\xff";
   for (const uint64_t seed : kFrameSeeds) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -1484,8 +1498,14 @@ TEST(JsonTest, DamagedResultFramesParseOrFailInside) {
     const size_t rows_end = frame.find("],\"row_count\"") + 1;
     ASSERT_LT(rows_begin, rows_end);
     for (size_t size = 0; size < frame.size(); ++size) {
-      ASSERT_NO_FATAL_FAILURE(ExpectTreeOrErrorInside(frame.substr(0, size)))
+      const std::string prefix = frame.substr(0, size);
+      ASSERT_NO_FATAL_FAILURE(ExpectTreeOrErrorInside(prefix))
           << "prefix of " << size << " bytes";
+      if (size <= rows_begin) continue;
+      EXPECT_EQ(ErrorReason(ParseJson(prefix)),
+                ErrorReason(ParseJson(SpacedRows(
+                    prefix, rows_begin, std::min(size, rows_end)))))
+          << prefix;
     }
     for (size_t at = 0; at < frame.size(); ++at) {
       std::string text = frame;
