@@ -1,7 +1,7 @@
 // google-benchmark micro benchmarks for the optimizers themselves: search
 // cost as the pattern grows (chains and bushy trees of 3..16 nodes). This
 // is where the asymptotic separation the paper argues for — DP exponential
-// vs DPP's pruned search vs FP's memoized subset DP — becomes visible
+// vs DPP's pruned search vs FP's memoized rank sort — becomes visible
 // far more starkly than on the 6-node workload queries.
 //
 // The BM_EnginePlan* benches measure the service layer instead: planning

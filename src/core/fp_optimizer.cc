@@ -6,15 +6,14 @@
 // For each candidate result-order node r, the pattern is "picked up" at r:
 // r's neighbors root the sub-pattern trees, each of which is recursively
 // planned to produce results ordered by its own root. The sub-plans are
-// then joined with r's candidate list in the cheapest order, found by a DP
-// over subsets of r's neighbors. Memoized on (subtree root, blocked
-// neighbor), the classic re-rooting decomposition. The chosen plan is the
-// CHEAPEST fully-pipelined plan — the guarantee the paper proves.
+// then joined with r's candidate list in the cheapest order, found by one
+// sort of r's neighbors by rank (ties by node id). Memoized on (subtree
+// root, blocked neighbor), the classic re-rooting decomposition. The
+// chosen plan is the CHEAPEST fully-pipelined plan — the guarantee the
+// paper proves.
 
 #include <algorithm>
-#include <bit>
-#include <cstdint>
-#include <cstring>
+#include <cmath>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -117,52 +116,48 @@ class FpOptimizer : public Optimizer {
     }
     ++stats_.statuses_expanded;
 
-    // Subset DP over the join order of the sub-pattern plans with r. A
-    // step's cost depends only on the set S already joined, so best_[S]
-    // (the cheapest cost of joining S first, summed in join order) is the
-    // minimum over the neighbor joined last. order_ row S keeps, among
-    // the cheapest, the lexicographically smallest order of S.
-    std::sort(neighbors.begin(), neighbors.end());
-    const size_t k = neighbors.size();
-    const uint32_t full = (uint32_t{1} << k) - 1;
-    best_.resize(size_t{full} + 1);
-    joined_.resize(size_t{full} + 1);
-    order_.resize((size_t{full} + 1) * k);
-    best_[0] = 0.0;
-    joined_[0] = MaskOf(r);
-    for (uint32_t s = 1; s <= full; ++s) {
-      const int low = std::countr_zero(s);
-      joined_[s] = joined_[s & (s - 1)] |
-                   memo_.at(MemoKey(neighbors[low], r)).mask;
-      const size_t len = static_cast<size_t>(std::popcount(s));
-      uint8_t* row = &order_[s * k];
-      bool found = false;
-      for (uint32_t rest = s; rest != 0; rest &= rest - 1) {
-        const int last = std::countr_zero(rest);
-        const uint32_t prev = s & ~(uint32_t{1} << last);
-        const NodeMask sub_mask = joined_[s] & ~joined_[prev];
-        const double cost = best_[prev] + JoinStepCost(r, neighbors[last],
-                                                       joined_[prev],
-                                                       sub_mask);
-        const uint8_t* prefix = &order_[prev * k];
-        if (found) {
-          if (cost > best_[s]) continue;
-          if (cost == best_[s]) {
-            const int c = std::memcmp(prefix, row, len - 1);
-            if (c > 0 || (c == 0 && last > row[len - 1])) continue;
-          }
-        }
-        found = true;
-        best_[s] = cost;
-        std::memcpy(row, prefix, len - 1);
-        row[len - 1] = static_cast<uint8_t>(last);
+    // Rank sort (the adjacent-sequence interchange of Monma & Sidney):
+    // joining u's sub-pattern T_u multiplies the cluster size P by m_u and
+    // costs P * c_u plus a term fixed for u, so ascending rank
+    // (m_u - 1) / c_u is a cheapest order. Exact ties go by node id, and so
+    // do the steps after P reaches 0, which cost the same in any order.
+    const PatternEstimates& est = *ctx_->estimates;
+    const CostFactors& f = ctx_->cost_model->factors();
+    keys_.clear();
+    for (PatternNodeId u : neighbors) {
+      keys_.push_back({0.0, 0.0, u, memo_.at(MemoKey(u, r)).mask});
+    }
+    auto by_id_from = keys_.begin();
+    const double card_r = keys_.size() > 1 ? est.ClusterCard(MaskOf(r)) : 0.0;
+    if (card_r > 0.0) {
+      for (RankKey& step : keys_) {
+        step.m = est.ClusterCard(MaskOf(r) | step.mask) / card_r;
+        const double c =
+            pattern.node(step.u).parent == r
+                ? (2.0 * f.f_io + f.f_out) * step.m + 2.0 * f.f_stack
+                : f.f_out * step.m;  // the Stack-Tree-Desc step
+        // A free step (c = 0) goes first if it shrinks P, else last.
+        step.rank = c > 0.0 ? (step.m - 1.0) / c
+                            : std::copysign(HUGE_VAL, step.m - 1.0);
       }
+      std::sort(keys_.begin(), keys_.end(),
+                [](const RankKey& a, const RankKey& b) {
+                  return a.rank != b.rank ? a.rank < b.rank : a.u < b.u;
+                });
+      double p = 1.0;
+      while (p != 0.0 && by_id_from != keys_.end()) p *= (by_id_from++)->m;
     }
-    stats_.plans_considered += k;  // one complete order per last neighbor
-    for (size_t i = 0; i < k; ++i) {
-      plan.perm.push_back(neighbors[order_[full * k + i]]);
+    std::sort(by_id_from, keys_.end(),
+              [](const RankKey& a, const RankKey& b) { return a.u < b.u; });
+    stats_.plans_considered += keys_.size();  // one per neighbour (Table 2)
+    double join_cost = 0.0;  // summed in join order
+    NodeMask current = MaskOf(r);
+    for (const RankKey& step : keys_) {
+      join_cost += JoinStepCost(r, step.u, current, step.mask);
+      current |= step.mask;
+      plan.perm.push_back(step.u);
     }
-    plan.cost = children_cost + best_[full];
+    plan.cost = children_cost + join_cost;
     return memo_.emplace(key, std::move(plan)).first->second;
   }
 
@@ -207,11 +202,13 @@ class FpOptimizer : public Optimizer {
   const OptimizeContext* ctx_ = nullptr;
   std::unordered_map<int, SubPlan> memo_;
   OptimizerStats stats_;
-  // Subset-DP tables, indexed by a set of sorted-neighbor positions;
-  // reused across sub-problems and written before they are read.
-  std::vector<double> best_;
-  std::vector<NodeMask> joined_;
-  std::vector<uint8_t> order_;  // row S: |S| positions, stride k
+  struct RankKey {
+    double rank;
+    double m;  // ClusterCard(r | T_u) / ClusterCard(r)
+    PatternNodeId u;
+    NodeMask mask;  // T_u
+  };
+  std::vector<RankKey> keys_;  // one sub-problem's neighbours, reused
 };
 
 }  // namespace

@@ -56,10 +56,10 @@ Status FinishPlan(const OptimizeContext& ctx, OptimizeResult* result) {
 
 /// Graceful degradation: `from_name`'s search exceeded the deadline after
 /// `elapsed_ms` with `partial_stats` of work done. Re-plans with FP (its
-/// own deadline cleared), folds the abandoned search's counters into the
-/// returned stats, marks the result (fallback_from + plan note) and bumps
-/// sjos_opt_deadline_fallbacks_total. Returns DeadlineExceeded when FP
-/// cannot plan the pattern either.
+/// deadline cleared; one rank sort per node, so microseconds), folds the
+/// abandoned search's counters into the returned stats, marks the result
+/// (fallback_from + plan note) and bumps sjos_opt_deadline_fallbacks_total.
+/// Returns DeadlineExceeded when FP cannot plan the pattern either.
 Result<OptimizeResult> FallbackToFp(const OptimizeContext& ctx,
                                     const char* from_name,
                                     const OptimizerStats& partial_stats,

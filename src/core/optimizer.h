@@ -45,8 +45,8 @@ struct OptimizerOptions {
   /// and the plan's EXPLAIN note. Only when FP itself cannot plan the
   /// pattern (unindexed nodes) does the breach surface as
   /// Status::DeadlineExceeded. FP ignores the deadline — it IS the
-  /// fallback. Its search is memoized per (node, blocked neighbour) and
-  /// orders a node's k neighbours by a DP over their 2^k subsets.
+  /// fallback, memoized per (node, blocked neighbour), and orders a node's
+  /// k neighbours by one sort by rank, so it plans in microseconds.
   double deadline_ms = 0.0;
 };
 
@@ -60,9 +60,9 @@ struct OptimizeContext {
 
 /// Per-run search statistics.
 struct OptimizerStats {
-  /// Alternatives costed during search. FP counts the complete join
-  /// orders it compares per sub-problem: one per neighbour that can be
-  /// joined last (k! for k <= 2 neighbours, k for more).
+  /// Alternatives costed during search. FP counts k per sub-problem of
+  /// k neighbours: one per neighbour its rank sort places (Table 2's
+  /// count, which a search of the k! orders of k <= 2 would give too).
   uint64_t plans_considered = 0;
   uint64_t statuses_generated = 0;  // statuses created (incl. duplicates)
   uint64_t statuses_expanded = 0;   // statuses whose moves were enumerated

@@ -14,7 +14,8 @@ ExecOptions QueryOptions::ExecView() const {
 
 OptimizerOptions QueryOptions::OptimizerView() const {
   OptimizerOptions opt;
-  opt.deadline_ms = static_cast<double>(deadline_ms);
+  // Half: a search cut short leaves FP's fallback and execution the rest.
+  opt.deadline_ms = static_cast<double>(deadline_ms) / 2.0;
   return opt;
 }
 

@@ -4,12 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <thread>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
+#include "common/timer.h"
 #include "core/opt_status.h"
 #include "core/optimizer.h"
 #include "estimate/positional_histogram.h"
@@ -248,6 +250,47 @@ TEST_F(GovernorTest, FallbackPlansTheLargestStar) {
   EXPECT_EQ(PlanSignature(result.value().plan, star),
             PlanSignature(fp.value().plan, star));
   EXPECT_EQ(result.value().search_cost, fp.value().search_cost);
+}
+
+// With no failpoint, a 1 ms deadline bounds DPP on the 16-node star: the
+// search stops at its next poll and the FP fallback sorts each node's
+// neighbours by rank, so the plan arrives within a few milliseconds. The
+// best of three runs is timed, so one descheduling does not fail it.
+TEST_F(GovernorTest, FallbackOnTheLargestStarIsBounded) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  const double bound_ms = 50.0;
+#else
+  const double bound_ms = 5.0;
+#endif
+  Pattern star;
+  star.AddRoot("manager");
+  const char* tags[] = {"employee", "name", "department"};
+  for (size_t i = 0; i < kMaxPatternNodes - 1; ++i) {
+    star.AddChild(0, tags[i % 3], Axis::kDescendant);
+  }
+  PositionalHistogramEstimator estimator = PositionalHistogramEstimator::Build(
+      db_->doc(), db_->index(), db_->stats());
+  Result<PatternEstimates> estimates =
+      PatternEstimates::Make(star, db_->doc(), estimator);
+  ASSERT_TRUE(estimates.ok());
+  CostModel cost_model;
+  OptimizeContext ctx{&star, &estimates.value(), &cost_model, {}};
+  Result<OptimizeResult> fp = MakeFpOptimizer()->Optimize(ctx);
+  ASSERT_TRUE(fp.ok()) << fp.status().ToString();
+
+  ctx.options.deadline_ms = 1.0;
+  double best_ms = HUGE_VAL;
+  for (int run = 0; run < 3; ++run) {
+    Timer timer;
+    Result<OptimizeResult> result = MakeDppOptimizer()->Optimize(ctx);
+    const double ms = timer.ElapsedMs();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.value().fallback_from, "DPP");
+    EXPECT_EQ(PlanSignature(result.value().plan, star),
+              PlanSignature(fp.value().plan, star));
+    best_ms = std::min(best_ms, ms);
+  }
+  EXPECT_LE(best_ms, bound_ms);
 }
 
 }  // namespace
