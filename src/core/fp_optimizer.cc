@@ -122,7 +122,7 @@ class FpOptimizer : public Optimizer {
     // (m_u - 1) / c_u is a cheapest order. Exact ties go by node id, and so
     // do the steps after P reaches 0, which cost the same in any order.
     const PatternEstimates& est = *ctx_->estimates;
-    const CostFactors& f = ctx_->cost_model->factors();
+    const CostModel& cm = *ctx_->cost_model;
     keys_.clear();
     for (PatternNodeId u : neighbors) {
       keys_.push_back({0.0, 0.0, u, memo_.at(MemoKey(u, r)).mask});
@@ -132,10 +132,10 @@ class FpOptimizer : public Optimizer {
     if (card_r > 0.0) {
       for (RankKey& step : keys_) {
         step.m = est.ClusterCard(MaskOf(r) | step.mask) / card_r;
-        const double c =
-            pattern.node(step.u).parent == r
-                ? (2.0 * f.f_io + f.f_out) * step.m + 2.0 * f.f_stack
-                : f.f_out * step.m;  // the Stack-Tree-Desc step
+        // c_u: JoinStepCost's part proportional to P, at P = 1.
+        const double c = pattern.node(step.u).parent == r
+                             ? cm.StackTreeAnc(step.m, 1.0)
+                             : cm.StackTreeDesc(0.0, step.m);
         // A free step (c = 0) goes first if it shrinks P, else last.
         step.rank = c > 0.0 ? (step.m - 1.0) / c
                             : std::copysign(HUGE_VAL, step.m - 1.0);

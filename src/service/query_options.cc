@@ -14,8 +14,7 @@ ExecOptions QueryOptions::ExecView() const {
 
 OptimizerOptions QueryOptions::OptimizerView() const {
   OptimizerOptions opt;
-  // Half: a search cut short leaves FP's fallback and execution the rest.
-  opt.deadline_ms = static_cast<double>(deadline_ms) / 2.0;
+  opt.deadline_ms = static_cast<double>(deadline_ms);
   return opt;
 }
 

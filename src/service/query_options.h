@@ -28,9 +28,9 @@ struct QueryOptions {
   /// Wall-clock budget for the WHOLE query — optimization plus execution —
   /// in milliseconds (0 = unlimited). The Engine charges optimization time
   /// against it and hands the remainder to the executor; a plan-cache hit
-  /// leaves the full budget for execution. The search may use half of it:
-  /// past that it degrades to the FP heuristic (see OptimizerOptions); a
-  /// breach during execution surfaces as Status::DeadlineExceeded.
+  /// leaves the full budget for execution. During the search phase a
+  /// breach degrades to the FP heuristic (see OptimizerOptions); during
+  /// execution it surfaces as Status::DeadlineExceeded.
   uint64_t deadline_ms = 0;
 
   /// Budget on live intermediate bytes (0 = unlimited); see

@@ -19,13 +19,10 @@
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "core/opt_status.h"
 #include "exec/executor.h"
-#include "exec/naive_matcher.h"
 #include "query/pattern_parser.h"
 #include "service/engine.h"
 #include "xml/generators/pers_gen.h"
-#include "xml/parser.h"
 
 namespace sjos {
 namespace {
@@ -377,53 +374,6 @@ TEST(EngineTest, LoadReplacesDatabaseAndClearsCache) {
   Result<QueryResult> r = engine.Query(pattern);
   ASSERT_TRUE(r.ok());
   EXPECT_FALSE(r.value().planned.cache_hit);
-}
-
-// A cold search of a 16-node star (fan-out 15, the largest pattern
-// admitted) outruns a small whole-query deadline; the FP fallback must
-// leave execution enough of it to return the naive matcher's rows. The
-// search may use half the deadline, so the fallback and the execution
-// share the other half.
-TEST(EngineTest, DeadlineFallbackAnswersTheLargestStar) {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  const uint64_t deadline_ms = 200;
-#else
-  const uint64_t deadline_ms = 30;
-#endif
-  // Six hubs whose children c0..c14 are mostly present, as in
-  // FpOptimizerTest.PlansStarsOfAnyFanout: a handful of result rows.
-  std::string xml = "<doc>";
-  for (size_t r = 0; r < 6; ++r) {
-    xml += "<r>";
-    for (size_t c = 0; c < 15; ++c) {
-      if (r < 3 && (r + c) % 7 == 6) continue;
-      xml += "<c";
-      xml += std::to_string(c);
-      xml += "/>";
-    }
-    xml += "</r>";
-  }
-  xml += "</doc>";
-  Database db = Database::Open(std::move(ParseXml(xml)).value());
-  Pattern star;
-  star.AddRoot("r");
-  for (size_t c = 0; c < kMaxPatternNodes - 1; ++c) {
-    std::string tag = "c";
-    tag += std::to_string(c);
-    star.AddChild(0, tag, c % 2 == 0 ? Axis::kChild : Axis::kDescendant);
-  }
-  const auto expected = std::move(NaiveMatch(db.doc(), star)).value();
-  ASSERT_FALSE(expected.empty());
-
-  Engine engine;
-  ASSERT_TRUE(engine.OpenDatabase(std::move(db)).ok());
-  QueryOptions options;
-  options.use_plan_cache = false;
-  options.deadline_ms = deadline_ms;
-  Result<QueryResult> r = engine.Query(star, options);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r.value().planned.fallback_from, "DPP");
-  EXPECT_EQ(r.value().tuples.Canonical(), expected);
 }
 
 }  // namespace
